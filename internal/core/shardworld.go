@@ -24,10 +24,7 @@ package core
 // proves with checkpoint.VerifyEquivalence at 1, 2, 4, and 8 shards.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"sort"
 	"time"
 
@@ -79,17 +76,8 @@ type ShardMissionConfig struct {
 }
 
 func (sc ShardMissionConfig) withDefaults() ShardMissionConfig {
-	if sc.Area.Width() <= 0 || sc.Area.Height() <= 0 {
-		side := 400 * math.Sqrt(float64(sc.Assets)/25)
-		sc.Area = geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 1.5 * side, Y: side})
-	}
 	if sc.SensorRange <= 0 {
 		sc.SensorRange = 150
-	}
-	if sc.Drift < 0 {
-		sc.Drift = 0
-	} else if sc.Drift == 0 {
-		sc.Drift = 25
 	}
 	if sc.Incidents <= 0 {
 		sc.Incidents = sc.Assets / 8
@@ -186,13 +174,9 @@ type shardIncident struct {
 //
 //iobt:actor-state
 type shardAsset struct {
-	id  int
-	rng *sim.RNG
-	// Oscillation parameters: pos(t) = home + (ax sin(wx t + px),
-	// ay sin(wy t + py)), amplitudes bounded by Drift.
-	home                   geo.Point
-	ax, ay, wx, wy, px, py float64
-	degradeAt, failAt      time.Duration // 0 = never
+	id                int
+	rng               *sim.RNG
+	degradeAt, failAt time.Duration // 0 = never
 
 	health        HealthState
 	healthSeq     uint64
@@ -203,7 +187,7 @@ type shardAsset struct {
 	// Tick closures are built once at setup and rescheduled by value;
 	// re-invoking the maker every tick allocated a fresh closure per
 	// asset per cadence.
-	healthFn, senseFn, mobFn func(*sim.ShardCtx)
+	healthFn, senseFn func(*sim.ShardCtx)
 }
 
 // shardPost is the command post's aggregated operational picture, owned
@@ -237,17 +221,8 @@ type shardMission struct {
 	// through ShardCtx.Self(); every slot below postID is nil.
 	posts     []*shardPost
 	incidents []shardIncident
-	sm        *geo.ShardMap
+	field     *geo.DriftField
 	postID    sim.ActorID
-}
-
-func (r *shardMission) pos(id int, t time.Duration) geo.Point {
-	a := r.assets[id]
-	ts := t.Seconds()
-	return geo.Point{
-		X: a.home.X + a.ax*math.Sin(a.wx*ts+a.px),
-		Y: a.home.Y + a.ay*math.Sin(a.wy*ts+a.py),
-	}
 }
 
 // healthOf is the pure per-asset health schedule: past failAt the
@@ -282,14 +257,14 @@ func RunShardMission(seed int64, shards int, sc ShardMissionConfig) (*ShardMissi
 		assets:    make([]*shardAsset, sc.Assets),
 		posts:     make([]*shardPost, sc.Assets+1),
 		incidents: make([]shardIncident, sc.Incidents),
-		sm:        geo.NewShardMap(sc.Area, shards),
+		field:     geo.NewDriftField(eng.Stream("shardworld/field"), sc.Assets, shards, sc.Area, sc.Drift),
 		postID:    sim.ActorID(sc.Assets),
 	}
 
 	// Field layout, fault schedule, and incident schedule from setup
 	// streams, drawn in ID order — shard-count independent by
 	// construction.
-	field := eng.Stream("shardworld/field")
+	area := r.field.Area
 	faults := eng.Stream("shardworld/fault")
 	incs := eng.Stream("shardworld/incident")
 	for i := 0; i < sc.Assets; i++ {
@@ -298,16 +273,6 @@ func RunShardMission(seed int64, shards int, sc ShardMissionConfig) (*ShardMissi
 			rng:    eng.Stream(fmt.Sprintf("shardworld/asset/%d", i)),
 			tracks: make(map[int]time.Duration),
 		}
-		a.home = geo.Point{
-			X: field.Uniform(sc.Area.Min.X, sc.Area.Max.X),
-			Y: field.Uniform(sc.Area.Min.Y, sc.Area.Max.Y),
-		}
-		a.ax = field.Uniform(0, sc.Drift)
-		a.ay = field.Uniform(0, sc.Drift)
-		a.wx = field.Uniform(0.05, 0.4)
-		a.wy = field.Uniform(0.05, 0.4)
-		a.px = field.Uniform(0, 2*math.Pi)
-		a.py = field.Uniform(0, 2*math.Pi)
 		if faults.Bool(sc.DegradeFrac) {
 			a.degradeAt = time.Duration(faults.Uniform(float64(sc.Horizon/6), float64(sc.Horizon/2)))
 		}
@@ -315,14 +280,14 @@ func RunShardMission(seed int64, shards int, sc ShardMissionConfig) (*ShardMissi
 			a.failAt = time.Duration(faults.Uniform(float64(sc.Horizon/3), float64(2*sc.Horizon/3)))
 		}
 		r.assets[i] = a
-		eng.AddActor(sim.ActorID(i), r.sm.ShardOf(a.home))
+		eng.AddActor(sim.ActorID(i), r.field.Map.ShardOf(r.field.Home(i)))
 	}
 	for i := range r.incidents {
 		r.incidents[i] = shardIncident{
 			id: i,
 			pos: geo.Point{
-				X: incs.Uniform(sc.Area.Min.X, sc.Area.Max.X),
-				Y: incs.Uniform(sc.Area.Min.Y, sc.Area.Max.Y),
+				X: incs.Uniform(area.Min.X, area.Max.X),
+				Y: incs.Uniform(area.Min.Y, area.Max.Y),
 			},
 			at:  time.Duration(incs.Uniform(float64(5*time.Second), float64(sc.Horizon)*0.7)),
 			dur: sc.IncidentDur,
@@ -336,10 +301,10 @@ func RunShardMission(seed int64, shards int, sc ShardMissionConfig) (*ShardMissi
 		firstBy:   make(map[int]int),
 	}
 	center := geo.Point{
-		X: sc.Area.Min.X + sc.Area.Width()/2,
-		Y: sc.Area.Min.Y + sc.Area.Height()/2,
+		X: area.Min.X + area.Width()/2,
+		Y: area.Min.Y + area.Height()/2,
 	}
-	eng.AddActor(r.postID, r.sm.ShardOf(center))
+	eng.AddActor(r.postID, r.field.Map.ShardOf(center))
 
 	for i := 0; i < sc.Assets; i++ {
 		a := r.assets[i]
@@ -353,9 +318,9 @@ func RunShardMission(seed int64, shards int, sc ShardMissionConfig) (*ShardMissi
 		// no-op): gating them on shards > 1 would skew both the per-asset
 		// stream and the processed-event count, breaking invariance.
 		if sc.MobilityEvery > 0 {
-			a.mobFn = r.mobilityTick(a)
 			mp := time.Duration(a.rng.Intn(int(sc.MobilityEvery/time.Millisecond))) * time.Millisecond
-			eng.ScheduleActor(sim.ActorID(i), sc.MobilityEvery+mp, "mobility", a.mobFn)
+			eng.ScheduleActor(sim.ActorID(i), sc.MobilityEvery+mp, "mobility",
+				r.field.MobilityTick(i, sc.MobilityEvery, sc.Horizon, 0))
 		}
 	}
 
@@ -394,7 +359,7 @@ func (r *shardMission) senseTick(a *shardAsset) func(*sim.ShardCtx) {
 			if a.health == Degraded {
 				rng *= 0.6
 			}
-			p := r.pos(a.id, now)
+			p := r.field.Pos(a.id, now)
 			for _, inc := range r.incidents {
 				if now < inc.at || now >= inc.at+inc.dur {
 					continue
@@ -412,19 +377,6 @@ func (r *shardMission) senseTick(a *shardAsset) func(*sim.ShardCtx) {
 		}
 		if now+r.sc.SenseEvery <= r.sc.Horizon {
 			c.Schedule(r.sc.SenseEvery, "sense", a.senseFn)
-		}
-	}
-}
-
-// mobilityTick follows the asset's drift across shard bands, staging a
-// migration whenever the band changes — purely a placement decision,
-// invisible to model state.
-func (r *shardMission) mobilityTick(a *shardAsset) func(*sim.ShardCtx) {
-	return func(c *sim.ShardCtx) {
-		now := c.Now()
-		c.Migrate(r.sm.ShardOf(r.pos(a.id, now)))
-		if now+r.sc.MobilityEvery <= r.sc.Horizon {
-			c.Schedule(r.sc.MobilityEvery, "mobility", a.mobFn)
 		}
 	}
 }
@@ -475,12 +427,7 @@ func (r *shardMission) collect(eng *sim.Sharded, shards int) *ShardMissionResult
 	}
 	p := r.posts[r.postID]
 
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		_, _ = h.Write(buf[:])
-	}
+	w := r.field.Fold
 	for _, a := range r.assets {
 		res.HealthChanges += a.healthChanges
 		res.Detections += uint64(len(a.tracks))
@@ -582,6 +529,6 @@ func (r *shardMission) collect(eng *sim.Sharded, shards int) *ShardMissionResult
 	default:
 		res.MissionHealth = Healthy
 	}
-	res.Digest = h.Sum64()
+	res.Digest = r.field.Digest()
 	return res
 }

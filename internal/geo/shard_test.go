@@ -1,6 +1,13 @@
 package geo
 
-import "testing"
+import (
+	"hash/fnv"
+	"math"
+	"testing"
+	"time"
+
+	"iobt/internal/sim"
+)
 
 func TestShardMapPartition(t *testing.T) {
 	m := NewShardMap(NewRect(Point{0, 0}, Point{1200, 800}), 4)
@@ -142,5 +149,89 @@ func TestShardMapDegenerate(t *testing.T) {
 	}
 	if got := m.ShardOf(Point{3, 4}); got != 0 {
 		t.Fatalf("degenerate ShardOf = %d, want 0", got)
+	}
+}
+
+func TestDriftFieldDefaultsAndBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		area      Rect
+		drift     float64
+		wantArea  Rect
+		wantDrift float64
+	}{
+		{"defaults", Rect{}, 0, NewRect(Point{0, 0}, Point{1200, 800}), 25},
+		{"pinned", Rect{}, -1, NewRect(Point{0, 0}, Point{1200, 800}), 0},
+		{"explicit", NewRect(Point{10, 20}, Point{500, 300}), 60, NewRect(Point{10, 20}, Point{500, 300}), 60},
+	} {
+		f := NewDriftField(sim.NewRNG(9).Derive("field"), 100, 4, tc.area, tc.drift)
+		if f.Area != tc.wantArea || f.Drift != tc.wantDrift {
+			t.Errorf("%s: area %v drift %v, want %v and %v", tc.name, f.Area, f.Drift, tc.wantArea, tc.wantDrift)
+		}
+		if f.Map.Shards() != 4 || f.Map.Bounds() != f.Area {
+			t.Errorf("%s: shard map %d bands over %v", tc.name, f.Map.Shards(), f.Map.Bounds())
+		}
+		same := NewDriftField(sim.NewRNG(9).Derive("field"), 100, 1, tc.area, tc.drift)
+		for i := 0; i < 100; i++ {
+			home := f.Home(i)
+			if !f.Area.Contains(home) {
+				t.Fatalf("%s: actor %d home %v outside %v", tc.name, i, home, f.Area)
+			}
+			for _, at := range []time.Duration{0, 3 * time.Second, 77 * time.Second} {
+				p := f.Pos(i, at)
+				if math.Abs(p.X-home.X) > f.Drift || math.Abs(p.Y-home.Y) > f.Drift {
+					t.Fatalf("%s: actor %d at %v strays %v from home %v (drift %v)", tc.name, i, at, p, home, f.Drift)
+				}
+				if p != same.Pos(i, at) {
+					t.Fatalf("%s: actor %d position depends on the shard count", tc.name, i)
+				}
+			}
+		}
+	}
+}
+
+// TestDriftFieldMobilityTick: the placement tick reschedules itself
+// through the horizon, stops for good once its actor has failed, and
+// keeps the actor on the band under its position.
+func TestDriftFieldMobilityTick(t *testing.T) {
+	for _, tc := range []struct {
+		stopAt time.Duration
+		events uint64
+	}{
+		{0, 10},                      // ticks at 1s..10s
+		{4500 * time.Millisecond, 5}, // 1s..4s, then the 5s tick finds it dead
+	} {
+		eng := sim.NewSharded(3, sim.ShardedConfig{Shards: 4})
+		f := NewDriftField(eng.Stream("field"), 1, 4, NewRect(Point{0, 0}, Point{40, 40}), 200)
+		eng.AddActor(0, f.Map.ShardOf(f.Home(0)))
+		eng.ScheduleActor(0, time.Second, "mobility", f.MobilityTick(0, time.Second, 10*time.Second, tc.stopAt))
+		if err := eng.Run(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.Processed(); got != tc.events {
+			t.Errorf("stopAt=%v: %d mobility events, want %d", tc.stopAt, got, tc.events)
+		}
+		if tc.stopAt == 0 {
+			if got, want := eng.ActorShard(0), f.Map.ShardOf(f.Pos(0, 10*time.Second)); got != want {
+				t.Errorf("actor on shard %d after its last tick, position is in band %d", got, want)
+			}
+		}
+	}
+}
+
+// TestDriftFieldDigest pins the fold format — FNV-1a over each value's
+// big-endian bytes — that every committed E18 and shard-mission digest
+// was produced with.
+func TestDriftFieldDigest(t *testing.T) {
+	f := NewDriftField(sim.NewRNG(1), 1, 1, Rect{}, 0)
+	if got := f.Digest(); got != 0xcbf29ce484222325 {
+		t.Errorf("empty digest %x, want the FNV-1a offset basis", got)
+	}
+	f.Fold(1)
+	f.Fold(0x0102030405060708)
+	want := fnv.New64a()
+	_, _ = want.Write([]byte{0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7, 8})
+	if got := f.Digest(); got != want.Sum64() {
+		t.Errorf("digest %x, want %x", got, want.Sum64())
 	}
 }

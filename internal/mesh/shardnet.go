@@ -19,10 +19,7 @@ package mesh
 // the E18 scaling experiment verify.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"time"
 
 	"iobt/internal/geo"
@@ -70,7 +67,8 @@ type ShardScenario struct {
 	// spread by a deterministic stride over the ID space.
 	Publishers int
 	// PublishEvery is the per-publisher cadence (default 5s) and
-	// PublishUntil the last publish time (default Horizon - 30s).
+	// PublishUntil the last publish time (default Horizon - 30s, or
+	// Horizon/2 for horizons of 30s and under).
 	PublishEvery time.Duration
 	PublishUntil time.Duration
 	// Horizon is the virtual run length (default 240s).
@@ -100,17 +98,8 @@ type ShardScenario struct {
 }
 
 func (sc ShardScenario) withDefaults() ShardScenario {
-	if sc.Area.Width() <= 0 || sc.Area.Height() <= 0 {
-		side := 400 * math.Sqrt(float64(sc.Nodes)/25)
-		sc.Area = geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 1.5 * side, Y: side})
-	}
 	if sc.Radio <= 0 {
 		sc.Radio = 130
-	}
-	if sc.Drift < 0 {
-		sc.Drift = 0
-	} else if sc.Drift == 0 {
-		sc.Drift = 25
 	}
 	if sc.Mode == "" {
 		sc.Mode = ShardModeGossip
@@ -141,7 +130,7 @@ func (sc ShardScenario) withDefaults() ShardScenario {
 	}
 	if sc.PublishUntil <= 0 {
 		sc.PublishUntil = sc.Horizon - 30*time.Second
-		if sc.PublishUntil < 0 {
+		if sc.PublishUntil <= 0 {
 			sc.PublishUntil = sc.Horizon / 2
 		}
 	}
@@ -189,13 +178,9 @@ type ShardResult struct {
 //
 //iobt:actor-state
 type shardNode struct {
-	id   NodeID
-	rng  *sim.RNG
-	home geo.Point
-	// Oscillation parameters: pos(t) = home + (ax sin(wx t + px),
-	// ay sin(wy t + py)), amplitudes bounded by Drift.
-	ax, ay, wx, wy, px, py float64
-	killAt                 time.Duration // 0 = never fails
+	id     NodeID
+	rng    *sim.RNG
+	killAt time.Duration // 0 = never fails
 
 	publisher bool
 	pubSeq    uint64
@@ -213,7 +198,7 @@ type shardNode struct {
 	// Tick closures are built once at setup and rescheduled by value;
 	// re-invoking the maker every tick allocated a fresh closure per
 	// node per cadence.
-	pubFn, aeFn, mobFn func(*sim.ShardCtx)
+	pubFn, aeFn func(*sim.ShardCtx)
 
 	selfHeld, delivered, duplicates, relays, repairs, dropped uint64
 }
@@ -228,20 +213,13 @@ type shardNode struct {
 type shardRun struct {
 	sc    ShardScenario
 	nodes []*shardNode
+	field *geo.DriftField
 	grid  *geo.Grid
-	sm    *geo.ShardMap
 	reach float64 // candidate radius: Radio + 2*Drift
 	mid   float64 // partition midline
 }
 
-func (r *shardRun) pos(id NodeID, t time.Duration) geo.Point {
-	n := r.nodes[id]
-	ts := t.Seconds()
-	return geo.Point{
-		X: n.home.X + n.ax*math.Sin(n.wx*ts+n.px),
-		Y: n.home.Y + n.ay*math.Sin(n.wy*ts+n.py),
-	}
-}
+func (r *shardRun) pos(id NodeID, t time.Duration) geo.Point { return r.field.Pos(int(id), t) }
 
 func (r *shardRun) alive(id NodeID, t time.Duration) bool {
 	k := r.nodes[id].killAt
@@ -304,18 +282,17 @@ func RunShardScenario(seed int64, shards int, sc ShardScenario) (*ShardResult, e
 	}
 
 	eng := sim.NewSharded(seed, sim.ShardedConfig{Shards: shards, Lookahead: 100 * time.Millisecond})
+	// Field layout and fault assignment from setup streams, drawn in ID
+	// order — shard-count independent by construction.
+	field := geo.NewDriftField(eng.Stream("shardnet/field"), sc.Nodes, shards, sc.Area, sc.Drift)
 	run := &shardRun{
 		sc:    sc,
 		nodes: make([]*shardNode, sc.Nodes),
-		grid:  geo.NewGrid(sc.Area, sc.Radio+2*sc.Drift),
-		sm:    geo.NewShardMap(sc.Area, shards),
-		reach: sc.Radio + 2*sc.Drift,
-		mid:   sc.Area.Min.X + sc.Area.Width()/2,
+		field: field,
+		grid:  geo.NewGrid(field.Area, sc.Radio+2*field.Drift),
+		reach: sc.Radio + 2*field.Drift,
+		mid:   field.Area.Min.X + field.Area.Width()/2,
 	}
-
-	// Field layout and fault assignment from setup streams, drawn in ID
-	// order — shard-count independent by construction.
-	field := eng.Stream("shardnet/field")
 	kills := eng.Stream("shardnet/kill")
 	stride := sc.Nodes / sc.Publishers
 	if stride < 1 {
@@ -327,23 +304,13 @@ func RunShardScenario(seed int64, shards int, sc ShardScenario) (*ShardResult, e
 			rng:   eng.Stream(fmt.Sprintf("shardnet/node/%d", i)),
 			holds: make(map[GossipKey][]byte),
 		}
-		n.home = geo.Point{
-			X: field.Uniform(sc.Area.Min.X, sc.Area.Max.X),
-			Y: field.Uniform(sc.Area.Min.Y, sc.Area.Max.Y),
-		}
-		n.ax = field.Uniform(0, sc.Drift)
-		n.ay = field.Uniform(0, sc.Drift)
-		n.wx = field.Uniform(0.05, 0.4)
-		n.wy = field.Uniform(0.05, 0.4)
-		n.px = field.Uniform(0, 2*math.Pi)
-		n.py = field.Uniform(0, 2*math.Pi)
 		if sc.KillFrac > 0 && sc.KillAt > 0 && kills.Bool(sc.KillFrac) {
 			n.killAt = sc.KillAt
 		}
 		n.publisher = i%stride == 0 && uint64(i/stride) < uint64(sc.Publishers)
 		run.nodes[i] = n
-		run.grid.Insert(int32(i), n.home)
-		eng.AddActor(sim.ActorID(i), run.sm.ShardOf(n.home))
+		run.grid.Insert(int32(i), field.Home(i))
+		eng.AddActor(sim.ActorID(i), field.Map.ShardOf(field.Home(i)))
 	}
 
 	for i := 0; i < sc.Nodes; i++ {
@@ -363,9 +330,9 @@ func RunShardScenario(seed int64, shards int, sc ShardScenario) (*ShardResult, e
 		// stream (the phase draw below) and the processed-event count,
 		// breaking shard-count invariance.
 		if sc.MobilityEvery > 0 {
-			n.mobFn = run.mobilityTick(n)
 			phase := time.Duration(n.rng.Intn(int(sc.MobilityEvery/time.Millisecond))) * time.Millisecond
-			eng.ScheduleActor(sim.ActorID(i), sc.MobilityEvery+phase, "mobility", n.mobFn)
+			eng.ScheduleActor(sim.ActorID(i), sc.MobilityEvery+phase, "mobility",
+				field.MobilityTick(i, sc.MobilityEvery, sc.Horizon, n.killAt))
 		}
 	}
 
@@ -556,22 +523,6 @@ func (r *shardRun) repairFrom(snap []GossipPayload) func(*sim.ShardCtx) {
 	}
 }
 
-// mobilityTick follows the node's drift across shard bands, staging a
-// migration whenever the band changes — purely a placement decision,
-// invisible to model state.
-func (r *shardRun) mobilityTick(n *shardNode) func(*sim.ShardCtx) {
-	return func(c *sim.ShardCtx) {
-		now := c.Now()
-		if !r.alive(n.id, now) {
-			return
-		}
-		c.Migrate(r.sm.ShardOf(r.pos(n.id, now)))
-		if next := now + r.sc.MobilityEvery; next <= r.sc.Horizon {
-			c.Schedule(r.sc.MobilityEvery, "mobility", n.mobFn)
-		}
-	}
-}
-
 // collect folds per-node state into the result, checks the
 // conservation laws, and computes the ID-ordered digest.
 func (r *shardRun) collect(eng *sim.Sharded, shards int) *ShardResult {
@@ -592,12 +543,7 @@ func (r *shardRun) collect(eng *sim.Sharded, shards int) *ShardResult {
 	}
 
 	holders := make(map[GossipKey]uint64)
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		_, _ = h.Write(buf[:])
-	}
+	w := r.field.Fold
 	for _, n := range r.nodes {
 		res.Delivered += n.delivered
 		res.Duplicates += n.duplicates
@@ -648,6 +594,6 @@ func (r *shardRun) collect(eng *sim.Sharded, shards int) *ShardResult {
 		}
 		res.DeliveryRatio = sum / float64(res.Published)
 	}
-	res.Digest = h.Sum64()
+	res.Digest = r.field.Digest()
 	return res
 }

@@ -252,3 +252,30 @@ func TestShardScenarioDeliversUnderFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestShardScenarioPublishUntilDefault pins the PublishUntil default,
+// including the Horizon == 30s boundary where Horizon - 30s is exactly
+// zero and must fall back to Horizon/2 rather than "publish once".
+func TestShardScenarioPublishUntilDefault(t *testing.T) {
+	for _, tc := range []struct {
+		horizon, until, want time.Duration
+	}{
+		{horizon: 0, want: 210 * time.Second}, // default 240s horizon
+		{horizon: 100 * time.Second, want: 70 * time.Second},
+		{horizon: 30 * time.Second, want: 15 * time.Second},
+		{horizon: 20 * time.Second, want: 10 * time.Second},
+		{horizon: 30 * time.Second, until: 5 * time.Second, want: 5 * time.Second},
+	} {
+		sc := ShardScenario{Nodes: 10, Horizon: tc.horizon, PublishUntil: tc.until}.withDefaults()
+		if sc.PublishUntil != tc.want {
+			t.Errorf("Horizon=%v PublishUntil=%v: default %v, want %v", tc.horizon, tc.until, sc.PublishUntil, tc.want)
+		}
+	}
+	res, err := RunShardScenario(3, 2, ShardScenario{Nodes: 40, Publishers: 2, Horizon: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Published <= 2 {
+		t.Errorf("Horizon=30s published %d payloads from 2 publishers: each published once and stopped", res.Published)
+	}
+}

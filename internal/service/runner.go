@@ -6,19 +6,15 @@ import (
 	"fmt"
 	"time"
 
-	"iobt/internal/asset"
 	"iobt/internal/checkpoint"
-	"iobt/internal/core"
-	"iobt/internal/fault"
-	"iobt/internal/geo"
-	"iobt/internal/track"
 	"iobt/internal/verify"
 )
 
 // This file is the deterministic heart of the service: one mission
 // attempt, from scenario to horizon. Every attempt of the same mission
-// schedules the same service events in the same order (progress ticker,
-// admission stamp, fault plan), so a recovery attempt replays the exact
+// builds the mission through verify.BuildMission and then schedules the
+// same service events in the same order (progress ticker, admission
+// stamp, chaos), so a recovery attempt replays the exact
 // event sequence of the crashed one up to the checkpoint cut — which is
 // what lets the service prove, by byte comparison, that it restored the
 // mission rather than a lookalike.
@@ -107,56 +103,11 @@ type attemptOutcome struct {
 // checkpoint.VerifyReplay hook.
 func runAttempt(p attemptParams) (*attemptOutcome, error) {
 	sc := p.sc
-	var terr *geo.Terrain
-	switch sc.Terrain {
-	case "urban":
-		terr = geo.NewUrbanTerrain(sc.Size, sc.Size, 100)
-	case "sparse":
-		terr = geo.NewSparseTerrain(sc.Size, sc.Size)
-	default:
-		terr = geo.NewOpenTerrain(sc.Size, sc.Size)
+	w, r, err := verify.BuildMission(sc, p.journal)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errSynthesis, err)
 	}
-	w := core.NewWorld(core.WorldConfig{Seed: sc.Seed, Terrain: terr, Assets: sc.Assets})
 	defer w.Stop()
-
-	pad := sc.Size / 5
-	m := core.DefaultMission(geo.NewRect(
-		geo.Point{X: pad, Y: pad}, geo.Point{X: sc.Size - pad, Y: sc.Size - pad}))
-	m.Goal.CoverageFrac = 0.4
-	m.IncidentsPerMin = sc.Rate
-	m.Command = core.CommandIntent
-	if sc.Command == "hierarchy" {
-		m.Command = core.CommandHierarchy
-	}
-	m.ReliableOrders = sc.Reliable
-	m.Degradation = sc.Degrade
-	m.CheckpointEvery = sc.Checkpoint
-	m.TrustAudit = true
-
-	r := core.NewRuntime(w, m)
-	r.SetJournal(p.journal)
-
-	if sc.Track {
-		tracker := track.NewTracker(track.Config{})
-		r.AttachTracker(tracker)
-		// The same deterministic three-target picture the verifier fuses,
-		// so track state is part of what checkpoints must carry.
-		w.Eng.Every(time.Second, "service.targets", func() {
-			ts := w.Eng.Now().Seconds()
-			tracker.Observe(w.Eng.Now(), []track.Detection{
-				{Pos: geo.Point{X: sc.Size/6 + 3*ts, Y: sc.Size / 4}, Var: 9, Sensor: 1},
-				{Pos: geo.Point{X: 3*sc.Size/4 - 2*ts, Y: sc.Size / 2}, Var: 9, Sensor: 2},
-				{Pos: geo.Point{X: sc.Size / 2, Y: sc.Size/6 + 2.5*ts}, Var: 9, Sensor: 3},
-			})
-		})
-	}
-
-	if err := r.Synthesize(); err != nil {
-		return nil, fmt.Errorf("%w: %v", errSynthesis, err)
-	}
-	if err := r.Start(); err != nil {
-		return nil, fmt.Errorf("%w: %v", errSynthesis, err)
-	}
 	defer r.Stop()
 
 	coord := r.Checkpoints()
@@ -211,15 +162,6 @@ func runAttempt(p attemptParams) (*attemptOutcome, error) {
 	reg := verify.NewRegistry()
 	reg.Add(verify.MissionInvariants(w, r)...)
 
-	if sc.Plan != nil && len(sc.Plan.Faults) > 0 {
-		fault.Apply(fault.Target{
-			Eng: w.Eng, Pop: w.Pop, Net: w.Net, Jam: w.Jam, Smoke: w.Smoke,
-			Composite:   func() []asset.ID { return r.Composite().Members },
-			CommandPost: func() asset.ID { return r.Sink() },
-			CrashPost:   r.CrashPost,
-			Failover:    r.Failover,
-		}, sc.Plan)
-	}
 	if c := p.chaos; c != nil {
 		w.Eng.ScheduleAt(c.at, "service.chaos", func() {
 			if c.stall {

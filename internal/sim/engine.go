@@ -11,40 +11,16 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 )
 
-// Event is a unit of simulated work scheduled at a virtual time.
-//
-// Events are pooled: once fired (or popped canceled) the engine
-// recycles the struct through a free list, so the steady-state
-// scheduling path allocates nothing (pinned by TestEngineZeroAlloc and
-// the CI bench gate). Recycling bumps gen, which is what keeps stale
-// Handles inert instead of canceling an unrelated reused event.
-type Event struct {
-	// At is the virtual time at which the event fires.
-	At time.Duration
-	// Fn is the action to run. It may schedule further events.
-	Fn func()
-	// Label is an optional tag used in traces and debugging.
-	Label string
-
-	seq      uint64 // tie-breaker: FIFO among equal timestamps
-	index    int    // heap index, -1 when not queued
-	canceled bool
-	gen      uint32 // bumped on recycle; Handles remember the gen they saw
-	next     *Event // free-list link while recycled
-}
-
 // Handle refers to a scheduled event and allows cancellation. A Handle
-// outliving its event is safe: firing recycles the event under a new
-// generation, so the stale Handle reports !Pending and Cancel is a
-// no-op.
+// outliving its event is safe: popping recycles the event under a new
+// generation before anything else runs, so the stale Handle reports
+// !Pending and Cancel is a no-op.
 type Handle struct {
-	ev  *Event
+	ev  *event
 	gen uint32
 }
 
@@ -52,7 +28,7 @@ type Handle struct {
 // already-canceled event is a no-op. Returns true if the event was
 // pending and is now canceled.
 func (h Handle) Cancel() bool {
-	if h.ev == nil || h.ev.gen != h.gen || h.ev.canceled || h.ev.index < 0 {
+	if !h.Pending() {
 		return false
 	}
 	h.ev.canceled = true
@@ -61,103 +37,24 @@ func (h Handle) Cancel() bool {
 
 // Pending reports whether the event is still queued and not canceled.
 func (h Handle) Pending() bool {
-	return h.ev != nil && h.ev.gen == h.gen && !h.ev.canceled && h.ev.index >= 0
-}
-
-// eventQueue is an intrusive binary min-heap ordered by (At, seq). The
-// sift loops are hand-rolled rather than container/heap so the per-event
-// path stays free of interface-method dispatch; each element carries its
-// index so cancellation checks stay O(1).
-type eventQueue []*Event
-
-func (q eventQueue) less(i, j int) bool {
-	if q[i].At != q[j].At {
-		return q[i].At < q[j].At
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q *eventQueue) push(ev *Event) {
-	ev.index = len(*q)
-	*q = append(*q, ev)
-	q.siftUp(ev.index)
-}
-
-func (q *eventQueue) pop() *Event {
-	s := *q
-	n := len(s) - 1
-	top := s[0]
-	s[0] = s[n]
-	s[0].index = 0
-	s[n] = nil
-	*q = s[:n]
-	if n > 0 {
-		q.siftDown(0)
-	}
-	top.index = -1
-	return top
-}
-
-func (q eventQueue) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !q.less(i, p) {
-			return
-		}
-		q[i], q[p] = q[p], q[i]
-		q[i].index = i
-		q[p].index = p
-		i = p
-	}
-}
-
-func (q eventQueue) siftDown(i int) {
-	n := len(q)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && q.less(r, l) {
-			m = r
-		}
-		if !q.less(m, i) {
-			return
-		}
-		q[i], q[m] = q[m], q[i]
-		q[i].index = i
-		q[m].index = m
-		i = m
-	}
+	return h.ev != nil && h.ev.gen == h.gen && !h.ev.canceled
 }
 
 // ErrStopped is returned by Run when the simulation was halted via Stop.
 var ErrStopped = errors.New("simulation stopped")
 
-// Engine is a single-threaded discrete-event simulator.
+// Engine is a single-threaded discrete-event simulator: one lane of the
+// shared event core (lane.go) holding one actor, so its events carry the
+// key (at, actor 0, class 0, seq, 0) and equal timestamps fire FIFO.
 //
 // Engine is not safe for concurrent use; the simulated world is
 // deliberately sequential so that runs are reproducible. Concurrency in
 // the modeled system is expressed as interleaved events, not goroutines.
 type Engine struct {
-	now     time.Duration
-	queue   eventQueue
-	seq     uint64
+	ln      lane
+	seq     uint64 // the one actor's schedule sequence
 	stopped bool
-	// processed counts events executed since construction and pending
-	// mirrors len(queue). Both are atomic so external observers (service
-	// watchdogs polling progress, aggregators over shard-worker engines)
-	// can read them mutex-free while the loop runs; the loop itself
-	// stays single-threaded.
-	processed atomic.Uint64
-	pending   atomic.Int64
-
-	// free is the recycled-event pool (singly linked through Event.next).
-	free *Event
-
-	rng    *RNG
-	tracer *Tracer
+	rng     *RNG
 }
 
 // NewEngine returns an engine with its virtual clock at zero and a master
@@ -167,16 +64,18 @@ func NewEngine(seed int64) *Engine {
 }
 
 // Now returns the current virtual time.
-func (e *Engine) Now() time.Duration { return e.now }
+//
+//iobt:barrier
+func (e *Engine) Now() time.Duration { return e.ln.now }
 
 // Processed returns the number of events executed so far. Unlike the
 // rest of the engine it is safe to call from any goroutine.
-func (e *Engine) Processed() uint64 { return e.processed.Load() }
+func (e *Engine) Processed() uint64 { return e.ln.processed.Load() }
 
 // Pending returns the number of events currently queued (including
 // canceled events not yet discarded). Like Processed it is safe to
 // call from any goroutine.
-func (e *Engine) Pending() int { return int(e.pending.Load()) }
+func (e *Engine) Pending() int { return int(e.ln.pending.Load()) }
 
 // RNG returns the engine's master random stream.
 func (e *Engine) RNG() *RNG { return e.rng }
@@ -190,48 +89,18 @@ func (e *Engine) Stream(name string) *RNG { return e.rng.Derive(name) }
 // Schedule queues fn to run after delay. A negative delay is an error in
 // the model; it is clamped to zero so causality is preserved.
 //
+//iobt:barrier
 //iobt:hot
 func (e *Engine) Schedule(delay time.Duration, label string, fn func()) Handle {
-	if delay < 0 {
-		delay = 0
-	}
-	ev := e.free
-	if ev == nil {
-		//iobt:allow hotalloc pool refill: allocates only until the free list warms to the peak queue depth, then the recycle-before-fire cycle reuses structs forever
-		ev = &Event{}
-	} else {
-		e.free = ev.next
-		ev.next = nil
-	}
-	ev.At = e.now + delay
-	ev.Fn = fn
-	ev.Label = label
-	ev.seq = e.seq
-	e.seq++
-	e.queue.push(ev)
-	e.pending.Add(1)
+	ev := e.ln.schedule(e.ln.now, delay, 0, &e.seq, label)
+	ev.plain = fn
 	return Handle{ev: ev, gen: ev.gen}
-}
-
-// recycle returns a popped event to the free list under a fresh
-// generation. Fn and Label are cleared so the pool never pins closures
-// or strings past the firing.
-func (e *Engine) recycle(ev *Event) {
-	ev.Fn = nil
-	ev.Label = ""
-	ev.canceled = false
-	ev.gen++
-	ev.next = e.free
-	e.free = ev
 }
 
 // ScheduleAt queues fn at an absolute virtual time. Times in the past are
 // clamped to now.
 func (e *Engine) ScheduleAt(at time.Duration, label string, fn func()) Handle {
-	if at < e.now {
-		at = e.now
-	}
-	return e.Schedule(at-e.now, label, fn)
+	return e.Schedule(at-e.Now(), label, fn)
 }
 
 // Every schedules fn to run every interval until the returned ticker is
@@ -279,30 +148,13 @@ func (e *Engine) Stop() { e.stopped = true }
 // Step executes the single next event, advancing the clock. It returns
 // false when the queue is empty.
 //
+//iobt:barrier
 //iobt:hot
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := e.queue.pop()
-		e.pending.Add(-1)
-		if ev.canceled {
-			e.recycle(ev)
-			continue
+	for len(e.ln.queue) > 0 {
+		if e.ln.step(e.ln.now) {
+			return true
 		}
-		if ev.At < e.now {
-			// Heap invariant violated; should be impossible.
-			panic(fmt.Sprintf("sim: event %q at %v scheduled before now %v", ev.Label, ev.At, e.now))
-		}
-		e.now = ev.At
-		e.processed.Add(1)
-		if e.tracer != nil {
-			e.tracer.record(ev.At, ev.Label)
-		}
-		// Recycle before firing so a self-rescheduling event reuses its
-		// own struct: the steady-state pool size is the peak queue depth.
-		fn := ev.Fn
-		e.recycle(ev)
-		fn()
-		return true
 	}
 	return false
 }
@@ -319,14 +171,14 @@ func (e *Engine) Run(horizon time.Duration) error {
 // Cancellation never perturbs determinism — the event order is fixed by
 // the queue; ctx only decides how far along it the run gets. A
 // background context (nil Done channel) adds no per-event cost.
+//
+//iobt:barrier
 func (e *Engine) RunContext(ctx context.Context, horizon time.Duration) error {
 	done := ctx.Done()
 	e.stopped = false
-	limit := horizon
-	if limit == 0 {
-		limit = math.MaxInt64
-	} else {
-		limit = e.now + horizon
+	limit := time.Duration(math.MaxInt64)
+	if horizon != 0 {
+		limit = e.ln.now + horizon
 	}
 	for !e.stopped {
 		if done != nil {
@@ -336,12 +188,11 @@ func (e *Engine) RunContext(ctx context.Context, horizon time.Duration) error {
 			default:
 			}
 		}
-		if len(e.queue) == 0 {
+		if len(e.ln.queue) == 0 {
 			return nil
 		}
-		next := e.queue[0].At
-		if next > limit {
-			e.now = limit
+		if e.ln.queue[0].at > limit {
+			e.ln.now = limit
 			return nil
 		}
 		e.Step()

@@ -1,8 +1,9 @@
 package sim
 
 // Sharded is the parallel counterpart of Engine: the simulated world is
-// spatially partitioned into shards, each advancing its own event heap
-// on a worker goroutine, synchronized by conservative time windows. The
+// spatially partitioned into shards, each advancing its own lane of the
+// shared event core (lane.go) on a worker goroutine, synchronized by
+// conservative time windows. The
 // determinism contract is stronger than "same seed, same run": the same
 // seed must produce byte-identical model state for ANY shard count, so
 // sharding is purely a performance knob, never a semantic one.
@@ -69,194 +70,6 @@ func (c ShardedConfig) withDefaults() ShardedConfig {
 	return c
 }
 
-// shardEvent is one queued unit of work. The five-part key (at, actor,
-// class, a, b) totally orders all events in the run and depends only on
-// model decisions, never on the shard count.
-type shardEvent struct {
-	at    time.Duration
-	actor ActorID
-	// class 0: locally scheduled (a = per-actor sequence, b = 0).
-	// class 1: delivery (a = sender actor, b = sender's send sequence).
-	class uint8
-	a, b  uint64
-	label string
-	fn    func(*ShardCtx)
-	index int         // heap index
-	next  *shardEvent // free-list link while recycled
-}
-
-func (e *shardEvent) before(o *shardEvent) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	if e.actor != o.actor {
-		return e.actor < o.actor
-	}
-	if e.class != o.class {
-		return e.class < o.class
-	}
-	if e.a != o.a {
-		return e.a < o.a
-	}
-	return e.b < o.b
-}
-
-// shardHeap is an intrusive binary min-heap over the five-part event
-// key. Like the sequential engine's eventQueue, the sift loops are
-// hand-rolled so the per-event path has no interface-method dispatch;
-// the index field supports O(1) removal when an actor migrates.
-type shardHeap []*shardEvent
-
-func (q *shardHeap) push(ev *shardEvent) {
-	ev.index = len(*q)
-	*q = append(*q, ev)
-	q.siftUp(ev.index)
-}
-
-func (q *shardHeap) pop() *shardEvent {
-	s := *q
-	n := len(s) - 1
-	top := s[0]
-	s[0] = s[n]
-	s[0].index = 0
-	s[n] = nil
-	*q = s[:n]
-	if n > 0 {
-		q.siftDown(0)
-	}
-	top.index = -1
-	return top
-}
-
-// removeAt unlinks the event at heap index i, restoring the heap
-// property around the hole.
-func (q *shardHeap) removeAt(i int) *shardEvent {
-	s := *q
-	n := len(s) - 1
-	ev := s[i]
-	if i != n {
-		s[i] = s[n]
-		s[i].index = i
-	}
-	s[n] = nil
-	*q = s[:n]
-	if i < n {
-		q.siftDown(i)
-		q.siftUp(i)
-	}
-	ev.index = -1
-	return ev
-}
-
-func (q shardHeap) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !q[i].before(q[p]) {
-			return
-		}
-		q[i], q[p] = q[p], q[i]
-		q[i].index = i
-		q[p].index = p
-		i = p
-	}
-}
-
-func (q shardHeap) siftDown(i int) {
-	n := len(q)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && q[r].before(q[l]) {
-			m = r
-		}
-		if !q[m].before(q[i]) {
-			return
-		}
-		q[i], q[m] = q[m], q[i]
-		q[i].index = i
-		q[m].index = m
-		i = m
-	}
-}
-
-// migration is one staged actor handoff, applied at the next barrier.
-type migration struct {
-	actor ActorID
-	to    int32
-}
-
-// lane is one shard's runtime state. The queue and clock are touched
-// only by the lane's worker during a window and by the coordinator at
-// barriers; the inbox is the only concurrently written structure. The
-// //iobt:barrier-only fields are enforced by the barrierstate analyzer:
-// access requires an //iobt:barrier function or the lane's own mutex.
-type lane struct {
-	id int
-	//iobt:barrier-only
-	queue shardHeap
-	//iobt:barrier-only
-	now time.Duration
-
-	inboxMu sync.Mutex
-	inbox   []*shardEvent //iobt:barrier-only
-
-	// inboxSpare is the drained inbox buffer from the previous barrier,
-	// swapped back in at the next drain so the two buffers ping-pong and
-	// steady-state staging never grows a fresh slice.
-	inboxSpare []*shardEvent //iobt:barrier-only
-
-	// migrations staged by this lane's own events during the window;
-	// drained by the coordinator at the barrier.
-	migrations []migration //iobt:barrier-only
-
-	// free is the lane's recycled-event pool (linked through
-	// shardEvent.next). It is owner-only like the queue: the lane's own
-	// worker allocates (Schedule, and Send — senders draw from their own
-	// lane's pool) and frees (after executing an event), and the
-	// coordinator allocates at barriers (ScheduleActor). Events sent
-	// cross-shard drift between pools, which is harmless: each pool is
-	// still touched by exactly one goroutine at a time.
-	free *shardEvent //iobt:barrier-only
-
-	// processed, pending, and clamped are mutated by the worker and read
-	// by aggregating observers at any time, hence atomic (mutex-free).
-	processed atomic.Uint64
-	pending   atomic.Int64
-	clamped   atomic.Uint64
-
-	ctx ShardCtx // reused per event; never escapes the worker
-}
-
-// allocEvent takes an event from the lane's pool (or the heap when the
-// pool is dry). Callers fill every key field; the struct arrives
-// zeroed.
-//
-//iobt:barrier
-//iobt:hot
-func (ln *lane) allocEvent() *shardEvent {
-	ev := ln.free
-	if ev == nil {
-		//iobt:allow hotalloc pool refill: each lane's free list warms to its peak in-flight event count, then alloc-on-sender/free-on-executor recycles structs forever
-		return &shardEvent{}
-	}
-	ln.free = ev.next
-	ev.next = nil
-	return ev
-}
-
-// freeEvent recycles an executed event into the lane's pool, zeroing
-// it so the pool never pins closures or labels past the firing.
-//
-//iobt:barrier
-//iobt:hot
-func (ln *lane) freeEvent(ev *shardEvent) {
-	*ev = shardEvent{next: ln.free}
-	ln.free = ev
-}
-
 // actorMeta is the engine's bookkeeping for one actor. shard is written
 // only at barriers (coordinator) and read during windows; seq and
 // sendSeq are written only by the owning lane's worker.
@@ -295,11 +108,6 @@ type Sharded struct {
 	stopped   atomic.Bool
 	running   atomic.Bool
 	inBarrier atomic.Bool
-
-	// probe, when set, observes every executed event. With more than one
-	// shard it is called concurrently and must be safe for concurrent
-	// use.
-	probe func(shard int, actor ActorID, at time.Duration, label string)
 
 	// atBarrier runs on the coordinator between windows, when no worker
 	// executes: the one place that may safely inspect all model state
@@ -394,7 +202,9 @@ func (s *Sharded) Stream(name string) *RNG { return s.rng.Derive(name) }
 // (shard, actor, virtual time, label). With Shards > 1 it is invoked
 // concurrently from worker goroutines and must be concurrency-safe.
 func (s *Sharded) SetProbe(fn func(shard int, actor ActorID, at time.Duration, label string)) {
-	s.probe = fn
+	for _, ln := range s.lanes {
+		ln.probe = fn
+	}
 }
 
 // AtBarrier installs a hook run by the coordinator between windows
@@ -404,7 +214,7 @@ func (s *Sharded) AtBarrier(fn func(now time.Duration)) { s.atBarrier = fn }
 
 // AddActor registers actor id on the given shard. Call before Run; ids
 // must be non-negative and the shard must be in range. Re-adding an
-// existing actor only updates its shard when it has no pending events.
+// existing actor moves it, with its pending events, to the new shard.
 func (s *Sharded) AddActor(id ActorID, shard int) {
 	if id < 0 {
 		panic(fmt.Sprintf("sim: negative actor id %d", id))
@@ -418,9 +228,12 @@ func (s *Sharded) AddActor(id ActorID, shard int) {
 	for int(id) >= len(s.actors) {
 		s.actors = append(s.actors, actorMeta{})
 	}
-	m := &s.actors[id]
-	m.shard = int32(shard)
-	m.present = true
+	if m := &s.actors[id]; m.present {
+		s.moveActor(id, int32(shard))
+	} else {
+		m.shard = int32(shard)
+		m.present = true
+	}
 }
 
 // ActorShard returns the shard currently owning actor id, or -1 when
@@ -436,27 +249,13 @@ func (s *Sharded) ActorShard(id ActorID) int {
 // current global clock. Setup-time counterpart of ShardCtx.Schedule;
 // call before Run or from an AtBarrier hook (workers are quiescent at a
 // barrier, so direct heap pushes are safe there).
-//
-//iobt:barrier
 func (s *Sharded) ScheduleActor(id ActorID, delay time.Duration, label string, fn func(*ShardCtx)) {
 	if s.running.Load() && !s.inBarrier.Load() {
 		panic("sim: ScheduleActor during Run (use ShardCtx.Schedule)")
 	}
 	s.mustActor(id)
-	if delay < 0 {
-		delay = 0
-	}
 	m := &s.actors[id]
-	ln := s.lanes[m.shard]
-	ev := ln.allocEvent()
-	ev.at = s.Now() + delay
-	ev.actor = id
-	ev.a = m.seq
-	ev.label = label
-	ev.fn = fn
-	m.seq++
-	ln.queue.push(ev)
-	ln.pending.Add(1)
+	s.lanes[m.shard].schedule(s.Now(), delay, id, &m.seq, label).fn = fn
 }
 
 func (s *Sharded) mustActor(id ActorID) {
@@ -695,29 +494,7 @@ func (s *Sharded) laneWindow(ln *lane, ctx context.Context, end time.Duration, i
 			default:
 			}
 		}
-		ev := ln.queue.pop()
-		// Causality guard against the conservative global clock, not the
-		// lane clock: after an interrupted window a migrated-in event may
-		// trail the destination lane's local progress, but nothing may ever
-		// trail the last barrier.
-		if floor := time.Duration(s.nowNS.Load()); ev.at < floor {
-			panic(fmt.Sprintf("sim: shard %d event %q at %v scheduled before barrier %v", ln.id, ev.label, ev.at, floor))
-		}
-		if ev.at > ln.now {
-			ln.now = ev.at
-		}
-		ln.pending.Add(-1)
-		ln.processed.Add(1)
-		if s.probe != nil {
-			s.probe(ln.id, ev.actor, ev.at, ev.label)
-		}
-		ln.ctx.actor = ev.actor
-		ln.ctx.at = ev.at
-		// Recycle into the executing lane's pool before firing so a
-		// self-rescheduling actor reuses its own struct.
-		fn := ev.fn
-		ln.freeEvent(ev)
-		fn(&ln.ctx)
+		ln.step(time.Duration(s.nowNS.Load()))
 	}
 }
 
@@ -795,18 +572,17 @@ func (s *Sharded) moveActor(id ActorID, to int32) {
 	// Collect the actor's pending events, then relocate them. Heap
 	// removal shifts indices, so gather pointers first and remove by
 	// their live index field.
-	var moving []*shardEvent
+	var moving []*event
 	for _, ev := range from.queue {
 		if ev.actor == id {
 			moving = append(moving, ev)
 		}
 	}
 	for _, ev := range moving {
-		from.queue.removeAt(ev.index)
+		from.queue.removeAt(int(ev.index))
 	}
-	// Deterministic insertion (the heap's total order makes push order
-	// irrelevant, but sorted insertion keeps the walk auditable).
-	sort.Slice(moving, func(i, j int) bool { return moving[i].before(moving[j]) })
+	// Push order is irrelevant: the event key is a strict total order, so
+	// the destination heap pops the same sequence either way.
 	for _, ev := range moving {
 		dst.queue.push(ev)
 	}
@@ -844,22 +620,9 @@ func (c *ShardCtx) Engine() *Sharded { return c.s }
 // events may use any non-negative delay — they stay on this shard and
 // need no lookahead.
 //
-//iobt:barrier
 //iobt:hot
 func (c *ShardCtx) Schedule(delay time.Duration, label string, fn func(*ShardCtx)) {
-	if delay < 0 {
-		delay = 0
-	}
-	m := &c.s.actors[c.actor]
-	ev := c.ln.allocEvent()
-	ev.at = c.at + delay
-	ev.actor = c.actor
-	ev.a = m.seq
-	ev.label = label
-	ev.fn = fn
-	m.seq++
-	c.ln.queue.push(ev)
-	c.ln.pending.Add(1)
+	c.ln.schedule(c.at, delay, c.actor, &c.s.actors[c.actor].seq, label).fn = fn
 }
 
 // Send schedules fn on actor dst after delay. Cross-actor causality is

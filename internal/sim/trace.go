@@ -76,5 +76,12 @@ func (t *Tracer) String() string {
 	return b.String()
 }
 
-// SetTracer installs (or with nil removes) an event tracer.
-func (e *Engine) SetTracer(t *Tracer) { e.tracer = t }
+// SetTracer installs (or with nil removes) an event tracer as the
+// engine lane's execution observer.
+func (e *Engine) SetTracer(t *Tracer) {
+	if t == nil {
+		e.ln.probe = nil
+		return
+	}
+	e.ln.probe = func(_ int, _ ActorID, at time.Duration, label string) { t.record(at, label) }
+}

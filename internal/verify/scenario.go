@@ -161,11 +161,14 @@ func Run(s Scenario, extra ...InvariantMaker) *Outcome {
 	return runScenario(s, nil, nil, extra...)
 }
 
-// runScenario is the common engine behind Run, ReplayEquivalence, and
-// RestoreTransparency: j, when non-nil, records the decision journal;
-// prestart, when non-nil, runs after Start but before the horizon (for
-// scheduling differential probes like a mid-run restore).
-func runScenario(s Scenario, j *checkpoint.Journal, prestart func(*core.World, *core.Runtime), extra ...InvariantMaker) *Outcome {
+// BuildMission builds the scenario's world and mission runtime with
+// journal j attached (nil: none), synthesizes and starts the mission and
+// schedules the fault plan, leaving the engine at time zero ready to
+// run. It is the one recipe behind Run and the mission service, which is
+// what lets a service recovery replay a verified mission event for
+// event. On success the caller stops the runtime, then the world; an
+// error means the random world could not synthesize the mission.
+func BuildMission(s Scenario, j *checkpoint.Journal) (*core.World, *core.Runtime, error) {
 	var terr *geo.Terrain
 	switch s.Terrain {
 	case "urban":
@@ -176,7 +179,6 @@ func runScenario(s Scenario, j *checkpoint.Journal, prestart func(*core.World, *
 		terr = geo.NewOpenTerrain(s.Size, s.Size)
 	}
 	w := core.NewWorld(core.WorldConfig{Seed: s.Seed, Terrain: terr, Assets: s.Assets})
-	defer w.Stop()
 
 	pad := s.Size / 5
 	m := core.DefaultMission(geo.NewRect(
@@ -199,7 +201,8 @@ func runScenario(s Scenario, j *checkpoint.Journal, prestart func(*core.World, *
 		tracker := track.NewTracker(track.Config{})
 		r.AttachTracker(tracker)
 		// A deterministic three-target picture fused at the post, so the
-		// track invariants have live hypotheses to check.
+		// track invariants have live hypotheses to check and track state
+		// is part of what checkpoints must carry.
 		w.Eng.Every(time.Second, "verify.targets", func() {
 			ts := w.Eng.Now().Seconds()
 			tracker.Observe(w.Eng.Now(), []track.Detection{
@@ -210,20 +213,14 @@ func runScenario(s Scenario, j *checkpoint.Journal, prestart func(*core.World, *
 		})
 	}
 
-	if err := r.Synthesize(); err != nil {
-		return &Outcome{Scenario: s, Skipped: true}
+	err := r.Synthesize()
+	if err == nil {
+		err = r.Start()
 	}
-	if err := r.Start(); err != nil {
-		return &Outcome{Scenario: s, Skipped: true}
+	if err != nil {
+		w.Stop()
+		return nil, nil, err
 	}
-	defer r.Stop()
-
-	invs := MissionInvariants(w, r)
-	for _, mk := range extra {
-		invs = append(invs, mk(w, r))
-	}
-	reg := NewRegistry()
-	reg.Add(invs...)
 
 	if s.Plan != nil && len(s.Plan.Faults) > 0 {
 		fault.Apply(fault.Target{
@@ -234,6 +231,28 @@ func runScenario(s Scenario, j *checkpoint.Journal, prestart func(*core.World, *
 			Failover:    r.Failover,
 		}, s.Plan)
 	}
+	return w, r, nil
+}
+
+// runScenario is the common engine behind Run, ReplayEquivalence, and
+// RestoreTransparency: j, when non-nil, records the decision journal;
+// prestart, when non-nil, runs after Start but before the horizon (for
+// scheduling differential probes like a mid-run restore).
+func runScenario(s Scenario, j *checkpoint.Journal, prestart func(*core.World, *core.Runtime), extra ...InvariantMaker) *Outcome {
+	w, r, err := BuildMission(s, j)
+	if err != nil {
+		return &Outcome{Scenario: s, Skipped: true}
+	}
+	defer w.Stop()
+	defer r.Stop()
+
+	invs := MissionInvariants(w, r)
+	for _, mk := range extra {
+		invs = append(invs, mk(w, r))
+	}
+	reg := NewRegistry()
+	reg.Add(invs...)
+
 	if prestart != nil {
 		prestart(w, r)
 	}
