@@ -211,16 +211,15 @@ func run(args []string) error {
 		if err := r.Start(); err != nil {
 			return err
 		}
-		// The invariant registry is always armed: under a fault plan the
-		// harness drives its cadence; otherwise (with -verify) a 1s sweep
-		// ticker does. -verify turns any violation into a nonzero exit.
+		// The invariant registry sweeps every second under a fault plan or
+		// -verify (and once at the horizon regardless); -verify turns any
+		// violation into a nonzero exit.
 		reg := verify.NewRegistry()
 		reg.Add(verify.MissionInvariants(w, r)...)
 		if testExtraInvariants != nil {
 			//iobt:allow metricreg test-only hook, nil outside the test binary; the mission set above registers unconditionally
 			reg.Add(testExtraInvariants()...)
 		}
-		reg.SetClock(w.Eng.Now)
 		// The gossip overlay enrolls every composite member with a CRDT
 		// picture replica: the command post periodically folds its world
 		// view into its own replica and gossips the encoded state, every
@@ -303,44 +302,33 @@ func run(args []string) error {
 			}
 		}
 		horizon := time.Duration(*minutes) * time.Minute
+		if plan != nil || *verif {
+			reg.Arm(w.Eng, time.Second)
+		}
 		var rep *fault.Report
 		if plan != nil {
 			if !quiet {
 				fmt.Printf("fault plan %q armed: %d faults\n", plan.Name, len(plan.Faults))
 			}
 			h := &fault.Harness{
-				T: fault.Target{
-					Eng: w.Eng, Pop: w.Pop, Net: w.Net, Jam: w.Jam, Smoke: w.Smoke,
-					Composite:   func() []asset.ID { return r.Composite().Members },
-					CommandPost: func() asset.ID { return r.Sink() },
-					CrashPost:   r.CrashPost,
-					Failover:    r.Failover,
-				},
+				T:    w.FaultTarget(r),
 				Plan: plan,
 				Goodput: func() (uint64, uint64) {
 					return r.Metrics.OnTime.Value(), r.Metrics.Incidents.Value()
 				},
-				Invariants: reg.FaultInvariants(),
-				Recovery:   fault.RecoveryHooks(r.Probe()),
+				Recovery: r.Probe(),
 			}
 			var err error
 			if rep, err = h.Run(horizon); err != nil {
 				return err
 			}
-			// Final sweep at the horizon: the harness checks invariants on
-			// its periodic tick, so a violation introduced by the events
-			// after the last tick would otherwise escape -verify entirely.
-			reg.CheckNow(w.Eng.Now())
-		} else {
-			if *verif {
-				reg.Arm(w.Eng, time.Second)
-			}
-			if err := w.Run(horizon); err != nil {
-				return err
-			}
-			reg.CheckNow(w.Eng.Now())
-			reg.Disarm()
+		} else if err := w.Run(horizon); err != nil {
+			return err
 		}
+		// Final sweep at the horizon: a violation introduced by the events
+		// after the last tick would otherwise escape -verify entirely.
+		reg.CheckNow(w.Eng.Now())
+		reg.Disarm()
 		r.Stop()
 		summary := reg.Summarize()
 		if quiet {

@@ -22,9 +22,9 @@ type ChurnConfig struct {
 	// ReviveProb is the probability a failed asset comes back when an
 	// arrival event fires (repair/redeploy) instead of a fresh asset.
 	ReviveProb float64
-	// Tick is the churn process cadence. Zero defaults to 5s.
-	Tick time.Duration
 }
+
+const churnTick = 5 * time.Second
 
 // Churn drives stochastic failures and arrivals on a population. Create
 // it with NewChurn and start it with Start; it schedules itself on the
@@ -48,9 +48,6 @@ type Churn struct {
 
 // NewChurn returns an unstarted churn process.
 func NewChurn(eng *sim.Engine, pop *Population, cfg ChurnConfig) *Churn {
-	if cfg.Tick <= 0 {
-		cfg.Tick = 5 * time.Second
-	}
 	return &Churn{
 		cfg: cfg,
 		pop: pop,
@@ -70,7 +67,7 @@ func (c *Churn) Start() {
 	if c.ticker != nil {
 		return
 	}
-	c.ticker = c.eng.Every(c.cfg.Tick, "churn", c.tick)
+	c.ticker = c.eng.Every(churnTick, "churn", c.tick)
 }
 
 // Stop halts the lifecycle process.
@@ -82,7 +79,7 @@ func (c *Churn) Stop() {
 }
 
 func (c *Churn) tick() {
-	mins := c.cfg.Tick.Minutes()
+	mins := churnTick.Minutes()
 
 	// Failures: binomial over alive assets, approximated per-asset.
 	pFail := c.cfg.FailRatePerMin * mins

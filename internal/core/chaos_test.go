@@ -80,25 +80,18 @@ func TestChaosMissionInvariants(t *testing.T) {
 		met := &r.Metrics
 		reg := verify.NewRegistry()
 		reg.Add(verify.MissionInvariants(w, r)...)
-		reg.SetClock(w.Eng.Now)
+		reg.Arm(w.Eng, time.Second)
 		h := &fault.Harness{
-			T: fault.Target{
-				Eng: w.Eng, Pop: w.Pop, Net: w.Net, Jam: w.Jam, Smoke: w.Smoke,
-				Composite:   func() []asset.ID { return r.Composite().Members },
-				CommandPost: func() asset.ID { return r.Sink() },
-				CrashPost:   r.CrashPost,
-				Failover:    r.Failover,
-			},
-			Plan:       plan,
-			Goodput:    func() (uint64, uint64) { return met.OnTime.Value(), met.Incidents.Value() },
-			Invariants: reg.FaultInvariants(),
+			T:       w.FaultTarget(r),
+			Plan:    plan,
+			Goodput: func() (uint64, uint64) { return met.OnTime.Value(), met.Incidents.Value() },
 		}
 		rep, err := h.Run(3 * time.Minute)
 		if err != nil {
 			return false
 		}
-		if !rep.OK() {
-			t.Logf("seed %d: %s", seed, rep)
+		if !reg.OK() {
+			t.Logf("seed %d: %s%v", seed, rep, reg.Violations())
 			return false
 		}
 		return true
@@ -130,11 +123,7 @@ func TestChaosDeterminism(t *testing.T) {
 		}
 		defer r.Stop()
 		h := &fault.Harness{
-			T: fault.Target{
-				Eng: w.Eng, Pop: w.Pop, Net: w.Net, Jam: w.Jam, Smoke: w.Smoke,
-				Composite:   func() []asset.ID { return r.Composite().Members },
-				CommandPost: func() asset.ID { return r.Sink() },
-			},
+			T:    w.FaultTarget(r),
 			Plan: fault.StandardPlan(1200),
 			Goodput: func() (uint64, uint64) {
 				return r.Metrics.OnTime.Value(), r.Metrics.Incidents.Value()

@@ -333,8 +333,7 @@ func TestMetricsZeroDivision(t *testing.T) {
 
 func TestMissionNormalizedDefaults(t *testing.T) {
 	m := Mission{}.normalized()
-	if m.ApprovalPerLevel <= 0 || m.LocalDeliberation <= 0 ||
-		m.IncidentDeadline <= 0 || m.HierarchyLevels < 1 || m.IncidentsPerMin <= 0 {
+	if m.IncidentDeadline <= 0 || m.HierarchyLevels < 1 || m.IncidentsPerMin <= 0 {
 		t.Errorf("defaults not applied: %+v", m)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"iobt/internal/asset"
 	"iobt/internal/attack"
 	"iobt/internal/fault"
 	"iobt/internal/geo"
@@ -119,11 +118,7 @@ func TestDegradationDoublesStandardPlanSuccess(t *testing.T) {
 		}
 		defer r.Stop()
 		h := &fault.Harness{
-			T: fault.Target{
-				Eng: w.Eng, Pop: w.Pop, Net: w.Net, Jam: w.Jam, Smoke: w.Smoke,
-				Composite:   func() []asset.ID { return r.Composite().Members },
-				CommandPost: func() asset.ID { return r.Sink() },
-			},
+			T:    w.FaultTarget(r),
 			Plan: fault.StandardPlan(1500),
 			Goodput: func() (uint64, uint64) {
 				return r.Metrics.OnTime.Value(), r.Metrics.Incidents.Value()

@@ -6,6 +6,7 @@ import (
 	"iobt/internal/asset"
 	"iobt/internal/checkpoint"
 	"iobt/internal/compose"
+	"iobt/internal/fault"
 	"iobt/internal/mesh"
 	"iobt/internal/sim"
 	"iobt/internal/track"
@@ -19,10 +20,10 @@ import (
 //
 //	none — no promotion: the mission limps on its degradation reflexes
 //	       (intent fallback) or stalls.
-//	cold — a successor is promoted after Mission.ColdRebuild: all
+//	cold — a successor is promoted after coldRebuild: all
 //	       post-local state is rebuilt from scratch, in-flight command
 //	       traffic fails loudly.
-//	warm — a successor is promoted after Mission.WarmHandover: state is
+//	warm — a successor is promoted after warmHandover: state is
 //	       restored from the last periodic checkpoint and the
 //	       checkpointed ARQ window is requeued, re-addressed to the
 //	       successor.
@@ -113,8 +114,8 @@ func (r *Runtime) CrashPost() {
 }
 
 // Failover promotes a successor command post after a CrashPost. The
-// promotion is not instant: a warm successor pays Mission.WarmHandover
-// to load the last checkpoint; a cold one pays Mission.ColdRebuild to
+// promotion is not instant: a warm successor pays warmHandover
+// to load the last checkpoint; a cold one pays coldRebuild to
 // rebuild state from scratch. Until the delay elapses the mission has
 // no post. Warm promotion falls back to cold when no checkpoint exists.
 func (r *Runtime) Failover(warm bool) {
@@ -125,10 +126,10 @@ func (r *Runtime) Failover(warm bool) {
 		warm = false
 	}
 	if warm {
-		r.W.Eng.Schedule(r.Mission.WarmHandover, "core.failover.warm", func() { r.promoteWarm() })
+		r.W.Eng.Schedule(warmHandover, "core.failover.warm", func() { r.promoteWarm() })
 		return
 	}
-	r.W.Eng.Schedule(r.Mission.ColdRebuild, "core.failover.cold", func() { r.promoteCold() })
+	r.W.Eng.Schedule(coldRebuild, "core.failover.cold", func() { r.promoteCold() })
 }
 
 // promoteWarm installs the successor and restores every checkpointed
@@ -276,26 +277,10 @@ func (m *Metrics) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// RecoveryProbe samples the mission surfaces the fault harness needs to
+// Probe returns the mission surfaces the fault harness samples to
 // measure a failover's recovery gap.
-type RecoveryProbe struct {
-	// OrdersDelivered is the cumulative successful command deliveries.
-	OrdersDelivered func() uint64
-	// OrdersLost is the cumulative terminal command failures.
-	OrdersLost func() uint64
-	// TrustEvidence is the evidence mass currently in the trust ledger.
-	TrustEvidence func() float64
-	// ConfirmedTracks is the current confirmed-track count (zero when no
-	// tracker is attached).
-	ConfirmedTracks func() int
-	// PostUp reports whether a command post is standing (false between a
-	// crash and its successor's promotion).
-	PostUp func() bool
-}
-
-// Probe returns the runtime's recovery-measurement surface.
-func (r *Runtime) Probe() RecoveryProbe {
-	return RecoveryProbe{
+func (r *Runtime) Probe() fault.RecoveryHooks {
+	return fault.RecoveryHooks{
 		OrdersDelivered: func() uint64 { return r.Metrics.OrdersCarried.Value() },
 		OrdersLost:      func() uint64 { return r.Metrics.Undeliverable.Value() },
 		TrustEvidence:   func() float64 { return r.W.Trust.EvidenceTotal() },

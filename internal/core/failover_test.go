@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"iobt/internal/asset"
 	"iobt/internal/checkpoint"
 	"iobt/internal/core"
 	"iobt/internal/fault"
@@ -50,25 +49,21 @@ func runFailover(t *testing.T, seed int64, every time.Duration, plan *fault.Plan
 	}
 	reg := verify.NewRegistry()
 	reg.Add(verify.MissionInvariants(w, r)...)
-	reg.SetClock(w.Eng.Now)
+	reg.Arm(w.Eng, time.Second)
 	h := &fault.Harness{
-		T: fault.Target{
-			Eng: w.Eng, Pop: w.Pop, Net: w.Net, Jam: w.Jam, Smoke: w.Smoke,
-			Composite:   func() []asset.ID { return r.Composite().Members },
-			CommandPost: func() asset.ID { return r.Sink() },
-			CrashPost:   r.CrashPost,
-			Failover:    r.Failover,
-		},
+		T:    w.FaultTarget(r),
 		Plan: plan,
 		Goodput: func() (uint64, uint64) {
 			return r.Metrics.OnTime.Value(), r.Metrics.Incidents.Value()
 		},
-		Invariants: reg.FaultInvariants(),
-		Recovery:   fault.RecoveryHooks(r.Probe()),
+		Recovery: r.Probe(),
 	}
 	rep, err := h.Run(4 * time.Minute)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reg.OK() {
+		t.Fatalf("%s: invariant violations: %v", plan.Name, reg.Violations())
 	}
 	r.Stop()
 	w.Stop()
@@ -98,9 +93,6 @@ func TestFailoverWarmBeatsCold(t *testing.T) {
 	_, none, _ := runFailover(t, seed, 15*time.Second, crashPlan("none"), nil)
 
 	for name, rep := range map[string]*fault.Report{"warm": warm, "cold": cold, "none": none} {
-		if !rep.OK() {
-			t.Fatalf("%s: invariant violations: %s", name, rep)
-		}
 		if len(rep.Recovery) != 1 {
 			t.Fatalf("%s: %d recovery gaps, want 1", name, len(rep.Recovery))
 		}

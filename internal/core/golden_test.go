@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"iobt/internal/asset"
 	"iobt/internal/checkpoint"
 	"iobt/internal/core"
 	"iobt/internal/fault"
@@ -37,25 +36,19 @@ func runStandard(t *testing.T, seed int64, journal *checkpoint.Journal) *core.Ru
 	defer r.Stop()
 	reg := verify.NewRegistry()
 	reg.Add(verify.MissionInvariants(w, r)...)
-	reg.SetClock(w.Eng.Now)
+	reg.Arm(w.Eng, time.Second)
 	h := &fault.Harness{
-		T: fault.Target{
-			Eng: w.Eng, Pop: w.Pop, Net: w.Net, Jam: w.Jam, Smoke: w.Smoke,
-			Composite:   func() []asset.ID { return r.Composite().Members },
-			CommandPost: func() asset.ID { return r.Sink() },
-		},
+		T:    w.FaultTarget(r),
 		Plan: fault.StandardPlan(1200),
 		Goodput: func() (uint64, uint64) {
 			return r.Metrics.OnTime.Value(), r.Metrics.Incidents.Value()
 		},
-		Invariants: reg.FaultInvariants(),
 	}
-	rep, err := h.Run(3 * time.Minute)
-	if err != nil {
+	if _, err := h.Run(3 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if !rep.OK() {
-		t.Fatalf("invariant violations: %s", rep)
+	if !reg.OK() {
+		t.Fatalf("invariant violations: %v", reg.Violations())
 	}
 	return r
 }

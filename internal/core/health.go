@@ -41,11 +41,7 @@ func (h HealthState) String() string {
 func (r *Runtime) computeHealth(covered bool) HealthState {
 	atFloor := false
 	if r.relaxSteps > 0 {
-		floor := int(r.Mission.RelaxFloor * float64(len(r.req.Cells)))
-		if floor < 1 {
-			floor = 1
-		}
-		atFloor = r.req.NeedCells <= floor
+		atFloor = r.req.NeedCells <= r.relaxFloorCells()
 	}
 	cmdLost := false
 	if r.Mission.Command == CommandHierarchy && !r.fellBack {
@@ -54,7 +50,7 @@ func (r *Runtime) computeHealth(covered bool) HealthState {
 	switch {
 	case !covered && (!r.Mission.Degradation || atFloor):
 		return Critical
-	case cmdLost && !r.Mission.Degradation && r.orderFails >= r.Mission.FallbackAfter:
+	case cmdLost && !r.Mission.Degradation && r.orderFails >= fallbackAfter:
 		return Critical
 	case !covered || cmdLost || r.fellBack || r.relaxSteps > 0 || r.orderFails > 0:
 		return Degraded

@@ -48,25 +48,13 @@ type Mission struct {
 	// layer instead of best-effort delivery: fewer decisions lost to
 	// channel loss, at added latency and airtime.
 	ReliableOrders bool
-	// ApprovalPerLevel is the staffing delay added at each echelon.
-	// Zero defaults to 2s.
-	ApprovalPerLevel time.Duration
-	// LocalDeliberation is the on-asset decision time under intent.
-	// Zero defaults to 200ms.
-	LocalDeliberation time.Duration
 
 	// Degradation enables the graceful-degradation reflexes: command
-	// continuity (hierarchy → intent fallback after FallbackAfter
+	// continuity (hierarchy → intent fallback after fallbackAfter
 	// consecutive order-delivery failures, restored when a post becomes
-	// reachable again) and coverage-goal relaxation (down to RelaxFloor)
+	// reachable again) and coverage-goal relaxation (down to relaxFloor)
 	// when the candidate pool cannot repair the composite.
 	Degradation bool
-	// FallbackAfter is the consecutive command-delivery-failure count
-	// that triggers the intent fallback. Zero defaults to 3.
-	FallbackAfter int
-	// RelaxFloor is the lowest coverage fraction relaxation may reach,
-	// as a fraction of the original cell grid. Zero defaults to 0.2.
-	RelaxFloor float64
 
 	// IncidentsPerMin is the battlefield event rate.
 	IncidentsPerMin float64
@@ -81,19 +69,32 @@ type Mission struct {
 	// Shorter cadence means a fresher restore at more airtime/compute;
 	// E15 sweeps this trade-off.
 	CheckpointEvery time.Duration
-	// ColdRebuild is how long a cold-promoted successor takes to rebuild
-	// command state from scratch (re-synthesis, re-acquisition). Zero
-	// defaults to 15s.
-	ColdRebuild time.Duration
-	// WarmHandover is how long a warm-promoted successor takes to load
-	// the last checkpoint and resume. Zero defaults to 500ms.
-	WarmHandover time.Duration
 	// TrustAudit makes each completed action feed positive mission
 	// evidence (trust.EvMission) for its detector, so the trust ledger
 	// accumulates signal during the mission — and the evidence lost in a
 	// post crash (the stale-trust window) is measurable.
 	TrustAudit bool
 }
+
+// The command model's fixed timings and degradation thresholds.
+const (
+	// approvalPerLevel is the staffing delay added at each echelon.
+	approvalPerLevel = 2 * time.Second
+	// localDeliberation is the on-asset decision time under intent.
+	localDeliberation = 200 * time.Millisecond
+	// fallbackAfter is the consecutive command-delivery-failure count
+	// that triggers the intent fallback.
+	fallbackAfter = 3
+	// relaxFloor is the lowest coverage fraction relaxation may reach,
+	// as a fraction of the original cell grid.
+	relaxFloor = 0.2
+	// coldRebuild is how long a cold-promoted successor takes to rebuild
+	// command state from scratch (re-synthesis, re-acquisition).
+	coldRebuild = 15 * time.Second
+	// warmHandover is how long a warm-promoted successor takes to load
+	// the last checkpoint and resume.
+	warmHandover = 500 * time.Millisecond
+)
 
 // DefaultMission returns an evacuation-style mission over the given
 // area: visual+thermal coverage with modest compute.
@@ -106,43 +107,23 @@ func DefaultMission(area geo.Rect) Mission {
 			CoverageFrac: 0.7,
 			PerHop:       5 * time.Millisecond,
 		},
-		Command:           CommandIntent,
-		HierarchyLevels:   3,
-		ApprovalPerLevel:  2 * time.Second,
-		LocalDeliberation: 200 * time.Millisecond,
-		IncidentsPerMin:   6,
-		IncidentDeadline:  30 * time.Second,
+		Command:          CommandIntent,
+		HierarchyLevels:  3,
+		IncidentsPerMin:  6,
+		IncidentDeadline: 30 * time.Second,
 	}
 }
 
 // normalized fills mission defaults.
 func (m Mission) normalized() Mission {
-	if m.ApprovalPerLevel <= 0 {
-		m.ApprovalPerLevel = 2 * time.Second
-	}
-	if m.LocalDeliberation <= 0 {
-		m.LocalDeliberation = 200 * time.Millisecond
-	}
 	if m.IncidentDeadline <= 0 {
 		m.IncidentDeadline = 30 * time.Second
 	}
 	if m.HierarchyLevels < 1 {
 		m.HierarchyLevels = 1
 	}
-	if m.FallbackAfter <= 0 {
-		m.FallbackAfter = 3
-	}
-	if m.RelaxFloor <= 0 {
-		m.RelaxFloor = 0.2
-	}
 	if m.IncidentsPerMin <= 0 {
 		m.IncidentsPerMin = 6
-	}
-	if m.ColdRebuild <= 0 {
-		m.ColdRebuild = 15 * time.Second
-	}
-	if m.WarmHandover <= 0 {
-		m.WarmHandover = 500 * time.Millisecond
 	}
 	return m
 }

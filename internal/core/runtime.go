@@ -230,7 +230,7 @@ func (r *Runtime) coverageHolds() bool {
 // members (paper: "re-assemble ... upon damage ... within an
 // appropriately short time"). When the candidate pool cannot restore
 // the goal and degradation reflexes are enabled, the coverage
-// requirement is relaxed stepwise (never below Mission.RelaxFloor)
+// requirement is relaxed stepwise (never below relaxFloor)
 // instead of limping silently below an unmeetable goal.
 func (r *Runtime) repair() {
 	start := r.W.Eng.Now()
@@ -262,14 +262,15 @@ func (r *Runtime) repair() {
 	r.setHealth(r.computeHealth(r.coverageHolds()))
 }
 
+// relaxFloorCells is the fewest covered cells relaxation may settle for.
+func (r *Runtime) relaxFloorCells() int {
+	return max(1, int(relaxFloor*float64(len(r.req.Cells))))
+}
+
 // relaxOnce lowers the coverage requirement one step (-20%), bounded by
-// Mission.RelaxFloor. Returns false when no further relaxation is
-// allowed.
+// relaxFloorCells. Returns false when no further relaxation is allowed.
 func (r *Runtime) relaxOnce() bool {
-	floor := int(r.Mission.RelaxFloor * float64(len(r.req.Cells)))
-	if floor < 1 {
-		floor = 1
-	}
+	floor := r.relaxFloorCells()
 	if r.req.NeedCells <= floor {
 		return false
 	}
@@ -372,7 +373,7 @@ func (r *Runtime) incident() {
 	switch cmd {
 	case CommandIntent:
 		// Subordinate initiative: deliberate locally, act.
-		r.W.Eng.Schedule(r.Mission.LocalDeliberation, "core.intent-act", complete)
+		r.W.Eng.Schedule(localDeliberation, "core.intent-act", complete)
 	default:
 		r.hierarchyLoop(detector, incID, complete)
 	}
@@ -476,7 +477,7 @@ func (r *Runtime) commandHandler(id asset.ID) mesh.Handler {
 			if !ok {
 				return
 			}
-			delay := time.Duration(r.Mission.HierarchyLevels) * r.Mission.ApprovalPerLevel
+			delay := time.Duration(r.Mission.HierarchyLevels) * approvalPerLevel
 			r.W.Eng.Schedule(delay, "core.approve", func() {
 				order := mesh.Message{
 					From: id, To: p.detector, Size: 500, Kind: "order",
@@ -511,7 +512,7 @@ func (r *Runtime) commandCarried() {
 // commandFailed records a terminal command-channel failure (no post,
 // unreachable post, or exhausted ARQ budget) and drives the
 // command-continuity reflex: re-pick the post, and after
-// Mission.FallbackAfter consecutive failures fall back to intent.
+// fallbackAfter consecutive failures fall back to intent.
 func (r *Runtime) commandFailed() {
 	r.Metrics.Undeliverable.Inc()
 	r.orderFails++
@@ -519,7 +520,7 @@ func (r *Runtime) commandFailed() {
 		if r.sink == asset.None || !r.sinkAlive() {
 			r.repickSink()
 		}
-		if !r.fellBack && r.orderFails >= r.Mission.FallbackAfter {
+		if !r.fellBack && r.orderFails >= fallbackAfter {
 			r.fellBack = true
 			r.Metrics.Fallbacks.Inc()
 			r.journalf("fallback fails=%d", r.orderFails)

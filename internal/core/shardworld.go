@@ -38,22 +38,9 @@ type ShardMissionConfig struct {
 	// Assets is the sensing population size (required, >= 2). The
 	// command post is one additional actor.
 	Assets int
-	// Area is the battlefield bounds (default scales with sqrt(Assets)
-	// to hold density roughly constant).
-	Area geo.Rect
-	// SensorRange is the detection radius in meters (default 150).
-	// Degraded assets sense at 60% of it.
-	SensorRange float64
-	// Drift is the mobility amplitude: each asset oscillates within
-	// Drift meters of its home point (default 25).
-	Drift float64
-
 	// Incidents is how many battlefield incidents the schedule holds
 	// (default max(3, Assets/8)).
 	Incidents int
-	// IncidentDur is how long each incident stays observable
-	// (default 30s).
-	IncidentDur time.Duration
 
 	// DegradeFrac of assets degrade at a drawn time (default 0.25);
 	// FailFrac fail outright (default 0.1). Failed sensors stop
@@ -61,50 +48,40 @@ type ShardMissionConfig struct {
 	DegradeFrac float64
 	FailFrac    float64
 
-	// SenseEvery is the detection scan cadence (default 2s) and
-	// HealthEvery the health re-evaluation cadence (default 5s).
-	SenseEvery  time.Duration
-	HealthEvery time.Duration
-	// ReportLatency is the asset→post message delay (default 150ms,
-	// above the engine lookahead so reports are never clamped).
-	ReportLatency time.Duration
-	// MobilityEvery is the shard-migration cadence following asset
-	// drift (default 4s; negative disables).
-	MobilityEvery time.Duration
 	// Horizon is the virtual run length (default 180s).
 	Horizon time.Duration
 }
 
+// The sharded mission's fixed sensing model and cadences.
+const (
+	// sensorRange is the detection radius in meters. Degraded assets
+	// sense at 60% of it.
+	sensorRange = 150.0
+	// incidentDur is how long each incident stays observable.
+	incidentDur = 30 * time.Second
+	// senseEvery is the detection scan cadence and healthEvery the
+	// health re-evaluation cadence.
+	senseEvery  = 2 * time.Second
+	healthEvery = 5 * time.Second
+	// reportLatency is the asset→post message delay, above the engine
+	// lookahead so reports are never clamped.
+	reportLatency = 150 * time.Millisecond
+	// mobilityEvery is the shard-migration cadence following asset drift.
+	mobilityEvery = 4 * time.Second
+)
+
 func (sc ShardMissionConfig) withDefaults() ShardMissionConfig {
-	if sc.SensorRange <= 0 {
-		sc.SensorRange = 150
-	}
 	if sc.Incidents <= 0 {
 		sc.Incidents = sc.Assets / 8
 		if sc.Incidents < 3 {
 			sc.Incidents = 3
 		}
 	}
-	if sc.IncidentDur <= 0 {
-		sc.IncidentDur = 30 * time.Second
-	}
 	if sc.DegradeFrac == 0 {
 		sc.DegradeFrac = 0.25
 	}
 	if sc.FailFrac == 0 {
 		sc.FailFrac = 0.1
-	}
-	if sc.SenseEvery <= 0 {
-		sc.SenseEvery = 2 * time.Second
-	}
-	if sc.HealthEvery <= 0 {
-		sc.HealthEvery = 5 * time.Second
-	}
-	if sc.ReportLatency <= 0 {
-		sc.ReportLatency = 150 * time.Millisecond
-	}
-	if sc.MobilityEvery == 0 {
-		sc.MobilityEvery = 4 * time.Second
 	}
 	if sc.Horizon <= 0 {
 		sc.Horizon = 180 * time.Second
@@ -147,7 +124,7 @@ type ShardMissionResult struct {
 
 	// Events is the total number of simulation events executed and
 	// ClampedSends the number of Send delays raised to the lookahead
-	// floor (0 here: ReportLatency sits above the floor by default).
+	// floor (0 here: reportLatency sits above the floor).
 	Events       uint64
 	ClampedSends uint64
 	// Violations lists conservation-law breaches (empty on a healthy
@@ -159,12 +136,12 @@ type ShardMissionResult struct {
 
 // shardIncident is one scheduled battlefield incident: part of the
 // frozen run context, observable by any asset within sensor range
-// during [at, at+dur) — a pure function of the schedule and the clock.
+// during [at, at+incidentDur) — a pure function of the schedule and the
+// clock.
 type shardIncident struct {
 	id  int
 	pos geo.Point
 	at  time.Duration
-	dur time.Duration
 }
 
 // shardAsset is one asset's state, owned by its actor: only events
@@ -257,8 +234,9 @@ func RunShardMission(seed int64, shards int, sc ShardMissionConfig) (*ShardMissi
 		assets:    make([]*shardAsset, sc.Assets),
 		posts:     make([]*shardPost, sc.Assets+1),
 		incidents: make([]shardIncident, sc.Incidents),
-		field:     geo.NewDriftField(eng.Stream("shardworld/field"), sc.Assets, shards, sc.Area, sc.Drift),
-		postID:    sim.ActorID(sc.Assets),
+		// The zero area and drift select the field's defaults.
+		field:  geo.NewDriftField(eng.Stream("shardworld/field"), sc.Assets, shards, geo.Rect{}, 0),
+		postID: sim.ActorID(sc.Assets),
 	}
 
 	// Field layout, fault schedule, and incident schedule from setup
@@ -289,8 +267,7 @@ func RunShardMission(seed int64, shards int, sc ShardMissionConfig) (*ShardMissi
 				X: incs.Uniform(area.Min.X, area.Max.X),
 				Y: incs.Uniform(area.Min.Y, area.Max.Y),
 			},
-			at:  time.Duration(incs.Uniform(float64(5*time.Second), float64(sc.Horizon)*0.7)),
-			dur: sc.IncidentDur,
+			at: time.Duration(incs.Uniform(float64(5*time.Second), float64(sc.Horizon)*0.7)),
 		}
 	}
 	r.posts[r.postID] = &shardPost{
@@ -309,19 +286,17 @@ func RunShardMission(seed int64, shards int, sc ShardMissionConfig) (*ShardMissi
 	for i := 0; i < sc.Assets; i++ {
 		a := r.assets[i]
 		a.healthFn = r.healthTick(a)
-		hp := time.Duration(a.rng.Intn(int(sc.HealthEvery/time.Millisecond))) * time.Millisecond
-		eng.ScheduleActor(sim.ActorID(i), sc.HealthEvery+hp, "health", a.healthFn)
+		hp := time.Duration(a.rng.Intn(int(healthEvery/time.Millisecond))) * time.Millisecond
+		eng.ScheduleActor(sim.ActorID(i), healthEvery+hp, "health", a.healthFn)
 		a.senseFn = r.senseTick(a)
-		sp := time.Duration(a.rng.Intn(int(sc.SenseEvery/time.Millisecond))) * time.Millisecond
-		eng.ScheduleActor(sim.ActorID(i), sc.SenseEvery+sp, "sense", a.senseFn)
+		sp := time.Duration(a.rng.Intn(int(senseEvery/time.Millisecond))) * time.Millisecond
+		eng.ScheduleActor(sim.ActorID(i), senseEvery+sp, "sense", a.senseFn)
 		// Mobility ticks run at EVERY shard count (a 1-shard Migrate is a
 		// no-op): gating them on shards > 1 would skew both the per-asset
 		// stream and the processed-event count, breaking invariance.
-		if sc.MobilityEvery > 0 {
-			mp := time.Duration(a.rng.Intn(int(sc.MobilityEvery/time.Millisecond))) * time.Millisecond
-			eng.ScheduleActor(sim.ActorID(i), sc.MobilityEvery+mp, "mobility",
-				r.field.MobilityTick(i, sc.MobilityEvery, sc.Horizon, 0))
-		}
+		mp := time.Duration(a.rng.Intn(int(mobilityEvery/time.Millisecond))) * time.Millisecond
+		eng.ScheduleActor(sim.ActorID(i), mobilityEvery+mp, "mobility",
+			r.field.MobilityTick(i, mobilityEvery, sc.Horizon, 0))
 	}
 
 	if err := eng.Run(sc.Horizon); err != nil {
@@ -340,10 +315,10 @@ func (r *shardMission) healthTick(a *shardAsset) func(*sim.ShardCtx) {
 			a.health = next
 			a.healthChanges++
 			a.healthSeq++
-			c.Send(r.postID, r.sc.ReportLatency, "health.report", r.healthReport(a.id, a.healthSeq, next))
+			c.Send(r.postID, reportLatency, "health.report", r.healthReport(a.id, a.healthSeq, next))
 		}
-		if now+r.sc.HealthEvery <= r.sc.Horizon {
-			c.Schedule(r.sc.HealthEvery, "health", a.healthFn)
+		if now+healthEvery <= r.sc.Horizon {
+			c.Schedule(healthEvery, "health", a.healthFn)
 		}
 	}
 }
@@ -355,13 +330,13 @@ func (r *shardMission) senseTick(a *shardAsset) func(*sim.ShardCtx) {
 	return func(c *sim.ShardCtx) {
 		now := c.Now()
 		if a.failAt == 0 || now < a.failAt {
-			rng := r.sc.SensorRange
+			rng := sensorRange
 			if a.health == Degraded {
 				rng *= 0.6
 			}
 			p := r.field.Pos(a.id, now)
 			for _, inc := range r.incidents {
-				if now < inc.at || now >= inc.at+inc.dur {
+				if now < inc.at || now >= inc.at+incidentDur {
 					continue
 				}
 				if _, seen := a.tracks[inc.id]; seen {
@@ -372,11 +347,11 @@ func (r *shardMission) senseTick(a *shardAsset) func(*sim.ShardCtx) {
 				}
 				a.tracks[inc.id] = now
 				a.reports++
-				c.Send(r.postID, r.sc.ReportLatency, "track.report", r.trackReport(a.id, inc.id, now))
+				c.Send(r.postID, reportLatency, "track.report", r.trackReport(a.id, inc.id, now))
 			}
 		}
-		if now+r.sc.SenseEvery <= r.sc.Horizon {
-			c.Schedule(r.sc.SenseEvery, "sense", a.senseFn)
+		if now+senseEvery <= r.sc.Horizon {
+			c.Schedule(senseEvery, "sense", a.senseFn)
 		}
 	}
 }
@@ -448,7 +423,7 @@ func (r *shardMission) collect(eng *sim.Sharded, shards int) *ShardMissionResult
 			if id < 0 || id >= len(r.incidents) {
 				res.Violations = append(res.Violations, fmt.Sprintf(
 					"asset %d tracks unscheduled incident %d", a.id, id))
-			} else if at := a.tracks[id]; at < r.incidents[id].at || at >= r.incidents[id].at+r.incidents[id].dur {
+			} else if at := a.tracks[id]; at < r.incidents[id].at || at >= r.incidents[id].at+incidentDur {
 				res.Violations = append(res.Violations, fmt.Sprintf(
 					"asset %d detected incident %d at %s outside its window", a.id, id, at))
 			}

@@ -109,7 +109,7 @@ func TestShardMissionPicture(t *testing.T) {
 		t.Errorf("no detections flowed to the post: det=%d trep=%d", res.Detections, res.TrackReports)
 	}
 	if res.ClampedSends != 0 {
-		t.Errorf("%d clamped sends with ReportLatency above the lookahead floor", res.ClampedSends)
+		t.Errorf("%d clamped sends with reportLatency above the lookahead floor", res.ClampedSends)
 	}
 }
 

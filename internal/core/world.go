@@ -16,6 +16,7 @@ import (
 
 	"iobt/internal/asset"
 	"iobt/internal/attack"
+	"iobt/internal/fault"
 	"iobt/internal/geo"
 	"iobt/internal/mesh"
 	"iobt/internal/sim"
@@ -29,8 +30,6 @@ type WorldConfig struct {
 	Terrain *geo.Terrain
 	// Assets is the approximate population size.
 	Assets int
-	// Mix overrides the default population mix when non-nil.
-	Mix *asset.Mix
 	// Mesh overrides the default network config when non-nil.
 	Mesh *mesh.Config
 	// Churn, when non-nil, starts an asset lifecycle process.
@@ -61,11 +60,7 @@ func NewWorld(cfg WorldConfig) *World {
 	if cfg.Assets <= 0 {
 		cfg.Assets = 200
 	}
-	mix := asset.DefaultMix(cfg.Assets)
-	if cfg.Mix != nil {
-		mix = *cfg.Mix
-	}
-	pop := asset.Generate(terr, mix, eng.Stream("gen"))
+	pop := asset.Generate(terr, asset.DefaultMix(cfg.Assets), eng.Stream("gen"))
 
 	mcfg := mesh.DefaultConfig()
 	if cfg.Mesh != nil {
@@ -98,6 +93,20 @@ func (w *World) Stop() {
 	if w.Churn != nil {
 		w.Churn.Stop()
 	}
+}
+
+// FaultTarget bundles the world's surfaces as the target a fault plan
+// acts on. A non-nil r adds the mission runtime's hooks: composite kill
+// waves, command-post resolution, and the crash-post/failover verbs.
+func (w *World) FaultTarget(r *Runtime) fault.Target {
+	t := fault.Target{Eng: w.Eng, Pop: w.Pop, Net: w.Net, Jam: w.Jam, Smoke: w.Smoke}
+	if r != nil {
+		t.Composite = func() []asset.ID { return r.Composite().Members }
+		t.CommandPost = r.Sink
+		t.CrashPost = r.CrashPost
+		t.Failover = r.Failover
+	}
+	return t
 }
 
 // Run advances the world by the given horizon.

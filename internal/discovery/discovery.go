@@ -40,30 +40,28 @@ const (
 type Config struct {
 	// Scanners are the blue assets performing discovery.
 	Scanners []asset.ID
-	// ScanInterval is the cadence of scan rounds. Zero defaults to 2s.
-	ScanInterval time.Duration
 	// ExpireAfter drops directory entries not re-seen for this long;
 	// zero disables expiry.
 	ExpireAfter time.Duration
 	// Methods selects the enabled techniques; zero defaults to MethodsAll.
 	Methods Methods
+}
 
-	// GrayRespondProb and RedRespondProb are the ground-truth behavior
+const (
+	scanInterval = 2 * time.Second
+	// grayRespondProb and redRespondProb are the ground-truth behavior
 	// of non-blue nodes answering standard probes (commodity devices
 	// answer sometimes; adversaries stay silent).
-	GrayRespondProb float64
-	RedRespondProb  float64
-}
+	grayRespondProb = 0.4
+	redRespondProb  = 0.02
+)
 
 // DefaultConfig returns the configuration used by the experiments,
 // leaving Scanners to be filled in.
 func DefaultConfig() Config {
 	return Config{
-		ScanInterval:    2 * time.Second,
-		ExpireAfter:     2 * time.Minute,
-		Methods:         MethodsAll,
-		GrayRespondProb: 0.4,
-		RedRespondProb:  0.02,
+		ExpireAfter: 2 * time.Minute,
+		Methods:     MethodsAll,
 	}
 }
 
@@ -115,9 +113,6 @@ type Service struct {
 
 // New returns an unstarted discovery service. ledger may be nil.
 func New(eng *sim.Engine, pop *asset.Population, ledger *trust.Ledger, cfg Config) *Service {
-	if cfg.ScanInterval <= 0 {
-		cfg.ScanInterval = 2 * time.Second
-	}
 	if cfg.Methods == 0 {
 		cfg.Methods = MethodsAll
 	}
@@ -136,7 +131,7 @@ func (s *Service) Start() {
 	if s.ticker != nil {
 		return
 	}
-	s.ticker = s.eng.Every(s.cfg.ScanInterval, "discovery.scan", s.Scan)
+	s.ticker = s.eng.Every(scanInterval, "discovery.scan", s.Scan)
 }
 
 // Stop halts scanning.
@@ -252,9 +247,9 @@ func (s *Service) responds(a *asset.Asset) bool {
 	case a.Affiliation == asset.Blue:
 		return true
 	case a.Affiliation == asset.Gray:
-		return s.rng.Bool(s.cfg.GrayRespondProb)
+		return s.rng.Bool(grayRespondProb)
 	default:
-		return s.rng.Bool(s.cfg.RedRespondProb)
+		return s.rng.Bool(redRespondProb)
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"iobt/internal/asset"
 	"iobt/internal/core"
 	"iobt/internal/fault"
 	"iobt/internal/geo"
@@ -63,18 +62,13 @@ func E14Recovery(seed int64, quick bool) *Table {
 		defer r.Stop()
 		reg := verify.NewRegistry()
 		reg.Add(verify.MissionInvariants(w, r)...)
-		reg.SetClock(w.Eng.Now)
+		reg.Arm(w.Eng, time.Second)
 		h := &fault.Harness{
-			T: fault.Target{
-				Eng: w.Eng, Pop: w.Pop, Net: w.Net, Jam: w.Jam, Smoke: w.Smoke,
-				Composite:   func() []asset.ID { return r.Composite().Members },
-				CommandPost: func() asset.ID { return r.Sink() },
-			},
+			T:    w.FaultTarget(r),
 			Plan: fault.StandardPlan(size).Scale(scale),
 			Goodput: func() (uint64, uint64) {
 				return r.Metrics.OnTime.Value(), r.Metrics.Incidents.Value()
 			},
-			Invariants: reg.FaultInvariants(),
 		}
 		rep, err := h.Run(horizon)
 		verif.Merge(reg.Summarize())

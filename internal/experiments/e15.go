@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"iobt/internal/asset"
 	"iobt/internal/core"
 	"iobt/internal/fault"
 	"iobt/internal/geo"
@@ -90,24 +89,17 @@ func E15Failover(seed int64, quick bool) *Table {
 		}
 		reg := verify.NewRegistry()
 		reg.Add(verify.MissionInvariants(w, r)...)
-		reg.SetClock(w.Eng.Now)
+		reg.Arm(w.Eng, time.Second)
 		h := &fault.Harness{
-			T: fault.Target{
-				Eng: w.Eng, Pop: w.Pop, Net: w.Net, Jam: w.Jam, Smoke: w.Smoke,
-				Composite:   func() []asset.ID { return r.Composite().Members },
-				CommandPost: func() asset.ID { return r.Sink() },
-				CrashPost:   r.CrashPost,
-				Failover:    r.Failover,
-			},
+			T:    w.FaultTarget(r),
 			Plan: plan,
 			Goodput: func() (uint64, uint64) {
 				return r.Metrics.OnTime.Value(), r.Metrics.Incidents.Value()
 			},
-			Invariants: reg.FaultInvariants(),
-			Recovery:   fault.RecoveryHooks(r.Probe()),
+			Recovery: r.Probe(),
 		}
 		rep, err := h.Run(horizon)
-		if err != nil || !rep.OK() || len(rep.Recovery) != 1 {
+		if err != nil || !reg.OK() || len(rep.Recovery) != 1 {
 			return outcome{}
 		}
 		var ckpts uint64

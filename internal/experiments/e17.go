@@ -115,7 +115,7 @@ func runE17(seed int64, quick bool, mode string, verif *verify.Summary) e17Resul
 	if len(members) < 3 {
 		return e17Result{fingerprint: "degenerate-topology"}
 	}
-	fault.Apply(fault.Target{Eng: w.Eng, Pop: w.Pop, Net: w.Net, Jam: w.Jam, Smoke: w.Smoke}, e17Plan())
+	fault.Apply(w.FaultTarget(nil), e17Plan())
 
 	// One picture replica per member; every payload is an encoded replica
 	// merged on reception, whatever transport carried it.
@@ -197,7 +197,6 @@ func runE17(seed int64, quick bool, mode string, verif *verify.Summary) e17Resul
 			})
 		}
 	}
-	reg.SetClock(w.Eng.Now)
 	reg.Arm(w.Eng, 5*time.Second)
 
 	// Publishing: on every tick each publisher grows its own replica

@@ -228,8 +228,9 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// Target bundles the world surfaces faults act on. core.World satisfies
-// it field-for-field; tests can assemble one from raw substrates.
+// Target bundles the world surfaces faults act on. core.World.FaultTarget
+// builds one for a world and its mission runtime; tests can assemble one
+// from raw substrates.
 type Target struct {
 	Eng   *sim.Engine
 	Pop   *asset.Population

@@ -7,38 +7,32 @@ import (
 	"time"
 )
 
-// Invariant is a property checked continuously while the harness runs.
-// Check returns nil when the property holds.
-type Invariant struct {
-	Name  string
-	Check func() error
-}
-
-// Harness wraps a mission run with a fault plan, continuous invariant
-// checks, and goodput sampling, and produces a per-fault recovery
-// report. The caller builds the world and starts the mission runtime;
-// Run then injects the plan and drives the engine.
+// Harness wraps a mission run with a fault plan and goodput sampling,
+// and produces a per-fault recovery report. The caller builds the world
+// and starts the mission runtime (and arms a verify.Registry on the
+// engine for continuous invariant checks); Run then injects the plan
+// and drives the engine.
 type Harness struct {
 	T    Target
 	Plan *Plan
-	// Invariants are evaluated every CheckEvery tick; violations are
-	// recorded (not fatal) so a run surfaces every broken property.
-	Invariants []Invariant
-	// CheckEvery is the sampling cadence (default 1s).
-	CheckEvery time.Duration
 	// Goodput returns cumulative (done, total) counters — e.g. on-time
 	// actions vs. incidents. The harness differentiates them into an
 	// instantaneous goodput signal.
 	Goodput func() (done, total uint64)
-	// DetectFrac and RecoverFrac set the degradation thresholds as
-	// fractions of the pre-fault baseline (defaults 0.7 and 0.9).
-	DetectFrac, RecoverFrac float64
 	// Window is the smoothing window in samples (default 10).
 	Window int
 	// Recovery, when any hook is set, measures a RecoveryGap around each
 	// `crash post` fault in the plan.
 	Recovery RecoveryHooks
 }
+
+const (
+	checkEvery = time.Second // sampling cadence
+	// detectFrac and recoverFrac are the degradation thresholds as
+	// fractions of the pre-fault baseline.
+	detectFrac  = 0.7
+	recoverFrac = 0.9
+)
 
 // sample is one goodput observation. goodput is the windowed ratio
 // Σdone/Σtotal over the last Window ticks — a per-tick ratio would
@@ -51,13 +45,6 @@ type sample struct {
 	// cumDone/cumTotal are the cumulative counters at this tick; their
 	// ratio is the all-history goodput used for the pre-fault baseline.
 	cumDone, cumTotal uint64
-}
-
-// Violation is one invariant failure observation.
-type Violation struct {
-	At   time.Duration
-	Name string
-	Err  error
 }
 
 // FaultReport is the recovery record for one injected fault.
@@ -86,14 +73,9 @@ type Report struct {
 	// Recovery holds one gap measurement per `crash post` fault (empty
 	// when the plan has none or no Recovery hooks were set).
 	Recovery []RecoveryGap
-	// Violations holds every invariant failure (bounded at 100).
-	Violations []Violation
 	// Killed is the number of assets the injector destroyed.
 	Killed uint64
 }
-
-// OK reports whether no invariant was violated.
-func (r *Report) OK() bool { return len(r.Violations) == 0 }
 
 // String renders the report as an aligned text block.
 func (r *Report) String() string {
@@ -117,13 +99,6 @@ func (r *Report) String() string {
 	for _, g := range r.Recovery {
 		fmt.Fprintf(&b, "  %s\n", g)
 	}
-	for i, v := range r.Violations {
-		if i >= 5 {
-			fmt.Fprintf(&b, "  ... %d more violations\n", len(r.Violations)-i)
-			break
-		}
-		fmt.Fprintf(&b, "  VIOLATION at %s: %s: %v\n", v.At, v.Name, v.Err)
-	}
 	return b.String()
 }
 
@@ -140,15 +115,6 @@ func (h *Harness) Run(horizon time.Duration) (*Report, error) {
 // that is cancelled mid-run therefore unwinds completely instead of
 // leaking its recovery machinery.
 func (h *Harness) RunContext(ctx context.Context, horizon time.Duration) (*Report, error) {
-	if h.CheckEvery <= 0 {
-		h.CheckEvery = time.Second
-	}
-	if h.DetectFrac <= 0 {
-		h.DetectFrac = 0.7
-	}
-	if h.RecoverFrac <= 0 {
-		h.RecoverFrac = 0.9
-	}
 	if h.Window <= 0 {
 		h.Window = 10
 	}
@@ -156,18 +122,17 @@ func (h *Harness) RunContext(ctx context.Context, horizon time.Duration) (*Repor
 	inj := Apply(h.T, h.Plan)
 
 	var (
-		samples    []sample
-		violations []Violation
-		lastDone   uint64
-		lastTotal  uint64
-		dones      []uint64
-		totals     []uint64
+		samples   []sample
+		lastDone  uint64
+		lastTotal uint64
+		dones     []uint64
+		totals    []uint64
 	)
 	var recMon *recoveryMonitor
 	if h.Recovery.OrdersDelivered != nil || h.Recovery.OrdersLost != nil {
 		recMon = newRecoveryMonitor(h.Recovery, h.Plan)
 	}
-	tick := h.T.Eng.Every(h.CheckEvery, "fault.harness", func() {
+	tick := h.T.Eng.Every(checkEvery, "fault.harness", func() {
 		now := h.T.Eng.Now()
 		if recMon != nil {
 			recMon.sample(now)
@@ -195,11 +160,6 @@ func (h *Harness) RunContext(ctx context.Context, horizon time.Duration) (*Repor
 			}
 			samples = append(samples, s)
 		}
-		for _, inv := range h.Invariants {
-			if err := inv.Check(); err != nil && len(violations) < 100 {
-				violations = append(violations, Violation{At: now, Name: inv.Name, Err: err})
-			}
-		}
 	})
 	err := h.T.Eng.RunContext(ctx, horizon)
 	tick.Stop()
@@ -207,7 +167,7 @@ func (h *Harness) RunContext(ctx context.Context, horizon time.Duration) (*Repor
 		return nil, err
 	}
 
-	rep := &Report{Violations: violations, Killed: inj.Killed.Value()}
+	rep := &Report{Killed: inj.Killed.Value()}
 	rep.Baseline = h.baseline(samples)
 	if n := len(samples); n > 0 {
 		lo := n - h.Window
@@ -265,7 +225,7 @@ func (h *Harness) faultReport(f Fault, samples []sample, baseline float64) Fault
 			continue
 		}
 		if detectAt < 0 {
-			if s.goodput < h.DetectFrac*baseline {
+			if s.goodput < detectFrac*baseline {
 				detectAt = s.at
 				fr.Detected = true
 				fr.TimeToDetect = s.at - f.At
@@ -277,7 +237,7 @@ func (h *Harness) faultReport(f Fault, samples []sample, baseline float64) Fault
 				degSum += s.goodput
 				degN++
 			}
-			if s.goodput >= h.RecoverFrac*baseline {
+			if s.goodput >= recoverFrac*baseline {
 				recoverAt = s.at
 				fr.Recovered = true
 				fr.TimeToRecover = s.at - f.At

@@ -1,13 +1,10 @@
 package fault
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
 )
-
-var errPostDown = errors.New("command post is down")
 
 // TestHarnessReportEndToEnd drives the harness with synthetic mission
 // hooks whose degradation is scripted in virtual time, so every report
@@ -58,15 +55,6 @@ func TestHarnessReportEndToEnd(t *testing.T) {
 		Plan:    plan,
 		Goodput: func() (uint64, uint64) { return done, total },
 		Window:  5,
-		Invariants: []Invariant{
-			{Name: "total-monotone", Check: func() error { return nil }},
-			{Name: "post-standing", Check: func() error {
-				if postDown {
-					return errPostDown
-				}
-				return nil
-			}},
-		},
 		Recovery: RecoveryHooks{
 			OrdersDelivered: func() uint64 { return done },
 			OrdersLost:      func() uint64 { return lost },
@@ -143,15 +131,6 @@ func TestHarnessReportEndToEnd(t *testing.T) {
 		t.Errorf("unresumed gap observed %v, want horizon-At = 5s", second.TimeToResume)
 	}
 
-	// The post-standing invariant fails once per down tick: well past the
-	// String truncation point, far under the 100 cap.
-	if rep.OK() {
-		t.Error("report OK with the post down for 35 ticks")
-	}
-	if n := len(rep.Violations); n < 20 || n > 50 {
-		t.Errorf("violations = %d, want one per down tick", n)
-	}
-
 	// The rendered report names every scripted outcome.
 	text := rep.String()
 	for _, want := range []string{
@@ -159,8 +138,6 @@ func TestHarnessReportEndToEnd(t *testing.T) {
 		"NOT RECOVERED",
 		"resumed in",
 		"NOT RESUMED",
-		"VIOLATION",
-		"more violations",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("report text missing %q:\n%s", want, text)
@@ -170,7 +147,7 @@ func TestHarnessReportEndToEnd(t *testing.T) {
 
 // TestHarnessAbsorbedFault pins the absorbed branch: a fault the
 // mission rides out without a goodput dip is reported undetected and
-// the run stays clean.
+// nothing else.
 func TestHarnessAbsorbedFault(t *testing.T) {
 	tgt := testTarget(t, 52)
 	var done, total uint64
@@ -197,9 +174,6 @@ func TestHarnessAbsorbedFault(t *testing.T) {
 	}
 	if len(rep.Faults) != 1 || rep.Faults[0].Detected {
 		t.Fatalf("absorbed fault misreported: %+v", rep.Faults)
-	}
-	if !rep.OK() {
-		t.Errorf("clean run has violations: %v", rep.Violations)
 	}
 	if !strings.Contains(rep.String(), "absorbed") {
 		t.Errorf("report text missing the absorbed marker:\n%s", rep.String())

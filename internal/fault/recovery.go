@@ -8,7 +8,7 @@ import (
 
 // RecoveryHooks are the mission surfaces the harness samples to measure
 // the recovery gap around each `crash post` fault. core.Runtime.Probe
-// provides a matching set; tests can assemble their own. Nil members
+// provides the set; tests can assemble their own. Nil members
 // are simply not sampled.
 type RecoveryHooks struct {
 	// OrdersDelivered is the cumulative successful command-channel

@@ -21,9 +21,10 @@ type GenConfig struct {
 	Dim int
 	// Noise is the label-flip probability.
 	Noise float64
-	// Margin scales the generating weights; larger = more separable.
-	Margin float64
 }
+
+// genMargin scales the generating weights; larger = more separable.
+const genMargin = 2
 
 // GenDataset draws a linearly separable (up to Noise) binary dataset
 // from a random hyperplane.
@@ -31,12 +32,9 @@ func GenDataset(rng *sim.RNG, cfg GenConfig) *Dataset {
 	if cfg.Dim <= 0 {
 		cfg.Dim = 5
 	}
-	if cfg.Margin <= 0 {
-		cfg.Margin = 2
-	}
 	w := make([]float64, cfg.Dim+1)
 	for i := range w {
-		w[i] = rng.Norm(0, cfg.Margin)
+		w[i] = rng.Norm(0, genMargin)
 	}
 	d := &Dataset{TrueW: w}
 	for k := 0; k < cfg.N; k++ {

@@ -29,7 +29,7 @@ func (n *Network) RouteGeo(src, dst NodeID) []NodeID {
 	}
 	curDist := curAsset.Pos().Dist(goal)
 
-	for hops := 0; hops < n.cfg.MaxHops; hops++ {
+	for hops := 0; hops < maxHops; hops++ {
 		best := NodeID(-1)
 		bestDist := curDist
 		for _, nb := range n.neighbors[cur] {

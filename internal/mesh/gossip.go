@@ -60,12 +60,15 @@ type GossipConfig struct {
 	// AntiEntropyEvery is the digest-exchange cadence (default 5s).
 	// Negative disables anti-entropy (pure rumor mongering).
 	AntiEntropyEvery time.Duration
-	// FrameOverhead is the per-frame header size in bytes added on top
-	// of the payload (default 24).
-	FrameOverhead float64
-	// DigestEntryBytes sizes one digest sequence entry (default 12).
-	DigestEntryBytes float64
 }
+
+// Gossip frame sizes in bytes.
+const (
+	// frameOverhead is the per-frame header added on top of the payload.
+	frameOverhead = 24
+	// digestEntryBytes sizes one digest sequence entry.
+	digestEntryBytes = 12
+)
 
 func (c GossipConfig) withDefaults() GossipConfig {
 	if c.Fanout <= 0 {
@@ -76,12 +79,6 @@ func (c GossipConfig) withDefaults() GossipConfig {
 	}
 	if c.AntiEntropyEvery == 0 {
 		c.AntiEntropyEvery = 5 * time.Second
-	}
-	if c.FrameOverhead <= 0 {
-		c.FrameOverhead = 24
-	}
-	if c.DigestEntryBytes <= 0 {
-		c.DigestEntryBytes = 12
 	}
 	return c
 }
@@ -261,24 +258,13 @@ func (g *Gossip) Holds(id NodeID, key GossipKey) bool {
 	return ok
 }
 
-// HeldAt returns how many payloads member id holds.
-func (g *Gossip) HeldAt(id NodeID) int {
-	m, ok := g.members[id]
-	if !ok {
-		return 0
-	}
-	return len(m.have)
-}
-
 // DeliveryRatio is the fraction of (member, payload) pairs reached:
-// total held copies over published × members. 1.0 means every member
-// holds every publish; it is the experiment E17 headline metric.
+// total held copies over published × members, where published counts
+// every origin's publishes whether or not the origin is still a member.
+// 1.0 means every member holds every publish; it is the experiment E17
+// headline metric.
 func (g *Gossip) DeliveryRatio() float64 {
-	var total uint64
-	for _, origin := range g.Members() {
-		total += g.published[origin]
-	}
-	denom := float64(total) * float64(len(g.members))
+	denom := float64(g.Published.Value()) * float64(len(g.members))
 	if denom == 0 {
 		return 0
 	}
@@ -369,7 +355,7 @@ func (g *Gossip) relay(m *gossipMember, p GossipPayload, ttl int, exclude NodeID
 		g.net.SendDirect(Message{ //iobt:allow hotalloc the Engine-based mesh pays one path slice and one hop closure per transmitted frame — the modeled radio transmission; the sharded overlay is the zero-alloc path
 			From:    m.id,
 			To:      peer,
-			Size:    p.Size + g.cfg.FrameOverhead,
+			Size:    p.Size + frameOverhead,
 			Kind:    KindGossipData,
 			Payload: frame,
 		})
@@ -415,7 +401,7 @@ func (g *Gossip) antiEntropyRound() {
 		g.net.SendDirect(Message{
 			From:    id,
 			To:      partner,
-			Size:    g.cfg.FrameOverhead + g.cfg.DigestEntryBytes*float64(len(m.have)),
+			Size:    frameOverhead + digestEntryBytes*float64(len(m.have)),
 			Kind:    KindGossipDigest,
 			Payload: frame,
 		})
@@ -468,7 +454,7 @@ func (g *Gossip) repair(m *gossipMember, frame *gossipDigestFrame) {
 		g.net.SendDirect(Message{
 			From:    m.id,
 			To:      frame.From,
-			Size:    p.Size + g.cfg.FrameOverhead,
+			Size:    p.Size + frameOverhead,
 			Kind:    KindGossipData,
 			Payload: &gossipDataFrame{Payload: p, TTL: g.cfg.TTL},
 		})

@@ -277,19 +277,32 @@ func TestGossipAppHandlerChaining(t *testing.T) {
 
 func TestGossipLeaveBalancesLedger(t *testing.T) {
 	eng, _, net := gridWorld(t, 29, 3, 3, 100)
-	g := joinAll(net, GossipConfig{Fanout: 3, TTL: 8, AntiEntropyEvery: -1})
-	if _, err := g.Publish(0, "report", 32, nil); err != nil {
-		t.Fatalf("publish: %v", err)
+	// Flood fanout over a lossless grid: every member ends up holding
+	// every publish, so the delivery ratio is exactly 1 throughout.
+	g := joinAll(net, GossipConfig{Fanout: 1 << 20, TTL: 8, AntiEntropyEvery: -1})
+	for i := 0; i < 5; i++ {
+		if _, err := g.Publish(0, "report", 32, nil); err != nil {
+			t.Fatalf("publish: %v", err)
+		}
 	}
 	if err := eng.Run(5 * time.Second); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	g.Leave(4)
-	if err := g.CheckConservation(); err != nil {
-		t.Errorf("conservation after leave: %v", err)
-	}
-	if got := len(g.Members()); got != 8 {
-		t.Errorf("members after leave = %d, want 8", got)
+	// A bystander leaves, then the origin itself: the remaining members
+	// still hold all five publishes, and the ratio must keep saying so
+	// (it used to drop the departed origin's publishes from the
+	// denominator and collapse to 0).
+	for i, id := range []NodeID{4, 0} {
+		g.Leave(id)
+		if err := g.CheckConservation(); err != nil {
+			t.Errorf("conservation after %d left: %v", id, err)
+		}
+		if got, want := len(g.Members()), 8-i; got != want {
+			t.Errorf("members after %d left = %d, want %d", id, got, want)
+		}
+		if ratio := g.DeliveryRatio(); ratio != 1 {
+			t.Errorf("delivery ratio after %d left = %v, want 1", id, ratio)
+		}
 	}
 }
 

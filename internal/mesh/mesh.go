@@ -23,7 +23,7 @@ type NodeID = asset.ID
 // Config parameterizes the radio and protocol model.
 type Config struct {
 	// NeighborRefresh is the cadence of topology recomputation (and
-	// mobility stepping if StepMobility is set). Zero defaults to 1s.
+	// mobility stepping if StepMobility is set).
 	NeighborRefresh time.Duration
 	// StepMobility makes the network advance asset mobility on each
 	// refresh tick.
@@ -31,30 +31,26 @@ type Config struct {
 	// DrainIdle makes the refresh tick also charge idle energy (scaled
 	// by duty cycle), so battery-limited assets die over mission time.
 	DrainIdle bool
-	// BaseLatency is per-hop propagation plus processing delay.
-	BaseLatency time.Duration
 	// LossBase is the per-hop loss probability at the edge of radio
 	// range (loss falls off quadratically closer in).
 	LossBase float64
-	// EnergyPerByte is the transmission energy cost in joules/byte.
-	EnergyPerByte float64
-	// QueueDrain controls bandwidth queueing: a node's backlog drains at
-	// its Bandwidth (kb/s) and adds backlog/bandwidth delay to each hop.
-	QueueDrain bool
-	// MaxHops bounds route length; zero defaults to 64.
-	MaxHops int
 }
+
+// The radio model's fixed parameters.
+const (
+	// baseLatency is per-hop propagation plus processing delay.
+	baseLatency = 5 * time.Millisecond
+	// energyPerByte is the transmission energy cost in joules/byte.
+	energyPerByte = 1e-6
+	maxHops       = 64 // route length bound
+)
 
 // DefaultConfig returns the configuration used by the experiments.
 func DefaultConfig() Config {
 	return Config{
 		NeighborRefresh: time.Second,
 		StepMobility:    true,
-		BaseLatency:     5 * time.Millisecond,
 		LossBase:        0.1,
-		EnergyPerByte:   1e-6,
-		QueueDrain:      true,
-		MaxHops:         64,
 	}
 }
 
@@ -121,12 +117,10 @@ type Network struct {
 	LatencySec sim.Series
 	HopCount   sim.Series
 
+	// inFlight counts messages currently traversing hops: accepted for
+	// forwarding but not yet delivered or dropped.
 	inFlight int
 }
-
-// InFlight returns the number of messages currently traversing hops
-// (accepted for forwarding but not yet delivered or dropped).
-func (n *Network) InFlight() int { return n.inFlight }
 
 // CheckConservation verifies the message conservation law:
 //
@@ -168,12 +162,6 @@ type backlogState struct {
 // New builds a network over pop on terr, driven by eng. Call Start to
 // begin topology maintenance.
 func New(eng *sim.Engine, pop *asset.Population, terr *geo.Terrain, cfg Config) *Network {
-	if cfg.NeighborRefresh <= 0 {
-		cfg.NeighborRefresh = time.Second
-	}
-	if cfg.MaxHops <= 0 {
-		cfg.MaxHops = 64
-	}
 	n := &Network{
 		eng:       eng,
 		pop:       pop,

@@ -14,7 +14,7 @@ var (
 )
 
 // Send routes msg from msg.From to msg.To hop by hop. Delivery (or loss)
-// is asynchronous: each hop takes BaseLatency plus transmission and
+// is asynchronous: each hop takes baseLatency plus transmission and
 // queueing delay, and may drop the message with a distance-dependent
 // probability. The route is pinned at send time (source routing), so
 // mid-flight topology changes can strand a message — exactly the
@@ -75,10 +75,8 @@ func (n *Network) forward(msg Message, path []NodeID, i int) {
 		return
 	}
 	// Energy: transmitter pays per byte.
-	if n.cfg.EnergyPerByte > 0 {
-		from.Drain(msg.Size * n.cfg.EnergyPerByte)
-	}
-	delay := n.cfg.BaseLatency + n.txDelay(from.ID, msg.Size, from.Caps.Bandwidth)
+	from.Drain(msg.Size * energyPerByte)
+	delay := baseLatency + n.txDelay(from.ID, msg.Size, from.Caps.Bandwidth)
 	if n.hopFault != nil {
 		eff := n.hopFault(&msg)
 		if eff.Drop {
@@ -104,9 +102,6 @@ func (n *Network) txDelay(id NodeID, sizeBytes, bandwidthKbps float64) time.Dura
 	}
 	bytesPerSec := bandwidthKbps * 1000 / 8
 	tx := sizeBytes / bytesPerSec
-	if !n.cfg.QueueDrain {
-		return time.Duration(tx * float64(time.Second))
-	}
 	st := n.backlog[id]
 	now := n.eng.Now()
 	// Drain the backlog for the elapsed wall time.

@@ -36,7 +36,7 @@ func (n *Network) bfs(src, dst NodeID) []NodeID {
 	prev := map[NodeID]NodeID{src: src}
 	frontier := []NodeID{src}
 	depth := 0
-	for len(frontier) > 0 && depth < n.cfg.MaxHops {
+	for len(frontier) > 0 && depth < maxHops {
 		var next []NodeID
 		for _, u := range frontier {
 			for _, v := range n.neighbors[u] {

@@ -42,20 +42,13 @@ const (
 type ShardScenario struct {
 	// Nodes is the radio population size (required, >= 2).
 	Nodes int
-	// Area is the battlefield bounds (default scales with sqrt(Nodes)
-	// to hold density roughly constant).
-	Area geo.Rect
 	// Radio is the link range in meters (default 130).
 	Radio float64
-	// Drift is the mobility amplitude: each node oscillates within
-	// Drift meters of its home point (default 25).
-	Drift float64
 
 	// Mode selects the dissemination protocol (default ShardModeGossip).
 	Mode string
-	// Fanout and TTL parameterize gossip relaying (defaults 3 and 8).
-	Fanout int
-	TTL    int
+	// TTL is the gossip relay hop budget (default 8).
+	TTL int
 	// AntiEntropyEvery is the push-repair cadence; zero disables
 	// anti-entropy (pure rumor mongering).
 	AntiEntropyEvery time.Duration
@@ -97,15 +90,15 @@ type ShardScenario struct {
 	OnDeliver func(node NodeID, key GossipKey, data []byte, at time.Duration)
 }
 
+// shardFanout is how many peers a node relays a fresh payload to.
+const shardFanout = 3
+
 func (sc ShardScenario) withDefaults() ShardScenario {
 	if sc.Radio <= 0 {
 		sc.Radio = 130
 	}
 	if sc.Mode == "" {
 		sc.Mode = ShardModeGossip
-	}
-	if sc.Fanout <= 0 {
-		sc.Fanout = 3
 	}
 	if sc.TTL <= 0 {
 		sc.TTL = 8
@@ -283,8 +276,9 @@ func RunShardScenario(seed int64, shards int, sc ShardScenario) (*ShardResult, e
 
 	eng := sim.NewSharded(seed, sim.ShardedConfig{Shards: shards, Lookahead: 100 * time.Millisecond})
 	// Field layout and fault assignment from setup streams, drawn in ID
-	// order — shard-count independent by construction.
-	field := geo.NewDriftField(eng.Stream("shardnet/field"), sc.Nodes, shards, sc.Area, sc.Drift)
+	// order — shard-count independent by construction. The zero area and
+	// drift select the field's defaults.
+	field := geo.NewDriftField(eng.Stream("shardnet/field"), sc.Nodes, shards, geo.Rect{}, 0)
 	run := &shardRun{
 		sc:    sc,
 		nodes: make([]*shardNode, sc.Nodes),
@@ -395,8 +389,8 @@ func (r *shardRun) relay(c *sim.ShardCtx, n *shardNode, key GossipKey, data []by
 		return
 	}
 	n.rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
-	if len(peers) > r.sc.Fanout {
-		peers = peers[:r.sc.Fanout]
+	if len(peers) > shardFanout {
+		peers = peers[:shardFanout]
 	}
 	from := n.id
 	for _, p := range peers {

@@ -32,13 +32,14 @@ type FloodConfig struct {
 	BaseSeed int64
 	// Horizon is each mission's virtual duration (default 30s).
 	Horizon time.Duration
-	// Rate is each mission's incident load (default 10/min).
-	Rate float64
-	// Assets sizes each mission's population (default 90).
-	Assets int
-	// DrainTimeout bounds the post-flood drain (default 5m).
-	DrainTimeout time.Duration
 }
+
+// Every flood mission's shape, and the bound on the post-flood drain.
+const (
+	floodRate         = 10 // incidents per minute
+	floodAssets       = 90
+	floodDrainTimeout = 5 * time.Minute
+)
 
 // FloodReport is the outcome of one flood run.
 type FloodReport struct {
@@ -80,15 +81,6 @@ func (c FloodConfig) withDefaults() FloodConfig {
 	if c.Horizon <= 0 {
 		c.Horizon = 30 * time.Second
 	}
-	if c.Rate <= 0 {
-		c.Rate = 10
-	}
-	if c.Assets <= 0 {
-		c.Assets = 90
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Minute
-	}
 	if c.Service.RetryAfterHint == 0 {
 		// The flood's whole point is to cycle backpressure quickly; the
 		// production 1s default would serialize the run behind sleeps.
@@ -117,11 +109,11 @@ func retryWait(hint time.Duration, rng *sim.RNG) time.Duration {
 func floodScenario(cfg FloodConfig, i int) verify.Scenario {
 	sc := verify.Scenario{
 		Seed:    cfg.BaseSeed + int64(i),
-		Assets:  cfg.Assets,
+		Assets:  floodAssets,
 		Size:    600,
 		Terrain: "open",
 		Command: "intent",
-		Rate:    cfg.Rate,
+		Rate:    floodRate,
 		Horizon: cfg.Horizon,
 	}
 	if i%2 == 1 {
@@ -188,7 +180,7 @@ func Flood(cfg FloodConfig) (*FloodReport, error) {
 		return nil, fmt.Errorf("flood: submit: %w", submitErr)
 	}
 
-	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.DrainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), floodDrainTimeout)
 	defer cancel()
 	if err := svc.Drain(drainCtx); err != nil {
 		return nil, fmt.Errorf("flood: drain: %w", err)

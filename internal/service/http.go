@@ -20,7 +20,7 @@ const maxScenarioBytes = 1 << 20
 
 // Handler returns the iobtd HTTP API:
 //
-//	POST /missions       submit a .scn scenario (202, 400, 429, 503)
+//	POST /missions       submit a .scn scenario (202, 400, 413, 429, 503)
 //	GET  /missions       list missions in submission order
 //	GET  /missions/{id}  one mission's status
 //	GET  /telemetry      service counters
@@ -65,7 +65,12 @@ func retryAfterSeconds(err error) string {
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxScenarioBytes))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "read body: " + err.Error()})
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorBody{Error: "read body: " + err.Error()})
 		return
 	}
 	m, err := s.Submit(string(body))

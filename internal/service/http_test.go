@@ -66,10 +66,31 @@ func TestHTTPSubmitStatusTelemetry(t *testing.T) {
 		t.Fatalf("submit response missing id/state: %+v", v)
 	}
 
-	// Malformed scenario → 400.
-	resp, _ = postScenario(t, srv, "scenario v999\nnope")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad scenario status = %d, want 400", resp.StatusCode)
+	// Malformed scenario → 400, and so is every non-finite or absurd
+	// number: rate=NaN used to be admitted and spin a 1ns incident ticker
+	// until the stall watchdog quarantined the mission.
+	valid := smallScenario(3102).String()
+	for _, body := range []string{
+		"scenario v999\nnope",
+		strings.Replace(valid, "rate=10", "rate=NaN", 1),
+		strings.Replace(valid, "rate=10", "rate=1e300", 1),
+		strings.Replace(valid, "rate=10", "rate=-1", 1),
+		strings.Replace(valid, "size=600", "size=+Inf", 1),
+		strings.Replace(valid, "assets=90", "assets=0", 1),
+		strings.Replace(valid, "horizon=20s", "horizon=-1s", 1),
+	} {
+		resp, _ = postScenario(t, srv, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("status = %d, want 400 for body:\n%s", resp.StatusCode, body)
+		}
+	}
+	// A body over maxScenarioBytes → 413.
+	resp, _ = postScenario(t, srv, valid+strings.Repeat("#\n", maxScenarioBytes/2))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize body status = %d, want 413", resp.StatusCode)
+	}
+	if got := len(svc.Missions()); got != 1 {
+		t.Errorf("%d missions admitted, want only the valid one", got)
 	}
 
 	// Poll the mission to terminal state over HTTP.

@@ -130,7 +130,6 @@ func TestRunnerVerifyReplay(t *testing.T) {
 		defer cancel(nil)
 		out, err := runAttempt(attemptParams{
 			sc: sc, ctx: ctx, cancel: cancel, journal: j,
-			invariantEvery: time.Second, progressEvery: time.Second,
 		})
 		if err != nil {
 			t.Fatalf("runAttempt: %v", err)

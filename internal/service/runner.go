@@ -59,6 +59,12 @@ type chaosPlan struct {
 	ctx   context.Context // stall loop exits when the attempt is cancelled
 }
 
+// Virtual cadences of the invariant sweep and the progress heartbeat.
+const (
+	invariantEvery = time.Second
+	progressEvery  = time.Second
+)
+
 // attemptParams is one attempt's full recipe.
 type attemptParams struct {
 	sc     verify.Scenario
@@ -66,9 +72,6 @@ type attemptParams struct {
 	cancel context.CancelCauseFunc
 	// journal records mission decisions; fresh per attempt.
 	journal *checkpoint.Journal
-	// invariantEvery / progressEvery are virtual cadences.
-	invariantEvery time.Duration
-	progressEvery  time.Duration
 	// Budgets (zero: unlimited). Wall-clock budgets live in the watchdog.
 	maxEvents          uint64
 	maxCheckpointBytes int
@@ -143,7 +146,7 @@ func runAttempt(p attemptParams) (*attemptOutcome, error) {
 	// Progress heartbeat and event budget, on the virtual clock: while
 	// the engine makes progress the watchdog sees it; when an event
 	// wedges, the heartbeat stops with it.
-	w.Eng.Every(p.progressEvery, "service.progress", func() {
+	w.Eng.Every(progressEvery, "service.progress", func() {
 		n := w.Eng.Processed()
 		if p.onProgress != nil {
 			p.onProgress(n, w.Eng.Now())
@@ -174,7 +177,7 @@ func runAttempt(p attemptParams) (*attemptOutcome, error) {
 		})
 	}
 
-	reg.Arm(w.Eng, p.invariantEvery)
+	reg.Arm(w.Eng, invariantEvery)
 	defer reg.Disarm()
 
 	out := &attemptOutcome{journal: p.journal}

@@ -87,10 +87,6 @@ type Config struct {
 	// to scenarios that set none (default 10s; negative leaves scenarios
 	// untouched).
 	CheckpointEvery time.Duration
-	// InvariantEvery is the virtual invariant-check cadence (default 1s).
-	InvariantEvery time.Duration
-	// ProgressEvery is the virtual progress-heartbeat cadence (default 1s).
-	ProgressEvery time.Duration
 	// DataDir, when set, holds per-mission checkpoint journal files and
 	// reproducer snapshots. Empty: checkpoints are kept in memory only
 	// (recovery still works within the process).
@@ -148,12 +144,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 10 * time.Second
-	}
-	if c.InvariantEvery <= 0 {
-		c.InvariantEvery = time.Second
-	}
-	if c.ProgressEvery <= 0 {
-		c.ProgressEvery = time.Second
 	}
 	if c.Chaos.CrashAttempts <= 0 {
 		c.Chaos.CrashAttempts = 1
@@ -255,14 +245,22 @@ func (s *Service) Submit(src string) (*Mission, error) {
 // SubmitScenario admits a parsed scenario into the bounded run queue.
 func (s *Service) SubmitScenario(sc verify.Scenario) (*Mission, error) {
 	s.tel.submitted.Add(1)
-	if sc.Horizon <= 0 {
-		return nil, fmt.Errorf("service: scenario horizon must be positive")
-	}
-	if sc.Assets <= 0 || sc.Size <= 0 {
-		return nil, fmt.Errorf("service: scenario needs assets and a map size")
+	switch {
+	case sc.Horizon <= 0:
+		return nil, fmt.Errorf("service: scenario horizon must be positive, got %s", sc.Horizon)
+	case sc.Assets <= 0:
+		return nil, fmt.Errorf("service: scenario assets must be positive, got %d", sc.Assets)
+	case sc.Size <= 0:
+		return nil, fmt.Errorf("service: scenario size must be positive, got %g", sc.Size)
 	}
 	if sc.Checkpoint == 0 && s.cfg.CheckpointEvery > 0 {
 		sc.Checkpoint = s.cfg.CheckpointEvery
+	}
+	// The reproducer must parse back: that holds a scenario built in Go
+	// to the numeric limits ParseScenario sets on scenario files.
+	src := sc.String()
+	if _, err := verify.ParseScenario(src); err != nil {
+		return nil, fmt.Errorf("service: scenario does not replay: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -274,7 +272,7 @@ func (s *Service) SubmitScenario(sc verify.Scenario) (*Mission, error) {
 	m := &Mission{
 		ID:          fmt.Sprintf("m-%06d", s.nextID),
 		Scenario:    sc,
-		Source:      sc.String(),
+		Source:      src,
 		state:       StateQueued,
 		submittedAt: time.Now(),
 	}
@@ -569,8 +567,6 @@ func (s *Service) attempt(m *Mission, store *checkpoint.Store, persisted *[]chec
 		ctx:                ctx,
 		cancel:             cancel,
 		journal:            checkpoint.NewJournal(m.Scenario.Seed, planString(m.Scenario)),
-		invariantEvery:     s.cfg.InvariantEvery,
-		progressEvery:      s.cfg.ProgressEvery,
 		maxEvents:          s.cfg.MaxEvents,
 		maxCheckpointBytes: s.cfg.MaxCheckpointBytes,
 		chaos:              s.chaosFor(m, ctx),

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -41,6 +42,23 @@ func TestSubmitParsesAndDefaultsCheckpoint(t *testing.T) {
 	}
 	if _, err := svc.Submit("not a scenario"); err == nil {
 		t.Error("garbage submission accepted")
+	}
+	// Scenarios built in Go skip the parser; admission holds them to the
+	// same numeric limits and names the offending field.
+	for field, mutate := range map[string]func(*verify.Scenario){
+		"rate":    func(sc *verify.Scenario) { sc.Rate = math.NaN() },
+		"size":    func(sc *verify.Scenario) { sc.Size = math.Inf(1) },
+		"assets":  func(sc *verify.Scenario) { sc.Assets = 0 },
+		"horizon": func(sc *verify.Scenario) { sc.Horizon = 0 },
+	} {
+		sc := smallScenario(2102)
+		mutate(&sc)
+		if _, err := svc.SubmitScenario(sc); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("bad %s: err = %v, want a rejection naming the field", field, err)
+		}
+	}
+	if got := len(svc.Missions()); got != 1 {
+		t.Errorf("%d missions admitted, want only the valid one", got)
 	}
 }
 

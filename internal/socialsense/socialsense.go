@@ -52,9 +52,10 @@ type GenConfig struct {
 	// ColluderFrac is the fraction of sources that always report the
 	// inverse of the truth (coordinated deception, paper §II).
 	ColluderFrac float64
-	// TrueFrac is the fraction of claims whose polarity is true.
-	TrueFrac float64
 }
+
+// trueFrac is the fraction of claims whose polarity is true.
+const trueFrac = 0.5
 
 // DefaultGenConfig returns the E7 workload shape.
 func DefaultGenConfig() GenConfig {
@@ -65,7 +66,6 @@ func DefaultGenConfig() GenConfig {
 		ReliabilityAlpha: 6,
 		ReliabilityBeta:  2.5,
 		ColluderFrac:     0,
-		TrueFrac:         0.5,
 	}
 }
 
@@ -80,7 +80,7 @@ func Generate(rng *sim.RNG, cfg GenConfig) *Dataset {
 		Colluder:    make([]bool, cfg.Sources),
 	}
 	for j := range d.Truth {
-		d.Truth[j] = rng.Bool(cfg.TrueFrac)
+		d.Truth[j] = rng.Bool(trueFrac)
 	}
 	nColl := int(cfg.ColluderFrac * float64(cfg.Sources))
 	for s := 0; s < cfg.Sources; s++ {

@@ -41,13 +41,14 @@ func (t *Track) Confirmed() bool { return t.Hits >= 3 }
 
 // Config parameterizes the tracker.
 type Config struct {
-	// Gate is the association gate in standard deviations (default 4).
-	Gate float64
 	// CoastTime keeps an unassociated track alive this long (default 5s).
 	CoastTime time.Duration
 	// ProcessNoise is the Kalman Q (default 2).
 	ProcessNoise float64
 }
+
+// assocGate is the association gate in standard deviations.
+const assocGate = 4
 
 // assocPair is one gated track/detection candidate in the greedy GNN
 // association.
@@ -97,9 +98,6 @@ type Tracker struct {
 
 // NewTracker returns an empty tracker.
 func NewTracker(cfg Config) *Tracker {
-	if cfg.Gate <= 0 {
-		cfg.Gate = 4
-	}
 	if cfg.CoastTime <= 0 {
 		cfg.CoastTime = 5 * time.Second
 	}
@@ -162,7 +160,7 @@ func (tr *Tracker) Observe(now time.Duration, detections []Detection) {
 	// allocator in the tracking profile.
 	pairs := tr.pairBuf[:0]
 	for ti, t := range tr.tracks {
-		gate := tr.cfg.Gate * math.Sqrt(t.kf.PosVar()+1)
+		gate := assocGate * math.Sqrt(t.kf.PosVar()+1)
 		for di := range detections {
 			d := t.kf.Pos().Dist(detections[di].Pos)
 			if d <= gate {
@@ -200,7 +198,7 @@ func (tr *Tracker) Observe(now time.Duration, detections []Detection) {
 		det := detections[di]
 		duplicate := false
 		for _, t := range tr.tracks {
-			gate := tr.cfg.Gate * math.Sqrt(t.kf.PosVar()+1)
+			gate := assocGate * math.Sqrt(t.kf.PosVar()+1)
 			if t.kf.Pos().Dist(det.Pos) <= gate {
 				duplicate = true
 				break

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -67,13 +68,16 @@ func TestCorpusReproducers(t *testing.T) {
 
 // TestScenarioSchemaVersion pins the parser's version gate: files from
 // a future (or garbled) format are rejected with a version error, not
-// misparsed.
+// misparsed, and so are numbers no mission can run on.
 func TestScenarioSchemaVersion(t *testing.T) {
 	valid := Generate(1).String()
 	if _, err := ParseScenario(valid); err != nil {
 		t.Fatalf("current-version scenario rejected: %v", err)
 	}
 	head := fmt.Sprintf("scenario v%d", SchemaVersion)
+	setField := func(key, val string) string {
+		return regexp.MustCompile(key+`=\S+`).ReplaceAllString(valid, key+"="+val)
+	}
 	cases := []struct {
 		name, src, wantErr string
 	}{
@@ -83,6 +87,11 @@ func TestScenarioSchemaVersion(t *testing.T) {
 		{"no version number", strings.Replace(valid, head, "scenario vX", 1), "not a scenario file"},
 		{"missing header", strings.Replace(valid, head+"\n", "", 1), "not a scenario file"},
 		{"empty", "", "not a scenario file"},
+		{"NaN rate", setField("rate", "NaN"), `field "rate=NaN": must be a finite number`},
+		{"absurd rate", setField("rate", "1e300"), `field "rate=1e300": must be a finite number`},
+		{"negative rate", setField("rate", "-5"), `field "rate=-5": must be a finite number`},
+		{"infinite size", setField("size", "+Inf"), `field "size=+Inf": must be a finite number`},
+		{"overflowing size", setField("size", "1e999"), `field "size=1e999"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -8,6 +10,7 @@ import (
 	"iobt/internal/core"
 	"iobt/internal/geo"
 	"iobt/internal/mesh"
+	"iobt/internal/sim"
 )
 
 func TestPictureMonotoneInvariant(t *testing.T) {
@@ -66,7 +69,6 @@ func TestGossipConservationInvariant(t *testing.T) {
 
 	reg := NewRegistry()
 	reg.Add(GossipConservation(g), MeshConservation(w.Net))
-	reg.SetClock(w.Eng.Now)
 	reg.Arm(w.Eng, time.Second)
 
 	members := g.Members()
@@ -90,5 +92,52 @@ func TestGossipConservationInvariant(t *testing.T) {
 	}
 	if g.Published.Value() == 0 || g.DeliveredNew.Value() <= g.Published.Value() {
 		t.Errorf("overlay inactive: published %d delivered %d", g.Published.Value(), g.DeliveredNew.Value())
+	}
+}
+
+// TestRegistryRecordsAndCapsViolations pins the armed sweep's audit
+// trail: one stamped violation per failing invariant per tick, passing
+// invariants counted but silent, and the record bounded at 100 however
+// long the property stays broken.
+func TestRegistryRecordsAndCapsViolations(t *testing.T) {
+	eng := sim.NewEngine(1)
+	errDown := errors.New("post is down")
+	down := false
+	eng.Schedule(10500*time.Millisecond, "test.break", func() { down = true })
+
+	reg := NewRegistry()
+	reg.Register("always-holds", func() error { return nil })
+	reg.Register("post-standing", func() error {
+		if down {
+			return errDown
+		}
+		return nil
+	})
+	reg.Arm(eng, time.Second)
+	if err := eng.Run(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if reg.OK() {
+		t.Fatal("registry OK with the post down for 20 ticks")
+	}
+	vs := reg.Violations()
+	if len(vs) != 20 {
+		t.Fatalf("violations = %d, want one per down tick (20)", len(vs))
+	}
+	if v := vs[0]; v.At != 11*time.Second || v.Name != "post-standing" || !errors.Is(v.Err, errDown) {
+		t.Errorf("first violation = %v, want post-standing at 11s", v)
+	}
+	if got := reg.Checks(); got != 60 {
+		t.Errorf("checks = %d, want 2 invariants x 30 ticks", got)
+	}
+	if sum := reg.Summarize(); len(sum.Violations) != 1 || !strings.Contains(sum.Violations[0], "post-standing x20") {
+		t.Errorf("summary = %+v, want one post-standing x20 line", sum)
+	}
+
+	if err := eng.Run(200 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(reg.Violations()); n != maxViolations {
+		t.Errorf("violations = %d after 220 down ticks, want the cap %d", n, maxViolations)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"iobt/internal/asset"
 	"iobt/internal/checkpoint"
 	"iobt/internal/core"
 	"iobt/internal/fault"
@@ -223,13 +222,7 @@ func BuildMission(s Scenario, j *checkpoint.Journal) (*core.World, *core.Runtime
 	}
 
 	if s.Plan != nil && len(s.Plan.Faults) > 0 {
-		fault.Apply(fault.Target{
-			Eng: w.Eng, Pop: w.Pop, Net: w.Net, Jam: w.Jam, Smoke: w.Smoke,
-			Composite:   func() []asset.ID { return r.Composite().Members },
-			CommandPost: func() asset.ID { return r.Sink() },
-			CrashPost:   r.CrashPost,
-			Failover:    r.Failover,
-		}, s.Plan)
+		fault.Apply(w.FaultTarget(r), s.Plan)
 	}
 	return w, r, nil
 }
@@ -298,6 +291,23 @@ func (s Scenario) String() string {
 
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
+// Bounds on the numeric fields a scenario file may state: a NaN or
+// absurd incident rate arms a ticker at the engine's 1ns floor, and an
+// infinite map has no terrain.
+const (
+	maxSize = 1e6 // meters
+	maxRate = 6e3 // incidents per minute: one per 10ms of virtual time
+)
+
+// parseBounded parses a float that must be finite and in [0, max].
+func parseBounded(v string, max float64) (float64, error) {
+	f, err := strconv.ParseFloat(v, 64)
+	if err == nil && !(f >= 0 && f <= max) { // NaN fails every comparison
+		err = fmt.Errorf("must be a finite number in [0, %g]", max)
+	}
+	return f, err
+}
+
 // ParseScenario reads a reproducer file produced by Scenario.String.
 func ParseScenario(src string) (Scenario, error) {
 	var s Scenario
@@ -326,7 +336,7 @@ func ParseScenario(src string) (Scenario, error) {
 		case "assets":
 			s.Assets, err = strconv.Atoi(v)
 		case "size":
-			s.Size, err = strconv.ParseFloat(v, 64)
+			s.Size, err = parseBounded(v, maxSize)
 		case "terrain":
 			s.Terrain = v
 		case "command":
@@ -338,7 +348,7 @@ func ParseScenario(src string) (Scenario, error) {
 		case "checkpoint":
 			s.Checkpoint, err = time.ParseDuration(v)
 		case "rate":
-			s.Rate, err = strconv.ParseFloat(v, 64)
+			s.Rate, err = parseBounded(v, maxRate)
 		case "horizon":
 			s.Horizon, err = time.ParseDuration(v)
 		case "track":

@@ -19,7 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"iobt/internal/fault"
 	"iobt/internal/sim"
 )
 
@@ -53,7 +52,6 @@ type Registry struct {
 	checks     uint64
 	violations []Violation
 	ticker     *sim.Ticker
-	now        func() time.Duration
 }
 
 // NewRegistry returns an empty registry.
@@ -71,15 +69,6 @@ func (g *Registry) Add(invs ...Invariant) {
 
 // Len returns the number of registered invariants.
 func (g *Registry) Len() int { return len(g.invs) }
-
-// Names returns the registered invariant names in registration order.
-func (g *Registry) Names() []string {
-	out := make([]string, len(g.invs))
-	for i, inv := range g.invs {
-		out[i] = inv.Name
-	}
-	return out
-}
 
 // Checks returns the total number of individual invariant evaluations.
 func (g *Registry) Checks() uint64 { return g.checks }
@@ -120,7 +109,6 @@ func (g *Registry) Arm(eng *sim.Engine, every time.Duration) {
 	if every <= 0 {
 		every = time.Second
 	}
-	g.now = eng.Now
 	g.ticker = eng.Every(every, "verify.registry", func() {
 		g.CheckNow(eng.Now())
 	})
@@ -133,34 +121,6 @@ func (g *Registry) Disarm() {
 		g.ticker = nil
 	}
 }
-
-// FaultInvariants adapts the registry for fault.Harness: the harness
-// drives the check cadence, while the registry keeps the audit counts
-// and the violation record. Violations surface in both the harness
-// report and the registry.
-func (g *Registry) FaultInvariants() []fault.Invariant {
-	out := make([]fault.Invariant, 0, len(g.invs))
-	for _, inv := range g.invs {
-		inv := inv
-		out = append(out, fault.Invariant{Name: inv.Name, Check: func() error {
-			g.checks++
-			err := inv.Check()
-			if err != nil {
-				at := time.Duration(0)
-				if g.now != nil {
-					at = g.now()
-				}
-				g.record(at, inv.Name, err)
-			}
-			return err
-		}})
-	}
-	return out
-}
-
-// SetClock installs the violation timestamp source (used by
-// FaultInvariants; Arm sets it automatically).
-func (g *Registry) SetClock(now func() time.Duration) { g.now = now }
 
 // Summary is the compact verification record of one run, suitable for
 // embedding in benchmark JSON.
