@@ -4,9 +4,9 @@ package main
 // through testing.Benchmark, rendered as a table with events_per_sec
 // and allocs_per_op columns, and compared against a committed baseline
 // (BENCH_MICRO.json) by the CI bench gate. The loops mirror the
-// package benchmarks in internal/sim and internal/track — same bodies,
-// same steady states — so `go test -bench` and `benchtab -bench` read
-// the same costs.
+// package benchmarks in internal/sim, internal/track and internal/mesh
+// — same bodies, same steady states — so `go test -bench` and
+// `benchtab -bench` read the same costs.
 //
 // The gate's contract is asymmetric on purpose: ns/op may drift with
 // the host (the -maxregress fraction absorbs that), but allocs/op on a
@@ -22,8 +22,10 @@ import (
 	"testing"
 	"time"
 
+	"iobt/internal/asset"
 	"iobt/internal/experiments"
 	"iobt/internal/geo"
+	"iobt/internal/mesh"
 	"iobt/internal/sim"
 	"iobt/internal/track"
 )
@@ -78,6 +80,11 @@ func microBenches() []microBench {
 			name: "tracker_observe",
 			doc:  "per-tick greedy GNN association at a steady 50-track population",
 			fn:   microTrackerObserve,
+		},
+		{
+			name: "mesh_refresh_1k",
+			doc:  "one neighbour-table Refresh of a 1000-asset mission under a jammer and a partition, mobility stepped (untimed) between refreshes",
+			fn:   microMeshRefresh,
 		},
 	}
 }
@@ -147,6 +154,41 @@ func microTrackerObserve(b *testing.B) {
 		now += time.Second
 		fill()
 		tr.Observe(now, dets)
+	}
+}
+
+// microMeshRefresh mirrors BenchmarkNetworkRefresh in
+// internal/mesh/bench_test.go (world: refreshWorld in refresh_test.go).
+func microMeshRefresh(b *testing.B) {
+	eng := sim.NewEngine(1)
+	terr := geo.NewOpenTerrain(1500, 1500)
+	pop := asset.Generate(terr, asset.DefaultMix(1000), eng.Stream("gen"))
+	cfg := mesh.DefaultConfig()
+	cfg.StepMobility = false // stepped by hand below
+	net := mesh.New(eng, pop, terr, cfg)
+	jam := geo.Circle{Center: geo.Point{X: 500, Y: 500}, Radius: 300}
+	net.SetJamming(func(p geo.Point) float64 {
+		if jam.Contains(p) {
+			return 0.6
+		}
+		return 0
+	})
+	net.SetLinkFault(func(a, b geo.Point) bool { return (a.X < 750) != (b.X < 750) })
+	// Warm the neighbour table and grid cells to their steady capacity.
+	for i := 0; i < 50; i++ {
+		pop.StepMobility(time.Second)
+		net.Refresh()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Mobility moves the world between refreshes but is not the
+		// measured path: grid cells still grow now and then as nodes
+		// reach new cells, and that must not read as Refresh allocating.
+		b.StopTimer()
+		pop.StepMobility(time.Second)
+		b.StartTimer()
+		net.Refresh()
 	}
 }
 

@@ -58,6 +58,9 @@ type Population struct {
 	assets []*Asset
 	grid   *geo.Grid
 	terr   *geo.Terrain
+	// near is Near's candidate scratch. A population belongs to one world
+	// and one goroutine (the service gives each mission its own).
+	near []int32
 }
 
 // NewPopulation returns an empty population on terr; add assets with Add.
@@ -231,10 +234,11 @@ func (p *Population) StepMobility(dt time.Duration) {
 	}
 }
 
-// Near appends the IDs of alive assets within radius of pt to dst.
+// Near appends the IDs of alive assets within radius of pt to dst, in
+// the grid's scan order (see geo.Grid.Near).
 func (p *Population) Near(dst []ID, pt geo.Point, radius float64) []ID {
-	raw := p.grid.Near(nil, pt, radius)
-	for _, r := range raw {
+	p.near = p.grid.Near(p.near[:0], pt, radius)
+	for _, r := range p.near {
 		a := p.assets[r]
 		if a.Alive() {
 			dst = append(dst, ID(r))

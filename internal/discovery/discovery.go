@@ -106,6 +106,7 @@ type Service struct {
 
 	dir    map[asset.ID]*Record
 	ticker *sim.Ticker
+	near   []asset.ID // Scan's candidate scratch
 
 	// Rounds counts completed scan rounds.
 	Rounds sim.Counter
@@ -150,9 +151,8 @@ func (s *Service) Scan() {
 		if scanner == nil || !scanner.Alive() || !scanner.Online {
 			continue
 		}
-		var near []asset.ID
-		near = s.pop.Near(near, scanner.Pos(), scanner.Caps.RadioRange)
-		for _, id := range near {
+		s.near = s.pop.Near(s.near[:0], scanner.Pos(), scanner.Caps.RadioRange)
+		for _, id := range s.near {
 			if id == sc {
 				continue
 			}

@@ -5,13 +5,19 @@ import "math"
 // Grid is a uniform spatial hash over a bounded area: O(1) insert/move
 // and neighborhood queries that only touch nearby cells. It is the index
 // used for radio-range neighbor discovery over thousands of nodes.
+//
+// Ids must be non-negative. Positions live in a slice indexed by id, so
+// storage is proportional to the largest id ever inserted: callers number
+// their points densely from 0 (asset and shard-node ids do).
 type Grid struct {
 	bounds   Rect
 	cellSize float64
 	cols     int
 	rows     int
-	cells    [][]int32       // cell -> ids
-	where    map[int32]Point // id -> position
+	cells    [][]int32 // cell -> ids
+	where    []Point   // id -> position, valid where present[id]
+	present  []bool    // id -> indexed now
+	n        int       // number of present ids
 }
 
 // NewGrid returns a grid over bounds with the given cell size. A
@@ -37,12 +43,13 @@ func NewGrid(bounds Rect, cellSize float64) *Grid {
 		cols:     cols,
 		rows:     rows,
 		cells:    make([][]int32, cols*rows),
-		where:    make(map[int32]Point),
 	}
 }
 
 // Len returns the number of indexed points.
-func (g *Grid) Len() int { return len(g.where) }
+func (g *Grid) Len() int { return g.n }
+
+func (g *Grid) has(id int32) bool { return id >= 0 && int(id) < len(g.present) && g.present[id] }
 
 // Bounds returns the indexed area.
 func (g *Grid) Bounds() Rect { return g.bounds }
@@ -62,34 +69,39 @@ func (g *Grid) cellOf(p Point) int {
 
 // Insert adds id at position p. Inserting an existing id moves it.
 func (g *Grid) Insert(id int32, p Point) {
-	if _, ok := g.where[id]; ok {
+	if g.has(id) {
 		g.Move(id, p)
 		return
+	}
+	if grow := int(id) + 1 - len(g.where); grow > 0 {
+		g.where = append(g.where, make([]Point, grow)...)
+		g.present = append(g.present, make([]bool, grow)...)
 	}
 	c := g.cellOf(p)
 	g.cells[c] = append(g.cells[c], id)
 	g.where[id] = p
+	g.present[id] = true
+	g.n++
 }
 
 // Remove deletes id from the index. Removing an unknown id is a no-op.
 func (g *Grid) Remove(id int32) {
-	p, ok := g.where[id]
-	if !ok {
+	if !g.has(id) {
 		return
 	}
-	c := g.cellOf(p)
+	c := g.cellOf(g.where[id])
 	g.cells[c] = removeID(g.cells[c], id)
-	delete(g.where, id)
+	g.present[id] = false
+	g.n--
 }
 
 // Move updates id's position. Unknown ids are inserted.
 func (g *Grid) Move(id int32, p Point) {
-	old, ok := g.where[id]
-	if !ok {
+	if !g.has(id) {
 		g.Insert(id, p)
 		return
 	}
-	oc, nc := g.cellOf(old), g.cellOf(p)
+	oc, nc := g.cellOf(g.where[id]), g.cellOf(p)
 	if oc != nc {
 		g.cells[oc] = removeID(g.cells[oc], id)
 		g.cells[nc] = append(g.cells[nc], id)
@@ -99,13 +111,19 @@ func (g *Grid) Move(id int32, p Point) {
 
 // Position returns the indexed position of id.
 func (g *Grid) Position(id int32) (Point, bool) {
-	p, ok := g.where[id]
-	return p, ok
+	if !g.has(id) {
+		return Point{}, false
+	}
+	return g.where[id], true
 }
 
 // Near appends to dst all ids within radius of p (excluding none) and
-// returns the extended slice. Results are in arbitrary but deterministic
-// order for a fixed insertion history.
+// returns the extended slice. Results come cell by cell (rows then
+// columns, ascending) and within a cell in its list order, which Insert
+// appends to and Remove/Move swap-delete from. That order is load-bearing:
+// mesh neighbour lists, BFS tie-breaking and so every golden digest are a
+// function of it, so a change here must reproduce it exactly for a fixed
+// Insert/Move/Remove history.
 func (g *Grid) Near(dst []int32, p Point, radius float64) []int32 {
 	if radius < 0 {
 		return dst
@@ -115,10 +133,11 @@ func (g *Grid) Near(dst []int32, p Point, radius float64) []int32 {
 	maxC := g.cellOf(Point{p.X + radius, p.Y + radius})
 	minCX, minCY := minC%g.cols, minC/g.cols
 	maxCX, maxCY := maxC%g.cols, maxC/g.cols
+	where := g.where
 	for cy := minCY; cy <= maxCY; cy++ {
-		for cx := minCX; cx <= maxCX; cx++ {
-			for _, id := range g.cells[cy*g.cols+cx] {
-				if g.where[id].Dist2(p) <= r2 {
+		for _, cell := range g.cells[cy*g.cols+minCX : cy*g.cols+maxCX+1] {
+			for _, id := range cell {
+				if where[id].Dist2(p) <= r2 {
 					dst = append(dst, id)
 				}
 			}

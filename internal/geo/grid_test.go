@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -159,5 +160,123 @@ func TestGridAccessorsAndDegenerate(t *testing.T) {
 	// Negative radius returns nothing.
 	if got := g.Near(nil, Point{X: 1, Y: 1}, -5); got != nil {
 		t.Errorf("negative radius = %v", got)
+	}
+}
+
+// mapGrid is the reference the dense Grid must reproduce id for id and
+// in order: the same cell lists, with positions kept in a map.
+type mapGrid struct {
+	g     *Grid // cell geometry only (cellOf, cols)
+	cells [][]int32
+	where map[int32]Point
+}
+
+func newMapGrid(g *Grid) *mapGrid {
+	return &mapGrid{g: g, cells: make([][]int32, len(g.cells)), where: map[int32]Point{}}
+}
+
+func (m *mapGrid) insert(id int32, p Point) {
+	if old, ok := m.where[id]; ok {
+		if oc, nc := m.g.cellOf(old), m.g.cellOf(p); oc != nc {
+			m.cells[oc] = removeID(m.cells[oc], id)
+			m.cells[nc] = append(m.cells[nc], id)
+		}
+	} else {
+		c := m.g.cellOf(p)
+		m.cells[c] = append(m.cells[c], id)
+	}
+	m.where[id] = p
+}
+
+func (m *mapGrid) remove(id int32) {
+	if p, ok := m.where[id]; ok {
+		c := m.g.cellOf(p)
+		m.cells[c] = removeID(m.cells[c], id)
+		delete(m.where, id)
+	}
+}
+
+// scan visits the cell block spanning lo..hi row by row and keeps the
+// ids that pass.
+func (m *mapGrid) scan(lo, hi Point, keep func(Point) bool) []int32 {
+	minC, maxC := m.g.cellOf(lo), m.g.cellOf(hi)
+	cols := m.g.cols
+	var out []int32
+	for cy := minC / cols; cy <= maxC/cols; cy++ {
+		for cx := minC % cols; cx <= maxC%cols; cx++ {
+			for _, id := range m.cells[cy*cols+cx] {
+				if keep(m.where[id]) {
+					out = append(out, id)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// The dense grid returns the same ids in the same order as the
+// map-based reference over a random Insert/Move/Remove/re-Insert
+// history. Order matters: mesh neighbour lists, BFS tie-breaking and
+// every golden digest are a function of Near's order.
+func TestGridMatchesMapReferenceInOrder(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := sim.NewRNG(seed)
+		g := newTestGrid()
+		ref := newMapGrid(g)
+		// Mostly dense ids, plus a few sparse and large ones.
+		pickID := func() int32 {
+			switch rng.Intn(10) {
+			case 0:
+				return 1000 + int32(rng.Intn(5))*977
+			case 1:
+				return 60000 + int32(rng.Intn(3))
+			default:
+				return int32(rng.Intn(300))
+			}
+		}
+		// Points stray outside the bounds: the grid clamps them to edge cells.
+		pickPoint := func() Point { return Point{rng.Uniform(-50, 1050), rng.Uniform(-50, 1050)} }
+		for op := 0; op < 4000; op++ {
+			id, p := pickID(), pickPoint()
+			switch rng.Intn(4) {
+			case 0:
+				g.Insert(id, p)
+				ref.insert(id, p)
+			case 1, 2:
+				g.Move(id, p)
+				ref.insert(id, p)
+			case 3:
+				g.Remove(id) // often an id never inserted, or already removed
+				ref.remove(id)
+			}
+			if g.Len() != len(ref.where) {
+				t.Fatalf("seed %d op %d: Len = %d, reference %d", seed, op, g.Len(), len(ref.where))
+			}
+			probe := pickID()
+			gp, gok := g.Position(probe)
+			rp, rok := ref.where[probe]
+			if gok != rok || gp != rp {
+				t.Fatalf("seed %d op %d: Position(%d) = %v %v, reference %v %v", seed, op, probe, gp, gok, rp, rok)
+			}
+			if op%20 != 0 {
+				continue
+			}
+			c, radius := pickPoint(), rng.Uniform(0, 400)
+			got := g.Near(nil, c, radius)
+			want := ref.scan(Point{c.X - radius, c.Y - radius}, Point{c.X + radius, c.Y + radius},
+				func(q Point) bool { return q.Dist2(c) <= radius*radius })
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d op %d: Near(%v, %.1f)\n got %v\nwant %v", seed, op, c, radius, got, want)
+			}
+			r := NewRect(pickPoint(), pickPoint())
+			got = g.InRect(nil, r)
+			want = ref.scan(r.Min, r.Max, r.Contains)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d op %d: InRect(%v)\n got %v\nwant %v", seed, op, r, got, want)
+			}
+		}
+	}
+	if _, ok := newTestGrid().Position(-1); ok {
+		t.Error("Position(-1) reported present")
 	}
 }

@@ -1,14 +1,21 @@
 package mesh
 
-// Dissemination-path micro-benchmarks: one op is a full epidemic
-// spread of a single publish across an 8×8 member grid (rumor
-// mongering only; anti-entropy is disabled so the relay/receive path
-// dominates). allocs/op therefore reads as the whole-overlay
-// allocation cost of disseminating one payload.
+// Micro-benchmarks of the two mesh hot paths.
+//
+// Dissemination: one op is a full epidemic spread of a single publish
+// across an 8×8 member grid (rumor mongering only; anti-entropy is
+// disabled so the relay/receive path dominates). allocs/op therefore
+// reads as the whole-overlay allocation cost of disseminating one
+// payload.
+//
+// Topology: one op is one Refresh of a 1000-asset mission's neighbour
+// table, with a mobility step (untimed) before each.
 
 import (
 	"testing"
 	"time"
+
+	"iobt/internal/geo"
 )
 
 func BenchmarkGossipPublishSpread(b *testing.B) {
@@ -32,5 +39,25 @@ func BenchmarkGossipPublishSpread(b *testing.B) {
 		if err := eng.Run(30 * time.Second); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkNetworkRefresh(b *testing.B) {
+	pop, net := refreshWorld(b, 1, geo.NewOpenTerrain(1500, 1500), 1000)
+	// Warm the neighbour lists and grid cells to their steady capacity.
+	for i := 0; i < 50; i++ {
+		pop.StepMobility(time.Second)
+		net.Refresh()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Mobility moves the world between refreshes but is not the
+		// measured path: grid cells still grow now and then as nodes
+		// reach new cells, and that must not read as Refresh allocating.
+		b.StopTimer()
+		pop.StepMobility(time.Second)
+		b.StartTimer()
+		net.Refresh()
 	}
 }

@@ -20,20 +20,21 @@ func (n *Network) RouteGeo(src, dst NodeID) []NodeID {
 	}
 	goal := target.Pos()
 
-	path := []NodeID{src}
-	visited := map[NodeID]bool{src: true}
 	cur := src
 	curAsset := n.pop.Get(cur)
 	if curAsset == nil || !curAsset.Alive() {
 		return nil
 	}
 	curDist := curAsset.Pos().Dist(goal)
+	path := []NodeID{src}
+	gen := n.nextVisit()
+	n.mark[src] = gen
 
 	for hops := 0; hops < maxHops; hops++ {
 		best := NodeID(-1)
 		bestDist := curDist
-		for _, nb := range n.neighbors[cur] {
-			if visited[nb] {
+		for _, nb := range n.Neighbors(cur) {
+			if n.mark[nb] == gen {
 				continue
 			}
 			a := n.pop.Get(nb)
@@ -48,7 +49,7 @@ func (n *Network) RouteGeo(src, dst NodeID) []NodeID {
 			return nil // void: no strictly closer neighbor
 		}
 		path = append(path, best)
-		visited[best] = true
+		n.mark[best] = gen
 		if best == dst {
 			return path
 		}

@@ -83,11 +83,26 @@ type Network struct {
 	cfg  Config
 	rng  *sim.RNG
 
-	neighbors map[NodeID][]NodeID
+	// The link table: node id's neighbours are
+	// neighbors[nbrStart[id]:nbrStart[id+1]], every list back to back in
+	// id order in one array Refresh truncates and refills. ends is
+	// Refresh's per-tick endpoint snapshot and cand its candidate scratch.
+	neighbors []NodeID
+	nbrStart  []int32
+	ends      []endpoint
+	cand      []NodeID
 	version   uint64
 	routes    map[[2]NodeID]routeEntry
 	handlers  map[NodeID]Handler
 	backlog   map[NodeID]backlogState
+
+	// Traversal scratch shared by bfs, Component(s) and RouteGeo: a node
+	// is visited when mark[id] == visit (see nextVisit); prev is bfs's
+	// back-pointer table and queue its frontier.
+	mark  []uint32
+	prev  []NodeID
+	queue []NodeID
+	visit uint32
 
 	// jamming, when set, returns the jamming intensity [0,1] at a point;
 	// links shrink by that factor. attack.Field provides this.
@@ -163,15 +178,14 @@ type backlogState struct {
 // begin topology maintenance.
 func New(eng *sim.Engine, pop *asset.Population, terr *geo.Terrain, cfg Config) *Network {
 	n := &Network{
-		eng:       eng,
-		pop:       pop,
-		terr:      terr,
-		cfg:       cfg,
-		rng:       eng.Stream("mesh"),
-		neighbors: make(map[NodeID][]NodeID),
-		routes:    make(map[[2]NodeID]routeEntry),
-		handlers:  make(map[NodeID]Handler),
-		backlog:   make(map[NodeID]backlogState),
+		eng:      eng,
+		pop:      pop,
+		terr:     terr,
+		cfg:      cfg,
+		rng:      eng.Stream("mesh"),
+		routes:   make(map[[2]NodeID]routeEntry),
+		handlers: make(map[NodeID]Handler),
+		backlog:  make(map[NodeID]backlogState),
 	}
 	n.Refresh()
 	return n
@@ -242,82 +256,129 @@ func (n *Network) jamAt(p geo.Point) float64 {
 	return v
 }
 
-// linkRange returns the effective communication range between two
-// assets, accounting for terrain clutter and jamming, or 0 if either
-// node cannot link.
-func (n *Network) linkRange(a, b *asset.Asset) float64 {
-	if a == nil || b == nil || !a.Alive() || !b.Alive() || !a.Online || !b.Online {
-		return 0
+// endpoint is one node's link-relevant state: everything the link rule
+// reads from an asset.
+type endpoint struct {
+	pos   geo.Point
+	radio float64 // Caps.RadioRange
+	jam   float64 // jamming intensity at pos, in [0,1]
+	up    bool    // alive and online
+}
+
+// endpointOf reads a's link-relevant state now. A nil, dead or offline
+// asset yields the zero endpoint, which links to nothing.
+func (n *Network) endpointOf(a *asset.Asset) endpoint {
+	if a == nil || !a.Alive() || !a.Online {
+		return endpoint{}
 	}
-	r := a.Caps.RadioRange
-	if b.Caps.RadioRange < r {
-		r = b.Caps.RadioRange
+	p := a.Pos()
+	return endpoint{pos: p, radio: a.Caps.RadioRange, jam: n.jamAt(p), up: true}
+}
+
+// rejectSlack widens link's squared-distance pre-reject far beyond
+// float64 rounding (a few 1e-16 relative), so a pair the exact test
+// would accept is never rejected early.
+const rejectSlack = 1e-9
+
+// link is the link rule, the only copy: two nodes are linked when both
+// are up, no injected fault severs them, and their distance d is within
+// the effective range r — the smaller radio range scaled by terrain
+// clutter and by the worse of the two jamming intensities. r and d are
+// meaningful only when ok.
+//
+// Both scale factors are at most 1, so a pair farther apart than the
+// smaller radio range can never link; it is rejected on squared
+// distance before any terrain, fault or Hypot work. Refresh scans every
+// node within the *larger* range, so most of its candidates end here.
+//
+//iobt:hot
+func (n *Network) link(a, b *endpoint) (r, d float64, ok bool) {
+	if !a.up || !b.up {
+		return 0, 0, false
 	}
-	pa, pb := a.Pos(), b.Pos()
-	r *= n.terr.RangeFactor(pa, pb)
-	jam := n.jamAt(pa)
-	if j := n.jamAt(pb); j > jam {
-		jam = j
+	r = min(a.radio, b.radio)
+	if a.pos.Dist2(b.pos) > r*r*(1+rejectSlack) {
+		return 0, 0, false
 	}
-	r *= 1 - jam
-	if r > 0 && n.linkFault != nil && n.linkFault(pa, pb) {
-		return 0
+	r *= n.terr.RangeFactor(a.pos, b.pos)
+	r *= 1 - max(a.jam, b.jam)
+	if r <= 0 || (n.linkFault != nil && n.linkFault(a.pos, b.pos)) {
+		return 0, 0, false
 	}
-	return r
+	d = a.pos.Dist(b.pos)
+	return r, d, d <= r
 }
 
 // Linked reports whether a direct link exists between two nodes now.
 func (n *Network) Linked(a, b NodeID) bool {
-	aa, bb := n.pop.Get(a), n.pop.Get(b)
-	if aa == nil || bb == nil {
-		return false
-	}
-	r := n.linkRange(aa, bb)
-	return r > 0 && aa.Pos().Dist(bb.Pos()) <= r
+	ea, eb := n.endpointOf(n.pop.Get(a)), n.endpointOf(n.pop.Get(b))
+	_, _, ok := n.link(&ea, &eb)
+	return ok
 }
 
-// Refresh recomputes the neighbor table from current positions.
+// Refresh recomputes the neighbor table from current positions. It
+// first snapshots every asset's endpoint (one liveness check, position
+// read and jam-field evaluation per node rather than per candidate
+// pair), then scans each up node's grid candidates against the snapshot.
+// A node's list keeps the order asset.Population.Near returned its
+// candidates in. All storage is reused, so a steady-state refresh
+// allocates nothing.
+//
+//iobt:hot
 func (n *Network) Refresh() {
 	n.invalidate()
-	for k := range n.neighbors {
-		delete(n.neighbors, k)
+	all := n.pop.All()
+	for len(n.ends) < len(all) {
+		n.ends = append(n.ends, endpoint{})
 	}
-	var scratch []asset.ID
-	for _, a := range n.pop.All() {
-		if !a.Alive() || !a.Online {
+	for len(n.nbrStart) < len(all)+1 {
+		n.nbrStart = append(n.nbrStart, 0)
+	}
+	for i, a := range all {
+		n.ends[i] = n.endpointOf(a)
+	}
+	n.neighbors = n.neighbors[:0]
+	for i := range all {
+		n.nbrStart[i] = int32(len(n.neighbors))
+		a := &n.ends[i]
+		if !a.up {
 			continue
 		}
-		scratch = scratch[:0]
-		scratch = n.pop.Near(scratch, a.Pos(), a.Caps.RadioRange)
-		var nbrs []NodeID
-		for _, id := range scratch {
-			if id == a.ID {
+		n.cand = n.pop.Near(n.cand[:0], a.pos, a.radio)
+		for _, id := range n.cand {
+			if int(id) == i {
 				continue
 			}
-			b := n.pop.Get(id)
-			r := n.linkRange(a, b)
-			if r > 0 && a.Pos().Dist(b.Pos()) <= r {
-				nbrs = append(nbrs, id)
+			if _, _, ok := n.link(a, &n.ends[id]); ok {
+				n.neighbors = append(n.neighbors, id)
 			}
 		}
-		if len(nbrs) > 0 {
-			n.neighbors[a.ID] = nbrs
-		}
 	}
+	n.nbrStart[len(all)] = int32(len(n.neighbors))
 }
 
-// Neighbors returns the current neighbor list of id. The returned slice
-// is owned by the network; callers must not mutate it.
-func (n *Network) Neighbors(id NodeID) []NodeID { return n.neighbors[id] }
+// Neighbors returns the current neighbor list of id (empty for a node
+// with no link or an unknown id). The slice aliases the network's
+// table: callers must not mutate it, and it is valid only until the next
+// Refresh, which refills the same array. Copy it to keep it across an
+// engine event.
+func (n *Network) Neighbors(id NodeID) []NodeID {
+	if id < 0 || int(id)+1 >= len(n.nbrStart) {
+		return nil
+	}
+	lo, hi := n.nbrStart[id], n.nbrStart[id+1]
+	return n.neighbors[lo:hi:hi]
+}
 
 // Nodes returns the IDs that currently have at least one link,
 // in ascending order. Used by overlays (gossip, spanning tree).
 func (n *Network) Nodes() []NodeID {
-	out := make([]NodeID, 0, len(n.neighbors))
-	for id := range n.neighbors {
-		out = append(out, id)
+	var out []NodeID
+	for id := 0; id+1 < len(n.nbrStart); id++ {
+		if n.nbrStart[id+1] > n.nbrStart[id] {
+			out = append(out, NodeID(id))
+		}
 	}
-	sortNodeIDs(out)
 	return out
 }
 

@@ -1,6 +1,8 @@
 package mesh
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -105,6 +107,34 @@ func TestComponents(t *testing.T) {
 	comp := net.Component(0)
 	if len(comp) != 3 {
 		t.Errorf("Component(0) = %v", comp)
+	}
+}
+
+// Route, RouteGeo, Component and Components share one stamped visited
+// table. Interleaving them, and wrapping the stamp, must not leak one
+// traversal's marks into the next.
+func TestTraversalsShareScratchSafely(t *testing.T) {
+	_, pop, net := lineWorld(t, 6, 100)
+	pop.Kill(3)
+	net.Refresh()
+	net.visit = math.MaxUint32 - 2 // the calls below cross the wrap
+	for i := 0; i < 4; i++ {
+		if p := net.bfs(0, 2); !slices.Equal(p, []NodeID{0, 1, 2}) {
+			t.Fatalf("pass %d: bfs(0,2) = %v", i, p)
+		}
+		if p := net.bfs(0, 5); p != nil {
+			t.Fatalf("pass %d: bfs across the cut = %v", i, p)
+		}
+		if p := net.RouteGeo(5, 4); !slices.Equal(p, []NodeID{5, 4}) {
+			t.Fatalf("pass %d: RouteGeo(5,4) = %v", i, p)
+		}
+		if c := net.Component(4); !slices.Equal(c, []NodeID{4, 5}) {
+			t.Fatalf("pass %d: Component(4) = %v", i, c)
+		}
+		comps := net.Components(1)
+		if len(comps) != 2 || !slices.Equal(comps[0], []NodeID{0, 1, 2}) || !slices.Equal(comps[1], []NodeID{4, 5}) {
+			t.Fatalf("pass %d: Components = %v", i, comps)
+		}
 	}
 }
 

@@ -54,15 +54,11 @@ func (n *Network) forward(msg Message, path []NodeID, i int) {
 		return
 	}
 	from := n.pop.Get(path[i])
-	to := n.pop.Get(path[i+1])
-	if from == nil || to == nil || !from.Alive() || !to.Alive() {
-		n.dropInFlight()
-		return
-	}
-	// The link must still exist (mobility/jamming may have severed it).
-	r := n.linkRange(from, to)
-	d := from.Pos().Dist(to.Pos())
-	if r <= 0 || d > r {
+	// The link must still exist (death, mobility or jamming may have
+	// severed it).
+	ea, eb := n.endpointOf(from), n.endpointOf(n.pop.Get(path[i+1]))
+	r, d, ok := n.link(&ea, &eb)
+	if !ok {
 		n.dropInFlight()
 		return
 	}
@@ -169,7 +165,7 @@ func (n *Network) Broadcast(msg Message) int {
 	if src == nil || !src.Alive() || !src.Online {
 		return 0
 	}
-	nbrs := n.neighbors[msg.From]
+	nbrs := n.Neighbors(msg.From)
 	msg.Sent = n.eng.Now()
 	for _, nb := range nbrs {
 		m := msg

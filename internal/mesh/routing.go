@@ -27,46 +27,80 @@ func (n *Network) Reachable(src, dst NodeID) bool {
 	return n.Route(src, dst) != nil
 }
 
+// nextVisit starts a graph traversal: it returns a stamp no entry of
+// n.mark holds yet, so "visited in this traversal" is mark[id] == stamp
+// and nothing is cleared or allocated per call.
+func (n *Network) nextVisit() uint32 {
+	for len(n.mark) < n.pop.Len() {
+		n.mark = append(n.mark, 0)
+		n.prev = append(n.prev, 0)
+	}
+	n.visit++
+	if n.visit == 0 { // wrapped: stale stamps could collide
+		clear(n.mark)
+		n.visit = 1
+	}
+	return n.visit
+}
+
 // bfs runs breadth-first search over the neighbor table. Neighbor order
 // is deterministic, so returned paths are deterministic too.
 func (n *Network) bfs(src, dst NodeID) []NodeID {
-	if _, ok := n.neighbors[src]; !ok {
+	if len(n.Neighbors(src)) == 0 {
 		return nil
 	}
-	prev := map[NodeID]NodeID{src: src}
-	frontier := []NodeID{src}
-	depth := 0
-	for len(frontier) > 0 && depth < maxHops {
-		var next []NodeID
-		for _, u := range frontier {
-			for _, v := range n.neighbors[u] {
-				if _, seen := prev[v]; seen {
+	gen := n.nextVisit()
+	n.mark[src], n.prev[src] = gen, src
+	// queue[lo:hi] is the current frontier; the next one grows behind it.
+	queue := append(n.queue[:0], src)
+	lo := 0
+	for depth := 0; lo < len(queue) && depth < maxHops; depth++ {
+		hi := len(queue)
+		for _, u := range queue[lo:hi] {
+			for _, v := range n.Neighbors(u) {
+				if n.mark[v] == gen {
 					continue
 				}
-				prev[v] = u
+				n.mark[v], n.prev[v] = gen, u
 				if v == dst {
-					return buildPath(prev, src, dst)
+					n.queue = queue
+					return n.pathTo(src, dst)
 				}
-				next = append(next, v)
+				queue = append(queue, v)
 			}
 		}
-		frontier = next
-		depth++
+		lo = hi
 	}
+	n.queue = queue
 	return nil
 }
 
-func buildPath(prev map[NodeID]NodeID, src, dst NodeID) []NodeID {
-	var rev []NodeID
-	for at := dst; ; at = prev[at] {
-		rev = append(rev, at)
-		if at == src {
-			break
-		}
+// pathTo rebuilds the src→dst path from the prev links bfs just wrote.
+// The result is freshly allocated: Route caches it.
+func (n *Network) pathTo(src, dst NodeID) []NodeID {
+	hops := 1
+	for at := dst; at != src; at = n.prev[at] {
+		hops++
 	}
-	out := make([]NodeID, len(rev))
-	for i, v := range rev {
-		out[len(rev)-1-i] = v
+	out := make([]NodeID, hops)
+	for at, i := dst, hops-1; i >= 0; at, i = n.prev[at], i-1 {
+		out[i] = at
+	}
+	return out
+}
+
+// flood returns every node reachable from src that the traversal
+// stamped gen has not reached yet, src first, the rest in visit order.
+func (n *Network) flood(src NodeID, gen uint32) []NodeID {
+	n.mark[src] = gen
+	out := []NodeID{src}
+	for i := 0; i < len(out); i++ { // out is also the work list
+		for _, v := range n.Neighbors(out[i]) {
+			if n.mark[v] != gen {
+				n.mark[v] = gen
+				out = append(out, v)
+			}
+		}
 	}
 	return out
 }
@@ -74,25 +108,10 @@ func buildPath(prev map[NodeID]NodeID, src, dst NodeID) []NodeID {
 // Component returns all nodes reachable from src (including src),
 // in ascending ID order.
 func (n *Network) Component(src NodeID) []NodeID {
-	if _, ok := n.neighbors[src]; !ok {
+	if len(n.Neighbors(src)) == 0 {
 		return []NodeID{src}
 	}
-	seen := map[NodeID]bool{src: true}
-	stack := []NodeID{src}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range n.neighbors[u] {
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	out := make([]NodeID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
+	out := n.flood(src, n.nextVisit())
 	sortNodeIDs(out)
 	return out
 }
@@ -100,18 +119,15 @@ func (n *Network) Component(src NodeID) []NodeID {
 // Components returns every connected component with at least minSize
 // nodes, largest first.
 func (n *Network) Components(minSize int) [][]NodeID {
-	seen := make(map[NodeID]bool, len(n.neighbors))
 	var comps [][]NodeID
-	ids := n.Nodes()
-	for _, id := range ids {
-		if seen[id] {
+	gen := n.nextVisit()
+	for _, id := range n.Nodes() {
+		if n.mark[id] == gen {
 			continue
 		}
-		comp := n.Component(id)
-		for _, v := range comp {
-			seen[v] = true
-		}
+		comp := n.flood(id, gen)
 		if len(comp) >= minSize {
+			sortNodeIDs(comp)
 			comps = append(comps, comp)
 		}
 	}
