@@ -100,18 +100,19 @@ func TestBaselineMatchesPinnedSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]bool{}
+	want := map[string]int64{}
 	for _, mb := range microBenches() {
-		want[mb.name] = true
+		want[mb.name] = mb.allocs
 	}
 	got := map[string]bool{}
 	for _, r := range base.Benchmarks {
 		got[r.Name] = true
-		if !want[r.Name] {
+		allocs, ok := want[r.Name]
+		if !ok {
 			t.Errorf("baseline has %q but -bench does not run it", r.Name)
 		}
-		if r.AllocsPerOp != 0 {
-			t.Errorf("baseline %s allocs/op = %d; the pinned set is the zero-alloc contract", r.Name, r.AllocsPerOp)
+		if r.AllocsPerOp != allocs {
+			t.Errorf("baseline %s allocs/op = %d, pinned at %d; the pinned set is the zero-alloc contract", r.Name, r.AllocsPerOp, allocs)
 		}
 	}
 	for name := range want {

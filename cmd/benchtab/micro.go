@@ -4,9 +4,9 @@ package main
 // through testing.Benchmark, rendered as a table with events_per_sec
 // and allocs_per_op columns, and compared against a committed baseline
 // (BENCH_MICRO.json) by the CI bench gate. The loops mirror the
-// package benchmarks in internal/sim, internal/track and internal/mesh
-// — same bodies, same steady states — so `go test -bench` and
-// `benchtab -bench` read the same costs.
+// package benchmarks in internal/sim, internal/track, internal/mesh and
+// internal/cop — same bodies, same steady states — so `go test -bench`
+// and `benchtab -bench` read the same costs.
 //
 // The gate's contract is asymmetric on purpose: ns/op may drift with
 // the host (the -maxregress fraction absorbs that), but allocs/op on a
@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"iobt/internal/asset"
+	"iobt/internal/cop"
 	"iobt/internal/experiments"
 	"iobt/internal/geo"
 	"iobt/internal/mesh"
@@ -35,15 +36,17 @@ const microBenchActors = 64
 
 // A microBench is one pinned benchmark: a name stable enough to key a
 // committed baseline, and a body whose steady state the hotpath
-// analyzers hold at zero allocations.
+// analyzers hold at zero allocations — or at allocs per op, for a body
+// whose result is a fresh buffer.
 type microBench struct {
-	name string
-	doc  string
-	fn   func(b *testing.B)
+	name   string
+	doc    string
+	fn     func(b *testing.B)
+	allocs int64
 }
 
 // microBenches returns the pinned set, in render order. Every entry's
-// allocs/op is 0 at head; the bench gate keeps it there.
+// allocs/op is its allocs field at head; the bench gate keeps it there.
 func microBenches() []microBench {
 	return []microBench{
 		{
@@ -86,7 +89,52 @@ func microBenches() []microBench {
 			doc:  "one neighbour-table Refresh of a 1000-asset mission under a jammer and a partition, mobility stepped (untimed) between refreshes",
 			fn:   microMeshRefresh,
 		},
+		{
+			name: "cop_merge",
+			doc:  "one MergeEncoded of a 54-track/54-cell frame into a replica that already holds all of it",
+			fn: func(b *testing.B) {
+				p := microPicture()
+				frame := p.Encode()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := p.MergeEncoded(frame); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+		},
+		{
+			name:   "cop_encode",
+			doc:    "one Encode of a 54-track/54-cell replica: a linear dump into the one buffer it returns",
+			allocs: 1,
+			fn: func(b *testing.B) {
+				p := microPicture()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					microFrame = p.Encode()
+				}
+			},
+		},
 	}
+}
+
+var microFrame []byte
+
+// microPicture mirrors gossipFrame(54) in internal/cop/codec_test.go: the
+// union of 54 publishers' one track and one covered cell, the gossip_cop
+// shape (BenchmarkMergeEncodedDominated and BenchmarkEncode in its
+// bench_test.go run the same two loops).
+func microPicture() *cop.Picture {
+	all := cop.NewPicture(0)
+	for i := 0; i < 54; i++ {
+		p := cop.NewPicture(asset.ID(i))
+		p.Cover(cop.Cell{X: 1, Y: int32(i)})
+		p.ObserveTrack(1, cop.TrackFix{Pos: geo.Point{X: float64(i), Y: 1}}, time.Duration(i)*time.Second)
+		all.Merge(p)
+	}
+	return all
 }
 
 func microShardedTick(b *testing.B, shards int) {

@@ -252,9 +252,7 @@ func run(args []string) error {
 				g.Join(id, func(msg mesh.Message) {
 					if msg.Kind == "cop" {
 						if enc, ok := msg.Payload.([]byte); ok {
-							if remote, err := cop.Decode(enc); err == nil {
-								gPics[node].Merge(remote)
-							}
+							_ = gPics[node].MergeEncoded(enc) // a corrupted frame is rejected whole and cannot regress the replica
 						}
 						return
 					}

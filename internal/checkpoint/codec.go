@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // The checkpoint wire format is a deliberately tiny deterministic
@@ -25,6 +26,10 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the encoded size so far.
 func (e *Encoder) Len() int { return len(e.buf) }
+
+// Grow reserves room for n more bytes, for a caller that knows its
+// encoded size and would rather not pay for the buffer doubling up to it.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // Uint64 appends a fixed 8-byte unsigned integer.
 func (e *Encoder) Uint64(v uint64) {

@@ -1,0 +1,394 @@
+package cop
+
+import (
+	"bytes"
+	"math"
+	"runtime"
+	"sort"
+	"testing"
+	"time"
+
+	"iobt/internal/asset"
+	"iobt/internal/checkpoint"
+	"iobt/internal/geo"
+)
+
+// model is the reference the run representation is checked against: the
+// map-of-maps replica this package used to be, reduced to what a receive
+// needs — decode a frame leniently, merge it entry by entry, encode by
+// collecting and sorting keys. It shares no code with the runs or the
+// join.
+type model struct {
+	tracks  map[TrackKey]trackReg
+	trust   map[asset.ID]map[asset.ID]Evidence
+	adds    map[Cell]map[tag]bool
+	removes map[tag]bool
+}
+
+func newModel() *model {
+	return &model{
+		tracks:  map[TrackKey]trackReg{},
+		trust:   map[asset.ID]map[asset.ID]Evidence{},
+		adds:    map[Cell]map[tag]bool{},
+		removes: map[tag]bool{},
+	}
+}
+
+// mergeFrame decodes data with no validation at all and merges it. Only
+// for frames the package has accepted (whose counts are therefore sane).
+func (m *model) mergeFrame(data []byte) {
+	d := checkpoint.NewDecoder(data[headerBytes:])
+	for n := d.Int(); n > 0; n-- {
+		r := trackReg{Key: TrackKey{Actor: asset.ID(d.Int64()), ID: d.Int()}}
+		r.Fix.Pos = geo.Point{X: d.Float64(), Y: d.Float64()}
+		r.Fix.Vel = geo.Vec{DX: d.Float64(), DY: d.Float64()}
+		r.Fix.Hits = d.Int()
+		r.Fix.Confirmed = d.Bool()
+		r.Stamp = Stamp{T: time.Duration(d.Int64()), Actor: asset.ID(d.Int64())}
+		if cur, ok := m.tracks[r.Key]; !ok || r.Stamp.After(cur.Stamp) {
+			m.tracks[r.Key] = r
+		}
+	}
+	for rows := d.Int(); rows > 0; rows-- {
+		subject := asset.ID(d.Int64())
+		if m.trust[subject] == nil {
+			m.trust[subject] = map[asset.ID]Evidence{}
+		}
+		for n := d.Int(); n > 0; n-- {
+			observer := asset.ID(d.Int64())
+			e := Evidence{Alpha: d.Float64(), Beta: d.Float64()}
+			m.trust[subject][observer] = m.trust[subject][observer].join(e)
+		}
+	}
+	for rows := d.Int(); rows > 0; rows-- {
+		c := Cell{X: int32(d.Int64()), Y: int32(d.Int64())}
+		if m.adds[c] == nil {
+			m.adds[c] = map[tag]bool{}
+		}
+		for n := d.Int(); n > 0; n-- {
+			m.adds[c][tag{Actor: asset.ID(d.Int64()), Seq: d.Uint64()}] = true
+		}
+	}
+	for n := d.Int(); n > 0; n-- {
+		m.removes[tag{Actor: asset.ID(d.Int64()), Seq: d.Uint64()}] = true
+	}
+}
+
+func sortedKeys[K comparable, V any](m map[K]V, less func(a, b K) bool) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
+	return keys
+}
+
+func lessID(a, b asset.ID) bool { return a < b }
+func lessTag(a, b tag) bool     { return cmpTag(&a, &b) < 0 }
+
+// encodeState is the old collect-and-sort encoder.
+func (m *model) encodeState() []byte {
+	e := checkpoint.NewEncoder()
+	e.Int(len(m.tracks))
+	for _, k := range sortedKeys(m.tracks, func(a, b TrackKey) bool {
+		return a.Actor < b.Actor || a.Actor == b.Actor && a.ID < b.ID
+	}) {
+		r := m.tracks[k]
+		e.Int64(int64(k.Actor))
+		e.Int(k.ID)
+		e.Float64(r.Fix.Pos.X)
+		e.Float64(r.Fix.Pos.Y)
+		e.Float64(r.Fix.Vel.DX)
+		e.Float64(r.Fix.Vel.DY)
+		e.Int(r.Fix.Hits)
+		e.Bool(r.Fix.Confirmed)
+		e.Int64(int64(r.Stamp.T))
+		e.Int64(int64(r.Stamp.Actor))
+	}
+	e.Int(len(m.trust))
+	for _, s := range sortedKeys(m.trust, lessID) {
+		e.Int64(int64(s))
+		e.Int(len(m.trust[s]))
+		for _, o := range sortedKeys(m.trust[s], lessID) {
+			e.Int64(int64(o))
+			e.Float64(m.trust[s][o].Alpha)
+			e.Float64(m.trust[s][o].Beta)
+		}
+	}
+	e.Int(len(m.adds))
+	for _, c := range sortedKeys(m.adds, func(a, b Cell) bool { return a.X < b.X || a.X == b.X && a.Y < b.Y }) {
+		e.Int64(int64(c.X))
+		e.Int64(int64(c.Y))
+		e.Int(len(m.adds[c]))
+		for _, t := range sortedKeys(m.adds[c], lessTag) {
+			e.Int64(int64(t.Actor))
+			e.Uint64(t.Seq)
+		}
+	}
+	e.Int(len(m.removes))
+	for _, t := range sortedKeys(m.removes, lessTag) {
+		e.Int64(int64(t.Actor))
+		e.Uint64(t.Seq)
+	}
+	return e.Bytes()
+}
+
+// allocBytes returns the heap bytes f allocated.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// allocBound is what receiving data into a replica whose encoding is
+// held bytes long may allocate: the decoded frame is at most 1.5x its
+// wire size and a run that must grow is reallocated at up to twice the
+// merged size, both through amortized doubling; the slack covers the
+// error value.
+func allocBound(data, held int) uint64 { return uint64(16*(data+held) + 4096) }
+
+// frameOf hand-assembles a frame: a header, then whatever body writes.
+func frameOf(body func(e *checkpoint.Encoder)) []byte {
+	e := checkpoint.NewEncoder()
+	e.Int64(1)
+	e.Uint64(0)
+	body(e)
+	return e.Bytes()
+}
+
+func track(e *checkpoint.Encoder, actor int64, id int) {
+	e.Int64(actor)
+	e.Int(id)
+	for i := 0; i < 4; i++ {
+		e.Float64(float64(i))
+	}
+	e.Int(3)
+	e.Bool(true)
+	e.Int64(int64(time.Second))
+	e.Int64(actor)
+}
+
+func ints(e *checkpoint.Encoder, vs ...int64) {
+	for _, v := range vs {
+		e.Int64(v)
+	}
+}
+
+func bits(v float64) int64 { return int64(math.Float64bits(v)) }
+
+// hostileFrames are frames no Encode emits. The first group lies about a
+// count (the first of them is the 48-byte frame that used to end the
+// process inside Decode with "fatal error: out of memory": one trust
+// subject claiming 2^34 observers); the second group is well-sized but
+// not canonical.
+var hostileFrames = []struct {
+	name string
+	data []byte
+}{
+	{"observer count 2^34", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 1, 7, 1<<34) })},
+	{"track count 2^34", frameOf(func(e *checkpoint.Encoder) { ints(e, 1<<34) })},
+	{"subject count 2^34", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 1<<34) })},
+	{"cell count 2^34", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 1<<34) })},
+	{"tag count 2^34", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 1, 2, 3, 1<<34) })},
+	{"tombstone count 2^34", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 0, 1<<34) })},
+	{"negative track count", frameOf(func(e *checkpoint.Encoder) { ints(e, -1) })},
+	{"count one past the bytes", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 0, 2, 1, 1) })},
+
+	{"descending tracks", frameOf(func(e *checkpoint.Encoder) { e.Int(2); track(e, 2, 0); track(e, 1, 0); ints(e, 0, 0, 0) })},
+	{"duplicate track", frameOf(func(e *checkpoint.Encoder) { e.Int(2); track(e, 1, 4); track(e, 1, 4); ints(e, 0, 0, 0) })},
+	{"descending subjects", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 2, 9, 1, 1, bits(1), bits(1), 8, 1, 1, bits(1), bits(1), 0, 0) })},
+	{"subject split over two rows", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 2, 9, 1, 1, bits(1), bits(1), 9, 1, 2, bits(1), bits(1), 0, 0) })},
+	{"duplicate observer", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 1, 9, 2, 1, bits(1), bits(1), 1, bits(2), bits(2), 0, 0) })},
+	{"subject with no observer", frameOf(func(e *checkpoint.Encoder) {
+		ints(e, 0, 2, 9, 0, 10, 3, 1, bits(1), bits(1), 2, bits(1), bits(1), 3, bits(1), bits(1), 0, 0)
+	})},
+	{"negative evidence", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 1, 9, 1, 1, bits(-1), bits(1), 0, 0) })},
+	{"negative zero evidence", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 1, 9, 1, 1, bits(math.Copysign(0, -1)), bits(1), 0, 0) })},
+	{"NaN evidence", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 1, 9, 1, 1, bits(1), bits(math.NaN()), 0, 0) })},
+	{"descending cells", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 2, 1, 1, 1, 5, 1, 1, 0, 1, 5, 2, 0) })},
+	{"cell split over two rows", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 2, 1, 1, 1, 5, 1, 1, 1, 1, 5, 2, 0) })},
+	{"duplicate tag", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 1, 1, 1, 2, 5, 1, 5, 1, 0) })},
+	{"cell with no tag", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 2, 1, 1, 0, 2, 2, 3, 5, 1, 5, 2, 5, 3, 0) })},
+	{"descending tombstones", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 0, 2, 5, 2, 5, 1) })},
+	{"actor beyond int32", frameOf(func(e *checkpoint.Encoder) { e.Int(1); track(e, 1<<32+1, 0); ints(e, 0, 0, 0) })},
+	{"cell beyond int32", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 1, 1<<31, 1, 1, 5, 1, 0) })},
+	{"flag byte 2", func() []byte {
+		data := frameOf(func(e *checkpoint.Encoder) { e.Int(1); track(e, 1, 0); ints(e, 0, 0, 0) })
+		data[headerBytes+8+7*8] = 2
+		return data
+	}()},
+	{"trailing byte", append(NewPicture(1).Encode(), 0)},
+}
+
+// TestHostileFramesRejected: every hostile frame is an error from both
+// entry points, costs memory proportional to its own few bytes, and
+// leaves the receiving replica exactly as it was.
+func TestHostileFramesRejected(t *testing.T) {
+	for _, h := range hostileFrames {
+		p := randomPicture(4, 2)
+		_ = p.MergeEncoded(p.Encode()) // scratch warm, as on a live receive path
+		before := p.Encode()
+
+		var err error
+		grew := allocBytes(func() { err = p.MergeEncoded(h.data) })
+		if err == nil {
+			t.Errorf("%s: MergeEncoded accepted the frame", h.name)
+		}
+		if limit := allocBound(len(h.data), 0); grew > limit {
+			t.Errorf("%s: MergeEncoded allocated %d bytes for a %d-byte frame, limit %d", h.name, grew, len(h.data), limit)
+		}
+		if !bytes.Equal(p.Encode(), before) {
+			t.Errorf("%s: rejected frame changed the replica", h.name)
+		}
+
+		grew = allocBytes(func() { _, err = Decode(h.data) })
+		if err == nil {
+			t.Errorf("%s: Decode accepted the frame", h.name)
+		}
+		if limit := allocBound(len(h.data), 0); grew > limit {
+			t.Errorf("%s: Decode allocated %d bytes for a %d-byte frame, limit %d", h.name, grew, len(h.data), limit)
+		}
+	}
+}
+
+// TestMergeEncodedMatchesMerge: receiving o's bytes is the same as
+// merging o, and both are what the map-based model computes.
+func TestMergeEncodedMatchesMerge(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		o := randomPicture(seed, 1)
+		viaBytes, viaPointer := randomPicture(seed+100, 2), randomPicture(seed+100, 2)
+		m := newModel()
+		m.mergeFrame(viaBytes.Encode())
+
+		if err := viaBytes.MergeEncoded(o.Encode()); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		viaPointer.Merge(o)
+		m.mergeFrame(o.Encode())
+
+		if !bytes.Equal(viaBytes.Encode(), viaPointer.Encode()) {
+			t.Fatalf("seed %d: MergeEncoded(o.Encode()) differs from Merge(o)", seed)
+		}
+		if !bytes.Equal(viaBytes.Encode()[headerBytes:], m.encodeState()) {
+			t.Fatalf("seed %d: merged replica differs from the map-based model", seed)
+		}
+		if !viaBytes.Dominates(o) || !viaBytes.Dominates(viaPointer) {
+			t.Fatalf("seed %d: merged replica does not dominate its inputs", seed)
+		}
+	}
+}
+
+// TestEncodeIsCanonical: what Encode writes, Decode accepts and writes
+// back byte for byte — including after merges, the route by which a
+// replica's runs are built out of order.
+func TestEncodeIsCanonical(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		p := mergeOf(randomPicture(seed, 5), randomPicture(seed+50, 3), randomPicture(seed+100, 9))
+		data := p.Encode()
+		if want := headerBytes + p.wireSize(); len(data) != want {
+			t.Fatalf("seed %d: Encode wrote %d bytes, wireSize promised %d", seed, len(data), want)
+		}
+		q, err := Decode(data)
+		if err != nil {
+			t.Fatalf("seed %d: Decode rejects Encode's output: %v", seed, err)
+		}
+		if !bytes.Equal(q.Encode(), data) {
+			t.Fatalf("seed %d: Decode(p.Encode()).Encode() != p.Encode()", seed)
+		}
+	}
+}
+
+// gossipFrame is the gossip_cop shape: the union of n publishers' single
+// track and covered cell.
+func gossipFrame(n int) (*Picture, []byte) {
+	all := NewPicture(0)
+	for i := 0; i < n; i++ {
+		p := NewPicture(asset.ID(i))
+		p.Cover(Cell{X: 1, Y: int32(i)})
+		p.ObserveTrack(1, TrackFix{Pos: geo.Point{X: float64(i), Y: 1}}, time.Duration(i)*time.Second)
+		all.Merge(p)
+	}
+	return all, all.Encode()
+}
+
+// raceDetector is set by race_test.go. Under -race sync.Pool deliberately
+// sheds a quarter of what it is handed, so the scratch pool cannot hold
+// the zero-allocation pin there.
+var raceDetector bool
+
+// TestMergeEncodedDominatedFrameAllocatesNothing pins the steady state of
+// a gossip round: two thirds of the frames a node is handed carry
+// nothing it lacks, and folding those in must not touch the heap.
+func TestMergeEncodedDominatedFrameAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	p, frame := gossipFrame(54)
+	if tracks, _, cells, _ := p.Counts(); tracks != 54 || cells != 54 {
+		t.Fatalf("frame holds %d tracks and %d cells, want 54 and 54", tracks, cells)
+	}
+	if err := p.MergeEncoded(frame); err != nil { // scratch reaches its high-water mark
+		t.Fatal(err)
+	}
+	before := p.Digest()
+	if n := testing.AllocsPerRun(100, func() {
+		if err := p.MergeEncoded(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("re-merging a dominated frame: %v allocs/op, want 0", n)
+	}
+	if p.Digest() != before {
+		t.Error("re-merging a dominated frame changed the replica")
+	}
+}
+
+// FuzzMergeEncoded feeds MergeEncoded arbitrary bytes. It must never
+// panic, never allocate out of proportion to the bytes it was handed,
+// leave the replica untouched when it refuses a frame, and when it
+// accepts one agree with Decode, with the canonical-frame contract
+// (accepted bytes re-encode to themselves) and with the map-based model.
+func FuzzMergeEncoded(f *testing.F) {
+	real := mergeOf(randomPicture(3, 7), randomPicture(8, 4)).Encode()
+	for cut := 0; cut <= len(real); cut++ {
+		f.Add(real[:cut])
+	}
+	for _, h := range hostileFrames {
+		f.Add(h.data)
+	}
+	receiver := randomPicture(11, 2).Encode()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Decode(receiver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grew := allocBytes(func() { err = p.MergeEncoded(data) })
+		if limit := allocBound(len(data), len(receiver)); grew > limit {
+			t.Fatalf("allocated %d bytes for a %d-byte frame, limit %d", grew, len(data), limit)
+		}
+		q, decErr := Decode(data)
+		if (err == nil) != (decErr == nil) {
+			t.Fatalf("MergeEncoded says %v, Decode says %v", err, decErr)
+		}
+		if err != nil {
+			if !bytes.Equal(p.Encode(), receiver) {
+				t.Fatal("rejected frame changed the replica")
+			}
+			return
+		}
+		if !bytes.Equal(q.Encode(), data) {
+			t.Fatal("accepted frame is not canonical: it does not re-encode to itself")
+		}
+		m := newModel()
+		m.mergeFrame(receiver)
+		m.mergeFrame(data)
+		if !bytes.Equal(p.Encode()[headerBytes:], m.encodeState()) {
+			t.Fatal("merged replica differs from the map-based model")
+		}
+		if !p.Dominates(q) {
+			t.Fatal("replica does not dominate a frame it just merged")
+		}
+	})
+}

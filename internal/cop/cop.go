@@ -1,5 +1,5 @@
 // Package cop replicates the common operational picture as a state-based
-// CRDT: the track store is a map of last-writer-wins registers, trust
+// CRDT: the track store is a set of last-writer-wins registers, trust
 // evidence is a grow-only counter per (subject, observer), and the sensor
 // coverage map is an observed-remove set of grid cells. Merges are
 // commutative, associative, and idempotent, so command posts converge on
@@ -9,19 +9,20 @@
 // gossip layer (internal/mesh) exploits: replicas exchange encoded
 // pictures and merge, with no coordination and no ordering assumptions.
 //
-// All ordering inside the package is explicit (virtual-time stamps with
-// asset-ID tiebreaks, sorted iteration for encoding), so same-seed runs
-// stay byte-identical.
+// A replica is stored the way it is encoded: four runs of fixed-size
+// records kept strictly ascending by key. Every merge, local write and
+// dominance check is one merge-join over those runs and Encode is a
+// linear dump, so same-seed runs stay byte-identical.
 package cop
 
 import (
-	"fmt"
-	"hash/fnv"
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"iobt/internal/asset"
-	"iobt/internal/checkpoint"
 	"iobt/internal/geo"
 )
 
@@ -57,14 +58,10 @@ type TrackFix struct {
 	Confirmed bool
 }
 
-// trackReg is an LWW register: the newest stamp wins on merge.
-type trackReg struct {
-	Fix   TrackFix
-	Stamp Stamp
-}
-
 // Evidence is accumulated Beta-reputation evidence from one observer.
-// Both components only grow, so pointwise max is the join.
+// Both components only grow, so pointwise max is the join. A replica
+// holds only components >= +0: every pair starts from the zero pair and
+// a NaN never wins a max.
 type Evidence struct {
 	Alpha, Beta float64
 }
@@ -78,11 +75,6 @@ func (e Evidence) join(o Evidence) Evidence {
 		e.Beta = o.Beta
 	}
 	return e
-}
-
-// dominates reports e >= o pointwise.
-func (e Evidence) dominates(o Evidence) bool {
-	return e.Alpha >= o.Alpha && e.Beta >= o.Beta
 }
 
 // Cell indexes the coverage grid.
@@ -103,27 +95,11 @@ type tag struct {
 type Picture struct {
 	self asset.ID
 	seq  uint64
-
-	tracks map[TrackKey]trackReg
-	// trust[subject][observer] = grow-only evidence pair.
-	trust map[asset.ID]map[asset.ID]Evidence
-	// adds[cell] holds the live tags asserting coverage of cell;
-	// removes tombstones tags whose coverage was withdrawn. A cell is
-	// covered iff it has at least one un-tombstoned tag.
-	adds    map[Cell]map[tag]bool
-	removes map[tag]bool
+	state
 }
 
 // NewPicture returns an empty replica owned by actor self.
-func NewPicture(self asset.ID) *Picture {
-	return &Picture{
-		self:    self,
-		tracks:  make(map[TrackKey]trackReg),
-		trust:   make(map[asset.ID]map[asset.ID]Evidence),
-		adds:    make(map[Cell]map[tag]bool),
-		removes: make(map[tag]bool),
-	}
-}
+func NewPicture(self asset.ID) *Picture { return &Picture{self: self} }
 
 // Self returns the owning actor.
 func (p *Picture) Self() asset.ID { return p.self }
@@ -132,27 +108,26 @@ func (p *Picture) Self() asset.ID { return p.self }
 // track id at virtual time at. Later stamps supersede earlier ones; a
 // stale observation (earlier stamp) is ignored.
 func (p *Picture) ObserveTrack(id int, fix TrackFix, at time.Duration) {
-	key := TrackKey{Actor: p.self, ID: id}
-	st := Stamp{T: at, Actor: p.self}
-	if cur, ok := p.tracks[key]; ok && !st.After(cur.Stamp) {
-		return
-	}
-	p.tracks[key] = trackReg{Fix: fix, Stamp: st}
+	in := []trackReg{{Key: TrackKey{Actor: p.self, ID: id}, Fix: fix, Stamp: Stamp{T: at, Actor: p.self}}}
+	joinRun(&p.tracks, in, cmpTrack, foldTrack, false)
 }
 
 // Track returns the replicated fix for key, if present.
 func (p *Picture) Track(key TrackKey) (TrackFix, bool) {
-	reg, ok := p.tracks[key]
-	return reg.Fix, ok
+	want := trackReg{Key: key}
+	i := sort.Search(len(p.tracks), func(i int) bool { return cmpTrack(&p.tracks[i], &want) >= 0 })
+	if i == len(p.tracks) || p.tracks[i].Key != key {
+		return TrackFix{}, false
+	}
+	return p.tracks[i].Fix, true
 }
 
 // TrackKeys returns every replicated track key, sorted.
 func (p *Picture) TrackKeys() []TrackKey {
-	keys := make([]TrackKey, 0, len(p.tracks))
-	for k := range p.tracks {
-		keys = append(keys, k)
+	keys := make([]TrackKey, len(p.tracks))
+	for i := range p.tracks {
+		keys[i] = p.tracks[i].Key
 	}
-	sortTrackKeys(keys)
 	return keys
 }
 
@@ -160,21 +135,18 @@ func (p *Picture) TrackKeys() []TrackKey {
 // Evidence only grows: the stored pair is the pointwise max of every
 // observation, so re-delivery and reordering are harmless.
 func (p *Picture) ObserveTrust(subject asset.ID, alpha, beta float64) {
-	obs := p.trust[subject]
-	if obs == nil {
-		obs = make(map[asset.ID]Evidence)
-		p.trust[subject] = obs
-	}
-	obs[p.self] = obs[p.self].join(Evidence{Alpha: alpha, Beta: beta})
+	e := Evidence{}.join(Evidence{Alpha: alpha, Beta: beta})
+	joinRun(&p.trust, []trustReg{{Subject: subject, Observer: p.self, Evidence: e}}, cmpTrust, foldTrust, false)
 }
 
 // Trust sums the replicated evidence about subject across observers.
 func (p *Picture) Trust(subject asset.ID) Evidence {
 	var total Evidence
-	for _, observer := range p.observersOf(subject) {
-		e := p.trust[subject][observer]
-		total.Alpha += e.Alpha
-		total.Beta += e.Beta
+	from := trustReg{Subject: subject, Observer: math.MinInt32}
+	i := sort.Search(len(p.trust), func(i int) bool { return cmpTrust(&p.trust[i], &from) >= 0 })
+	for ; i < len(p.trust) && p.trust[i].Subject == subject; i++ {
+		total.Alpha += p.trust[i].Alpha
+		total.Beta += p.trust[i].Beta
 	}
 	return total
 }
@@ -188,353 +160,241 @@ func (p *Picture) Score(subject asset.ID) float64 {
 
 // Subjects returns every asset with replicated trust evidence, sorted.
 func (p *Picture) Subjects() []asset.ID {
-	ids := make([]asset.ID, 0, len(p.trust))
-	for id := range p.trust {
-		ids = append(ids, id)
+	var ids []asset.ID
+	for i := 0; i < len(p.trust); i = p.subjectEnd(i) {
+		ids = append(ids, p.trust[i].Subject)
 	}
-	sortIDs(ids)
-	return ids
-}
-
-// observersOf returns the sorted observers with evidence about subject.
-func (p *Picture) observersOf(subject asset.ID) []asset.ID {
-	obs := p.trust[subject]
-	ids := make([]asset.ID, 0, len(obs))
-	for id := range obs {
-		ids = append(ids, id)
-	}
-	sortIDs(ids)
 	return ids
 }
 
 // Cover asserts that the owner currently covers cell c.
 func (p *Picture) Cover(c Cell) {
-	tags := p.adds[c]
-	if tags == nil {
-		tags = make(map[tag]bool)
-		p.adds[c] = tags
-	}
 	p.seq++
-	tags[tag{Actor: p.self, Seq: p.seq}] = true
+	joinRun(&p.adds, []coverAdd{{Cell: c, Tag: tag{Actor: p.self, Seq: p.seq}}}, cmpAdd, nil, false)
 }
 
 // Uncover withdraws coverage of c by tombstoning every live tag the
 // replica has observed — the observed-remove rule: concurrent Covers it
 // has not yet seen survive the removal.
 func (p *Picture) Uncover(c Cell) {
-	for _, t := range p.liveTags(c) {
-		p.removes[t] = true
-	}
+	joinRun(&p.removes, p.liveTags(c), cmpTag, nil, false)
 }
 
 // Covered reports whether any un-tombstoned coverage assertion for c
 // has been observed.
-func (p *Picture) Covered(c Cell) bool {
-	return len(p.liveTags(c)) > 0
-}
+func (p *Picture) Covered(c Cell) bool { return len(p.liveTags(c)) > 0 }
 
 // CoveredCells returns every covered cell, sorted.
 func (p *Picture) CoveredCells() []Cell {
-	cells := make([]Cell, 0, len(p.adds))
-	for c := range p.adds {
-		if p.Covered(c) {
+	var cells []Cell
+	for i := 0; i < len(p.adds); i = p.cellEnd(i) {
+		if c := p.adds[i].Cell; p.Covered(c) {
 			cells = append(cells, c)
 		}
 	}
-	sortCells(cells)
 	return cells
-}
-
-// liveTags returns c's un-tombstoned tags, sorted.
-func (p *Picture) liveTags(c Cell) []tag {
-	var live []tag
-	for t := range p.adds[c] {
-		if !p.removes[t] {
-			live = append(live, t)
-		}
-	}
-	sortTags(live)
-	return live
 }
 
 // Merge joins o into p. The join is commutative, associative, and
 // idempotent: LWW registers keep the newer stamp, evidence counters take
 // the pointwise max, and the coverage OR-set unions adds and tombstones.
 // o is not modified.
-func (p *Picture) Merge(o *Picture) {
-	for key, reg := range o.tracks {
-		if cur, ok := p.tracks[key]; !ok || reg.Stamp.After(cur.Stamp) {
-			p.tracks[key] = reg
-		}
-	}
-	for subject, obs := range o.trust {
-		mine := p.trust[subject]
-		if mine == nil {
-			mine = make(map[asset.ID]Evidence, len(obs))
-			p.trust[subject] = mine
-		}
-		for observer, e := range obs {
-			mine[observer] = mine[observer].join(e)
-		}
-	}
-	for c, tags := range o.adds {
-		mine := p.adds[c]
-		if mine == nil {
-			mine = make(map[tag]bool, len(tags))
-			p.adds[c] = mine
-		}
-		for t := range tags {
-			mine[t] = true
-		}
-	}
-	for t := range o.removes {
-		p.removes[t] = true
-	}
-}
+func (p *Picture) Merge(o *Picture) { p.join(&o.state, false) }
 
 // Dominates reports whether p's state is at or past o in the CRDT
-// partial order: every register o holds exists in p with an equal or
-// newer stamp, every evidence pair is pointwise >=, and p's add and
-// tombstone sets contain o's. Merging can only move a replica up this
-// order — "anti-entropy never regresses CRDT state" is checked against
-// exactly this predicate by verify.PictureMonotone.
-func (p *Picture) Dominates(o *Picture) bool {
-	for key, reg := range o.tracks {
-		cur, ok := p.tracks[key]
-		if !ok {
-			return false
-		}
-		if cur.Stamp != reg.Stamp && !cur.Stamp.After(reg.Stamp) {
-			return false
-		}
-	}
-	for subject, obs := range o.trust {
-		mine := p.trust[subject]
-		for observer, e := range obs {
-			if mine == nil || !mine[observer].dominates(e) {
-				return false
-			}
-		}
-	}
-	for c, tags := range o.adds {
-		mine := p.adds[c]
-		for t := range tags {
-			if mine == nil || !mine[t] {
-				return false
-			}
-		}
-	}
-	for t := range o.removes {
-		if !p.removes[t] {
-			return false
-		}
-	}
-	return true
-}
+// partial order — merging o into p would change nothing: every register
+// o holds exists in p with an equal or newer stamp, every evidence pair
+// pointwise >=, and p's add and tombstone sets contain o's. Merging can
+// only move a replica up this order; verify.PictureMonotone checks
+// "anti-entropy never regresses CRDT state" against this predicate.
+func (p *Picture) Dominates(o *Picture) bool { return !p.join(&o.state, true) }
 
 // Clone returns a deep copy (same owner, same tag sequence).
 func (p *Picture) Clone() *Picture {
-	c := NewPicture(p.self)
-	c.seq = p.seq
+	c := &Picture{self: p.self, seq: p.seq}
 	c.Merge(p)
 	return c
-}
-
-// MergeEncoded decodes a serialized replica and merges it into p —
-// the receive path for pictures carried as opaque payloads through a
-// dissemination overlay (e.g. the sharded mesh, whose frames must stay
-// closed over per-node state and therefore ship bytes, not pointers).
-func (p *Picture) MergeEncoded(data []byte) error {
-	o, err := Decode(data)
-	if err != nil {
-		return err
-	}
-	p.Merge(o)
-	return nil
-}
-
-// Encode serializes the replica deterministically: every map is walked
-// in sorted key order, so equal states produce equal bytes and Digest
-// can stand in for deep comparison.
-func (p *Picture) Encode() []byte {
-	e := checkpoint.NewEncoder()
-	e.Int64(int64(p.self))
-	e.Uint64(p.seq)
-	p.encodeState(e)
-	return e.Bytes()
-}
-
-// encodeState writes the replicated (convergent) state, excluding the
-// replica-local identity fields, in sorted key order.
-func (p *Picture) encodeState(e *checkpoint.Encoder) {
-	keys := p.TrackKeys()
-	e.Int(len(keys))
-	for _, k := range keys {
-		reg := p.tracks[k]
-		e.Int64(int64(k.Actor))
-		e.Int(k.ID)
-		e.Float64(reg.Fix.Pos.X)
-		e.Float64(reg.Fix.Pos.Y)
-		e.Float64(reg.Fix.Vel.DX)
-		e.Float64(reg.Fix.Vel.DY)
-		e.Int(reg.Fix.Hits)
-		e.Bool(reg.Fix.Confirmed)
-		e.Int64(int64(reg.Stamp.T))
-		e.Int64(int64(reg.Stamp.Actor))
-	}
-
-	subjects := p.Subjects()
-	e.Int(len(subjects))
-	for _, s := range subjects {
-		observers := p.observersOf(s)
-		e.Int64(int64(s))
-		e.Int(len(observers))
-		for _, o := range observers {
-			ev := p.trust[s][o]
-			e.Int64(int64(o))
-			e.Float64(ev.Alpha)
-			e.Float64(ev.Beta)
-		}
-	}
-
-	cells := make([]Cell, 0, len(p.adds))
-	for c := range p.adds {
-		cells = append(cells, c)
-	}
-	sortCells(cells)
-	e.Int(len(cells))
-	for _, c := range cells {
-		tags := make([]tag, 0, len(p.adds[c]))
-		for t := range p.adds[c] {
-			tags = append(tags, t)
-		}
-		sortTags(tags)
-		e.Int64(int64(c.X))
-		e.Int64(int64(c.Y))
-		e.Int(len(tags))
-		for _, t := range tags {
-			e.Int64(int64(t.Actor))
-			e.Uint64(t.Seq)
-		}
-	}
-
-	removes := make([]tag, 0, len(p.removes))
-	for t := range p.removes {
-		removes = append(removes, t)
-	}
-	sortTags(removes)
-	e.Int(len(removes))
-	for _, t := range removes {
-		e.Int64(int64(t.Actor))
-		e.Uint64(t.Seq)
-	}
-}
-
-// Decode reconstructs a replica from Encode's output.
-func Decode(data []byte) (*Picture, error) {
-	d := checkpoint.NewDecoder(data)
-	p := NewPicture(asset.ID(d.Int64()))
-	p.seq = d.Uint64()
-
-	nTracks := d.Int()
-	for i := 0; i < nTracks && d.Err() == nil; i++ {
-		k := TrackKey{Actor: asset.ID(d.Int64()), ID: d.Int()}
-		var reg trackReg
-		reg.Fix.Pos.X = d.Float64()
-		reg.Fix.Pos.Y = d.Float64()
-		reg.Fix.Vel.DX = d.Float64()
-		reg.Fix.Vel.DY = d.Float64()
-		reg.Fix.Hits = d.Int()
-		reg.Fix.Confirmed = d.Bool()
-		reg.Stamp.T = time.Duration(d.Int64())
-		reg.Stamp.Actor = asset.ID(d.Int64())
-		p.tracks[k] = reg
-	}
-
-	nSubjects := d.Int()
-	for i := 0; i < nSubjects && d.Err() == nil; i++ {
-		s := asset.ID(d.Int64())
-		nObs := d.Int()
-		obs := make(map[asset.ID]Evidence, nObs)
-		for j := 0; j < nObs && d.Err() == nil; j++ {
-			o := asset.ID(d.Int64())
-			obs[o] = Evidence{Alpha: d.Float64(), Beta: d.Float64()}
-		}
-		p.trust[s] = obs
-	}
-
-	nCells := d.Int()
-	for i := 0; i < nCells && d.Err() == nil; i++ {
-		c := Cell{X: int32(d.Int64()), Y: int32(d.Int64())}
-		nTags := d.Int()
-		tags := make(map[tag]bool, nTags)
-		for j := 0; j < nTags && d.Err() == nil; j++ {
-			tags[tag{Actor: asset.ID(d.Int64()), Seq: d.Uint64()}] = true
-		}
-		p.adds[c] = tags
-	}
-
-	nRemoves := d.Int()
-	for i := 0; i < nRemoves && d.Err() == nil; i++ {
-		p.removes[tag{Actor: asset.ID(d.Int64()), Seq: d.Uint64()}] = true
-	}
-
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("cop: decode: %w", err)
-	}
-	return p, nil
-}
-
-// Digest hashes the deterministic encoding of the replicated state —
-// identity fields excluded, so two converged replicas with different
-// owners digest identically. Equal digests mean equal replicated state.
-func (p *Picture) Digest() uint64 {
-	e := checkpoint.NewEncoder()
-	p.encodeState(e)
-	h := fnv.New64a()
-	_, _ = h.Write(e.Bytes())
-	return h.Sum64()
 }
 
 // Counts summarizes the replica size: tracks, trust pairs, covered
 // cells, tombstones.
 func (p *Picture) Counts() (tracks, trustPairs, covered, tombstones int) {
-	tracks = len(p.tracks)
-	for _, s := range p.Subjects() {
-		trustPairs += len(p.trust[s])
+	return len(p.tracks), len(p.trust), len(p.CoveredCells()), len(p.removes)
+}
+
+// state is the replicated (convergent) part of a Picture: four runs of
+// fixed-size records, each strictly ascending by its key — the order
+// Encode writes, so a received frame and the replica are two sorted
+// sequences and every CRDT operation is a merge-join of them (joinRun).
+type state struct {
+	tracks []trackReg // LWW registers, by (actor, id)
+	trust  []trustReg // grow-only evidence pairs, by (subject, observer)
+	// adds holds the tags asserting coverage of a cell, removes tombstones
+	// the withdrawn ones: a cell is covered iff a tag of its is not removed.
+	adds    []coverAdd // by (cell, tag)
+	removes []tag
+}
+
+// trackReg is an LWW register: the newest stamp wins on merge.
+type trackReg struct {
+	Key   TrackKey
+	Fix   TrackFix
+	Stamp Stamp
+}
+
+// trustReg is what Observer has accumulated about Subject.
+type trustReg struct {
+	Subject, Observer asset.ID
+	Evidence
+}
+
+// coverAdd is one OR-set add: Tag asserts coverage of Cell.
+type coverAdd struct {
+	Cell Cell
+	Tag  tag
+}
+
+// lex orders by the pair (a1, a2) against (b1, b2), first component first.
+func lex[A, B cmp.Ordered](a1, b1 A, a2, b2 B) int {
+	if c := cmp.Compare(a1, b1); c != 0 {
+		return c
 	}
-	covered = len(p.CoveredCells())
-	tombstones = len(p.removes)
-	return
+	return cmp.Compare(a2, b2)
 }
 
-func sortIDs(ids []asset.ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+func cmpTrack(a, b *trackReg) int { return lex(a.Key.Actor, b.Key.Actor, a.Key.ID, b.Key.ID) }
+func cmpTrust(a, b *trustReg) int { return lex(a.Subject, b.Subject, a.Observer, b.Observer) }
+func cmpTag(a, b *tag) int        { return lex(a.Actor, b.Actor, a.Seq, b.Seq) }
+func cmpCell(a, b Cell) int       { return lex(a.X, b.X, a.Y, b.Y) }
+
+func cmpAdd(a, b *coverAdd) int {
+	if c := cmpCell(a.Cell, b.Cell); c != 0 {
+		return c
+	}
+	return cmpTag(&a.Tag, &b.Tag)
 }
 
-func sortTrackKeys(keys []TrackKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Actor != keys[j].Actor {
-			return keys[i].Actor < keys[j].Actor
+// foldTrack is the LWW rule: in replaces cur iff its stamp is newer.
+func foldTrack(cur, in *trackReg) bool {
+	if !in.Stamp.After(cur.Stamp) {
+		return false
+	}
+	*cur = *in
+	return true
+}
+
+// foldTrust is the grow-only rule: cur becomes the pointwise max.
+func foldTrust(cur, in *trustReg) bool {
+	was := cur.Evidence
+	cur.Evidence = was.join(in.Evidence)
+	return cur.Evidence != was
+}
+
+// joinRun folds the ascending records of in into *run and reports whether
+// the run changed (with dry set: would have changed, and nothing is
+// written). A record whose key the run lacks is inserted; one whose key
+// it holds is combined by fold — nil for the two set-valued runs, where
+// holding the key is all there is. It is the package's only copy of the
+// merge: Merge, MergeEncoded, Dominates, Clone and the local writes all
+// call it, and a per-coalition filter would go here.
+//
+// The first pass folds matches in place and counts insertions; only if
+// there are any does the second open that many slots at the end and merge
+// backwards, moving just the tail past the first insertion.
+//
+//iobt:hot
+func joinRun[T any](run *[]T, in []T, order func(a, b *T) int, fold func(cur, in *T) bool, dry bool) bool {
+	if len(in) == 0 {
+		return false
+	}
+	r := *run
+	start := sort.Search(len(r), func(k int) bool { return order(&r[k], &in[0]) >= 0 })
+	changed, fresh := false, 0
+	i := start
+	for j := range in {
+		c := 1 // in[j] against r[i]; stays positive when the run is exhausted
+		for ; i < len(r); i++ {
+			if c = order(&in[j], &r[i]); c <= 0 {
+				break
+			}
 		}
-		return keys[i].ID < keys[j].ID
-	})
+		switch {
+		case c != 0:
+			if dry {
+				return true
+			}
+			fresh++
+			continue
+		case fold == nil:
+		case dry:
+			if probe := r[i]; fold(&probe, &in[j]) {
+				return true
+			}
+		case fold(&r[i], &in[j]):
+			changed = true
+		}
+		i++ // in ascends strictly: nothing later in it can match r[i] again
+	}
+	if fresh == 0 {
+		return changed
+	}
+	i = len(r) - 1
+	// The only allocation (amortized); a frame adding no key never gets here.
+	r = slices.Grow(r, fresh)[:len(r)+fresh]
+	// w-i is the number of insertions still to place, so a write never lands
+	// on a record not yet moved and the loop ends with r[:w+1] in place.
+	for j, w := len(in)-1, len(r)-1; fresh > 0; w-- {
+		c := 1
+		if i >= start {
+			c = order(&in[j], &r[i])
+		}
+		if c > 0 {
+			r[w] = in[j]
+			fresh--
+		} else {
+			r[w] = r[i]
+			i--
+		}
+		if c >= 0 {
+			j--
+		}
+	}
+	*run = r
+	return true
 }
 
-func sortCells(cells []Cell) {
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].X != cells[j].X {
-			return cells[i].X < cells[j].X
-		}
-		return cells[i].Y < cells[j].Y
-	})
+// join folds o into s (with dry set: reports whether that would change s).
+func (s *state) join(o *state, dry bool) bool {
+	a, b := joinRun(&s.tracks, o.tracks, cmpTrack, foldTrack, dry), joinRun(&s.trust, o.trust, cmpTrust, foldTrust, dry)
+	c, d := joinRun(&s.adds, o.adds, cmpAdd, nil, dry), joinRun(&s.removes, o.removes, cmpTag, nil, dry)
+	return a || b || c || d
 }
 
-func sortTags(tags []tag) {
-	sort.Slice(tags, func(i, j int) bool {
-		if tags[i].Actor != tags[j].Actor {
-			return tags[i].Actor < tags[j].Actor
+// subjectEnd returns the end of the row (one subject) starting at trust[i].
+func (s *state) subjectEnd(i int) int {
+	for subject := s.trust[i].Subject; i < len(s.trust) && s.trust[i].Subject == subject; i++ {
+	}
+	return i
+}
+
+// cellEnd returns the end of the row (one cell) starting at adds[i].
+func (s *state) cellEnd(i int) int {
+	for c := s.adds[i].Cell; i < len(s.adds) && s.adds[i].Cell == c; i++ {
+	}
+	return i
+}
+
+// liveTags returns c's un-tombstoned tags, ascending.
+func (s *state) liveTags(c Cell) []tag {
+	var live []tag
+	from := coverAdd{Cell: c, Tag: tag{Actor: math.MinInt32}}
+	i := sort.Search(len(s.adds), func(i int) bool { return cmpAdd(&s.adds[i], &from) >= 0 })
+	for ; i < len(s.adds) && s.adds[i].Cell == c; i++ {
+		t := &s.adds[i].Tag
+		k := sort.Search(len(s.removes), func(k int) bool { return cmpTag(&s.removes[k], t) >= 0 })
+		if k == len(s.removes) || s.removes[k] != *t {
+			live = append(live, *t)
 		}
-		return tags[i].Seq < tags[j].Seq
-	})
+	}
+	return live
 }

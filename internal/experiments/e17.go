@@ -128,11 +128,7 @@ func runE17(seed int64, quick bool, mode string, verif *verify.Summary) e17Resul
 		if !ok {
 			return
 		}
-		remote, err := cop.Decode(enc)
-		if err != nil {
-			return // a corrupted frame cannot regress the replica
-		}
-		pictures[id].Merge(remote)
+		_ = pictures[id].MergeEncoded(enc) // a corrupted frame is rejected whole and cannot regress the replica
 	}
 
 	// One publisher per map third — the first member (ascending ID) whose

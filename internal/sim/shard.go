@@ -109,6 +109,10 @@ type Sharded struct {
 	running   atomic.Bool
 	inBarrier atomic.Bool
 
+	// moving is rehome's scratch: the events leaving one lane at one
+	// barrier. Coordinator-only, like every barrier-time structure.
+	moving []*event
+
 	// atBarrier runs on the coordinator between windows, when no worker
 	// executes: the one place that may safely inspect all model state
 	// mid-run (invariant sweeps, progress reporting).
@@ -228,12 +232,13 @@ func (s *Sharded) AddActor(id ActorID, shard int) {
 	for int(id) >= len(s.actors) {
 		s.actors = append(s.actors, actorMeta{})
 	}
-	if m := &s.actors[id]; m.present {
-		s.moveActor(id, int32(shard))
-	} else {
-		m.shard = int32(shard)
-		m.present = true
+	m := &s.actors[id]
+	from := m.shard
+	m.shard = int32(shard)
+	if m.present && from != m.shard {
+		s.rehome(s.lanes[from])
 	}
+	m.present = true
 }
 
 // ActorShard returns the shard currently owning actor id, or -1 when
@@ -545,7 +550,8 @@ func (s *Sharded) drainInboxes() {
 // applyMigrations hands staged actors to their new shards, moving every
 // pending event with them so nothing is dropped or duplicated. Staged
 // entries for one actor all come from its owning lane in execution
-// order, so "last staged wins" is deterministic.
+// order, so "last staged wins" is deterministic — and is resolved first,
+// so that however many actors leave a lane its heap is walked once.
 //
 //iobt:barrier
 func (s *Sharded) applyMigrations() {
@@ -553,44 +559,44 @@ func (s *Sharded) applyMigrations() {
 		if len(ln.migrations) == 0 {
 			continue
 		}
+		left := false
 		for _, mg := range ln.migrations {
-			s.moveActor(mg.actor, mg.to)
+			if m := &s.actors[mg.actor]; m.shard != mg.to {
+				m.shard = mg.to
+				left = true
+			}
 		}
 		ln.migrations = ln.migrations[:0]
+		if left { // most staged handoffs re-assert the current owner
+			s.rehome(ln)
+		}
 	}
 }
 
+// rehome moves every event queued on ln whose actor is now owned by
+// another lane to that lane. The heap is walked once, whatever the number
+// of actors leaving; removal shifts heap positions, so the movers are
+// gathered first and unlinked by their live index field. Push order is
+// irrelevant: the event key is a strict total order, so the destination
+// heap pops the same sequence either way.
 //
 //iobt:barrier
-func (s *Sharded) moveActor(id ActorID, to int32) {
-	m := &s.actors[id]
-	if m.shard == to {
-		return
-	}
-	from := s.lanes[m.shard]
-	dst := s.lanes[to]
-	// Collect the actor's pending events, then relocate them. Heap
-	// removal shifts indices, so gather pointers first and remove by
-	// their live index field.
-	var moving []*event
-	for _, ev := range from.queue {
-		if ev.actor == id {
+func (s *Sharded) rehome(ln *lane) {
+	moving := s.moving[:0]
+	for _, ev := range ln.queue {
+		if s.lanes[s.actors[ev.actor].shard] != ln {
 			moving = append(moving, ev)
 		}
 	}
 	for _, ev := range moving {
-		from.queue.removeAt(int(ev.index))
-	}
-	// Push order is irrelevant: the event key is a strict total order, so
-	// the destination heap pops the same sequence either way.
-	for _, ev := range moving {
+		ln.queue.removeAt(int(ev.index))
+		dst := s.lanes[s.actors[ev.actor].shard]
 		dst.queue.push(ev)
+		dst.pending.Add(1)
 	}
-	if n := int64(len(moving)); n > 0 {
-		from.pending.Add(-n)
-		dst.pending.Add(n)
-	}
-	m.shard = to
+	ln.pending.Add(-int64(len(moving)))
+	clear(moving) // the scratch must not pin events past their firing
+	s.moving = moving
 }
 
 // ShardCtx is the execution context handed to every event callback. It

@@ -298,6 +298,116 @@ func TestShardedMigrationConservation(t *testing.T) {
 	}
 }
 
+// TestShardedMassMigrationOneBarrier stages 2000 migrations in a single
+// window — every actor leaves its lane, a third of them bounce straight
+// back (A→B→A: last staged wins, nothing moves), and a tenth have
+// nothing queued when they go — so the one-pass rehome sees a heap full
+// of movers at once. At that barrier every lane must hold a valid heap
+// of exactly its own actors' events with pending conserved; afterwards
+// every event must run on its actor's new lane and the final state must
+// match the 1-shard run, where Migrate is a no-op. The lane heaps are
+// inspected from the AtBarrier hook, when no worker runs.
+//
+//iobt:barrier
+func TestShardedMassMigrationOneBarrier(t *testing.T) {
+	const actors = 1500
+	run := func(shards int) (uint64, uint64) {
+		s := NewSharded(77, ShardedConfig{Shards: shards, Lookahead: 50 * time.Millisecond})
+		state := make([]uint64, actors)
+		owner := func(i int) int {
+			if i%3 == 0 {
+				return i % shards
+			}
+			return (i%shards + 1) % shards
+		}
+		var misplaced atomic.Int64
+		work := func(i int, salt uint64) func(*ShardCtx) {
+			return func(c *ShardCtx) {
+				if c.Shard() != owner(i) {
+					misplaced.Add(1)
+				}
+				state[i] = state[i]*31 + uint64(c.Now()) + salt
+			}
+		}
+		for i := 0; i < actors; i++ {
+			s.AddActor(ActorID(i), i%shards)
+		}
+		for i := 0; i < actors; i++ {
+			i := i
+			if i%5 != 0 {
+				for k := 1; k <= 3; k++ {
+					s.ScheduleActor(ActorID(i), time.Duration(k)*60*time.Millisecond, "work", work(i, uint64(k)))
+				}
+			}
+			s.ScheduleActor(ActorID(i), 10*time.Millisecond, "move", func(c *ShardCtx) {
+				state[i]++
+				c.Migrate((i%shards + 1) % shards)
+				if i%3 == 0 {
+					c.Migrate(i % shards)
+				}
+				// Even actors mail an odd one: the delivery is drained into
+				// the recipient's old lane at this barrier and must move
+				// with it. Actors divisible by ten get no mail and have no
+				// work queued: they migrate with an empty queue.
+				if i%2 == 0 {
+					c.Send(ActorID((i+7)%actors), 120*time.Millisecond, "mail", work((i+7)%actors, uint64(i)))
+				}
+			})
+		}
+		first := true
+		s.AtBarrier(func(time.Duration) {
+			if !first {
+				return
+			}
+			first = false
+			for i := 0; i < actors; i++ {
+				if got := s.ActorShard(ActorID(i)); got != owner(i) {
+					t.Errorf("shards=%d: actor %d on shard %d after the barrier, want %d", shards, i, got, owner(i))
+				}
+				if i%10 == 0 {
+					// Work for the actors that moved with nothing queued.
+					s.ScheduleActor(ActorID(i), 30*time.Millisecond, "late", work(i, 9))
+				}
+			}
+			for _, ln := range s.lanes {
+				if p := ln.pending.Load(); p != int64(len(ln.queue)) {
+					t.Errorf("shards=%d lane %d: pending %d, %d events queued", shards, ln.id, p, len(ln.queue))
+				}
+				for k, ev := range ln.queue {
+					if int(s.actors[ev.actor].shard) != ln.id {
+						t.Errorf("shards=%d lane %d holds an event of actor %d, owned by shard %d", shards, ln.id, ev.actor, s.actors[ev.actor].shard)
+					}
+					if k > 0 && ev.before(ln.queue[(k-1)/2]) {
+						t.Fatalf("shards=%d lane %d: heap order broken at index %d", shards, ln.id, k)
+					}
+				}
+			}
+		})
+		if err := s.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if n := misplaced.Load(); n != 0 {
+			t.Errorf("shards=%d: %d events ran on a lane that does not own their actor", shards, n)
+		}
+		if p := s.Pending(); p != 0 {
+			t.Errorf("shards=%d: drained run reports %d pending events", shards, p)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, v := range state {
+			binary.BigEndian.PutUint64(buf[:], v)
+			_, _ = h.Write(buf[:])
+		}
+		return h.Sum64(), s.Processed()
+	}
+	refDigest, refEvents := run(1)
+	for _, shards := range []int{2, 4, 8} {
+		if d, n := run(shards); d != refDigest || n != refEvents {
+			t.Errorf("shards=%d: digest %016x after %d events, 1-shard reference %016x after %d", shards, d, n, refDigest, refEvents)
+		}
+	}
+}
+
 // TestShardedStopResume: Stop from inside an event halts mid-window
 // without losing or reordering anything — resuming the run converges to
 // the same final state as an uninterrupted reference run.
