@@ -117,6 +117,23 @@ func microBenches() []microBench {
 				}
 			},
 		},
+		{
+			name: "shardnet_peers",
+			doc:  "one who-hears-me query on the 10^4-node, radio-200 gossip_bare field: candidate table, two bounds, the exact rule for the rest",
+			fn: func(b *testing.B) {
+				// Mirrors BenchmarkShardPeers in internal/mesh/bench_test.go.
+				const nodes = 10000
+				peers, err := mesh.ShardLinks(1, mesh.ShardScenario{Nodes: nodes, Radio: 200})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					peers(mesh.NodeID(i%nodes), time.Duration(i)*time.Millisecond)
+				}
+			},
+		},
 	}
 }
 

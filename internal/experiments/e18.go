@@ -34,7 +34,7 @@ func E18ShardScaling(seed int64, quick bool) *Table {
 		sizes = []int{2000}
 	}
 
-	verif := &verify.Summary{Invariants: 3} // the three shardnet conservation laws
+	verif := &verify.Summary{Invariants: 4} // the four shardnet conservation laws
 	for _, assets := range sizes {
 		for _, mode := range []string{mesh.ShardModeGossip, mesh.ShardModeBFS} {
 			var refDigest uint64
@@ -50,8 +50,9 @@ func E18ShardScaling(seed int64, quick bool) *Table {
 				}
 				// Every run evaluates the per-node holding law once per
 				// node, the traceability law once per held key (folded
-				// into Delivered), and the global bound once.
-				verif.Checks += uint64(res.Nodes) + res.Delivered + 1
+				// into Delivered), and the global delivery bound and the
+				// delivery-ratio range once each.
+				verif.Checks += uint64(res.Nodes) + res.Delivered + 2
 				verif.Violations = append(verif.Violations, res.Violations...)
 
 				if shards == shardCounts[0] {

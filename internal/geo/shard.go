@@ -152,6 +152,10 @@ func NewDriftField(field *sim.RNG, n, shards int, area Rect, drift float64) *Dri
 // Home returns actor i's home point.
 func (f *DriftField) Home(i int) Point { return f.osc[i].home }
 
+// Stray returns the largest distance actor i ever strays from its home
+// point: both axes at full amplitude at once.
+func (f *DriftField) Stray(i int) float64 { return math.Hypot(f.osc[i].ax, f.osc[i].ay) }
+
 // Pos returns actor i's position at virtual time t.
 func (f *DriftField) Pos(i int, t time.Duration) Point {
 	o := &f.osc[i]

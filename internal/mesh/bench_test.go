@@ -1,6 +1,6 @@
 package mesh
 
-// Micro-benchmarks of the two mesh hot paths.
+// Micro-benchmarks of the three mesh hot paths.
 //
 // Dissemination: one op is a full epidemic spread of a single publish
 // across an 8×8 member grid (rumor mongering only; anti-entropy is
@@ -10,6 +10,10 @@ package mesh
 //
 // Topology: one op is one Refresh of a 1000-asset mission's neighbour
 // table, with a mobility step (untimed) before each.
+//
+// Sharded link state: one op is one "who hears me" query, the question
+// every relayed frame asks, on the gossip_bare field (10^4 nodes, radio
+// 200 m), walking the nodes while the clock advances.
 
 import (
 	"testing"
@@ -59,5 +63,18 @@ func BenchmarkNetworkRefresh(b *testing.B) {
 		pop.StepMobility(time.Second)
 		b.StartTimer()
 		net.Refresh()
+	}
+}
+
+func BenchmarkShardPeers(b *testing.B) {
+	const nodes = 10000
+	peers, err := ShardLinks(1, ShardScenario{Nodes: nodes, Radio: 200})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		peers(NodeID(i%nodes), time.Duration(i)*time.Millisecond)
 	}
 }

@@ -1,8 +1,9 @@
 package mesh
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"iobt/internal/sim"
@@ -461,15 +462,17 @@ func (g *Gossip) repair(m *gossipMember, frame *gossipDigestFrame) {
 	}
 }
 
-// sortGossipKeys orders keys by (origin, seq) ascending.
-func sortGossipKeys(keys []GossipKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Origin != keys[j].Origin {
-			return keys[i].Origin < keys[j].Origin
-		}
-		return keys[i].Seq < keys[j].Seq
-	})
+// compareGossipKeys orders keys by (origin, seq) ascending.
+func compareGossipKeys(a, b GossipKey) int {
+	if c := cmp.Compare(a.Origin, b.Origin); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }
+
+// sortGossipKeys sorts in place, without sort.Slice's reflection
+// swapper; keys in one slice are distinct, so stability is moot.
+func sortGossipKeys(keys []GossipKey) { slices.SortFunc(keys, compareGossipKeys) }
 
 // CheckConservation verifies the gossip conservation law:
 //

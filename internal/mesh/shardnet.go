@@ -20,6 +20,9 @@ package mesh
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"time"
 
 	"iobt/internal/geo"
@@ -171,22 +174,26 @@ type ShardResult struct {
 //
 //iobt:actor-state
 type shardNode struct {
-	id     NodeID
-	rng    *sim.RNG
-	killAt time.Duration // 0 = never fails
+	id  NodeID
+	rng *sim.RNG
 
 	publisher bool
 	pubSeq    uint64
 
-	holds map[GossipKey][]byte
+	// held has one bit per slot of the publish schedule (shardRun.slot)
+	// and answers "have I seen this"; log keeps what was held, in
+	// arrival order, for anti-entropy and the digest. offSchedule counts
+	// keys no schedule slot exists for — a conservation violation.
+	held        []uint64
+	log         []heldPayload
+	offSchedule uint64
 
-	// peerBuf/candBuf back the node's own link-state queries (relay,
-	// anti-entropy). They are actor-state like everything else here:
-	// only this node's events touch them, so reuse is race-free. The
-	// BFS flood walks *other* nodes' link state and must not borrow
-	// these — it keeps its own scratch.
+	// peerBuf backs the node's own link-state queries (relay,
+	// anti-entropy). It is actor-state like everything else here: only
+	// this node's events touch it, so reuse is race-free. The BFS flood
+	// walks *other* nodes' link state and must not borrow it — it keeps
+	// its own scratch.
 	peerBuf []NodeID
-	candBuf []int32
 
 	// Tick closures are built once at setup and rescheduled by value;
 	// re-invoking the maker every tick allocated a fresh closure per
@@ -195,6 +202,36 @@ type shardNode struct {
 
 	selfHeld, delivered, duplicates, relays, repairs, dropped uint64
 }
+
+// heldPayload is one entry of a node's holdings.
+type heldPayload struct {
+	key  GossipKey
+	data []byte
+}
+
+func sortHeld(log []heldPayload) {
+	slices.SortFunc(log, func(a, b heldPayload) int { return compareGossipKeys(a.key, b.key) })
+}
+
+// linkEnd is the setup-time half of the link rule for one node: where
+// its home is, when it fails, and the two squared distances from that
+// home which settle most candidates without evaluating its position.
+type linkEnd struct {
+	home geo.Point
+	// A point farther than reject = (Radio + stray + linkSlack)² from home
+	// is out of Radio wherever the node has drifted; a point within
+	// accept = (Radio − stray − linkSlack)² of it is inside Radio wherever
+	// it has drifted. accept is negative (never met) when the node can
+	// stray a whole Radio from home.
+	reject, accept float64
+	killAt         time.Duration // 0 = never fails
+}
+
+// linkSlack, in meters, keeps the two bounds conservative against
+// floating-point rounding: positions and distances here carry absolute
+// errors near 1e-12 m, so a pair the bounds decide sits at least a
+// micron clear of the exact rule's edge and the exact rule agrees.
+const linkSlack = 1e-6
 
 // shardRun carries the immutable run context shared by all events: the
 // node table, the pure link-state parameters, and the fault schedule.
@@ -207,55 +244,208 @@ type shardRun struct {
 	sc    ShardScenario
 	nodes []*shardNode
 	field *geo.DriftField
-	grid  *geo.Grid
-	reach float64 // candidate radius: Radio + 2*Drift
 	mid   float64 // partition midline
+
+	// ends is indexed by node; cand[candStart[a]:candStart[a+1]] lists,
+	// ascending, every node that can ever be in range of a.
+	ends      []linkEnd
+	cand      []NodeID
+	candStart []int
+
+	// The publish schedule: publishers sit stride apart in the ID space
+	// and each publishes at most slots times.
+	stride, slots int
 }
 
 func (r *shardRun) pos(id NodeID, t time.Duration) geo.Point { return r.field.Pos(int(id), t) }
 
 func (r *shardRun) alive(id NodeID, t time.Duration) bool {
-	k := r.nodes[id].killAt
+	k := r.ends[id].killAt
 	return k == 0 || t < k
 }
 
-// linked is the pure link-state predicate: it reads only setup-time
-// constants and the clock, never mutable node state.
-func (r *shardRun) linked(a, b NodeID, t time.Duration) bool {
-	if a == b || !r.alive(a, t) || !r.alive(b, t) {
+func (r *shardRun) partitioned(t time.Duration) bool {
+	return r.sc.PartitionAt > 0 && t >= r.sc.PartitionAt && t < r.sc.HealAt
+}
+
+func (r *shardRun) jammed(t time.Duration) bool {
+	return r.sc.JamIntensity > 0 && t >= r.sc.JamFrom && t < r.sc.JamTo
+}
+
+// inRange is the one exact link rule: two live nodes at pa and pb hear
+// each other at t when no partition separates them and they are within
+// Radio, attenuated while either sits in an active jam zone. Hypot, not
+// a squared comparison: a pair on the range edge must not flip.
+func (r *shardRun) inRange(pa, pb geo.Point, t time.Duration) bool {
+	if r.partitioned(t) && (pa.X < r.mid) != (pb.X < r.mid) {
 		return false
 	}
-	pa, pb := r.pos(a, t), r.pos(b, t)
-	if r.sc.PartitionAt > 0 && t >= r.sc.PartitionAt && t < r.sc.HealAt {
-		if (pa.X < r.mid) != (pb.X < r.mid) {
-			return false
-		}
-	}
 	rng := r.sc.Radio
-	if r.sc.JamIntensity > 0 && t >= r.sc.JamFrom && t < r.sc.JamTo {
-		if r.sc.JamZone.Contains(pa) || r.sc.JamZone.Contains(pb) {
-			rng *= 1 - r.sc.JamIntensity
-		}
+	if r.jammed(t) && (r.sc.JamZone.Contains(pa) || r.sc.JamZone.Contains(pb)) {
+		rng *= 1 - r.sc.JamIntensity
 	}
 	return pa.Dist(pb) <= rng
 }
 
-// peers returns the nodes linked to id at time t, ascending by ID. The
-// candidate set comes from a static spatial hash over home positions
-// with the drift-padded radius, so the scan is local, not O(N). Both
-// scratch slices are reused through the returned pair — callers on the
-// hot path thread the owning node's buffers, the BFS flood its own.
-func (r *shardRun) peers(dst []NodeID, cand []int32, id NodeID, t time.Duration) ([]NodeID, []int32) {
+// linked is the pure link-state predicate and the specification peers
+// is tested against: it reads only setup-time constants and the clock,
+// never mutable node state.
+func (r *shardRun) linked(a, b NodeID, t time.Duration) bool {
+	return a != b && r.alive(a, t) && r.alive(b, t) && r.inRange(r.pos(a, t), r.pos(b, t), t)
+}
+
+// buildCandidates freezes each node's candidate list: every b whose
+// home is within Radio + stray_a + stray_b of a's, since two nodes
+// farther apart than that are out of range wherever both have drifted.
+// The spatial hash over home points is needed only here.
+func (r *shardRun) buildCandidates() {
+	n := r.sc.Nodes
+	stray := make([]float64, n)
+	var maxStray float64
+	for i := range stray {
+		stray[i] = r.field.Stray(i)
+		maxStray = max(maxStray, stray[i])
+	}
+	reachMax := r.sc.Radio + 2*maxStray
+	grid := geo.NewGrid(r.field.Area, reachMax)
+	for i := 0; i < n; i++ {
+		e := &r.ends[i]
+		e.home = r.field.Home(i)
+		far := r.sc.Radio + stray[i] + linkSlack
+		e.reject = far * far
+		e.accept = -1
+		if near := r.sc.Radio - stray[i] - linkSlack; near > 0 {
+			e.accept = near * near
+		}
+		grid.Insert(int32(i), e.home)
+	}
+	r.candStart = make([]int, n+1)
+	// One allocation sized from the field's density (an overestimate: few
+	// nodes stray as far as the farthest) instead of append's series of
+	// ever larger copies, five times the table in all.
+	perNode := float64(n) / (r.field.Area.Width() * r.field.Area.Height()) * math.Pi * reachMax * reachMax
+	r.cand = make([]NodeID, 0, int(float64(n)*min(perNode, float64(n-1))))
+	var near []int32
+	for a := 0; a < n; a++ {
+		home := r.ends[a].home
+		reach := r.sc.Radio + stray[a] + linkSlack
+		near = grid.Near(near[:0], home, reach+maxStray+linkSlack)
+		slices.Sort(near)
+		for _, b := range near {
+			if int(b) != a && home.Dist(r.ends[b].home) <= reach+stray[b] {
+				r.cand = append(r.cand, NodeID(b))
+			}
+		}
+		r.candStart[a+1] = len(r.cand)
+	}
+}
+
+// peers returns the nodes linked to id at time t — exactly
+// {b : linked(id, b, t)} — ascending by ID, which is the candidate
+// table's own order. A candidate's frozen home point settles it when
+// id's position is clearly outside or clearly inside its range, and
+// only the rest evaluate the candidate's position and the exact rule.
+// Callers on the hot path pass the owning node's buffer, the BFS flood
+// its own.
+//
+//iobt:hot
+func (r *shardRun) peers(dst []NodeID, id NodeID, t time.Duration) []NodeID {
 	dst = dst[:0]
-	cand = r.grid.Near(cand[:0], r.pos(id, t), r.reach)
-	for _, c := range cand {
-		nb := NodeID(c)
-		if nb != id && r.linked(id, nb, t) {
-			dst = append(dst, nb)
+	if !r.alive(id, t) {
+		return dst
+	}
+	pa := r.pos(id, t)
+	// Inside a jam or partition window, being within Radio no longer
+	// decides a link; every candidate in reach takes the exact rule.
+	windowed := r.partitioned(t) || r.jammed(t)
+	for _, b := range r.cand[r.candStart[id]:r.candStart[id+1]] {
+		e := &r.ends[b]
+		if e.killAt != 0 && t >= e.killAt {
+			continue
+		}
+		d2 := pa.Dist2(e.home)
+		if d2 > e.reject {
+			continue
+		}
+		if (!windowed && d2 <= e.accept) || r.inRange(pa, r.pos(b, t), t) {
+			dst = append(dst, b)
 		}
 	}
-	sortNodeIDs(dst)
-	return dst, cand
+	return dst
+}
+
+// checked applies the defaults and rejects what no run can be built on.
+func (sc ShardScenario) checked() (ShardScenario, error) {
+	sc = sc.withDefaults()
+	if sc.Nodes < 2 {
+		return sc, fmt.Errorf("mesh: shard scenario needs at least 2 nodes, got %d", sc.Nodes)
+	}
+	if sc.Mode != ShardModeGossip && sc.Mode != ShardModeBFS {
+		return sc, fmt.Errorf("mesh: unknown shard scenario mode %q", sc.Mode)
+	}
+	// Tick phases are drawn in whole milliseconds of the cadence.
+	for _, c := range []struct {
+		name  string
+		every time.Duration
+	}{{"PublishEvery", sc.PublishEvery}, {"AntiEntropyEvery", sc.AntiEntropyEvery}, {"MobilityEvery", sc.MobilityEvery}} {
+		if c.every > 0 && c.every < time.Millisecond {
+			return sc, fmt.Errorf("mesh: shard scenario %s %v is below 1ms", c.name, c.every)
+		}
+	}
+	return sc, nil
+}
+
+// newShardRun builds everything a run only reads: the field, the fault
+// assignment and the candidate table, from setup streams drawn in ID
+// order — shard-count independent by construction — and the publish
+// schedule. The zero area and drift select the field's defaults.
+func newShardRun(stream func(string) *sim.RNG, shards int, sc ShardScenario) *shardRun {
+	field := geo.NewDriftField(stream("shardnet/field"), sc.Nodes, shards, geo.Rect{}, 0)
+	run := &shardRun{
+		sc:     sc,
+		nodes:  make([]*shardNode, sc.Nodes),
+		field:  field,
+		mid:    field.Area.Min.X + field.Area.Width()/2,
+		ends:   make([]linkEnd, sc.Nodes),
+		stride: max(1, sc.Nodes/sc.Publishers),
+		// The first publish is unconditional and falls in
+		// [1s, 1s+PublishEvery); the rest follow every PublishEvery
+		// through PublishUntil.
+		slots: max(1, 1+int((sc.PublishUntil-time.Second)/sc.PublishEvery)),
+	}
+	run.buildCandidates()
+	if sc.KillFrac > 0 && sc.KillAt > 0 {
+		kills := stream("shardnet/kill")
+		for i := range run.ends {
+			if kills.Bool(sc.KillFrac) {
+				run.ends[i].killAt = sc.KillAt
+			}
+		}
+	}
+	return run
+}
+
+// ShardLinks answers the sharded model's per-frame link-state question
+// outside a run: the returned function lists, ascending, the nodes that
+// hear id at t on the field RunShardScenario lays out for the same seed
+// and scenario. The list is reused by the next call. It exists for
+// benchtab's pinned shardnet_peers row.
+func ShardLinks(seed int64, sc ShardScenario) (func(id NodeID, t time.Duration) []NodeID, error) {
+	sc, err := sc.checked()
+	if err != nil {
+		return nil, err
+	}
+	run := newShardRun(sim.NewRNG(seed).Derive, 1, sc)
+	// Sized to the longest candidate list, so no call allocates.
+	var longest int
+	for id := range run.ends {
+		longest = max(longest, run.candStart[id+1]-run.candStart[id])
+	}
+	buf := make([]NodeID, 0, longest)
+	return func(id NodeID, t time.Duration) []NodeID {
+		buf = run.peers(buf, id, t)
+		return buf
+	}, nil
 }
 
 // RunShardScenario executes one dissemination scenario on a sharded
@@ -263,47 +453,26 @@ func (r *shardRun) peers(dst []NodeID, cand []int32, id NodeID, t time.Duration)
 // performance knob: for a fixed seed and scenario the returned result —
 // including Digest — is identical for every shards value.
 func RunShardScenario(seed int64, shards int, sc ShardScenario) (*ShardResult, error) {
-	sc = sc.withDefaults()
-	if sc.Nodes < 2 {
-		return nil, fmt.Errorf("mesh: shard scenario needs at least 2 nodes, got %d", sc.Nodes)
-	}
-	if sc.Mode != ShardModeGossip && sc.Mode != ShardModeBFS {
-		return nil, fmt.Errorf("mesh: unknown shard scenario mode %q", sc.Mode)
+	sc, err := sc.checked()
+	if err != nil {
+		return nil, err
 	}
 	if shards < 1 {
 		shards = 1
 	}
 
 	eng := sim.NewSharded(seed, sim.ShardedConfig{Shards: shards, Lookahead: 100 * time.Millisecond})
-	// Field layout and fault assignment from setup streams, drawn in ID
-	// order — shard-count independent by construction. The zero area and
-	// drift select the field's defaults.
-	field := geo.NewDriftField(eng.Stream("shardnet/field"), sc.Nodes, shards, geo.Rect{}, 0)
-	run := &shardRun{
-		sc:    sc,
-		nodes: make([]*shardNode, sc.Nodes),
-		field: field,
-		grid:  geo.NewGrid(field.Area, sc.Radio+2*field.Drift),
-		reach: sc.Radio + 2*field.Drift,
-		mid:   field.Area.Min.X + field.Area.Width()/2,
-	}
-	kills := eng.Stream("shardnet/kill")
-	stride := sc.Nodes / sc.Publishers
-	if stride < 1 {
-		stride = 1
-	}
+	run := newShardRun(eng.Stream, shards, sc)
+	field := run.field
+	words := (sc.Publishers*run.slots + 63) / 64
+	held := make([]uint64, sc.Nodes*words)
 	for i := 0; i < sc.Nodes; i++ {
-		n := &shardNode{
-			id:    NodeID(i),
-			rng:   eng.Stream(fmt.Sprintf("shardnet/node/%d", i)),
-			holds: make(map[GossipKey][]byte),
+		run.nodes[i] = &shardNode{
+			id:        NodeID(i),
+			rng:       eng.Stream(fmt.Sprintf("shardnet/node/%d", i)),
+			publisher: i%run.stride == 0 && i/run.stride < sc.Publishers,
+			held:      held[i*words : (i+1)*words : (i+1)*words],
 		}
-		if sc.KillFrac > 0 && sc.KillAt > 0 && kills.Bool(sc.KillFrac) {
-			n.killAt = sc.KillAt
-		}
-		n.publisher = i%stride == 0 && uint64(i/stride) < uint64(sc.Publishers)
-		run.nodes[i] = n
-		run.grid.Insert(int32(i), field.Home(i))
 		eng.AddActor(sim.ActorID(i), field.Map.ShardOf(field.Home(i)))
 	}
 
@@ -326,7 +495,7 @@ func RunShardScenario(seed int64, shards int, sc ShardScenario) (*ShardResult, e
 		if sc.MobilityEvery > 0 {
 			phase := time.Duration(n.rng.Intn(int(sc.MobilityEvery/time.Millisecond))) * time.Millisecond
 			eng.ScheduleActor(sim.ActorID(i), sc.MobilityEvery+phase, "mobility",
-				field.MobilityTick(i, sc.MobilityEvery, sc.Horizon, n.killAt))
+				field.MobilityTick(i, sc.MobilityEvery, sc.Horizon, run.ends[i].killAt))
 		}
 	}
 
@@ -334,6 +503,36 @@ func RunShardScenario(seed int64, shards int, sc ShardScenario) (*ShardResult, e
 		return nil, err
 	}
 	return run.collect(eng, shards), nil
+}
+
+// slot maps a key to its bit in a node's held set: the publisher's
+// ordinal along the stride times the per-publisher capacity, plus the
+// sequence number. It is -1 for a key the publish schedule has no place
+// for.
+func (r *shardRun) slot(key GossipKey) int {
+	ord, off := int(key.Origin)/r.stride, int(key.Origin)%r.stride
+	if off != 0 || ord >= r.sc.Publishers || key.Seq >= uint64(r.slots) {
+		return -1
+	}
+	return ord*r.slots + int(key.Seq)
+}
+
+// hold adds key to n's holdings and reports whether it was new there.
+// A key outside the publish schedule is counted and refused: there is
+// no second store for it to land in.
+func (r *shardRun) hold(n *shardNode, key GossipKey, data []byte) bool {
+	s := r.slot(key)
+	if s < 0 {
+		n.offSchedule++
+		return false
+	}
+	w, bit := &n.held[s/64], uint64(1)<<(s%64)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	n.log = append(n.log, heldPayload{key, data})
+	return true
 }
 
 // publishTick publishes one payload and reschedules until PublishUntil.
@@ -349,8 +548,9 @@ func (r *shardRun) publishTick(n *shardNode) func(*sim.ShardCtx) {
 		if r.sc.Payload != nil {
 			data = r.sc.Payload(n.id, key.Seq, now)
 		}
-		n.holds[key] = data
-		n.selfHeld++
+		if r.hold(n, key, data) {
+			n.selfHeld++
+		}
 		switch r.sc.Mode {
 		case ShardModeBFS:
 			//iobt:allow gocapture payload bytes are written once at publish and read-only on every hop; sharing the backing array IS the radio broadcast model
@@ -374,7 +574,7 @@ func (r *shardRun) relay(c *sim.ShardCtx, n *shardNode, key GossipKey, data []by
 	if ttl <= 0 {
 		return
 	}
-	n.peerBuf, n.candBuf = r.peers(n.peerBuf, n.candBuf, n.id, now)
+	n.peerBuf = r.peers(n.peerBuf, n.id, now)
 	peers := n.peerBuf
 	if exclude != n.id {
 		trimmed := peers[:0]
@@ -410,11 +610,10 @@ func (r *shardRun) receive(key GossipKey, data []byte, ttl int, from NodeID) fun
 			m.dropped++
 			return
 		}
-		if _, ok := m.holds[key]; ok {
+		if !r.hold(m, key, data) {
 			m.duplicates++
 			return
 		}
-		m.holds[key] = data
 		m.delivered++
 		if r.sc.OnDeliver != nil {
 			r.sc.OnDeliver(m.id, key, data, now)
@@ -435,14 +634,14 @@ func (r *shardRun) flood(c *sim.ShardCtx, n *shardNode, key GossipKey, data []by
 		id    NodeID
 		depth int
 	}
-	seen := map[NodeID]bool{n.id: true}
+	seen := make([]bool, r.sc.Nodes)
+	seen[n.id] = true
 	frontier := []hop{{n.id, 0}}
 	var scratch []NodeID
-	var cand []int32
 	for len(frontier) > 0 {
 		h := frontier[0]
 		frontier = frontier[1:]
-		scratch, cand = r.peers(scratch, cand, h.id, now)
+		scratch = r.peers(scratch, h.id, now)
 		for _, p := range scratch {
 			if seen[p] {
 				continue
@@ -466,21 +665,12 @@ func (r *shardRun) antiEntropyTick(n *shardNode) func(*sim.ShardCtx) {
 		if !r.alive(n.id, now) {
 			return
 		}
-		if len(n.holds) > 0 {
-			var peers []NodeID
-			peers, n.candBuf = r.peers(n.peerBuf, n.candBuf, n.id, now)
-			n.peerBuf = peers
-			if len(peers) > 0 {
+		if len(n.log) > 0 {
+			n.peerBuf = r.peers(n.peerBuf, n.id, now)
+			if peers := n.peerBuf; len(peers) > 0 {
 				target := peers[n.rng.Pick(len(peers))]
-				keys := make([]GossipKey, 0, len(n.holds))
-				for key := range n.holds {
-					keys = append(keys, key)
-				}
-				sortGossipKeys(keys)
-				snap := make([]GossipPayload, len(keys))
-				for i, key := range keys {
-					snap[i] = GossipPayload{Key: key, Data: n.holds[key]}
-				}
+				snap := slices.Clone(n.log)
+				sortHeld(snap)
 				//iobt:allow gocapture snap is a fresh per-send snapshot never touched again by the sender; the payload arrays inside are publish-time immutable
 				c.Send(sim.ActorID(target), r.sc.HopLatency, "gossip.sync", r.repairFrom(snap))
 			}
@@ -491,7 +681,7 @@ func (r *shardRun) antiEntropyTick(n *shardNode) func(*sim.ShardCtx) {
 	}
 }
 
-func (r *shardRun) repairFrom(snap []GossipPayload) func(*sim.ShardCtx) {
+func (r *shardRun) repairFrom(snap []heldPayload) func(*sim.ShardCtx) {
 	return func(c *sim.ShardCtx) {
 		m := r.nodes[c.Self()]
 		now := c.Now()
@@ -500,18 +690,13 @@ func (r *shardRun) repairFrom(snap []GossipPayload) func(*sim.ShardCtx) {
 			return
 		}
 		for _, p := range snap {
-			if _, ok := m.holds[p.Key]; ok {
+			if !r.hold(m, p.key, p.data) {
 				continue
 			}
-			var data []byte
-			if b, ok := p.Data.([]byte); ok {
-				data = b
-			}
-			m.holds[p.Key] = data
 			m.delivered++
 			m.repairs++
 			if r.sc.OnDeliver != nil {
-				r.sc.OnDeliver(m.id, p.Key, data, now)
+				r.sc.OnDeliver(m.id, p.key, p.data, now)
 			}
 		}
 	}
@@ -521,72 +706,68 @@ func (r *shardRun) repairFrom(snap []GossipPayload) func(*sim.ShardCtx) {
 // conservation laws, and computes the ID-ordered digest.
 func (r *shardRun) collect(eng *sim.Sharded, shards int) *ShardResult {
 	res := &ShardResult{Mode: r.sc.Mode, Shards: shards, Nodes: r.sc.Nodes, Events: eng.Processed(), ClampedSends: eng.ClampedSends()}
-
-	pubSeq := make(map[NodeID]uint64)
-	for _, n := range r.nodes {
-		if n.publisher {
-			pubSeq[n.id] = n.pubSeq
-			res.Published += n.pubSeq
-		}
-	}
-	aliveEnd := 0
-	for _, n := range r.nodes {
-		if r.alive(n.id, r.sc.Horizon) {
-			aliveEnd++
-		}
+	violate := func(format string, args ...any) {
+		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
 	}
 
-	holders := make(map[GossipKey]uint64)
+	var liveEnd, liveHeld uint64
 	w := r.field.Fold
 	for _, n := range r.nodes {
+		res.Published += n.pubSeq
 		res.Delivered += n.delivered
 		res.Duplicates += n.duplicates
 		res.Relays += n.relays
 		res.Repairs += n.repairs
 		res.DroppedDead += n.dropped
+		if r.alive(n.id, r.sc.Horizon) {
+			liveEnd++
+			liveHeld += uint64(len(n.log))
+		}
 
 		// Conservation law 1: held copies equal counted first-time
 		// deliveries plus self-publishes — nothing held uncounted,
-		// nothing counted unheld.
-		if uint64(len(n.holds)) != n.delivered+n.selfHeld {
-			res.Violations = append(res.Violations, fmt.Sprintf(
-				"node %d holds %d payloads but counted %d deliveries + %d publishes",
-				n.id, len(n.holds), n.delivered, n.selfHeld))
+		// nothing counted unheld — and the held set and its log agree.
+		var set int
+		for _, word := range n.held {
+			set += bits.OnesCount64(word)
 		}
-		keys := make([]GossipKey, 0, len(n.holds))
-		for key := range n.holds {
-			keys = append(keys, key)
+		if uint64(len(n.log)) != n.delivered+n.selfHeld || set != len(n.log) {
+			violate("node %d holds %d payloads (%d bits set) but counted %d deliveries + %d publishes",
+				n.id, len(n.log), set, n.delivered, n.selfHeld)
 		}
-		sortGossipKeys(keys)
+		if n.offSchedule > 0 {
+			violate("node %d saw %d payloads outside the publish schedule (%d publishers × %d slots)",
+				n.id, n.offSchedule, r.sc.Publishers, r.slots)
+		}
+		sortHeld(n.log)
 		w(uint64(n.id))
-		w(uint64(len(keys)))
+		w(uint64(len(n.log)))
 		w(n.delivered)
 		w(n.duplicates)
 		w(n.relays)
 		w(n.repairs)
 		w(n.dropped)
-		for _, key := range keys {
-			// Conservation law 2: every held payload traces to a publish.
-			if seq, ok := pubSeq[key.Origin]; !ok || key.Seq >= seq {
-				res.Violations = append(res.Violations, fmt.Sprintf(
-					"node %d holds %v never published by %d", n.id, key, key.Origin))
+		for _, h := range n.log {
+			// Conservation law 2: every held payload traces to a publish
+			// (hold admits only scheduled publishers' keys).
+			if h.key.Seq >= r.nodes[h.key.Origin].pubSeq {
+				violate("node %d holds %v never published by %d", n.id, h.key, h.key.Origin)
 			}
-			holders[key]++
-			w(uint64(key.Origin))
-			w(key.Seq)
+			w(uint64(h.key.Origin))
+			w(h.key.Seq)
 		}
 	}
 	// Conservation law 3: deliveries cannot exceed publishes × nodes.
 	if max := res.Published * uint64(r.sc.Nodes); res.Delivered > max {
-		res.Violations = append(res.Violations, fmt.Sprintf(
-			"%d deliveries exceed %d published × %d nodes", res.Delivered, res.Published, r.sc.Nodes))
+		violate("%d deliveries exceed %d published × %d nodes", res.Delivered, res.Published, r.sc.Nodes)
 	}
-	if res.Published > 0 && aliveEnd > 0 {
-		var sum float64
-		for _, cnt := range holders {
-			sum += float64(cnt) / float64(aliveEnd)
-		}
-		res.DeliveryRatio = sum / float64(res.Published)
+	if res.Published > 0 && liveEnd > 0 {
+		res.DeliveryRatio = float64(liveHeld) / float64(liveEnd*res.Published)
+	}
+	// Conservation law 4: the delivery ratio is a fraction.
+	if !(res.DeliveryRatio >= 0 && res.DeliveryRatio <= 1) {
+		violate("delivery ratio %v outside [0, 1]: %d payloads held by %d live nodes, %d published",
+			res.DeliveryRatio, liveHeld, liveEnd, res.Published)
 	}
 	res.Digest = r.field.Digest()
 	return res

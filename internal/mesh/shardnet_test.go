@@ -1,18 +1,22 @@
 package mesh
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"iobt/internal/checkpoint"
 	"iobt/internal/cop"
 	"iobt/internal/geo"
+	"iobt/internal/sim"
 )
 
 // shardScenarios are the representative dissemination workloads the
 // differential suite replays at every shard count: an E17-style gossip
 // run through partition, jamming, and heal; an E14-style permanent
-// fault sweep; and the BFS flooding baseline.
+// fault sweep; the BFS flooding baseline; a dense field jammed and
+// killed under anti-entropy; and BFS through a kill wave.
 func shardScenarios() map[string]ShardScenario {
 	return map[string]ShardScenario{
 		"gossip-partition-jam-heal": {
@@ -43,11 +47,34 @@ func shardScenarios() map[string]ShardScenario {
 			PublishUntil: 80 * time.Second,
 			Publishers:   3,
 		},
+		"dense-jam-kill": {
+			Nodes:            300,
+			Radio:            200,
+			Horizon:          90 * time.Second,
+			PublishUntil:     70 * time.Second,
+			Publishers:       5,
+			AntiEntropyEvery: 7 * time.Second,
+			KillAt:           35 * time.Second,
+			KillFrac:         0.25,
+			JamFrom:          20 * time.Second,
+			JamTo:            60 * time.Second,
+			JamZone:          geo.NewRect(geo.Point{X: 300, Y: 200}, geo.Point{X: 1200, Y: 900}),
+			JamIntensity:     0.5,
+		},
+		"bfs-kill": {
+			Nodes:        200,
+			Mode:         ShardModeBFS,
+			Horizon:      80 * time.Second,
+			PublishUntil: 60 * time.Second,
+			Publishers:   4,
+			KillAt:       30 * time.Second,
+			KillFrac:     0.4,
+		},
 	}
 }
 
 func scenarioNames() []string {
-	return []string{"gossip-partition-jam-heal", "gossip-kill-sweep", "bfs-baseline"}
+	return []string{"gossip-partition-jam-heal", "gossip-kill-sweep", "bfs-baseline", "dense-jam-kill", "bfs-kill"}
 }
 
 // journalResult logs every shard-count-invariant result field, so a
@@ -227,6 +254,24 @@ func TestShardScenarioValidation(t *testing.T) {
 	if _, err := RunShardScenario(1, 2, ShardScenario{Nodes: 10, Mode: "carrier-pigeon"}); err == nil {
 		t.Error("unknown mode accepted")
 	}
+	// Tick phases are drawn as rng.Intn(cadence in ms): a sub-millisecond
+	// cadence used to reach Intn(0) and panic.
+	for _, tc := range []struct {
+		field string
+		sc    ShardScenario
+	}{
+		{"PublishEvery", ShardScenario{Nodes: 10, PublishEvery: 500 * time.Microsecond}},
+		{"AntiEntropyEvery", ShardScenario{Nodes: 10, AntiEntropyEvery: 500 * time.Microsecond}},
+		{"MobilityEvery", ShardScenario{Nodes: 10, MobilityEvery: 500 * time.Microsecond}},
+	} {
+		if _, err := RunShardScenario(1, 2, tc.sc); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s of 500µs: err = %v, want an error naming the field", tc.field, err)
+		}
+	}
+	if _, err := RunShardScenario(1, 2, ShardScenario{Nodes: 10, Horizon: 5 * time.Second,
+		PublishEvery: time.Millisecond, AntiEntropyEvery: time.Second, MobilityEvery: time.Millisecond}); err != nil {
+		t.Errorf("1ms cadences rejected: %v", err)
+	}
 }
 
 // TestShardScenarioDeliversUnderFaults guards against the scenarios
@@ -277,5 +322,224 @@ func TestShardScenarioPublishUntilDefault(t *testing.T) {
 	}
 	if res.Published <= 2 {
 		t.Errorf("Horizon=30s published %d payloads from 2 publishers: each published once and stopped", res.Published)
+	}
+}
+
+// TestShardScenarioGolden pins absolute results, not only shard-count
+// agreement: a rewrite that moved every shard count alike would pass
+// the differential above. The values were captured at the commit before
+// the candidate table and the held bits replaced the per-frame grid scan
+// and the holdings map, so they also witness that rewrite changed no
+// check and no draw.
+func TestShardScenarioGolden(t *testing.T) {
+	// In scenarioNames order.
+	for i, want := range []ShardResult{
+		{Digest: 0x481a301d4f33922f, Published: 53, Delivered: 2137, Duplicates: 1617, Relays: 2679, Repairs: 1075, DroppedDead: 0, Events: 10177},
+		{Digest: 0x6492549b5d93b547, Published: 64, Delivered: 1984, Duplicates: 2807, Relays: 4791, Repairs: 0, DroppedDead: 0, Events: 7329},
+		{Digest: 0x17eb99b35ffd6d93, Published: 48, Delivered: 5144, Duplicates: 0, Relays: 5144, Repairs: 0, DroppedDead: 0, Events: 8072},
+		{Digest: 0xc37b21b0f116d3dd, Published: 62, Delivered: 10473, Duplicates: 6997, Relays: 11874, Repairs: 5597, DroppedDead: 1, Events: 23659},
+		{Digest: 0xdc65a19de9d736a0, Published: 40, Delivered: 3666, Duplicates: 0, Relays: 3703, Repairs: 0, DroppedDead: 37, Events: 6654},
+	} {
+		name := scenarioNames()[i]
+		got, err := RunShardScenario(1, 2, shardScenarios()[name])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got.Violations) != 0 {
+			t.Errorf("%s: violations %v", name, got.Violations)
+		}
+		if got.Digest != want.Digest || got.Published != want.Published || got.Delivered != want.Delivered ||
+			got.Duplicates != want.Duplicates || got.Relays != want.Relays || got.Repairs != want.Repairs ||
+			got.DroppedDead != want.DroppedDead || got.Events != want.Events {
+			t.Errorf("%s:\n got digest=%016x pub=%d del=%d dup=%d rel=%d rep=%d drop=%d ev=%d\nwant digest=%016x pub=%d del=%d dup=%d rel=%d rep=%d drop=%d ev=%d",
+				name, got.Digest, got.Published, got.Delivered, got.Duplicates, got.Relays, got.Repairs, got.DroppedDead, got.Events,
+				want.Digest, want.Published, want.Delivered, want.Duplicates, want.Relays, want.Repairs, want.DroppedDead, want.Events)
+		}
+	}
+}
+
+// TestDeliveryRatioUnderAttrition: the ratio is the share of end-of-run
+// live nodes holding a payload, so the dead's holdings must not count.
+// They did, and these three read 1.08, 1.95 and 7.91.
+func TestDeliveryRatioUnderAttrition(t *testing.T) {
+	for _, frac := range []float64{0.3, 0.6, 0.9} {
+		res, err := RunShardScenario(2, 2, ShardScenario{
+			Nodes: 200, Radio: 200, AntiEntropyEvery: 10 * time.Second, KillAt: 60 * time.Second, KillFrac: frac,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Violations) != 0 {
+			t.Errorf("KillFrac %.1f: violations %v", frac, res.Violations)
+		}
+		if res.DeliveryRatio <= 0.5 || res.DeliveryRatio > 1 {
+			t.Errorf("KillFrac %.1f: delivery ratio %.3f, want in (0.5, 1] on a connected field", frac, res.DeliveryRatio)
+		}
+	}
+}
+
+// linkFields are the fields the link-state tests query: sparse, dense,
+// a radio shorter than the drift amplitude (many nodes are never
+// certainly in range), and every fault window at once.
+func linkFields(t *testing.T) map[string]*shardRun {
+	t.Helper()
+	faults := ShardScenario{
+		Nodes: 160, Radio: 170,
+		KillAt: 35 * time.Second, KillFrac: 0.3,
+		PartitionAt: 20 * time.Second, HealAt: 50 * time.Second,
+		JamFrom: 30 * time.Second, JamTo: 70 * time.Second,
+		JamZone: geo.NewRect(geo.Point{X: 200, Y: 100}, geo.Point{X: 1000, Y: 800}), JamIntensity: 0.6,
+	}
+	short := faults
+	short.Radio = 20
+	out := map[string]*shardRun{}
+	for _, f := range []struct {
+		name string
+		sc   ShardScenario
+	}{
+		{"sparse", ShardScenario{Nodes: 150}},
+		{"dense", ShardScenario{Nodes: 200, Radio: 260}},
+		{"short", short},
+		{"faults", faults},
+	} {
+		sc, err := f.sc.checked()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[f.name] = newShardRun(sim.NewRNG(11).Derive, 2, sc)
+	}
+	return out
+}
+
+// TestPeersMatchesBruteForce holds peers to its specification: at every
+// time — inside, outside and exactly on each fault-window edge — it
+// returns the ascending set of all b with linked(id, b, t), found here
+// by asking linked about every node in the field.
+func TestPeersMatchesBruteForce(t *testing.T) {
+	for name, run := range linkFields(t) {
+		sc := run.sc
+		times := []time.Duration{0, time.Nanosecond, 7 * time.Second, 33*time.Second + 333*time.Millisecond, sc.Horizon}
+		for _, edge := range []time.Duration{sc.KillAt, sc.PartitionAt, sc.HealAt, sc.JamFrom, sc.JamTo} {
+			if edge > 0 {
+				times = append(times, edge-time.Nanosecond, edge, edge+time.Nanosecond)
+			}
+		}
+		var got, want []NodeID
+		var links, bounded int
+		for _, at := range times {
+			for a := 0; a < sc.Nodes; a++ {
+				want = want[:0]
+				for b := 0; b < sc.Nodes; b++ {
+					if run.linked(NodeID(a), NodeID(b), at) {
+						want = append(want, NodeID(b))
+					}
+				}
+				got = run.peers(got, NodeID(a), at)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: peers(%d, %v) = %v, linked says %v", name, a, at, got, want)
+				}
+				links += len(want)
+			}
+		}
+		// Sampled times rarely catch two nodes at full stray towards each
+		// other, so the table is also held to the worst case directly: a
+		// pair left out must be out of range even then.
+		for a := 0; a < sc.Nodes; a++ {
+			cand := run.cand[run.candStart[a]:run.candStart[a+1]]
+			if !slices.IsSorted(cand) {
+				t.Fatalf("%s: candidates of %d not ascending: %v", name, a, cand)
+			}
+			for b := 0; b < sc.Nodes; b++ {
+				closest := run.field.Home(a).Dist(run.field.Home(b)) - run.field.Stray(a) - run.field.Stray(b)
+				if _, in := slices.BinarySearch(cand, NodeID(b)); !in && a != b && closest <= sc.Radio {
+					t.Fatalf("%s: %d and %d can come within %.3f m but %d is no candidate of %d", name, a, b, closest, b, a)
+				}
+			}
+		}
+		for _, e := range run.ends {
+			if e.accept > 0 {
+				bounded++
+			}
+		}
+		if links == 0 {
+			t.Errorf("%s: no pair was ever linked; the oracle compared empty sets", name)
+		}
+		// Only the short radio leaves nodes that can stray a whole Radio
+		// from home, and it must leave some on each side.
+		if short := name == "short"; short == (bounded == sc.Nodes) || bounded == 0 {
+			t.Errorf("%s: %d of %d nodes have an accept bound", name, bounded, sc.Nodes)
+		}
+	}
+}
+
+// TestPeersSteadyStateAllocatesNothing: with a list as long as the
+// longest candidate list, a query is table reads and arithmetic.
+func TestPeersSteadyStateAllocatesNothing(t *testing.T) {
+	run := linkFields(t)["faults"]
+	buf := make([]NodeID, 0, run.sc.Nodes)
+	var id NodeID
+	at := 31 * time.Second // partitioned and jammed: the exact rule runs too
+	if allocs := testing.AllocsPerRun(200, func() {
+		buf = run.peers(buf, id, at)
+		id = (id + 1) % NodeID(run.sc.Nodes)
+		at += 10 * time.Millisecond
+	}); allocs != 0 {
+		t.Errorf("peers allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestHeldSetFollowsPublishSchedule checks the slot function against a
+// schedule worked out by hand, that a key with no slot is refused and
+// reported rather than stored somewhere else, and that the log and the
+// counters it is checked against move together.
+func TestHeldSetFollowsPublishSchedule(t *testing.T) {
+	sc, err := ShardScenario{Nodes: 40, Publishers: 4, PublishEvery: 10 * time.Second,
+		PublishUntil: 25 * time.Second, Horizon: 60 * time.Second}.checked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewSharded(1, sim.ShardedConfig{Shards: 1})
+	run := newShardRun(eng.Stream, 1, sc)
+	// Publishers 0, 10, 20, 30; first publish in [1s, 11s), so at most
+	// three fall at or before 25s.
+	if run.stride != 10 || run.slots != 3 {
+		t.Fatalf("stride %d slots %d, want 10 and 3", run.stride, run.slots)
+	}
+	for key, want := range map[GossipKey]int{
+		{Origin: 0, Seq: 0}: 0, {Origin: 10, Seq: 2}: 5, {Origin: 30, Seq: 2}: 11,
+		{Origin: 5, Seq: 0}: -1, {Origin: 0, Seq: 3}: -1, {Origin: 40, Seq: 0}: -1,
+	} {
+		if got := run.slot(key); got != want {
+			t.Errorf("slot(%v) = %d, want %d", key, got, want)
+		}
+	}
+	for i := range run.nodes {
+		run.nodes[i] = &shardNode{id: NodeID(i), held: make([]uint64, 1)}
+	}
+	if res := run.collect(eng, 1); len(res.Violations) != 0 {
+		t.Fatalf("empty run: violations %v", res.Violations)
+	}
+
+	n := run.nodes[7]
+	if !run.hold(n, GossipKey{Origin: 10, Seq: 1}, nil) || run.hold(n, GossipKey{Origin: 10, Seq: 1}, nil) {
+		t.Fatal("hold must accept a key once")
+	}
+	n.delivered++
+	run.nodes[10].pubSeq = 2
+	if res := run.collect(eng, 1); len(res.Violations) != 0 || len(n.log) != 1 {
+		t.Fatalf("one held, one counted: log %d, violations %v", len(n.log), res.Violations)
+	}
+	if run.hold(n, GossipKey{Origin: 10, Seq: 3}, nil) || len(n.log) != 1 {
+		t.Fatal("a key past the schedule was held")
+	}
+	res := run.collect(eng, 1)
+	if len(res.Violations) != 1 || !strings.Contains(res.Violations[0], "outside the publish schedule") {
+		t.Errorf("off-schedule key: violations %v, want the schedule law alone", res.Violations)
+	}
+	n.offSchedule = 0
+	n.delivered++
+	res = run.collect(eng, 1)
+	if len(res.Violations) != 1 || !strings.Contains(res.Violations[0], "node 7 holds 1 payloads") {
+		t.Errorf("a delivery counted but not held: violations %v, want law 1 alone", res.Violations)
 	}
 }
