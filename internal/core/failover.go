@@ -206,6 +206,7 @@ func (r *Runtime) SnapshotName() string { return "runtime" }
 // command-continuity reflex state.
 func (r *Runtime) Snapshot() []byte {
 	e := checkpoint.NewEncoder()
+	e.Grow(r.snapLen)
 	e.Int64(int64(r.sink))
 	compose.EncodeComposite(e, r.comp)
 	e.Int(r.req.NeedCells)
@@ -214,6 +215,7 @@ func (r *Runtime) Snapshot() []byte {
 	e.Int(r.orderFails)
 	e.Int(r.nextIncID)
 	e.Int(int(r.health))
+	r.snapLen = e.Len()
 	return e.Bytes()
 }
 

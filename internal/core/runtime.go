@@ -102,6 +102,7 @@ type Runtime struct {
 	journal  *checkpoint.Journal
 	tracker  *track.Tracker
 	postDown bool // post destroyed, successor not yet promoted
+	snapLen  int  // size of the last Snapshot, reserved for the next
 }
 
 // ErrSynthesisFailed wraps composition failure at mission start.

@@ -120,10 +120,12 @@ func (g *Grid) Position(id int32) (Point, bool) {
 // Near appends to dst all ids within radius of p (excluding none) and
 // returns the extended slice. Results come cell by cell (rows then
 // columns, ascending) and within a cell in its list order, which Insert
-// appends to and Remove/Move swap-delete from. That order is load-bearing:
-// mesh neighbour lists, BFS tie-breaking and so every golden digest are a
-// function of it, so a change here must reproduce it exactly for a fixed
-// Insert/Move/Remove history.
+// appends to and Remove/Move swap-delete from. Discovery scans still
+// depend on that order (discovery.Service.Scan draws from its stream once
+// per candidate, in the order Near yields them), so a change here must
+// reproduce it exactly for a fixed Insert/Move/Remove history. Mesh
+// neighbour lists no longer do: mesh.Network.Refresh sorts by id and does
+// not query the grid, and shardnet sorts what it reads at set-up.
 func (g *Grid) Near(dst []int32, p Point, radius float64) []int32 {
 	if radius < 0 {
 		return dst

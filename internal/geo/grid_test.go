@@ -216,8 +216,8 @@ func (m *mapGrid) scan(lo, hi Point, keep func(Point) bool) []int32 {
 
 // The dense grid returns the same ids in the same order as the
 // map-based reference over a random Insert/Move/Remove/re-Insert
-// history. Order matters: mesh neighbour lists, BFS tie-breaking and
-// every golden digest are a function of Near's order.
+// history. Order matters: discovery scans draw from their stream once
+// per candidate, in Near's order.
 func TestGridMatchesMapReferenceInOrder(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := sim.NewRNG(seed)

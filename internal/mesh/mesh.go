@@ -10,6 +10,8 @@ package mesh
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"time"
 
 	"iobt/internal/asset"
@@ -84,17 +86,27 @@ type Network struct {
 	rng  *sim.RNG
 
 	// The link table: node id's neighbours are
-	// neighbors[nbrStart[id]:nbrStart[id+1]], every list back to back in
-	// id order in one array Refresh truncates and refills. ends is
-	// Refresh's per-tick endpoint snapshot and cand its candidate scratch.
+	// neighbors[nbrStart[id]:nbrStart[id+1]], ascending, every list back
+	// to back in id order in one array Refresh refills.
 	neighbors []NodeID
 	nbrStart  []int32
-	ends      []endpoint
-	cand      []NodeID
-	version   uint64
-	routes    map[[2]NodeID]routeEntry
-	handlers  map[NodeID]Handler
-	backlog   map[NodeID]backlogState
+	// Refresh's working state, all reused from tick to tick: the endpoint
+	// snapshot and which nodes it found unchanged, the cell index over
+	// it, the geometric candidate pairs carried to the next tick with
+	// one bit each for "linked this tick", and the two scratch arrays
+	// that turn linked pairs into sorted lists.
+	ends   []endpoint
+	stable []bool
+	cells  cellIndex
+	pairs  []pair
+	linked []uint64
+	bySrc  []NodeID
+	cursor []int32
+
+	version  uint64
+	routes   map[[2]NodeID]routeEntry
+	handlers map[NodeID]Handler
+	backlog  map[NodeID]backlogState
 
 	// Traversal scratch shared by bfs, Component(s) and RouteGeo: a node
 	// is visited when mark[id] == visit (see nextVisit); prev is bfs's
@@ -186,6 +198,7 @@ func New(eng *sim.Engine, pop *asset.Population, terr *geo.Terrain, cfg Config) 
 		routes:   make(map[[2]NodeID]routeEntry),
 		handlers: make(map[NodeID]Handler),
 		backlog:  make(map[NodeID]backlogState),
+		cells:    newCellIndex(terr.Bounds),
 	}
 	n.Refresh()
 	return n
@@ -199,7 +212,10 @@ func (n *Network) SetJamming(f func(geo.Point) float64) {
 
 // SetLinkFault installs the link-severing fault hook. Passing nil
 // clears it. Callers should Refresh after changing fault state so the
-// neighbor table reflects the cut links.
+// neighbor table reflects the cut links. The hook must be symmetric,
+// f(a, b) == f(b, a): a pair is asked about once, with the position of
+// the lower node id as a. It may depend on virtual time; it is consulted
+// afresh for every pair on every Refresh.
 func (n *Network) SetLinkFault(f func(a, b geo.Point) bool) {
 	n.linkFault = f
 	n.invalidate()
@@ -275,86 +291,270 @@ func (n *Network) endpointOf(a *asset.Asset) endpoint {
 	return endpoint{pos: p, radio: a.Caps.RadioRange, jam: n.jamAt(p), up: true}
 }
 
-// rejectSlack widens link's squared-distance pre-reject far beyond
-// float64 rounding (a few 1e-16 relative), so a pair the exact test
-// would accept is never rejected early.
+// rejectSlack widens the squared-distance pre-reject far beyond float64
+// rounding (a few 1e-16 relative), so a pair the exact test would accept
+// is never rejected early.
 const rejectSlack = 1e-9
 
-// link is the link rule, the only copy: two nodes are linked when both
-// are up, no injected fault severs them, and their distance d is within
-// the effective range r — the smaller radio range scaled by terrain
-// clutter and by the worse of the two jamming intensities. r and d are
-// meaningful only when ok.
-//
-// Both scale factors are at most 1, so a pair farther apart than the
-// smaller radio range can never link; it is rejected on squared
-// distance before any terrain, fault or Hypot work. Refresh scans every
-// node within the *larger* range, so most of its candidates end here.
+// The link rule, the only copy: two nodes are linked when both are up,
+// no injected fault severs them, and their distance d is within the
+// effective range r — the smaller radio range scaled by terrain clutter
+// and by the worse of the two jamming intensities. It is written in two
+// halves so that Refresh can keep the first across ticks: linkGeometry
+// reads only positions and radio ranges (the terrain never changes),
+// linkNow reads what can change under a node that stands still — the jam
+// field and the fault hook, both functions of virtual time. Every
+// operand is symmetric in the two endpoints, so a pair needs one
+// evaluation. link, for Linked and forward, is the two in sequence.
+
+// linkGeometry returns the pair's distance d and its range before
+// jamming, rBase = the smaller radio range × terrain clutter. ok is false
+// when the pair cannot link under any jam field: both scale factors are
+// at most 1, so a pair farther apart than the smaller radio range is
+// rejected on squared distance before any terrain or Hypot work, and one
+// farther apart than rBase after it.
 //
 //iobt:hot
-func (n *Network) link(a, b *endpoint) (r, d float64, ok bool) {
-	if !a.up || !b.up {
+func (n *Network) linkGeometry(a, b *endpoint) (rBase, d float64, ok bool) {
+	if tooFar(a.pos, b.pos, a.radio, b.radio) {
 		return 0, 0, false
 	}
-	r = min(a.radio, b.radio)
-	if a.pos.Dist2(b.pos) > r*r*(1+rejectSlack) {
-		return 0, 0, false
-	}
-	r *= n.terr.RangeFactor(a.pos, b.pos)
-	r *= 1 - max(a.jam, b.jam)
-	if r <= 0 || (n.linkFault != nil && n.linkFault(a.pos, b.pos)) {
-		return 0, 0, false
-	}
+	r := min(a.radio, b.radio) * n.terr.RangeFactor(a.pos, b.pos)
 	d = a.pos.Dist(b.pos)
 	return r, d, d <= r
 }
 
+// tooFar is linkGeometry's pre-reject: no pair farther apart than the
+// smaller of its two radio ranges can link.
+func tooFar(p, q geo.Point, rp, rq float64) bool {
+	r := min(rp, rq)
+	return p.Dist2(q) > r*r*(1+rejectSlack)
+}
+
+// linkNow finishes the rule for a pair of up nodes linkGeometry passed:
+// the effective range r, and whether the link exists at this instant.
+//
+//iobt:hot
+func (n *Network) linkNow(a, b *endpoint, rBase, d float64) (r float64, ok bool) {
+	r = rBase * (1 - max(a.jam, b.jam))
+	if r <= 0 || (n.linkFault != nil && n.linkFault(a.pos, b.pos)) {
+		return 0, false
+	}
+	return r, d <= r
+}
+
+// link evaluates the whole rule on the live state of two nodes, lower
+// id first. r and d are meaningful only when ok.
+func (n *Network) link(a, b NodeID) (r, d float64, ok bool) {
+	if a > b {
+		a, b = b, a
+	}
+	ea, eb := n.endpointOf(n.pop.Get(a)), n.endpointOf(n.pop.Get(b))
+	if !ea.up || !eb.up {
+		return 0, 0, false
+	}
+	rBase, d, ok := n.linkGeometry(&ea, &eb)
+	if !ok {
+		return 0, 0, false
+	}
+	r, ok = n.linkNow(&ea, &eb, rBase, d)
+	return r, d, ok
+}
+
 // Linked reports whether a direct link exists between two nodes now.
 func (n *Network) Linked(a, b NodeID) bool {
-	ea, eb := n.endpointOf(n.pop.Get(a)), n.endpointOf(n.pop.Get(b))
-	_, _, ok := n.link(&ea, &eb)
+	_, _, ok := n.link(a, b)
 	return ok
 }
 
-// Refresh recomputes the neighbor table from current positions. It
-// first snapshots every asset's endpoint (one liveness check, position
-// read and jam-field evaluation per node rather than per candidate
-// pair), then scans each up node's grid candidates against the snapshot.
-// A node's list keeps the order asset.Population.Near returned its
-// candidates in. All storage is reused, so a steady-state refresh
-// allocates nothing.
+// pair is one unordered pair of up nodes that linkGeometry passed, with
+// what it returned: everything about the pair that cannot change while
+// both nodes stand still.
+type pair struct {
+	i, j  int32 // i < j
+	d     float64
+	rBase float64
+}
+
+// Refresh recomputes the neighbor table from current state, by three
+// rules.
+//
+// Pair once: the link rule is symmetric, so each unordered pair is
+// evaluated one time and written into both lists.
+//
+// Carry what did not move: a node is stable when its snapshot (position,
+// radio range, up) equals last tick's by value and it was up in both.
+// The geometric half of the rule for two stable nodes cannot have
+// changed, so their pairs are kept from last tick and only linkNow is
+// replayed; every other up node looks its pairs up afresh in a cell
+// index over the snapshot. Stability is read off the assets themselves
+// and jam and fault are re-read for every pair every tick, so nothing
+// has to tell the network that something changed.
+//
+// Canonical order: every list is ascending by id, so the table is a
+// function of current state alone — not of the order pairs were found
+// in, the cell size, or any earlier tick (TestRefreshIsHistoryFree).
+//
+// All storage is reused, so a steady-state refresh allocates nothing;
+// a buffer that must grow is sized once from a count, with a quarter of
+// headroom.
 //
 //iobt:hot
 func (n *Network) Refresh() {
 	n.invalidate()
-	all := n.pop.All()
-	for len(n.ends) < len(all) {
-		n.ends = append(n.ends, endpoint{})
+	n.snapshot()
+	kept := n.carry()
+	if need := n.scan(kept); need > cap(n.pairs) {
+		n.pairs = growTo(n.pairs[:kept], need)
+		n.scan(kept)
 	}
-	for len(n.nbrStart) < len(all)+1 {
-		n.nbrStart = append(n.nbrStart, 0)
+	n.buildTable()
+}
+
+// growTo returns s with capacity for need elements and a quarter more.
+func growTo[S ~[]E, E any](s S, need int) S {
+	return slices.Grow(s, need+need/4-len(s))
+}
+
+// snapshot reads every asset's endpoint once (one liveness check,
+// position read and jam-field evaluation per node rather than per pair),
+// marks the nodes whose snapshot did not change, and indexes the up ones.
+//
+//iobt:hot
+func (n *Network) snapshot() {
+	all := n.pop.All()
+	if had := len(n.ends); len(n.nbrStart) != len(all)+1 {
+		// First call, or the population grew: a newcomer's last endpoint
+		// is the zero one, down, so it starts unstable.
+		n.ends = slices.Grow(n.ends, len(all)-had)[:len(all)]
+		clear(n.ends[had:])
+		n.stable = slices.Grow(n.stable[:0], len(all))[:len(all)]
+		n.cursor = slices.Grow(n.cursor[:0], len(all))[:len(all)]
+		n.nbrStart = slices.Grow(n.nbrStart[:0], len(all)+1)[:len(all)+1]
 	}
 	for i, a := range all {
-		n.ends[i] = n.endpointOf(a)
+		e, was := n.endpointOf(a), &n.ends[i]
+		n.stable[i] = e.up && was.up && e.pos == was.pos && e.radio == was.radio
+		*was = e
 	}
-	n.neighbors = n.neighbors[:0]
-	for i := range all {
-		n.nbrStart[i] = int32(len(n.neighbors))
-		a := &n.ends[i]
-		if !a.up {
+	n.cells.build(n.ends)
+}
+
+// carry keeps, in place and in order, last tick's pairs whose nodes are
+// both stable, and returns how many.
+//
+//iobt:hot
+func (n *Network) carry() int {
+	kept := 0
+	for _, p := range n.pairs {
+		if n.stable[p.i] && n.stable[p.j] {
+			n.pairs[kept] = p
+			kept++
+		}
+	}
+	return kept
+}
+
+// scan appends to pairs[:kept] the pairs of every up node that is not
+// stable and returns the total. A pair of two such nodes is found from
+// its lower id; a stable partner never scans. It stores only while
+// capacity lasts but counts regardless, so a return above cap(pairs)
+// is the exact size to grow to before scanning again.
+//
+// The query box is the node's own radio range: the rule caps a pair at
+// the smaller of its two ranges, so nothing farther can link. An indexed
+// point carries its radio range so that tooFar, the rule's own
+// pre-reject, settles most of the box from the packed run, before the
+// partner's endpoint is touched. A node without a positive range links
+// to nothing and is skipped: its box would be inside out.
+//
+//iobt:hot
+func (n *Network) scan(kept int) int {
+	ix, pairs, total := &n.cells, n.pairs[:kept], kept
+	for u := range n.ends {
+		a := &n.ends[u]
+		if !a.up || n.stable[u] || !(a.radio > 0) {
 			continue
 		}
-		n.cand = n.pop.Near(n.cand[:0], a.pos, a.radio)
-		for _, id := range n.cand {
-			if int(id) == i {
-				continue
-			}
-			if _, _, ok := n.link(a, &n.ends[id]); ok {
-				n.neighbors = append(n.neighbors, id)
+		box := a.radio * (1 + rejectSlack)
+		x0, x1 := ix.col(a.pos.X-box), ix.col(a.pos.X+box)
+		for cy, y1 := ix.row(a.pos.Y-box), ix.row(a.pos.Y+box); cy <= y1; cy++ {
+			run := ix.pts[ix.start[cy*ix.cols+x0]:ix.start[cy*ix.cols+x1+1]]
+			for k := range run {
+				q := &run[k]
+				v := int(q.id)
+				if tooFar(a.pos, q.pos, a.radio, q.radio) || v == u || (v < u && !n.stable[v]) {
+					continue
+				}
+				rBase, d, ok := n.linkGeometry(a, &n.ends[v])
+				if !ok {
+					continue
+				}
+				if total < cap(pairs) {
+					pairs = append(pairs, pair{i: int32(min(u, v)), j: int32(max(u, v)), d: d, rBase: rBase})
+				}
+				total++
 			}
 		}
 	}
-	n.nbrStart[len(all)] = int32(len(n.neighbors))
+	n.pairs = pairs
+	return total
+}
+
+// buildTable runs linkNow over every pair and lays the links out as
+// ascending lists. Degrees are counted first, so the table is sized
+// before anything is written. The lists come out sorted without a sort:
+// the links are first bucketed by one endpoint in pair order (bySrc),
+// then that table is read in ascending id order and each entry written
+// into the list of its other endpoint — the transpose of a symmetric
+// relation is itself, now with every list in the order its sources were
+// visited.
+//
+//iobt:hot
+func (n *Network) buildTable() {
+	start, ends := n.nbrStart, n.ends
+	words := (len(n.pairs) + 63) / 64
+	if words > cap(n.linked) {
+		n.linked = growTo(n.linked[:0], words)
+	}
+	n.linked = n.linked[:words]
+	clear(n.linked)
+	clear(start)
+	for k := range n.pairs {
+		p := &n.pairs[k]
+		if _, ok := n.linkNow(&ends[p.i], &ends[p.j], p.rBase, p.d); ok {
+			n.linked[k/64] |= 1 << (k % 64)
+			start[p.i+1]++
+			start[p.j+1]++
+		}
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	total := int(start[len(start)-1])
+	if total > cap(n.neighbors) {
+		n.neighbors = growTo(n.neighbors[:0], total)
+		n.bySrc = slices.Grow(n.bySrc[:0], cap(n.neighbors))
+	}
+	n.neighbors, n.bySrc = n.neighbors[:total], n.bySrc[:total]
+
+	copy(n.cursor, start)
+	for w, word := range n.linked {
+		for ; word != 0; word &= word - 1 {
+			p := &n.pairs[w*64+bits.TrailingZeros64(word)]
+			n.bySrc[n.cursor[p.i]] = NodeID(p.j)
+			n.cursor[p.i]++
+			n.bySrc[n.cursor[p.j]] = NodeID(p.i)
+			n.cursor[p.j]++
+		}
+	}
+	copy(n.cursor, start)
+	for src := range n.cursor {
+		for _, dst := range n.bySrc[start[src]:start[src+1]] {
+			n.neighbors[n.cursor[dst]] = NodeID(src)
+			n.cursor[dst]++
+		}
+	}
 }
 
 // Neighbors returns the current neighbor list of id (empty for a node

@@ -56,8 +56,7 @@ func (n *Network) forward(msg Message, path []NodeID, i int) {
 	from := n.pop.Get(path[i])
 	// The link must still exist (death, mobility or jamming may have
 	// severed it).
-	ea, eb := n.endpointOf(from), n.endpointOf(n.pop.Get(path[i+1]))
-	r, d, ok := n.link(&ea, &eb)
+	r, d, ok := n.link(path[i], path[i+1])
 	if !ok {
 		n.dropInFlight()
 		return

@@ -5,6 +5,8 @@ package mesh
 // the Neighbors aliasing contract.
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"slices"
 	"testing"
@@ -54,8 +56,8 @@ func refLinked(n *Network, a, b *asset.Asset) bool {
 	return pa.Dist(pb) <= r
 }
 
-// After Refresh, every node's list is exactly its brute-force link set,
-// in the order the population's range query yields it, on random worlds
+// After Refresh, every node's list is exactly its brute-force link set
+// in ascending id order, and the relation is symmetric, on random worlds
 // with every class, mobility, jamming, a partition, deaths and offline
 // nodes.
 func TestRefreshMatchesBruteForce(t *testing.T) {
@@ -85,6 +87,7 @@ func TestRefreshMatchesBruteForce(t *testing.T) {
 						want = append(want, id)
 					}
 				}
+				slices.Sort(want)
 				if !slices.Equal(got, want) {
 					t.Fatalf("seed %d round %d: Neighbors(%d) = %v, want %v", seed, round, a.ID, got, want)
 				}
@@ -110,9 +113,10 @@ func TestRefreshMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// The squared-distance pre-reject never drops a pair the exact test
-// accepts: for pairs a hair inside, on and outside the smaller radio
-// range, Refresh and Linked agree with the oracle.
+// Neither the squared-distance pre-reject nor the cell query ever drops
+// a pair the exact test accepts: for pairs a hair inside, on and outside
+// the smaller radio range, Refresh (in both directions) and Linked agree
+// with the oracle.
 func TestLinkPreRejectIsConservative(t *testing.T) {
 	rng := sim.NewRNG(3)
 	offsets := []float64{-1e-9, -1e-12, -3e-16, 0, 3e-16, 1e-12, 1e-9}
@@ -136,11 +140,8 @@ func TestLinkPreRejectIsConservative(t *testing.T) {
 			}
 			net := New(sim.NewEngine(1), pop, terr, DefaultConfig())
 			want := refLinked(net, pop.Get(0), pop.Get(1))
-			// Refresh only sees the grid's candidates, and the grid's own
-			// squared-distance test may exclude a pair exactly on the edge.
-			cand := slices.Contains(pop.Near(nil, pa, ra), 1)
-			if got := slices.Contains(net.Neighbors(0), 1); got != (cand && want) {
-				t.Fatalf("radios %v/%v offset %g: Refresh linked = %v, oracle %v (candidate %v)", ra, rb, off, got, want, cand)
+			if fwd, back := slices.Contains(net.Neighbors(0), 1), slices.Contains(net.Neighbors(1), 0); fwd != want || back != want {
+				t.Fatalf("radios %v/%v offset %g: Refresh linked 0→1 %v, 1→0 %v, oracle %v", ra, rb, off, fwd, back, want)
 			}
 			if got := net.Linked(1, 0); got != want {
 				t.Fatalf("radios %v/%v offset %g: Linked = %v, oracle %v", ra, rb, off, got, want)
@@ -153,6 +154,34 @@ func TestLinkPreRejectIsConservative(t *testing.T) {
 	// Both verdicts must occur, or the boundary was never straddled.
 	if total := 300 * len(offsets); accepted < total/4 || accepted > 3*total/4 {
 		t.Fatalf("%d of %d boundary pairs linked: offsets do not straddle the range", accepted, total)
+	}
+}
+
+// TestNeighbourTableGolden pins the table itself, absolutely: every test
+// above compares Refresh with an oracle computed in the same process, so
+// a change that moved both alike — the rule, the mix, the mobility model
+// — would pass them all. The table is a pure function of current state
+// (ascending lists), so no change to how pairs are found can move these.
+// They were captured when the order became canonical, and the commit
+// before it yields the same three from its own table once each list is
+// sorted: that change moved the order of links and no link.
+func TestNeighbourTableGolden(t *testing.T) {
+	for i, want := range []uint64{0x900ea0c7bc819f52, 0x04d18c266551b066, 0xef1f90eee373e8ce} {
+		pop, net := refreshWorld(t, int64(i+1), geo.NewOpenTerrain(1500, 1500), 1000)
+		for tick := 0; tick < 10; tick++ {
+			pop.StepMobility(time.Second)
+			net.Refresh()
+		}
+		h := fnv.New64a()
+		for _, at := range net.nbrStart {
+			h.Write(binary.LittleEndian.AppendUint32(nil, uint32(at)))
+		}
+		for _, id := range net.neighbors {
+			h.Write(binary.LittleEndian.AppendUint32(nil, uint32(id)))
+		}
+		if got := h.Sum64(); got != want {
+			t.Errorf("seed %d: table hash %#016x over %d links, want %#016x", i+1, got, len(net.neighbors)/2, want)
+		}
 	}
 }
 

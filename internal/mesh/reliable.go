@@ -48,6 +48,7 @@ type Reliable struct {
 	inflight map[int]*rtxState
 	handlers map[NodeID]Handler
 	seen     map[NodeID]map[int]bool // per-destination delivered seqs
+	snapLen  int                     // size of the last Snapshot, reserved for the next
 
 	srtt   time.Duration
 	rttvar time.Duration

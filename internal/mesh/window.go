@@ -63,6 +63,7 @@ func (r *Reliable) SnapshotName() string { return "arq" }
 // snapshot names and fails the rest.
 func (r *Reliable) Snapshot() []byte {
 	e := checkpoint.NewEncoder()
+	e.Grow(r.snapLen)
 	seqs := r.inflightSeqs()
 	e.Int(len(seqs))
 	for _, seq := range seqs {
@@ -74,6 +75,7 @@ func (r *Reliable) Snapshot() []byte {
 		e.String(st.msg.Kind)
 		e.Int(st.tries)
 	}
+	r.snapLen = e.Len()
 	return e.Bytes()
 }
 

@@ -48,6 +48,7 @@ func (tr *Tracker) SnapshotName() string { return "track" }
 // a crash.
 func (tr *Tracker) Snapshot() []byte {
 	e := checkpoint.NewEncoder()
+	e.Grow(tr.snapLen)
 	e.Int(tr.nextID)
 	e.Int64(int64(tr.now))
 	ordered := make([]*Track, len(tr.tracks))
@@ -75,6 +76,7 @@ func (tr *Tracker) Snapshot() []byte {
 			e.Int64(int64(s))
 		}
 	}
+	tr.snapLen = e.Len()
 	return e.Bytes()
 }
 

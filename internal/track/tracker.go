@@ -90,6 +90,10 @@ type Tracker struct {
 	usedT   []bool
 	usedD   []bool
 
+	// snapLen is the size of the last Snapshot, reserved up front for the
+	// next: the hypothesis set changes little between two checkpoints.
+	snapLen int
+
 	// IDSwitches counts confirmed tracks dropped while their target was
 	// still being detected nearby (continuity failures are counted by
 	// the scenario harness; this counts hard drops).

@@ -252,6 +252,7 @@ func (l *Ledger) Snapshot() []byte {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	e := checkpoint.NewEncoder()
+	e.Grow(8 * (3 + 3*len(ids)))
 	e.Float64(l.priorAlpha)
 	e.Float64(l.priorBeta)
 	e.Int(len(ids))
