@@ -134,10 +134,39 @@ func microBenches() []microBench {
 				}
 			},
 		},
+		{
+			name:   "rng_derive",
+			doc:    "opening one named stream and drawing from it once: the per-asset, per-node, per-actor cost (one 64-byte object; math/rand's source was 4.9 KB and ~10 us to seed)",
+			allocs: 1,
+			fn: func(b *testing.B) {
+				root := sim.NewRNG(1)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					microDraw = root.Derive("shardnet/node/4711").Int63()
+				}
+			},
+		},
+		{
+			name: "rng_sample_3of13",
+			doc:  "the relay's fanout draw: 3 of 13 peers by a three-step partial Fisher-Yates",
+			fn: func(b *testing.B) {
+				rng := sim.NewRNG(1)
+				peers := make([]mesh.NodeID, 13)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rng.Sample(len(peers), 3, func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
+				}
+			},
+		},
 	}
 }
 
-var microFrame []byte
+var (
+	microFrame []byte
+	microDraw  int64
+)
 
 // microPicture mirrors gossipFrame(54) in internal/cop/codec_test.go: the
 // union of 54 publishers' one track and one covered cell, the gossip_cop

@@ -15,18 +15,35 @@ func envPerf(opt float64) func(float64) float64 {
 	}
 }
 
+// TestPopulationConvergesToOptimum runs a seed sweep. StepsToReach stops
+// the moment mean performance passes 0.9; with eight agents that only
+// bounds the worst one at exp(-d*d) >= 8*0.9 - 7, |d| <= 1.27, and a
+// 32-seed sweep measured the worst agent 0.40-0.80 from the optimum at
+// that moment — the 0.7 this test used to ask of one stream sat inside
+// that range. An agent only ever moves toward a better point, so the
+// distances then shrink monotonically: twenty steps on, every agent of
+// every seed was within 0.01.
 func TestPopulationConvergesToOptimum(t *testing.T) {
-	rng := sim.NewRNG(1)
-	params := []float64{-2, -1, 0, 1, 2, 3, 4, 5}
-	pop := NewPopulation(rng, params, envPerf(2.5))
-	steps, ok := pop.StepsToReach(0.9, 500)
-	if !ok {
-		t.Fatalf("never reached target; mean perf %.3f", pop.MeanPerf())
-	}
-	t.Logf("converged in %d steps", steps)
-	for _, v := range pop.Params {
-		if math.Abs(v-2.5) > 0.7 {
-			t.Errorf("agent param %v far from optimum 2.5", v)
+	const target, agents = 0.9, 8
+	atStop := math.Sqrt(-math.Log(agents*target - (agents - 1)))
+	for seed := int64(1); seed <= 16; seed++ {
+		params := []float64{-2, -1, 0, 1, 2, 3, 4, 5}
+		pop := NewPopulation(sim.NewRNG(seed), params, envPerf(2.5))
+		if _, ok := pop.StepsToReach(target, 500); !ok {
+			t.Fatalf("seed %d: never reached target; mean perf %.3f", seed, pop.MeanPerf())
+		}
+		for _, v := range pop.Params {
+			if math.Abs(v-2.5) > atStop {
+				t.Errorf("seed %d: agent param %v is further from the optimum 2.5 than mean perf %.1f allows", seed, v, target)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			pop.Step()
+		}
+		for _, v := range pop.Params {
+			if math.Abs(v-2.5) > 0.1 {
+				t.Errorf("seed %d: agent param %v still far from optimum 2.5 twenty steps after the team reached %.1f", seed, v, target)
+			}
 		}
 	}
 }

@@ -148,7 +148,7 @@ func (c *Candidate) covers(g Goal, p geo.Point) bool {
 // PoolFromPopulation builds the candidate pool from ground truth: all
 // alive blue/gray assets, with trust from the ledger (0.5 if nil).
 func PoolFromPopulation(pop *asset.Population, ledger *trust.Ledger) []Candidate {
-	var out []Candidate
+	out := make([]Candidate, 0, pop.Len())
 	for _, a := range pop.All() {
 		if !a.Alive() || a.Affiliation == asset.Red {
 			continue

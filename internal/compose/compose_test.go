@@ -1,6 +1,8 @@
 package compose
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -120,12 +122,38 @@ func TestGreedyRespectsTrustFloor(t *testing.T) {
 	}
 }
 
+// TestGreedyLooksInsideRadioComponents: the best coverage pick is a wide
+// sensor whose radio reaches nobody, so no relay chain ever connects the
+// composite max-coverage starts. The grid around it is connected and
+// covers the goal on its own; the solver must find that, not report
+// "composite not connected" over a pool that holds a feasible answer
+// (E2's 1000-asset row did, at about one seed in 24).
+func TestGreedyLooksInsideRadioComponents(t *testing.T) {
+	pool := gridPool(5, 180, 260)
+	loner := pool[12]
+	loner.ID = asset.ID(len(pool))
+	loner.Pos = geo.Point{X: 510, Y: 510}
+	loner.Caps.SenseRange = 450
+	loner.Caps.RadioRange = 5
+	pool = append(pool, loner)
+
+	comp, err := GreedySolver{}.Solve(Derive(areaGoal()), pool)
+	if err != nil {
+		t.Fatalf("greedy: %v", err)
+	}
+	for _, id := range comp.Members {
+		if id == loner.ID {
+			t.Error("the unreachable sensor is a member of a connected composite")
+		}
+	}
+}
+
 func TestGreedyInfeasibleWhenPoolTooWeak(t *testing.T) {
 	pool := gridPool(2, 50, 300) // 4 tiny sensors cannot cover 90%
 	req := Derive(areaGoal())
 	comp, err := GreedySolver{}.Solve(req, pool)
-	if err != ErrInfeasible {
-		t.Fatalf("err = %v, want ErrInfeasible", err)
+	if !errors.Is(err, ErrInfeasible) || !strings.Contains(err.Error(), "coverage") {
+		t.Fatalf("err = %v, want ErrInfeasible naming the coverage shortfall", err)
 	}
 	if comp == nil || comp.Assurance.Feasible {
 		t.Error("infeasible composite should still report assurance")
@@ -420,5 +448,33 @@ func TestPoolFromPopulationExcludesRedAndDead(t *testing.T) {
 	}
 	if pool[0].Trust != 0.5 {
 		t.Errorf("nil ledger trust = %v, want 0.5", pool[0].Trust)
+	}
+}
+
+// A repair in mid-mission builds a pool and filters it; neither may cost
+// more than the pool itself, or missions that repair allocate visibly
+// more than missions that do not (PERF.md, PR 24).
+func TestPoolIsOneAllocationAndFilterSharesIt(t *testing.T) {
+	pop := asset.NewPopulation(geo.NewOpenTerrain(1000, 1000))
+	for i := 0; i < 100; i++ {
+		a := &asset.Asset{Affiliation: asset.Blue, Class: asset.ClassSensor,
+			Caps: asset.DefaultCaps(asset.ClassSensor), Online: true,
+			Mobility: &geo.Static{P: geo.Point{X: float64(10 * i), Y: 500}}}
+		a.Energy = 100
+		pop.Add(a)
+	}
+	var pool []Candidate
+	if n := testing.AllocsPerRun(10, func() { pool = PoolFromPopulation(pop, nil) }); n != 1 {
+		t.Errorf("PoolFromPopulation: %v allocs, want 1", n)
+	}
+	req := Derive(areaGoal())
+	if got := filterEligible(req, pool); len(got) != len(pool) || &got[0] != &pool[0] {
+		t.Error("filterEligible copied a pool it dropped nobody from")
+	}
+	pool[3].Trust = 0.1
+	req.Goal.MinTrust = 0.3
+	got := filterEligible(req, pool)
+	if len(got) != len(pool)-1 || &got[0] == &pool[0] || len(pool) != 100 || pool[3].Trust != 0.1 {
+		t.Errorf("filterEligible kept %d of %d, or edited the caller's pool", len(got), len(pool))
 	}
 }

@@ -1,27 +1,52 @@
 package compose
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 
 	"iobt/internal/asset"
 )
 
 // GreedySolver composes by marginal-gain selection: repeatedly add the
 // candidate that covers the most still-uncovered cells, then top up
-// compute/bandwidth, then repair connectivity by adding bridge relays.
-// Max-coverage greedy carries the classic (1-1/e) approximation
+// compute/bandwidth, then repair connectivity by adding bridge relays;
+// if no bridge can reach a chosen sensor, the three phases are retried
+// inside each radio component of the pool. Max-coverage greedy carries the classic (1-1/e) approximation
 // guarantee, which is the "assured synthesis" story at scale.
 type GreedySolver struct{}
 
 var _ Solver = (*GreedySolver)(nil)
 
-// Solve implements Solver.
+// Solve implements Solver. An infeasible result wraps ErrInfeasible with
+// the requirements the best composite found still misses.
 func (GreedySolver) Solve(req Requirements, pool []Candidate) (*Composite, error) {
-	g := req.Goal
 	eligible := filterEligible(req, pool)
 	if len(eligible) == 0 {
 		return nil, ErrInfeasible
 	}
+	comp := greedyOver(req, eligible)
+	if !comp.Assurance.Feasible && !comp.Assurance.Connected {
+		// Max-coverage chose a sensor no chain of relays reaches. A
+		// connected composite lies inside one radio component of the
+		// pool, so look for one there, largest component first.
+		for _, part := range radioComponents(eligible) {
+			if c := greedyOver(req, part); c.Assurance.Feasible {
+				comp = c
+				break
+			}
+		}
+	}
+	if !comp.Assurance.Feasible {
+		return comp, fmt.Errorf("%w: %s", ErrInfeasible, strings.Join(comp.Assurance.Violations, "; "))
+	}
+	return comp, nil
+}
+
+// greedyOver runs the three phases over eligible and evaluates the
+// result; it never fails, it reports.
+func greedyOver(req Requirements, eligible []Candidate) *Composite {
+	g := req.Goal
 
 	// Precompute cell coverage lists per candidate.
 	coverLists := make([][]int, len(eligible))
@@ -81,18 +106,42 @@ func (GreedySolver) Solve(req Requirements, pool []Candidate) (*Composite, error
 	// Phase 3: connectivity repair.
 	members = repairConnectivity(eligible, chosen, members, pick)
 
-	a := Evaluate(req, members)
-	comp := &Composite{Members: ids(members), Assurance: a}
-	if !a.Feasible {
-		return comp, ErrInfeasible
-	}
-	return comp, nil
+	return &Composite{Members: ids(members), Assurance: Evaluate(req, members)}
 }
 
-// filterEligible drops candidates below the trust floor.
+// radioComponents splits candidates into the connected components of
+// their mutual radio graph, largest first (ties in pool order). A pool
+// that is one component yields nothing: there is no narrower place to
+// look.
+func radioComponents(candidates []Candidate) [][]Candidate {
+	var parts [][]Candidate
+	for i, label := range componentLabels(candidates) {
+		if label == len(parts) {
+			parts = append(parts, nil)
+		}
+		parts[label] = append(parts[label], candidates[i])
+	}
+	if len(parts) <= 1 {
+		return nil
+	}
+	sort.SliceStable(parts, func(a, b int) bool { return len(parts[a]) > len(parts[b]) })
+	return parts
+}
+
+// filterEligible drops candidates below the trust floor. Solvers only
+// read the result, so a pool with nobody to drop is returned as it is.
 func filterEligible(req Requirements, pool []Candidate) []Candidate {
 	g := req.Goal
-	out := make([]Candidate, 0, len(pool))
+	keep := 0
+	for i := range pool {
+		if pool[i].Trust >= g.MinTrust {
+			keep++
+		}
+	}
+	if keep == len(pool) {
+		return pool
+	}
+	out := make([]Candidate, 0, keep)
 	for _, c := range pool {
 		if c.Trust < g.MinTrust {
 			continue

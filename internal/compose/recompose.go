@@ -24,9 +24,15 @@ func Recompose(req Requirements, prev *Composite, failed map[asset.ID]bool, pool
 	if len(eligible) == 0 {
 		return nil, ErrInfeasible
 	}
-	byID := make(map[asset.ID]int, len(eligible))
+	// Where each previous member sits in eligible, if it still does.
+	byID := make(map[asset.ID]int, len(prev.Members))
+	for _, id := range prev.Members {
+		byID[id] = -1
+	}
 	for i := range eligible {
-		byID[eligible[i].ID] = i
+		if _, was := byID[eligible[i].ID]; was {
+			byID[eligible[i].ID] = i
+		}
 	}
 
 	g := req.Goal
@@ -50,7 +56,7 @@ func Recompose(req Requirements, prev *Composite, failed map[asset.ID]bool, pool
 		if failed[id] {
 			continue
 		}
-		if i, ok := byID[id]; ok && !chosen[i] {
+		if i := byID[id]; i >= 0 && !chosen[i] {
 			chosen[i] = true
 			members = append(members, eligible[i])
 			countCells(&eligible[i])

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -272,9 +274,17 @@ func TestMeshConfigOverride(t *testing.T) {
 
 // TestSmokeBlindsVisualComposite is the live E12: smoke over the area
 // collapses an all-visual composite's detection but not a diverse one.
+// "Not" is what the model says it is: incidents fall uniformly over the
+// area and a member detects what is inside its sense range, so the
+// diverse composite's detection rate is a binomial draw around the
+// coverage its synthesis achieved — 0.43-0.53 for the 0.4 asked here,
+// sigma 0.045 over 120 incidents. The old floor of 0.5 sat above that
+// mean; seed 31 read 0.57 under math/rand and that was luck. A 32-seed
+// sweep measured visual-only 0.00 at every seed and the diverse rate
+// within 1.4 sigma of its composite's coverage, median 0.44.
 func TestSmokeBlindsVisualComposite(t *testing.T) {
-	detectionWith := func(modalities asset.Modality) float64 {
-		eng := sim.NewEngine(31)
+	detectionWith := func(seed int64, modalities asset.Modality) (rate, coverage float64, incidents uint64) {
+		eng := sim.NewEngine(seed)
 		terr := geo.NewOpenTerrain(1000, 1000)
 		pop := asset.NewPopulation(terr)
 		rng := eng.Stream("place")
@@ -298,7 +308,7 @@ func TestSmokeBlindsVisualComposite(t *testing.T) {
 		m.IncidentsPerMin = 60
 		r := NewRuntime(w, m)
 		if err := r.Synthesize(); err != nil {
-			t.Fatalf("synthesize: %v", err)
+			t.Fatalf("seed %d: synthesize: %v", seed, err)
 		}
 		// Smoke over the whole map from the start.
 		w.Smoke.Add(attack.Obscurant{
@@ -311,17 +321,28 @@ func TestSmokeBlindsVisualComposite(t *testing.T) {
 		_ = w.Run(2 * time.Minute)
 		r.Stop()
 		w.Net.Stop()
-		return r.Metrics.DetectionRate()
+		return r.Metrics.DetectionRate(), r.comp.Assurance.CoverageFrac, r.Metrics.Incidents.Value()
 	}
-	visualOnly := detectionWith(asset.ModVisual)
-	diverse := detectionWith(asset.ModVisual | asset.ModSeismic)
-	if visualOnly > 0.05 {
-		t.Errorf("all-visual composite detected %.2f under smoke; want blind", visualOnly)
+	const seeds = 16
+	rates := make([]float64, 0, seeds)
+	for seed := int64(1); seed <= seeds; seed++ {
+		if visualOnly, _, _ := detectionWith(seed, asset.ModVisual); visualOnly > 0.05 {
+			t.Errorf("seed %d: all-visual composite detected %.2f under smoke; want blind", seed, visualOnly)
+		}
+		diverse, coverage, n := detectionWith(seed, asset.ModVisual|asset.ModSeismic)
+		sigma := math.Sqrt(coverage * (1 - coverage) / float64(n))
+		if diverse < coverage-3*sigma {
+			t.Errorf("seed %d: diverse composite detected %.2f under smoke, more than 3 sigma (%.3f) under its coverage %.2f",
+				seed, diverse, sigma, coverage)
+		}
+		rates = append(rates, diverse)
 	}
-	if diverse < 0.5 {
-		t.Errorf("diverse composite detected only %.2f under smoke", diverse)
+	sort.Float64s(rates)
+	if median := rates[seeds/2]; median < 0.4 {
+		t.Errorf("median diverse detection over %d seeds = %.2f, under the 0.4 coverage the goal asked for", seeds, median)
 	}
 }
+
 func trustLedger() *trust.Ledger { return trust.NewLedger() }
 
 func TestMetricsZeroDivision(t *testing.T) {

@@ -96,24 +96,14 @@ func E2Composition(seed int64, quick bool) *Table {
 		sizes = []int{300, 1000}
 	}
 	for _, n := range sizes {
-		terr := geo.NewUrbanTerrain(3000, 3000, 100)
-		rng := sim.NewRNG(seed)
-		pop := asset.Generate(terr, asset.DefaultMix(n), rng)
-		goal := compose.Goal{
-			Name:         "surveil",
-			Area:         geo.NewRect(geo.Point{X: 200, Y: 200}, geo.Point{X: 2800, Y: 2800}),
-			CoverageFrac: 0.6,
-			Compute:      2000,
-		}
-		req := compose.Derive(goal)
-		pool := compose.PoolFromPopulation(pop, nil)
+		req, pool := e2Instance(seed, n)
 
 		solvers := []struct {
 			name string
 			s    compose.Solver
 		}{
 			{"greedy", compose.GreedySolver{}},
-			{"random", compose.RandomSolver{RNG: rng.Derive("rand"), Attempts: 20}},
+			{"random", compose.RandomSolver{RNG: sim.NewRNG(seed).Derive("rand"), Attempts: 20}},
 		}
 		if n <= 300 {
 			solvers = append(solvers, struct {
@@ -159,6 +149,21 @@ func E2Composition(seed int64, quick bool) *Table {
 		}
 	}
 	return t
+}
+
+// e2Instance is E2's composition problem at one scale: n mixed assets on
+// a 3 km urban terrain, 60 % of the inner 2.6 km square to be sensed by a
+// connected composite with 2000 MIPS between its members.
+func e2Instance(seed int64, n int) (compose.Requirements, []compose.Candidate) {
+	terr := geo.NewUrbanTerrain(3000, 3000, 100)
+	pop := asset.Generate(terr, asset.DefaultMix(n), sim.NewRNG(seed))
+	goal := compose.Goal{
+		Name:         "surveil",
+		Area:         geo.NewRect(geo.Point{X: 200, Y: 200}, geo.Point{X: 2800, Y: 2800}),
+		CoverageFrac: 0.6,
+		Compute:      2000,
+	}
+	return compose.Derive(goal), compose.PoolFromPopulation(pop, nil)
 }
 
 // E3Discovery reproduces §III.A: probing alone misses intermittently

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"iobt/internal/compose"
 )
 
 func parseF(t *testing.T, s string) float64 {
@@ -87,29 +89,67 @@ func TestE1Shape(t *testing.T) {
 	}
 }
 
+// TestE2Shape checks the table once and the greedy solver's feasibility
+// over a seed sweep. What a 24-seed sweep of the quick scales measured:
+//
+//   - 300 assets: infeasible at 24 of 24 seeds before this sweep
+//     existed, under math/rand's generator as under this one, and
+//     rightly: the pool of 270 falls into about 135 radio components,
+//     the largest holds 30-60 assets and typically senses 0.15-0.4 of
+//     the area, so no connected composite reaches 0.6 and the error says
+//     "composite not connected". (At seed 14 one component just senses
+//     0.61; GreedySolver finds it now, so it is 23 of 24.)
+//   - 1000 assets: the largest component holds 700+ assets and senses
+//     0.98 or more, so a feasible composite always exists. Max-coverage
+//     used to start from a sensor outside that component about once in
+//     24 seeds and then report 0.98 coverage as infeasible; since
+//     GreedySolver looks inside the components it is 24 of 24. The
+//     assertion leaves room for a world that really is hard.
 func TestE2Shape(t *testing.T) {
 	tb := E2Composition(12, true)
-	// Greedy must be feasible at every scale; repair must not be slower
-	// than full re-solve by more than 2x (it is usually much faster).
-	var greedyFeasible int
+	// Repair must not be slower than full re-solve by more than 2x (it
+	// is usually much faster).
+	var greedyRows int
 	var repairMS, fullMS float64
 	for _, row := range tb.Rows {
 		switch row[1] {
 		case "greedy":
-			if row[5] == "yes" {
-				greedyFeasible++
-			}
+			greedyRows++
 		case "repair-20%":
 			repairMS = parseF(t, row[2])
 		case "full-resolve":
 			fullMS = parseF(t, row[2])
 		}
 	}
-	if greedyFeasible == 0 {
-		t.Error("greedy never feasible")
+	if greedyRows != 2 {
+		t.Errorf("%d greedy rows, want one per scale", greedyRows)
 	}
 	if repairMS > 2*fullMS+5 {
 		t.Errorf("repair (%.0fms) slower than full re-solve (%.0fms)", repairMS, fullMS)
+	}
+
+	const seeds = 24
+	sparse, feasible := 0, 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		req, pool := e2Instance(seed, 300)
+		if _, err := (compose.GreedySolver{}).Solve(req, pool); err != nil {
+			sparse++
+			if !strings.HasSuffix(err.Error(), ": composite not connected") {
+				t.Errorf("seed %d, 300 assets: %v, want connectivity as the one unmet requirement", seed, err)
+			}
+		}
+		req, pool = e2Instance(seed, 1000)
+		if _, err := (compose.GreedySolver{}).Solve(req, pool); err == nil {
+			feasible++
+		} else {
+			t.Logf("seed %d, 1000 assets: %v", seed, err)
+		}
+	}
+	if 2*sparse < seeds {
+		t.Errorf("300-asset greedy infeasible at %d of %d seeds; it is the table's hard instance", sparse, seeds)
+	}
+	if 10*feasible < 9*seeds {
+		t.Errorf("1000-asset greedy feasible at %d of %d seeds, want >= 90%%", feasible, seeds)
 	}
 }
 

@@ -280,6 +280,7 @@ func TestPartitionSeversCrossLinks(t *testing.T) {
 	}
 	cfg := mesh.DefaultConfig()
 	cfg.StepMobility = false
+	cfg.LossBase = 0 // the probes ask "is there a link", not "did this frame survive a 2.5 % hop"
 	net := mesh.New(eng, pop, terr, cfg)
 	tgt := Target{Eng: eng, Pop: pop, Net: net, Jam: attack.NewField(eng)}
 	plan := (&Plan{Name: "cut"}).Add(Fault{
@@ -322,6 +323,7 @@ func TestHealEndsUnboundedPartition(t *testing.T) {
 	}
 	cfg := mesh.DefaultConfig()
 	cfg.StepMobility = false
+	cfg.LossBase = 0 // the probes ask "is there a link", not "did this frame survive a 2.5 % hop"
 	net := mesh.New(eng, pop, terr, cfg)
 	tgt := Target{Eng: eng, Pop: pop, Net: net, Jam: attack.NewField(eng)}
 	// The partition has no for=: without the heal it would last to the
@@ -452,6 +454,7 @@ func TestCorruptAndDelayHopFaults(t *testing.T) {
 	}
 	cfg := mesh.DefaultConfig()
 	cfg.StepMobility = false
+	cfg.LossBase = 0 // the probes ask "is there a link", not "did this frame survive a 2.5 % hop"
 	net := mesh.New(eng, pop, terr, cfg)
 	tgt := Target{Eng: eng, Pop: pop, Net: net, Jam: attack.NewField(eng)}
 	plan := (&Plan{Name: "mangle"}).

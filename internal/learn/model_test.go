@@ -2,6 +2,7 @@ package learn
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -24,15 +25,39 @@ func TestSigmoid(t *testing.T) {
 	}
 }
 
+// TestModelTrainsOnSeparableData asserts the property over a seed sweep,
+// not on one drawn hyperplane. Fifty full-batch steps leave the learned
+// direction 0.03-0.11 rad from the generating one, and for Gaussian
+// features a hyperplane at angle a misclassifies a/pi of the points, so
+// 1-3.5 % training error is the model's own prediction and 0.97 is a
+// typical value, not a floor: a 32-seed sweep measured accuracy median
+// 0.986, lower quartile 0.984, minimum 0.968 (a draw with an 80/20 class
+// split). So the 0.97 is asked of the median, and each seed is asked to
+// have learned the boundary rather than the prior: at most a third of
+// the majority-class guess's error (worst measured ratio 0.15).
 func TestModelTrainsOnSeparableData(t *testing.T) {
-	rng := sim.NewRNG(1)
-	d := GenDataset(rng, GenConfig{N: 500, Dim: 4, Noise: 0})
-	m := NewModel(4)
-	for epoch := 0; epoch < 50; epoch++ {
-		m.SGDStep(d.X, d.Y, 0.5)
+	const seeds = 32
+	accs := make([]float64, 0, seeds)
+	for seed := int64(1); seed <= seeds; seed++ {
+		d := GenDataset(sim.NewRNG(seed), GenConfig{N: 500, Dim: 4, Noise: 0})
+		m := NewModel(4)
+		for epoch := 0; epoch < 50; epoch++ {
+			m.SGDStep(d.X, d.Y, 0.5)
+		}
+		acc := m.Accuracy(d.X, d.Y)
+		accs = append(accs, acc)
+		ones := 0
+		for _, y := range d.Y {
+			ones += y
+		}
+		prior := float64(max(ones, len(d.Y)-ones)) / float64(len(d.Y))
+		if 1-acc > (1-prior)/3 {
+			t.Errorf("seed %d: training accuracy %.3f against a majority-class guess of %.3f", seed, acc, prior)
+		}
 	}
-	if acc := m.Accuracy(d.X, d.Y); acc < 0.97 {
-		t.Errorf("training accuracy = %.3f on separable data", acc)
+	sort.Float64s(accs)
+	if median := accs[seeds/2]; median < 0.97 {
+		t.Errorf("median training accuracy over %d seeds = %.3f on separable data", seeds, median)
 	}
 }
 

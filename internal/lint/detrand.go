@@ -11,7 +11,8 @@ import (
 // streams and reads time only from the engine's virtual clock, so the
 // same seed always produces the same trace. Wall-clock reads and the
 // global math/rand source are flagged everywhere except the allowlist:
-// internal/sim itself (which wraps math/rand behind seeded streams),
+// internal/sim itself (which runs math/rand's distributions over its
+// own seeded source),
 // command-line front ends under cmd/, and the runnable examples.
 var DetRand = &Analyzer{
 	Name: "detrand",

@@ -784,9 +784,9 @@ func (st *taintState) sinkCall(call *ast.CallExpr) (kind, desc string, ok bool) 
 }
 
 // globalRandFuncs are the math/rand entry points that draw from the
-// process-global (host-seeded) source. Constructors like rand.New and
-// rand.NewSource take an explicit seed and are NOT entropy — sim.NewRNG
-// wraps them to build the deterministic streams; detrand already
+// process-global (host-seeded) source. rand.New takes an explicit
+// source and is NOT entropy — sim.NewRNG hands it the in-tree seeded
+// generator to build the deterministic streams; detrand already
 // polices where raw constructors may appear.
 var globalRandFuncs = map[string]bool{
 	"Int": true, "Intn": true, "Int31": true, "Int31n": true,

@@ -331,7 +331,7 @@ func (g *Gossip) receive(m *gossipMember, p GossipPayload, ttl int, from NodeID)
 
 // relay forwards p from member m to a seeded-random fanout of its member
 // neighbors, excluding the node it arrived from. Candidates are sorted
-// before the seeded shuffle so peer choice depends only on the seed and
+// before the seeded sample so peer choice depends only on the seed and
 // the topology, never on map iteration order.
 //
 //iobt:hot
@@ -340,11 +340,11 @@ func (g *Gossip) relay(m *gossipMember, p GossipPayload, ttl int, exclude NodeID
 	if len(peers) == 0 {
 		return
 	}
-	g.rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
 	k := g.cfg.Fanout
 	if k > len(peers) {
 		k = len(peers)
 	}
+	g.rng.Sample(len(peers), k, func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
 	// One shared frame per relay decision: Message.Payload is an
 	// interface, so a pointer frame costs one allocation for the whole
 	// fanout where a value frame would box once per peer.

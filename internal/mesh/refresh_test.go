@@ -162,11 +162,11 @@ func TestLinkPreRejectIsConservative(t *testing.T) {
 // a change that moved both alike — the rule, the mix, the mobility model
 // — would pass them all. The table is a pure function of current state
 // (ascending lists), so no change to how pairs are found can move these.
-// They were captured when the order became canonical, and the commit
-// before it yields the same three from its own table once each list is
-// sorted: that change moved the order of links and no link.
+// They were captured when sim.RNG's source became the in-tree SplitMix64,
+// which re-drew the worlds (7180, 6847 and 7079 links); the code that
+// finds pairs did not change in that commit.
 func TestNeighbourTableGolden(t *testing.T) {
-	for i, want := range []uint64{0x900ea0c7bc819f52, 0x04d18c266551b066, 0xef1f90eee373e8ce} {
+	for i, want := range []uint64{0xb3ba730f31a3160a, 0xb05a945d8a3f5283, 0x154788005d1d4323} {
 		pop, net := refreshWorld(t, int64(i+1), geo.NewOpenTerrain(1500, 1500), 1000)
 		for tick := 0; tick < 10; tick++ {
 			pop.StepMobility(time.Second)

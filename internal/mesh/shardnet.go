@@ -565,7 +565,7 @@ func (r *shardRun) publishTick(n *shardNode) func(*sim.ShardCtx) {
 	}
 }
 
-// relay forwards key to up to Fanout linked peers, shuffled by the
+// relay forwards key to up to shardFanout linked peers, sampled by the
 // relaying node's own stream — per-node randomness keeps the draw
 // sequence a function of the node's event order alone.
 //
@@ -588,7 +588,7 @@ func (r *shardRun) relay(c *sim.ShardCtx, n *shardNode, key GossipKey, data []by
 	if len(peers) == 0 {
 		return
 	}
-	n.rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
+	n.rng.Sample(len(peers), shardFanout, func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
 	if len(peers) > shardFanout {
 		peers = peers[:shardFanout]
 	}

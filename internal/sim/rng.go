@@ -1,36 +1,73 @@
 package sim
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 )
 
-// RNG is a seeded, reproducible random stream. It wraps math/rand.Rand
-// (never the global source) and adds the distributions the simulator
-// needs. Streams derived with Derive are statistically independent and
-// stable across runs for the same (seed, name) pair.
+// splitmix64 is the generator under every RNG: Steele, Lea & Flood's
+// SplitMix64, one word of state advanced by the golden-ratio increment
+// and finalised by two xor-shift multiplies. It is committed here, not
+// borrowed from the standard library, so every digest in the tree is a
+// property of this file.
+type splitmix64 uint64
+
+const splitmixGamma = 0x9e3779b97f4a7c15
+
+// mix64 is SplitMix64's finalizer, a bijection on uint64.
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// Seed sets the state to the first output of the generator started at
+// seed — one increment, one finalizer round — so seeds that differ by a
+// small integer or by the increment start far apart on the 2^64 cycle
+// instead of one draw apart, and seed 0 is not the finalizer's fixed
+// point.
+func (s *splitmix64) Seed(seed int64) {
+	*s = splitmix64(seed)
+	*s = splitmix64(s.Uint64())
+}
+
+func (s *splitmix64) Uint64() uint64 {
+	*s += splitmixGamma
+	return mix64(uint64(*s))
+}
+
+func (s *splitmix64) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+// RNG is a seeded, reproducible random stream. The bits come from the
+// in-tree splitmix64 above; the distributions over them (Float64, Intn,
+// NormFloat64, ExpFloat64, Perm, Shuffle) are math/rand.Rand's, whose
+// output for a given source is frozen by the Go 1 promise. Source and
+// front are held by value, so a stream is one 64-byte allocation and
+// costs nothing to seed. Streams derived with Derive are statistically
+// independent and stable across runs for the same (seed, name) pair.
 type RNG struct {
-	r    *rand.Rand
+	src  splitmix64
+	r    rand.Rand
 	seed int64
 }
 
 // NewRNG returns a stream seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed)), seed: seed}
+	g := &RNG{seed: seed}
+	g.src.Seed(seed)
+	g.r = *rand.New(&g.src)
+	return g
 }
 
-// Derive returns a child stream keyed by name. The child's sequence does
-// not depend on how much of the parent has been consumed.
+// Derive returns a child stream keyed by name: the child's seed is the
+// parent's seed xor the 64-bit FNV-1a hash of name. The child's sequence
+// does not depend on how much of the parent has been consumed.
 func (g *RNG) Derive(name string) *RNG {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	child := g.seed ^ int64(h.Sum64())
-	// Avoid the degenerate all-zero state.
-	if child == 0 {
-		child = int64(h.Sum64()) | 1
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
 	}
-	return NewRNG(child)
+	return NewRNG(g.seed ^ int64(h))
 }
 
 // Seed returns the seed this stream was created with.
@@ -80,6 +117,19 @@ func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
 // Shuffle randomizes the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
+
+// Sample moves a uniform random k-subset of n elements, in uniform
+// random order, into positions [0,k) using swap: the first k steps of a
+// Fisher–Yates shuffle. It makes exactly min(k,n) draws, so choosing
+// k = 3 of 13 costs three, where Shuffle costs twelve; k >= n permutes.
+func (g *RNG) Sample(n, k int, swap func(i, j int)) {
+	if k > n {
+		k = n
+	}
+	for i := 0; i < k; i++ {
+		swap(i, i+g.r.Intn(n-i))
+	}
+}
 
 // Pick returns a uniformly random index into a slice of length n, or -1
 // if n <= 0.

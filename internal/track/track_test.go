@@ -9,28 +9,51 @@ import (
 	"iobt/internal/sim"
 )
 
+// TestKalmanConvergesOnLinearMotion holds the filter to its own error
+// bars over a seed sweep instead of to one stream's luck: after 100
+// sigma=3 updates of a target moving at (5,-3) m/s, each state
+// component's error is compared with the filter's posterior sigma for it
+// (2.24 m in position and 1.41 m/s in velocity at q=1 — the old +-0.5 m/s
+// bound was a third of a sigma, met by the seed and by little else). The
+// truth has no acceleration, so the posterior is conservative: a sweep
+// of 32 seeds measured a median normalized error of 0.50 (0.67 for a
+// matched filter), 127 of 128 inside 2 sigma, maximum 2.06.
 func TestKalmanConvergesOnLinearMotion(t *testing.T) {
-	rng := sim.NewRNG(1)
-	// Truth: starts at (0,0), moves at (5,-3) m/s; measurements sigma=3.
-	kf := NewKalmanCV(geo.Point{X: 0, Y: 0}, 9, 1)
-	truth := geo.Point{}
-	vel := geo.Vec{DX: 5, DY: -3}
-	for i := 0; i < 100; i++ {
-		truth = truth.Add(vel)
-		kf.Predict(1)
-		z := truth.Add(geo.Vec{DX: rng.Norm(0, 3), DY: rng.Norm(0, 3)})
-		kf.Update(z, 9)
+	const seeds = 32
+	var inside2, total int
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := sim.NewRNG(seed)
+		// Truth: starts at (0,0), moves at (5,-3) m/s; measurements sigma=3.
+		kf := NewKalmanCV(geo.Point{X: 0, Y: 0}, 9, 1)
+		truth := geo.Point{}
+		vel := geo.Vec{DX: 5, DY: -3}
+		for i := 0; i < 100; i++ {
+			truth = truth.Add(vel)
+			kf.Predict(1)
+			z := truth.Add(geo.Vec{DX: rng.Norm(0, 3), DY: rng.Norm(0, 3)})
+			kf.Update(z, 9)
+		}
+		// Covariance should have shrunk to the measurement level in
+		// position and far below the unknown-velocity prior of 100.
+		if kf.PosVar() > 9 || kf.P[10] > 10 {
+			t.Fatalf("seed %d: posterior variance pos %.2f vel %.2f", seed, kf.PosVar(), kf.P[10])
+		}
+		want := [4]float64{truth.X, truth.Y, vel.DX, vel.DY}
+		for c := range want {
+			z := math.Abs(kf.X[c]-want[c]) / math.Sqrt(kf.P[c*4+c])
+			if z > 4 {
+				t.Errorf("seed %d: state[%d] = %.2f, want %.2f: %.1f posterior sigma out", seed, c, kf.X[c], want[c], z)
+			}
+			if z < 2 {
+				inside2++
+			}
+			total++
+		}
 	}
-	if d := kf.Pos().Dist(truth); d > 3 {
-		t.Errorf("position error = %.2f m after 100 updates", d)
-	}
-	v := kf.Vel()
-	if math.Abs(v.DX-5) > 0.5 || math.Abs(v.DY+3) > 0.5 {
-		t.Errorf("velocity estimate = %+v, want ~(5,-3)", v)
-	}
-	// Covariance should have shrunk far below the unknown-velocity prior.
-	if kf.PosVar() > 9 {
-		t.Errorf("posterior position variance = %.2f", kf.PosVar())
+	// A matched Gaussian puts 95.4 % inside 2 sigma; 90 % of 128 is
+	// three standard deviations of that count below its mean.
+	if float64(inside2) < 0.9*float64(total) {
+		t.Errorf("%d of %d state errors inside 2 posterior sigma, want >= 90%%", inside2, total)
 	}
 }
 
