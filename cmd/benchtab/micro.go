@@ -203,7 +203,6 @@ func microShardedSend(b *testing.B, shards int) {
 	s := sim.NewSharded(1, sim.ShardedConfig{Shards: shards, Lookahead: time.Millisecond})
 	var relay func(c *sim.ShardCtx)
 	relay = func(c *sim.ShardCtx) {
-		//iobt:allow lookaheadclamp the engine above is configured with Lookahead: time.Millisecond, so a 1ms Send is exactly at the floor, not clamped
 		c.Send((c.Self()+1)%microBenchActors, time.Millisecond, "msg", relay)
 	}
 	for i := 0; i < microBenchActors; i++ {
@@ -384,7 +383,7 @@ func compareMicro(cur, base *MicroTable, maxRegress float64) error {
 		}
 		if c.AllocsPerOp > b.AllocsPerOp {
 			violations = append(violations, fmt.Sprintf(
-				"%s: allocs/op %d > baseline %d — a zero-alloc path regressed; run iobtlint -only hotalloc,hotbox,defercycle and the sim alloc tests",
+				"%s: allocs/op %d > baseline %d — a zero-alloc path regressed; run iobtlint -only hotalloc,defercycle and the sim alloc tests",
 				b.Name, c.AllocsPerOp, b.AllocsPerOp))
 		}
 		if b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*(1+maxRegress) {

@@ -3,7 +3,7 @@
 //
 //	go run ./cmd/iobtlint ./...
 //	go run ./cmd/iobtlint -list
-//	go run ./cmd/iobtlint -only detrand,maporder ./...
+//	go run ./cmd/iobtlint -only detrand,dettaint ./...
 //	go run ./cmd/iobtlint -pkg 'iobt/internal/mesh' ./...
 //	go run ./cmd/iobtlint -pkg 'iobt/internal/...' ./...
 //	go run ./cmd/iobtlint -json ./... > findings.json

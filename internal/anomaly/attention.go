@@ -109,7 +109,6 @@ func (s *SourceAudit) Round(reports map[int]float64) {
 		return
 	}
 	vals := make([]float64, 0, len(reports))
-	//iobt:allow maporder vals only feeds median(), which sorts its argument; the result is order-insensitive
 	for _, v := range reports {
 		vals = append(vals, v)
 	}
@@ -140,7 +139,6 @@ func (s *SourceAudit) BadSources(factor float64) []int {
 		factor = 3
 	}
 	var devs []float64
-	//iobt:allow maporder devs only feeds median(), which sorts its argument; the result is order-insensitive
 	for src := range s.counts {
 		devs = append(devs, s.MeanDeviation(src))
 	}

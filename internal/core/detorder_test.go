@@ -8,7 +8,7 @@ import (
 	"iobt/internal/geo"
 )
 
-// TestLiveMembersSorted locks in the iobtlint maporder fix: the
+// TestLiveMembersSorted locks in an iobtlint map-order fix: the
 // candidate list liveMembers materializes from the members map feeds
 // the composition solvers, whose tie-breaking follows slice order, so
 // it must come out in ascending ID order regardless of map iteration

@@ -31,7 +31,7 @@ import (
 //	                      fields (barrierstate).
 //	//iobt:hot            on a function: the body executes per simulation
 //	                      event, so the hotpath analyzers (hotalloc,
-//	                      hotbox, defercycle) hold it — and, through
+//	                      defercycle) hold it — and, through
 //	                      bottom-up allocation summaries, every helper it
 //	                      calls — to the zero-allocation discipline.
 //

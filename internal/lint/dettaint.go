@@ -2,26 +2,22 @@ package lint
 
 import "strings"
 
-// DetTaint is the interprocedural successor to maporder's escape
-// rules. maporder sees one function at a time, so it goes blind the
-// moment map-ordered data crosses a call: a helper that collects map
-// keys and returns them unsorted, a caller that hands a tainted slice
-// to a function that encodes it, a closure scheduled with an
-// entropy-derived delay. DetTaint runs on the whole-program taint
-// summaries (see taint.go/summaries.go): a value whose order depends
-// on map iteration, or whose content derives from host entropy, must
-// not reach event scheduling, checkpoint/codec encoders, RNG stream
-// selection, ordered writers, or the return value of an exported
-// function (for slices) — across any number of function boundaries.
-//
-// Purely intra-function flows are maporder/detrand territory and are
-// not re-reported here; every dettaint finding involves at least one
-// call boundary, which is exactly the class the intraprocedural suite
-// provably misses.
+// DetTaint is the suite's one map-order and entropy analyzer. It runs
+// on the whole-program taint summaries (see taint.go/summaries.go): a
+// value whose order depends on map iteration, or whose content derives
+// from host entropy, must not reach event scheduling, checkpoint/codec
+// encoders, RNG stream selection, ordered writers, or a function's
+// slice result — in the same function or across any number of calls (a
+// helper that returns an arbitrary map key, a caller that hands a
+// tainted slice to a function that encodes it). A sink called inside a
+// map-range body is a finding even when no tainted value reaches it:
+// a draw or a write per entry happens in iteration order. The fix is
+// the repo's standard idiom: collect the keys, sort them, iterate the
+// sorted slice (see trust.Ledger.Snapshot).
 var DetTaint = &Analyzer{
 	Name: "dettaint",
-	Doc: "forbid map-iteration-ordered or host-entropy-tainted values from reaching " +
-		"schedulers, encoders, RNG selection, or exported slices across function boundaries",
+	Doc: "forbid map-iteration-ordered or host-entropy-tainted values, and sinks called once per map entry, " +
+		"from reaching schedulers, encoders, RNG draws, ordered writers, or returned slices",
 	Run: runDetTaint,
 }
 

@@ -28,7 +28,12 @@ import (
 //   - string ↔ []byte/[]rune conversions;
 //   - capturing closures handed to Schedule/Send/ScheduleActor or
 //     returned to the caller (one allocation per event; build the
-//     closure once at setup and reschedule it by value).
+//     closure once at setup and reschedule it by value);
+//   - interface boxing of a non-pointer-shaped value (a struct, slice,
+//     string, or plain int) through an argument, assignment, return,
+//     or conversion — invisible in the source, top of the memprofile;
+//     pointers, maps, channels, and funcs box for free — and method
+//     values (x.M as a value allocates a bound-method closure).
 //
 // The rule is interprocedural: a bottom-up pass over the call graph's
 // SCCs summarizes every function's allocation behavior, so a hot
@@ -45,7 +50,7 @@ import (
 // the steady-state contract stays auditable.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "//iobt:hot functions (and, via bottom-up allocation summaries, everything they call) must not allocate per event: no escaping composites, per-event fmt/errors, unpreallocated append, sort.Slice, string conversions, or per-event capturing closures",
+	Doc:  "//iobt:hot functions (and, via bottom-up allocation summaries, everything they call) must not allocate per event: no escaping composites, per-event fmt/errors, unpreallocated append, sort.Slice, string conversions, per-event capturing closures, interface boxing, or method values",
 	Run:  runHotAlloc,
 }
 
@@ -72,7 +77,20 @@ func allocSites(pkg *Package, fd *ast.FuncDecl, descend bool) []allocSite {
 	add := func(pos token.Pos, desc string) {
 		out = append(out, allocSite{pos: pos, desc: desc})
 	}
+	q := func(p *types.Package) string { return p.Name() }
+	box := func(e ast.Expr, dst types.Type, how string) {
+		if src := pkg.Info.TypeOf(e); boxes(dst, src) {
+			add(e.Pos(), how+" boxes "+types.TypeString(src, q)+" into "+types.TypeString(dst, q)+
+				" (use a concrete type or a pointer payload)")
+		}
+	}
 	nilStart := nilStartSlices(pkg, fd)
+	// results are fd's result types; nil while walking a literal, whose
+	// returns answer to the literal's own signature.
+	results := pkg.Info.Defs[fd.Name].Type().(*types.Signature).Results()
+	// called marks selectors in call position (x.M() is dispatch, not a
+	// bound-method closure); Inspect visits a call before its Fun.
+	called := map[*ast.SelectorExpr]bool{}
 
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
@@ -82,16 +100,32 @@ func allocSites(pkg *Package, fd *ast.FuncDecl, descend bool) []allocSite {
 			// (scheduling call or return); only the body's descent is
 			// decided here.
 			if descend {
+				outer := results
+				results = nil
 				ast.Inspect(x.Body, walk)
+				results = outer
 			}
 			return false
 		case *ast.ReturnStmt:
-			for _, res := range x.Results {
+			for i, res := range x.Results {
 				if lit, isLit := ast.Unparen(res).(*ast.FuncLit); isLit {
 					if names := captureNames(pkg.Info, lit); names != "" {
 						add(lit.Pos(), "returns a closure capturing "+names+" (one allocation per call)")
 					}
 				}
+				if results != nil && i < results.Len() {
+					box(res, results.At(i).Type(), "return")
+				}
+			}
+		case *ast.AssignStmt:
+			if len(x.Lhs) == len(x.Rhs) {
+				for i, lhs := range x.Lhs {
+					box(x.Rhs[i], pkg.Info.TypeOf(lhs), "assignment")
+				}
+			}
+		case *ast.SelectorExpr:
+			if s, isSel := pkg.Info.Selections[x]; isSel && s.Kind() == types.MethodVal && !called[x] {
+				add(x.Pos(), "method value "+types.ExprString(x)+" allocates a bound-method closure per evaluation; call it directly or hoist the binding")
 			}
 		case *ast.UnaryExpr:
 			if x.Op == token.AND {
@@ -112,8 +146,13 @@ func allocSites(pkg *Package, fd *ast.FuncDecl, descend bool) []allocSite {
 			if isPanicCall(pkg.Info, x) {
 				return false // crash path: formatting the message is not a per-event cost
 			}
+			if sel, isSel := ast.Unparen(x.Fun).(*ast.SelectorExpr); isSel {
+				called[sel] = true
+			}
 			if d := callAllocDesc(pkg.Info, x, nilStart); d != "" {
-				add(x.Pos(), d)
+				add(x.Pos(), d) // covers the boxing of its arguments too
+			} else {
+				callBoxing(pkg.Info, x, box)
 			}
 			if fn := schedClosureArg(pkg.Info, x); fn != nil {
 				if lit, isLit := ast.Unparen(fn).(*ast.FuncLit); isLit {
@@ -185,6 +224,58 @@ func callAllocDesc(info *types.Info, call *ast.CallExpr, nilStart map[types.Obje
 		}
 	}
 	return ""
+}
+
+// pointerShaped reports whether values of t box into an interface
+// without allocating: single-word reference types.
+func pointerShaped(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
+		return true
+	case *types.Basic:
+		return u.Kind() == types.UnsafePointer || u.Kind() == types.UntypedNil
+	}
+	return false
+}
+
+// boxes reports whether assigning src to a dst location allocates: dst
+// is an interface and src is concrete and not pointer-shaped.
+func boxes(dst, src types.Type) bool {
+	if dst == nil || src == nil {
+		return false
+	}
+	if _, isIface := dst.Underlying().(*types.Interface); !isIface {
+		return false
+	}
+	if _, isIface := src.Underlying().(*types.Interface); isIface {
+		return false // interface→interface copies the existing box
+	}
+	return !pointerShaped(src)
+}
+
+// callBoxing passes box every argument bound to an interface parameter,
+// including the elements of a variadic ...any tail and the operand of
+// an explicit conversion like any(v).
+func callBoxing(info *types.Info, call *ast.CallExpr, box func(ast.Expr, types.Type, string)) {
+	if tv, isType := info.Types[call.Fun]; isType && tv.IsType() && len(call.Args) == 1 {
+		box(call.Args[0], tv.Type, "conversion")
+		return
+	}
+	sig, isSig := info.TypeOf(call.Fun).(*types.Signature)
+	if !isSig || call.Ellipsis.IsValid() {
+		return // s... passes the slice through; no per-element boxing
+	}
+	params := sig.Params()
+	for i, arg := range call.Args {
+		switch {
+		case sig.Variadic() && i >= params.Len()-1:
+			if s, isSlice := params.At(params.Len() - 1).Type().(*types.Slice); isSlice {
+				box(arg, s.Elem(), "argument")
+			}
+		case i < params.Len():
+			box(arg, params.At(i).Type(), "argument")
+		}
+	}
 }
 
 // nilStartSlices collects fd's local slice variables declared with no

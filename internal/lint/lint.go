@@ -215,9 +215,8 @@ func sortDiagnostics(ds []Diagnostic) {
 // Analyzers returns the full iobtlint suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		DetRand, MapOrder, SnapshotPair, MetricReg, DetTaint, EnumCase, ErrDrop,
-		Shardown, GoCapture, BarrierState, LookaheadClamp,
-		HotAlloc, HotBox, DeferCycle,
+		DetRand, SnapshotPair, MetricReg, DetTaint, EnumCase, ErrDrop,
+		Shardown, GoCapture, BarrierState, HotAlloc, DeferCycle,
 	}
 }
 

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -23,7 +24,8 @@ type Program struct {
 	summaries   map[string]*Summary
 	methodImpls map[string][]string
 	findings    []programFinding
-	seen        map[string]bool
+	// seen holds the (package, position) of every finding: one per site.
+	seen map[programFinding]bool
 
 	// notes indexes the //iobt: shard-safety annotations across every
 	// loaded package (see annotations.go).
@@ -43,122 +45,81 @@ type Program struct {
 // cycle; taint sets only grow, so convergence is fast in practice.
 const maxSCCIterations = 8
 
-// NewProgram builds the call graph and computes every function's
-// summary in one bottom-up SCC pass.
+// NewProgram builds the call graph and computes the three per-function
+// summaries (taint, captures, allocation facts), each in one bottom-up
+// pass over the same SCCs.
 func NewProgram(pkgs []*Package) *Program {
 	graph := buildCallGraph(pkgs)
 	prog := &Program{
 		Pkgs:        pkgs,
 		Graph:       graph,
 		summaries:   map[string]*Summary{},
-		seen:        map[string]bool{},
+		seen:        map[programFinding]bool{},
 		methodImpls: graph.methodImpls,
 		notes:       scanNotes(pkgs),
 		captures:    map[string][]int{},
 		allocFacts:  map[string][]string{},
 	}
-
-	for _, comp := range prog.Graph.sccs() {
-		if len(comp) == 1 {
-			prog.summaries[comp[0].Key] = analyzeFunc(prog, comp[0])
-			continue
-		}
-		// Cycle: iterate the whole component until summaries stabilize.
-		for iter := 0; iter < maxSCCIterations; iter++ {
-			changed := false
-			for _, node := range comp {
-				before := ""
-				if s := prog.summaries[node.Key]; s != nil {
-					before = s.fingerprint()
-				}
-				next := analyzeFunc(prog, node)
-				if next.fingerprint() != before {
-					changed = true
-				}
-				prog.summaries[node.Key] = next
-			}
-			if !changed {
-				break
-			}
-		}
-	}
-	// Second bottom-up pass: capture summaries for gocapture. The same
-	// SCC order gives each function its callees' capture sets; cycles
-	// iterate to a fixpoint (capture sets only grow).
-	for _, comp := range prog.Graph.sccs() {
-		if len(comp) == 1 {
-			if set := computeCaptures(prog, comp[0]); len(set) > 0 {
-				prog.captures[comp[0].Key] = set
-			}
-			continue
-		}
-		for iter := 0; iter < maxSCCIterations; iter++ {
-			changed := false
-			for _, node := range comp {
-				next := computeCaptures(prog, node)
-				if len(next) != len(prog.captures[node.Key]) {
-					changed = true
-				}
-				if len(next) > 0 {
-					prog.captures[node.Key] = next
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-	}
-
-	// Third bottom-up pass: allocation summaries for hotalloc. Same SCC
-	// order; cycles iterate to a fixpoint (fact lists are capped, and
-	// comparison is on the rendered facts).
-	for _, comp := range prog.Graph.sccs() {
-		if len(comp) == 1 {
-			if facts := computeAllocFacts(prog, comp[0]); len(facts) > 0 {
-				prog.allocFacts[comp[0].Key] = facts
-			}
-			continue
-		}
-		for iter := 0; iter < maxSCCIterations; iter++ {
-			changed := false
-			for _, node := range comp {
-				next := computeAllocFacts(prog, node)
-				if strings.Join(next, "\x00") != strings.Join(prog.allocFacts[node.Key], "\x00") {
-					changed = true
-				}
-				if len(next) > 0 {
-					prog.allocFacts[node.Key] = next
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-	}
+	comps := graph.sccs()
+	bottomUp(comps, func(n *CGNode) bool {
+		before := prog.summaries[n.Key]
+		next := analyzeFunc(prog, n)
+		prog.summaries[n.Key] = next
+		return before == nil || before.fingerprint() != next.fingerprint()
+	})
+	bottomUp(comps, func(n *CGNode) bool { return update(prog.captures, n.Key, computeCaptures(prog, n)) })
+	bottomUp(comps, func(n *CGNode) bool { return update(prog.allocFacts, n.Key, computeAllocFacts(prog, n)) })
 
 	sort.Slice(prog.findings, func(i, j int) bool {
 		a, b := prog.findings[i], prog.findings[j]
 		if a.pkgPath != b.pkgPath {
 			return a.pkgPath < b.pkgPath
 		}
-		if a.pos != b.pos {
-			return a.pos < b.pos
-		}
-		return a.msg < b.msg
+		return a.pos < b.pos
 	})
 	return prog
 }
 
-// report records one dettaint finding, deduplicating across fixpoint
-// iterations and re-analysis.
+// bottomUp runs step on every node, callees before callers (sccs
+// order), so each step sees its callees' finished results. step
+// recomputes one node's result and reports whether it changed; the
+// members of a cycle repeat until none does (results only grow), at
+// most maxSCCIterations times.
+func bottomUp(comps [][]*CGNode, step func(*CGNode) bool) {
+	for _, comp := range comps {
+		for iter := 0; iter < maxSCCIterations; iter++ {
+			changed := false
+			for _, node := range comp {
+				if step(node) {
+					changed = true
+				}
+			}
+			if !changed || len(comp) == 1 {
+				break
+			}
+		}
+	}
+}
+
+// update stores next as m[key] and reports whether it differs from the
+// value it replaces.
+func update[T comparable](m map[string][]T, key string, next []T) bool {
+	changed := !slices.Equal(m[key], next)
+	m[key] = next
+	return changed
+}
+
+// report records one dettaint finding. The first report at a position
+// wins: fixpoint iterations re-analyze a function, and the data-flow
+// and control-dependence rules may both reach the same sink call.
 func (prog *Program) report(pkg *Package, pos token.Pos, format string, args ...any) {
-	f := programFinding{pkgPath: pkg.Path, pos: pos, msg: fmt.Sprintf(format, args...)}
-	k := fmt.Sprintf("%s|%d|%s", f.pkgPath, f.pos, f.msg)
-	if prog.seen[k] {
+	site := programFinding{pkgPath: pkg.Path, pos: pos}
+	if prog.seen[site] {
 		return
 	}
-	prog.seen[k] = true
-	prog.findings = append(prog.findings, f)
+	prog.seen[site] = true
+	site.msg = fmt.Sprintf(format, args...)
+	prog.findings = append(prog.findings, site)
 }
 
 // findingsFor returns the dettaint findings recorded for one package.

@@ -18,8 +18,9 @@ import (
 // arithmetic, composite construction, and calls (using the callee's
 // summary), is removed by sorting, and is reported when it reaches a
 // determinism sink: checkpoint encoding, RNG stream selection, event
-// scheduling, ordered writes, or the return value of an exported
-// function when that value is a slice.
+// scheduling, ordered writes, or a function's slice result. A sink
+// called inside a map-range body is reported even when no tainted
+// value reaches it: it runs once per entry, in iteration order.
 //
 // Each function is analyzed with its parameters (receiver first)
 // carrying symbolic taint, so the same walk that finds concrete
@@ -64,10 +65,6 @@ type origin struct {
 	// for taint born in the current function.
 	via []string
 }
-
-// interproc reports whether the taint crossed a function boundary —
-// the flows maporder cannot see, and the only ones dettaint reports.
-func (o origin) interproc() bool { return len(o.via) > 0 }
 
 func (o origin) describe(fset *token.FileSet) string {
 	s := o.kind.String() + " (" + o.what
@@ -126,7 +123,6 @@ func pushVia(os []origin, callee string) []origin {
 
 // A sinkHit records that taint reached one sink, for summaries.
 type sinkHit struct {
-	kind string // "encode", "rng", "sched", "write", "escape"
 	desc string
 	via  []string
 }
@@ -160,7 +156,7 @@ func (s *Summary) fingerprint() string {
 	for _, i := range idx {
 		fmt.Fprintf(&b, "P%d:", i)
 		for _, h := range s.ParamSinks[i] {
-			fmt.Fprintf(&b, "%s@%s;", h.kind, h.desc)
+			fmt.Fprintf(&b, "%s;", h.desc)
 		}
 	}
 	idx = idx[:0]
@@ -177,7 +173,7 @@ func (s *Summary) fingerprint() string {
 
 func (s *Summary) addParamSink(i int, h sinkHit) {
 	for _, e := range s.ParamSinks[i] {
-		if e.kind == h.kind && e.desc == h.desc {
+		if e.desc == h.desc {
 			return
 		}
 	}
@@ -205,6 +201,9 @@ type taintState struct {
 	sum     *Summary
 	// record is true on the reporting pass (state is warm).
 	record bool
+	// ranges holds the origins of the enclosing map-range loops,
+	// innermost last.
+	ranges []origin
 }
 
 // analyzeFunc runs the two-pass transfer over node's body: the first
@@ -359,7 +358,8 @@ func (st *taintState) walkStmt(s ast.Stmt) {
 
 // handleRange taints the iteration variables of a range over a map
 // (both key and value follow iteration order) and propagates element
-// taint for slices, arrays, and channels.
+// taint for slices, arrays, and channels. A map range's body is walked
+// with its origin on st.ranges, for the control-dependence rule.
 func (st *taintState) handleRange(x *ast.RangeStmt) {
 	var kv []origin
 	t := st.pkg.Info.TypeOf(x.X)
@@ -367,6 +367,8 @@ func (st *taintState) handleRange(x *ast.RangeStmt) {
 		if _, isMap := t.Underlying().(*types.Map); isMap {
 			kv = []origin{{kind: taintMap, pos: x.Pos(),
 				what: "range over " + types.TypeString(t, nil)}}
+			st.ranges = append(st.ranges, kv[0])
+			defer func() { st.ranges = st.ranges[:len(st.ranges)-1] }()
 		} else {
 			kv = st.taintOf(x.X)
 		}
@@ -554,14 +556,10 @@ func (st *taintState) handleReturn(x *ast.ReturnStmt) {
 	}
 }
 
-// checkEscape reports an exported function returning a slice whose
-// order is map-iteration-tainted through a helper — the cross-function
-// version of maporder's escaping-slice rule.
+// checkEscape reports a function returning a slice whose order is
+// map-iteration-tainted, built locally or by a helper.
 func (st *taintState) checkEscape(e ast.Expr, o origin, retPos token.Pos) {
-	if o.kind != taintMap || !o.interproc() || !st.node.Decl.Name.IsExported() {
-		return
-	}
-	if e == nil {
+	if o.kind != taintMap || e == nil {
 		return
 	}
 	t := st.pkg.Info.TypeOf(e)
@@ -572,7 +570,7 @@ func (st *taintState) checkEscape(e ast.Expr, o origin, retPos token.Pos) {
 		return
 	}
 	st.prog.report(st.pkg, retPos,
-		"exported %s returns a slice ordered by %s without sorting; callers observe a different order every run",
+		"%s returns a slice ordered by %s without sorting; callers observe a different order every run",
 		st.node.Decl.Name.Name, o.describe(st.pkg.Fset))
 }
 
@@ -628,15 +626,25 @@ func (st *taintState) visitCall(call *ast.CallExpr) []origin {
 		return []origin{o}
 	}
 
-	// Evaluate argument taint (receiver first for method calls), which
-	// also recursively visits nested calls.
-	args, argTaint := st.callArguments(call)
+	// Evaluate argument taint (receiver first, matching Summary
+	// numbering), which also recursively visits nested calls.
+	args := callArgExprs(st.pkg.Info, call)
+	argTaint := make([][]origin, len(args))
+	for i, a := range args {
+		argTaint[i] = st.taintOf(a)
+	}
 
-	// Sinks.
-	if kind, desc, isSink := st.sinkCall(call); isSink {
-		for i, t := range argTaint {
-			_ = i
-			st.recordSinkFlow(call.Pos(), kind, desc, nil, t)
+	// Sinks: a tainted argument first, else the enclosing map range. All
+	// findings are reported at the call, so report keeps one per call
+	// site — the direct sink's, before any reached through the callee.
+	if desc, isSink := st.sinkCall(call); isSink {
+		for _, t := range argTaint {
+			st.recordSinkFlow(call.Pos(), desc, nil, t)
+		}
+		if n := len(st.ranges); n > 0 && st.record {
+			st.prog.report(st.pkg, call.Pos(),
+				"%s runs once per map entry, in %s; collect and sort the keys first",
+				desc, st.ranges[n-1].describe(st.pkg.Fset))
 		}
 	}
 
@@ -653,7 +661,7 @@ func (st *taintState) visitCall(call *ast.CallExpr) []origin {
 				continue
 			}
 			for _, h := range sum.ParamSinks[j] {
-				st.recordSinkFlow(argPos(call, args, j), h.kind, h.desc,
+				st.recordSinkFlow(call.Pos(), h.desc,
 					append([]string{calleeName}, h.via...), t)
 			}
 			if sum.ParamOut[j] {
@@ -672,7 +680,7 @@ func (st *taintState) visitCall(call *ast.CallExpr) []origin {
 	// taint through to the result — strings.Join of a tainted slice is
 	// a tainted string.
 	if staticCallee(st.pkg.Info, call) != nil {
-		if _, known := st.knownCallee(call); known {
+		if st.knownCallee(call) {
 			// Analyzed function with an empty summary: results clean.
 			return nil
 		}
@@ -686,54 +694,25 @@ func (st *taintState) visitCall(call *ast.CallExpr) []origin {
 
 // knownCallee reports whether the call statically reaches a function
 // whose body was analyzed (so its summary is authoritative).
-func (st *taintState) knownCallee(call *ast.CallExpr) (*CGNode, bool) {
+func (st *taintState) knownCallee(call *ast.CallExpr) bool {
 	for _, key := range calleeKeys(st.pkg.Info, call, st.prog.methodImpls) {
-		if n, known := st.prog.Graph.Nodes[key]; known {
-			return n, true
+		if _, known := st.prog.Graph.Nodes[key]; known {
+			return true
 		}
 	}
-	return nil, false
-}
-
-// callArguments returns the call's argument expressions with the
-// receiver (for method calls) prepended, plus each one's taint —
-// indexed to match Summary parameter numbering.
-func (st *taintState) callArguments(call *ast.CallExpr) ([]ast.Expr, [][]origin) {
-	var args []ast.Expr
-	if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
-		if _, isMethod := st.pkg.Info.Selections[sel]; isMethod {
-			args = append(args, sel.X)
-		}
-	}
-	args = append(args, call.Args...)
-	taints := make([][]origin, len(args))
-	for i, a := range args {
-		taints[i] = st.taintOf(a)
-	}
-	return args, taints
-}
-
-func argPos(call *ast.CallExpr, args []ast.Expr, j int) token.Pos {
-	if j < len(args) {
-		return args[j].Pos()
-	}
-	return call.Pos()
+	return false
 }
 
 // recordSinkFlow routes taint arriving at a sink: symbolic taint feeds
-// the summary; concrete taint that crossed a function boundary is a
-// finding.
-func (st *taintState) recordSinkFlow(pos token.Pos, kind, desc string, via []string, taint []origin) {
+// the summary; concrete taint is a finding.
+func (st *taintState) recordSinkFlow(pos token.Pos, desc string, via []string, taint []origin) {
 	if !st.record {
 		return
 	}
 	for _, o := range taint {
 		if o.kind == taintParam {
-			st.sum.addParamSink(o.param, sinkHit{kind: kind, desc: desc, via: via})
+			st.sum.addParamSink(o.param, sinkHit{desc: desc, via: via})
 			continue
-		}
-		if !o.interproc() && len(via) == 0 {
-			continue // purely local flow: maporder/detrand territory
 		}
 		sink := desc
 		if len(via) > 0 {
@@ -745,42 +724,62 @@ func (st *taintState) recordSinkFlow(pos token.Pos, kind, desc string, via []str
 	}
 }
 
-// sinkDesc labels per sink kind.
-var sinkKindDesc = map[string]string{
-	"encode": "checkpoint encoding",
-	"rng":    "RNG stream selection",
-	"sched":  "event scheduling",
-	"write":  "ordered output",
+// orderedWriteMethods are method names that emit bytes in call order
+// regardless of receiver.
+var orderedWriteMethods = map[string]bool{
+	"Write": true, "WriteString": true, "WriteByte": true,
+	"WriteRune": true, "Encode": true,
 }
 
-// sinkCall classifies a call as a determinism sink.
-func (st *taintState) sinkCall(call *ast.CallExpr) (kind, desc string, ok bool) {
+// orderedPkgFuncs are package-level functions that emit in call order.
+var orderedPkgFuncs = map[string]map[string]bool{
+	"fmt": {
+		"Fprint": true, "Fprintf": true, "Fprintln": true,
+		"Print": true, "Printf": true, "Println": true,
+	},
+	"encoding/binary": {"Write": true},
+}
+
+// sortFuncs are the stdlib sorters that sanitize map-order taint.
+var sortFuncs = map[string]map[string]bool{
+	"sort": {
+		"Strings": true, "Ints": true, "Float64s": true,
+		"Slice": true, "SliceStable": true, "Sort": true, "Stable": true,
+	},
+	"slices": {
+		"Sort": true, "SortFunc": true, "SortStableFunc": true,
+	},
+}
+
+// sinkCall classifies a call as a determinism sink, the one table both
+// the data-flow and the control-dependence rule consult.
+func (st *taintState) sinkCall(call *ast.CallExpr) (desc string, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
-		return "", "", false
+		return "", false
 	}
 	if pkgPath, name, qualified := pkgQualified(st.pkg.Info, sel); qualified {
 		if orderedPkgFuncs[pkgPath][name] {
-			return "write", "ordered output (" + pkgPath + "." + name + ")", true
+			return "ordered output (" + pkgPath + "." + name + ")", true
 		}
 		if pkgPath == "iobt/internal/compose" && strings.HasPrefix(name, "Encode") {
-			return "encode", "checkpoint encoding (" + name + ")", true
+			return "checkpoint encoding (" + name + ")", true
 		}
-		return "", "", false
+		return "", false
 	}
-	named := receiverNamed(st.pkg.Info, sel)
+	named, name := receiverNamed(st.pkg.Info, sel), sel.Sel.Name
 	switch {
 	case namedIs(named, "iobt/internal/checkpoint", "Encoder"):
-		return "encode", "checkpoint encoding (Encoder." + sel.Sel.Name + ")", true
+		return "checkpoint encoding (Encoder." + name + ")", true
 	case namedIs(named, "iobt/internal/sim", "RNG"):
-		return "rng", "the seeded RNG (RNG." + sel.Sel.Name + ")", true
-	case namedIs(named, "iobt/internal/sim", "Engine") &&
-		(sel.Sel.Name == "Schedule" || sel.Sel.Name == "ScheduleAt" || sel.Sel.Name == "Every"):
-		return "sched", "event scheduling (Engine." + sel.Sel.Name + ")", true
-	case orderedWriteMethods[sel.Sel.Name]:
-		return "write", "ordered output (" + sel.Sel.Name + ")", true
+		return "the seeded RNG (RNG." + name + ")", true
+	case namedIs(named, "iobt/internal/sim", "Engine") && (name == "Schedule" || name == "ScheduleAt" || name == "Every"),
+		schedClosureArg(st.pkg.Info, call) != nil: // ShardCtx.Send/Schedule, Sharded.ScheduleActor
+		return "event scheduling (" + named.Obj().Name() + "." + name + ")", true
+	case orderedWriteMethods[name]:
+		return "ordered output (" + name + ")", true
 	}
-	return "", "", false
+	return "", false
 }
 
 // globalRandFuncs are the math/rand entry points that draw from the

@@ -1,9 +1,8 @@
-// Package dettaint exercises the interprocedural taint analyzer with
-// flows maporder provably cannot see: every tainted value crosses at
-// least one call boundary between the map range (or entropy source)
-// and the sink, and no range body touches a sink or grows a slice, so
-// the intraprocedural suite stays silent on this entire file
-// (TestDetTaintCatchesWhatMapOrderMisses asserts exactly that).
+// Package dettaint exercises the taint analyzer on the sharded engine's
+// sinks and on flows that cross at least one call boundary between the
+// map range (or entropy source) and the sink. The local single-engine
+// shapes live in the maporder fixture. The collect-keys-then-sort idiom
+// and reasoned allows are clean.
 package dettaint
 
 import (
@@ -14,9 +13,16 @@ import (
 	"iobt/internal/sim"
 )
 
+// sendEach is the sharded engine's shape: one Send per peer, queued in
+// map order.
+func sendEach(c *sim.ShardCtx, peers map[sim.ActorID]bool, deliver func(*sim.ShardCtx)) {
+	for p := range peers {
+		c.Send(p, 0, "msg", deliver) // want `map-iteration order .* flows into event scheduling \(ShardCtx\.Send\)`
+	}
+}
+
 // pickFirst returns whichever key the map yields first — a scalar, so
-// maporder's escaping-slice rule never fires, but the result order-
-// depends on map iteration.
+// no slice escapes, but the result order-depends on map iteration.
 func pickFirst(m map[string]func()) string {
 	for k := range m {
 		return k

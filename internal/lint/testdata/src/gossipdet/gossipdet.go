@@ -25,13 +25,13 @@ type overlay struct {
 // map's, so the chosen fanout differs run to run on the same seed.
 func (o *overlay) badFanout(exclude int64) []int64 {
 	var peers []int64
-	for id := range o.members { // want `appends to .peers. which escapes the loop unsorted`
+	for id := range o.members {
 		if id != exclude {
 			peers = append(peers, id)
 		}
 	}
 	o.rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
-	return peers
+	return peers // want `badFanout returns a slice ordered by map-iteration order`
 }
 
 // badJitter draws per-member jitter while ranging the map: the draw
@@ -39,14 +39,14 @@ func (o *overlay) badFanout(exclude int64) []int64 {
 // stream shifts with it.
 func (o *overlay) badJitter() int {
 	total := 0
-	for range o.members { // want `draws from the seeded RNG`
-		total += o.rng.Intn(8)
+	for range o.members {
+		total += o.rng.Intn(8) // want `the seeded RNG \(RNG\.Intn\) runs once per map entry`
 	}
 	return total
 }
 
 // firstMember returns whichever member the map yields first — a
-// scalar, so the intraprocedural rules never see the hazard.
+// scalar, so no slice escapes and no sink runs inside the range.
 func firstMember(members map[int64][]int64) int64 {
 	for id := range members {
 		return id
@@ -92,8 +92,8 @@ func cleanDraw(members map[int64][]int64, rng *sim.RNG) int {
 // debugCensus demonstrates the reasoned-waiver escape hatch.
 func (o *overlay) debugCensus() int {
 	n := 0
-	//iobt:allow maporder debug-only census: the draws feed a one-shot stderr line and never reach a trace, frame, or checkpoint
 	for range o.members {
+		//iobt:allow dettaint debug-only census: the draws feed a one-shot stderr line and never reach a trace, frame, or checkpoint
 		n += o.rng.Intn(2)
 	}
 	return n

@@ -6,7 +6,8 @@
 // into a cold helper whose allocation is two frames down, carried to
 // the call site by the bottom-up allocation summaries. The pooled
 // refill shape shows the reasoned-waiver contract, and the reused
-// buffer shapes must stay silent.
+// buffer shapes must stay silent. The interface-boxing shapes live in
+// the hotbox fixture.
 package hotalloc
 
 import (

@@ -1,9 +1,9 @@
-// Package hotbox seeds the interface-boxing findings: concrete
-// non-pointer-shaped values crossing into interface arguments,
+// Package hotbox keeps the retired hotbox analyzer's fixture, now
+// checked by hotalloc, where boxing is one more allocation site:
+// concrete non-pointer-shaped values crossing into interface arguments,
 // assignments, conversions, and returns inside //iobt:hot bodies, plus
 // the bound-method-closure shape. Pointer payloads box for free and
-// must stay silent — that is the *frame fix the analyzer pushes
-// toward.
+// must stay silent — that is the *frame fix the rule pushes toward.
 package hotbox
 
 type pair struct{ a, b int }
@@ -49,5 +49,11 @@ func methodValue(c *counter) {
 	c.bump() // direct dispatch: silent
 }
 
-// cold is not annotated: boxing off the hot path is fine.
+// cold is not annotated: boxing off the hot path is fine, until a hot
+// function calls it.
 func cold(p pair) { consume(p) }
+
+//iobt:hot
+func callsCold(p pair) {
+	cold(p) // want `call to cold allocates per event: argument boxes hotbox.pair into any`
+}

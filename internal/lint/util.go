@@ -65,23 +65,3 @@ func rootIdent(e ast.Expr) *ast.Ident {
 		}
 	}
 }
-
-// funcBodies visits every function body in the file: declarations and
-// literals. fn receives the body; literals nested in a declaration are
-// visited on their own too, but the declaration's visit already spans
-// them, so callers doing position math should dedupe by range.
-func funcBodies(f *ast.File, fn func(body *ast.BlockStmt)) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch d := n.(type) {
-		case *ast.FuncDecl:
-			if d.Body != nil {
-				fn(d.Body)
-			}
-		case *ast.FuncLit:
-			if d.Body != nil {
-				fn(d.Body)
-			}
-		}
-		return true
-	})
-}

@@ -23,7 +23,7 @@ import (
 // engine-derived "gossip" stream and takes the first Fanout. Anti-entropy
 // walks members in ascending ID order and picks each partner from a
 // sorted candidate list with the same stream. Same seed, same byte-for-
-// byte behavior — the dettaint/maporder analyzers police this.
+// byte behavior — the dettaint analyzer polices this.
 
 // Gossip frame kinds carried over SendDirect.
 const (

@@ -88,7 +88,8 @@ func journalResult(j *checkpoint.Journal, res *ShardResult) {
 // TestShardScenarioDeterminismAcrossShardCounts is the PR's headline
 // differential: each representative scenario, same seed, at 1, 2, 4,
 // and 8 shards, must produce byte-identical journals (checked by
-// checkpoint.VerifyEquivalence) and zero conservation violations.
+// checkpoint.VerifyEquivalence), zero conservation violations, and zero
+// clamped sends — no stock hop latency may fall below the lookahead.
 func TestShardScenarioDeterminismAcrossShardCounts(t *testing.T) {
 	for _, name := range scenarioNames() {
 		sc := shardScenarios()[name]
@@ -102,6 +103,9 @@ func TestShardScenarioDeterminismAcrossShardCounts(t *testing.T) {
 					}
 					for _, v := range res.Violations {
 						t.Errorf("shards=%d conservation violation: %s", shards, v)
+					}
+					if res.ClampedSends != 0 {
+						t.Errorf("shards=%d: %d clamped sends; a stock hop latency fell below the lookahead floor", shards, res.ClampedSends)
 					}
 					if res.Published == 0 || res.Delivered == 0 {
 						t.Fatalf("shards=%d degenerate run: published=%d delivered=%d", shards, res.Published, res.Delivered)
@@ -121,8 +125,9 @@ func TestShardScenarioDeterminismAcrossShardCounts(t *testing.T) {
 // 100ms lookahead so the runtime clamp fires, and asserts the counter
 // is populated in the result and shard-count invariant — clamping is a
 // pure function of the model's stated delays, never of the partition.
-// (The stock scenarios use 120ms hops, so their clamp count is zero;
-// this is the one place the floor is deliberately undercut.)
+// (The stock scenarios use 120ms hops, so their clamp count is zero —
+// TestShardScenarioDeterminismAcrossShardCounts asserts it; this is the
+// one place the floor is deliberately undercut.)
 func TestShardScenarioClampedSends(t *testing.T) {
 	sc := ShardScenario{Nodes: 32, HopLatency: 20 * time.Millisecond, Horizon: 60 * time.Second}
 	ref, err := RunShardScenario(5, 1, sc)

@@ -38,7 +38,6 @@ func TestShardedZeroAllocScheduling(t *testing.T) {
 			deliver = func(c *ShardCtx) {}
 			tick = func(c *ShardCtx) {
 				c.Schedule(time.Millisecond, "tick", tick)
-				//iobt:allow lookaheadclamp the engine above is configured with Lookahead: time.Millisecond, so a 1ms Send is exactly at the floor, not clamped
 				c.Send((c.Self()+1)%actors, time.Millisecond, "msg", deliver)
 			}
 			for i := 0; i < actors; i++ {

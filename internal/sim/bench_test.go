@@ -83,7 +83,6 @@ func shardedSendBench(b *testing.B, shards int) {
 	s := NewSharded(1, ShardedConfig{Shards: shards, Lookahead: time.Millisecond})
 	var relay func(c *ShardCtx)
 	relay = func(c *ShardCtx) {
-		//iobt:allow lookaheadclamp the engine above is configured with Lookahead: time.Millisecond, so a 1ms Send is exactly at the floor, not clamped
 		c.Send((c.Self()+1)%benchActors, time.Millisecond, "msg", relay)
 	}
 	for i := 0; i < benchActors; i++ {

@@ -171,9 +171,7 @@ func TestShardedClampedSends(t *testing.T) {
 	s.AddActor(0, 0)
 	s.AddActor(1, 0)
 	s.ScheduleActor(0, 0, "emit", func(c *ShardCtx) {
-		//iobt:allow lookaheadclamp this test exists to exercise the runtime clamp; the sub-floor delay is the point
-		c.Send(1, 10*time.Millisecond, "below", func(*ShardCtx) {}) // clamped
-		//iobt:allow lookaheadclamp this test exists to exercise the runtime clamp; the sub-floor delay is the point
+		c.Send(1, 10*time.Millisecond, "below", func(*ShardCtx) {})  // clamped
 		c.Send(1, 99*time.Millisecond, "edge", func(*ShardCtx) {})   // clamped
 		c.Send(1, 100*time.Millisecond, "floor", func(*ShardCtx) {}) // not clamped
 		c.Send(1, 250*time.Millisecond, "above", func(*ShardCtx) {}) // not clamped
