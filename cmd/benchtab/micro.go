@@ -65,9 +65,32 @@ func microBenches() []microBench {
 			},
 		},
 		{
+			name: "engine_event_64",
+			doc:  "sequential engine: sharded_local_1's 64 ticks on one millisecond, so the two engines meet at one queue depth (engine_event holds 1 event queued, sharded_local_1 holds 64: their ratio prices the queue depth, not the lane)",
+			fn: func(b *testing.B) {
+				// Mirrors BenchmarkEngineEvent64 in internal/sim/bench_test.go.
+				eng := sim.NewEngine(1)
+				var tick func()
+				tick = func() { eng.Schedule(time.Millisecond, "tick", tick) }
+				for i := 0; i < microBenchActors; i++ {
+					eng.Schedule(time.Millisecond, "tick", tick)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					eng.Step()
+				}
+			},
+		},
+		{
 			name: "sharded_local_1",
 			doc:  "sharded engine, 1 shard: per-event cost of the local schedule path",
 			fn:   func(b *testing.B) { microShardedTick(b, 1) },
+		},
+		{
+			name: "sharded_local_1_10k",
+			doc:  "sharded engine, 1 shard, engine_storm's queue: 10^4 actors ticking every 50ms from per-actor phases, 10^4 events queued and spread over the tick rather than 64 on one instant",
+			fn:   microShardedTick10k,
 		},
 		{
 			name: "sharded_local_4",
@@ -192,6 +215,26 @@ func microShardedTick(b *testing.B, shards int) {
 		s.ScheduleActor(sim.ActorID(i), time.Millisecond, "tick", tick)
 	}
 	horizon := time.Duration((b.N+microBenchActors-1)/microBenchActors) * time.Millisecond
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(horizon); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// microShardedTick10k mirrors BenchmarkShardedLocal1_10k in
+// internal/sim/bench_test.go.
+func microShardedTick10k(b *testing.B) {
+	const actors, period = 10000, 50 * time.Millisecond
+	s := sim.NewSharded(1, sim.ShardedConfig{Shards: 1, Lookahead: 100 * time.Millisecond})
+	var tick func(c *sim.ShardCtx)
+	tick = func(c *sim.ShardCtx) { c.Schedule(period, "tick", tick) }
+	phases := sim.NewRNG(1)
+	for i := 0; i < actors; i++ {
+		s.AddActor(sim.ActorID(i), 0)
+		s.ScheduleActor(sim.ActorID(i), time.Duration(phases.Intn(int(period/time.Microsecond)))*time.Microsecond, "tick", tick)
+	}
+	horizon := time.Duration((b.N+actors-1)/actors) * period
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := s.Run(horizon); err != nil {
@@ -332,10 +375,10 @@ func runMicroBenches(host *experiments.Host) *MicroTable {
 // String renders the text table.
 func (t *MicroTable) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-18s %12s %16s %12s %12s\n",
+	fmt.Fprintf(&sb, "%-20s %12s %16s %12s %12s\n",
 		"benchmark", "ns/op", "events_per_sec", "allocs/op", "bytes/op")
 	for _, r := range t.Benchmarks {
-		fmt.Fprintf(&sb, "%-18s %12.1f %16.0f %12d %12d\n",
+		fmt.Fprintf(&sb, "%-20s %12.1f %16.0f %12d %12d\n",
 			r.Name, r.NsPerOp, r.EventsPerSec, r.AllocsPerOp, r.BytesPerOp)
 	}
 	return strings.TrimRight(sb.String(), "\n")

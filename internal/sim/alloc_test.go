@@ -20,7 +20,7 @@ func TestEngineZeroAllocScheduling(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		eng.Schedule(time.Millisecond, "tick", tick)
 	}
-	for i := 0; i < 100; i++ { // warm the pool and the heap capacity
+	for i := 0; i < 100; i++ { // warm the pool and the tie-heap capacity
 		eng.Step()
 	}
 	allocs := testing.AllocsPerRun(200, func() { eng.Step() })
@@ -44,13 +44,13 @@ func TestShardedZeroAllocScheduling(t *testing.T) {
 				s.AddActor(ActorID(i), i%shards)
 				s.ScheduleActor(ActorID(i), time.Millisecond, "tick", tick)
 			}
-			// Warm the pools, heaps, and inbox ping-pong buffers.
+			// Warm the pools, queues, and inbox ping-pong buffers.
 			if err := s.Run(20 * time.Millisecond); err != nil {
 				t.Fatal(err)
 			}
 			// Drive barrier-to-barrier windows inline (workers down, so
 			// every lane executes on this goroutine): the measured loop is
-			// exactly the scheduling path — pool alloc/free, heap push/pop,
+			// exactly the scheduling path — pool alloc/free, queue push/pop,
 			// mailbox staging and drain — at the full shard layout.
 			ctx := context.Background()
 			end := s.Now()
@@ -68,6 +68,45 @@ func TestShardedZeroAllocScheduling(t *testing.T) {
 				t.Fatal("no events processed")
 			}
 		})
+	}
+}
+
+// TestShardedZeroAllocMigration pins the migration barrier at zero
+// allocations: at 2 shards every actor hops lanes on every tick, so each
+// barrier runs rehome on both lanes — one filter pass unlinking the
+// movers and a push of each into the other lane's queue.
+func TestShardedZeroAllocMigration(t *testing.T) {
+	const actors = 16
+	s := NewSharded(1, ShardedConfig{Shards: 2, Lookahead: time.Millisecond})
+	var tick func(c *ShardCtx)
+	tick = func(c *ShardCtx) {
+		c.Schedule(time.Millisecond, "tick", tick)
+		c.Schedule(3*time.Millisecond, "later", func(*ShardCtx) {})
+		c.Migrate(1 - c.Shard())
+	}
+	for i := 0; i < actors; i++ {
+		s.AddActor(ActorID(i), i%2)
+		s.ScheduleActor(ActorID(i), time.Millisecond, "tick", tick)
+	}
+	if err := s.Run(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	end := s.Now()
+	window := func() {
+		end += time.Millisecond
+		s.runWindow(ctx, end, false)
+		s.drainInboxes()
+		s.applyMigrations()
+		s.setNow(end)
+	}
+	if allocs := testing.AllocsPerRun(100, window); allocs != 0 {
+		t.Fatalf("steady-state migration barrier allocated %v, want 0", allocs)
+	}
+	before := s.ActorShard(0)
+	window()
+	if after := s.ActorShard(0); after == before {
+		t.Fatalf("actor 0 stayed on shard %d across a barrier: nothing migrated", after)
 	}
 }
 

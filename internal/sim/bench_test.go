@@ -27,6 +27,23 @@ func BenchmarkEngineEvent(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineEvent64 is BenchmarkShardedLocal1's shape on Engine:
+// 64 self-rescheduling events on the same millisecond, so the two
+// engines are compared at the same queue depth and the same ties.
+func BenchmarkEngineEvent64(b *testing.B) {
+	eng := NewEngine(1)
+	var tick func()
+	tick = func() { eng.Schedule(time.Millisecond, "tick", tick) }
+	for i := 0; i < benchActors; i++ {
+		eng.Schedule(time.Millisecond, "tick", tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+}
+
 // BenchmarkEngineScheduleCancel exercises the Schedule+Cancel path:
 // handles must stay valid (and refuse to fire) without holding the
 // event alive.
@@ -70,6 +87,31 @@ func shardedTickBench(b *testing.B, shards int) {
 }
 
 func BenchmarkShardedLocal1(b *testing.B) { shardedTickBench(b, 1) }
+
+// BenchmarkShardedLocal1_10k is engine_storm's queue on one shard: 10^4
+// actors ticking every 50ms from per-actor phases, so the queue holds
+// 10^4 events spread over the tick instead of 64 on one instant.
+func BenchmarkShardedLocal1_10k(b *testing.B) {
+	const actors, period = 10000, 50 * time.Millisecond
+	s := NewSharded(1, ShardedConfig{Shards: 1, Lookahead: 100 * time.Millisecond})
+	var tick func(c *ShardCtx)
+	tick = func(c *ShardCtx) { c.Schedule(period, "tick", tick) }
+	phases := NewRNG(1)
+	for i := 0; i < actors; i++ {
+		s.AddActor(ActorID(i), 0)
+		s.ScheduleActor(ActorID(i), time.Duration(phases.Intn(int(period/time.Microsecond)))*time.Microsecond, "tick", tick)
+	}
+	horizon := time.Duration((b.N+actors-1)/actors) * period
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(horizon); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if s.Processed() == 0 {
+		b.Fatal("no events processed")
+	}
+}
 func BenchmarkShardedLocal2(b *testing.B) { shardedTickBench(b, 2) }
 func BenchmarkShardedLocal4(b *testing.B) { shardedTickBench(b, 4) }
 func BenchmarkShardedLocal8(b *testing.B) { shardedTickBench(b, 8) }

@@ -151,7 +151,7 @@ func (e *Engine) Stop() { e.stopped = true }
 //iobt:barrier
 //iobt:hot
 func (e *Engine) Step() bool {
-	for len(e.ln.queue) > 0 {
+	for e.ln.queue.len() > 0 {
 		if e.ln.step(e.ln.now) {
 			return true
 		}
@@ -188,10 +188,11 @@ func (e *Engine) RunContext(ctx context.Context, horizon time.Duration) error {
 			default:
 			}
 		}
-		if len(e.ln.queue) == 0 {
+		next, ok := e.ln.queue.minAt()
+		if !ok {
 			return nil
 		}
-		if e.ln.queue[0].at > limit {
+		if next > limit {
 			e.ln.now = limit
 			return nil
 		}

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +23,6 @@ type event struct {
 	at    time.Duration
 	actor ActorID
 	gen   uint32 // bumped on recycle; Handles remember the gen they saw
-	index int32  // heap index
 	// class 0: locally scheduled (a = per-actor sequence, b = 0).
 	// class 1: delivery (a = sender actor, b = sender's send sequence).
 	class    uint8
@@ -33,7 +34,7 @@ type event struct {
 	// closure keep both paths at zero allocations per event.
 	fn    func(*ShardCtx)
 	plain func()
-	next  *event // free-list link while recycled
+	next  *event // bucket link while queued, free-list link while recycled
 }
 
 func (e *event) before(o *event) bool {
@@ -52,72 +53,248 @@ func (e *event) before(o *event) bool {
 	return e.b < o.b
 }
 
-// eventHeap is an intrusive binary min-heap over the five-part event
-// key. The sift loops are hand-rolled rather than container/heap so the
-// per-event path has no interface-method dispatch; the index field
-// supports O(1) removal when an actor migrates.
-type eventHeap []*event
-
-func (q *eventHeap) push(ev *event) {
-	ev.index = int32(len(*q))
-	*q = append(*q, ev)
-	q.siftUp(len(*q) - 1)
+// eventQueue is the lane's priority queue: a radix heap on the event
+// time, with a small binary heap for the events at its base.
+//
+// base never exceeds any queued time. Bucket k (1..64, stored at index
+// k-1) holds the events whose at first differs from base at bit k-1, so
+// every event in bucket k is earlier than every event in bucket k+1.
+// A bucket is a list threaded through event.next (a queued event is
+// never on the free list), least[k-1] is its earliest time, and bit k-1
+// of occ says it is non-empty, so the lowest bucket is one
+// TrailingZeros64. Events at base sit in ties, ordered by the full
+// five-part key, so the pop sequence is the strict key order.
+//
+// A pop that finds ties empty moves base up to the lowest bucket's least
+// and redistributes that one bucket into the buckets below it, which are
+// empty: the lists need no storage beyond the events themselves, and
+// each event descends at most once per bit. minAt reads the next time
+// without moving base, so a barrier's deliveries (all later than
+// anything popped) never land below it.
+type eventQueue struct {
+	base  time.Duration
+	n     int
+	occ   uint64
+	ties  []*event
+	head  [64]*event
+	least [64]time.Duration
 }
 
-func (q *eventHeap) pop() *event {
-	return q.removeAt(0)
-}
+func (q *eventQueue) len() int { return q.n }
 
-// removeAt unlinks the event at heap index i, restoring the heap
-// property around the hole.
-func (q *eventHeap) removeAt(i int) *event {
-	s := *q
-	n := len(s) - 1
-	ev := s[i]
-	if i != n {
-		s[i] = s[n]
-		s[i].index = int32(i)
+// minAt returns the earliest queued time, or false when empty.
+func (q *eventQueue) minAt() (time.Duration, bool) {
+	if len(q.ties) > 0 {
+		return q.base, true
 	}
-	s[n] = nil
-	*q = s[:n]
-	if i < n {
-		q.siftDown(i)
-		q.siftUp(i)
+	if q.occ == 0 {
+		return 0, false
 	}
-	ev.index = -1
-	return ev
+	return q.least[bits.TrailingZeros64(q.occ)], true
 }
 
-func (q eventHeap) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !q[i].before(q[p]) {
-			return
+func (q *eventQueue) push(ev *event) {
+	q.n++
+	if ev.at < q.base {
+		q.rebase(ev.at)
+	}
+	if ev.at == q.base {
+		q.pushTie(ev)
+		return
+	}
+	q.link(ev)
+}
+
+// pop removes and returns the earliest event; the queue must be
+// non-empty. A lowest bucket holding one event holds the unique
+// earliest one, which is returned without passing through ties.
+func (q *eventQueue) pop() *event {
+	q.n--
+	if len(q.ties) == 0 {
+		i := bits.TrailingZeros64(q.occ)
+		if ev := q.head[i]; ev.next == nil {
+			q.head[i] = nil
+			q.occ &^= 1 << i
+			q.base = ev.at
+			return ev
 		}
-		q[i], q[p] = q[p], q[i]
-		q[i].index = int32(i)
-		q[p].index = int32(p)
+		q.refill(i)
+	}
+	return q.popTie()
+}
+
+// link files ev, later than base, into its bucket.
+func (q *eventQueue) link(ev *event) {
+	i := bits.Len64(uint64(ev.at^q.base)) - 1
+	bit := uint64(1) << i
+	if q.occ&bit == 0 || ev.at < q.least[i] {
+		q.least[i] = ev.at
+	}
+	q.occ |= bit
+	ev.next = q.head[i]
+	q.head[i] = ev
+}
+
+// refill moves base up to the earliest queued time and empties the
+// lowest bucket, i, into ties and the (empty) buckets below it. The
+// list holds its events in reverse insertion order, and insertion order
+// is mostly ascending in key (a drained mailbox, ticks rescheduled in
+// pop order), so the new ties are reversed before the heap is built
+// bottom-up: on ascending input that costs one comparison or two per
+// node, where pushing them one by one would sift each to the root.
+func (q *eventQueue) refill(i int) {
+	ev := q.head[i]
+	q.head[i] = nil
+	q.occ &^= 1 << i
+	q.base = q.least[i]
+	for ev != nil {
+		next := ev.next
+		if ev.at == q.base {
+			q.ties = append(q.ties, ev)
+		} else {
+			q.link(ev)
+		}
+		ev = next
+	}
+	slices.Reverse(q.ties)
+	q.heapify()
+}
+
+// rebase lowers base to t, earlier than everything queued. With d the
+// highest bit where t and the old base differ, the events at the old
+// base and in the buckets below d all move into bucket d+1 (which is
+// empty, since the old base has bit d set and t does not); the buckets
+// above keep their meaning. It relinks events and allocates nothing.
+// Only a resumed run after an interrupted window inserts below base.
+func (q *eventQueue) rebase(t time.Duration) {
+	d := bits.Len64(uint64(t^q.base)) - 1
+	low := q.occ & (1<<d - 1)
+	least := q.base
+	if len(q.ties) == 0 && low != 0 {
+		least = q.least[bits.TrailingZeros64(low)]
+	}
+	var moved *event
+	for _, ev := range q.ties {
+		ev.next = moved
+		moved = ev
+	}
+	clear(q.ties)
+	q.ties = q.ties[:0]
+	for m := low; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		for ev := q.head[j]; ev != nil; {
+			next := ev.next
+			ev.next = moved
+			moved = ev
+			ev = next
+		}
+		q.head[j] = nil
+	}
+	q.occ &^= low
+	if moved != nil {
+		q.head[d] = moved
+		q.least[d] = least
+		q.occ |= 1 << d
+	}
+	q.base = t
+}
+
+// filter unlinks every queued event drop selects and returns them as a
+// list threaded through next, with their count. One pass over ties and
+// each occupied bucket; nothing is allocated.
+func (q *eventQueue) filter(drop func(*event) bool) (out *event, n int) {
+	kept := q.ties[:0]
+	for _, ev := range q.ties {
+		if drop(ev) {
+			ev.next = out
+			out = ev
+			n++
+		} else {
+			kept = append(kept, ev)
+		}
+	}
+	clear(q.ties[len(kept):])
+	q.ties = kept
+	q.heapify()
+	for m := q.occ; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		var keep *event
+		var least time.Duration
+		for ev := q.head[i]; ev != nil; {
+			next := ev.next
+			if drop(ev) {
+				ev.next = out
+				out = ev
+				n++
+			} else {
+				if keep == nil || ev.at < least {
+					least = ev.at
+				}
+				ev.next = keep
+				keep = ev
+			}
+			ev = next
+		}
+		q.head[i] = keep
+		if keep == nil {
+			q.occ &^= 1 << i
+		} else {
+			q.least[i] = least
+		}
+	}
+	q.n -= n
+	return out, n
+}
+
+// pushTie, popTie, heapify and siftDown keep ties a binary min-heap on
+// the event key, hand-rolled so the per-event path has no interface
+// dispatch.
+func (q *eventQueue) pushTie(ev *event) {
+	q.ties = append(q.ties, ev)
+	h := q.ties
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
 		i = p
 	}
 }
 
-func (q eventHeap) siftDown(i int) {
-	n := len(q)
+func (q *eventQueue) popTie() *event {
+	h := q.ties
+	n := len(h) - 1
+	ev := h[0]
+	h[0] = h[n]
+	h[n] = nil
+	q.ties = h[:n]
+	q.siftDown(0)
+	return ev
+}
+
+func (q *eventQueue) heapify() {
+	for i := len(q.ties)/2 - 1; i >= 0; i-- {
+		q.siftDown(i)
+	}
+}
+
+func (q *eventQueue) siftDown(i int) {
+	h := q.ties
+	n := len(h)
 	for {
 		l := 2*i + 1
 		if l >= n {
 			return
 		}
 		m := l
-		if r := l + 1; r < n && q[r].before(q[l]) {
+		if r := l + 1; r < n && h[r].before(h[l]) {
 			m = r
 		}
-		if !q[m].before(q[i]) {
+		if !h[m].before(h[i]) {
 			return
 		}
-		q[i], q[m] = q[m], q[i]
-		q[i].index = int32(i)
-		q[m].index = int32(m)
+		h[i], h[m] = h[m], h[i]
 		i = m
 	}
 }
@@ -139,7 +316,7 @@ type migration struct {
 type lane struct {
 	id int
 	//iobt:barrier-only
-	queue eventHeap
+	queue eventQueue
 	//iobt:barrier-only
 	now time.Duration
 

@@ -201,7 +201,7 @@ func TestEngineMatchesOneLaneSharded(t *testing.T) {
 // another shard must carry its queued events along (they used to stay
 // on the old lane, invisible to later migrations), and every event
 // still fires exactly once — on the new shard. The test inspects the
-// lane heaps before Run, when no worker exists.
+// lane queues before Run, when no worker exists.
 //
 //iobt:barrier
 func TestShardedReAddActorMovesPendingEvents(t *testing.T) {
@@ -221,7 +221,7 @@ func TestShardedReAddActorMovesPendingEvents(t *testing.T) {
 		t.Fatalf("re-added actor on shard %d, want 1", got)
 	}
 	for i, ln := range s.lanes {
-		for _, ev := range ln.queue {
+		for _, ev := range queued(&ln.queue) {
 			if int(ev.actor) != 1-i {
 				t.Errorf("lane %d still queues an event of actor %d", i, ev.actor)
 			}

@@ -109,10 +109,6 @@ type Sharded struct {
 	running   atomic.Bool
 	inBarrier atomic.Bool
 
-	// moving is rehome's scratch: the events leaving one lane at one
-	// barrier. Coordinator-only, like every barrier-time structure.
-	moving []*event
-
 	// atBarrier runs on the coordinator between windows, when no worker
 	// executes: the one place that may safely inspect all model state
 	// mid-run (invariant sweeps, progress reporting).
@@ -185,7 +181,7 @@ func (s *Sharded) ClampedSends() uint64 {
 	return n
 }
 
-// Pending returns the number of queued events (heaps plus mailboxes),
+// Pending returns the number of queued events (queues plus mailboxes),
 // aggregated from the per-shard atomic counters. Safe from any
 // goroutine.
 func (s *Sharded) Pending() int {
@@ -253,7 +249,7 @@ func (s *Sharded) ActorShard(id ActorID) int {
 // ScheduleActor queues a local event on actor id at delay from the
 // current global clock. Setup-time counterpart of ShardCtx.Schedule;
 // call before Run or from an AtBarrier hook (workers are quiescent at a
-// barrier, so direct heap pushes are safe there).
+// barrier, so direct queue pushes are safe there).
 func (s *Sharded) ScheduleActor(id ActorID, delay time.Duration, label string, fn func(*ShardCtx)) {
 	if s.running.Load() && !s.inBarrier.Load() {
 		panic("sim: ScheduleActor during Run (use ShardCtx.Schedule)")
@@ -341,7 +337,7 @@ func (s *Sharded) RunContext(ctx context.Context, horizon time.Duration) error {
 			inclusive = true // the final window executes events AT the horizon
 		}
 		s.runWindow(ctx, end, inclusive)
-		// Staged deliveries are folded into the heaps in every exit path
+		// Staged deliveries are folded into the queues in every exit path
 		// so an interrupted run never strands events in a mailbox.
 		s.drainInboxes()
 		s.applyMigrations()
@@ -388,10 +384,7 @@ func (s *Sharded) nextEventTime() (time.Duration, bool) {
 	var next time.Duration
 	found := false
 	for _, ln := range s.lanes {
-		if len(ln.queue) == 0 {
-			continue
-		}
-		if at := ln.queue[0].at; !found || at < next {
+		if at, ok := ln.queue.minAt(); ok && (!found || at < next) {
 			next = at
 			found = true
 		}
@@ -418,7 +411,7 @@ func (s *Sharded) setNow(t time.Duration) {
 // duration of a multi-shard run. Workers block on their assignment
 // channel, execute the window on their own lane, and report back
 // through windowWG — the barrier cannot deadlock because workers only
-// pop their own heap and stage into mutex-guarded mailboxes, never
+// pop their own queue and stage into mutex-guarded mailboxes, never
 // wait on each other.
 func (s *Sharded) startWorkers(ctx context.Context) {
 	s.workCh = make([]chan windowSpec, len(s.lanes))
@@ -475,7 +468,7 @@ func (s *Sharded) runWindow(ctx context.Context, end time.Duration, inclusive bo
 	s.windowWG.Wait()
 }
 
-// laneWindow drains one lane's heap up to the window end (strict, so
+// laneWindow drains one lane's queue up to the window end (strict, so
 // boundary events wait for the barrier that delivers their mail —
 // inclusive only at the final horizon window, mirroring Engine's
 // at-most-limit semantics).
@@ -484,9 +477,9 @@ func (s *Sharded) runWindow(ctx context.Context, end time.Duration, inclusive bo
 //iobt:hot
 func (s *Sharded) laneWindow(ln *lane, ctx context.Context, end time.Duration, inclusive bool) {
 	done := ctx.Done()
-	for len(ln.queue) > 0 {
-		top := ln.queue[0]
-		if top.at > end || (top.at == end && !inclusive) {
+	for {
+		at, ok := ln.queue.minAt()
+		if !ok || at > end || (at == end && !inclusive) {
 			break
 		}
 		if s.stopped.Load() {
@@ -521,10 +514,10 @@ func (s *Sharded) takePanic() error {
 	return s.panics[0]
 }
 
-// drainInboxes merges every lane's mailbox into its heap. Merged order
+// drainInboxes merges every lane's mailbox into its queue. Merged order
 // cannot depend on which worker staged first: the five-part event key
 // is strictly unique (per-actor schedule sequences, per-sender send
-// sequences), so the heap's pop sequence is the sorted key order
+// sequences), so the queue's pop sequence is the sorted key order
 // whatever the push order was — no pre-sort needed. The drained buffer
 // is kept as the spare and swapped back in at the next barrier, so
 // steady-state staging reuses two ping-ponged buffers instead of
@@ -551,7 +544,7 @@ func (s *Sharded) drainInboxes() {
 // pending event with them so nothing is dropped or duplicated. Staged
 // entries for one actor all come from its owning lane in execution
 // order, so "last staged wins" is deterministic — and is resolved first,
-// so that however many actors leave a lane its heap is walked once.
+// so that however many actors leave a lane its queue is walked once.
 //
 //iobt:barrier
 func (s *Sharded) applyMigrations() {
@@ -574,29 +567,24 @@ func (s *Sharded) applyMigrations() {
 }
 
 // rehome moves every event queued on ln whose actor is now owned by
-// another lane to that lane. The heap is walked once, whatever the number
-// of actors leaving; removal shifts heap positions, so the movers are
-// gathered first and unlinked by their live index field. Push order is
-// irrelevant: the event key is a strict total order, so the destination
-// heap pops the same sequence either way.
+// another lane to that lane: one in-place unlink pass over ln's queue,
+// whatever the number of actors leaving, then a push of each mover.
+// Push order is irrelevant: the event key is a strict total order, so
+// the destination queue pops the same sequence either way.
 //
 //iobt:barrier
 func (s *Sharded) rehome(ln *lane) {
-	moving := s.moving[:0]
-	for _, ev := range ln.queue {
-		if s.lanes[s.actors[ev.actor].shard] != ln {
-			moving = append(moving, ev)
-		}
-	}
-	for _, ev := range moving {
-		ln.queue.removeAt(int(ev.index))
+	ev, n := ln.queue.filter(func(ev *event) bool {
+		return s.lanes[s.actors[ev.actor].shard] != ln
+	})
+	for ev != nil {
+		next := ev.next
 		dst := s.lanes[s.actors[ev.actor].shard]
 		dst.queue.push(ev)
 		dst.pending.Add(1)
+		ev = next
 	}
-	ln.pending.Add(-int64(len(moving)))
-	clear(moving) // the scratch must not pin events past their firing
-	s.moving = moving
+	ln.pending.Add(-int64(n))
 }
 
 // ShardCtx is the execution context handed to every event callback. It
@@ -661,7 +649,7 @@ func (c *ShardCtx) Send(dst ActorID, delay time.Duration, label string, fn func(
 	ev.fn = fn
 	src.sendSeq++
 	// Every delivery goes through the destination mailbox — even to the
-	// sender's own shard. A same-shard fast path into the live heap
+	// sender's own shard. A same-shard fast path into the live queue
 	// would let a delivery landing exactly on the final (inclusive)
 	// window boundary execute when co-sharded but stay pending when
 	// cross-sharded, breaking shard-count invariance at the horizon.

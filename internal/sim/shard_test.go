@@ -299,11 +299,11 @@ func TestShardedMigrationConservation(t *testing.T) {
 // TestShardedMassMigrationOneBarrier stages 2000 migrations in a single
 // window — every actor leaves its lane, a third of them bounce straight
 // back (A→B→A: last staged wins, nothing moves), and a tenth have
-// nothing queued when they go — so the one-pass rehome sees a heap full
-// of movers at once. At that barrier every lane must hold a valid heap
-// of exactly its own actors' events with pending conserved; afterwards
+// nothing queued when they go — so the one-pass rehome sees a queue
+// full of movers at once. At that barrier every lane must hold a valid
+// queue of exactly its own actors' events with pending conserved; afterwards
 // every event must run on its actor's new lane and the final state must
-// match the 1-shard run, where Migrate is a no-op. The lane heaps are
+// match the 1-shard run, where Migrate is a no-op. The lane queues are
 // inspected from the AtBarrier hook, when no worker runs.
 //
 //iobt:barrier
@@ -368,16 +368,16 @@ func TestShardedMassMigrationOneBarrier(t *testing.T) {
 				}
 			}
 			for _, ln := range s.lanes {
-				if p := ln.pending.Load(); p != int64(len(ln.queue)) {
-					t.Errorf("shards=%d lane %d: pending %d, %d events queued", shards, ln.id, p, len(ln.queue))
+				if p := ln.pending.Load(); p != int64(ln.queue.len()) {
+					t.Errorf("shards=%d lane %d: pending %d, %d events queued", shards, ln.id, p, ln.queue.len())
 				}
-				for k, ev := range ln.queue {
+				for _, ev := range queued(&ln.queue) {
 					if int(s.actors[ev.actor].shard) != ln.id {
 						t.Errorf("shards=%d lane %d holds an event of actor %d, owned by shard %d", shards, ln.id, ev.actor, s.actors[ev.actor].shard)
 					}
-					if k > 0 && ev.before(ln.queue[(k-1)/2]) {
-						t.Fatalf("shards=%d lane %d: heap order broken at index %d", shards, ln.id, k)
-					}
+				}
+				if err := checkQueue(&ln.queue); err != nil {
+					t.Fatalf("shards=%d lane %d: %v", shards, ln.id, err)
 				}
 			}
 		})
@@ -441,6 +441,72 @@ func TestShardedStopResume(t *testing.T) {
 	}
 	if p, r := m.s.Processed(), ref.s.Processed(); p != r {
 		t.Errorf("stop+resume processed %d, reference %d", p, r)
+	}
+}
+
+// TestShardedBelowBaseMigration drives the queue's one below-base
+// insert. At 2 shards, lane 1 stops the run mid-window at 245ms while
+// lane 0 is held at a 205ms gate, so lane 1 has run past the 200ms
+// barrier clock and actor 2 still has events at 210-230ms on lane 0.
+// Re-adding actor 2 to shard 1 moves those events below lane 1's queue
+// base; the resumed run must end with the digest and event count of the
+// uninterrupted 1-shard run.
+//
+//iobt:barrier
+func TestShardedBelowBaseMigration(t *testing.T) {
+	const mover = 2
+	run := func(shards int, interrupt bool) *toyModel {
+		m := newToy(4711, toyConfig{shards: shards, actors: 8, ticks: 12})
+		release := make(chan struct{})
+		m.s.ScheduleActor(0, 205*time.Millisecond, "gate", func(*ShardCtx) {
+			if interrupt {
+				<-release
+			}
+		})
+		m.s.ScheduleActor(1, 245*time.Millisecond, "stop", func(c *ShardCtx) {
+			if interrupt {
+				c.Engine().Stop()
+				close(release)
+			}
+		})
+		for k := 1; k <= 3; k++ {
+			salt := uint64(k)
+			m.s.ScheduleActor(mover, 200*time.Millisecond+time.Duration(k)*10*time.Millisecond, "trail", func(c *ShardCtx) {
+				m.state[mover] = m.state[mover]*37 + uint64(c.Now()) + salt
+			})
+		}
+		if !interrupt {
+			if err := m.s.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		if err := m.s.Run(0); !errors.Is(err, ErrStopped) {
+			t.Fatalf("interrupted run returned %v, want ErrStopped", err)
+		}
+		dst := &m.s.lanes[1].queue
+		if now, base := m.s.Now(), dst.base; now != 200*time.Millisecond || base != 245*time.Millisecond {
+			t.Fatalf("stopped at barrier %v with lane 1 queue base %v, want 200ms and 245ms", now, base)
+		}
+		m.s.AddActor(mover, 1)
+		if dst.base != 210*time.Millisecond {
+			t.Fatalf("lane 1 queue base %v after the move, want 210ms (a below-base insert)", dst.base)
+		}
+		if err := checkQueue(dst); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.s.Run(0); err != nil {
+			t.Fatalf("resume: %v", err)
+		}
+		return m
+	}
+	ref := run(1, false)
+	got := run(2, true)
+	if d, r := got.digest(), ref.digest(); d != r {
+		t.Errorf("below-base migration digest %016x, 1-shard reference %016x", d, r)
+	}
+	if p, r := got.s.Processed(), ref.s.Processed(); p != r {
+		t.Errorf("below-base migration processed %d, 1-shard reference %d", p, r)
 	}
 }
 
