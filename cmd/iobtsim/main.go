@@ -94,6 +94,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Run(0) means "until the queue drains", which the mesh refresh
+	// ticker never does, and a negative horizon runs nothing.
+	if *minutes <= 0 {
+		return fmt.Errorf("-minutes must be positive, got %d", *minutes)
+	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {

@@ -21,6 +21,9 @@ func TestRunBadArgs(t *testing.T) {
 		{"bad command", []string{"-command", "anarchy"}, "unknown command"},
 		{"bad flag", []string{"-nope"}, "flag provided"},
 		{"missing spec", []string{"-spec", "/nonexistent/x.spec"}, "read spec"},
+		{"zero minutes", []string{"-minutes", "0"}, "-minutes must be positive"},
+		{"negative minutes", []string{"-minutes", "-2"}, "-minutes must be positive"},
+		{"negative minutes sharded", []string{"-minutes", "-2", "-shards", "2"}, "-minutes must be positive"},
 	}
 	for _, tc := range cases {
 		err := run(tc.args)

@@ -2,9 +2,7 @@ package core
 
 import (
 	"math"
-	"time"
 
-	"iobt/internal/asset"
 	"iobt/internal/cop"
 	"iobt/internal/geo"
 )
@@ -70,20 +68,4 @@ func UpdatePicture(p *cop.Picture, w *World, r *Runtime, cellSize float64) {
 			}
 		}
 	}
-}
-
-// BuildPicture constructs the actor's picture replica and folds the
-// current world state into it once. Callers that update continuously
-// should keep the replica and call UpdatePicture on a tick.
-func BuildPicture(w *World, r *Runtime, actor asset.ID, cellSize float64) *cop.Picture {
-	p := cop.NewPicture(actor)
-	UpdatePicture(p, w, r, cellSize)
-	return p
-}
-
-// PublishPicture encodes the replica for dissemination and returns the
-// payload bytes plus the wall-free timestamp it was cut at. The gossip
-// payload kind for encoded pictures is "cop".
-func PublishPicture(p *cop.Picture, w *World) ([]byte, time.Duration) {
-	return p.Encode(), w.Eng.Now()
 }

@@ -41,8 +41,8 @@ func TestBuildPictureFoldsWorldState(t *testing.T) {
 			[]track.Detection{{Pos: geo.Point{X: 700, Y: 700}, Var: 4, Sensor: 1}})
 	}
 
-	actor := w.PickCommandPost()
-	p := BuildPicture(w, r, actor, 100)
+	p := cop.NewPicture(w.PickCommandPost())
+	UpdatePicture(p, w, r, 100)
 	tracks, subjects, cells, _ := p.Counts()
 	if subjects == 0 {
 		t.Error("no trust subjects folded from the ledger")
@@ -77,11 +77,12 @@ func TestPictureReplicasConvergeByMerge(t *testing.T) {
 	if err := w.Run(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	a := BuildPicture(w, r, 1, 100)
+	a := cop.NewPicture(1)
+	UpdatePicture(a, w, r, 100)
 	b := cop.NewPicture(2)
 	// b learns everything a knows over the wire: encode, decode, merge —
 	// the exact path gossip payloads take.
-	enc, _ := PublishPicture(a, w)
+	enc := a.Encode()
 	remote, err := cop.Decode(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)

@@ -37,12 +37,6 @@ func NewShardMap(bounds Rect, shards int) *ShardMap {
 	return &ShardMap{bounds: bounds, shards: shards, width: w}
 }
 
-// Shards returns the number of bands.
-func (m *ShardMap) Shards() int { return m.shards }
-
-// Bounds returns the partitioned area.
-func (m *ShardMap) Bounds() Rect { return m.bounds }
-
 // ShardOf returns the shard owning position p. Positions outside the
 // bounds clamp to the nearest band, so every point maps somewhere.
 func (m *ShardMap) ShardOf(p Point) int {
@@ -54,30 +48,6 @@ func (m *ShardMap) ShardOf(p Point) int {
 		return m.shards - 1
 	}
 	return i
-}
-
-// Band returns shard i's territory (clamped to the valid range).
-func (m *ShardMap) Band(i int) Rect {
-	if i < 0 {
-		i = 0
-	}
-	if i >= m.shards {
-		i = m.shards - 1
-	}
-	min := m.bounds.Min.X + float64(i)*m.width
-	max := min + m.width
-	if i == m.shards-1 {
-		max = m.bounds.Max.X
-	}
-	return Rect{Min: Point{min, m.bounds.Min.Y}, Max: Point{max, m.bounds.Max.Y}}
-}
-
-// Crossed reports whether moving from old to new changes the owning
-// shard, returning the new shard either way — the mobility layer calls
-// this on every step to decide whether to stage a migration.
-func (m *ShardMap) Crossed(old, now Point) (int, bool) {
-	a, b := m.ShardOf(old), m.ShardOf(now)
-	return b, a != b
 }
 
 // DriftField is the mobility model under the sharded workloads: a

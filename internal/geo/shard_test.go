@@ -11,9 +11,6 @@ import (
 
 func TestShardMapPartition(t *testing.T) {
 	m := NewShardMap(NewRect(Point{0, 0}, Point{1200, 800}), 4)
-	if m.Shards() != 4 {
-		t.Fatalf("shards = %d, want 4", m.Shards())
-	}
 	cases := []struct {
 		p    Point
 		want int
@@ -34,121 +31,127 @@ func TestShardMapPartition(t *testing.T) {
 	}
 }
 
+// TestShardMapBandsTile: over bounds that do not start at zero, a
+// left-to-right sweep meets every band once and in order, band i's
+// centre maps to i, and a band spans all heights (ShardOf ignores Y).
 func TestShardMapBandsTile(t *testing.T) {
 	bounds := NewRect(Point{100, 0}, Point{1300, 900})
-	m := NewShardMap(bounds, 5)
-	// Bands tile the bounds: contiguous, non-overlapping, full cover.
-	prev := bounds.Min.X
-	for i := 0; i < m.Shards(); i++ {
-		b := m.Band(i)
-		if b.Min.X != prev {
-			t.Fatalf("band %d starts at %v, want %v", i, b.Min.X, prev)
+	m := NewShardMap(bounds, 5) // bands 240 wide
+	band := 0
+	for x := bounds.Min.X; x <= bounds.Max.X; x += 10 {
+		got := m.ShardOf(Point{x, 450})
+		if got != band && got != band+1 {
+			t.Fatalf("ShardOf(x=%v) = %d after band %d: a band skipped or revisited", x, got, band)
 		}
-		if b.Min.Y != bounds.Min.Y || b.Max.Y != bounds.Max.Y {
-			t.Fatalf("band %d does not span the full height: %v", i, b)
+		band = got
+	}
+	if band != 4 {
+		t.Fatalf("sweep ends in band %d, want 4", band)
+	}
+	for i := 0; i < 5; i++ {
+		x := bounds.Min.X + (float64(i)+0.5)*240
+		for _, y := range []float64{bounds.Min.Y, 450, bounds.Max.Y, -1e6} {
+			if got := m.ShardOf(Point{x, y}); got != i {
+				t.Fatalf("ShardOf(centre of band %d at y=%v) = %d", i, y, got)
+			}
 		}
-		prev = b.Max.X
 	}
-	if prev != bounds.Max.X {
-		t.Fatalf("bands end at %v, want %v", prev, bounds.Max.X)
-	}
-	// Every band point maps back to its band.
-	for i := 0; i < m.Shards(); i++ {
-		c := m.Band(i).Center()
-		if got := m.ShardOf(c); got != i {
-			t.Fatalf("ShardOf(center of band %d) = %d", i, got)
+}
+
+// move is one mobility step and the bands expected at its two ends.
+type move struct {
+	from, to Point
+	want     [2]int
+}
+
+// checkMoves asserts the bands at both ends of each move. MobilityTick
+// stages Migrate(ShardOf(pos)) on every tick, so a move crosses into
+// another shard exactly when the two differ.
+func checkMoves(t *testing.T, m *ShardMap, moves []move) {
+	t.Helper()
+	for _, mv := range moves {
+		if got := [2]int{m.ShardOf(mv.from), m.ShardOf(mv.to)}; got != mv.want {
+			t.Errorf("move %v -> %v: bands %v, want %v", mv.from, mv.to, got, mv.want)
 		}
 	}
 }
 
 func TestShardMapCrossed(t *testing.T) {
 	m := NewShardMap(NewRect(Point{0, 0}, Point{1000, 1000}), 4)
-	if sh, moved := m.Crossed(Point{100, 100}, Point{200, 900}); moved || sh != 0 {
-		t.Fatalf("intra-band move reported crossing (shard %d, moved %v)", sh, moved)
-	}
-	if sh, moved := m.Crossed(Point{240, 100}, Point{260, 100}); !moved || sh != 1 {
-		t.Fatalf("boundary crossing missed (shard %d, moved %v)", sh, moved)
-	}
+	checkMoves(t, m, []move{
+		{Point{100, 100}, Point{200, 900}, [2]int{0, 0}}, // inside one band
+		{Point{240, 100}, Point{260, 100}, [2]int{0, 1}}, // across the seam at 250
+	})
 }
 
 // TestShardMapBandEdges pins seam ownership: a position exactly on an
 // interior band boundary belongs to the band on its right (bands are
-// left-inclusive), and the world's right edge clamps into the last
-// band. Mobility puts assets exactly on these lines, and two shards
-// both claiming (or both disclaiming) a seam asset would corrupt the
-// migration protocol.
+// left-inclusive), the last position before it to the band on its left,
+// and both clamps hold past the world's edges. Mobility puts assets
+// exactly on these lines, and two shards both claiming (or both
+// disclaiming) a seam asset would corrupt the migration protocol.
 func TestShardMapBandEdges(t *testing.T) {
 	m := NewShardMap(NewRect(Point{0, 0}, Point{1200, 800}), 4) // width 300, exact in float64
-	for i := 1; i < m.Shards(); i++ {
-		seam := m.Band(i).Min.X
-		if seam != m.Band(i-1).Max.X {
-			t.Fatalf("bands %d/%d do not share a seam: %v vs %v", i-1, i, m.Band(i-1).Max.X, seam)
-		}
+	for i := 1; i < 4; i++ {
+		seam := float64(i) * 300
 		if got := m.ShardOf(Point{seam, 400}); got != i {
 			t.Errorf("ShardOf(seam %v) = %d, want right band %d", seam, got, i)
 		}
+		if got := m.ShardOf(Point{math.Nextafter(seam, 0), 400}); got != i-1 {
+			t.Errorf("ShardOf(just left of seam %v) = %d, want band %d", seam, got, i-1)
+		}
 	}
-	if got := m.ShardOf(Point{1200, 0}); got != 3 {
-		t.Errorf("ShardOf(right edge) = %d, want last band 3", got)
-	}
-	if got := m.ShardOf(Point{0, 800}); got != 0 {
-		t.Errorf("ShardOf(left edge) = %d, want 0", got)
+	for _, tc := range []struct {
+		x    float64
+		want int
+	}{
+		{0, 0},    // left edge
+		{-1e9, 0}, // clamped left
+		{1200, 3}, // right edge clamps into the last band
+		{1e9, 3},  // clamped right
+	} {
+		if got := m.ShardOf(Point{tc.x, 400}); got != tc.want {
+			t.Errorf("ShardOf(x=%v) = %d, want %d", tc.x, got, tc.want)
+		}
 	}
 }
 
 // TestShardMapZeroWidthWorld covers the degenerate geometry where the
 // bounds have no horizontal extent (all assets on one vertical line):
 // the map must still hand out valid shard indices rather than divide by
-// zero, with the whole line owned by shard 0 and the tiling invariants
-// intact.
+// zero, with the whole line owned by shard 0.
 func TestShardMapZeroWidthWorld(t *testing.T) {
 	m := NewShardMap(NewRect(Point{500, 0}, Point{500, 800}), 4)
-	if m.Shards() != 4 {
-		t.Fatalf("shards = %d, want 4", m.Shards())
-	}
 	for _, p := range []Point{{500, 0}, {500, 400}, {500, 800}, {499, 100}, {501, 100}, {5000, 0}} {
-		got := m.ShardOf(p)
-		if got < 0 || got >= m.Shards() {
-			t.Fatalf("ShardOf(%v) = %d, outside [0,%d)", p, got, m.Shards())
+		if got := m.ShardOf(p); got < 0 || got >= 4 {
+			t.Fatalf("ShardOf(%v) = %d, outside [0,4)", p, got)
 		}
 	}
 	if got := m.ShardOf(Point{500, 400}); got != 0 {
 		t.Errorf("ShardOf(on the line) = %d, want 0", got)
 	}
-	for i := 0; i < m.Shards(); i++ {
-		if b := m.Band(i); b.Min.Y != 0 || b.Max.Y != 800 {
-			t.Errorf("band %d lost the vertical extent: %v", i, b)
-		}
-	}
 }
 
 // TestShardMapCrossedOnSeam pins the mobility edge case of a step
-// landing exactly on a band boundary: the move must report exactly one
-// crossing into the right-hand band, and a subsequent step that stays
-// on the seam must not report a second one.
+// landing exactly on a band boundary: the move crosses into the
+// right-hand band once, a step that stays on the seam does not cross
+// again, and a step onto the world's right edge clamps without crossing.
 func TestShardMapCrossedOnSeam(t *testing.T) {
 	m := NewShardMap(NewRect(Point{0, 0}, Point{1000, 1000}), 4) // seams at 250, 500, 750
-	if sh, moved := m.Crossed(Point{240, 100}, Point{250, 100}); !moved || sh != 1 {
-		t.Errorf("landing on seam 250: shard %d moved %v, want crossing into 1", sh, moved)
-	}
-	if sh, moved := m.Crossed(Point{250, 100}, Point{250, 900}); moved || sh != 1 {
-		t.Errorf("sliding along seam 250: shard %d moved %v, want no crossing", sh, moved)
-	}
-	if sh, moved := m.Crossed(Point{250, 100}, Point{249, 100}); !moved || sh != 0 {
-		t.Errorf("stepping off seam 250 leftward: shard %d moved %v, want crossing into 0", sh, moved)
-	}
-	if sh, moved := m.Crossed(Point{990, 100}, Point{1000, 100}); moved || sh != 3 {
-		t.Errorf("landing on the world's right edge: shard %d moved %v, want clamp into 3 without crossing", sh, moved)
-	}
+	checkMoves(t, m, []move{
+		{Point{240, 100}, Point{250, 100}, [2]int{0, 1}},  // landing on seam 250
+		{Point{250, 100}, Point{250, 900}, [2]int{1, 1}},  // sliding along it
+		{Point{250, 100}, Point{249, 100}, [2]int{1, 0}},  // stepping off leftward
+		{Point{990, 100}, Point{1000, 100}, [2]int{3, 3}}, // onto the right edge
+	})
 }
 
 func TestShardMapDegenerate(t *testing.T) {
 	m := NewShardMap(Rect{}, 0)
-	if m.Shards() != 1 {
-		t.Fatalf("degenerate map shards = %d, want 1", m.Shards())
-	}
-	if got := m.ShardOf(Point{3, 4}); got != 0 {
-		t.Fatalf("degenerate ShardOf = %d, want 0", got)
+	for _, p := range []Point{{3, 4}, {-1e9, 0}, {1e9, 0}} {
+		if got := m.ShardOf(p); got != 0 {
+			t.Fatalf("degenerate ShardOf(%v) = %d, want the one band 0", p, got)
+		}
 	}
 }
 
@@ -168,8 +171,8 @@ func TestDriftFieldDefaultsAndBounds(t *testing.T) {
 		if f.Area != tc.wantArea || f.Drift != tc.wantDrift {
 			t.Errorf("%s: area %v drift %v, want %v and %v", tc.name, f.Area, f.Drift, tc.wantArea, tc.wantDrift)
 		}
-		if f.Map.Shards() != 4 || f.Map.Bounds() != f.Area {
-			t.Errorf("%s: shard map %d bands over %v", tc.name, f.Map.Shards(), f.Map.Bounds())
+		if f.Map.shards != 4 || f.Map.bounds != f.Area {
+			t.Errorf("%s: shard map %d bands over %v", tc.name, f.Map.shards, f.Map.bounds)
 		}
 		same := NewDriftField(sim.NewRNG(9).Derive("field"), 100, 1, tc.area, tc.drift)
 		for i := 0; i < 100; i++ {
@@ -212,8 +215,15 @@ func TestDriftFieldMobilityTick(t *testing.T) {
 			t.Errorf("stopAt=%v: %d mobility events, want %d", tc.stopAt, got, tc.events)
 		}
 		if tc.stopAt == 0 {
-			if got, want := eng.ActorShard(0), f.Map.ShardOf(f.Pos(0, 10*time.Second)); got != want {
-				t.Errorf("actor on shard %d after its last tick, position is in band %d", got, want)
+			// A probe event runs on whichever lane owns the actor once the
+			// last tick's migration has been applied.
+			shard := -1
+			eng.ScheduleActor(0, 0, "probe", func(c *sim.ShardCtx) { shard = c.Shard() })
+			if err := eng.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			if want := f.Map.ShardOf(f.Pos(0, 10*time.Second)); shard != want {
+				t.Errorf("actor on shard %d after its last tick, position is in band %d", shard, want)
 			}
 		}
 	}

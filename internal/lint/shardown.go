@@ -198,7 +198,7 @@ func checkScope(p *Pass, scope ctxScope) {
 		case *ast.RangeStmt:
 			if elem := containerElem(p.Info.TypeOf(x.X)); elem != nil && p.isActorState(elem) {
 				p.Reportf(x.X.Pos(),
-					"event callback iterates over every actor's %s state; fold global views at a barrier (AtBarrier) or aggregate through ShardCtx.Send messages",
+					"event callback iterates over every actor's %s state; fold global views after Run returns or through ShardCtx.Send messages",
 					actorStateName(elem))
 				// Treat the iteration variable as self-rooted after the
 				// report so one range yields one finding, not a cascade.

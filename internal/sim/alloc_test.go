@@ -103,9 +103,9 @@ func TestShardedZeroAllocMigration(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, window); allocs != 0 {
 		t.Fatalf("steady-state migration barrier allocated %v, want 0", allocs)
 	}
-	before := s.ActorShard(0)
+	before := s.actors[0].shard
 	window()
-	if after := s.ActorShard(0); after == before {
+	if after := s.actors[0].shard; after == before {
 		t.Fatalf("actor 0 stayed on shard %d across a barrier: nothing migrated", after)
 	}
 }
@@ -152,7 +152,7 @@ func TestHandleCancelRecycles(t *testing.T) {
 	if h.Cancel() || h.Pending() {
 		t.Error("handle to a popped canceled event must be inert")
 	}
-	if eng.Pending() != 0 {
-		t.Fatalf("pending = %d, want 0", eng.Pending())
+	if n := pending(&eng.ln); n != 0 {
+		t.Fatalf("%d events queued, want 0", n)
 	}
 }

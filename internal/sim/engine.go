@@ -4,13 +4,12 @@
 // repository: a virtual clock, a priority queue of timestamped events, and
 // seeded random-number streams. Determinism is a hard requirement — two
 // runs with the same seed must produce identical traces — so all
-// randomness used anywhere in the system must come from Engine.RNG
+// randomness used anywhere in the system must come from Engine.Stream
 // streams, never from math/rand's global source or from time.Now.
 package sim
 
 import (
 	"context"
-	"errors"
 	"math"
 	"time"
 )
@@ -40,9 +39,6 @@ func (h Handle) Pending() bool {
 	return h.ev != nil && h.ev.gen == h.gen && !h.ev.canceled
 }
 
-// ErrStopped is returned by Run when the simulation was halted via Stop.
-var ErrStopped = errors.New("simulation stopped")
-
 // Engine is a single-threaded discrete-event simulator: one lane of the
 // shared event core (lane.go) holding one actor, so its events carry the
 // key (at, actor 0, class 0, seq, 0) and equal timestamps fire FIFO.
@@ -51,10 +47,9 @@ var ErrStopped = errors.New("simulation stopped")
 // deliberately sequential so that runs are reproducible. Concurrency in
 // the modeled system is expressed as interleaved events, not goroutines.
 type Engine struct {
-	ln      lane
-	seq     uint64 // the one actor's schedule sequence
-	stopped bool
-	rng     *RNG
+	ln  lane
+	seq uint64 // the one actor's schedule sequence
+	rng *RNG
 }
 
 // NewEngine returns an engine with its virtual clock at zero and a master
@@ -71,14 +66,6 @@ func (e *Engine) Now() time.Duration { return e.ln.now }
 // Processed returns the number of events executed so far. Unlike the
 // rest of the engine it is safe to call from any goroutine.
 func (e *Engine) Processed() uint64 { return e.ln.processed.Load() }
-
-// Pending returns the number of events currently queued (including
-// canceled events not yet discarded). Like Processed it is safe to
-// call from any goroutine.
-func (e *Engine) Pending() int { return int(e.ln.pending.Load()) }
-
-// RNG returns the engine's master random stream.
-func (e *Engine) RNG() *RNG { return e.rng }
 
 // Stream derives an independent, reproducible random stream from the
 // engine seed and the given name. Use one stream per concern (mobility,
@@ -142,9 +129,6 @@ func (t *Ticker) Stop() {
 	t.handle.Cancel()
 }
 
-// Stop halts the run loop after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Step executes the single next event, advancing the clock. It returns
 // false when the queue is empty.
 //
@@ -159,28 +143,28 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// Run executes events until the queue drains, the horizon is reached, or
-// Stop is called. A zero horizon means no time limit. It returns
-// ErrStopped if halted by Stop, nil otherwise.
+// Run executes events until the queue drains or the horizon is reached.
+// A zero horizon means no time limit.
 func (e *Engine) Run(horizon time.Duration) error {
 	return e.RunContext(context.Background(), horizon)
 }
 
-// RunContext is Run with cooperative cancellation: the loop observes ctx
-// between events and returns context.Cause(ctx) once it is cancelled.
-// Cancellation never perturbs determinism — the event order is fixed by
-// the queue; ctx only decides how far along it the run gets. A
-// background context (nil Done channel) adds no per-event cost.
+// RunContext is Run with cooperative cancellation, the one way to stop a
+// run early: the loop observes ctx between events and returns
+// context.Cause(ctx) once it is cancelled, so the cancelling event
+// finishes and a later Run resumes with the next one. Cancellation never
+// perturbs determinism — the event order is fixed by the queue; ctx only
+// decides how far along it the run gets. A background context (nil Done
+// channel) adds no per-event cost.
 //
 //iobt:barrier
 func (e *Engine) RunContext(ctx context.Context, horizon time.Duration) error {
 	done := ctx.Done()
-	e.stopped = false
 	limit := time.Duration(math.MaxInt64)
 	if horizon != 0 {
 		limit = e.ln.now + horizon
 	}
-	for !e.stopped {
+	for {
 		if done != nil {
 			select {
 			case <-done:
@@ -193,12 +177,13 @@ func (e *Engine) RunContext(ctx context.Context, horizon time.Duration) error {
 			return nil
 		}
 		if next > limit {
-			e.ln.now = limit
+			// A negative horizon leaves the clock where it is: like
+			// Sharded's, it never runs backwards.
+			e.ln.now = max(e.ln.now, limit)
 			return nil
 		}
 		e.Step()
 	}
-	return ErrStopped
 }
 
 // RunUntil executes events until pred returns true (checked after each

@@ -103,20 +103,31 @@ func TestHorizonStopsClock(t *testing.T) {
 	}
 }
 
+// TestStop: cancelling the run's context from inside an event stops the
+// run after that event, with the clock at its time, and a later Run
+// resumes with the next event.
 func TestStop(t *testing.T) {
 	e := NewEngine(1)
+	ctx, cancel := context.WithCancel(context.Background())
 	count := 0
-	e.Every(time.Second, "tick", func() {
+	tk := e.Every(time.Second, "tick", func() {
 		count++
 		if count == 3 {
-			e.Stop()
+			cancel()
 		}
 	})
-	if err := e.Run(0); err != ErrStopped {
-		t.Fatalf("run err = %v, want ErrStopped", err)
+	if err := e.RunContext(ctx, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("run err = %v, want context.Canceled", err)
 	}
-	if count != 3 {
-		t.Errorf("count = %d, want 3", count)
+	if count != 3 || e.Now() != 3*time.Second {
+		t.Errorf("stopped after %d ticks at %v, want 3 at 3s", count, e.Now())
+	}
+	if err := e.Run(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	tk.Stop()
+	if count != 5 {
+		t.Errorf("resumed run reached %d ticks, want 5", count)
 	}
 }
 
@@ -200,8 +211,7 @@ func TestDeterminism(t *testing.T) {
 		rng := e.Stream("test")
 		var out []float64
 		e.Every(time.Second, "tick", func() { out = append(out, rng.Float64()) })
-		e.Schedule(10*time.Second+time.Millisecond, "stop", func() { e.Stop() })
-		_ = e.Run(0)
+		_ = e.Run(10 * time.Second)
 		return out
 	}
 	a, b := trace(7), trace(7)
@@ -230,19 +240,16 @@ func TestDeterminism(t *testing.T) {
 
 func TestEngineAccessors(t *testing.T) {
 	e := NewEngine(5)
-	if e.Processed() != 0 || e.Pending() != 0 {
+	if e.Processed() != 0 || e.Now() != 0 || pending(&e.ln) != 0 {
 		t.Error("fresh engine should have no events")
 	}
 	e.Schedule(time.Second, "x", func() {})
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d", e.Pending())
-	}
-	if e.RNG() == nil {
-		t.Fatal("nil master RNG")
+	if pending(&e.ln) != 1 {
+		t.Errorf("%d events queued, want 1", pending(&e.ln))
 	}
 	_ = e.Run(0)
-	if e.Processed() != 1 {
-		t.Errorf("Processed = %d", e.Processed())
+	if e.Processed() != 1 || e.Now() != time.Second {
+		t.Errorf("Processed = %d at %v, want 1 at 1s", e.Processed(), e.Now())
 	}
 }
 

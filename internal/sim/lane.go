@@ -200,9 +200,10 @@ func (q *eventQueue) rebase(t time.Duration) {
 }
 
 // filter unlinks every queued event drop selects and returns them as a
-// list threaded through next, with their count. One pass over ties and
-// each occupied bucket; nothing is allocated.
-func (q *eventQueue) filter(drop func(*event) bool) (out *event, n int) {
+// list threaded through next. One pass over ties and each occupied
+// bucket; nothing is allocated.
+func (q *eventQueue) filter(drop func(*event) bool) (out *event) {
+	n := 0
 	kept := q.ties[:0]
 	for _, ev := range q.ties {
 		if drop(ev) {
@@ -243,7 +244,7 @@ func (q *eventQueue) filter(drop func(*event) bool) (out *event, n int) {
 		}
 	}
 	q.n -= n
-	return out, n
+	return out
 }
 
 // pushTie, popTie, heapify and siftDown keep ties a binary min-heap on
@@ -335,7 +336,7 @@ type lane struct {
 	// free is the lane's recycled-event pool (linked through event.next).
 	// It is owner-only like the queue: the owner allocates (Schedule, and
 	// Send — senders draw from their own lane's pool) and frees (after
-	// popping an event), and the coordinator allocates at barriers
+	// popping an event), and the caller allocates between runs
 	// (ScheduleActor). Events sent cross-shard drift between pools, which
 	// is harmless: each pool is still touched by exactly one goroutine at
 	// a time.
@@ -346,11 +347,10 @@ type lane struct {
 	// concurrent use.
 	probe func(shard int, actor ActorID, at time.Duration, label string)
 
-	// processed, pending, and clamped are mutated by the owner and read
-	// by observers (service watchdogs polling progress, aggregators over
+	// processed and clamped are mutated by the owner and read by
+	// observers (service watchdogs polling progress, aggregators over
 	// lanes) at any time, hence atomic (mutex-free).
 	processed atomic.Uint64
-	pending   atomic.Int64
 	clamped   atomic.Uint64
 
 	ctx ShardCtx // reused per event; never escapes the owner
@@ -402,7 +402,6 @@ func (ln *lane) schedule(now, delay time.Duration, actor ActorID, seq *uint64, l
 	ev.label = label
 	*seq++
 	ln.queue.push(ev)
-	ln.pending.Add(1)
 	return ev
 }
 
@@ -418,7 +417,6 @@ func (ln *lane) schedule(now, delay time.Duration, actor ActorID, seq *uint64, l
 //iobt:hot
 func (ln *lane) step(floor time.Duration) bool {
 	ev := ln.queue.pop()
-	ln.pending.Add(-1)
 	if ev.canceled {
 		ln.freeEvent(ev)
 		return false

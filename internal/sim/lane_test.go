@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -18,15 +19,13 @@ type diffDriver interface {
 	now() time.Duration
 	after(delay time.Duration, label string, fn func()) (cancel func())
 	every(interval time.Duration, label string, fn func()) (stop func())
-	halt()
-	// run advances to the absolute virtual time until (0: drain).
-	run(ctx context.Context, until time.Duration) error
+	// run is RunContext: it advances by horizon (0: drain).
+	run(ctx context.Context, horizon time.Duration) error
 }
 
 type engineDriver struct{ e *Engine }
 
 func (d engineDriver) now() time.Duration { return d.e.Now() }
-func (d engineDriver) halt()              { d.e.Stop() }
 func (d engineDriver) after(delay time.Duration, label string, fn func()) func() {
 	h := d.e.Schedule(delay, label, fn)
 	return func() { h.Cancel() }
@@ -34,11 +33,8 @@ func (d engineDriver) after(delay time.Duration, label string, fn func()) func()
 func (d engineDriver) every(interval time.Duration, label string, fn func()) func() {
 	return d.e.Every(interval, label, fn).Stop
 }
-func (d engineDriver) run(ctx context.Context, until time.Duration) error {
-	if until != 0 {
-		until -= d.e.Now()
-	}
-	return d.e.RunContext(ctx, until)
+func (d engineDriver) run(ctx context.Context, horizon time.Duration) error {
+	return d.e.RunContext(ctx, horizon)
 }
 
 // shardedDriver maps the same surface onto actor 0 of a 1-shard
@@ -55,7 +51,6 @@ func (d *shardedDriver) now() time.Duration {
 	}
 	return d.s.Now()
 }
-func (d *shardedDriver) halt() { d.s.Stop() }
 func (d *shardedDriver) after(delay time.Duration, label string, fn func()) func() {
 	canceled := false
 	wrapped := func(c *ShardCtx) {
@@ -87,26 +82,32 @@ func (d *shardedDriver) every(interval time.Duration, label string, fn func()) f
 	arm()
 	return func() { stopped = true; cancel() }
 }
-func (d *shardedDriver) run(ctx context.Context, until time.Duration) error {
-	if until != 0 {
-		until -= d.s.Now()
-	}
-	return d.s.RunContext(ctx, until)
+func (d *shardedDriver) run(ctx context.Context, horizon time.Duration) error {
+	return d.s.RunContext(ctx, horizon)
 }
 
 // diffWorkload drives one seeded workload through d and returns its
 // (time, label) log: equal-time FIFO ties, nested zero-delay
 // scheduling, cancels of pending and already-fired handles, a
-// self-stopping ticker, a horizon landing exactly on an event, Stop and
-// ctx cancel from inside events, each followed by a resume.
+// self-stopping ticker, a horizon landing exactly on an event, two ctx
+// cancels from inside events, each followed by a resume, and a negative
+// horizon. It fails t unless the log holds what the workload guarantees
+// at every seed.
 func diffWorkload(t *testing.T, seed int64, d diffDriver) []string {
 	t.Helper()
 	var log []string
-	rec := func(label string) { log = append(log, fmt.Sprintf("%v %s", d.now(), label)) }
+	fired := map[string]int{}
+	rec := func(label string) {
+		fired[label]++
+		log = append(log, fmt.Sprintf("%v %s", d.now(), label))
+	}
 	rng := NewRNG(seed)
 	var cancels []func()
-	ctx, cancelCtx := context.WithCancel(context.Background())
-	defer cancelCtx()
+	killed := map[string]bool{} // roots cancelled before they fired
+	stopCtx, stop := context.WithCancel(context.Background())
+	defer stop()
+	cancelCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 
 	var spawn func(label string, depth int) func()
 	spawn = func(label string, depth int) func() {
@@ -131,12 +132,19 @@ func diffWorkload(t *testing.T, seed int64, d diffDriver) []string {
 			}
 		}
 	}
-	for i := 0; i < 60; i++ {
+	const roots = 60
+	for i := 0; i < roots; i++ {
 		// 10ms granularity over 400ms: many exact ties, many on the 10ms
 		// window boundaries of the sharded run.
 		delay := time.Duration(rng.Intn(40)) * 10 * time.Millisecond
 		label := fmt.Sprintf("r%d", i)
-		cancels = append(cancels, d.after(delay, label, spawn(label, 3)))
+		kill := d.after(delay, label, spawn(label, 3))
+		cancels = append(cancels, func() {
+			if fired[label] == 0 {
+				killed[label] = true
+			}
+			kill()
+		})
 	}
 	ticks := 0
 	var stopTicker func()
@@ -148,8 +156,8 @@ func diffWorkload(t *testing.T, seed int64, d diffDriver) []string {
 		}
 	})
 	d.after(150*time.Millisecond, "edge", func() { rec("edge") })
-	d.after(200*time.Millisecond, "stop", func() { rec("stop"); d.halt() })
-	d.after(260*time.Millisecond, "cancel", func() { rec("cancel"); cancelCtx() })
+	d.after(200*time.Millisecond, "stop", func() { rec("stop"); stop() })
+	d.after(260*time.Millisecond, "cancel", func() { rec("cancel"); cancel() })
 
 	phase := func(name string, err, want error) {
 		if !errors.Is(err, want) {
@@ -157,16 +165,72 @@ func diffWorkload(t *testing.T, seed int64, d diffDriver) []string {
 		}
 		log = append(log, "-- "+name)
 	}
-	phase("horizon", d.run(ctx, 150*time.Millisecond), nil)
+	phase("horizon", d.run(stopCtx, 150*time.Millisecond), nil)
 	if d.now() != 150*time.Millisecond {
 		t.Fatalf("clock after the horizon run = %v, want 150ms", d.now())
 	}
 	if !slices.Contains(log, "150ms edge") {
 		t.Fatal("event exactly at the horizon did not fire within the run")
 	}
-	phase("stopped", d.run(ctx, 0), ErrStopped)
-	phase("canceled", d.run(ctx, 0), context.Canceled)
+	phase("stopped", d.run(stopCtx, 0), context.Canceled)
+	phase("canceled", d.run(cancelCtx, 0), context.Canceled)
+	before := d.now()
+	phase("negative horizon", d.run(context.Background(), -5*time.Minute), nil)
+	if d.now() != before {
+		t.Fatalf("a negative horizon moved the clock from %v to %v", before, d.now())
+	}
 	phase("drained", d.run(context.Background(), 0), nil)
+
+	// What every seed guarantees. Each root that was not cancelled first
+	// fired exactly once; the ticker stopped itself after 7 ticks; the
+	// phases ran in order, each interrupting event is the last line
+	// before its phase marker, and the negative horizon ran nothing.
+	for i := 0; i < roots; i++ {
+		label := fmt.Sprintf("r%d", i)
+		want := 1
+		if killed[label] {
+			want = 0
+		}
+		if fired[label] != want {
+			t.Fatalf("root %s fired %d times, want %d", label, fired[label], want)
+		}
+	}
+	if fired["tick"] != 7 {
+		t.Fatalf("%d ticks, want 7", fired["tick"])
+	}
+	var markers []string
+	for _, line := range log {
+		if strings.HasPrefix(line, "-- ") {
+			markers = append(markers, line)
+		}
+	}
+	if want := []string{"-- horizon", "-- stopped", "-- canceled", "-- negative horizon", "-- drained"}; !slices.Equal(markers, want) {
+		t.Fatalf("phase markers %q, want %q", markers, want)
+	}
+	for _, seq := range [][2]string{
+		{"200ms stop", "-- stopped"},
+		{"260ms cancel", "-- canceled"},
+		{"-- canceled", "-- negative horizon"},
+	} {
+		if i := slices.Index(log, seq[1]); i < 1 || log[i-1] != seq[0] {
+			t.Fatalf("%q does not directly follow %q", seq[1], seq[0])
+		}
+	}
+	// A root's first draw opens a .z chain with probability 1/5 and a
+	// tie pair with 1/5, independently per root, so with n roots firing
+	// one of the two is missing with probability at most 2·(4/5)^n. No
+	// seed in 1–10⁵ fires fewer than 43 roots, so the odds are below
+	// 2·(4/5)^43 ≈ 1.4e-4 a seed; none of those 10⁵ seeds fails here.
+	var chain, tie bool
+	for _, line := range log {
+		chain = chain || strings.HasSuffix(line, ".z")
+		if a, ok := strings.CutSuffix(line, ".a"); ok && slices.Contains(log, a+".b") {
+			tie = true
+		}
+	}
+	if !chain || !tie {
+		t.Fatalf("workload degenerate: .z chain %v, .a/.b tie pair %v", chain, tie)
+	}
 	return log
 }
 
@@ -175,16 +239,13 @@ func diffWorkload(t *testing.T, seed int64, d diffDriver) []string {
 // through Sharded's window loop at one shard and one actor must execute
 // the identical (time, label) sequence, phase by phase.
 func TestEngineMatchesOneLaneSharded(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
+	for seed := int64(1); seed <= 24; seed++ {
 		eng := diffWorkload(t, seed, engineDriver{NewEngine(seed)})
 
 		s := NewSharded(seed, ShardedConfig{Shards: 1, Lookahead: 10 * time.Millisecond})
 		s.AddActor(0, 0)
 		sh := diffWorkload(t, seed, &shardedDriver{s: s})
 
-		if len(eng) < 100 {
-			t.Fatalf("seed %d: degenerate workload, %d log lines", seed, len(eng))
-		}
 		if !reflect.DeepEqual(eng, sh) {
 			for i := range eng {
 				if i >= len(sh) || eng[i] != sh[i] {
@@ -217,7 +278,7 @@ func TestShardedReAddActorMovesPendingEvents(t *testing.T) {
 		}
 	}
 	s.AddActor(0, 1)
-	if got := s.ActorShard(0); got != 1 {
+	if got := s.actors[0].shard; got != 1 {
 		t.Fatalf("re-added actor on shard %d, want 1", got)
 	}
 	for i, ln := range s.lanes {
@@ -226,8 +287,8 @@ func TestShardedReAddActorMovesPendingEvents(t *testing.T) {
 				t.Errorf("lane %d still queues an event of actor %d", i, ev.actor)
 			}
 		}
-		if p := ln.pending.Load(); p != perActor {
-			t.Errorf("lane %d pending = %d, want %d", i, p, perActor)
+		if n := ln.queue.len(); n != perActor {
+			t.Errorf("lane %d queues %d events, want %d", i, n, perActor)
 		}
 	}
 	if err := s.Run(0); err != nil {
@@ -237,7 +298,7 @@ func TestShardedReAddActorMovesPendingEvents(t *testing.T) {
 	if !reflect.DeepEqual(fired, want) {
 		t.Errorf("executing shards per actor = %v, want %v (each event once, on the owning shard)", fired, want)
 	}
-	if p := s.Pending(); p != 0 {
-		t.Errorf("drained run reports %d pending events", p)
+	if p := pending(s.lanes...); p != 0 {
+		t.Errorf("drained run left %d events", p)
 	}
 }

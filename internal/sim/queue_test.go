@@ -24,6 +24,18 @@ func queued(q *eventQueue) []*event {
 	return out
 }
 
+// pending counts the events left on lanes: each queue plus its staged
+// mailbox. Only valid while no run is in progress.
+//
+//iobt:barrier
+func pending(lanes ...*lane) int {
+	n := 0
+	for _, ln := range lanes {
+		n += ln.queue.len() + len(ln.inbox)
+	}
+	return n
+}
+
 // checkQueue verifies q's layout: ties is a heap of events at base,
 // bucket i holds exactly the events whose time first differs from base
 // at bit i, least and occ describe the buckets, and n counts it all.
@@ -127,12 +139,8 @@ func queueScript(t *testing.T, script []byte) {
 		case 4: // filter: drop every event whose sequence is a multiple of k
 			k := uint64(arg%4) + 2
 			dropped := map[*event]bool{}
-			out, n := q.filter(func(ev *event) bool { return ev.b%k == 0 })
-			for ev := out; ev != nil; ev = ev.next {
+			for ev := q.filter(func(ev *event) bool { return ev.b%k == 0 }); ev != nil; ev = ev.next {
 				dropped[ev] = true
-			}
-			if n != len(dropped) {
-				t.Fatalf("op %d: filter reported %d dropped, listed %d", i/2, n, len(dropped))
 			}
 			kept := ref[:0]
 			for _, ev := range ref {

@@ -70,9 +70,6 @@ func (g *RNG) Derive(name string) *RNG {
 	return NewRNG(g.seed ^ int64(h))
 }
 
-// Seed returns the seed this stream was created with.
-func (g *RNG) Seed() int64 { return g.seed }
-
 // Float64 returns a uniform value in [0,1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
@@ -212,52 +209,4 @@ func (g *RNG) Poisson(mean float64) int {
 		}
 		k++
 	}
-}
-
-// Zipf returns samples in [0,n) following a Zipf distribution with
-// exponent s >= 1 via simple inverse-CDF over precomputed weights. For
-// repeated use prefer NewZipf.
-func (g *RNG) Zipf(n int, s float64) int {
-	return NewZipf(g, n, s).Next()
-}
-
-// Zipfian draws Zipf-distributed indices.
-type Zipfian struct {
-	rng *RNG
-	cdf []float64
-}
-
-// NewZipf precomputes a Zipf CDF over [0,n) with exponent s.
-func NewZipf(rng *RNG, n int, s float64) *Zipfian {
-	if n <= 0 {
-		n = 1
-	}
-	if s < 0 {
-		s = 0
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipfian{rng: rng, cdf: cdf}
-}
-
-// Next draws the next index.
-func (z *Zipfian) Next() int {
-	u := z.rng.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

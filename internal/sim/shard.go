@@ -94,9 +94,9 @@ func (e *ShardPanicError) Error() string {
 }
 
 // Sharded is the spatially partitioned parallel discrete-event engine.
-// Setup (AddActor, ScheduleActor) is single-threaded; Run drives the
-// worker pool. Observers may call Now, Processed, and Pending from any
-// goroutine during a run.
+// Setup (AddActor, ScheduleActor) is single-threaded and happens between
+// runs; Run drives the worker pool. Observers may call Now, Processed
+// and ClampedSends from any goroutine during a run.
 type Sharded struct {
 	cfg   ShardedConfig
 	rng   *RNG
@@ -104,15 +104,8 @@ type Sharded struct {
 
 	actors []actorMeta
 
-	nowNS     atomic.Int64
-	stopped   atomic.Bool
-	running   atomic.Bool
-	inBarrier atomic.Bool
-
-	// atBarrier runs on the coordinator between windows, when no worker
-	// executes: the one place that may safely inspect all model state
-	// mid-run (invariant sweeps, progress reporting).
-	atBarrier func(now time.Duration)
+	nowNS   atomic.Int64
+	running atomic.Bool
 
 	panicMu sync.Mutex
 	panics  []*ShardPanicError
@@ -148,12 +141,6 @@ func NewSharded(seed int64, cfg ShardedConfig) *Sharded {
 	return s
 }
 
-// Shards returns the shard count.
-func (s *Sharded) Shards() int { return s.cfg.Shards }
-
-// Lookahead returns the conservative window width.
-func (s *Sharded) Lookahead() time.Duration { return s.cfg.Lookahead }
-
 // Now returns the conservative global virtual clock: exact between
 // windows, a lower bound while a window executes. Safe from any
 // goroutine.
@@ -181,17 +168,6 @@ func (s *Sharded) ClampedSends() uint64 {
 	return n
 }
 
-// Pending returns the number of queued events (queues plus mailboxes),
-// aggregated from the per-shard atomic counters. Safe from any
-// goroutine.
-func (s *Sharded) Pending() int {
-	var n int64
-	for _, ln := range s.lanes {
-		n += ln.pending.Load()
-	}
-	return int(n)
-}
-
 // Stream derives an independent, reproducible random stream from the
 // engine seed and name, exactly like Engine.Stream. Derive one stream
 // per actor (e.g. "node/17") at setup and draw from it only inside that
@@ -206,11 +182,6 @@ func (s *Sharded) SetProbe(fn func(shard int, actor ActorID, at time.Duration, l
 		ln.probe = fn
 	}
 }
-
-// AtBarrier installs a hook run by the coordinator between windows
-// (workers quiescent), with the window-end virtual time. It is the safe
-// place for mid-run invariant checks over the whole model.
-func (s *Sharded) AtBarrier(fn func(now time.Duration)) { s.atBarrier = fn }
 
 // AddActor registers actor id on the given shard. Call before Run; ids
 // must be non-negative and the shard must be in range. Re-adding an
@@ -237,21 +208,11 @@ func (s *Sharded) AddActor(id ActorID, shard int) {
 	m.present = true
 }
 
-// ActorShard returns the shard currently owning actor id, or -1 when
-// the actor is unknown. Exact only between windows.
-func (s *Sharded) ActorShard(id ActorID) int {
-	if int(id) >= len(s.actors) || !s.actors[id].present {
-		return -1
-	}
-	return int(s.actors[id].shard)
-}
-
 // ScheduleActor queues a local event on actor id at delay from the
 // current global clock. Setup-time counterpart of ShardCtx.Schedule;
-// call before Run or from an AtBarrier hook (workers are quiescent at a
-// barrier, so direct queue pushes are safe there).
+// call before Run or between runs, never during one.
 func (s *Sharded) ScheduleActor(id ActorID, delay time.Duration, label string, fn func(*ShardCtx)) {
-	if s.running.Load() && !s.inBarrier.Load() {
+	if s.running.Load() {
 		panic("sim: ScheduleActor during Run (use ShardCtx.Schedule)")
 	}
 	s.mustActor(id)
@@ -265,28 +226,22 @@ func (s *Sharded) mustActor(id ActorID) {
 	}
 }
 
-// Stop halts the run: workers stop after their current event and the
-// coordinator returns ErrStopped at the next barrier. Safe from any
-// goroutine, including during a barrier wait.
-func (s *Sharded) Stop() { s.stopped.Store(true) }
-
 // Run executes windows until every queue drains or the horizon is
 // reached. A zero horizon means no time limit.
 func (s *Sharded) Run(horizon time.Duration) error {
 	return s.RunContext(context.Background(), horizon)
 }
 
-// RunContext is Run with cooperative cancellation: workers observe the
-// context between events, the coordinator between windows, and the run
-// returns context.Cause(ctx) once cancelled. Like Engine.RunContext,
-// cancellation decides how far the fixed event order gets, never what
-// the order is.
+// RunContext is Run with cooperative cancellation, the one way to stop a
+// run early: workers observe the context between events, the coordinator
+// between windows, and the run returns context.Cause(ctx) once
+// cancelled. Like Engine.RunContext, cancellation decides how far the
+// fixed event order gets, never what the order is.
 func (s *Sharded) RunContext(ctx context.Context, horizon time.Duration) error {
 	if s.running.Swap(true) {
 		return errors.New("sim: sharded engine already running")
 	}
 	defer s.running.Store(false)
-	s.stopped.Store(false)
 	s.panics = nil
 
 	w := s.cfg.Lookahead
@@ -310,9 +265,6 @@ func (s *Sharded) RunContext(ctx context.Context, horizon time.Duration) error {
 				return context.Cause(ctx)
 			default:
 			}
-		}
-		if s.stopped.Load() {
-			return ErrStopped
 		}
 		next, ok := s.nextEventTime()
 		if !ok {
@@ -342,18 +294,12 @@ func (s *Sharded) RunContext(ctx context.Context, horizon time.Duration) error {
 		s.drainInboxes()
 		s.applyMigrations()
 		if err := s.takePanic(); err != nil {
-			s.stopped.Store(true)
 			return err
 		}
-		if s.stopped.Load() {
-			// Halted mid-window: leave the clock at the last barrier so a
-			// resumed run re-enters the unfinished window.
-			return ErrStopped
-		}
 		if done != nil {
-			// Same for cancellation: workers bail out between events, so an
-			// interrupted window must not advance the barrier clock past the
-			// events it never ran.
+			// Cancelled mid-window: workers bail out between events, so
+			// the clock stays at the last barrier and a resumed run
+			// re-enters the unfinished window.
 			select {
 			case <-done:
 				return context.Cause(ctx)
@@ -361,14 +307,6 @@ func (s *Sharded) RunContext(ctx context.Context, horizon time.Duration) error {
 			}
 		}
 		s.setNow(end)
-		if s.atBarrier != nil {
-			s.inBarrier.Store(true)
-			s.atBarrier(end)
-			s.inBarrier.Store(false)
-		}
-		if s.stopped.Load() {
-			return ErrStopped
-		}
 		// No early return after an inclusive window: deliveries generated
 		// inside it may land exactly at the horizon and, like Engine's
 		// at-most-limit semantics, must still execute. The loop exits when
@@ -482,9 +420,6 @@ func (s *Sharded) laneWindow(ln *lane, ctx context.Context, end time.Duration, i
 		if !ok || at > end || (at == end && !inclusive) {
 			break
 		}
-		if s.stopped.Load() {
-			return
-		}
 		if done != nil {
 			select {
 			case <-done:
@@ -574,17 +509,14 @@ func (s *Sharded) applyMigrations() {
 //
 //iobt:barrier
 func (s *Sharded) rehome(ln *lane) {
-	ev, n := ln.queue.filter(func(ev *event) bool {
+	ev := ln.queue.filter(func(ev *event) bool {
 		return s.lanes[s.actors[ev.actor].shard] != ln
 	})
 	for ev != nil {
 		next := ev.next
-		dst := s.lanes[s.actors[ev.actor].shard]
-		dst.queue.push(ev)
-		dst.pending.Add(1)
+		s.lanes[s.actors[ev.actor].shard].queue.push(ev)
 		ev = next
 	}
-	ln.pending.Add(-int64(n))
 }
 
 // ShardCtx is the execution context handed to every event callback. It
@@ -606,9 +538,6 @@ func (c *ShardCtx) Self() ActorID { return c.actor }
 // Shard returns the executing shard's index (an observability aid; the
 // model must never branch on it).
 func (c *ShardCtx) Shard() int { return c.ln.id }
-
-// Engine returns the owning sharded engine.
-func (c *ShardCtx) Engine() *Sharded { return c.s }
 
 // Schedule queues a local follow-up event on the current actor. Local
 // events may use any non-negative delay — they stay on this shard and
@@ -657,7 +586,6 @@ func (c *ShardCtx) Send(dst ActorID, delay time.Duration, label string, fn func(
 	dl.inboxMu.Lock()
 	dl.inbox = append(dl.inbox, ev)
 	dl.inboxMu.Unlock()
-	dl.pending.Add(1)
 }
 
 // Migrate stages a handoff of the current actor to another shard,

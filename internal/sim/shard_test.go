@@ -77,7 +77,7 @@ func (m *toyModel) tick(i, remaining int, migrate bool) func(*ShardCtx) {
 			m.sent[i]++
 			c.Send(dst, time.Duration(r.Intn(80))*time.Millisecond, "pkt", func(rc *ShardCtx) {
 				j := rc.Self()
-				if lat := rc.Now() - sentAt; lat < rc.Engine().Lookahead() {
+				if lat := rc.Now() - sentAt; lat < m.s.cfg.Lookahead {
 					panic(fmt.Sprintf("delivery latency %v below lookahead", lat))
 				}
 				m.state[j] = m.state[j]*33 ^ (payload + uint64(rc.Now()))
@@ -88,7 +88,7 @@ func (m *toyModel) tick(i, remaining int, migrate bool) func(*ShardCtx) {
 			// The draw happens unconditionally relative to the actor's own
 			// schedule; only the target depends on the shard count, and the
 			// target is a pure performance decision.
-			c.Migrate(r.Intn(64) % c.Engine().Shards())
+			c.Migrate(r.Intn(64) % m.s.cfg.Shards)
 		}
 		if remaining > 1 {
 			c.Schedule(time.Duration(5+r.Intn(60))*time.Millisecond, "tick", m.tick(i, remaining-1, migrate))
@@ -284,8 +284,8 @@ func TestShardedMigrationConservation(t *testing.T) {
 	if sent != delivered {
 		t.Errorf("sent %d != delivered %d: events dropped or duplicated in migration", sent, delivered)
 	}
-	if p := m.s.Pending(); p != 0 {
-		t.Errorf("drained run reports %d pending events", p)
+	if p := pending(m.s.lanes...); p != 0 {
+		t.Errorf("drained run left %d events", p)
 	}
 	ref := newToy(555, toyConfig{shards: 1, actors: actors, ticks: ticksEach, migrate: true})
 	if err := ref.s.Run(0); err != nil {
@@ -301,16 +301,17 @@ func TestShardedMigrationConservation(t *testing.T) {
 // back (A→B→A: last staged wins, nothing moves), and a tenth have
 // nothing queued when they go — so the one-pass rehome sees a queue
 // full of movers at once. At that barrier every lane must hold a valid
-// queue of exactly its own actors' events with pending conserved; afterwards
-// every event must run on its actor's new lane and the final state must
-// match the 1-shard run, where Migrate is a no-op. The lane queues are
-// inspected from the AtBarrier hook, when no worker runs.
+// queue of exactly its own actors' events, none dropped or duplicated;
+// afterwards every event must run on its actor's new lane and the final
+// state must match the 1-shard run, where Migrate is a no-op. The run
+// stops at the first barrier (Run(lookahead)) so the lane queues are
+// inspected with no worker up, then resumes.
 //
 //iobt:barrier
 func TestShardedMassMigrationOneBarrier(t *testing.T) {
-	const actors = 1500
+	const actors, look = 1500, 50 * time.Millisecond
 	run := func(shards int) (uint64, uint64) {
-		s := NewSharded(77, ShardedConfig{Shards: shards, Lookahead: 50 * time.Millisecond})
+		s := NewSharded(77, ShardedConfig{Shards: shards, Lookahead: look})
 		state := make([]uint64, actors)
 		owner := func(i int) int {
 			if i%3 == 0 {
@@ -352,43 +353,43 @@ func TestShardedMassMigrationOneBarrier(t *testing.T) {
 				}
 			})
 		}
-		first := true
-		s.AtBarrier(func(time.Duration) {
-			if !first {
-				return
+		// Every "move" fires at 10ms, inside the first window; nothing is
+		// due at 50ms, so Run(look) ends right after that barrier.
+		if err := s.Run(look); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < actors; i++ {
+			if got := int(s.actors[i].shard); got != owner(i) {
+				t.Errorf("shards=%d: actor %d on shard %d after the barrier, want %d", shards, i, got, owner(i))
 			}
-			first = false
-			for i := 0; i < actors; i++ {
-				if got := s.ActorShard(ActorID(i)); got != owner(i) {
-					t.Errorf("shards=%d: actor %d on shard %d after the barrier, want %d", shards, i, got, owner(i))
-				}
-				if i%10 == 0 {
-					// Work for the actors that moved with nothing queued.
-					s.ScheduleActor(ActorID(i), 30*time.Millisecond, "late", work(i, 9))
-				}
-			}
-			for _, ln := range s.lanes {
-				if p := ln.pending.Load(); p != int64(ln.queue.len()) {
-					t.Errorf("shards=%d lane %d: pending %d, %d events queued", shards, ln.id, p, ln.queue.len())
-				}
-				for _, ev := range queued(&ln.queue) {
-					if int(s.actors[ev.actor].shard) != ln.id {
-						t.Errorf("shards=%d lane %d holds an event of actor %d, owned by shard %d", shards, ln.id, ev.actor, s.actors[ev.actor].shard)
-					}
-				}
-				if err := checkQueue(&ln.queue); err != nil {
-					t.Fatalf("shards=%d lane %d: %v", shards, ln.id, err)
+		}
+		// Three work events for four actors in five, one mail for every
+		// even actor.
+		if got, want := pending(s.lanes...), actors*4/5*3+actors/2; got != want {
+			t.Errorf("shards=%d: %d events queued after the barrier, want %d", shards, got, want)
+		}
+		for _, ln := range s.lanes {
+			for _, ev := range queued(&ln.queue) {
+				if int(s.actors[ev.actor].shard) != ln.id {
+					t.Errorf("shards=%d lane %d holds an event of actor %d, owned by shard %d", shards, ln.id, ev.actor, s.actors[ev.actor].shard)
 				}
 			}
-		})
+			if err := checkQueue(&ln.queue); err != nil {
+				t.Fatalf("shards=%d lane %d: %v", shards, ln.id, err)
+			}
+		}
+		for i := 0; i < actors; i += 10 {
+			// Work for the actors that moved with nothing queued.
+			s.ScheduleActor(ActorID(i), 30*time.Millisecond, "late", work(i, 9))
+		}
 		if err := s.Run(0); err != nil {
 			t.Fatal(err)
 		}
 		if n := misplaced.Load(); n != 0 {
 			t.Errorf("shards=%d: %d events ran on a lane that does not own their actor", shards, n)
 		}
-		if p := s.Pending(); p != 0 {
-			t.Errorf("shards=%d: drained run reports %d pending events", shards, p)
+		if p := pending(s.lanes...); p != 0 {
+			t.Errorf("shards=%d: drained run left %d events", shards, p)
 		}
 		h := fnv.New64a()
 		var buf [8]byte
@@ -406,46 +407,8 @@ func TestShardedMassMigrationOneBarrier(t *testing.T) {
 	}
 }
 
-// TestShardedStopResume: Stop from inside an event halts mid-window
-// without losing or reordering anything — resuming the run converges to
-// the same final state as an uninterrupted reference run.
-func TestShardedStopResume(t *testing.T) {
-	const at = 230 * time.Millisecond
-	build := func(stop bool) *toyModel {
-		control := func(c *ShardCtx) {}
-		if stop {
-			control = func(c *ShardCtx) { c.Engine().Stop() }
-		}
-		return newToy(31337, toyConfig{
-			shards: 4, actors: 24, ticks: 12, migrate: true,
-			control: control, controlAt: at,
-		})
-	}
-	ref := build(false)
-	if err := ref.s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-
-	m := build(true)
-	if err := m.s.Run(0); !errors.Is(err, ErrStopped) {
-		t.Fatalf("stopped run returned %v, want ErrStopped", err)
-	}
-	if m.s.Pending() == 0 {
-		t.Fatal("stop test degenerate: nothing left to resume")
-	}
-	if err := m.s.Run(0); err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if d, r := m.digest(), ref.digest(); d != r {
-		t.Errorf("stop+resume digest %016x, uninterrupted reference %016x", d, r)
-	}
-	if p, r := m.s.Processed(), ref.s.Processed(); p != r {
-		t.Errorf("stop+resume processed %d, reference %d", p, r)
-	}
-}
-
 // TestShardedBelowBaseMigration drives the queue's one below-base
-// insert. At 2 shards, lane 1 stops the run mid-window at 245ms while
+// insert. At 2 shards, lane 1 cancels the run mid-window at 245ms while
 // lane 0 is held at a 205ms gate, so lane 1 has run past the 200ms
 // barrier clock and actor 2 still has events at 210-230ms on lane 0.
 // Re-adding actor 2 to shard 1 moves those events below lane 1's queue
@@ -457,15 +420,17 @@ func TestShardedBelowBaseMigration(t *testing.T) {
 	const mover = 2
 	run := func(shards int, interrupt bool) *toyModel {
 		m := newToy(4711, toyConfig{shards: shards, actors: 8, ticks: 12})
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
 		release := make(chan struct{})
 		m.s.ScheduleActor(0, 205*time.Millisecond, "gate", func(*ShardCtx) {
 			if interrupt {
 				<-release
 			}
 		})
-		m.s.ScheduleActor(1, 245*time.Millisecond, "stop", func(c *ShardCtx) {
+		m.s.ScheduleActor(1, 245*time.Millisecond, "cancel", func(c *ShardCtx) {
 			if interrupt {
-				c.Engine().Stop()
+				cancel()
 				close(release)
 			}
 		})
@@ -481,8 +446,8 @@ func TestShardedBelowBaseMigration(t *testing.T) {
 			}
 			return m
 		}
-		if err := m.s.Run(0); !errors.Is(err, ErrStopped) {
-			t.Fatalf("interrupted run returned %v, want ErrStopped", err)
+		if err := m.s.RunContext(ctx, 0); !errors.Is(err, context.Canceled) {
+			t.Fatalf("interrupted run returned %v, want context.Canceled", err)
 		}
 		dst := &m.s.lanes[1].queue
 		if now, base := m.s.Now(), dst.base; now != 200*time.Millisecond || base != 245*time.Millisecond {
@@ -510,9 +475,10 @@ func TestShardedBelowBaseMigration(t *testing.T) {
 	}
 }
 
-// TestShardedCancelResume: context cancellation mid-window behaves like
-// Stop — the run returns the cancellation cause, leaks no goroutines,
-// and a resumed run converges to the uninterrupted result.
+// TestShardedCancelResume: context cancellation from inside an event
+// halts mid-window without losing or reordering anything — the run
+// returns the cancellation cause, leaks no goroutines, and a resumed run
+// converges to the uninterrupted result.
 func TestShardedCancelResume(t *testing.T) {
 	base := runtime.NumGoroutine()
 
@@ -561,7 +527,7 @@ func TestShardedPanicIsolation(t *testing.T) {
 	if pe.Value != "boom" {
 		t.Errorf("panic value %v, want boom", pe.Value)
 	}
-	if want := m.s.ActorShard(0); pe.Shard != want {
+	if want := int(m.s.actors[0].shard); pe.Shard != want {
 		t.Errorf("panic attributed to shard %d, actor 0 lives on %d", pe.Shard, want)
 	}
 	if len(pe.Stack) == 0 {
@@ -570,36 +536,9 @@ func TestShardedPanicIsolation(t *testing.T) {
 	waitNoLeak(t, base)
 }
 
-// TestShardedStopDuringBarrier: Stop invoked while the coordinator sits
-// at a barrier (inside the AtBarrier hook) halts cleanly, and the hook
-// may inject events that a resumed run then executes.
-func TestShardedStopDuringBarrier(t *testing.T) {
-	m := newToy(6, toyConfig{shards: 2, actors: 8, ticks: 6})
-	injected := false
-	fired := false
-	m.s.AtBarrier(func(now time.Duration) {
-		if injected {
-			return
-		}
-		injected = true
-		m.s.ScheduleActor(3, m.s.Lookahead(), "injected", func(c *ShardCtx) { fired = true })
-		m.s.Stop()
-	})
-	if err := m.s.Run(0); !errors.Is(err, ErrStopped) {
-		t.Fatalf("run returned %v, want ErrStopped", err)
-	}
-	m.s.AtBarrier(nil)
-	if err := m.s.Run(0); err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if !fired {
-		t.Error("event injected at the barrier never executed")
-	}
-}
-
-// TestShardedCountersConcurrentReads hammers Now/Processed/Pending from
-// observer goroutines while the shard workers run — the -race
-// regression for the mutex-free counter path.
+// TestShardedCountersConcurrentReads hammers Now/Processed from observer
+// goroutines while the shard workers run — the -race regression for the
+// mutex-free counter path.
 func TestShardedCountersConcurrentReads(t *testing.T) {
 	m := newToy(1717, toyConfig{shards: 4, actors: 24, ticks: 12, migrate: true})
 	stop := make(chan struct{})
@@ -616,7 +555,6 @@ func TestShardedCountersConcurrentReads(t *testing.T) {
 				default:
 				}
 				_ = m.s.Processed()
-				_ = m.s.Pending()
 				_ = m.s.Now()
 				reads.Add(1)
 			}
@@ -631,14 +569,14 @@ func TestShardedCountersConcurrentReads(t *testing.T) {
 	if reads.Load() == 0 {
 		t.Fatal("observer goroutines never read the counters")
 	}
-	if m.s.Pending() != 0 {
-		t.Errorf("drained run reports %d pending", m.s.Pending())
+	if p := pending(m.s.lanes...); p != 0 {
+		t.Errorf("drained run left %d events", p)
 	}
 }
 
 // TestEngineCountersConcurrentReads is the same regression for the
-// single-threaded Engine: Pending and Processed are documented safe
-// from any goroutine while the loop runs.
+// single-threaded Engine: Processed is documented safe from any
+// goroutine while the loop runs.
 func TestEngineCountersConcurrentReads(t *testing.T) {
 	e := NewEngine(5)
 	var tick func()
@@ -663,7 +601,6 @@ func TestEngineCountersConcurrentReads(t *testing.T) {
 			default:
 			}
 			_ = e.Processed()
-			_ = e.Pending()
 		}
 	}()
 	err := e.Run(0)
@@ -675,8 +612,8 @@ func TestEngineCountersConcurrentReads(t *testing.T) {
 	if got := e.Processed(); got != 5000 {
 		t.Fatalf("processed %d, want 5000", got)
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending %d after drain", e.Pending())
+	if p := pending(&e.ln); p != 0 {
+		t.Fatalf("%d events left after drain", p)
 	}
 }
 

@@ -96,9 +96,6 @@ func (s *Series) Percentile(p float64) float64 {
 	return s.vals[rank-1]
 }
 
-// Median returns the 50th percentile.
-func (s *Series) Median() float64 { return s.Percentile(50) }
-
 func (s *Series) ensureSorted() {
 	if !s.sorted {
 		sort.Float64s(s.vals)
@@ -134,7 +131,7 @@ func (m Summary) String() string {
 		m.N, m.Mean, m.P50, m.P90, m.P99, m.Min, m.Max, m.Stddev)
 }
 
-// Counter is a monotonically increasing named count.
+// Counter is a monotonically increasing count.
 type Counter struct {
 	n uint64
 }
@@ -151,58 +148,3 @@ func (c *Counter) Add(delta int) {
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
-
-// Metrics is a small registry of named series and counters used by
-// experiments to collect results without global state.
-type Metrics struct {
-	series   map[string]*Series
-	counters map[string]*Counter
-}
-
-// NewMetrics returns an empty registry.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		series:   make(map[string]*Series),
-		counters: make(map[string]*Counter),
-	}
-}
-
-// Series returns the named series, creating it on first use.
-func (m *Metrics) Series(name string) *Series {
-	s, ok := m.series[name]
-	if !ok {
-		s = &Series{}
-		m.series[name] = s
-	}
-	return s
-}
-
-// Counter returns the named counter, creating it on first use.
-func (m *Metrics) Counter(name string) *Counter {
-	c, ok := m.counters[name]
-	if !ok {
-		c = &Counter{}
-		m.counters[name] = c
-	}
-	return c
-}
-
-// SeriesNames returns the sorted list of series names.
-func (m *Metrics) SeriesNames() []string {
-	names := make([]string, 0, len(m.series))
-	for k := range m.series {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// CounterNames returns the sorted list of counter names.
-func (m *Metrics) CounterNames() []string {
-	names := make([]string, 0, len(m.counters))
-	for k := range m.counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}

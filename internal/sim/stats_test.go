@@ -25,8 +25,8 @@ func TestSeriesBasics(t *testing.T) {
 	if s.Min() != 1 || s.Max() != 5 {
 		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
 	}
-	if s.Median() != 3 {
-		t.Errorf("Median = %v", s.Median())
+	if s.Percentile(50) != 3 {
+		t.Errorf("P50 = %v", s.Percentile(50))
 	}
 }
 
@@ -40,7 +40,7 @@ func TestSeriesEmpty(t *testing.T) {
 func TestSeriesAddAfterQuery(t *testing.T) {
 	var s Series
 	s.Add(10)
-	_ = s.Median() // forces sort
+	_ = s.Percentile(50) // forces sort
 	s.Add(1)
 	if s.Min() != 1 {
 		t.Errorf("Min after re-add = %v, want 1", s.Min())
@@ -122,25 +122,6 @@ func TestCounter(t *testing.T) {
 	c.Add(-3) // ignored
 	if c.Value() != 5 {
 		t.Errorf("Value = %d, want 5", c.Value())
-	}
-}
-
-func TestMetricsRegistry(t *testing.T) {
-	m := NewMetrics()
-	m.Series("b").Add(1)
-	m.Series("a").Add(2)
-	m.Counter("z").Inc()
-	m.Counter("y").Inc()
-	if m.Series("a").N() != 1 {
-		t.Error("series not persisted")
-	}
-	sn := m.SeriesNames()
-	if len(sn) != 2 || sn[0] != "a" || sn[1] != "b" {
-		t.Errorf("SeriesNames = %v", sn)
-	}
-	cn := m.CounterNames()
-	if len(cn) != 2 || cn[0] != "y" || cn[1] != "z" {
-		t.Errorf("CounterNames = %v", cn)
 	}
 }
 
