@@ -53,7 +53,7 @@ func BenchmarkAblationBruteForceScan(b *testing.B) {
 	}
 }
 
-// --- routing: cached BFS vs. geographic greedy forwarding ---
+// --- routing: cold BFS vs. cached BFS ---
 
 func routingWorld(b *testing.B) (*mesh.Network, []mesh.NodeID) {
 	b.Helper()
@@ -86,15 +86,6 @@ func BenchmarkAblationRouteBFSCached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = net.Route(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))])
-	}
-}
-
-func BenchmarkAblationRouteGeoGreedy(b *testing.B) {
-	net, ids := routingWorld(b)
-	rng := sim.NewRNG(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = net.RouteGeo(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))])
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -98,6 +99,24 @@ func run(args []string) error {
 	// ticker never does, and a negative horizon runs nothing.
 	if *minutes <= 0 {
 		return fmt.Errorf("-minutes must be positive, got %d", *minutes)
+	}
+	// A NaN rate arms the incident ticker at its 1ns floor and never
+	// ends; core would silently replace a non-positive rate or asset
+	// count with its default, and a non-positive size is a 0 m map.
+	if !(*rate > 0) || math.IsInf(*rate, 0) {
+		return fmt.Errorf("-rate must be a positive finite number, got %g", *rate)
+	}
+	if !(*size > 0) || math.IsInf(*size, 0) {
+		return fmt.Errorf("-size must be a positive finite number, got %g", *size)
+	}
+	if *assets <= 0 {
+		return fmt.Errorf("-assets must be positive, got %d", *assets)
+	}
+	if *shards < 0 {
+		return fmt.Errorf("-shards must be 0 (classic engine) or positive, got %d", *shards)
+	}
+	if *ckEvery < 0 || *ckEvery > 0 && *ckEvery < checkpoint.MinEvery {
+		return fmt.Errorf("-checkpoint must be 0 or at least %s, got %s", checkpoint.MinEvery, *ckEvery)
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)

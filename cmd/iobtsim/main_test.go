@@ -24,6 +24,14 @@ func TestRunBadArgs(t *testing.T) {
 		{"zero minutes", []string{"-minutes", "0"}, "-minutes must be positive"},
 		{"negative minutes", []string{"-minutes", "-2"}, "-minutes must be positive"},
 		{"negative minutes sharded", []string{"-minutes", "-2", "-shards", "2"}, "-minutes must be positive"},
+		{"NaN rate", []string{"-rate", "NaN"}, "-rate must be"},
+		{"negative rate", []string{"-rate", "-3"}, "-rate must be"},
+		{"zero size", []string{"-size", "0"}, "-size must be"},
+		{"infinite size", []string{"-size", "+Inf"}, "-size must be"},
+		{"zero assets", []string{"-assets", "0"}, "-assets must be positive"},
+		{"negative shards", []string{"-shards", "-1"}, "-shards must be"},
+		{"negative checkpoint", []string{"-checkpoint", "-1s"}, "-checkpoint must be"},
+		{"1ns checkpoint", []string{"-checkpoint", "1ns"}, "-checkpoint must be"},
 	}
 	for _, tc := range cases {
 		err := run(tc.args)

@@ -32,7 +32,7 @@ func TestMonitorDetectsAndRepairs(t *testing.T) {
 	if m.RepairTime.N() != 1 || m.RepairTime.Mean() < 4 || m.RepairTime.Mean() > 6 {
 		t.Errorf("repair time = %v, want ~5s", m.RepairTime.Mean())
 	}
-	if m.Violated() {
+	if m.violated {
 		t.Error("monitor still violated after fix")
 	}
 	m.Stop()

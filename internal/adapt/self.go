@@ -100,9 +100,6 @@ func (m *Monitor) Tick() {
 	}
 }
 
-// Violated reports whether the invariant is currently broken.
-func (m *Monitor) Violated() bool { return m.violated }
-
 // Rule is one reflex: when Condition holds, Action fires. Rules are
 // evaluated in priority order; at most one rule fires per tick
 // (subsumption-style arbitration keeps reflexes from fighting).

@@ -64,8 +64,8 @@ func TestMonitorLifecycle(t *testing.T) {
 			if got := m.Repairs.Value(); got != tc.wantRepairs {
 				t.Errorf("Repairs = %d, want %d", got, tc.wantRepairs)
 			}
-			if m.Violated() != tc.wantViolated {
-				t.Errorf("Violated() = %v, want %v", m.Violated(), tc.wantViolated)
+			if m.violated != tc.wantViolated {
+				t.Errorf("violated = %v, want %v", m.violated, tc.wantViolated)
 			}
 			if int(m.Repairs.Value()) != m.RepairTime.N() {
 				t.Errorf("RepairTime samples %d != repairs %d", m.RepairTime.N(), m.Repairs.Value())
@@ -106,13 +106,13 @@ func TestMonitorNilRepair(t *testing.T) {
 	ok := false
 	m := NewMonitor(eng, "nil-repair", func() bool { return ok }, nil)
 	m.Tick()
-	if !m.Violated() || m.Violations.Value() != 1 {
-		t.Fatalf("violation not recorded: violated=%v count=%d", m.Violated(), m.Violations.Value())
+	if !m.violated || m.Violations.Value() != 1 {
+		t.Fatalf("violation not recorded: violated=%v count=%d", m.violated, m.Violations.Value())
 	}
 	ok = true
 	m.Tick()
-	if m.Violated() || m.Repairs.Value() != 1 {
-		t.Fatalf("repair not recorded: violated=%v count=%d", m.Violated(), m.Repairs.Value())
+	if m.violated || m.Repairs.Value() != 1 {
+		t.Fatalf("repair not recorded: violated=%v count=%d", m.violated, m.Repairs.Value())
 	}
 }
 

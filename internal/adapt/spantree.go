@@ -120,9 +120,6 @@ func (t *SpanningTree) Root(id asset.ID) asset.ID {
 	return r
 }
 
-// Depth returns id's current believed distance to the root.
-func (t *SpanningTree) Depth(id asset.ID) int { return t.dist[id] }
-
 // Legal verifies the global invariant: within every connected component
 // all nodes agree on the minimum-ID root, distances are consistent BFS
 // distances, and parent pointers decrease distance.
@@ -164,28 +161,4 @@ func (t *SpanningTree) Legal() bool {
 		}
 	}
 	return true
-}
-
-// AggregateCount performs tree aggregation: each node contributes 1 and
-// counts propagate toward the root; returns per-root totals. It is a
-// pure function of the current (possibly illegal) tree and demonstrates
-// why the invariant matters.
-func (t *SpanningTree) AggregateCount() map[asset.ID]int {
-	ids := t.net.Nodes()
-	// Accumulate along parent chains with cycle guards.
-	totals := make(map[asset.ID]int)
-	for _, id := range ids {
-		cur := id
-		steps := 0
-		for steps <= len(ids) {
-			p := t.Parent(cur)
-			if p == cur {
-				totals[cur]++
-				break
-			}
-			cur = p
-			steps++
-		}
-	}
-	return totals
 }

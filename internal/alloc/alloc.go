@@ -1,8 +1,7 @@
 // Package alloc implements adaptive resource allocation (paper §IV.B):
 // weighted max-min fair sharing with per-class isolation and admission
 // control, so that no subset of IoBT devices — "including attackers" —
-// can saturate shared communication or processing resources, plus a
-// tier-aware placer that moves work among edge, core, and backend nodes.
+// can saturate shared communication or processing resources.
 package alloc
 
 import (
@@ -216,21 +215,4 @@ func Goodput(flows []Flow, alloc []float64, c Class) float64 {
 		}
 	}
 	return g
-}
-
-// JainIndex returns Jain's fairness index of an allocation: 1 when all
-// flows get equal shares, approaching 1/n when one flow hogs everything.
-func JainIndex(alloc []float64) float64 {
-	if len(alloc) == 0 {
-		return 0
-	}
-	var sum, sumSq float64
-	for _, v := range alloc {
-		sum += v
-		sumSq += v * v
-	}
-	if sumSq == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(alloc)) * sumSq)
 }

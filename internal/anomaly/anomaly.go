@@ -78,32 +78,6 @@ func (d *Detector) Observe(v float64) float64 {
 	return score
 }
 
-// Anomalous reports whether v scores above the threshold.
-func (d *Detector) Anomalous(v float64) bool { return d.Score(v) > d.Threshold }
-
-// MAD computes the median absolute deviation score of v against a
-// window of values: |v - median| / (1.4826 * MAD). Robust to up to 50%
-// contamination of the window.
-func MAD(window []float64, v float64) float64 {
-	if len(window) == 0 {
-		return 0
-	}
-	med := median(append([]float64(nil), window...))
-	devs := make([]float64, len(window))
-	for i, w := range window {
-		devs[i] = math.Abs(w - med)
-	}
-	m := median(devs)
-	scale := 1.4826 * m
-	if scale < 1e-9 {
-		if v == med {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(v-med) / scale
-}
-
 func median(v []float64) float64 {
 	sort.Float64s(v)
 	n := len(v)

@@ -1,7 +1,6 @@
 package anomaly
 
 import (
-	"math"
 	"testing"
 
 	"iobt/internal/sim"
@@ -13,10 +12,10 @@ func TestDetectorFlagsSpike(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		d.Observe(rng.Norm(10, 1))
 	}
-	if d.Anomalous(10.5) {
+	if d.Score(10.5) > d.Threshold {
 		t.Error("normal value flagged")
 	}
-	if !d.Anomalous(30) {
+	if d.Score(30) <= d.Threshold {
 		t.Error("20-sigma spike not flagged")
 	}
 }
@@ -31,10 +30,10 @@ func TestDetectorRobustToBurst(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		d.Observe(100)
 	}
-	if !d.Anomalous(100) {
+	if d.Score(100) <= d.Threshold {
 		t.Error("baseline dragged to the attack value")
 	}
-	if d.Anomalous(10) {
+	if d.Score(10) > d.Threshold {
 		t.Error("true normal now flagged after burst")
 	}
 }
@@ -58,7 +57,7 @@ func TestDetectorZeroVariance(t *testing.T) {
 	if d.Score(5) != 0 {
 		t.Error("exact match on constant stream should score 0")
 	}
-	if !d.Anomalous(6) {
+	if d.Score(6) <= d.Threshold {
 		t.Error("any deviation from a constant stream is anomalous")
 	}
 }
@@ -67,36 +66,6 @@ func TestDetectorDefaults(t *testing.T) {
 	d := NewDetector(-1, 0)
 	if d.alpha != 0.05 || d.Threshold != 3 {
 		t.Error("invalid params should default")
-	}
-}
-
-func TestMAD(t *testing.T) {
-	window := []float64{10, 11, 9, 10, 10, 12, 8}
-	if s := MAD(window, 10); s > 1 {
-		t.Errorf("central value MAD score = %v", s)
-	}
-	if s := MAD(window, 50); s < 5 {
-		t.Errorf("outlier MAD score = %v", s)
-	}
-	if MAD(nil, 5) != 0 {
-		t.Error("empty window should score 0")
-	}
-	if !math.IsInf(MAD([]float64{5, 5, 5}, 6), 1) {
-		t.Error("deviation from zero-MAD window should be +inf")
-	}
-	if MAD([]float64{5, 5, 5}, 5) != 0 {
-		t.Error("match on zero-MAD window should be 0")
-	}
-}
-
-func TestMADRobustToContamination(t *testing.T) {
-	// 40% of the window is attacker-controlled garbage.
-	window := []float64{10, 10, 11, 9, 10, 10, 500, 500, 500, 490}
-	if s := MAD(window, 10); s > 2 {
-		t.Errorf("honest value flagged under contamination: %v", s)
-	}
-	if s := MAD(window, 500); s < 5 {
-		t.Errorf("attack value not flagged: %v", s)
 	}
 }
 

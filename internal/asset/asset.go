@@ -135,18 +135,6 @@ func (m Modality) String() string {
 	return out
 }
 
-// Has reports whether m includes all modalities in q.
-func (m Modality) Has(q Modality) bool { return m&q == q }
-
-// Count returns the number of modality bits set.
-func (m Modality) Count() int {
-	n := 0
-	for v := m; v != 0; v &= v - 1 {
-		n++
-	}
-	return n
-}
-
 // Capabilities is an asset's resource vector. Units are abstract but
 // consistent: Compute in MIPS-like units, Storage in MB, Bandwidth in
 // kb/s, Energy in joules, ranges in meters.

@@ -29,15 +29,6 @@ func TestClassString(t *testing.T) {
 
 func TestModality(t *testing.T) {
 	m := ModVisual | ModThermal
-	if !m.Has(ModVisual) || !m.Has(ModThermal) || m.Has(ModSeismic) {
-		t.Error("Has wrong")
-	}
-	if !m.Has(ModVisual | ModThermal) {
-		t.Error("multi-bit Has wrong")
-	}
-	if m.Count() != 2 {
-		t.Errorf("Count = %d", m.Count())
-	}
 	if Modality(0).String() != "none" {
 		t.Error("zero modality name")
 	}
@@ -53,7 +44,7 @@ func TestDefaultCapsHeterogeneity(t *testing.T) {
 		t.Errorf("compute spread too small: %v vs %v (paper requires orders of magnitude)", edge.Compute, mote.Compute)
 	}
 	uav := DefaultCaps(ClassUAV)
-	if !uav.Modalities.Has(ModRadar) || !uav.Modalities.Has(ModLidar) {
+	if uav.Modalities&(ModRadar|ModLidar) != ModRadar|ModLidar {
 		t.Error("UAV should carry radar+lidar (paper §III)")
 	}
 	if DefaultCaps(Class(99)) != (Capabilities{}) {

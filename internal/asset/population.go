@@ -247,17 +247,6 @@ func (p *Population) Near(dst []ID, pt geo.Point, radius float64) []ID {
 	return dst
 }
 
-// CountByAffiliation returns alive-asset counts keyed by affiliation.
-func (p *Population) CountByAffiliation() map[Affiliation]int {
-	out := make(map[Affiliation]int, 3)
-	for _, a := range p.assets {
-		if a.Alive() {
-			out[a.Affiliation]++
-		}
-	}
-	return out
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a
@@ -285,15 +274,4 @@ func (p *Population) StepEnergy(dt time.Duration) int {
 		}
 	}
 	return died
-}
-
-// AliveCount returns the number of alive assets.
-func (p *Population) AliveCount() int {
-	n := 0
-	for _, a := range p.assets {
-		if a.Alive() {
-			n++
-		}
-	}
-	return n
 }

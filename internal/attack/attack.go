@@ -1,5 +1,5 @@
 // Package attack implements the adversary: jamming fields, node capture,
-// data contamination, traffic saturation, and Sybil identities.
+// and smoke obscurants that blind sensing modalities.
 //
 // The paper (§II) requires operation in "contested and adversarial
 // environments" with "determined intelligent adversaries"; every
@@ -68,9 +68,6 @@ func (f *Field) Add(j Jammer) {
 	f.jammers = append(f.jammers, j)
 }
 
-// Clear removes all jammers.
-func (f *Field) Clear() { f.jammers = f.jammers[:0] }
-
 // At returns the maximum active jamming intensity at p.
 func (f *Field) At(p geo.Point) float64 {
 	now := f.eng.Now()
@@ -94,59 +91,4 @@ func Capture(eng *sim.Engine, pop *asset.Population, id asset.ID, at time.Durati
 		}
 		a.Compromised = true
 	})
-}
-
-// Contaminator perturbs sensor readings emitted by compromised or red
-// nodes: values get a constant bias plus optional sign flips, modeling
-// the paper's "conflicting and deceptive data".
-type Contaminator struct {
-	rng *sim.RNG
-	// Bias is added to every contaminated reading.
-	Bias float64
-	// FlipProb is the probability a boolean claim is inverted.
-	FlipProb float64
-}
-
-// NewContaminator returns a contaminator using rng.
-func NewContaminator(rng *sim.RNG, bias, flipProb float64) *Contaminator {
-	return &Contaminator{rng: rng, Bias: bias, FlipProb: flipProb}
-}
-
-// Value contaminates a scalar reading.
-func (c *Contaminator) Value(v float64) float64 { return v + c.Bias }
-
-// Claim contaminates a boolean claim.
-func (c *Contaminator) Claim(b bool) bool {
-	if c.rng.Bool(c.FlipProb) {
-		return !b
-	}
-	return b
-}
-
-// Sybil forges n phantom identities around a real red node. The phantoms
-// are added to the population as red phones clustered near the host so
-// that discovery sees plausible-looking devices.
-func Sybil(pop *asset.Population, host asset.ID, n int, rng *sim.RNG) []asset.ID {
-	h := pop.Get(host)
-	if h == nil {
-		return nil
-	}
-	ids := make([]asset.ID, 0, n)
-	for i := 0; i < n; i++ {
-		caps := asset.DefaultCaps(asset.ClassPhone)
-		a := &asset.Asset{
-			Affiliation: asset.Red,
-			Class:       asset.ClassPhone,
-			Caps:        caps,
-			Online:      true,
-			Compromised: true,
-			// Sybils copy the host's emission profile with slight jitter
-			// (they are software identities on the same radio).
-			Emission: h.Emission * rng.Uniform(0.9, 1.1),
-			Mobility: &geo.Static{P: h.Pos().Add(geo.Vec{DX: rng.Uniform(-5, 5), DY: rng.Uniform(-5, 5)})},
-		}
-		a.Energy = caps.EnergyCap
-		ids = append(ids, pop.Add(a))
-	}
-	return ids
 }

@@ -44,9 +44,6 @@ func NewObscurants(eng *sim.Engine) *Obscurants {
 // Add installs an obscurant.
 func (f *Obscurants) Add(o Obscurant) { f.list = append(f.list, o) }
 
-// Clear removes all obscurants.
-func (f *Obscurants) Clear() { f.list = f.list[:0] }
-
 // BlockedAt returns the union of modality bits blocked at p now.
 func (f *Obscurants) BlockedAt(p geo.Point) asset.Modality {
 	if f == nil {

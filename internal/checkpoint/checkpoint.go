@@ -96,6 +96,12 @@ func (c *Checkpoint) Digest() uint64 {
 	return h.Sum64()
 }
 
+// MinEvery is the shortest periodic cadence a scenario file or command
+// line may ask for (0 still disables). Every cut captures, and in the
+// service persists, the whole mission state, so a nanosecond cadence
+// keeps the engine cutting forever instead of advancing the mission.
+const MinEvery = time.Second
+
 // Coordinator drives the checkpoint cadence on the sim engine and keeps
 // the most recent checkpoint for restore.
 type Coordinator struct {
@@ -133,9 +139,6 @@ func NewCoordinator(eng *sim.Engine, every time.Duration) *Coordinator {
 func (c *Coordinator) Register(s Snapshotter) {
 	c.comps = append(c.comps, s)
 }
-
-// Interval returns the checkpoint cadence.
-func (c *Coordinator) Interval() time.Duration { return c.every }
 
 // Start begins the periodic cadence. A non-positive interval disables
 // periodic checkpoints (TakeNow still works).
@@ -192,15 +195,6 @@ func (c *Coordinator) Capture() *Checkpoint {
 
 // Last returns the most recent checkpoint, nil before the first cut.
 func (c *Coordinator) Last() *Checkpoint { return c.last }
-
-// Age returns how far behind the present the restore point is, or -1
-// when no checkpoint exists.
-func (c *Coordinator) Age() time.Duration {
-	if c.last == nil {
-		return -1
-	}
-	return c.eng.Now() - c.last.At
-}
 
 // RestoreLast replays the most recent checkpoint into every registered
 // component, in registration order. It returns an error naming the

@@ -166,8 +166,7 @@ func leBytes(v uint64) []byte {
 
 // Store is an open checkpoint journal file positioned for append.
 type Store struct {
-	f    *os.File
-	path string
+	f *os.File
 }
 
 // OpenStore opens (creating if needed) the journal file at path,
@@ -197,7 +196,7 @@ func OpenStore(path string) (*Store, []Record, error) {
 		_ = f.Close()
 		return nil, nil, err
 	}
-	return &Store{f: f, path: path}, recs, nil
+	return &Store{f: f}, recs, nil
 }
 
 // RecoverStore reads the durable record prefix of the journal file at
@@ -285,9 +284,6 @@ func (s *Store) Append(rec Record) error {
 
 // Sync flushes appended records to stable storage.
 func (s *Store) Sync() error { return s.f.Sync() }
-
-// Path returns the journal file path.
-func (s *Store) Path() string { return s.path }
 
 // Close closes the journal file.
 func (s *Store) Close() error { return s.f.Close() }

@@ -112,25 +112,6 @@ func (p *Picture) ObserveTrack(id int, fix TrackFix, at time.Duration) {
 	joinRun(&p.tracks, in, cmpTrack, foldTrack, false)
 }
 
-// Track returns the replicated fix for key, if present.
-func (p *Picture) Track(key TrackKey) (TrackFix, bool) {
-	want := trackReg{Key: key}
-	i := sort.Search(len(p.tracks), func(i int) bool { return cmpTrack(&p.tracks[i], &want) >= 0 })
-	if i == len(p.tracks) || p.tracks[i].Key != key {
-		return TrackFix{}, false
-	}
-	return p.tracks[i].Fix, true
-}
-
-// TrackKeys returns every replicated track key, sorted.
-func (p *Picture) TrackKeys() []TrackKey {
-	keys := make([]TrackKey, len(p.tracks))
-	for i := range p.tracks {
-		keys[i] = p.tracks[i].Key
-	}
-	return keys
-}
-
 // ObserveTrust records the owner's accumulated evidence about subject.
 // Evidence only grows: the stored pair is the pointwise max of every
 // observation, so re-delivery and reordering are harmless.
@@ -139,45 +120,10 @@ func (p *Picture) ObserveTrust(subject asset.ID, alpha, beta float64) {
 	joinRun(&p.trust, []trustReg{{Subject: subject, Observer: p.self, Evidence: e}}, cmpTrust, foldTrust, false)
 }
 
-// Trust sums the replicated evidence about subject across observers.
-func (p *Picture) Trust(subject asset.ID) Evidence {
-	var total Evidence
-	from := trustReg{Subject: subject, Observer: math.MinInt32}
-	i := sort.Search(len(p.trust), func(i int) bool { return cmpTrust(&p.trust[i], &from) >= 0 })
-	for ; i < len(p.trust) && p.trust[i].Subject == subject; i++ {
-		total.Alpha += p.trust[i].Alpha
-		total.Beta += p.trust[i].Beta
-	}
-	return total
-}
-
-// Score is the Beta-posterior mean of subject's summed evidence with a
-// uniform prior, matching trust.Ledger's convention.
-func (p *Picture) Score(subject asset.ID) float64 {
-	e := p.Trust(subject)
-	return (1 + e.Alpha) / (2 + e.Alpha + e.Beta)
-}
-
-// Subjects returns every asset with replicated trust evidence, sorted.
-func (p *Picture) Subjects() []asset.ID {
-	var ids []asset.ID
-	for i := 0; i < len(p.trust); i = p.subjectEnd(i) {
-		ids = append(ids, p.trust[i].Subject)
-	}
-	return ids
-}
-
 // Cover asserts that the owner currently covers cell c.
 func (p *Picture) Cover(c Cell) {
 	p.seq++
 	joinRun(&p.adds, []coverAdd{{Cell: c, Tag: tag{Actor: p.self, Seq: p.seq}}}, cmpAdd, nil, false)
-}
-
-// Uncover withdraws coverage of c by tombstoning every live tag the
-// replica has observed — the observed-remove rule: concurrent Covers it
-// has not yet seen survive the removal.
-func (p *Picture) Uncover(c Cell) {
-	joinRun(&p.removes, p.liveTags(c), cmpTag, nil, false)
 }
 
 // Covered reports whether any un-tombstoned coverage assertion for c

@@ -28,7 +28,7 @@ func TestHandlerRegistrationOnce(t *testing.T) {
 	if err := w.Run(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	after30s := r.Reliable().Registrations.Value()
+	after30s := r.rel.Registrations.Value()
 	if after30s == 0 {
 		t.Fatal("no handlers registered at all")
 	}
@@ -41,7 +41,7 @@ func TestHandlerRegistrationOnce(t *testing.T) {
 	}
 	// A calm mission (no composite churn) must not register anything new
 	// after warm-up, no matter how many incidents flow.
-	if got := r.Reliable().Registrations.Value(); got != after30s {
+	if got := r.rel.Registrations.Value(); got != after30s {
 		t.Errorf("registrations grew from %d to %d across %d incidents; handlers churned",
 			after30s, got, r.Metrics.Incidents.Value())
 	}
@@ -85,7 +85,7 @@ func TestCommandFallbackAndRestore(t *testing.T) {
 	if met.Restores.Value() == 0 {
 		t.Error("hierarchy not restored after the jam lifted")
 	}
-	if r.FellBack() {
+	if r.fellBack {
 		t.Error("still fallen back two minutes after the jam lifted")
 	}
 	if met.SuccessRate() < 0.3 {

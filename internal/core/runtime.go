@@ -157,14 +157,6 @@ func (r *Runtime) Composite() *compose.Composite { return r.comp }
 // Health returns the current mission health state.
 func (r *Runtime) Health() HealthState { return r.health }
 
-// FellBack reports whether command has fallen back from hierarchy to
-// intent.
-func (r *Runtime) FellBack() bool { return r.fellBack }
-
-// Reliable returns the ARQ layer carrying command traffic (nil unless
-// Mission.ReliableOrders and started).
-func (r *Runtime) Reliable() *mesh.Reliable { return r.rel }
-
 // Sink returns the current command post (None if lost).
 func (r *Runtime) Sink() asset.ID { return r.sink }
 

@@ -12,7 +12,6 @@
 package discovery
 
 import (
-	"sort"
 	"time"
 
 	"iobt/internal/asset"
@@ -293,21 +292,6 @@ func (s *Service) expire(now time.Duration) {
 			delete(s.dir, id)
 		}
 	}
-}
-
-// Get returns the directory record for id, or nil.
-func (s *Service) Get(id asset.ID) *Record {
-	return s.dir[id]
-}
-
-// Directory returns all current records sorted by ID.
-func (s *Service) Directory() []*Record {
-	out := make([]*Record, 0, len(s.dir))
-	for _, r := range s.dir {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // Stats quantifies directory quality against ground truth.

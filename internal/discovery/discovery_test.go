@@ -65,7 +65,7 @@ func TestDiscoverBlueNodes(t *testing.T) {
 	if st.ClassAccuracy < 0.9 {
 		t.Errorf("class accuracy = %.2f, want high (authoritative responses)", st.ClassAccuracy)
 	}
-	for _, r := range s.Directory() {
+	for _, r := range s.dir {
 		if r.EstAffiliation != asset.Blue {
 			t.Errorf("node %d classified %v, want blue", r.ID, r.EstAffiliation)
 		}
@@ -126,7 +126,7 @@ func TestGrayClassification(t *testing.T) {
 	s := New(eng, pop, nil, cfg)
 	runScans(eng, s, 30)
 	gray := 0
-	for _, r := range s.Directory() {
+	for _, r := range s.dir {
 		if r.EstAffiliation == asset.Gray {
 			gray++
 		}
@@ -143,7 +143,7 @@ func TestExpiry(t *testing.T) {
 	cfg.ExpireAfter = 30 * time.Second
 	s := New(eng, pop, nil, cfg)
 	s.Scan()
-	if len(s.Directory()) == 0 {
+	if len(s.dir) == 0 {
 		t.Fatal("nothing discovered")
 	}
 	// Kill everything; entries must expire after the horizon.
@@ -154,7 +154,7 @@ func TestExpiry(t *testing.T) {
 	}
 	eng.Schedule(time.Minute, "rescan", s.Scan)
 	_ = eng.Run(0)
-	if n := len(s.Directory()); n != 0 {
+	if n := len(s.dir); n != 0 {
 		t.Errorf("%d stale entries survived expiry", n)
 	}
 }
@@ -207,7 +207,7 @@ func TestCompromisedNodesLie(t *testing.T) {
 	cfg.Scanners = []asset.ID{sc}
 	s := New(eng, pop, nil, cfg)
 	runScans(eng, s, 10)
-	rec := s.Get(victim.ID)
+	rec := s.dir[victim.ID]
 	if rec == nil {
 		t.Fatal("compromised node not discovered")
 	}
@@ -224,7 +224,7 @@ func TestDeadScannerSkipped(t *testing.T) {
 	s := New(eng, pop, nil, cfg)
 	s.Scan()
 	_ = eng
-	if len(s.Directory()) != 0 {
+	if len(s.dir) != 0 {
 		t.Error("dead scanner discovered nodes")
 	}
 }
@@ -235,7 +235,7 @@ func TestGetMissing(t *testing.T) {
 	cfg.Scanners = []asset.ID{sc}
 	s := New(eng, pop, nil, cfg)
 	_ = eng
-	if s.Get(asset.ID(12345)) != nil {
+	if s.dir[asset.ID(12345)] != nil {
 		t.Error("Get of unknown id should be nil")
 	}
 }

@@ -13,11 +13,7 @@
 // aggregate behavior the paper asks for.
 package game
 
-import (
-	"math"
-
-	"iobt/internal/sim"
-)
+import "iobt/internal/sim"
 
 // Task is one unit of mission work with a commander-assigned value.
 type Task struct {
@@ -66,15 +62,6 @@ func (g *Game) Randomize() {
 		g.load[t]++
 	}
 }
-
-// NumAgents returns the number of agents.
-func (g *Game) NumAgents() int { return len(g.choice) }
-
-// Choice returns agent i's current task.
-func (g *Game) Choice(i int) int { return g.choice[i] }
-
-// Load returns the number of agents on task t.
-func (g *Game) Load(t int) int { return g.load[t] }
 
 // Utility returns agent i's current payoff.
 func (g *Game) Utility(i int) float64 {
@@ -171,62 +158,6 @@ func (g *Game) IsEquilibrium() bool {
 		}
 	}
 	return true
-}
-
-// LogLinearRound performs one round of log-linear learning: each agent,
-// in random order, switches to a task drawn from the softmax of its
-// utilities at temperature temp. As temp -> 0 this concentrates on the
-// potential maximizer, escaping bad equilibria.
-func (g *Game) LogLinearRound(temp float64) {
-	if temp <= 0 {
-		g.Round()
-		return
-	}
-	for _, i := range g.rng.Perm(len(g.choice)) {
-		g.Moves.Inc()
-		// Softmax over utilities-if.
-		weights := make([]float64, len(g.tasks))
-		maxU := 0.0
-		for t := range g.tasks {
-			u := g.utilityIf(i, t) / temp
-			weights[t] = u
-			if t == 0 || u > maxU {
-				maxU = u
-			}
-		}
-		sum := 0.0
-		for t := range weights {
-			weights[t] = expFast(weights[t] - maxU)
-			sum += weights[t]
-		}
-		r := g.rng.Float64() * sum
-		chosen := len(weights) - 1
-		acc := 0.0
-		for t, w := range weights {
-			acc += w
-			if r <= acc {
-				chosen = t
-				break
-			}
-		}
-		cur := g.choice[i]
-		if chosen != cur {
-			g.load[cur]--
-			g.load[chosen]++
-			g.choice[i] = chosen
-		}
-	}
-}
-
-func expFast(x float64) float64 {
-	// Clamp to avoid overflow; math.Exp handles the rest.
-	if x < -700 {
-		return 0
-	}
-	if x > 700 {
-		x = 700
-	}
-	return math.Exp(x)
 }
 
 // OptimalWelfare returns the centralized optimum: with n agents and

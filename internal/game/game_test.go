@@ -63,8 +63,8 @@ func TestEquilibriumSpreadsAgents(t *testing.T) {
 		t.Fatal("did not converge")
 	}
 	for task := 0; task < 10; task++ {
-		if g.Load(task) != 1 {
-			t.Fatalf("load(%d) = %d, want 1 (perfect spread)", task, g.Load(task))
+		if g.load[task] != 1 {
+			t.Fatalf("load(%d) = %d, want 1 (perfect spread)", task, g.load[task])
 		}
 	}
 	if g.Welfare() != 50 {
@@ -108,24 +108,6 @@ func TestUtilitySharing(t *testing.T) {
 	}
 }
 
-func TestLogLinearEscapesAndConcentrates(t *testing.T) {
-	tasks := rampTasks(10)
-	g := New(tasks, 10, sim.NewRNG(6))
-	// All start on task 0 (value 1) — a terrible configuration.
-	for r := 0; r < 100; r++ {
-		g.LogLinearRound(0.2)
-	}
-	if g.Welfare() < OptimalWelfare(tasks, 10)*0.5 {
-		t.Errorf("log-linear welfare = %v after 100 rounds", g.Welfare())
-	}
-	// Zero temperature degrades to best response.
-	g2 := New(tasks, 5, sim.NewRNG(7))
-	g2.Randomize()
-	g2.LogLinearRound(0)
-	// No assertion beyond "did not panic and stayed consistent":
-	checkConsistent(t, g2)
-}
-
 func checkConsistent(t *testing.T, g *Game) {
 	t.Helper()
 	counts := make([]int, len(g.tasks))
@@ -133,8 +115,8 @@ func checkConsistent(t *testing.T, g *Game) {
 		counts[g.choice[i]]++
 	}
 	for task := range counts {
-		if counts[task] != g.Load(task) {
-			t.Fatalf("load bookkeeping broken at task %d: %d vs %d", task, counts[task], g.Load(task))
+		if counts[task] != g.load[task] {
+			t.Fatalf("load bookkeeping broken at task %d: %d vs %d", task, counts[task], g.load[task])
 		}
 	}
 }
@@ -163,10 +145,10 @@ func TestGameInvariants(t *testing.T) {
 			// Consistency.
 			total := 0
 			for task := 0; task < nTasks; task++ {
-				if g.Load(task) < 0 {
+				if g.load[task] < 0 {
 					return false
 				}
-				total += g.Load(task)
+				total += g.load[task]
 			}
 			if total != nAgents {
 				return false
@@ -208,7 +190,7 @@ func TestDecomposeWelfareAndScaling(t *testing.T) {
 	// Agents conserved.
 	total := 0
 	for _, g := range d.Sectors {
-		total += g.NumAgents()
+		total += len(g.choice)
 	}
 	if total != nAgents {
 		t.Errorf("agents across sectors = %d, want %d", total, nAgents)

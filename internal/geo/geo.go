@@ -98,12 +98,6 @@ func (r Rect) Clamp(p Point) Point {
 	return Point{x, y}
 }
 
-// Intersects reports whether r and o overlap.
-func (r Rect) Intersects(o Rect) bool {
-	return r.Min.X < o.Max.X && o.Min.X < r.Max.X &&
-		r.Min.Y < o.Max.Y && o.Min.Y < r.Max.Y
-}
-
 // Circle is a disk used for sensor footprints and jamming fields.
 type Circle struct {
 	Center Point
@@ -113,12 +107,4 @@ type Circle struct {
 // Contains reports whether p lies inside the circle.
 func (c Circle) Contains(p Point) bool {
 	return c.Center.Dist2(p) <= c.Radius*c.Radius
-}
-
-// Bounds returns the circle's bounding rectangle.
-func (c Circle) Bounds() Rect {
-	return Rect{
-		Min: Point{c.Center.X - c.Radius, c.Center.Y - c.Radius},
-		Max: Point{c.Center.X + c.Radius, c.Center.Y + c.Radius},
-	}
 }

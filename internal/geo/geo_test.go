@@ -63,18 +63,6 @@ func TestRectClamp(t *testing.T) {
 	}
 }
 
-func TestRectIntersects(t *testing.T) {
-	a := NewRect(Point{0, 0}, Point{10, 10})
-	b := NewRect(Point{5, 5}, Point{15, 15})
-	c := NewRect(Point{10, 10}, Point{20, 20})
-	if !a.Intersects(b) || !b.Intersects(a) {
-		t.Error("overlapping rects should intersect")
-	}
-	if a.Intersects(c) {
-		t.Error("touching rects should not intersect (half-open)")
-	}
-}
-
 func TestCircle(t *testing.T) {
 	c := Circle{Center: Point{0, 0}, Radius: 5}
 	if !c.Contains(Point{3, 4}) {
@@ -82,10 +70,6 @@ func TestCircle(t *testing.T) {
 	}
 	if c.Contains(Point{4, 4}) {
 		t.Error("exterior point contained")
-	}
-	b := c.Bounds()
-	if b.Min != (Point{-5, -5}) || b.Max != (Point{5, 5}) {
-		t.Errorf("Bounds = %+v", b)
 	}
 }
 

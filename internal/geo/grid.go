@@ -17,7 +17,6 @@ type Grid struct {
 	cells    [][]int32 // cell -> ids
 	where    []Point   // id -> position, valid where present[id]
 	present  []bool    // id -> indexed now
-	n        int       // number of present ids
 }
 
 // NewGrid returns a grid over bounds with the given cell size. A
@@ -46,13 +45,7 @@ func NewGrid(bounds Rect, cellSize float64) *Grid {
 	}
 }
 
-// Len returns the number of indexed points.
-func (g *Grid) Len() int { return g.n }
-
 func (g *Grid) has(id int32) bool { return id >= 0 && int(id) < len(g.present) && g.present[id] }
-
-// Bounds returns the indexed area.
-func (g *Grid) Bounds() Rect { return g.bounds }
 
 func (g *Grid) cellOf(p Point) int {
 	p = g.bounds.Clamp(p)
@@ -81,7 +74,6 @@ func (g *Grid) Insert(id int32, p Point) {
 	g.cells[c] = append(g.cells[c], id)
 	g.where[id] = p
 	g.present[id] = true
-	g.n++
 }
 
 // Remove deletes id from the index. Removing an unknown id is a no-op.
@@ -92,7 +84,6 @@ func (g *Grid) Remove(id int32) {
 	c := g.cellOf(g.where[id])
 	g.cells[c] = removeID(g.cells[c], id)
 	g.present[id] = false
-	g.n--
 }
 
 // Move updates id's position. Unknown ids are inserted.
@@ -107,14 +98,6 @@ func (g *Grid) Move(id int32, p Point) {
 		g.cells[nc] = append(g.cells[nc], id)
 	}
 	g.where[id] = p
-}
-
-// Position returns the indexed position of id.
-func (g *Grid) Position(id int32) (Point, bool) {
-	if !g.has(id) {
-		return Point{}, false
-	}
-	return g.where[id], true
 }
 
 // Near appends to dst all ids within radius of p (excluding none) and
@@ -140,24 +123,6 @@ func (g *Grid) Near(dst []int32, p Point, radius float64) []int32 {
 		for _, cell := range g.cells[cy*g.cols+minCX : cy*g.cols+maxCX+1] {
 			for _, id := range cell {
 				if where[id].Dist2(p) <= r2 {
-					dst = append(dst, id)
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// InRect appends all ids inside r to dst and returns the extended slice.
-func (g *Grid) InRect(dst []int32, r Rect) []int32 {
-	minC := g.cellOf(r.Min)
-	maxC := g.cellOf(Point{r.Max.X, r.Max.Y})
-	minCX, minCY := minC%g.cols, minC/g.cols
-	maxCX, maxCY := maxC%g.cols, maxC/g.cols
-	for cy := minCY; cy <= maxCY; cy++ {
-		for cx := minCX; cx <= maxCX; cx++ {
-			for _, id := range g.cells[cy*g.cols+cx] {
-				if r.Contains(g.where[id]) {
 					dst = append(dst, id)
 				}
 			}

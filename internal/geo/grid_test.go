@@ -9,6 +9,25 @@ import (
 	"iobt/internal/sim"
 )
 
+// size counts the indexed ids.
+func size(g *Grid) int {
+	n := 0
+	for _, ok := range g.present {
+		if ok {
+			n++
+		}
+	}
+	return n
+}
+
+// position returns the indexed position of id.
+func position(g *Grid, id int32) (Point, bool) {
+	if !g.has(id) {
+		return Point{}, false
+	}
+	return g.where[id], true
+}
+
 func newTestGrid() *Grid {
 	return NewGrid(NewRect(Point{0, 0}, Point{1000, 1000}), 50)
 }
@@ -22,8 +41,8 @@ func TestGridInsertNear(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("Near = %v, want ids 1,2", got)
 	}
-	if g.Len() != 3 {
-		t.Errorf("Len = %d", g.Len())
+	if size(g) != 3 {
+		t.Errorf("size = %d", size(g))
 	}
 }
 
@@ -37,7 +56,7 @@ func TestGridMove(t *testing.T) {
 	if ids := g.Near(nil, Point{900, 900}, 50); len(ids) != 1 || ids[0] != 1 {
 		t.Errorf("moved position not found: %v", ids)
 	}
-	p, ok := g.Position(1)
+	p, ok := position(g, 1)
 	if !ok || p != (Point{900, 900}) {
 		t.Errorf("Position = %v, %v", p, ok)
 	}
@@ -46,7 +65,7 @@ func TestGridMove(t *testing.T) {
 func TestGridMoveUnknownInserts(t *testing.T) {
 	g := newTestGrid()
 	g.Move(7, Point{10, 10})
-	if g.Len() != 1 {
+	if size(g) != 1 {
 		t.Error("Move of unknown id should insert")
 	}
 }
@@ -56,10 +75,10 @@ func TestGridRemove(t *testing.T) {
 	g.Insert(1, Point{100, 100})
 	g.Remove(1)
 	g.Remove(1) // idempotent
-	if g.Len() != 0 {
-		t.Errorf("Len = %d after remove", g.Len())
+	if size(g) != 0 {
+		t.Errorf("size = %d after remove", size(g))
 	}
-	if _, ok := g.Position(1); ok {
+	if _, ok := position(g, 1); ok {
 		t.Error("Position should report missing")
 	}
 }
@@ -68,22 +87,11 @@ func TestGridInsertTwiceMoves(t *testing.T) {
 	g := newTestGrid()
 	g.Insert(1, Point{100, 100})
 	g.Insert(1, Point{700, 700})
-	if g.Len() != 1 {
-		t.Fatalf("duplicate insert produced %d entries", g.Len())
+	if size(g) != 1 {
+		t.Fatalf("duplicate insert produced %d entries", size(g))
 	}
 	if ids := g.Near(nil, Point{700, 700}, 10); len(ids) != 1 {
 		t.Error("re-insert did not move")
-	}
-}
-
-func TestGridInRect(t *testing.T) {
-	g := newTestGrid()
-	g.Insert(1, Point{100, 100})
-	g.Insert(2, Point{200, 200})
-	g.Insert(3, Point{800, 800})
-	got := g.InRect(nil, NewRect(Point{0, 0}, Point{300, 300}))
-	if len(got) != 2 {
-		t.Errorf("InRect = %v", got)
 	}
 }
 
@@ -93,8 +101,8 @@ func TestGridEdgePositions(t *testing.T) {
 	g.Insert(1, Point{0, 0})
 	g.Insert(2, Point{1000, 1000}) // on max edge (clamped cell)
 	g.Insert(3, Point{-50, 2000})  // outside; clamped
-	if g.Len() != 3 {
-		t.Errorf("Len = %d", g.Len())
+	if size(g) != 3 {
+		t.Errorf("size = %d", size(g))
 	}
 	if ids := g.Near(nil, Point{0, 0}, 1); len(ids) != 1 {
 		t.Errorf("corner query = %v", ids)
@@ -148,9 +156,6 @@ func sortIDs(s []int32) {
 
 func TestGridAccessorsAndDegenerate(t *testing.T) {
 	g := newTestGrid()
-	if g.Bounds().Width() != 1000 {
-		t.Errorf("Bounds = %v", g.Bounds())
-	}
 	// Degenerate bounds fall back to unit cells without panicking.
 	d := NewGrid(Rect{}, 0)
 	d.Insert(1, Point{})
@@ -249,17 +254,17 @@ func TestGridMatchesMapReferenceInOrder(t *testing.T) {
 				g.Remove(id) // often an id never inserted, or already removed
 				ref.remove(id)
 			}
-			if g.Len() != len(ref.where) {
-				t.Fatalf("seed %d op %d: Len = %d, reference %d", seed, op, g.Len(), len(ref.where))
-			}
 			probe := pickID()
-			gp, gok := g.Position(probe)
+			gp, gok := position(g, probe)
 			rp, rok := ref.where[probe]
 			if gok != rok || gp != rp {
 				t.Fatalf("seed %d op %d: Position(%d) = %v %v, reference %v %v", seed, op, probe, gp, gok, rp, rok)
 			}
 			if op%20 != 0 {
 				continue
+			}
+			if size(g) != len(ref.where) {
+				t.Fatalf("seed %d op %d: size = %d, reference %d", seed, op, size(g), len(ref.where))
 			}
 			c, radius := pickPoint(), rng.Uniform(0, 400)
 			got := g.Near(nil, c, radius)
@@ -268,15 +273,9 @@ func TestGridMatchesMapReferenceInOrder(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d op %d: Near(%v, %.1f)\n got %v\nwant %v", seed, op, c, radius, got, want)
 			}
-			r := NewRect(pickPoint(), pickPoint())
-			got = g.InRect(nil, r)
-			want = ref.scan(r.Min, r.Max, r.Contains)
-			if !slices.Equal(got, want) {
-				t.Fatalf("seed %d op %d: InRect(%v)\n got %v\nwant %v", seed, op, r, got, want)
-			}
 		}
 	}
-	if _, ok := newTestGrid().Position(-1); ok {
+	if _, ok := position(newTestGrid(), -1); ok {
 		t.Error("Position(-1) reported present")
 	}
 }

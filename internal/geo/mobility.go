@@ -143,24 +143,3 @@ func (p *Patrol) Step(dt time.Duration) Point {
 	}
 	return p.pos
 }
-
-// Convoy follows a leader mobility with a fixed offset, modeling vehicle
-// columns and human teams that move together.
-type Convoy struct {
-	leader Mobility
-	offset Vec
-}
-
-var _ Mobility = (*Convoy)(nil)
-
-// NewConvoy returns a follower that trails leader by offset.
-func NewConvoy(leader Mobility, offset Vec) *Convoy {
-	return &Convoy{leader: leader, offset: offset}
-}
-
-// Pos returns the follower position.
-func (c *Convoy) Pos() Point { return c.leader.Pos().Add(c.offset) }
-
-// Step advances the leader is NOT done here — the leader is stepped by
-// its own registration; Convoy just re-reads it.
-func (c *Convoy) Step(time.Duration) Point { return c.Pos() }

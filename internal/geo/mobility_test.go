@@ -100,15 +100,6 @@ func TestPatrolCopiesRoute(t *testing.T) {
 	}
 }
 
-func TestConvoyFollows(t *testing.T) {
-	leader := NewPatrol([]Point{{0, 0}, {100, 0}}, 10)
-	follower := NewConvoy(leader, Vec{-5, 0})
-	leader.Step(2 * time.Second)
-	if got := follower.Step(2 * time.Second); got.Dist(Point{15, 0}) > 1e-6 {
-		t.Errorf("follower = %v, want (15,0)", got)
-	}
-}
-
 func TestTerrainRangeFactor(t *testing.T) {
 	open := NewOpenTerrain(1000, 1000)
 	if f := open.RangeFactor(Point{0, 0}, Point{900, 900}); f != 1 {
@@ -129,19 +120,6 @@ func TestTerrainRangeFactor(t *testing.T) {
 	}
 }
 
-func TestSnapToStreet(t *testing.T) {
-	urban := NewUrbanTerrain(1000, 1000, 100)
-	p := urban.SnapToStreet(Point{104, 250})
-	// X=104 is 4 from the 100-grid line; Y=250 is 50 from one. Snap X.
-	if p.X != 100 || p.Y != 250 {
-		t.Errorf("SnapToStreet = %v", p)
-	}
-	open := NewOpenTerrain(1000, 1000)
-	if open.SnapToStreet(Point{104, 250}) != (Point{104, 250}) {
-		t.Error("open terrain should not snap")
-	}
-}
-
 func TestRandomPointInBounds(t *testing.T) {
 	terr := NewUrbanTerrain(500, 300, 50)
 	rng := sim.NewRNG(4)
@@ -150,18 +128,6 @@ func TestRandomPointInBounds(t *testing.T) {
 		if p.X < 0 || p.X >= 500 || p.Y < 0 || p.Y >= 300 {
 			t.Fatalf("point out of bounds: %v", p)
 		}
-	}
-}
-
-func TestRoundTo(t *testing.T) {
-	if v := roundTo(149, 100); v != 100 {
-		t.Errorf("roundTo(149,100) = %v", v)
-	}
-	if v := roundTo(150, 100); v != 200 {
-		t.Errorf("roundTo(150,100) = %v", v)
-	}
-	if v := roundTo(0, 100); v != 0 {
-		t.Errorf("roundTo(0,100) = %v", v)
 	}
 }
 

@@ -103,21 +103,6 @@ func (t *Terrain) RangeFactor(p, q Point) float64 {
 	return f
 }
 
-// SnapToStreet moves p to the nearest street line on urban terrain. On
-// other terrains it returns p unchanged.
-func (t *Terrain) SnapToStreet(p Point) Point {
-	if t.Kind != TerrainUrban || t.BlockSize <= 0 {
-		return p
-	}
-	// Snap the nearer coordinate to its grid line.
-	sx := roundTo(p.X, t.BlockSize)
-	sy := roundTo(p.Y, t.BlockSize)
-	if absf(p.X-sx) <= absf(p.Y-sy) {
-		return t.Bounds.Clamp(Point{sx, p.Y})
-	}
-	return t.Bounds.Clamp(Point{p.X, sy})
-}
-
 // RandomPoint returns a uniform point in the terrain bounds.
 func (t *Terrain) RandomPoint(rng *sim.RNG) Point {
 	return Point{
@@ -131,10 +116,4 @@ func absf(v float64) float64 {
 		return -v
 	}
 	return v
-}
-
-func roundTo(v, step float64) float64 {
-	n := v / step
-	k := float64(int(n + 0.5))
-	return k * step
 }

@@ -26,6 +26,7 @@ package intent
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -121,15 +122,6 @@ func Parse(spec string) (core.Mission, error) {
 	return m, nil
 }
 
-// ParseGoal parses only the synthesis goal from a spec.
-func ParseGoal(spec string) (compose.Goal, error) {
-	m, err := Parse(spec)
-	if err != nil {
-		return compose.Goal{}, err
-	}
-	return m.Goal, nil
-}
-
 func splitClauses(spec string) []string {
 	raw := strings.FieldsFunc(spec, func(r rune) bool { return r == ';' || r == '\n' })
 	out := make([]string, 0, len(raw))
@@ -197,6 +189,9 @@ func parseCover(g *compose.Goal, s string) error {
 		if err != nil {
 			return fmt.Errorf("redundancy %q: %v", fields[1], err)
 		}
+		if red < 0 {
+			return fmt.Errorf("redundancy %q is negative", fields[1])
+		}
 		g.Redundancy = red
 	}
 	return nil
@@ -256,18 +251,27 @@ func stripCmp(s string) string {
 
 func parsePercent(s string) (float64, error) {
 	s = strings.TrimSpace(s)
-	if strings.HasSuffix(s, "%") {
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-		if err != nil {
-			return 0, err
-		}
-		return v / 100, nil
+	if pct, ok := strings.CutSuffix(s, "%"); ok {
+		v, err := parseFloat(pct)
+		return v / 100, err
 	}
-	return strconv.ParseFloat(s, 64)
+	return parseFloat(s)
 }
 
+// parseFloat parses a finite, non-negative number. Every numeric clause
+// is a rate, fraction, capacity, trust floor or count, so NaN, ±Inf or a
+// negative value is a spec error, not a setting: a NaN rate would arm
+// the incident ticker at its 1 ns floor and the mission would never end.
 func parseFloat(s string) (float64, error) {
-	return strconv.ParseFloat(strings.TrimSpace(s), 64)
+	s = strings.TrimSpace(s)
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return 0, fmt.Errorf("want a finite non-negative number, got %q", s)
+	}
+	return v, nil
 }
 
 func parseDuration(s string) (time.Duration, error) {

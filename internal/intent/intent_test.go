@@ -41,7 +41,7 @@ func TestParseFullSpec(t *testing.T) {
 	if g.CoverageFrac != 0.7 || g.Redundancy != 2 {
 		t.Errorf("coverage = %v x%d", g.CoverageFrac, g.Redundancy)
 	}
-	if !g.Modalities.Has(asset.ModVisual | asset.ModThermal) {
+	if g.Modalities != asset.ModVisual|asset.ModThermal {
 		t.Errorf("modalities = %v", g.Modalities)
 	}
 	if g.Compute != 5000 || g.Bandwidth != 2000 {
@@ -129,15 +129,41 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseGoal(t *testing.T) {
-	g, err := ParseGoal(`area (0,0)-(500,500); cover 60%; sense seismic`)
+	m, err := Parse(`area (0,0)-(500,500); cover 60%; sense seismic`)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if g.Modalities != asset.ModSeismic {
-		t.Errorf("modalities = %v", g.Modalities)
+	if m.Goal.Modalities != asset.ModSeismic {
+		t.Errorf("modalities = %v", m.Goal.Modalities)
 	}
-	if _, err := ParseGoal(`cover 60%`); err == nil {
+	if _, err := Parse(`cover 60%`); err == nil {
 		t.Error("goal without area should fail")
+	}
+}
+
+// TestParseRejectsNonFiniteAndNegative: every numeric clause refuses
+// NaN, ±Inf and negative values with a ParseError naming the clause. A
+// NaN rate used to hang an iobtsim -spec run (the incident ticker armed
+// at its 1 ns floor) and a NaN cover ran a 1-member composite.
+func TestParseRejectsNonFiniteAndNegative(t *testing.T) {
+	for _, clause := range []string{
+		"rate NaN/min", "rate -3/min", "rate +Inf",
+		"cover NaN%", "cover -10%", "cover Inf", "cover 60% x-1",
+		"compute NaN", "compute -1",
+		"bandwidth +Inf", "bandwidth -2000",
+		"trust >= NaN", "trust >= -0.2",
+		"risk <= NaN%", "risk <= -5%",
+		"members <= NaN", "members <= -5", "members <= Inf",
+	} {
+		_, err := Parse("area (0,0)-(500,500); " + clause)
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Clause != clause {
+			t.Errorf("%q: err = %v, want a ParseError naming the clause", clause, err)
+		}
+	}
+	// Zero stays a valid setting.
+	if _, err := Parse("area (0,0)-(500,500); rate 0/min; cover 0%; members <= 0"); err != nil {
+		t.Errorf("zero values rejected: %v", err)
 	}
 }
 

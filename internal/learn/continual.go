@@ -59,9 +59,6 @@ func NewContextualLearner(dim int, lr float64) *ContextualLearner {
 // NumContexts returns how many context models exist.
 func (c *ContextualLearner) NumContexts() int { return len(c.models) }
 
-// Predictor returns the currently active model.
-func (c *ContextualLearner) Predictor() *Model { return c.models[c.active] }
-
 // Observe trains on a mini-batch, first checking whether the active
 // model still explains it; if not it switches to the best stored model
 // or spawns a fresh one.

@@ -119,26 +119,8 @@ func (d *Dataset) Split(rng *sim.RNG, n int, skew float64) []*Dataset {
 	return shards
 }
 
-// Subset returns the first n examples (or fewer).
-func (d *Dataset) Subset(n int) *Dataset {
-	if n > len(d.X) {
-		n = len(d.X)
-	}
-	return &Dataset{X: d.X[:n], Y: d.Y[:n], TrueW: d.TrueW}
-}
-
 // Len returns the number of examples.
 func (d *Dataset) Len() int { return len(d.X) }
-
-// BayesAccuracy returns the accuracy of the generating hyperplane itself
-// (the noise ceiling).
-func (d *Dataset) BayesAccuracy() float64 {
-	if len(d.X) == 0 || d.TrueW == nil {
-		return 0
-	}
-	m := &Model{W: d.TrueW}
-	return m.Accuracy(d.X, d.Y)
-}
 
 // normL2 returns the L2 norm of a vector.
 func normL2(v []float64) float64 {

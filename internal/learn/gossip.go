@@ -1,15 +1,7 @@
 package learn
 
-import (
-	"strconv"
-
-	"iobt/internal/sim"
-)
-
 // Topology yields the undirected neighbor lists in force at a given
-// round; time-varying topologies (the paper's "impact of time-varying
-// topology ... on the correctness and convergence of distributed
-// learning") return different graphs per round.
+// round.
 type Topology func(round int) [][]int
 
 // Ring returns a static ring over n nodes.
@@ -45,24 +37,6 @@ func Full(n int) Topology {
 		}
 	}
 	return func(int) [][]int { return adj }
-}
-
-// Dynamic returns a fresh Erdős–Rényi graph each round with edge
-// probability p — the churning battlefield topology.
-func Dynamic(n int, p float64, rng *sim.RNG) Topology {
-	return func(round int) [][]int {
-		r := rng.Derive("round" + strconv.Itoa(round))
-		adj := make([][]int, n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if r.Bool(p) {
-					adj[i] = append(adj[i], j)
-					adj[j] = append(adj[j], i)
-				}
-			}
-		}
-		return adj
-	}
 }
 
 // Hierarchical returns a two-level tree: sqrt(n) cluster heads fully

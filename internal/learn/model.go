@@ -2,10 +2,10 @@
 // machine learning for intelligent battlefield services. It provides
 // logistic models trained by federated averaging with Byzantine-robust
 // aggregation (coordinate median, trimmed mean, Krum), fully
-// decentralized gossip gradient descent over time-varying topologies,
-// explicit communication-cost accounting for the cost-of-learning
-// trade-off (refs [28]-[33]), and contextual continual learning that
-// avoids catastrophic forgetting (ref [26]).
+// decentralized gossip gradient descent over ring, star, full and
+// hierarchical topologies, explicit communication-cost accounting for
+// the cost-of-learning trade-off (refs [28]-[33]), and contextual
+// continual learning that avoids catastrophic forgetting (ref [26]).
 //
 // Models are deliberately convex (logistic regression): the paper's
 // distributed-learning claims concern topology dynamics, adversarial
@@ -32,9 +32,6 @@ func (m *Model) Clone() *Model {
 	copy(w, m.W)
 	return &Model{W: w}
 }
-
-// Dim returns the feature dimension.
-func (m *Model) Dim() int { return len(m.W) - 1 }
 
 // score returns w·x plus bias.
 func (m *Model) score(x []float64) float64 {
@@ -88,24 +85,6 @@ func (m *Model) SGDStep(X [][]float64, Y []int, lr float64) {
 	for i := range m.W {
 		m.W[i] -= scale * grad[i]
 	}
-}
-
-// Loss returns the mean logistic loss over a dataset.
-func (m *Model) Loss(X [][]float64, Y []int) float64 {
-	if len(X) == 0 {
-		return 0
-	}
-	total := 0.0
-	for i := range X {
-		p := m.Predict(X[i])
-		p = math.Min(math.Max(p, 1e-12), 1-1e-12)
-		if Y[i] == 1 {
-			total += -math.Log(p)
-		} else {
-			total += -math.Log(1 - p)
-		}
-	}
-	return total / float64(len(X))
 }
 
 // Accuracy returns the classification accuracy on a dataset.

@@ -10,7 +10,7 @@ import (
 // error returned by a Restore method (the checkpoint.Snapshotter
 // contract), checkpoint.Coordinator.RestoreLast, verify.ParseScenario,
 // a codec Decode* helper, or a mesh delivery call (Network.Send /
-// SendDirect / SendGeo) must not be discarded — not by calling as a
+// SendDirect) must not be discarded — not by calling as a
 // bare statement, not by assigning to the blank identifier. A dropped
 // restore error is a failover that silently resumes from garbage; a
 // dropped send error is a message the conservation invariant will
@@ -31,7 +31,6 @@ var errdropMethods = []struct {
 	{"iobt/internal/checkpoint", "Coordinator", "RestoreLast"},
 	{"iobt/internal/mesh", "Network", "Send"},
 	{"iobt/internal/mesh", "Network", "SendDirect"},
-	{"iobt/internal/mesh", "Network", "SendGeo"},
 }
 
 // monitoredCall reports whether call's callee is under errdrop

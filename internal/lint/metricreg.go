@@ -5,7 +5,7 @@ import (
 )
 
 // MetricReg enforces registration discipline on the correctness
-// registries: invariants (verify.Registry.Register/Add) and
+// registries: invariants (verify.Registry.Add) and
 // checkpoint sections (checkpoint.Coordinator.Register) are wired up
 // exactly once, at initialization, never per-iteration and never
 // behind a condition — a conditionally-registered invariant is a check
@@ -31,7 +31,6 @@ type regTarget struct {
 }
 
 var regTargets = []regTarget{
-	{"iobt/internal/verify", "Registry", "Register", true, "verify.Registry.Register"},
 	{"iobt/internal/verify", "Registry", "Add", true, "verify.Registry.Add"},
 	{"iobt/internal/checkpoint", "Coordinator", "Register", true, "checkpoint.Coordinator.Register"},
 	{"iobt/internal/mesh", "Network", "RegisterHandler", false, "mesh.Network.RegisterHandler"},

@@ -21,12 +21,6 @@ func looped(reg *verify.Registry, invs []verify.Invariant) {
 	}
 }
 
-func loopedRegister(reg *verify.Registry, checks map[string]func() error, names []string) {
-	for _, name := range names {
-		reg.Register(name, checks[name]) // want `verify\.Registry\.Register inside a loop`
-	}
-}
-
 func conditional(c *checkpoint.Coordinator, s checkpoint.Snapshotter, enabled bool) {
 	if enabled {
 		c.Register(s) // want `checkpoint\.Coordinator\.Register is conditional`

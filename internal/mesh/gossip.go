@@ -139,10 +139,6 @@ type Gossip struct {
 	// prevHeld remembers each member's held count at the last
 	// CheckConservation call; anti-entropy must never regress it.
 	prevHeld map[NodeID]int
-	// departedHeld and departedMembers keep the delivery ledger balanced
-	// when Leave discards a member's replica state.
-	departedHeld    int
-	departedMembers int
 
 	// Metrics.
 	Published     sim.Counter // payloads published
@@ -188,20 +184,6 @@ func (g *Gossip) Join(id NodeID, app Handler) {
 	g.net.RegisterHandler(id, func(msg Message) { g.handle(m, msg) })
 }
 
-// Leave removes id from the overlay and unregisters its handler. Its
-// replica state is discarded.
-func (g *Gossip) Leave(id NodeID) {
-	m, ok := g.members[id]
-	if !ok {
-		return
-	}
-	g.departedHeld += len(m.have)
-	g.departedMembers++
-	delete(g.members, id)
-	delete(g.prevHeld, id)
-	g.net.UnregisterHandler(id)
-}
-
 // Members returns the enrolled node IDs in ascending order.
 func (g *Gossip) Members() []NodeID {
 	out := make([]NodeID, 0, len(g.members))
@@ -220,14 +202,6 @@ func (g *Gossip) Start() {
 	g.ticker = g.eng.Every(g.cfg.AntiEntropyEvery, "gossip.antientropy", func() {
 		g.antiEntropyRound()
 	})
-}
-
-// Stop halts anti-entropy.
-func (g *Gossip) Stop() {
-	if g.ticker != nil {
-		g.ticker.Stop()
-		g.ticker = nil
-	}
 }
 
 // Publish disseminates data from origin. The payload is stored at the
@@ -249,21 +223,9 @@ func (g *Gossip) Publish(origin NodeID, kind string, size float64, data any) (Go
 	return key, nil
 }
 
-// Holds reports whether member id has received key.
-func (g *Gossip) Holds(id NodeID, key GossipKey) bool {
-	m, ok := g.members[id]
-	if !ok {
-		return false
-	}
-	_, ok = m.have[key]
-	return ok
-}
-
 // DeliveryRatio is the fraction of (member, payload) pairs reached:
-// total held copies over published × members, where published counts
-// every origin's publishes whether or not the origin is still a member.
-// 1.0 means every member holds every publish; it is the experiment E17
-// headline metric.
+// total held copies over published × members. 1.0 means every member
+// holds every publish; it is the experiment E17 headline metric.
 func (g *Gossip) DeliveryRatio() float64 {
 	denom := float64(g.Published.Value()) * float64(len(g.members))
 	if denom == 0 {
@@ -506,15 +468,15 @@ func (g *Gossip) CheckConservation() error {
 		}
 		g.prevHeld[id] = len(m.have)
 	}
-	if uint64(held+g.departedHeld) != g.DeliveredNew.Value() {
-		return fmt.Errorf("gossip: %d payloads held (+%d departed) but %d first-time deliveries counted",
-			held, g.departedHeld, g.DeliveredNew.Value())
+	if uint64(held) != g.DeliveredNew.Value() {
+		return fmt.Errorf("gossip: %d payloads held but %d first-time deliveries counted",
+			held, g.DeliveredNew.Value())
 	}
 	var total uint64
 	for origin := range g.published {
 		total += g.published[origin]
 	}
-	pop := uint64(len(g.members) + g.departedMembers)
+	pop := uint64(len(g.members))
 	if max := total * pop; g.DeliveredNew.Value() > max {
 		return fmt.Errorf("gossip: %d deliveries exceed %d published × %d members", g.DeliveredNew.Value(), total, pop)
 	}

@@ -108,9 +108,9 @@ type Network struct {
 	handlers map[NodeID]Handler
 	backlog  map[NodeID]backlogState
 
-	// Traversal scratch shared by bfs, Component(s) and RouteGeo: a node
-	// is visited when mark[id] == visit (see nextVisit); prev is bfs's
-	// back-pointer table and queue its frontier.
+	// Traversal scratch shared by bfs and Components: a node is visited
+	// when mark[id] == visit (see nextVisit); prev is bfs's back-pointer
+	// table and queue its frontier.
 	mark  []uint32
 	prev  []NodeID
 	queue []NodeID
@@ -129,8 +129,7 @@ type Network struct {
 
 	ticker *sim.Ticker
 
-	// Metrics. Every message accepted by Send/SendDirect/SendGeo (and
-	// each per-neighbor copy fanned out by Broadcast) increments Sent
+	// Metrics. Every message accepted by Send/SendDirect increments Sent
 	// and reaches exactly one terminal counter — Delivered, Dropped, or
 	// NoRoute — unless it is still traversing hops (InFlight). The
 	// conservation law Delivered+Dropped+NoRoute+InFlight == Sent is
@@ -248,14 +247,9 @@ func (n *Network) Stop() {
 	}
 }
 
-// Version returns the topology version; it increments on every refresh
-// and invalidation so callers can cache derived structures.
-func (n *Network) Version() uint64 { return n.version }
-
-func (n *Network) invalidate() {
-	n.version++
-	// Route entries are validated lazily against version.
-}
+// invalidate bumps the topology version on every refresh and fault
+// change; Route validates cached paths against it lazily.
+func (n *Network) invalidate() { n.version++ }
 
 // jamAt returns jamming intensity at p, in [0,1].
 func (n *Network) jamAt(p geo.Point) float64 {
@@ -590,6 +584,3 @@ func (n *Network) RegisterHandler(id NodeID, h Handler) { n.handlers[id] = h }
 // when none). Overlays that take over a node's handler use it to chain
 // the previous one rather than silently dropping its traffic.
 func (n *Network) Handler(id NodeID) Handler { return n.handlers[id] }
-
-// UnregisterHandler removes a node's handler.
-func (n *Network) UnregisterHandler(id NodeID) { delete(n.handlers, id) }

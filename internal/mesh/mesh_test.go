@@ -104,13 +104,9 @@ func TestComponents(t *testing.T) {
 	if len(comps[0]) != 3 || len(comps[1]) != 2 {
 		t.Errorf("component sizes = %d,%d", len(comps[0]), len(comps[1]))
 	}
-	comp := net.Component(0)
-	if len(comp) != 3 {
-		t.Errorf("Component(0) = %v", comp)
-	}
 }
 
-// Route, RouteGeo, Component and Components share one stamped visited
+// Route and Components share one stamped visited
 // table. Interleaving them, and wrapping the stamp, must not leak one
 // traversal's marks into the next.
 func TestTraversalsShareScratchSafely(t *testing.T) {
@@ -124,12 +120,6 @@ func TestTraversalsShareScratchSafely(t *testing.T) {
 		}
 		if p := net.bfs(0, 5); p != nil {
 			t.Fatalf("pass %d: bfs across the cut = %v", i, p)
-		}
-		if p := net.RouteGeo(5, 4); !slices.Equal(p, []NodeID{5, 4}) {
-			t.Fatalf("pass %d: RouteGeo(5,4) = %v", i, p)
-		}
-		if c := net.Component(4); !slices.Equal(c, []NodeID{4, 5}) {
-			t.Fatalf("pass %d: Component(4) = %v", i, c)
 		}
 		comps := net.Components(1)
 		if len(comps) != 2 || !slices.Equal(comps[0], []NodeID{0, 1, 2}) || !slices.Equal(comps[1], []NodeID{4, 5}) {
@@ -230,23 +220,6 @@ func TestLossyLinkDropsSometimes(t *testing.T) {
 	_ = eng.Run(time.Hour)
 	if delivered == 0 || delivered == total {
 		t.Errorf("delivered = %d of %d; want lossy but nonzero", delivered, total)
-	}
-}
-
-func TestBroadcast(t *testing.T) {
-	eng, _, net := lineWorld(t, 5, 100)
-	heard := map[asset.ID]bool{}
-	for i := asset.ID(0); i < 5; i++ {
-		id := i
-		net.RegisterHandler(id, func(Message) { heard[id] = true })
-	}
-	n := net.Broadcast(Message{From: 2, Size: 10, Kind: "hello"})
-	if n != 2 {
-		t.Errorf("broadcast targets = %d, want 2", n)
-	}
-	_ = eng.Run(time.Minute)
-	if !heard[1] || !heard[3] || heard[0] || heard[4] || heard[2] {
-		t.Errorf("heard = %v, want only 1 and 3", heard)
 	}
 }
 
@@ -351,18 +324,18 @@ func TestMobilityChangesTopology(t *testing.T) {
 		t.Error("link survived departure")
 	}
 	net.Stop()
-	verAtStop := net.Version()
+	verAtStop := net.version
 	_ = eng.Run(10 * time.Second)
-	if net.Version() != verAtStop {
+	if net.version != verAtStop {
 		t.Error("refresh continued after Stop")
 	}
 }
 
 func TestVersionAdvancesOnRefresh(t *testing.T) {
 	_, _, net := lineWorld(t, 3, 100)
-	v := net.Version()
+	v := net.version
 	net.Refresh()
-	if net.Version() <= v {
+	if net.version <= v {
 		t.Error("version did not advance")
 	}
 }
@@ -435,53 +408,10 @@ func TestRouteValidityProperty(t *testing.T) {
 					return false
 				}
 			}
-			// Geographic route, when it exists, must satisfy the same
-			// validity conditions.
-			if gp := net.RouteGeo(src, dst); gp != nil {
-				if gp[0] != src || gp[len(gp)-1] != dst {
-					return false
-				}
-				for i := 0; i+1 < len(gp); i++ {
-					if !net.Linked(gp[i], gp[i+1]) {
-						return false
-					}
-				}
-			}
 		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestUnregisterHandler(t *testing.T) {
-	eng, _, net := lineWorld(t, 2, 100)
-	called := false
-	net.RegisterHandler(1, func(Message) { called = true })
-	net.UnregisterHandler(1)
-	mustSend(t, net, Message{From: 0, To: 1, Size: 10})
-	_ = eng.Run(time.Minute)
-	if called {
-		t.Error("handler called after unregister")
-	}
-}
-
-func TestBacklogObservable(t *testing.T) {
-	eng, _, net := lineWorld(t, 2, 100)
-	if net.Backlog(0) != 0 {
-		t.Error("fresh node has backlog")
-	}
-	mustSend(t, net, Message{From: 0, To: 1, Size: 100000})
-	mustSend(t, net, Message{From: 0, To: 1, Size: 100000})
-	if net.Backlog(0) <= 0 {
-		t.Error("backlog not visible after queued sends")
-	}
-	_ = eng.Run(time.Hour)
-	if net.Backlog(0) != 0 {
-		t.Errorf("backlog did not drain: %v", net.Backlog(0))
-	}
-	if net.Backlog(12345) != 0 {
-		t.Error("unknown node backlog should be 0")
 	}
 }

@@ -112,28 +112,6 @@ func (n *Network) txDelay(id NodeID, sizeBytes, bandwidthKbps float64) time.Dura
 	return time.Duration((wait + tx) * float64(time.Second))
 }
 
-// Backlog returns the current queued bytes at a node (after draining for
-// elapsed time). Used by the allocation experiments to observe
-// saturation.
-func (n *Network) Backlog(id NodeID) float64 {
-	st, ok := n.backlog[id]
-	if !ok {
-		return 0
-	}
-	a := n.pop.Get(id)
-	bw := 1.0
-	if a != nil {
-		bw = a.Caps.Bandwidth
-	}
-	bytesPerSec := bw * 1000 / 8
-	elapsed := (n.eng.Now() - st.asOf).Seconds()
-	b := st.bytes - elapsed*bytesPerSec
-	if b < 0 {
-		b = 0
-	}
-	return b
-}
-
 func (n *Network) deliver(msg Message) {
 	dst := n.pop.Get(msg.To)
 	if dst == nil || !dst.Alive() || !dst.Online {
@@ -155,25 +133,6 @@ func (n *Network) deliver(msg Message) {
 	if h, ok := n.handlers[msg.To]; ok {
 		h(msg)
 	}
-}
-
-// Broadcast delivers msg from msg.From to all current neighbors (one
-// hop). It returns the number of neighbors targeted.
-func (n *Network) Broadcast(msg Message) int {
-	src := n.pop.Get(msg.From)
-	if src == nil || !src.Alive() || !src.Online {
-		return 0
-	}
-	nbrs := n.Neighbors(msg.From)
-	msg.Sent = n.eng.Now()
-	for _, nb := range nbrs {
-		m := msg
-		m.To = nb
-		n.Sent.Inc()
-		n.inFlight++
-		n.forward(m, []NodeID{msg.From, nb}, 0)
-	}
-	return len(nbrs)
 }
 
 // SendDirect bypasses routing and attempts a single-hop send, failing

@@ -200,13 +200,13 @@ func TestReliableAdaptiveRTO(t *testing.T) {
 		r.Send(Message{From: 0, To: 1, Size: 100, Kind: "x"}, nil, nil)
 	}
 	_ = eng.Run(time.Minute)
-	if r.SRTT() <= 0 {
+	if r.srtt <= 0 {
 		t.Fatal("no RTT samples on a clean link")
 	}
 	// The adaptive RTO must have pulled far below the 2s initial value
 	// toward the ~10ms observed RTT (floored at MinTimeout).
 	if rto := r.RTO(); rto >= r.Timeout/2 {
-		t.Errorf("RTO = %v did not adapt down from %v (SRTT %v)", rto, r.Timeout, r.SRTT())
+		t.Errorf("RTO = %v did not adapt down from %v (SRTT %v)", rto, r.Timeout, r.srtt)
 	}
 	if rto := r.RTO(); rto < r.MinTimeout {
 		t.Errorf("RTO = %v below floor %v", rto, r.MinTimeout)

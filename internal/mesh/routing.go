@@ -105,17 +105,6 @@ func (n *Network) flood(src NodeID, gen uint32) []NodeID {
 	return out
 }
 
-// Component returns all nodes reachable from src (including src),
-// in ascending ID order.
-func (n *Network) Component(src NodeID) []NodeID {
-	if len(n.Neighbors(src)) == 0 {
-		return []NodeID{src}
-	}
-	out := n.flood(src, n.nextVisit())
-	sortNodeIDs(out)
-	return out
-}
-
 // Components returns every connected component with at least minSize
 // nodes, largest first.
 func (n *Network) Components(minSize int) [][]NodeID {

@@ -13,9 +13,6 @@ import (
 // post, fresh retry budget); exchanges begun after the cut died with
 // the node and must fail loudly, not vanish.
 
-// InflightCount returns the number of unacknowledged exchanges.
-func (r *Reliable) InflightCount() int { return len(r.inflight) }
-
 // inflightSeqs returns the live window in ascending seq order, so every
 // bulk operation over it is deterministic.
 func (r *Reliable) inflightSeqs() []int {

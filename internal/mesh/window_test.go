@@ -24,7 +24,7 @@ func TestWindowSnapshotRequeueAndFail(t *testing.T) {
 			func() { acked++ }, func() { failed++ })
 	}
 	snap := r.Snapshot()
-	if got := r.InflightCount(); got != 2 {
+	if got := len(r.inflight); got != 2 {
 		t.Fatalf("inflight at snapshot = %d, want 2", got)
 	}
 
@@ -76,8 +76,8 @@ func TestFailInflightColdDisposition(t *testing.T) {
 	if failed != 3 {
 		t.Fatalf("onFail fired %d times, want 3", failed)
 	}
-	if r.InflightCount() != 0 {
-		t.Fatalf("inflight = %d after FailInflight", r.InflightCount())
+	if len(r.inflight) != 0 {
+		t.Fatalf("inflight = %d after FailInflight", len(r.inflight))
 	}
 	_ = eng.Run(time.Minute)
 	if err := net.CheckConservation(); err != nil {
@@ -113,9 +113,9 @@ func TestWindowEmptySnapshotDispositions(t *testing.T) {
 	if err := r.Restore(empty); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if failed != 3 || r.InflightCount() != 0 {
+	if failed != 3 || len(r.inflight) != 0 {
 		t.Fatalf("failed=%d inflight=%d, want 3/0 after empty-snapshot restore",
-			failed, r.InflightCount())
+			failed, len(r.inflight))
 	}
 	if got := r.Requeued.Value(); got != 0 {
 		t.Fatalf("Requeued = %d, want 0", got)
@@ -144,9 +144,9 @@ func TestWindowTruncatedSnapshotRejected(t *testing.T) {
 			t.Fatalf("snapshot truncated by %d bytes accepted", cut)
 		}
 	}
-	if r.InflightCount() != 2 || failed != 0 || r.Requeued.Value() != 0 {
+	if len(r.inflight) != 2 || failed != 0 || r.Requeued.Value() != 0 {
 		t.Fatalf("rejected restore disturbed the window: inflight=%d failed=%d requeued=%d",
-			r.InflightCount(), failed, r.Requeued.Value())
+			len(r.inflight), failed, r.Requeued.Value())
 	}
 	_ = eng.Run(time.Minute)
 	if err := net.CheckConservation(); err != nil {
@@ -177,14 +177,14 @@ func TestWindowLateDuplicateAcksAfterRequeue(t *testing.T) {
 	if got := r.Requeued.Value(); got != 2 {
 		t.Fatalf("Requeued = %d, want 2 (one per restore)", got)
 	}
-	if r.InflightCount() != 1 {
-		t.Fatalf("inflight = %d, want 1: requeue must not duplicate the exchange", r.InflightCount())
+	if len(r.inflight) != 1 {
+		t.Fatalf("inflight = %d, want 1: requeue must not duplicate the exchange", len(r.inflight))
 	}
 
 	ack := Message{From: 1, To: 0, Size: 32, Kind: "rel:0:ack"}
 	r.onReceive(0, ack)
-	if acked != 1 || r.InflightCount() != 0 {
-		t.Fatalf("acked=%d inflight=%d after late ACK, want 1/0", acked, r.InflightCount())
+	if acked != 1 || len(r.inflight) != 0 {
+		t.Fatalf("acked=%d inflight=%d after late ACK, want 1/0", acked, len(r.inflight))
 	}
 	r.onReceive(0, ack)
 	if acked != 1 {
@@ -213,17 +213,17 @@ func TestWindowSnapshotDoesNotResurrectRetiredSeq(t *testing.T) {
 	snap := r.Snapshot() // names the seq while it is still live
 
 	_ = eng.Run(time.Minute)
-	if failed != 1 || r.InflightCount() != 0 {
+	if failed != 1 || len(r.inflight) != 0 {
 		t.Fatalf("failed=%d inflight=%d, want the exchange exhausted before restore",
-			failed, r.InflightCount())
+			failed, len(r.inflight))
 	}
 
 	if err := r.Restore(snap); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if r.InflightCount() != 0 || r.Requeued.Value() != 0 || failed != 1 {
+	if len(r.inflight) != 0 || r.Requeued.Value() != 0 || failed != 1 {
 		t.Fatalf("retired seq resurrected: inflight=%d requeued=%d failed=%d",
-			r.InflightCount(), r.Requeued.Value(), failed)
+			len(r.inflight), r.Requeued.Value(), failed)
 	}
 	if err := net.CheckConservation(); err != nil {
 		t.Fatal(err)

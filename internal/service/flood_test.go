@@ -105,29 +105,24 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-// TestMissionStateStrings pins the state names served over HTTP and
-// the terminal set.
+// TestMissionStateStrings pins the state names served over HTTP.
 func TestMissionStateStrings(t *testing.T) {
 	cases := []struct {
-		s        MissionState
-		name     string
-		terminal bool
+		s    MissionState
+		name string
 	}{
-		{StateQueued, "queued", false},
-		{StateRunning, "running", false},
-		{StateRestarting, "restarting", false},
-		{StateCompleted, "completed", true},
-		{StateDegraded, "degraded", true},
-		{StateFailed, "failed", true},
-		{StateQuarantined, "quarantined", true},
-		{MissionState(99), "MissionState(99)", false},
+		{StateQueued, "queued"},
+		{StateRunning, "running"},
+		{StateRestarting, "restarting"},
+		{StateCompleted, "completed"},
+		{StateDegraded, "degraded"},
+		{StateFailed, "failed"},
+		{StateQuarantined, "quarantined"},
+		{MissionState(99), "MissionState(99)"},
 	}
 	for _, tc := range cases {
 		if got := tc.s.String(); got != tc.name {
 			t.Errorf("String(%d) = %q, want %q", int(tc.s), got, tc.name)
-		}
-		if got := tc.s.Terminal(); got != tc.terminal {
-			t.Errorf("Terminal(%s) = %v, want %v", tc.name, got, tc.terminal)
 		}
 	}
 }

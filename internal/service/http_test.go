@@ -53,6 +53,44 @@ func postScenario(t *testing.T, srv *httptest.Server, body string) (*http.Respon
 	return resp, v
 }
 
+// TestHTTPRejectsUnboundedScenario: the two scenario fields that had no
+// bound answer 400 and admit nothing. checkpoint=1ns kept a worker
+// cutting and persisting for good (events keep firing, so the stall
+// watchdog never trips), and every asset is allocated before any run
+// budget applies. The service's own default cadence (iobtd -checkpoint)
+// goes through the same re-parse.
+func TestHTTPRejectsUnboundedScenario(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	valid := smallScenario(3103).String()
+	for _, field := range [][2]string{
+		{"checkpoint=0s", "checkpoint=1ns"},
+		{"checkpoint=0s", "checkpoint=999ms"},
+		{"checkpoint=0s", "checkpoint=-1s"},
+		{"assets=90", "assets=100001"},
+	} {
+		body := strings.Replace(valid, field[0], field[1], 1)
+		if body == valid {
+			t.Fatalf("scenario has no %q to replace:\n%s", field[0], valid)
+		}
+		resp, _ := postScenario(t, srv, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", field[1], resp.StatusCode)
+		}
+	}
+	if n := len(svc.Missions()); n != 0 {
+		t.Errorf("%d missions admitted, want none", n)
+	}
+
+	fast := New(Config{Workers: 1, CheckpointEvery: time.Nanosecond})
+	defer fast.Close()
+	if _, err := fast.SubmitScenario(smallScenario(3104)); err == nil || !strings.Contains(err.Error(), "checkpoint") {
+		t.Errorf("1ns service cadence: err = %v, want a checkpoint rejection", err)
+	}
+}
+
 func TestHTTPSubmitStatusTelemetry(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	srv := httptest.NewServer(svc.Handler())

@@ -60,18 +60,6 @@ func (s MissionState) String() string {
 	}
 }
 
-// Terminal reports whether the state is final.
-func (s MissionState) Terminal() bool {
-	switch s {
-	case StateCompleted, StateDegraded, StateFailed, StateQuarantined:
-		return true
-	case StateQueued, StateRunning, StateRestarting:
-		return false
-	default:
-		return false
-	}
-}
-
 // Mission is one admitted scenario and its supervision record. All
 // exported accessors are safe for concurrent use.
 type Mission struct {
@@ -147,35 +135,11 @@ func (m *Mission) Fingerprint() uint64 {
 	return m.fingerprint
 }
 
-// Journal returns the decision journal of the final successful attempt
-// (nil until then). Two same-seed missions — one crashed and recovered,
-// one undisturbed — must produce byte-identical journals.
-func (m *Mission) Journal() *checkpoint.Journal {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.journal
-}
-
 // Summary returns the invariant audit of the final attempt.
 func (m *Mission) Summary() verify.Summary {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.summary
-}
-
-// Violations returns the rendered invariant violations.
-func (m *Mission) Violations() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]string(nil), m.violations...)
-}
-
-// RecoveredFrom returns the checkpoint sequence the last recovery was
-// anchored at (0: never recovered from a checkpoint).
-func (m *Mission) RecoveredFrom() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.recoveredFrom
 }
 
 // RecoveryTimes returns the wall-clock milliseconds each restart took

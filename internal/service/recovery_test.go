@@ -49,7 +49,7 @@ func runOne(t *testing.T, cfg Config, sc verify.Scenario) *Mission {
 	if err := svc.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if st := m.State(); !st.Terminal() {
+	if st := m.State(); !terminal(st) {
 		t.Fatalf("mission not terminal after drain: %s", st)
 	}
 	return m
@@ -74,7 +74,7 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 	if crashed.Restarts() == 0 {
 		t.Fatal("chaos crash did not trigger a supervised restart")
 	}
-	if crashed.RecoveredFrom() == 0 {
+	if crashed.View().RecoveredFrom == 0 {
 		t.Fatal("recovery was not anchored at a persisted checkpoint")
 	}
 	if n := len(crashed.RecoveryTimes()); n == 0 {
@@ -86,7 +86,7 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 		t.Fatalf("clean mission ended %s (%s), want completed", clean.State(), clean.Reason())
 	}
 
-	if div := checkpoint.Compare(crashed.Journal(), clean.Journal()); div != nil {
+	if div := checkpoint.Compare(crashed.journal, clean.journal); div != nil {
 		t.Fatalf("recovered journal diverges from uncrashed run:\n%s", div)
 	}
 	if a, b := crashed.Fingerprint(), clean.Fingerprint(); a != b {
@@ -115,7 +115,7 @@ func TestStallRecovery(t *testing.T) {
 	}
 
 	clean := runOne(t, Config{Workers: 1}, sc)
-	if div := checkpoint.Compare(stalled.Journal(), clean.Journal()); div != nil {
+	if div := checkpoint.Compare(stalled.journal, clean.journal); div != nil {
 		t.Fatalf("stall-recovered journal diverges:\n%s", div)
 	}
 }
@@ -196,12 +196,12 @@ func TestRecoveryAcrossStoreReopen(t *testing.T) {
 	if m2.State() != StateCompleted {
 		t.Fatalf("recovered mission ended %s (%s), want completed", m2.State(), m2.Reason())
 	}
-	if m2.RecoveredFrom() == 0 {
+	if m2.View().RecoveredFrom == 0 {
 		t.Fatal("second instance did not anchor at the recovered checkpoint")
 	}
 
 	clean := runOne(t, Config{Workers: 1}, sc)
-	if div := checkpoint.Compare(m2.Journal(), clean.Journal()); div != nil {
+	if div := checkpoint.Compare(m2.journal, clean.journal); div != nil {
 		t.Fatalf("cross-process recovery diverges from uncrashed run:\n%s", div)
 	}
 }
@@ -262,7 +262,7 @@ func TestCrashDoesNotDisturbNeighbor(t *testing.T) {
 	}
 
 	alone := runOne(t, Config{Workers: 1}, quiet)
-	if div := checkpoint.Compare(mq.Journal(), alone.Journal()); div != nil {
+	if div := checkpoint.Compare(mq.journal, alone.journal); div != nil {
 		t.Fatalf("neighbor mission perturbed by the crashing one:\n%s", div)
 	}
 }

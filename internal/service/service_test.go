@@ -15,6 +15,11 @@ import (
 )
 
 // smallScenario is a fast nominal mission for pool/admission tests.
+// terminal reports whether a mission in state s is done.
+func terminal(s MissionState) bool {
+	return s == StateCompleted || s == StateDegraded || s == StateFailed || s == StateQuarantined
+}
+
 func smallScenario(seed int64) verify.Scenario {
 	return verify.Scenario{
 		Seed:    seed,
@@ -120,8 +125,8 @@ func TestDrainLosesNoAdmittedMission(t *testing.T) {
 		if st := m.State(); st != StateCompleted {
 			t.Errorf("%s: state %s (%s), want completed", m.ID, st, m.Reason())
 		}
-		if len(m.Violations()) != 0 {
-			t.Errorf("%s: unexpected violations %v", m.ID, m.Violations())
+		if v := m.View().Violations; len(v) != 0 {
+			t.Errorf("%s: unexpected violations %v", m.ID, v)
 		}
 		if m.Summary().Checks == 0 {
 			t.Errorf("%s: invariant audit is empty", m.ID)
@@ -201,7 +206,7 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 	for _, m := range svc.Missions() {
-		if !m.State().Terminal() {
+		if !terminal(m.State()) {
 			t.Errorf("%s not terminal after Close: %s", m.ID, m.State())
 		}
 	}

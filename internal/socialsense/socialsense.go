@@ -6,8 +6,8 @@
 //
 // The estimation-theoretic algorithm follows the expectation-maximization
 // formulation of Wang, Abdelzaher & Kaplan ("Using humans as sensors",
-// IPSN'14; the paper's refs [1][2]); MajorityVote and WeightedVote are
-// the baselines experiment E7 compares against.
+// IPSN'14; the paper's refs [1][2]); MajorityVote is the baseline
+// experiment E7 compares against.
 package socialsense
 
 import (
@@ -131,31 +131,6 @@ func MajorityVote(d *Dataset) []bool {
 	out := make([]bool, d.NumClaims)
 	for j := range out {
 		out[j] = tot[j] > 0 && 2*pos[j] > tot[j]
-	}
-	return out
-}
-
-// WeightedVote votes with externally supplied source weights (e.g. trust
-// scores); it is the "reputation-informed" baseline.
-func WeightedVote(d *Dataset, weight []float64) []bool {
-	pos := make([]float64, d.NumClaims)
-	tot := make([]float64, d.NumClaims)
-	for _, r := range d.Reports {
-		w := 1.0
-		if r.Source < len(weight) {
-			w = weight[r.Source]
-		}
-		if w <= 0 {
-			continue
-		}
-		tot[r.Claim] += w
-		if r.Value {
-			pos[r.Claim] += w
-		}
-	}
-	out := make([]bool, d.NumClaims)
-	for j := range out {
-		out[j] = tot[j] > 0 && pos[j] > tot[j]/2
 	}
 	return out
 }

@@ -115,34 +115,6 @@ func TestEMIdentifiesColluders(t *testing.T) {
 	}
 }
 
-func TestWeightedVoteUsesWeights(t *testing.T) {
-	d := genTest(8, func(c *GenConfig) { c.ColluderFrac = 0.45 })
-	// Oracle weights: zero out colluders.
-	w := make([]float64, d.NumSources)
-	for s := range w {
-		if d.Colluder[s] {
-			w[s] = 0
-		} else {
-			w[s] = 1
-		}
-	}
-	weighted := Accuracy(WeightedVote(d, w), d.Truth)
-	maj := Accuracy(MajorityVote(d), d.Truth)
-	if weighted <= maj {
-		t.Errorf("oracle-weighted vote (%.3f) should beat majority (%.3f) at 45%% collusion", weighted, maj)
-	}
-}
-
-func TestWeightedVoteShortWeights(t *testing.T) {
-	d := genTest(9, nil)
-	// Missing weights default to 1: should behave like majority.
-	got := Accuracy(WeightedVote(d, nil), d.Truth)
-	maj := Accuracy(MajorityVote(d), d.Truth)
-	if got < maj-0.02 || got > maj+0.02 {
-		t.Errorf("default-weight vote %.3f differs from majority %.3f", got, maj)
-	}
-}
-
 func TestAccuracyEdges(t *testing.T) {
 	if Accuracy(nil, nil) != 0 {
 		t.Error("empty accuracy should be 0")

@@ -9,7 +9,7 @@ import (
 
 func TestLedgerSnapshotRoundTrip(t *testing.T) {
 	l := NewLedger()
-	l.SetPrior(2, 1)
+	l.priorAlpha, l.priorBeta = 2, 1
 	l.Observe(3, EvMission, true)
 	l.Observe(3, EvMission, true)
 	l.Observe(7, EvAnomaly, false)
@@ -48,7 +48,7 @@ func TestLedgerResetClearsEvidence(t *testing.T) {
 	if l.EvidenceTotal() != 0 {
 		t.Errorf("EvidenceTotal = %v after Reset, want 0", l.EvidenceTotal())
 	}
-	if l.Len() != 0 {
-		t.Errorf("Len = %d after Reset, want 0", l.Len())
+	if n := len(l.records); n != 0 {
+		t.Errorf("%d records after Reset, want 0", n)
 	}
 }

@@ -58,15 +58,6 @@ func NewLedger() *Ledger {
 	}
 }
 
-// SetPrior replaces the prior used for unseen nodes. Non-positive
-// parameters are rejected (ignored).
-func (l *Ledger) SetPrior(alpha, beta float64) {
-	if alpha <= 0 || beta <= 0 {
-		return
-	}
-	l.priorAlpha, l.priorBeta = alpha, beta
-}
-
 func (l *Ledger) rec(id asset.ID) *record {
 	r, ok := l.records[id]
 	if !ok {
@@ -127,19 +118,6 @@ func (l *Ledger) Confidence(id asset.ID) float64 {
 	return c
 }
 
-// Decay multiplies all accumulated evidence by factor in (0,1], pulling
-// scores back toward the prior. Call periodically so stale reputations
-// fade (nodes can be captured mid-mission).
-func (l *Ledger) Decay(factor float64) {
-	if factor <= 0 || factor >= 1 {
-		return
-	}
-	for _, r := range l.records {
-		r.alpha = l.priorAlpha + (r.alpha-l.priorAlpha)*factor
-		r.beta = l.priorBeta + (r.beta-l.priorBeta)*factor
-	}
-}
-
 // Trusted reports whether id's score meets the threshold.
 func (l *Ledger) Trusted(id asset.ID, threshold float64) bool {
 	return l.Score(id) >= threshold
@@ -169,9 +147,6 @@ func (l *Ledger) Suspects(threshold float64) []asset.ID {
 	}
 	return ids
 }
-
-// Len returns the number of nodes with recorded evidence.
-func (l *Ledger) Len() int { return len(l.records) }
 
 // Reset discards all accumulated evidence, returning every node to the
 // prior. This is the cold-failover path: a rebuilt command post starts
@@ -223,22 +198,6 @@ func (l *Ledger) IDs() []asset.ID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// MergeEvidence folds replicated evidence about id into the ledger as a
-// pointwise max — the CRDT join, so merging is idempotent and never
-// regresses locally accumulated evidence. Decay between merges can make
-// the local pair dip below a previously merged value; the max then
-// restores the replicated floor, which is the intended convergence
-// semantic.
-func (l *Ledger) MergeEvidence(id asset.ID, alpha, beta float64) {
-	r := l.rec(id)
-	if alpha > r.alpha {
-		r.alpha = alpha
-	}
-	if beta > r.beta {
-		r.beta = beta
-	}
 }
 
 // SnapshotName implements checkpoint.Snapshotter.

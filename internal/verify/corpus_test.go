@@ -92,6 +92,11 @@ func TestScenarioSchemaVersion(t *testing.T) {
 		{"negative rate", setField("rate", "-5"), `field "rate=-5": must be a finite number`},
 		{"infinite size", setField("size", "+Inf"), `field "size=+Inf": must be a finite number`},
 		{"overflowing size", setField("size", "1e999"), `field "size=1e999"`},
+		{"1ns checkpoint", setField("checkpoint", "1ns"), `field "checkpoint=1ns": must be 0 or at least 1s`},
+		{"sub-second checkpoint", setField("checkpoint", "999ms"), `field "checkpoint=999ms": must be 0 or at least 1s`},
+		{"negative checkpoint", setField("checkpoint", "-1s"), `field "checkpoint=-1s": must be 0 or at least 1s`},
+		{"absurd assets", setField("assets", "100001"), `field "assets=100001": must be in [0, 100000]`},
+		{"negative assets", setField("assets", "-1"), `field "assets=-1": must be in [0, 100000]`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

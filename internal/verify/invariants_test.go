@@ -106,13 +106,13 @@ func TestRegistryRecordsAndCapsViolations(t *testing.T) {
 	eng.Schedule(10500*time.Millisecond, "test.break", func() { down = true })
 
 	reg := NewRegistry()
-	reg.Register("always-holds", func() error { return nil })
-	reg.Register("post-standing", func() error {
-		if down {
-			return errDown
-		}
-		return nil
-	})
+	reg.Add(Invariant{Name: "always-holds", Check: func() error { return nil }},
+		Invariant{Name: "post-standing", Check: func() error {
+			if down {
+				return errDown
+			}
+			return nil
+		}})
 	reg.Arm(eng, time.Second)
 	if err := eng.Run(30 * time.Second); err != nil {
 		t.Fatal(err)

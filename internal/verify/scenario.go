@@ -292,11 +292,14 @@ func (s Scenario) String() string {
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Bounds on the numeric fields a scenario file may state: a NaN or
-// absurd incident rate arms a ticker at the engine's 1ns floor, and an
-// infinite map has no terrain.
+// absurd incident rate arms a ticker at the engine's 1ns floor, an
+// infinite map has no terrain, and the whole world is allocated before
+// any run budget applies. The checkpoint cadence is 0 or at least
+// checkpoint.MinEvery.
 const (
-	maxSize = 1e6 // meters
-	maxRate = 6e3 // incidents per minute: one per 10ms of virtual time
+	maxSize   = 1e6 // meters
+	maxRate   = 6e3 // incidents per minute: one per 10ms of virtual time
+	maxAssets = 100_000
 )
 
 // parseBounded parses a float that must be finite and in [0, max].
@@ -335,6 +338,9 @@ func ParseScenario(src string) (Scenario, error) {
 			s.Seed, err = strconv.ParseInt(v, 10, 64)
 		case "assets":
 			s.Assets, err = strconv.Atoi(v)
+			if err == nil && (s.Assets < 0 || s.Assets > maxAssets) {
+				err = fmt.Errorf("must be in [0, %d]", maxAssets)
+			}
 		case "size":
 			s.Size, err = parseBounded(v, maxSize)
 		case "terrain":
@@ -347,6 +353,9 @@ func ParseScenario(src string) (Scenario, error) {
 			s.Degrade, err = strconv.ParseBool(v)
 		case "checkpoint":
 			s.Checkpoint, err = time.ParseDuration(v)
+			if err == nil && s.Checkpoint != 0 && s.Checkpoint < checkpoint.MinEvery {
+				err = fmt.Errorf("must be 0 or at least %s", checkpoint.MinEvery)
+			}
 		case "rate":
 			s.Rate, err = parseBounded(v, maxRate)
 		case "horizon":

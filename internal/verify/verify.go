@@ -57,11 +57,6 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Register adds one named invariant.
-func (g *Registry) Register(name string, check func() error) {
-	g.invs = append(g.invs, Invariant{Name: name, Check: check})
-}
-
 // Add appends pre-built invariants.
 func (g *Registry) Add(invs ...Invariant) {
 	g.invs = append(g.invs, invs...)
