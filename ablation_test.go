@@ -214,30 +214,6 @@ func BenchmarkAblationAggKrum(b *testing.B) {
 	}
 }
 
-// --- gradient compression: dense vs. top-k federated rounds ---
-
-func BenchmarkAblationFederatedDense(b *testing.B) {
-	rng := sim.NewRNG(5)
-	train := learn.GenDataset(rng, learn.GenConfig{N: 1000, Dim: 20, Noise: 0.05})
-	test := learn.GenDatasetFromW(rng, train.TrueW, 100, 0.05)
-	shards := train.Split(rng, 10, 0.3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = learn.RunFederated(rng.Derive("d"), shards, test, learn.FedConfig{Rounds: 5})
-	}
-}
-
-func BenchmarkAblationFederatedTopK(b *testing.B) {
-	rng := sim.NewRNG(5)
-	train := learn.GenDataset(rng, learn.GenConfig{N: 1000, Dim: 20, Noise: 0.05})
-	test := learn.GenDatasetFromW(rng, train.TrueW, 100, 0.05)
-	shards := train.Split(rng, 10, 0.3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = learn.RunFederated(rng.Derive("k"), shards, test, learn.FedConfig{Rounds: 5, TopK: 4})
-	}
-}
-
 // --- tomography: passive snapshot vs. active probing rounds ---
 
 func BenchmarkAblationTomoSnapshot(b *testing.B) {

@@ -1,5 +1,5 @@
 // Command benchtab regenerates the experiment tables of EXPERIMENTS.md:
-// one table per paper claim (DESIGN.md §4, experiments E1..E17).
+// one table per paper claim (DESIGN.md §4, experiments E1..E18).
 //
 // Usage:
 //
@@ -33,7 +33,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
 	var (
-		experiment = fs.String("experiment", "all", "experiment id (E1..E17) or 'all'")
+		experiment = fs.String("experiment", "all", "experiment id (E1..E18) or 'all'")
 		seed       = fs.Int64("seed", 42, "deterministic seed")
 		quick      = fs.Bool("quick", false, "reduced workload sizes")
 		list       = fs.Bool("list", false, "list experiments and exit")

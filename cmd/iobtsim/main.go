@@ -332,16 +332,8 @@ func run(args []string) error {
 			if !quiet {
 				fmt.Printf("fault plan %q armed: %d faults\n", plan.Name, len(plan.Faults))
 			}
-			h := &fault.Harness{
-				T:    w.FaultTarget(r),
-				Plan: plan,
-				Goodput: func() (uint64, uint64) {
-					return r.Metrics.OnTime.Value(), r.Metrics.Incidents.Value()
-				},
-				Recovery: r.Probe(),
-			}
 			var err error
-			if rep, err = h.Run(horizon); err != nil {
+			if rep, err = fault.Run(w.FaultTarget(r), plan, horizon); err != nil {
 				return err
 			}
 		} else if err := w.Run(horizon); err != nil {
@@ -408,13 +400,14 @@ func run(args []string) error {
 		}
 		var runErr error
 		first := true
-		div := checkpoint.VerifyReplay(*seed, planStr, func(j *checkpoint.Journal) {
+		run := func(j *checkpoint.Journal) {
 			if runErr != nil {
 				return
 			}
 			runErr = execute(j, !first)
 			first = false
-		})
+		}
+		div := checkpoint.VerifyEquivalence(*seed, planStr, run, run)
 		if runErr != nil {
 			return runErr
 		}

@@ -139,16 +139,13 @@ func (m Modality) String() string {
 // consistent: Compute in MIPS-like units, Storage in MB, Bandwidth in
 // kb/s, Energy in joules, ranges in meters.
 type Capabilities struct {
-	Modalities Modality
-	SenseRange float64
-	RadioRange float64
-	Compute    float64
-	Storage    float64
-	Bandwidth  float64
-	EnergyCap  float64
-	// IdlePower is the baseline draw in joules/second when awake;
-	// duty-cycled nodes pay it only for their awake fraction.
-	IdlePower   float64
+	Modalities  Modality
+	SenseRange  float64
+	RadioRange  float64
+	Compute     float64
+	Storage     float64
+	Bandwidth   float64
+	EnergyCap   float64
 	Actuation   bool    // can effect the physical environment
 	Reliability float64 // prior probability of correct operation [0,1]
 }
@@ -216,23 +213,23 @@ func (a *Asset) String() string {
 func DefaultCaps(c Class) Capabilities {
 	switch c {
 	case ClassMote:
-		return Capabilities{Modalities: ModSeismic | ModAcoustic, SenseRange: 30, RadioRange: 80, Compute: 1, Storage: 1, Bandwidth: 20, EnergyCap: 5e3, IdlePower: 0.01, Reliability: 0.85}
+		return Capabilities{Modalities: ModSeismic | ModAcoustic, SenseRange: 30, RadioRange: 80, Compute: 1, Storage: 1, Bandwidth: 20, EnergyCap: 5e3, Reliability: 0.85}
 	case ClassWearable:
-		return Capabilities{Modalities: ModPhysiological | ModAcoustic, SenseRange: 5, RadioRange: 60, Compute: 10, Storage: 100, Bandwidth: 100, EnergyCap: 2e4, IdlePower: 0.05, Reliability: 0.9}
+		return Capabilities{Modalities: ModPhysiological | ModAcoustic, SenseRange: 5, RadioRange: 60, Compute: 10, Storage: 100, Bandwidth: 100, EnergyCap: 2e4, Reliability: 0.9}
 	case ClassSensor:
-		return Capabilities{Modalities: ModVisual | ModThermal | ModAcoustic, SenseRange: 150, RadioRange: 250, Compute: 50, Storage: 1e3, Bandwidth: 500, EnergyCap: 2e5, IdlePower: 0.5, Reliability: 0.95}
+		return Capabilities{Modalities: ModVisual | ModThermal | ModAcoustic, SenseRange: 150, RadioRange: 250, Compute: 50, Storage: 1e3, Bandwidth: 500, EnergyCap: 2e5, Reliability: 0.95}
 	case ClassPhone:
-		return Capabilities{Modalities: ModVisual | ModAcoustic | ModRF, SenseRange: 50, RadioRange: 120, Compute: 200, Storage: 1e4, Bandwidth: 1e3, EnergyCap: 4e4, IdlePower: 0.8, Reliability: 0.8}
+		return Capabilities{Modalities: ModVisual | ModAcoustic | ModRF, SenseRange: 50, RadioRange: 120, Compute: 200, Storage: 1e4, Bandwidth: 1e3, EnergyCap: 4e4, Reliability: 0.8}
 	case ClassRobot:
-		return Capabilities{Modalities: ModVisual | ModLidar | ModAcoustic, SenseRange: 100, RadioRange: 200, Compute: 500, Storage: 1e4, Bandwidth: 2e3, EnergyCap: 5e5, IdlePower: 5, Actuation: true, Reliability: 0.92}
+		return Capabilities{Modalities: ModVisual | ModLidar | ModAcoustic, SenseRange: 100, RadioRange: 200, Compute: 500, Storage: 1e4, Bandwidth: 2e3, EnergyCap: 5e5, Actuation: true, Reliability: 0.92}
 	case ClassUAV:
-		return Capabilities{Modalities: ModVisual | ModThermal | ModRadar | ModLidar, SenseRange: 400, RadioRange: 600, Compute: 300, Storage: 5e3, Bandwidth: 5e3, EnergyCap: 3e5, IdlePower: 50, Actuation: true, Reliability: 0.9}
+		return Capabilities{Modalities: ModVisual | ModThermal | ModRadar | ModLidar, SenseRange: 400, RadioRange: 600, Compute: 300, Storage: 5e3, Bandwidth: 5e3, EnergyCap: 3e5, Actuation: true, Reliability: 0.9}
 	case ClassVehicle:
-		return Capabilities{Modalities: ModVisual | ModRadar | ModRF, SenseRange: 250, RadioRange: 500, Compute: 1e3, Storage: 1e5, Bandwidth: 1e4, EnergyCap: 1e9, IdlePower: 100, Actuation: true, Reliability: 0.97}
+		return Capabilities{Modalities: ModVisual | ModRadar | ModRF, SenseRange: 250, RadioRange: 500, Compute: 1e3, Storage: 1e5, Bandwidth: 1e4, EnergyCap: 1e9, Actuation: true, Reliability: 0.97}
 	case ClassEdgeServer:
-		return Capabilities{Modalities: 0, SenseRange: 0, RadioRange: 400, Compute: 1e5, Storage: 1e7, Bandwidth: 1e5, EnergyCap: 1e9, IdlePower: 200, Reliability: 0.99}
+		return Capabilities{Modalities: 0, SenseRange: 0, RadioRange: 400, Compute: 1e5, Storage: 1e7, Bandwidth: 1e5, EnergyCap: 1e9, Reliability: 0.99}
 	case ClassHuman:
-		return Capabilities{Modalities: ModVisual | ModAcoustic, SenseRange: 80, RadioRange: 100, Compute: 1, Storage: 1, Bandwidth: 50, EnergyCap: 1e9, IdlePower: 0, Reliability: 0.7}
+		return Capabilities{Modalities: ModVisual | ModAcoustic, SenseRange: 80, RadioRange: 100, Compute: 1, Storage: 1, Bandwidth: 50, EnergyCap: 1e9, Reliability: 0.7}
 	default:
 		return Capabilities{}
 	}

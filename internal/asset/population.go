@@ -253,25 +253,3 @@ func max(a, b int) int {
 	}
 	return b
 }
-
-// StepEnergy drains every alive asset's idle power for dt, scaled by its
-// duty cycle (sleeping hardware draws ~nothing). Nodes whose battery
-// empties die and leave the spatial index — the paper's "disadvantaged
-// assets with limitations on energy" becoming churn.
-func (p *Population) StepEnergy(dt time.Duration) int {
-	died := 0
-	for _, a := range p.assets {
-		if !a.Alive() {
-			continue
-		}
-		duty := a.DutyCycle
-		if duty <= 0 || duty > 1 {
-			duty = 1
-		}
-		if !a.Drain(a.Caps.IdlePower * duty * dt.Seconds()) {
-			p.grid.Remove(int32(a.ID))
-			died++
-		}
-	}
-	return died
-}

@@ -200,63 +200,3 @@ func aliveCount(p *Population) int {
 	}
 	return n
 }
-
-func TestStepEnergyDrainsAndKills(t *testing.T) {
-	terr := geo.NewOpenTerrain(100, 100)
-	p := NewPopulation(terr)
-	caps := DefaultCaps(ClassMote) // 5e3 J at 0.01 J/s awake
-	a := &Asset{Class: ClassMote, Caps: caps, Online: true, DutyCycle: 1,
-		Mobility: &geo.Static{P: geo.Point{X: 50, Y: 50}}}
-	a.Energy = 10 // tiny battery for the test
-	p.Add(a)
-	died := p.StepEnergy(500 * time.Second) // 5 J
-	if died != 0 || !a.Alive() {
-		t.Fatal("asset died too early")
-	}
-	died = p.StepEnergy(1000 * time.Second) // 10 J more
-	if died != 1 || a.Alive() {
-		t.Fatal("asset should be dead")
-	}
-	if ids := p.Near(nil, geo.Point{X: 50, Y: 50}, 10); len(ids) != 0 {
-		t.Error("dead asset still indexed")
-	}
-}
-
-// TestDutyCyclingExtendsLifetime is the paper's energy claim: sleeping
-// most of the time stretches a disadvantaged asset's battery.
-func TestDutyCyclingExtendsLifetime(t *testing.T) {
-	lifetime := func(duty float64) time.Duration {
-		terr := geo.NewOpenTerrain(100, 100)
-		p := NewPopulation(terr)
-		a := &Asset{Class: ClassMote, Caps: DefaultCaps(ClassMote), Online: true, DutyCycle: duty,
-			Mobility: &geo.Static{P: geo.Point{X: 50, Y: 50}}}
-		a.Energy = 100
-		p.Add(a)
-		elapsed := time.Duration(0)
-		step := time.Minute
-		for a.Alive() && elapsed < 1000*time.Hour {
-			p.StepEnergy(step)
-			elapsed += step
-		}
-		return elapsed
-	}
-	full := lifetime(1.0)
-	tenth := lifetime(0.1)
-	ratio := float64(tenth) / float64(full)
-	if ratio < 8 || ratio > 12 {
-		t.Errorf("10%% duty lifetime ratio = %.1f, want ~10x", ratio)
-	}
-}
-
-func TestStepEnergyZeroDuty(t *testing.T) {
-	terr := geo.NewOpenTerrain(100, 100)
-	p := NewPopulation(terr)
-	a := &Asset{Class: ClassMote, Caps: DefaultCaps(ClassMote), Online: true, DutyCycle: 0}
-	a.Energy = 1
-	p.Add(a)
-	// Zero/invalid duty cycle is treated as always-on (conservative).
-	p.StepEnergy(200 * time.Second)
-	if a.Alive() {
-		t.Error("invalid duty cycle should default to full drain")
-	}
-}

@@ -199,7 +199,7 @@ func TestVerifyReplay(t *testing.T) {
 		})
 		_ = eng.Run(5 * time.Second)
 	}
-	if d := VerifyReplay(7, "none", run); d != nil {
+	if d := VerifyEquivalence(7, "none", run, run); d != nil {
 		t.Fatalf("deterministic run diverged: %v", d)
 	}
 
@@ -210,7 +210,7 @@ func TestVerifyReplay(t *testing.T) {
 		calls++
 		j.Logf(0, "call %d", calls)
 	}
-	if d := VerifyReplay(7, "none", bad); d == nil {
+	if d := VerifyEquivalence(7, "none", bad, bad); d == nil {
 		t.Fatal("nondeterministic run not caught")
 	}
 }

@@ -99,23 +99,12 @@ func Compare(a, b *Journal) *Divergence {
 	return nil
 }
 
-// VerifyReplay runs a mission twice — run receives a fresh journal each
-// time and must rebuild the entire world from its recorded recipe — and
-// diffs the journals. It returns nil when the runs are byte-identical:
-// "deterministic for a fixed seed" as an asserted invariant rather than
-// a claim.
-func VerifyReplay(seed int64, plan string, run func(*Journal)) *Divergence {
-	a := NewJournal(seed, plan)
-	run(a)
-	b := NewJournal(seed, plan)
-	run(b)
-	return Compare(a, b)
-}
-
 // VerifyEquivalence runs several implementations of the same recipe —
-// each receives a fresh journal — and diffs every run against the
-// first. It generalizes VerifyReplay from "same code twice" to
-// "different configurations, same observable history": the sharded
+// each receives a fresh journal and must rebuild the entire world from
+// its recorded recipe — and diffs every run against the first. Passing
+// one run twice is replay verification: "deterministic for a fixed
+// seed" as an asserted invariant rather than a claim. Passing different
+// configurations asserts the same observable history: the sharded
 // engine uses it to assert that a 1-shard and an N-shard run of one
 // seed log byte-identical journals. The returned divergence is the
 // first mismatch found, nil when all runs agree (or fewer than two runs

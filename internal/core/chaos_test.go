@@ -14,11 +14,11 @@ import (
 
 // TestChaosMissionInvariants injects a randomized fault plan — jam
 // wave, smoke, a kill wave against the composite, plus churn — through
-// the unified fault harness during a mission, and checks that the
-// runtime never panics and its metrics stay internally consistent, for
-// many random seeds — the paper's "disruptions and failures at
-// different scales" as a property test. The invariants are the shared
-// verify catalogue; the harness drives their cadence.
+// fault.Run during a mission, and checks that the runtime never panics
+// and its metrics stay internally consistent, for many random seeds —
+// the paper's "disruptions and failures at different scales" as a
+// property test. The invariants are the shared verify catalogue, swept
+// every second by the armed registry.
 func TestChaosMissionInvariants(t *testing.T) {
 	maxCount := 8
 	if testing.Short() {
@@ -77,16 +77,10 @@ func TestChaosMissionInvariants(t *testing.T) {
 			plan.Add(fault.Fault{Kind: fault.Failover, At: 85 * time.Second, Warm: seed%4 == 0})
 		}
 
-		met := &r.Metrics
 		reg := verify.NewRegistry()
 		reg.Add(verify.MissionInvariants(w, r)...)
 		reg.Arm(w.Eng, time.Second)
-		h := &fault.Harness{
-			T:       w.FaultTarget(r),
-			Plan:    plan,
-			Goodput: func() (uint64, uint64) { return met.OnTime.Value(), met.Incidents.Value() },
-		}
-		rep, err := h.Run(3 * time.Minute)
+		rep, err := fault.Run(w.FaultTarget(r), plan, 3*time.Minute)
 		if err != nil {
 			return false
 		}
@@ -122,14 +116,7 @@ func TestChaosDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Stop()
-		h := &fault.Harness{
-			T:    w.FaultTarget(r),
-			Plan: fault.StandardPlan(1200),
-			Goodput: func() (uint64, uint64) {
-				return r.Metrics.OnTime.Value(), r.Metrics.Incidents.Value()
-			},
-		}
-		if _, err := h.Run(3 * time.Minute); err != nil {
+		if _, err := fault.Run(w.FaultTarget(r), fault.StandardPlan(1200), 3*time.Minute); err != nil {
 			t.Fatal(err)
 		}
 		met := &r.Metrics

@@ -117,14 +117,7 @@ func TestDegradationDoublesStandardPlanSuccess(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Stop()
-		h := &fault.Harness{
-			T:    w.FaultTarget(r),
-			Plan: fault.StandardPlan(1500),
-			Goodput: func() (uint64, uint64) {
-				return r.Metrics.OnTime.Value(), r.Metrics.Incidents.Value()
-			},
-		}
-		if _, err := h.Run(6 * time.Minute); err != nil {
+		if _, err := fault.Run(w.FaultTarget(r), fault.StandardPlan(1500), 6*time.Minute); err != nil {
 			t.Fatal(err)
 		}
 		return r.Metrics.SuccessRate()

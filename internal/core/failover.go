@@ -64,7 +64,7 @@ func (r *Runtime) Checkpoints() *checkpoint.Coordinator { return r.coord }
 
 // SetJournal installs a decision journal; every mission decision is
 // appended to it, so two runs from the same seed and fault plan can be
-// diffed for divergence (checkpoint.VerifyReplay).
+// diffed for divergence (checkpoint.VerifyEquivalence).
 func (r *Runtime) SetJournal(j *checkpoint.Journal) { r.journal = j }
 
 // journalf appends one timestamped decision-log line when a journal is
@@ -279,9 +279,9 @@ func (m *Metrics) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// Probe returns the mission surfaces the fault harness samples to
+// recoveryHooks returns the mission surfaces fault.Run samples to
 // measure a failover's recovery gap.
-func (r *Runtime) Probe() fault.RecoveryHooks {
+func (r *Runtime) recoveryHooks() fault.RecoveryHooks {
 	return fault.RecoveryHooks{
 		OrdersDelivered: func() uint64 { return r.Metrics.OrdersCarried.Value() },
 		OrdersLost:      func() uint64 { return r.Metrics.Undeliverable.Value() },

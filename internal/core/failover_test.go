@@ -50,15 +50,7 @@ func runFailover(t *testing.T, seed int64, every time.Duration, plan *fault.Plan
 	reg := verify.NewRegistry()
 	reg.Add(verify.MissionInvariants(w, r)...)
 	reg.Arm(w.Eng, time.Second)
-	h := &fault.Harness{
-		T:    w.FaultTarget(r),
-		Plan: plan,
-		Goodput: func() (uint64, uint64) {
-			return r.Metrics.OnTime.Value(), r.Metrics.Incidents.Value()
-		},
-		Recovery: r.Probe(),
-	}
-	rep, err := h.Run(4 * time.Minute)
+	rep, err := fault.Run(w.FaultTarget(r), plan, 4*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +139,8 @@ func TestFailoverDeterministicFingerprint(t *testing.T) {
 // promotion — must be byte-identical across runs.
 func TestReplayVerifyFailoverPlan(t *testing.T) {
 	plan := crashPlan("warm")
-	div := checkpoint.VerifyReplay(31, plan.String(), func(j *checkpoint.Journal) {
-		runFailover(t, 31, 15*time.Second, plan, j)
-	})
-	if div != nil {
+	run := func(j *checkpoint.Journal) { runFailover(t, 31, 15*time.Second, plan, j) }
+	if div := checkpoint.VerifyEquivalence(31, plan.String(), run, run); div != nil {
 		t.Errorf("replay diverged at line %d:\n  run A: %s\n  run B: %s", div.Index, div.A, div.B)
 	}
 }

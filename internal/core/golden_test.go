@@ -37,14 +37,7 @@ func runStandard(t *testing.T, seed int64, journal *checkpoint.Journal) *core.Ru
 	reg := verify.NewRegistry()
 	reg.Add(verify.MissionInvariants(w, r)...)
 	reg.Arm(w.Eng, time.Second)
-	h := &fault.Harness{
-		T:    w.FaultTarget(r),
-		Plan: fault.StandardPlan(1200),
-		Goodput: func() (uint64, uint64) {
-			return r.Metrics.OnTime.Value(), r.Metrics.Incidents.Value()
-		},
-	}
-	if _, err := h.Run(3 * time.Minute); err != nil {
+	if _, err := fault.Run(w.FaultTarget(r), fault.StandardPlan(1200), 3*time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if !reg.OK() {
@@ -77,10 +70,8 @@ func TestGoldenDeterminism(t *testing.T) {
 // its decision journal and requires zero divergence.
 func TestReplayVerifyStandardPlan(t *testing.T) {
 	plan := fault.StandardPlan(1200)
-	div := checkpoint.VerifyReplay(42, plan.String(), func(j *checkpoint.Journal) {
-		runStandard(t, 42, j)
-	})
-	if div != nil {
+	run := func(j *checkpoint.Journal) { runStandard(t, 42, j) }
+	if div := checkpoint.VerifyEquivalence(42, plan.String(), run, run); div != nil {
 		t.Errorf("replay diverged at line %d:\n  run A: %s\n  run B: %s", div.Index, div.A, div.B)
 	}
 }

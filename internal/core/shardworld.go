@@ -32,27 +32,14 @@ import (
 	"iobt/internal/sim"
 )
 
-// ShardMissionConfig parameterizes one sharded mission run. The zero
-// value of most fields picks a sensible default; Assets is required.
+// ShardMissionConfig parameterizes one sharded mission run.
 type ShardMissionConfig struct {
 	// Assets is the sensing population size (required, >= 2). The
 	// command post is one additional actor.
 	Assets int
-	// Incidents is how many battlefield incidents the schedule holds
-	// (default max(3, Assets/8)).
-	Incidents int
-
-	// DegradeFrac of assets degrade at a drawn time (default 0.25);
-	// FailFrac fail outright (default 0.1). Failed sensors stop
-	// detecting but keep reporting health.
-	DegradeFrac float64
-	FailFrac    float64
-
-	// Horizon is the virtual run length (default 180s).
-	Horizon time.Duration
 }
 
-// The sharded mission's fixed sensing model and cadences.
+// The sharded mission's fixed sensing model, fault schedule and cadences.
 const (
 	// sensorRange is the detection radius in meters. Degraded assets
 	// sense at 60% of it.
@@ -68,26 +55,13 @@ const (
 	reportLatency = 150 * time.Millisecond
 	// mobilityEvery is the shard-migration cadence following asset drift.
 	mobilityEvery = 4 * time.Second
+	// degradeFrac of assets degrade at a drawn time and failFrac fail
+	// outright. Failed sensors stop detecting but keep reporting health.
+	degradeFrac = 0.25
+	failFrac    = 0.1
+	// shardHorizon is the virtual run length.
+	shardHorizon = 180 * time.Second
 )
-
-func (sc ShardMissionConfig) withDefaults() ShardMissionConfig {
-	if sc.Incidents <= 0 {
-		sc.Incidents = sc.Assets / 8
-		if sc.Incidents < 3 {
-			sc.Incidents = 3
-		}
-	}
-	if sc.DegradeFrac == 0 {
-		sc.DegradeFrac = 0.25
-	}
-	if sc.FailFrac == 0 {
-		sc.FailFrac = 0.1
-	}
-	if sc.Horizon <= 0 {
-		sc.Horizon = 180 * time.Second
-	}
-	return sc
-}
 
 // ShardMissionResult aggregates one sharded mission run. Every field is
 // derived from per-actor state folded in ID order, so for a fixed seed
@@ -220,20 +194,21 @@ func healthOf(degradeAt, failAt, t time.Duration) HealthState {
 // for a fixed seed and config the returned result — including Digest —
 // is identical for every shards value.
 func RunShardMission(seed int64, shards int, sc ShardMissionConfig) (*ShardMissionResult, error) {
-	sc = sc.withDefaults()
 	if sc.Assets < 2 {
 		return nil, fmt.Errorf("core: shard mission needs at least 2 assets, got %d", sc.Assets)
 	}
 	if shards < 1 {
 		shards = 1
 	}
+	// The incident schedule holds max(3, Assets/8) incidents.
+	incidents := max(3, sc.Assets/8)
 
 	eng := sim.NewSharded(seed, sim.ShardedConfig{Shards: shards, Lookahead: 100 * time.Millisecond})
 	r := &shardMission{
 		sc:        sc,
 		assets:    make([]*shardAsset, sc.Assets),
 		posts:     make([]*shardPost, sc.Assets+1),
-		incidents: make([]shardIncident, sc.Incidents),
+		incidents: make([]shardIncident, incidents),
 		// The zero area and drift select the field's defaults.
 		field:  geo.NewDriftField(eng.Stream("shardworld/field"), sc.Assets, shards, geo.Rect{}, 0),
 		postID: sim.ActorID(sc.Assets),
@@ -251,11 +226,11 @@ func RunShardMission(seed int64, shards int, sc ShardMissionConfig) (*ShardMissi
 			rng:    eng.Stream(fmt.Sprintf("shardworld/asset/%d", i)),
 			tracks: make(map[int]time.Duration),
 		}
-		if faults.Bool(sc.DegradeFrac) {
-			a.degradeAt = time.Duration(faults.Uniform(float64(sc.Horizon/6), float64(sc.Horizon/2)))
+		if faults.Bool(degradeFrac) {
+			a.degradeAt = time.Duration(faults.Uniform(float64(shardHorizon/6), float64(shardHorizon/2)))
 		}
-		if faults.Bool(sc.FailFrac) {
-			a.failAt = time.Duration(faults.Uniform(float64(sc.Horizon/3), float64(2*sc.Horizon/3)))
+		if faults.Bool(failFrac) {
+			a.failAt = time.Duration(faults.Uniform(float64(shardHorizon/3), float64(2*shardHorizon/3)))
 		}
 		r.assets[i] = a
 		eng.AddActor(sim.ActorID(i), r.field.Map.ShardOf(r.field.Home(i)))
@@ -267,7 +242,7 @@ func RunShardMission(seed int64, shards int, sc ShardMissionConfig) (*ShardMissi
 				X: incs.Uniform(area.Min.X, area.Max.X),
 				Y: incs.Uniform(area.Min.Y, area.Max.Y),
 			},
-			at: time.Duration(incs.Uniform(float64(5*time.Second), float64(sc.Horizon)*0.7)),
+			at: time.Duration(incs.Uniform(float64(5*time.Second), float64(shardHorizon)*0.7)),
 		}
 	}
 	r.posts[r.postID] = &shardPost{
@@ -296,10 +271,10 @@ func RunShardMission(seed int64, shards int, sc ShardMissionConfig) (*ShardMissi
 		// stream and the processed-event count, breaking invariance.
 		mp := time.Duration(a.rng.Intn(int(mobilityEvery/time.Millisecond))) * time.Millisecond
 		eng.ScheduleActor(sim.ActorID(i), mobilityEvery+mp, "mobility",
-			r.field.MobilityTick(i, mobilityEvery, sc.Horizon, 0))
+			r.field.MobilityTick(i, mobilityEvery, shardHorizon, 0))
 	}
 
-	if err := eng.Run(sc.Horizon); err != nil {
+	if err := eng.Run(shardHorizon); err != nil {
 		return nil, err
 	}
 	return r.collect(eng, shards), nil
@@ -317,7 +292,7 @@ func (r *shardMission) healthTick(a *shardAsset) func(*sim.ShardCtx) {
 			a.healthSeq++
 			c.Send(r.postID, reportLatency, "health.report", r.healthReport(a.id, a.healthSeq, next))
 		}
-		if now+healthEvery <= r.sc.Horizon {
+		if now+healthEvery <= shardHorizon {
 			c.Schedule(healthEvery, "health", a.healthFn)
 		}
 	}
@@ -350,7 +325,7 @@ func (r *shardMission) senseTick(a *shardAsset) func(*sim.ShardCtx) {
 				c.Send(r.postID, reportLatency, "track.report", r.trackReport(a.id, inc.id, now))
 			}
 		}
-		if now+senseEvery <= r.sc.Horizon {
+		if now+senseEvery <= shardHorizon {
 			c.Schedule(senseEvery, "sense", a.senseFn)
 		}
 	}
@@ -396,7 +371,7 @@ func (r *shardMission) collect(eng *sim.Sharded, shards int) *ShardMissionResult
 	res := &ShardMissionResult{
 		Shards:       shards,
 		Assets:       r.sc.Assets,
-		Incidents:    r.sc.Incidents,
+		Incidents:    len(r.incidents),
 		Events:       eng.Processed(),
 		ClampedSends: eng.ClampedSends(),
 	}

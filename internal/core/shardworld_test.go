@@ -2,23 +2,16 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"iobt/internal/checkpoint"
 )
 
 // shardMissionConfig is the representative workload the differential
 // suite replays at every shard count: enough assets to spread across 8
-// shards, a fault schedule that exercises every health transition, and
-// an incident schedule dense enough that tracks flow to the post.
+// shards, with the fixed fault schedule exercising every health
+// transition and max(3, 96/8) = 12 incidents flowing tracks to the post.
 func shardMissionConfig() ShardMissionConfig {
-	return ShardMissionConfig{
-		Assets:      96,
-		Incidents:   12,
-		DegradeFrac: 0.35,
-		FailFrac:    0.15,
-		Horizon:     150 * time.Second,
-	}
+	return ShardMissionConfig{Assets: 96}
 }
 
 // journalShardMission logs every shard-count-invariant result field, so
@@ -65,13 +58,14 @@ func TestShardMissionDeterminismAcrossShardCounts(t *testing.T) {
 // through the standard replay verifier.
 func TestShardMissionReplay(t *testing.T) {
 	cfg := shardMissionConfig()
-	if d := checkpoint.VerifyReplay(7, "shard-mission-replay", func(j *checkpoint.Journal) {
+	run := func(j *checkpoint.Journal) {
 		res, err := RunShardMission(7, 4, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		journalShardMission(j, res)
-	}); d != nil {
+	}
+	if d := checkpoint.VerifyEquivalence(7, "shard-mission-replay", run, run); d != nil {
 		t.Errorf("replay diverged: %v", d)
 	}
 }

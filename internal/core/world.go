@@ -97,7 +97,9 @@ func (w *World) Stop() {
 
 // FaultTarget bundles the world's surfaces as the target a fault plan
 // acts on. A non-nil r adds the mission runtime's hooks: composite kill
-// waves, command-post resolution, and the crash-post/failover verbs.
+// waves, command-post resolution, the crash-post/failover verbs, and the
+// goodput (on-time actions vs. incidents) and recovery counters fault.Run
+// samples.
 func (w *World) FaultTarget(r *Runtime) fault.Target {
 	t := fault.Target{Eng: w.Eng, Pop: w.Pop, Net: w.Net, Jam: w.Jam, Smoke: w.Smoke}
 	if r != nil {
@@ -105,6 +107,8 @@ func (w *World) FaultTarget(r *Runtime) fault.Target {
 		t.CommandPost = r.Sink
 		t.CrashPost = r.CrashPost
 		t.Failover = r.Failover
+		t.Goodput = func() (uint64, uint64) { return r.Metrics.OnTime.Value(), r.Metrics.Incidents.Value() }
+		t.Recovery = r.recoveryHooks()
 	}
 	return t
 }

@@ -39,15 +39,14 @@ const (
 type Config struct {
 	// Scanners are the blue assets performing discovery.
 	Scanners []asset.ID
-	// ExpireAfter drops directory entries not re-seen for this long;
-	// zero disables expiry.
-	ExpireAfter time.Duration
 	// Methods selects the enabled techniques; zero defaults to MethodsAll.
 	Methods Methods
 }
 
 const (
 	scanInterval = 2 * time.Second
+	// expireAfter drops directory entries not re-seen for this long.
+	expireAfter = 2 * time.Minute
 	// grayRespondProb and redRespondProb are the ground-truth behavior
 	// of non-blue nodes answering standard probes (commodity devices
 	// answer sometimes; adversaries stay silent).
@@ -58,10 +57,7 @@ const (
 // DefaultConfig returns the configuration used by the experiments,
 // leaving Scanners to be filled in.
 func DefaultConfig() Config {
-	return Config{
-		ExpireAfter: 2 * time.Minute,
-		Methods:     MethodsAll,
-	}
+	return Config{Methods: MethodsAll}
 }
 
 // Record is one discovered asset.
@@ -284,11 +280,8 @@ func (s *Service) record(id asset.ID, now time.Duration) *Record {
 }
 
 func (s *Service) expire(now time.Duration) {
-	if s.cfg.ExpireAfter <= 0 {
-		return
-	}
 	for id, rec := range s.dir {
-		if now-rec.LastSeen > s.cfg.ExpireAfter {
+		if now-rec.LastSeen > expireAfter {
 			delete(s.dir, id)
 		}
 	}

@@ -140,19 +140,18 @@ func TestExpiry(t *testing.T) {
 	eng, pop, sc := clusterWorld(t, 5, 5, 0, 0, 1.0)
 	cfg := DefaultConfig()
 	cfg.Scanners = []asset.ID{sc}
-	cfg.ExpireAfter = 30 * time.Second
 	s := New(eng, pop, nil, cfg)
 	s.Scan()
 	if len(s.dir) == 0 {
 		t.Fatal("nothing discovered")
 	}
-	// Kill everything; entries must expire after the horizon.
+	// Kill everything; entries must expire once expireAfter passes.
 	for _, a := range pop.All() {
 		if a.ID != sc {
 			pop.Kill(a.ID)
 		}
 	}
-	eng.Schedule(time.Minute, "rescan", s.Scan)
+	eng.Schedule(expireAfter+time.Second, "rescan", s.Scan)
 	_ = eng.Run(0)
 	if n := len(s.dir); n != 0 {
 		t.Errorf("%d stale entries survived expiry", n)

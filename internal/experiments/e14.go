@@ -9,6 +9,10 @@ import (
 	"iobt/internal/verify"
 )
 
+// e14Horizon is one E14 mission: it must outlast the standard plan's
+// four-minute blackout for recovery to be observable.
+const e14Horizon = 6 * time.Minute
+
 // E14Recovery measures recovery from the standard composite disruption
 // — partition, jam wave, 1/3 kill wave, command-post loss — swept over
 // fault intensity, with the graceful-degradation reflexes on and off.
@@ -26,11 +30,8 @@ func E14Recovery(seed int64, quick bool) *Table {
 		Notes: "recovery time and degradation depth grow with fault intensity; at full intensity the reflexes " +
 			"(hierarchy->intent fallback + coverage relaxation) keep success >=2x the reflexless mission",
 	}
-	// The horizon must outlast the standard plan's four-minute blackout
-	// for recovery to be observable, so quick mode trims the intensity
-	// sweep rather than the horizon.
+	// Quick mode trims the intensity sweep rather than e14Horizon.
 	const size = 1200.0
-	horizon := 6 * time.Minute
 	assets := 250
 	intensities := []float64{0.25, 0.5, 0.75, 1.0}
 	if quick {
@@ -63,15 +64,8 @@ func E14Recovery(seed int64, quick bool) *Table {
 		reg := verify.NewRegistry()
 		reg.Add(verify.MissionInvariants(w, r)...)
 		reg.Arm(w.Eng, time.Second)
-		h := &fault.Harness{
-			T:    w.FaultTarget(r),
-			Plan: fault.StandardPlan(size).Scale(scale),
-			Goodput: func() (uint64, uint64) {
-				return r.Metrics.OnTime.Value(), r.Metrics.Incidents.Value()
-			},
-		}
-		rep, err := h.Run(horizon)
-		verif.Merge(reg.Summarize())
+		rep, err := fault.Run(w.FaultTarget(r), fault.StandardPlan(size).Scale(scale), e14Horizon)
+		verif.Merge(closeRegistry(reg, w.Eng))
 		if err != nil {
 			return nil, 0
 		}

@@ -10,6 +10,9 @@ import (
 	"iobt/internal/verify"
 )
 
+// e15Horizon is one E15 mission.
+const e15Horizon = 5 * time.Minute
+
 // E15Failover measures command-post survivability: the recovery gap
 // after the post is destroyed, under three dispositions (no promotion,
 // cold rebuild, warm restore from the last checkpoint), swept over the
@@ -30,7 +33,6 @@ func E15Failover(seed int64, quick bool) *Table {
 			"picture survives a warm failover only when the checkpoint is younger than the tracker's coast window",
 	}
 	const size = 1200.0
-	horizon := 5 * time.Minute
 	intervals := []time.Duration{5 * time.Second, 15 * time.Second, 30 * time.Second, 60 * time.Second}
 	if quick {
 		intervals = []time.Duration{15 * time.Second, 60 * time.Second}
@@ -90,24 +92,17 @@ func E15Failover(seed int64, quick bool) *Table {
 		reg := verify.NewRegistry()
 		reg.Add(verify.MissionInvariants(w, r)...)
 		reg.Arm(w.Eng, time.Second)
-		h := &fault.Harness{
-			T:    w.FaultTarget(r),
-			Plan: plan,
-			Goodput: func() (uint64, uint64) {
-				return r.Metrics.OnTime.Value(), r.Metrics.Incidents.Value()
-			},
-			Recovery: r.Probe(),
-		}
-		rep, err := h.Run(horizon)
+		rep, err := fault.Run(w.FaultTarget(r), plan, e15Horizon)
+		summary := closeRegistry(reg, w.Eng)
 		if err != nil || !reg.OK() || len(rep.Recovery) != 1 {
-			return outcome{}
+			return outcome{verif: summary}
 		}
 		var ckpts uint64
 		if c := r.Checkpoints(); c != nil {
 			ckpts = c.Taken.Value()
 		}
 		return outcome{gap: rep.Recovery[0], ckpts: ckpts, success: r.Metrics.SuccessRate(), ok: true,
-			verif: reg.Summarize()}
+			verif: summary}
 	}
 
 	var verif verify.Summary

@@ -230,7 +230,7 @@ func runE17(seed int64, quick bool, mode string, verif *verify.Summary) e17Resul
 	})
 	err := w.Run(e17Horizon)
 	ticker.Stop()
-	verif.Merge(reg.Summarize())
+	verif.Merge(closeRegistry(reg, w.Eng))
 	if err != nil {
 		return e17Result{fingerprint: "run-error"}
 	}

@@ -1,5 +1,5 @@
 // Package experiments contains the reproduction harness: one function
-// per experiment in DESIGN.md §4 (E1..E15), each returning a Table with
+// per experiment in DESIGN.md §4 (E1..E18), each returning a Table with
 // the rows the corresponding paper claim predicts. cmd/benchtab prints
 // them; the root bench_test.go wraps them as testing.B benchmarks.
 //

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"iobt/internal/compose"
 )
@@ -442,6 +443,44 @@ func TestE17Shape(t *testing.T) {
 	}
 	if tb.Verification == nil || len(tb.Verification.Violations) != 0 {
 		t.Errorf("invariant violations during E17: %+v", tb.Verification)
+	}
+}
+
+// TestVerificationSweepsAtHorizon pins the closing sweep of E14, E15
+// and E17: each run checks its invariants on every registry tick and
+// once more at the horizon, so a violation introduced by the events
+// after the last tick cannot escape. The tick at the horizon itself runs
+// before those events, so a run makes horizon/every + 1 sweeps.
+func TestVerificationSweepsAtHorizon(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs E14, E15 and E17 at quick scale")
+	}
+	sweeps := func(horizon, every time.Duration) uint64 { return uint64(horizon/every) + 1 }
+	for _, c := range []struct {
+		tb *Table
+		// invariantRuns sums the armed invariant count over every run.
+		invariantRuns uint64
+		sweeps        uint64
+	}{
+		// Two intensities, each run with and without the reflexes, each
+		// arming the 8 mission invariants at 1s.
+		{E14Recovery(42, true), 2 * 2 * 8, sweeps(e14Horizon, time.Second)},
+		// Four dispositions (none, cold, warm at two cadences), each
+		// arming those 8 plus the attached tracker's consistency and
+		// snapshot-determinism checks at 1s.
+		{E15Failover(42, true), 4 * 10, sweeps(e15Horizon, time.Second)},
+		// Gossip, flood and bfs, each run twice: three invariants at 5s,
+		// plus gossip conservation where a Gossip overlay exists.
+		{E17Dissemination(42, true), 2 * (4 + 4 + 3), sweeps(e17Horizon, 5*time.Second)},
+	} {
+		v := c.tb.Verification
+		if v == nil {
+			t.Fatalf("%s: no verification block", c.tb.ID)
+		}
+		if want := c.invariantRuns * c.sweeps; v.Checks != want {
+			t.Errorf("%s: %d invariant checks, want %d (%d sweeps a run, the last at the horizon)",
+				c.tb.ID, v.Checks, want, c.sweeps)
+		}
 	}
 }
 

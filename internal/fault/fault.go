@@ -2,9 +2,9 @@
 // deterministic, composable Plan of scheduled battlefield disruptions
 // (network partitions, jam waves, kill waves, command-post loss,
 // message corruption and delay, churn spikes, obscurant smoke) that
-// compiles onto the sim engine, plus a Harness that wraps a mission run
-// with continuous invariant checks and produces a per-fault recovery
-// report (time-to-detect, time-to-recover, goodput during degradation).
+// compiles onto the sim engine, plus Run, which wraps a mission run with
+// goodput sampling and produces a per-fault recovery report
+// (time-to-detect, time-to-recover, goodput during degradation).
 //
 // The paper treats degradation under attack as the normal operating
 // regime — missions must "re-assemble upon damage within an
@@ -228,9 +228,9 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// Target bundles the world surfaces faults act on. core.World.FaultTarget
-// builds one for a world and its mission runtime; tests can assemble one
-// from raw substrates.
+// Target bundles the world surfaces faults act on and the mission
+// counters Run samples. core.World.FaultTarget builds one for a world and
+// its mission runtime; tests can assemble one from raw substrates.
 type Target struct {
 	Eng   *sim.Engine
 	Pop   *asset.Population
@@ -251,6 +251,13 @@ type Target struct {
 	// Failover, when set, implements the `failover warm|cold` verb
 	// (core.Runtime.Failover). When nil, the verb is a no-op.
 	Failover func(warm bool)
+	// Goodput, when set, returns cumulative (done, total) counters —
+	// on-time actions vs. incidents — that Run differentiates into an
+	// instantaneous goodput signal.
+	Goodput func() (done, total uint64)
+	// Recovery, when any hook is set, lets Run measure a RecoveryGap
+	// around each `crash post` fault in the plan.
+	Recovery RecoveryHooks
 }
 
 // Injector is a compiled plan: its hooks are installed on the target

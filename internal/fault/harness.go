@@ -1,33 +1,14 @@
 package fault
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
 )
 
-// Harness wraps a mission run with a fault plan and goodput sampling,
-// and produces a per-fault recovery report. The caller builds the world
-// and starts the mission runtime (and arms a verify.Registry on the
-// engine for continuous invariant checks); Run then injects the plan
-// and drives the engine.
-type Harness struct {
-	T    Target
-	Plan *Plan
-	// Goodput returns cumulative (done, total) counters — e.g. on-time
-	// actions vs. incidents. The harness differentiates them into an
-	// instantaneous goodput signal.
-	Goodput func() (done, total uint64)
-	// Window is the smoothing window in samples (default 10).
-	Window int
-	// Recovery, when any hook is set, measures a RecoveryGap around each
-	// `crash post` fault in the plan.
-	Recovery RecoveryHooks
-}
-
 const (
 	checkEvery = time.Second // sampling cadence
+	window     = 10          // goodput smoothing window, in samples
 	// detectFrac and recoverFrac are the degradation thresholds as
 	// fractions of the pre-fault baseline.
 	detectFrac  = 0.7
@@ -35,7 +16,7 @@ const (
 )
 
 // sample is one goodput observation. goodput is the windowed ratio
-// Σdone/Σtotal over the last Window ticks — a per-tick ratio would
+// Σdone/Σtotal over the last window ticks — a per-tick ratio would
 // alias against periodic incident generation (completions lag their
 // incidents, so they systematically land in different ticks).
 type sample struct {
@@ -63,15 +44,15 @@ type FaultReport struct {
 	DegradedGoodput float64
 }
 
-// Report is the outcome of one harnessed run.
+// Report is the outcome of one Run.
 type Report struct {
 	// Baseline is the mean goodput before the first fault onset.
 	Baseline float64
-	// Final is the mean goodput over the last Window samples.
+	// Final is the mean goodput over the last window samples.
 	Final  float64
 	Faults []FaultReport
 	// Recovery holds one gap measurement per `crash post` fault (empty
-	// when the plan has none or no Recovery hooks were set).
+	// when the plan has none or the target has no Recovery hooks).
 	Recovery []RecoveryGap
 	// Killed is the number of assets the injector destroyed.
 	Killed uint64
@@ -102,24 +83,13 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Run injects the plan, drives the engine for horizon, and returns the
-// recovery report. The mission runtime must already be started.
-func (h *Harness) Run(horizon time.Duration) (*Report, error) {
-	return h.RunContext(context.Background(), horizon)
-}
-
-// RunContext is Run with cooperative cancellation: a cancelled ctx
-// aborts the engine between events, the harness ticker is stopped
-// before returning (nothing the harness armed outlives the call), and
-// the cancellation cause is surfaced as the error. A mission worker
-// that is cancelled mid-run therefore unwinds completely instead of
-// leaking its recovery machinery.
-func (h *Harness) RunContext(ctx context.Context, horizon time.Duration) (*Report, error) {
-	if h.Window <= 0 {
-		h.Window = 10
-	}
-
-	inj := Apply(h.T, h.Plan)
+// Run wraps a mission run with the plan: it injects the plan onto t,
+// samples t's goodput and recovery hooks every checkEvery while driving
+// the engine for horizon, and returns the per-fault recovery report.
+// The caller builds the world and starts the mission runtime (and arms
+// a verify.Registry on the engine for continuous invariant checks).
+func Run(t Target, plan *Plan, horizon time.Duration) (*Report, error) {
+	inj := Apply(t, plan)
 
 	var (
 		samples   []sample
@@ -129,25 +99,21 @@ func (h *Harness) RunContext(ctx context.Context, horizon time.Duration) (*Repor
 		totals    []uint64
 	)
 	var recMon *recoveryMonitor
-	if h.Recovery.OrdersDelivered != nil || h.Recovery.OrdersLost != nil {
-		recMon = newRecoveryMonitor(h.Recovery, h.Plan)
+	if t.Recovery.OrdersDelivered != nil || t.Recovery.OrdersLost != nil {
+		recMon = newRecoveryMonitor(t.Recovery, plan)
 	}
-	tick := h.T.Eng.Every(checkEvery, "fault.harness", func() {
-		now := h.T.Eng.Now()
+	tick := t.Eng.Every(checkEvery, "fault.harness", func() {
+		now := t.Eng.Now()
 		if recMon != nil {
 			recMon.sample(now)
 		}
-		if h.Goodput != nil {
-			done, total := h.Goodput()
+		if t.Goodput != nil {
+			done, total := t.Goodput()
 			dones = append(dones, done-lastDone)
 			totals = append(totals, total-lastTotal)
 			lastDone, lastTotal = done, total
-			lo := len(totals) - h.Window
-			if lo < 0 {
-				lo = 0
-			}
 			var sd, st uint64
-			for i := lo; i < len(totals); i++ {
+			for i := max(0, len(totals)-window); i < len(totals); i++ {
 				sd += dones[i]
 				st += totals[i]
 			}
@@ -161,27 +127,24 @@ func (h *Harness) RunContext(ctx context.Context, horizon time.Duration) (*Repor
 			samples = append(samples, s)
 		}
 	})
-	err := h.T.Eng.RunContext(ctx, horizon)
+	err := t.Eng.Run(horizon)
 	tick.Stop()
 	if err != nil {
 		return nil, err
 	}
 
 	rep := &Report{Killed: inj.Killed.Value()}
-	rep.Baseline = h.baseline(samples)
+	rep.Baseline = baseline(plan, samples)
 	if n := len(samples); n > 0 {
-		lo := n - h.Window
-		if lo < 0 {
-			lo = 0
-		}
+		lo := max(0, n-window)
 		sum := 0.0
 		for _, s := range samples[lo:] {
 			sum += s.goodput
 		}
 		rep.Final = sum / float64(n-lo)
 	}
-	for _, f := range h.Plan.Faults {
-		rep.Faults = append(rep.Faults, h.faultReport(f, samples, rep.Baseline))
+	for _, f := range plan.Faults {
+		rep.Faults = append(rep.Faults, faultReport(f, samples, rep.Baseline))
 	}
 	if recMon != nil {
 		rep.Recovery = recMon.gaps(horizon)
@@ -194,9 +157,9 @@ func (h *Harness) RunContext(ctx context.Context, horizon time.Duration) (*Repor
 // onset, 1.0 when no pre-fault traffic exists. The cumulative ratio is
 // used rather than the windowed one because a short window over a low
 // incident rate holds too few events to anchor thresholds on.
-func (h *Harness) baseline(samples []sample) float64 {
+func baseline(plan *Plan, samples []sample) float64 {
 	first := time.Duration(-1)
-	for _, f := range h.Plan.Faults {
+	for _, f := range plan.Faults {
 		if first < 0 || f.At < first {
 			first = f.At
 		}
@@ -215,7 +178,7 @@ func (h *Harness) baseline(samples []sample) float64 {
 
 // faultReport scans the sample series from the fault's onset for the
 // degradation dip and the recovery crossing.
-func (h *Harness) faultReport(f Fault, samples []sample, baseline float64) FaultReport {
+func faultReport(f Fault, samples []sample, base float64) FaultReport {
 	fr := FaultReport{Fault: f}
 	detectAt := time.Duration(-1)
 	recoverAt := time.Duration(-1)
@@ -225,7 +188,7 @@ func (h *Harness) faultReport(f Fault, samples []sample, baseline float64) Fault
 			continue
 		}
 		if detectAt < 0 {
-			if s.goodput < detectFrac*baseline {
+			if s.goodput < detectFrac*base {
 				detectAt = s.at
 				fr.Detected = true
 				fr.TimeToDetect = s.at - f.At
@@ -237,7 +200,7 @@ func (h *Harness) faultReport(f Fault, samples []sample, baseline float64) Fault
 				degSum += s.goodput
 				degN++
 			}
-			if s.goodput >= recoverFrac*baseline {
+			if s.goodput >= recoverFrac*base {
 				recoverAt = s.at
 				fr.Recovered = true
 				fr.TimeToRecover = s.at - f.At

@@ -6,8 +6,7 @@ import (
 	"time"
 )
 
-// TestHarnessReportEndToEnd drives the harness with synthetic mission
-// hooks whose degradation is scripted in virtual time, so every report
+// TestHarnessReportEndToEnd drives Run with synthetic mission hooks whose degradation is scripted in virtual time, so every report
 // field is checkable against the script: a detected-and-recovered
 // command-post crash with a measured recovery gap, and a second crash
 // near the horizon that never recovers. (The absorbed branch lives in
@@ -50,22 +49,17 @@ func TestHarnessReportEndToEnd(t *testing.T) {
 	// Crash 5s before the horizon: detected, never recovers.
 	plan.Add(Fault{Kind: CrashPost, At: 115 * time.Second})
 
-	h := &Harness{
-		T:       tgt,
-		Plan:    plan,
-		Goodput: func() (uint64, uint64) { return done, total },
-		Window:  5,
-		Recovery: RecoveryHooks{
-			OrdersDelivered: func() uint64 { return done },
-			OrdersLost:      func() uint64 { return lost },
-			TrustEvidence:   func() float64 { return evidence },
-			ConfirmedTracks: func() int { return tracks },
-			PostUp:          func() bool { return !postDown },
-		},
+	tgt.Goodput = func() (uint64, uint64) { return done, total }
+	tgt.Recovery = RecoveryHooks{
+		OrdersDelivered: func() uint64 { return done },
+		OrdersLost:      func() uint64 { return lost },
+		TrustEvidence:   func() float64 { return evidence },
+		ConfirmedTracks: func() int { return tracks },
+		PostUp:          func() bool { return !postDown },
 	}
-	rep, err := h.Run(2 * time.Minute)
+	rep, err := Run(tgt, plan, 2*time.Minute)
 	if err != nil {
-		t.Fatalf("harness run: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 
 	// Pre-fault the script delivers everything: baseline 1.0. The last
@@ -91,7 +85,7 @@ func TestHarnessReportEndToEnd(t *testing.T) {
 		t.Errorf("time-to-detect %v outside the scripted dip", crash.TimeToDetect)
 	}
 	// Repair lands 30s after onset; the windowed signal recrosses 0.9
-	// within a few samples of it.
+	// within one smoothing window of it.
 	if crash.TimeToRecover < 30*time.Second || crash.TimeToRecover > 45*time.Second {
 		t.Errorf("time-to-recover %v, want 30s–45s", crash.TimeToRecover)
 	}
@@ -159,15 +153,10 @@ func TestHarnessAbsorbedFault(t *testing.T) {
 
 	plan := &Plan{Name: "absorbed"}
 	plan.Add(Fault{Kind: JamWave, At: 10 * time.Second, Duration: 5 * time.Second, Intensity: 0.1})
-	h := &Harness{
-		T:       tgt,
-		Plan:    plan,
-		Goodput: func() (uint64, uint64) { return done, total },
-		Window:  5,
-	}
-	rep, err := h.Run(time.Minute)
+	tgt.Goodput = func() (uint64, uint64) { return done, total }
+	rep, err := Run(tgt, plan, time.Minute)
 	if err != nil {
-		t.Fatalf("harness run: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if rep.Baseline != 1.0 || rep.Final != 1.0 {
 		t.Errorf("clean run baseline=%.2f final=%.2f, want 1.0/1.0", rep.Baseline, rep.Final)

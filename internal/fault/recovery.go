@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// RecoveryHooks are the mission surfaces the harness samples to measure
-// the recovery gap around each `crash post` fault. core.Runtime.Probe
-// provides the set; tests can assemble their own. Nil members
-// are simply not sampled.
+// RecoveryHooks are the mission surfaces Run samples to measure the
+// recovery gap around each `crash post` fault. core.World.FaultTarget
+// provides the set; tests can assemble their own. Nil members are simply
+// not sampled.
 type RecoveryHooks struct {
 	// OrdersDelivered is the cumulative successful command-channel
 	// deliveries.
@@ -66,7 +66,7 @@ type recoveryState struct {
 	staleTrust float64
 }
 
-// recoveryMonitor drives RecoveryGap measurement from the harness tick.
+// recoveryMonitor drives RecoveryGap measurement from Run's sampling tick.
 type recoveryMonitor struct {
 	hooks RecoveryHooks
 	crash []*recoveryState

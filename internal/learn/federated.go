@@ -190,13 +190,6 @@ type FedConfig struct {
 	ByzFrac float64
 	Attack  Attack
 	Agg     Aggregator
-	// DropProb is the per-round probability a worker is unreachable
-	// (network adversity / time-varying connectivity).
-	DropProb float64
-	// TopK, when positive, switches workers to sending top-k sparsified
-	// weight deltas instead of dense weights (gradient compression for
-	// the cost-of-learning trade-off, §V.B).
-	TopK int
 }
 
 // FedResult captures a run's trajectory.
@@ -235,29 +228,16 @@ func RunFederated(rng *sim.RNG, shards []*Dataset, test *Dataset, cfg FedConfig)
 	nByz := int(cfg.ByzFrac * float64(len(shards)))
 	res := &FedResult{}
 	msgBytes := float64(len(global.W) * 8)
-	sendDelta := cfg.TopK > 0
 
 	for r := 0; r < cfg.Rounds; r++ {
 		var updates [][]float64
 		for wi, shard := range shards {
-			if cfg.DropProb > 0 && rng.Bool(cfg.DropProb) {
-				continue // unreachable this round
-			}
 			local := global.Clone()
 			for s := 0; s < cfg.LocalSteps; s++ {
 				local.SGDStep(shard.X, shard.Y, cfg.LR)
 			}
 			w := make([]float64, len(local.W))
 			copy(w, local.W)
-			upBytes := msgBytes
-			if sendDelta {
-				for i := range w {
-					w[i] -= global.W[i]
-				}
-				var kept int
-				w, kept = SparsifyTopK(w, cfg.TopK)
-				upBytes = SparseMessageBytes(kept)
-			}
 			if wi < nByz {
 				switch cfg.Attack {
 				case AttackNone:
@@ -274,20 +254,9 @@ func RunFederated(rng *sim.RNG, shards []*Dataset, test *Dataset, cfg FedConfig)
 				}
 			}
 			updates = append(updates, w)
-			res.BytesSent += msgBytes + upBytes // down + up
+			res.BytesSent += 2 * msgBytes // down + up
 		}
-		if len(updates) == 0 {
-			res.TestAcc = append(res.TestAcc, global.Accuracy(test.X, test.Y))
-			continue
-		}
-		agg := cfg.Agg.Aggregate(updates)
-		if sendDelta {
-			for i := range global.W {
-				global.W[i] += agg[i]
-			}
-		} else {
-			global.W = agg
-		}
+		global.W = cfg.Agg.Aggregate(updates)
 		res.TestAcc = append(res.TestAcc, global.Accuracy(test.X, test.Y))
 	}
 	res.Model = global

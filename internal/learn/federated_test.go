@@ -74,16 +74,6 @@ func TestRandomAttackAlsoHandled(t *testing.T) {
 	}
 }
 
-func TestDropProbStillLearns(t *testing.T) {
-	rng, shards, test := fedWorld(5, 20)
-	res := RunFederated(rng, shards, test, FedConfig{
-		Rounds: 30, LocalSteps: 5, LR: 0.5, DropProb: 0.5, Agg: MeanAgg{},
-	})
-	if acc := finalAcc(res); acc < 0.85 {
-		t.Errorf("accuracy with 50%% dropouts = %.3f", acc)
-	}
-}
-
 func TestAggregatorEdgeCases(t *testing.T) {
 	for _, agg := range []Aggregator{MeanAgg{}, MedianAgg{}, TrimmedMeanAgg{K: 1}, KrumAgg{F: 1}} {
 		if agg.Name() == "" {

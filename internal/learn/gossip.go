@@ -76,16 +76,11 @@ func Edges(adj [][]int) int {
 type GossipConfig struct {
 	Rounds int
 	LR     float64
-	// Mix is the neighbor-averaging weight in (0,1]: w_i <- (1-Mix)*w_i
-	// + Mix*avg(neighbors).
-	Mix float64
-	// ByzFrac marks the lowest-index fraction of nodes Byzantine
-	// (they gossip sign-flipped weights).
-	ByzFrac float64
-	// TrimNeighbors makes honest nodes aggregate neighbor weights with a
-	// coordinate median instead of a mean (robust gossip).
-	TrimNeighbors bool
 }
+
+// gossipMix is the neighbor-averaging weight:
+// w_i <- (1-gossipMix)*w_i + gossipMix*avg(neighbors).
+const gossipMix = 0.5
 
 // GossipResult captures a decentralized run.
 type GossipResult struct {
@@ -114,9 +109,6 @@ func RunGossip(shards []*Dataset, test *Dataset, topo Topology, cfg GossipConfig
 	if cfg.LR <= 0 {
 		cfg.LR = 0.5
 	}
-	if cfg.Mix <= 0 || cfg.Mix > 1 {
-		cfg.Mix = 0.5
-	}
 	dim := 0
 	for _, s := range shards {
 		if s.Len() > 0 {
@@ -128,32 +120,22 @@ func RunGossip(shards []*Dataset, test *Dataset, topo Topology, cfg GossipConfig
 	for i := range models {
 		models[i] = NewModel(dim)
 	}
-	nByz := int(cfg.ByzFrac * float64(n))
 	res := &GossipResult{}
 	msgBytes := float64((dim + 1) * 8)
 
 	shared := make([][]float64, n)
 	for r := 0; r < cfg.Rounds; r++ {
 		adj := topo(r)
-		// Local step, then publish (possibly poisoned) weights.
+		// Local step, then publish weights.
 		for i := 0; i < n; i++ {
 			models[i].SGDStep(shards[i].X, shards[i].Y, cfg.LR)
 			w := make([]float64, len(models[i].W))
 			copy(w, models[i].W)
-			if i < nByz {
-				for c := range w {
-					w[c] = -10 * w[c]
-				}
-			}
 			shared[i] = w
 		}
 		// Mix with neighbors.
 		next := make([][]float64, n)
 		for i := 0; i < n; i++ {
-			if i < nByz {
-				next[i] = shared[i] // Byzantine nodes keep their junk
-				continue
-			}
 			nbrs := adj[i]
 			if len(nbrs) == 0 {
 				next[i] = models[i].W
@@ -164,33 +146,22 @@ func RunGossip(shards []*Dataset, test *Dataset, topo Topology, cfg GossipConfig
 			for _, j := range nbrs {
 				gathered = append(gathered, shared[j])
 			}
-			var avg []float64
-			if cfg.TrimNeighbors {
-				avg = (MedianAgg{}).Aggregate(gathered)
-			} else {
-				avg = (MeanAgg{}).Aggregate(gathered)
-			}
+			avg := (MeanAgg{}).Aggregate(gathered)
 			w := make([]float64, len(models[i].W))
 			for c := range w {
-				w[c] = (1-cfg.Mix)*models[i].W[c] + cfg.Mix*avg[c]
+				w[c] = (1-gossipMix)*models[i].W[c] + gossipMix*avg[c]
 			}
 			next[i] = w
 		}
 		for i := 0; i < n; i++ {
 			models[i].W = next[i]
 		}
-		// Metrics over honest nodes.
 		acc := 0.0
-		honest := 0
-		for i := nByz; i < n; i++ {
-			acc += models[i].Accuracy(test.X, test.Y)
-			honest++
+		for _, m := range models {
+			acc += m.Accuracy(test.X, test.Y)
 		}
-		if honest > 0 {
-			acc /= float64(honest)
-		}
-		res.MeanAcc = append(res.MeanAcc, acc)
-		res.Disagreement = append(res.Disagreement, disagreement(models[nByz:]))
+		res.MeanAcc = append(res.MeanAcc, acc/float64(n))
+		res.Disagreement = append(res.Disagreement, disagreement(models))
 	}
 	res.Models = models
 	return res

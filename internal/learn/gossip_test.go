@@ -47,7 +47,7 @@ func TestTopologyShapes(t *testing.T) {
 
 func TestGossipConvergesOnRing(t *testing.T) {
 	shards, test := gossipWorld(1, 16)
-	res := RunGossip(shards, test, Ring(16), GossipConfig{Rounds: 60, LR: 0.4, Mix: 0.5})
+	res := RunGossip(shards, test, Ring(16), GossipConfig{Rounds: 60, LR: 0.4})
 	if acc := lastF(res.MeanAcc); acc < 0.85 {
 		t.Errorf("ring gossip accuracy = %.3f", acc)
 	}
@@ -73,23 +73,6 @@ func TestGossipFullBeatsRingPerRound(t *testing.T) {
 	}
 	if full.BytesSent <= ring.BytesSent {
 		t.Error("full topology must cost more communication")
-	}
-}
-
-func TestRobustGossipResistsByzantine(t *testing.T) {
-	shards, test := gossipWorld(4, 16)
-	plain := RunGossip(shards, test, Full(16), GossipConfig{
-		Rounds: 40, LR: 0.4, ByzFrac: 0.25,
-	})
-	robust := RunGossip(shards, test, Full(16), GossipConfig{
-		Rounds: 40, LR: 0.4, ByzFrac: 0.25, TrimNeighbors: true,
-	})
-	if lastF(robust.MeanAcc) <= lastF(plain.MeanAcc) {
-		t.Errorf("robust gossip (%.3f) should beat plain (%.3f) under attack",
-			lastF(robust.MeanAcc), lastF(plain.MeanAcc))
-	}
-	if lastF(robust.MeanAcc) < 0.8 {
-		t.Errorf("robust gossip accuracy = %.3f", lastF(robust.MeanAcc))
 	}
 }
 

@@ -30,9 +30,6 @@ type Config struct {
 	// StepMobility makes the network advance asset mobility on each
 	// refresh tick.
 	StepMobility bool
-	// DrainIdle makes the refresh tick also charge idle energy (scaled
-	// by duty cycle), so battery-limited assets die over mission time.
-	DrainIdle bool
 	// LossBase is the per-hop loss probability at the edge of radio
 	// range (loss falls off quadratically closer in).
 	LossBase float64
@@ -231,9 +228,6 @@ func (n *Network) Start() {
 	n.ticker = n.eng.Every(n.cfg.NeighborRefresh, "mesh.refresh", func() {
 		if n.cfg.StepMobility {
 			n.pop.StepMobility(n.cfg.NeighborRefresh)
-		}
-		if n.cfg.DrainIdle {
-			n.pop.StepEnergy(n.cfg.NeighborRefresh)
 		}
 		n.Refresh()
 	})

@@ -353,31 +353,6 @@ func TestNodesSorted(t *testing.T) {
 	}
 }
 
-func TestDrainIdleKillsBatteryNodes(t *testing.T) {
-	eng := sim.NewEngine(40)
-	terr := geo.NewOpenTerrain(500, 500)
-	pop := asset.NewPopulation(terr)
-	caps := asset.DefaultCaps(asset.ClassMote)
-	a := &asset.Asset{Class: asset.ClassMote, Caps: caps, Online: true, DutyCycle: 1,
-		Mobility: &geo.Static{P: geo.Point{X: 250, Y: 250}}}
-	a.Energy = 2 // dies after 200s at 0.01 J/s
-	pop.Add(a)
-	cfg := DefaultConfig()
-	cfg.StepMobility = false
-	cfg.DrainIdle = true
-	net := New(eng, pop, terr, cfg)
-	net.Start()
-	_ = eng.Run(100 * time.Second)
-	if !a.Alive() {
-		t.Fatal("died too early")
-	}
-	_ = eng.Run(150 * time.Second)
-	net.Stop()
-	if a.Alive() {
-		t.Error("battery node survived past its energy budget")
-	}
-}
-
 // Property: every route returned is a valid chain of currently linked
 // nodes, starts at src, and ends at dst.
 func TestRouteValidityProperty(t *testing.T) {

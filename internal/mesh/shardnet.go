@@ -55,9 +55,6 @@ type ShardScenario struct {
 	// AntiEntropyEvery is the push-repair cadence; zero disables
 	// anti-entropy (pure rumor mongering).
 	AntiEntropyEvery time.Duration
-	// HopLatency is the per-hop propagation delay (default 120ms; the
-	// engine lookahead clamps it up if smaller).
-	HopLatency time.Duration
 
 	// Publishers is how many nodes publish (default max(1, Nodes/64)),
 	// spread by a deterministic stride over the ID space.
@@ -93,8 +90,13 @@ type ShardScenario struct {
 	OnDeliver func(node NodeID, key GossipKey, data []byte, at time.Duration)
 }
 
-// shardFanout is how many peers a node relays a fresh payload to.
-const shardFanout = 3
+const (
+	// shardFanout is how many peers a node relays a fresh payload to.
+	shardFanout = 3
+	// shardHopLatency is the per-hop propagation delay, above the 100ms
+	// engine lookahead so no send is clamped.
+	shardHopLatency = 120 * time.Millisecond
+)
 
 func (sc ShardScenario) withDefaults() ShardScenario {
 	if sc.Radio <= 0 {
@@ -105,9 +107,6 @@ func (sc ShardScenario) withDefaults() ShardScenario {
 	}
 	if sc.TTL <= 0 {
 		sc.TTL = 8
-	}
-	if sc.HopLatency <= 0 {
-		sc.HopLatency = 120 * time.Millisecond
 	}
 	if sc.Horizon <= 0 {
 		sc.Horizon = 240 * time.Second
@@ -597,7 +596,7 @@ func (r *shardRun) relay(c *sim.ShardCtx, n *shardNode, key GossipKey, data []by
 		n.relays++
 		jitter := time.Duration(n.rng.Exp(float64(20 * time.Millisecond)))
 		//iobt:allow gocapture payload bytes are immutable after publish; every receiver stores the same backing array it would get from a codec round-trip
-		c.Send(sim.ActorID(p), r.sc.HopLatency+jitter, "gossip.data", r.receive(key, data, ttl-1, from)) //iobt:allow hotalloc the receive closure is the message frame itself: one allocation per transmitted copy, exactly what a codec would cost
+		c.Send(sim.ActorID(p), shardHopLatency+jitter, "gossip.data", r.receive(key, data, ttl-1, from)) //iobt:allow hotalloc the receive closure is the message frame itself: one allocation per transmitted copy, exactly what a codec would cost
 	}
 }
 
@@ -650,7 +649,7 @@ func (r *shardRun) flood(c *sim.ShardCtx, n *shardNode, key GossipKey, data []by
 			d := h.depth + 1
 			n.relays++
 			//iobt:allow gocapture payload bytes are immutable after publish; the analytic flood shares the same read-only array on every edge
-			c.Send(sim.ActorID(p), time.Duration(d)*r.sc.HopLatency, "bfs.data", r.receive(key, data, 0, n.id))
+			c.Send(sim.ActorID(p), time.Duration(d)*shardHopLatency, "bfs.data", r.receive(key, data, 0, n.id))
 			frontier = append(frontier, hop{p, d})
 		}
 	}
@@ -672,7 +671,7 @@ func (r *shardRun) antiEntropyTick(n *shardNode) func(*sim.ShardCtx) {
 				snap := slices.Clone(n.log)
 				sortHeld(snap)
 				//iobt:allow gocapture snap is a fresh per-send snapshot never touched again by the sender; the payload arrays inside are publish-time immutable
-				c.Send(sim.ActorID(target), r.sc.HopLatency, "gossip.sync", r.repairFrom(snap))
+				c.Send(sim.ActorID(target), shardHopLatency, "gossip.sync", r.repairFrom(snap))
 			}
 		}
 		if next := now + r.sc.AntiEntropyEvery; next <= r.sc.Horizon {

@@ -101,11 +101,10 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 func TestStallRecovery(t *testing.T) {
 	sc := recoveryScenario(1301)
 	stalled := runOne(t, Config{
-		Workers:       1,
-		DataDir:       t.TempDir(),
-		StallAfter:    200 * time.Millisecond,
-		WatchdogEvery: 20 * time.Millisecond,
-		Chaos:         ChaosConfig{CrashProb: 1, AtFrac: 0.5, Stall: true},
+		Workers:    1,
+		DataDir:    t.TempDir(),
+		StallAfter: 200 * time.Millisecond,
+		Chaos:      ChaosConfig{CrashProb: 1, AtFrac: 0.5, Stall: true},
 	}, sc)
 	if stalled.State() != StateCompleted {
 		t.Fatalf("stalled mission ended %s (%s), want completed", stalled.State(), stalled.Reason())
@@ -122,10 +121,10 @@ func TestStallRecovery(t *testing.T) {
 
 // TestRunnerVerifyReplay pins the service runner itself to the repo's
 // replay contract: two bare runner passes of the same scenario must
-// journal byte-identically under checkpoint.VerifyReplay.
+// journal byte-identically under checkpoint.VerifyEquivalence.
 func TestRunnerVerifyReplay(t *testing.T) {
 	sc := recoveryScenario(1401)
-	div := checkpoint.VerifyReplay(sc.Seed, planString(sc), func(j *checkpoint.Journal) {
+	run := func(j *checkpoint.Journal) {
 		ctx, cancel := context.WithCancelCause(context.Background())
 		defer cancel(nil)
 		out, err := runAttempt(attemptParams{
@@ -137,8 +136,8 @@ func TestRunnerVerifyReplay(t *testing.T) {
 		if out.events == 0 {
 			t.Fatal("runner executed no events")
 		}
-	})
-	if div != nil {
+	}
+	if div := checkpoint.VerifyEquivalence(sc.Seed, planString(sc), run, run); div != nil {
 		t.Fatalf("service runner is not replay-stable:\n%s", div)
 	}
 }
@@ -215,7 +214,6 @@ func TestQuarantineBoundsRestartStorm(t *testing.T) {
 		Workers:     1,
 		MaxRestarts: 2,
 		BackoffBase: time.Millisecond,
-		BackoffMax:  5 * time.Millisecond,
 		Chaos:       ChaosConfig{CrashProb: 1, AtFrac: 0.5, CrashAttempts: 99},
 	}, sc)
 	if m.State() != StateQuarantined {

@@ -103,7 +103,7 @@ type attemptOutcome struct {
 // runAttempt executes one mission attempt to the scenario horizon.
 // Panics are NOT recovered here — the supervisor's wrapper converts
 // them to errPanicked — so the bare runner stays usable as a
-// checkpoint.VerifyReplay hook.
+// checkpoint.VerifyEquivalence hook.
 func runAttempt(p attemptParams) (*attemptOutcome, error) {
 	sc := p.sc
 	w, r, err := verify.BuildMission(sc, p.journal)

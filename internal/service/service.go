@@ -65,13 +65,10 @@ type Config struct {
 	// MaxRestarts bounds supervised restarts per mission before
 	// quarantine (default 3). Negative: no restarts.
 	MaxRestarts int
-	// BackoffBase and BackoffMax shape the exponential restart backoff
-	// (defaults 25ms and 1s); jitter is drawn deterministically from the
-	// mission seed.
+	// BackoffBase is the first restart backoff (default 25ms); each
+	// further restart doubles it up to backoffMax, and jitter is drawn
+	// deterministically from the mission seed.
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// WatchdogEvery is the watchdog scan cadence (default 50ms).
-	WatchdogEvery time.Duration
 	// StallAfter is the wall-clock progress deadline: an attempt whose
 	// engine makes no progress for this long is stalled and restarted
 	// (default 2s; negative disables).
@@ -94,6 +91,13 @@ type Config struct {
 	// Chaos injects worker failures for tests and soak runs.
 	Chaos ChaosConfig
 }
+
+const (
+	// backoffMax caps the exponential restart backoff.
+	backoffMax = time.Second
+	// watchdogEvery is the watchdog's wall-clock scan cadence.
+	watchdogEvery = 50 * time.Millisecond
+)
 
 // ChaosConfig is the built-in failure injector: it models a worker
 // crashing (or wedging) mid-mission, which is exactly what the
@@ -132,12 +136,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 25 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = time.Second
-	}
-	if c.WatchdogEvery <= 0 {
-		c.WatchdogEvery = 50 * time.Millisecond
 	}
 	if c.StallAfter == 0 {
 		c.StallAfter = 2 * time.Second
@@ -417,7 +415,7 @@ func (s *Service) worker() {
 // what the cancellation means (restart vs terminal).
 func (s *Service) watchdog() {
 	defer close(s.wdDone)
-	t := time.NewTicker(s.cfg.WatchdogEvery)
+	t := time.NewTicker(watchdogEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -514,17 +512,15 @@ func (s *Service) runMission(m *Mission) {
 	}
 }
 
-// sleepBackoff waits BackoffBase·2^(n-1) capped at BackoffMax, plus up
+// sleepBackoff waits BackoffBase·2^(n-1) capped at backoffMax, plus up
 // to 25% deterministic jitter, interruptible by service shutdown. It
 // returns false when shutdown interrupted the wait.
 func (s *Service) sleepBackoff(n int, rng *sim.RNG) bool {
 	d := s.cfg.BackoffBase
-	for i := 1; i < n && d < s.cfg.BackoffMax; i++ {
+	for i := 1; i < n && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > s.cfg.BackoffMax {
-		d = s.cfg.BackoffMax
-	}
+	d = min(d, backoffMax)
 	if q := int(d / 4); q > 0 {
 		d += time.Duration(rng.Intn(q + 1))
 	}

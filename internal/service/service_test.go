@@ -157,12 +157,11 @@ func TestEventBudgetFailsMission(t *testing.T) {
 // clock instead of the stall deadline.
 func TestWallBudgetFailsMission(t *testing.T) {
 	m := runOne(t, Config{
-		Workers:       1,
-		MaxWall:       300 * time.Millisecond,
-		WatchdogEvery: 20 * time.Millisecond,
-		StallAfter:    -1, // only the wall budget may trip
-		MaxRestarts:   -1,
-		Chaos:         ChaosConfig{CrashProb: 1, AtFrac: 0.4, Stall: true},
+		Workers:     1,
+		MaxWall:     300 * time.Millisecond,
+		StallAfter:  -1, // only the wall budget may trip
+		MaxRestarts: -1,
+		Chaos:       ChaosConfig{CrashProb: 1, AtFrac: 0.4, Stall: true},
 	}, smallScenario(2501))
 	if m.State() != StateFailed {
 		t.Fatalf("wall-budget mission ended %s (%s), want failed", m.State(), m.Reason())

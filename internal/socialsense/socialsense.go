@@ -44,8 +44,6 @@ type Dataset struct {
 type GenConfig struct {
 	Sources int
 	Claims  int
-	// ObserveProb is the chance a source witnesses (reports on) a claim.
-	ObserveProb float64
 	// ReliabilityAlpha/Beta shape the Beta distribution honest source
 	// reliabilities are drawn from. Alpha>Beta skews reliable.
 	ReliabilityAlpha, ReliabilityBeta float64
@@ -54,15 +52,18 @@ type GenConfig struct {
 	ColluderFrac float64
 }
 
-// trueFrac is the fraction of claims whose polarity is true.
-const trueFrac = 0.5
+const (
+	// trueFrac is the fraction of claims whose polarity is true.
+	trueFrac = 0.5
+	// observeProb is the chance a source witnesses (reports on) a claim.
+	observeProb = 0.15
+)
 
 // DefaultGenConfig returns the E7 workload shape.
 func DefaultGenConfig() GenConfig {
 	return GenConfig{
 		Sources:          200,
 		Claims:           500,
-		ObserveProb:      0.15,
 		ReliabilityAlpha: 6,
 		ReliabilityBeta:  2.5,
 		ColluderFrac:     0,
@@ -93,7 +94,7 @@ func Generate(rng *sim.RNG, cfg GenConfig) *Dataset {
 	}
 	for s := 0; s < cfg.Sources; s++ {
 		for j := 0; j < cfg.Claims; j++ {
-			if !rng.Bool(cfg.ObserveProb) {
+			if !rng.Bool(observeProb) {
 				continue
 			}
 			correct := rng.Bool(d.Reliability[s])

@@ -31,7 +31,7 @@ func TestGenerateShape(t *testing.T) {
 		}
 	}
 	// Expected report volume ~ sources*claims*observeProb.
-	want := 100 * 200 * 0.15
+	want := 100 * 200 * observeProb
 	if float64(len(d.Reports)) < want*0.7 || float64(len(d.Reports)) > want*1.3 {
 		t.Errorf("report count = %d, want ~%.0f", len(d.Reports), want)
 	}
@@ -82,7 +82,9 @@ func TestEMHighAccuracyOnCleanData(t *testing.T) {
 }
 
 func TestEMReliabilityEstimates(t *testing.T) {
-	d := genTest(5, func(c *GenConfig) { c.ObserveProb = 0.4 })
+	// 540 claims at observeProb give each source ~81 reports to be
+	// scored on.
+	d := genTest(5, func(c *GenConfig) { c.Claims = 540 })
 	em := EM(d, 50)
 	rmse := ReliabilityRMSE(em.Reliability, d.Reliability)
 	if rmse > 0.12 {
@@ -140,7 +142,6 @@ func TestEMProbabilityBounds(t *testing.T) {
 		cfg := DefaultGenConfig()
 		cfg.Sources = 30
 		cfg.Claims = 40
-		cfg.ObserveProb = 0.2
 		d := Generate(sim.NewRNG(seed), cfg)
 		em := EM(d, 20)
 		if len(em.TruthProb) != d.NumClaims {

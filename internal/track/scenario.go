@@ -32,10 +32,6 @@ type Scenario struct {
 	tracker *Tracker
 	now     time.Duration
 
-	// ContinuityWindow is how close a confirmed track must be to count
-	// as covering a target (default 50 m).
-	ContinuityWindow float64
-
 	// RMSE accumulates per-tick tracking error for covered targets.
 	RMSE sim.Series
 	// Continuity accumulates the per-tick fraction of targets covered by
@@ -45,6 +41,10 @@ type Scenario struct {
 	Detections sim.Counter
 }
 
+// continuityWindow is how close, in meters, a confirmed track must be
+// to count as covering a target.
+const continuityWindow = 50
+
 // NewScenario builds a scenario over the given ground-truth targets and
 // sensors.
 func NewScenario(rng *sim.RNG, targets []geo.Mobility, sensors []Sensor, cfg Config) *Scenario {
@@ -53,11 +53,10 @@ func NewScenario(rng *sim.RNG, targets []geo.Mobility, sensors []Sensor, cfg Con
 	ss := make([]Sensor, len(sensors))
 	copy(ss, sensors)
 	return &Scenario{
-		rng:              rng,
-		targets:          ts,
-		sensors:          ss,
-		tracker:          NewTracker(cfg),
-		ContinuityWindow: 50,
+		rng:     rng,
+		targets: ts,
+		sensors: ss,
+		tracker: NewTracker(cfg),
 	}
 }
 
@@ -98,7 +97,7 @@ func (s *Scenario) Tick(dt time.Duration) {
 	// Score: each target covered by a confirmed track within the window?
 	covered := 0
 	for _, tp := range truth {
-		if tr, d := s.tracker.Nearest(tp); tr != nil && d <= s.ContinuityWindow {
+		if tr, d := s.tracker.Nearest(tp); tr != nil && d <= continuityWindow {
 			covered++
 			s.RMSE.Add(d)
 		}

@@ -133,7 +133,7 @@ func TestTrackerSeparatesTwoTargets(t *testing.T) {
 
 func TestTrackerCoastsThroughOcclusion(t *testing.T) {
 	rng := sim.NewRNG(4)
-	tr := NewTracker(Config{CoastTime: 10 * time.Second})
+	tr := NewTracker(Config{})
 	truth := geo.Point{X: 0, Y: 0}
 	now := time.Duration(0)
 	step := func(detect bool) {
@@ -149,7 +149,7 @@ func TestTrackerCoastsThroughOcclusion(t *testing.T) {
 		step(true)
 	}
 	id := tr.Tracks()[0].ID
-	for i := 0; i < 5; i++ { // occluded for 5s < CoastTime
+	for i := 0; i < 4; i++ { // occluded for 4s < coastTime
 		step(false)
 	}
 	for i := 0; i < 10; i++ {
@@ -165,7 +165,7 @@ func TestTrackerCoastsThroughOcclusion(t *testing.T) {
 }
 
 func TestTrackerDropsStaleTrack(t *testing.T) {
-	tr := NewTracker(Config{CoastTime: 3 * time.Second})
+	tr := NewTracker(Config{})
 	now := time.Duration(0)
 	for i := 0; i < 10; i++ {
 		now += time.Second

@@ -41,14 +41,16 @@ func (t *Track) Confirmed() bool { return t.Hits >= 3 }
 
 // Config parameterizes the tracker.
 type Config struct {
-	// CoastTime keeps an unassociated track alive this long (default 5s).
-	CoastTime time.Duration
 	// ProcessNoise is the Kalman Q (default 2).
 	ProcessNoise float64
 }
 
-// assocGate is the association gate in standard deviations.
-const assocGate = 4
+const (
+	// assocGate is the association gate in standard deviations.
+	assocGate = 4
+	// coastTime keeps an unassociated track alive this long.
+	coastTime = 5 * time.Second
+)
 
 // assocPair is one gated track/detection candidate in the greedy GNN
 // association.
@@ -102,9 +104,6 @@ type Tracker struct {
 
 // NewTracker returns an empty tracker.
 func NewTracker(cfg Config) *Tracker {
-	if cfg.CoastTime <= 0 {
-		cfg.CoastTime = 5 * time.Second
-	}
 	if cfg.ProcessNoise <= 0 {
 		cfg.ProcessNoise = 2
 	}
@@ -229,7 +228,7 @@ func (tr *Tracker) Observe(now time.Duration, detections []Detection) {
 	// Drop stale tracks.
 	keep := tr.tracks[:0]
 	for _, t := range tr.tracks {
-		if now-t.LastUpdate <= tr.cfg.CoastTime {
+		if now-t.LastUpdate <= coastTime {
 			keep = append(keep, t)
 			continue
 		}

@@ -190,9 +190,8 @@ func ReplayEquivalence(s Scenario) error {
 	if s.Plan != nil {
 		plan = s.Plan.String()
 	}
-	if d := checkpoint.VerifyReplay(s.Seed, plan, func(j *checkpoint.Journal) {
-		runScenario(s, j, nil)
-	}); d != nil {
+	run := func(j *checkpoint.Journal) { runScenario(s, j, nil) }
+	if d := checkpoint.VerifyEquivalence(s.Seed, plan, run, run); d != nil {
 		return fmt.Errorf("replay diverged (seed %d): %v", s.Seed, d)
 	}
 	return nil
