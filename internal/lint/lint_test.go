@@ -84,8 +84,8 @@ func TestTreeClean(t *testing.T) {
 	if cov.Analyzers != 11 {
 		t.Errorf("analyzer count = %d, want 11", cov.Analyzers)
 	}
-	if cov.Allowed != 31 {
-		t.Errorf("reasoned iobt:allow waivers on the tree = %d, want 31", cov.Allowed)
+	if cov.Allowed != 25 {
+		t.Errorf("reasoned iobt:allow waivers on the tree = %d, want 25", cov.Allowed)
 	}
 }
 

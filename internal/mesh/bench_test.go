@@ -14,6 +14,9 @@ package mesh
 // Sharded link state: one op is one "who hears me" query, the question
 // every relayed frame asks, on the gossip_bare field (10^4 nodes, radio
 // 200 m), walking the nodes while the clock advances.
+//
+// Sharded gossip: one op is one whole run, so allocs/op reads as the
+// transport's allocation cost at that size.
 
 import (
 	"testing"
@@ -76,5 +79,36 @@ func BenchmarkShardPeers(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		peers(NodeID(i%nodes), time.Duration(i)*time.Millisecond)
+	}
+}
+
+// gossipBareShape is iobtbench's gossip_bare scenario at any size: a
+// connected 200 m field, 8 publishers publishing exactly publishes times
+// 10 s apart, TTL 512, and 30 s after the last publish to spread.
+func gossipBareShape(nodes, publishes int) ShardScenario {
+	every := 10 * time.Second
+	until := time.Second + time.Duration(publishes)*every - time.Millisecond
+	return ShardScenario{
+		Nodes:         nodes,
+		Radio:         200,
+		Publishers:    8,
+		PublishEvery:  every,
+		PublishUntil:  until,
+		Horizon:       until + 30*time.Second,
+		TTL:           512,
+		MobilityEvery: 8 * time.Second,
+	}
+}
+
+// BenchmarkShardGossip is the standing profile target of the sharded
+// transport: one op is one whole gossip_bare-shaped run at 2,000 nodes on
+// 2 shards — field set-up, 16 publishes and their spread.
+func BenchmarkShardGossip(b *testing.B) {
+	sc := gossipBareShape(2000, 2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunShardScenario(7, 2, sc); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,9 +1,9 @@
 package mesh
 
-// ShardNet is the dissemination model for the sharded simulation core.
+// This file is the dissemination model of the sharded simulation core.
 // The classic Network/Gossip stack is bound to the sequential
 // sim.Engine: handlers freely read each other's state, which a parallel
-// engine cannot allow. ShardNet re-expresses dissemination in the
+// engine cannot allow. RunShardScenario re-expresses dissemination in the
 // sharded discipline instead:
 //
 //   - every radio node is one sim.Sharded actor, and node state is
@@ -180,11 +180,11 @@ type shardNode struct {
 	pubSeq    uint64
 
 	// held has one bit per slot of the publish schedule (shardRun.slot)
-	// and answers "have I seen this"; log keeps what was held, in
+	// and answers "have I seen this"; log keeps the frames held, in
 	// arrival order, for anti-entropy and the digest. offSchedule counts
 	// keys no schedule slot exists for — a conservation violation.
 	held        []uint64
-	log         []heldPayload
+	log         []*frame
 	offSchedule uint64
 
 	// peerBuf backs the node's own link-state queries (relay,
@@ -202,14 +202,24 @@ type shardNode struct {
 	selfHeld, delivered, duplicates, relays, repairs, dropped uint64
 }
 
-// heldPayload is one entry of a node's holdings.
-type heldPayload struct {
+// frame is one publish as all its copies travel: the key, the payload
+// bytes, and the callback each copy is delivered with. The publisher
+// builds it; from then on it is only read, so a hop hands on the same
+// frame and allocates nothing, and a node's holdings point at it.
+//
+//iobt:frozen
+type frame struct {
 	key  GossipKey
 	data []byte
+	// recv[t] receives a copy with t hops of budget left. A node relays a
+	// key only on its first receipt, so no chain of copies is longer than
+	// Nodes−1 hops and a gossip table stops at min(TTL, Nodes) entries; a
+	// BFS copy carries no budget and needs recv[0] alone.
+	recv []func(*sim.ShardCtx)
 }
 
-func sortHeld(log []heldPayload) {
-	slices.SortFunc(log, func(a, b heldPayload) int { return compareGossipKeys(a.key, b.key) })
+func sortHeld(log []*frame) {
+	slices.SortFunc(log, func(a, b *frame) int { return compareGossipKeys(a.key, b.key) })
 }
 
 // linkEnd is the setup-time half of the link rule for one node: where
@@ -516,11 +526,11 @@ func (r *shardRun) slot(key GossipKey) int {
 	return ord*r.slots + int(key.Seq)
 }
 
-// hold adds key to n's holdings and reports whether it was new there.
+// hold adds f to n's holdings and reports whether its key was new there.
 // A key outside the publish schedule is counted and refused: there is
 // no second store for it to land in.
-func (r *shardRun) hold(n *shardNode, key GossipKey, data []byte) bool {
-	s := r.slot(key)
+func (r *shardRun) hold(n *shardNode, f *frame) bool {
+	s := r.slot(f.key)
 	if s < 0 {
 		n.offSchedule++
 		return false
@@ -530,8 +540,22 @@ func (r *shardRun) hold(n *shardNode, key GossipKey, data []byte) bool {
 		return false
 	}
 	*w |= bit
-	n.log = append(n.log, heldPayload{key, data})
+	n.log = append(n.log, f)
 	return true
+}
+
+// newFrame builds the frame of one publish: its receive callbacks are
+// the only closures the publish and all its copies allocate.
+func (r *shardRun) newFrame(key GossipKey, data []byte) *frame {
+	hops := 1
+	if r.sc.Mode == ShardModeGossip {
+		hops = min(r.sc.TTL, r.sc.Nodes)
+	}
+	f := &frame{key: key, data: data, recv: make([]func(*sim.ShardCtx), hops)}
+	for t := range f.recv {
+		f.recv[t] = func(c *sim.ShardCtx) { r.receive(c, f, t) }
+	}
+	return f
 }
 
 // publishTick publishes one payload and reschedules until PublishUntil.
@@ -547,16 +571,15 @@ func (r *shardRun) publishTick(n *shardNode) func(*sim.ShardCtx) {
 		if r.sc.Payload != nil {
 			data = r.sc.Payload(n.id, key.Seq, now)
 		}
-		if r.hold(n, key, data) {
+		f := r.newFrame(key, data)
+		if r.hold(n, f) {
 			n.selfHeld++
 		}
 		switch r.sc.Mode {
 		case ShardModeBFS:
-			//iobt:allow gocapture payload bytes are written once at publish and read-only on every hop; sharing the backing array IS the radio broadcast model
-			r.flood(c, n, key, data, now)
+			r.flood(c, n, f, now)
 		default:
-			//iobt:allow gocapture payload bytes are written once at publish and read-only on every hop; sharing the backing array IS the radio broadcast model
-			r.relay(c, n, key, data, r.sc.TTL, n.id, now)
+			r.relay(c, n, f, len(f.recv), now)
 		}
 		if next := now + r.sc.PublishEvery; next <= r.sc.PublishUntil {
 			c.Schedule(r.sc.PublishEvery, "publish", n.pubFn)
@@ -564,18 +587,20 @@ func (r *shardRun) publishTick(n *shardNode) func(*sim.ShardCtx) {
 	}
 }
 
-// relay forwards key to up to shardFanout linked peers, sampled by the
-// relaying node's own stream — per-node randomness keeps the draw
-// sequence a function of the node's event order alone.
+// relay forwards f, with ttl hops of budget, to up to shardFanout linked
+// peers other than the one it came from, sampled by the relaying node's
+// own stream — per-node randomness keeps the draw sequence a function of
+// the node's event order alone.
 //
 //iobt:hot
-func (r *shardRun) relay(c *sim.ShardCtx, n *shardNode, key GossipKey, data []byte, ttl int, exclude NodeID, now time.Duration) {
+func (r *shardRun) relay(c *sim.ShardCtx, n *shardNode, f *frame, ttl int, now time.Duration) {
 	if ttl <= 0 {
 		return
 	}
 	n.peerBuf = r.peers(n.peerBuf, n.id, now)
 	peers := n.peerBuf
-	if exclude != n.id {
+	// A publish comes from its own node, which excludes no one.
+	if exclude := NodeID(c.From()); exclude != n.id {
 		trimmed := peers[:0]
 		for _, p := range peers {
 			if p != exclude {
@@ -591,44 +616,41 @@ func (r *shardRun) relay(c *sim.ShardCtx, n *shardNode, key GossipKey, data []by
 	if len(peers) > shardFanout {
 		peers = peers[:shardFanout]
 	}
-	from := n.id
+	recv := f.recv[ttl-1]
 	for _, p := range peers {
 		n.relays++
 		jitter := time.Duration(n.rng.Exp(float64(20 * time.Millisecond)))
-		//iobt:allow gocapture payload bytes are immutable after publish; every receiver stores the same backing array it would get from a codec round-trip
-		c.Send(sim.ActorID(p), shardHopLatency+jitter, "gossip.data", r.receive(key, data, ttl-1, from)) //iobt:allow hotalloc the receive closure is the message frame itself: one allocation per transmitted copy, exactly what a codec would cost
+		c.Send(sim.ActorID(p), shardHopLatency+jitter, "gossip.data", recv)
 	}
 }
 
-// receive handles one data frame at its destination node.
-func (r *shardRun) receive(key GossipKey, data []byte, ttl int, from NodeID) func(*sim.ShardCtx) {
-	return func(c *sim.ShardCtx) {
-		m := r.nodes[c.Self()]
-		now := c.Now()
-		if !r.alive(m.id, now) {
-			m.dropped++
-			return
-		}
-		if !r.hold(m, key, data) {
-			m.duplicates++
-			return
-		}
-		m.delivered++
-		if r.sc.OnDeliver != nil {
-			r.sc.OnDeliver(m.id, key, data, now)
-		}
-		if r.sc.Mode == ShardModeGossip {
-			//iobt:allow gocapture payload bytes are immutable after publish; the relay hands on the same read-only array it received
-			r.relay(c, m, key, data, ttl, from, now)
-		}
+// receive handles one copy of f, with ttl hops of budget left, at its
+// destination node. A BFS copy has none, so only gossip relays.
+//
+//iobt:hot
+func (r *shardRun) receive(c *sim.ShardCtx, f *frame, ttl int) {
+	m := r.nodes[c.Self()]
+	now := c.Now()
+	if !r.alive(m.id, now) {
+		m.dropped++
+		return
 	}
+	if !r.hold(m, f) {
+		m.duplicates++
+		return
+	}
+	m.delivered++
+	if r.sc.OnDeliver != nil {
+		r.sc.OnDeliver(m.id, f.key, f.data, now)
+	}
+	r.relay(c, m, f, ttl, now)
 }
 
 // flood is the BFS baseline: walk the origin's connected component over
 // the pure link state at publish time and schedule one delivery per
 // destination at hop-count latency — the cost model of an idealized
 // link-state flood, one event per (publish, destination).
-func (r *shardRun) flood(c *sim.ShardCtx, n *shardNode, key GossipKey, data []byte, now time.Duration) {
+func (r *shardRun) flood(c *sim.ShardCtx, n *shardNode, f *frame, now time.Duration) {
 	type hop struct {
 		id    NodeID
 		depth int
@@ -648,8 +670,7 @@ func (r *shardRun) flood(c *sim.ShardCtx, n *shardNode, key GossipKey, data []by
 			seen[p] = true
 			d := h.depth + 1
 			n.relays++
-			//iobt:allow gocapture payload bytes are immutable after publish; the analytic flood shares the same read-only array on every edge
-			c.Send(sim.ActorID(p), time.Duration(d)*shardHopLatency, "bfs.data", r.receive(key, data, 0, n.id))
+			c.Send(sim.ActorID(p), time.Duration(d)*shardHopLatency, "bfs.data", f.recv[0])
 			frontier = append(frontier, hop{p, d})
 		}
 	}
@@ -670,7 +691,7 @@ func (r *shardRun) antiEntropyTick(n *shardNode) func(*sim.ShardCtx) {
 				target := peers[n.rng.Pick(len(peers))]
 				snap := slices.Clone(n.log)
 				sortHeld(snap)
-				//iobt:allow gocapture snap is a fresh per-send snapshot never touched again by the sender; the payload arrays inside are publish-time immutable
+				//iobt:allow gocapture snap is a fresh per-send snapshot never touched again by the sender; the frames it points at are publish-time immutable
 				c.Send(sim.ActorID(target), shardHopLatency, "gossip.sync", r.repairFrom(snap))
 			}
 		}
@@ -680,7 +701,7 @@ func (r *shardRun) antiEntropyTick(n *shardNode) func(*sim.ShardCtx) {
 	}
 }
 
-func (r *shardRun) repairFrom(snap []heldPayload) func(*sim.ShardCtx) {
+func (r *shardRun) repairFrom(snap []*frame) func(*sim.ShardCtx) {
 	return func(c *sim.ShardCtx) {
 		m := r.nodes[c.Self()]
 		now := c.Now()
@@ -688,14 +709,14 @@ func (r *shardRun) repairFrom(snap []heldPayload) func(*sim.ShardCtx) {
 			m.dropped++
 			return
 		}
-		for _, p := range snap {
-			if !r.hold(m, p.key, p.data) {
+		for _, f := range snap {
+			if !r.hold(m, f) {
 				continue
 			}
 			m.delivered++
 			m.repairs++
 			if r.sc.OnDeliver != nil {
-				r.sc.OnDeliver(m.id, p.key, p.data, now)
+				r.sc.OnDeliver(m.id, f.key, f.data, now)
 			}
 		}
 	}
@@ -746,14 +767,14 @@ func (r *shardRun) collect(eng *sim.Sharded, shards int) *ShardResult {
 		w(n.relays)
 		w(n.repairs)
 		w(n.dropped)
-		for _, h := range n.log {
+		for _, f := range n.log {
 			// Conservation law 2: every held payload traces to a publish
 			// (hold admits only scheduled publishers' keys).
-			if h.key.Seq >= r.nodes[h.key.Origin].pubSeq {
-				violate("node %d holds %v never published by %d", n.id, h.key, h.key.Origin)
+			if f.key.Seq >= r.nodes[f.key.Origin].pubSeq {
+				violate("node %d holds %v never published by %d", n.id, f.key, f.key.Origin)
 			}
-			w(uint64(h.key.Origin))
-			w(h.key.Seq)
+			w(uint64(f.key.Origin))
+			w(f.key.Seq)
 		}
 	}
 	// Conservation law 3: deliveries cannot exceed publishes × nodes.

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -497,7 +498,7 @@ func TestHeldSetFollowsPublishSchedule(t *testing.T) {
 	}
 
 	n := run.nodes[7]
-	if !run.hold(n, GossipKey{Origin: 10, Seq: 1}, nil) || run.hold(n, GossipKey{Origin: 10, Seq: 1}, nil) {
+	if !run.hold(n, &frame{key: GossipKey{Origin: 10, Seq: 1}}) || run.hold(n, &frame{key: GossipKey{Origin: 10, Seq: 1}}) {
 		t.Fatal("hold must accept a key once")
 	}
 	n.delivered++
@@ -505,7 +506,7 @@ func TestHeldSetFollowsPublishSchedule(t *testing.T) {
 	if res := run.collect(eng, 1); len(res.Violations) != 0 || len(n.log) != 1 {
 		t.Fatalf("one held, one counted: log %d, violations %v", len(n.log), res.Violations)
 	}
-	if run.hold(n, GossipKey{Origin: 10, Seq: 3}, nil) || len(n.log) != 1 {
+	if run.hold(n, &frame{key: GossipKey{Origin: 10, Seq: 3}}) || len(n.log) != 1 {
 		t.Fatal("a key past the schedule was held")
 	}
 	res := run.collect(eng, 1)
@@ -517,5 +518,64 @@ func TestHeldSetFollowsPublishSchedule(t *testing.T) {
 	res = run.collect(eng, 1)
 	if len(res.Violations) != 1 || !strings.Contains(res.Violations[0], "node 7 holds 1 payloads") {
 		t.Errorf("a delivery counted but not held: violations %v, want law 1 alone", res.Violations)
+	}
+}
+
+// mallocsOf runs a scenario on one shard and returns its result and the
+// heap objects the run allocated.
+func mallocsOf(t *testing.T, seed int64, sc ShardScenario) (*ShardResult, uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := RunShardScenario(seed, 1, sc)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Violations) != 0 {
+		t.Fatalf("violations %v", res.Violations)
+	}
+	return res, after.Mallocs - before.Mallocs
+}
+
+// TestShardGossipAllocsFollowFrames: a publish allocates its frame and a
+// copy allocates nothing. Doubling the publishes of a 2,000-node run on
+// one horizon adds tens of thousands of relays; what they add in
+// allocations is the extra frames and one more growth of each node's
+// holdings, a small fraction of one a relay. A receive closure built per
+// copy reads about 1.
+func TestShardGossipAllocsFollowFrames(t *testing.T) {
+	single := gossipBareShape(2000, 2)
+	double := gossipBareShape(2000, 4)
+	single.Horizon = double.Horizon
+	one, oneAllocs := mallocsOf(t, 3, single)
+	two, twoAllocs := mallocsOf(t, 3, double)
+	if two.Published != 2*one.Published || two.Relays <= one.Relays {
+		t.Fatalf("published %d then %d, relays %d then %d: the second run does not double the work",
+			one.Published, two.Published, one.Relays, two.Relays)
+	}
+	extraAllocs := float64(twoAllocs) - float64(oneAllocs)
+	extraRelays := float64(two.Relays - one.Relays)
+	if ratio := extraAllocs / extraRelays; ratio >= 0.25 {
+		t.Errorf("%.0f extra allocations for %.0f extra relays (%.3f a relay), want under 0.25", extraAllocs, extraRelays, ratio)
+	}
+}
+
+// TestShardTTLTableIsBounded: the receive table stops at Nodes entries.
+// No chain of copies is longer than Nodes−1 hops, so the bound changes
+// nothing a run does, and a TTL far past Nodes builds no more closures
+// than a TTL of Nodes.
+func TestShardTTLTableIsBounded(t *testing.T) {
+	sc := ShardScenario{Nodes: 300, Radio: 200, Publishers: 4, Horizon: 60 * time.Second, PublishUntil: 30 * time.Second}
+	sc.TTL = 1 << 20
+	huge, hugeAllocs := mallocsOf(t, 9, sc)
+	sc.TTL = sc.Nodes
+	exact, exactAllocs := mallocsOf(t, 9, sc)
+	if huge.Digest != exact.Digest || huge.Relays != exact.Relays || huge.Events != exact.Events {
+		t.Errorf("TTL 1<<20: digest %016x relays %d events %d; TTL %d: digest %016x relays %d events %d",
+			huge.Digest, huge.Relays, huge.Events, sc.Nodes, exact.Digest, exact.Relays, exact.Events)
+	}
+	if hugeAllocs > exactAllocs+64 {
+		t.Errorf("TTL 1<<20 allocated %d objects, TTL %d %d: the table is not bounded by Nodes", hugeAllocs, sc.Nodes, exactAllocs)
 	}
 }

@@ -432,6 +432,10 @@ func (ln *lane) step(floor time.Duration) bool {
 		ln.probe(ln.id, ev.actor, ev.at, ev.label)
 	}
 	ln.ctx.actor = ev.actor
+	ln.ctx.from = ev.actor
+	if ev.class == 1 {
+		ln.ctx.from = ActorID(ev.a)
+	}
 	ln.ctx.at = ev.at
 	// Recycle before firing so a self-rescheduling event reuses its own
 	// struct: the steady-state pool size is the peak queue depth.

@@ -526,6 +526,7 @@ type ShardCtx struct {
 	s     *Sharded
 	ln    *lane
 	actor ActorID
+	from  ActorID
 	at    time.Duration
 }
 
@@ -534,6 +535,11 @@ func (c *ShardCtx) Now() time.Duration { return c.at }
 
 // Self returns the actor the current event belongs to.
 func (c *ShardCtx) Self() ActorID { return c.actor }
+
+// From returns the actor whose Send delivered the current event — the
+// sender its key already carries — or Self for a locally scheduled one
+// (Schedule, ScheduleActor).
+func (c *ShardCtx) From() ActorID { return c.from }
 
 // Shard returns the executing shard's index (an observability aid; the
 // model must never branch on it).

@@ -206,6 +206,54 @@ func TestShardedClampedSends(t *testing.T) {
 	}
 }
 
+// TestShardCtxFrom: a delivery reports the actor that sent it at every
+// shard count, and a locally scheduled event — by ScheduleActor, or by
+// Schedule inside a delivery — reports its own actor.
+func TestShardCtxFrom(t *testing.T) {
+	const actors = 12
+	for _, shards := range []int{1, 2, 4} {
+		s := NewSharded(5, ShardedConfig{Shards: shards, Lookahead: 50 * time.Millisecond})
+		for i := 0; i < actors; i++ {
+			s.AddActor(ActorID(i), i%shards)
+		}
+		// Per receiving actor, touched only by that actor's events.
+		delivered := make([]int, actors)
+		local := func(what string) func(*ShardCtx) {
+			return func(c *ShardCtx) {
+				if c.From() != c.Self() {
+					t.Errorf("shards=%d: %s on %d reports From %d", shards, what, c.Self(), c.From())
+				}
+			}
+		}
+		for i := 0; i < actors; i++ {
+			src := ActorID(i)
+			s.ScheduleActor(src, time.Duration(i)*time.Millisecond, "start", func(c *ShardCtx) {
+				local("ScheduleActor event")(c)
+				for k := 0; k < 3; k++ {
+					dst := ActorID((i + 5*k) % actors) // k = 0 sends to itself
+					c.Send(dst, 60*time.Millisecond, "msg", func(rc *ShardCtx) {
+						delivered[rc.Self()]++
+						if rc.From() != src {
+							t.Errorf("shards=%d: delivery from %d to %d reports From %d", shards, src, rc.Self(), rc.From())
+						}
+						rc.Schedule(10*time.Millisecond, "follow-up", local("Schedule inside a delivery"))
+					})
+				}
+			})
+		}
+		if err := s.Run(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		var total int
+		for _, d := range delivered {
+			total += d
+		}
+		if total != 3*actors {
+			t.Errorf("shards=%d: %d deliveries, want %d", shards, total, 3*actors)
+		}
+	}
+}
+
 func TestShardedHorizonBoundaryDelivery(t *testing.T) {
 	const look = 100 * time.Millisecond
 	run := func(shards int) (uint64, uint64) {
