@@ -84,7 +84,8 @@ func (d *Decoder) take(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if n < 0 || d.off+n > len(d.buf) {
+	// Compare against what is left: d.off+n wraps for a hostile n.
+	if n < 0 || n > len(d.buf)-d.off {
 		d.err = fmt.Errorf("checkpoint: truncated section (want %d bytes at offset %d of %d)", n, d.off, len(d.buf))
 		return nil
 	}

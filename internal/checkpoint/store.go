@@ -111,12 +111,13 @@ func checksum(payload []byte) uint64 {
 	return h.Sum64()
 }
 
-// scanRecords reads the record stream after the header, returning every
-// complete record and the byte offset of the clean prefix end. Damage —
-// a torn header or payload, a checksum mismatch, an undecodable payload
-// — ends the scan at the last clean offset rather than erroring: that
-// is exactly the crash-recovery contract.
-func scanRecords(r io.Reader) ([]Record, int64) {
+// scanRecords reads the record stream after the header of a file of
+// size bytes, returning every complete record and the byte offset of the
+// clean prefix end. Damage — a torn header or payload, a checksum
+// mismatch, an undecodable payload — ends the scan at the last clean
+// offset rather than erroring: that is exactly the crash-recovery
+// contract.
+func scanRecords(r io.Reader, size int64) ([]Record, int64) {
 	var recs []Record
 	offset := int64(len(storeMagic) + 8)
 	var hdr [16]byte
@@ -126,10 +127,10 @@ func scanRecords(r io.Reader) ([]Record, int64) {
 		}
 		length := int64(leUint64(hdr[0:8]))
 		sum := leUint64(hdr[8:16])
-		// An absurd length (beyond any real checkpoint) is tail damage,
-		// not a record; reading it would block recovery on allocation.
-		const maxRecord = 1 << 30
-		if length <= 0 || length > maxRecord {
+		// A length past the end of the file is tail damage, not a record:
+		// allocating it first would let a 32-byte torn header cost a
+		// gigabyte.
+		if length <= 0 || length > size-offset-16 {
 			return recs, offset
 		}
 		payload := make([]byte, length)
@@ -242,7 +243,11 @@ func recoverOpen(f *os.File) ([]Record, int64, error) {
 	if v := leUint64(hdr[len(storeMagic):]); v != StoreVersion {
 		return nil, 0, fmt.Errorf("checkpoint: journal file version %d (this build reads %d)", v, StoreVersion)
 	}
-	recs, cleanEnd := scanRecords(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("checkpoint: stat store: %w", err)
+	}
+	recs, cleanEnd := scanRecords(f, fi.Size())
 	return recs, cleanEnd, nil
 }
 

@@ -1,9 +1,12 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -252,4 +255,109 @@ func TestStoreSyncAndPath(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// hostileRecord is a record payload whose first section name claims
+// math.MaxInt64 bytes, so an offset check written as off+n wraps.
+func hostileRecord() []byte {
+	e := NewEncoder()
+	e.Int(1)
+	e.Int64(0)
+	e.Uint64(0)
+	e.Int(1)
+	e.Int(math.MaxInt64)
+	return e.Bytes()
+}
+
+// frameRecord frames payload the way Store.Append does.
+func frameRecord(payload []byte) []byte {
+	out := append(leBytes(uint64(len(payload))), leBytes(checksum(payload))...)
+	return append(out, payload...)
+}
+
+// TestDecodeRecordHostileLength appends a checksummed record whose
+// section length is math.MaxInt64: the checksum is not a MAC, so it
+// reaches the decoder, which must refuse it as damage rather than panic
+// and crash a restarting service.
+func TestDecodeRecordHostileLength(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hostile.ckpt")
+	writeStore(t, path, 1)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frameRecord(hostileRecord())); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := RecoverStore(path)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("recovered %d records, err %v; want the one clean record", len(recs), err)
+	}
+}
+
+// allocBytes returns the bytes f allocates on the heap.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestStoreClaimedLengthBeyondFile: a torn record header claiming just
+// under 1 GiB of payload is tail damage. Recovery must say so from the
+// file size, without allocating the claimed length first.
+func TestStoreClaimedLengthBeyondFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "claim.ckpt")
+	raw := append([]byte(storeMagic), leBytes(StoreVersion)...)
+	raw = append(raw, leBytes(1<<30-1)...)
+	raw = append(raw, leBytes(0)...)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	var err error
+	grew := allocBytes(func() { recs, err = RecoverStore(path) })
+	if err != nil || len(recs) != 0 {
+		t.Fatalf("recovered %d records, err %v; want none", len(recs), err)
+	}
+	if grew >= 1<<20 {
+		t.Fatalf("recovering a %d-byte file allocated %d bytes", len(raw), grew)
+	}
+}
+
+// FuzzDecodeRecord holds the journal record decoder to the contract the
+// picture decoder keeps: any input is refused or accepted without a
+// panic, decoding allocates in proportion to the input, and an accepted
+// record re-encodes to exactly its input.
+func FuzzDecodeRecord(f *testing.F) {
+	good := encodeRecord(testRecord(3))
+	f.Add(good)
+	f.Add(good[:len(good)-1])
+	f.Add(hostileRecord())
+	f.Add(encodeRecord(Record{Seq: 1}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rec Record
+		var err error
+		// A fuzz worker's own goroutines allocate too, so one reading can
+		// overstate; the least of three is the decoder's cost.
+		grew := uint64(math.MaxUint64)
+		for range 3 {
+			grew = min(grew, allocBytes(func() { rec, err = decodeRecord(data) }))
+		}
+		// Each name and payload is copied twice (string, then []byte) and
+		// the section slice grows by doubling; the slack covers the error.
+		if limit := uint64(16*len(data) + 4096); grew > limit {
+			t.Fatalf("allocated %d bytes for a %d-byte record, limit %d", grew, len(data), limit)
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(encodeRecord(rec), data) {
+			t.Fatal("accepted record does not re-encode to itself")
+		}
+	})
 }

@@ -50,6 +50,21 @@ func crossLock(a, b *lane) {
 	a.mu.Unlock()
 }
 
+// bypass is audit mutant #17's shape: a send that skips the mailbox
+// when the destination is the sender's own lane. The sender owns that
+// queue, so nothing races, but a delivery staged in the final window
+// then runs in key order when co-sharded and one window later when not:
+// the result depends on the shard count.
+func bypass(from, to *lane, v int) {
+	if from == to {
+		from.queue = append(from.queue, v) // want `lane.queue touched outside barrier context` `lane.queue touched outside barrier context`
+		return
+	}
+	to.mu.Lock()
+	to.inbox = append(to.inbox, v)
+	to.mu.Unlock()
+}
+
 // queueDepth documents the waiver shape: a deliberately racy monotone
 // read for metrics, carried with a reason.
 func queueDepth(l *lane) int {

@@ -51,6 +51,23 @@ func handoff(gs []*guarded) {
 	}
 }
 
+// failFast is audit mutant #18's shape: a per-event check of a flag
+// every worker shares. It allocates nothing, races nothing and changes
+// no result, so only this rule sees the shared lock taken per event.
+//
+//iobt:hot
+func failFast(g *guarded, events []int) {
+	for _, ev := range events {
+		g.mu.Lock() // want `acquires g.mu inside a per-event loop`
+		failed := g.n < 0
+		g.mu.Unlock()
+		if failed {
+			return
+		}
+		_ = ev
+	}
+}
+
 // cold loops may defer and lock freely.
 func cold(gs []*guarded) {
 	for _, g := range gs {

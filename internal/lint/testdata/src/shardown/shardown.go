@@ -58,6 +58,19 @@ func (r *run) census() func(*sim.ShardCtx) {
 	}
 }
 
+// distrust is audit mutant #16's shape: a report handler running on
+// one actor reads the state of the actor the report names. It races
+// that actor's own events only when both fall in one window on two
+// shards, which the seeds a test suite runs may never produce.
+func (r *run) distrust(reporter sim.ActorID) func(*sim.ShardCtx) {
+	return func(c *sim.ShardCtx) {
+		if r.nodes[reporter].count > 0 { // want `actor-state node accessed through "r.nodes\[reporter\]"`
+			return
+		}
+		r.nodes[c.Self()].count++
+	}
+}
+
 // bump mutates whatever node it is handed; it has no ShardCtx, so its
 // own body is exempt — the call sites carry the obligation.
 func bump(n *node) { n.count++ }

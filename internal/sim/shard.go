@@ -585,9 +585,10 @@ func (c *ShardCtx) Send(dst ActorID, delay time.Duration, label string, fn func(
 	src.sendSeq++
 	// Every delivery goes through the destination mailbox — even to the
 	// sender's own shard. A same-shard fast path into the live queue
-	// would let a delivery landing exactly on the final (inclusive)
-	// window boundary execute when co-sharded but stay pending when
-	// cross-sharded, breaking shard-count invariance at the horizon.
+	// would run a delivery sent in the final (inclusive) window in key
+	// order when co-sharded but one window later when cross-sharded, so
+	// same-time deliveries to one actor would run in a shard-count-
+	// dependent order (DESIGN.md §9, audit #17).
 	dl := s.lanes[s.actors[dst].shard]
 	dl.inboxMu.Lock()
 	dl.inbox = append(dl.inbox, ev)
