@@ -241,7 +241,6 @@ func run(args []string) error {
 		reg := verify.NewRegistry()
 		reg.Add(verify.MissionInvariants(w, r)...)
 		if testExtraInvariants != nil {
-			//iobt:allow metricreg test-only hook, nil outside the test binary; the mission set above registers unconditionally
 			reg.Add(testExtraInvariants()...)
 		}
 		// The gossip overlay enrolls every composite member with a CRDT
@@ -298,9 +297,7 @@ func run(args []string) error {
 					return
 				}
 			})
-			//iobt:allow metricreg the overlay invariants exist only under -gossip; without the flag there is no Gossip instance or picture set to check
 			reg.Add(verify.GossipConservation(g))
-			//iobt:allow metricreg same -gossip gate as the conservation check above
 			reg.Add(verify.PictureMonotone("iobtsim", func() []*cop.Picture {
 				out := make([]*cop.Picture, 0, len(members))
 				for _, id := range members {

@@ -118,6 +118,21 @@ func (d *Decoder) Bool() bool {
 	return b != nil && b[0] != 0
 }
 
+// Count vets n, a count just read, of entries that each take at least
+// minSize encoded bytes. A count that is negative or claims more entries
+// than the unread bytes can hold sets the sticky error and yields 0, so
+// a caller may size a table from the result without trusting the input.
+func (d *Decoder) Count(n, minSize int) int {
+	if d.err != nil {
+		return 0
+	}
+	if n < 0 || n > d.Remaining()/minSize {
+		d.err = fmt.Errorf("checkpoint: count %d of %d-byte entries exceeds the %d bytes left at offset %d", n, minSize, d.Remaining(), d.off)
+		return 0
+	}
+	return n
+}
+
 // String reads a length-prefixed string.
 func (d *Decoder) String() string {
 	n := d.Int()

@@ -82,12 +82,9 @@ func decodeRecord(payload []byte) (Record, error) {
 	rec.Seq = d.Int()
 	rec.At = time.Duration(d.Int64())
 	rec.Processed = d.Uint64()
-	n := d.Int()
+	n := d.Count(d.Int(), 16) // two length prefixes per section
 	if d.Err() != nil {
 		return rec, d.Err()
-	}
-	if n < 0 || n > len(payload) {
-		return rec, fmt.Errorf("checkpoint: record claims %d sections in %d payload bytes", n, len(payload))
 	}
 	ck := &Checkpoint{Seq: rec.Seq, At: rec.At}
 	for i := 0; i < n; i++ {

@@ -37,7 +37,12 @@ func EncodeComposite(e *checkpoint.Encoder, c *Composite) {
 // headline assurance figures the runtime reports.
 func DecodeComposite(d *checkpoint.Decoder) *Composite {
 	n := d.Int()
-	if d.Err() != nil || n < 0 {
+	if d.Err() != nil || n == -1 {
+		return nil
+	}
+	// Every member is 8 bytes; the assurance figures follow the roll.
+	n = d.Count(n, 8)
+	if d.Err() != nil {
 		return nil
 	}
 	c := &Composite{Members: make([]asset.ID, 0, n)}

@@ -1,6 +1,7 @@
 package compose
 
 import (
+	"runtime"
 	"testing"
 
 	"iobt/internal/asset"
@@ -38,5 +39,26 @@ func TestCompositeEncodeNil(t *testing.T) {
 	EncodeComposite(e, nil)
 	if got := DecodeComposite(checkpoint.NewDecoder(e.Bytes())); got != nil {
 		t.Errorf("decoded %+v for nil marker, want nil", got)
+	}
+}
+
+// TestDecodeCompositeRefusesClaimedCount: a roll count other than the
+// nil marker that is negative or larger than the bytes left is a decode
+// error, and the member slice is not sized from the claim.
+func TestDecodeCompositeRefusesClaimedCount(t *testing.T) {
+	for _, n := range []int{-2, 1 << 20} {
+		e := checkpoint.NewEncoder()
+		e.Int(n)
+		d := checkpoint.NewDecoder(e.Bytes())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := DecodeComposite(d)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4096 {
+			t.Errorf("count %d: an 8-byte roll allocated %d bytes", n, grew)
+		}
+		if c != nil || d.Err() == nil {
+			t.Errorf("count %d: decoded %v, err %v; want nil and an error", n, c, d.Err())
+		}
 	}
 }

@@ -48,11 +48,9 @@ func (r *Runtime) startCheckpoints() {
 	r.coord.Register(r)
 	r.coord.Register(r.W.Trust)
 	if r.tracker != nil {
-		//iobt:allow metricreg optional component: a tracker is only checkpointed when the mission attached one
 		r.coord.Register(r.tracker)
 	}
 	if r.rel != nil {
-		//iobt:allow metricreg optional component: the ARQ window only exists when the mission runs reliable orders
 		r.coord.Register(r.rel)
 	}
 	r.coord.Start()

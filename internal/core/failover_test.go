@@ -1,6 +1,9 @@
 package core_test
 
 import (
+	"bytes"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -143,4 +146,71 @@ func TestReplayVerifyFailoverPlan(t *testing.T) {
 	if div := checkpoint.VerifyEquivalence(31, plan.String(), run, run); div != nil {
 		t.Errorf("replay diverged at line %d:\n  run A: %s\n  run B: %s", div.Index, div.A, div.B)
 	}
+}
+
+// startedRuntime returns a started hierarchy+ARQ runtime on a small
+// world, the shape whose Restore has the most to apply.
+func startedRuntime(t testing.TB) *core.Runtime {
+	t.Helper()
+	w := core.NewWorld(core.WorldConfig{Seed: 3, Terrain: geo.NewOpenTerrain(800, 800), Assets: 120})
+	m := core.DefaultMission(geo.NewRect(geo.Point{X: 200, Y: 200}, geo.Point{X: 600, Y: 600}))
+	m.Goal.CoverageFrac = 0.3
+	m.Command = core.CommandHierarchy
+	m.ReliableOrders = true
+	r := core.NewRuntime(w, m)
+	if err := r.Synthesize(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// allocBytes returns the bytes f allocates on the heap, the least of
+// three runs: a fuzz worker's own goroutines allocate too. Every f here
+// is a Restore, and repeating one re-applies the same state.
+func allocBytes(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// FuzzRuntimeRestore holds the runtime's snapshot decoder, composite
+// roll included, to the checkpoint contract: any input is refused or
+// applied without a panic, decoding allocates in proportion to the
+// input, and once an input is accepted the runtime's snapshot is a
+// fixed point of a second Restore/Snapshot.
+func FuzzRuntimeRestore(f *testing.F) {
+	snap := startedRuntime(f).Snapshot()
+	f.Add(snap)
+	f.Add(snap[:len(snap)-1])
+	f.Add(snap[:16])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := startedRuntime(t)
+		defer r.W.Stop()
+		defer r.Stop()
+		var err error
+		// A member is 8 bytes in; installing it costs a map slot and,
+		// under hierarchy command, a handler registration.
+		if grew, limit := allocBytes(func() { err = r.Restore(data) }), uint64(64*len(data)+8192); grew > limit {
+			t.Fatalf("allocated %d bytes for a %d-byte snapshot, limit %d", grew, len(data), limit)
+		}
+		if err != nil {
+			return
+		}
+		once := r.Snapshot()
+		if err := r.Restore(once); err != nil {
+			t.Fatalf("runtime refused its own snapshot: %v", err)
+		}
+		if twice := r.Snapshot(); !bytes.Equal(once, twice) {
+			t.Fatalf("snapshot is not a fixed point:\n%x\n%x", once, twice)
+		}
+	})
 }

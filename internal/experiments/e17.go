@@ -177,12 +177,10 @@ func runE17(seed int64, quick bool, mode string, verif *verify.Summary) e17Resul
 			g.Join(id, func(msg mesh.Message) { merge(node, msg) })
 		}
 		g.Start()
-		//iobt:allow metricreg gossip conservation only exists when a Gossip instance does; the bfs arm has no overlay to check
 		reg.Add(verify.GossipConservation(g))
 	case "bfs":
 		for _, id := range members {
 			node := id
-			//iobt:allow metricreg the bfs arm is the only transport that delivers via raw mesh handlers; gossip/flood members install theirs through Join above
 			w.Net.RegisterHandler(id, func(msg mesh.Message) {
 				if msg.Kind != "cop" {
 					return

@@ -7,10 +7,10 @@ import (
 	"regexp"
 )
 
-// This file indexes the shard-safety annotations the shardsafe analyzer
-// family (shardown, gocapture, barrierstate) keys off. Annotations are
-// doc comments on declarations — the contract is stated where the state
-// lives, and the analyzers enforce it:
+// This file indexes the annotations the ownership analyzers (shardown,
+// gocapture) and the hot-path analyzers (hotalloc, defercycle) key off.
+// Annotations are doc comments on declarations — the contract is stated
+// where the state lives, and the analyzers enforce it:
 //
 //	//iobt:actor-state    on a type declaration: values are owner-only
 //	                      actor state — only events executing on the
@@ -22,13 +22,6 @@ import (
 //	                      single-threaded setup, read-only while the
 //	                      engine runs, so workers share it safely and
 //	                      closures may capture it (gocapture).
-//	//iobt:barrier-only   on a struct field: shard-local engine state
-//	                      (heap, mailbox, clock) touched only between
-//	                      barriers, by the owning worker, or under a
-//	                      mutex of the same struct (barrierstate).
-//	//iobt:barrier        on a function: declares barrier/owning-worker
-//	                      context, licensing access to barrier-only
-//	                      fields (barrierstate).
 //	//iobt:hot            on a function: the body executes per simulation
 //	                      event, so the hotpath analyzers (hotalloc,
 //	                      defercycle) hold it — and, through
@@ -40,15 +33,13 @@ import (
 // vocabulary cannot rot silently.
 
 const (
-	noteActorState  = "actor-state"
-	noteFrozen      = "frozen"
-	noteBarrierOnly = "barrier-only"
-	noteBarrier     = "barrier"
-	noteHot         = "hot"
+	noteActorState = "actor-state"
+	noteFrozen     = "frozen"
+	noteHot        = "hot"
 )
 
 // noteRe matches one annotation comment line.
-var noteRe = regexp.MustCompile(`^//\s*iobt:(actor-state|frozen|barrier-only|barrier|hot)\b`)
+var noteRe = regexp.MustCompile(`^//\s*iobt:(actor-state|frozen|hot)\b`)
 
 // A noteSite is one annotation comment that could not be anchored to a
 // declaration of the kind it applies to.
@@ -61,13 +52,11 @@ type noteSite struct {
 // universe-independent strings, because each analyzed package holds its
 // own types.Object for anything imported:
 //
-//	types:  "pkgpath.TypeName"
-//	fields: "pkgpath.TypeName.field"
-//	funcs:  types.Func.FullName()
+//	types: "pkgpath.TypeName"
+//	funcs: types.Func.FullName()
 type annotations struct {
-	types  map[string]map[string]bool
-	fields map[string]map[string]bool
-	funcs  map[string]map[string]bool
+	types map[string]map[string]bool
+	funcs map[string]map[string]bool
 	// misplaced collects, per package path, annotations without a valid
 	// anchor (wrong declaration kind, or no declaration at all).
 	misplaced map[string][]noteSite
@@ -76,7 +65,6 @@ type annotations struct {
 func newAnnotations() *annotations {
 	return &annotations{
 		types:     map[string]map[string]bool{},
-		fields:    map[string]map[string]bool{},
 		funcs:     map[string]map[string]bool{},
 		misplaced: map[string][]noteSite{},
 	}
@@ -138,8 +126,7 @@ func scanPackageNotes(notes *annotations, pkg *Package) {
 	}
 
 	typeNotes := map[string]bool{noteActorState: true, noteFrozen: true}
-	fieldNotes := map[string]bool{noteBarrierOnly: true}
-	funcNotes := map[string]bool{noteBarrier: true, noteHot: true}
+	funcNotes := map[string]bool{noteHot: true}
 
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
@@ -168,40 +155,14 @@ func scanPackageNotes(notes *annotations, pkg *Package) {
 					if !isType {
 						continue
 					}
-					typeKey := pkg.Path + "." + ts.Name.Name
-					anchor(groupNotes(declDoc, ts.Doc, ts.Comment), typeNotes, typeKey, notes.types)
-					st, isStruct := ts.Type.(*ast.StructType)
-					if !isStruct || st.Fields == nil {
-						continue
-					}
-					for _, field := range st.Fields.List {
-						comments := groupNotes(field.Doc, field.Comment)
-						if len(comments) == 0 {
-							continue
-						}
-						if len(field.Names) == 0 {
-							anchor(comments, nil, "", nil) // embedded field: no name to key on
-							continue
-						}
-						for _, c := range comments {
-							consumed[c.Pos()] = true
-							name := noteName(c)
-							if !fieldNotes[name] {
-								notes.misplaced[pkg.Path] = append(notes.misplaced[pkg.Path], noteSite{name: name, pos: c.Pos()})
-								continue
-							}
-							for _, fieldName := range field.Names {
-								addNote(notes.fields, typeKey+"."+fieldName.Name, name)
-							}
-						}
-					}
+					anchor(groupNotes(declDoc, ts.Doc, ts.Comment), typeNotes, pkg.Path+"."+ts.Name.Name, notes.types)
 				}
 			}
 		}
 	}
 
-	// Annotation comments floating anywhere else (inside bodies, between
-	// declarations) anchor to nothing.
+	// Annotation comments floating anywhere else (inside bodies, on
+	// struct fields, between declarations) anchor to nothing.
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -229,23 +190,6 @@ func (a *annotations) typeHas(t types.Type, note string) bool {
 	return a.types[named.Obj().Pkg().Path()+"."+named.Obj().Name()][note]
 }
 
-// fieldHas reports whether a field selection's target carries the
-// annotation; recv is the receiver type of the selection.
-func (a *annotations) fieldHas(recv types.Type, field *types.Var, note string) bool {
-	if recv == nil || field == nil {
-		return false
-	}
-	if p, isPtr := recv.Underlying().(*types.Pointer); isPtr {
-		recv = p.Elem()
-	}
-	named, isNamed := recv.(*types.Named)
-	if !isNamed || named.Obj() == nil || named.Obj().Pkg() == nil {
-		return false
-	}
-	key := named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + field.Name()
-	return a.fields[key][note]
-}
-
 // funcHas reports whether the declared function carries the annotation.
 func (a *annotations) funcHas(fn *types.Func, note string) bool {
 	if fn == nil {
@@ -256,8 +200,8 @@ func (a *annotations) funcHas(fn *types.Func, note string) bool {
 
 // reportMisplaced emits findings for annotations in this package that
 // anchor to nothing valid; which is reported by which analyzer follows
-// annotation ownership (shardown owns the type notes, barrierstate the
-// engine notes).
+// annotation ownership (shardown owns the type notes, hotalloc the hot
+// note).
 func reportMisplaced(p *Pass, owned map[string]string) {
 	for _, site := range p.Prog.notes.misplaced[p.Path] {
 		want, isOwned := owned[site.name]

@@ -215,8 +215,8 @@ func sortDiagnostics(ds []Diagnostic) {
 // Analyzers returns the full iobtlint suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		DetRand, SnapshotPair, MetricReg, DetTaint, EnumCase, ErrDrop,
-		Shardown, GoCapture, BarrierState, HotAlloc, DeferCycle,
+		DetRand, SnapshotPair, DetTaint, EnumCase, ErrDrop,
+		Shardown, GoCapture, HotAlloc, DeferCycle,
 	}
 }
 

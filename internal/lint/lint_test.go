@@ -39,11 +39,6 @@ func TestSnapshotPairFixture(t *testing.T) {
 	requireSuppressed(t, diags, 1)
 }
 
-func TestMetricRegFixture(t *testing.T) {
-	diags := runFixture(t, "metricreg", MetricReg)
-	requireSuppressed(t, diags, 1)
-}
-
 // TestSuppressFixture runs the full suite so the allow-comment
 // machinery itself is exercised: missing reasons and unknown analyzer
 // names are findings, and the one reasoned allow suppresses.
@@ -81,11 +76,11 @@ func TestTreeClean(t *testing.T) {
 		t.Errorf("iobtlint findings on the tree:\n%s", b.String())
 	}
 	cov := Summarize(diags)
-	if cov.Analyzers != 11 {
-		t.Errorf("analyzer count = %d, want 11", cov.Analyzers)
+	if cov.Analyzers != 9 {
+		t.Errorf("analyzer count = %d, want 9", cov.Analyzers)
 	}
-	if cov.Allowed != 25 {
-		t.Errorf("reasoned iobt:allow waivers on the tree = %d, want 25", cov.Allowed)
+	if cov.Allowed != 18 {
+		t.Errorf("reasoned iobt:allow waivers on the tree = %d, want 18", cov.Allowed)
 	}
 }
 
@@ -370,11 +365,11 @@ func TestCoverageSummary(t *testing.T) {
 		{Analyzer: "dettaint", Message: "b", Suppressed: true, Reason: "r"},
 	}
 	cov := Summarize(diags)
-	if cov.Analyzers != 11 || cov.Findings != 1 || cov.Allowed != 1 {
+	if cov.Analyzers != 9 || cov.Findings != 1 || cov.Allowed != 1 {
 		t.Errorf("coverage = %+v", cov)
 	}
-	if len(cov.Names) != 11 || cov.Names[0] != "barrierstate" {
-		t.Errorf("names = %v, want 11 sorted analyzer names", cov.Names)
+	if len(cov.Names) != 9 || cov.Names[0] != "defercycle" {
+		t.Errorf("names = %v, want 9 sorted analyzer names", cov.Names)
 	}
 	if cov.ByAnalyzer["detrand"].Findings != 1 || cov.ByAnalyzer["dettaint"].Allowed != 1 {
 		t.Errorf("per-analyzer counts = %+v", cov.ByAnalyzer)
@@ -515,11 +510,6 @@ func TestShardownFixture(t *testing.T) {
 
 func TestGoCaptureFixture(t *testing.T) {
 	diags := runFixture(t, "gocapture", GoCapture)
-	requireSuppressed(t, diags, 1)
-}
-
-func TestBarrierStateFixture(t *testing.T) {
-	diags := runFixture(t, "barrierstate", BarrierState)
 	requireSuppressed(t, diags, 1)
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // lossyPair builds two nodes with a lossy link at the range edge.
-func lossyPair(t *testing.T, lossBase float64, seed int64) (*sim.Engine, *Network) {
+func lossyPair(t testing.TB, lossBase float64, seed int64) (*sim.Engine, *Network) {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	terr := geo.NewOpenTerrain(1000, 1000)

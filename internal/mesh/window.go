@@ -84,7 +84,8 @@ func (r *Reliable) Snapshot() []byte {
 // failed (they began after the cut and died with the post).
 func (r *Reliable) Restore(data []byte) error {
 	d := checkpoint.NewDecoder(data)
-	n := d.Int()
+	// seq, From, To, Size, Kind's length prefix and tries: 48 bytes.
+	n := d.Count(d.Int(), 48)
 	if d.Err() != nil {
 		return d.Err()
 	}

@@ -1,8 +1,13 @@
 package mesh
 
 import (
+	"bytes"
+	"math"
+	"runtime"
 	"testing"
 	"time"
+
+	"iobt/internal/checkpoint"
 )
 
 // TestWindowSnapshotRequeueAndFail exercises the warm-failover window
@@ -228,4 +233,82 @@ func TestWindowSnapshotDoesNotResurrectRetiredSeq(t *testing.T) {
 	if err := net.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// allocBytes returns the bytes f allocates on the heap, the least of
+// three runs: a fuzz worker's own goroutines allocate too. Every f here
+// is a Restore, and repeating one re-applies the same disposition.
+func allocBytes(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// blockedWindow returns a window holding two live exchanges over a link
+// that drops everything, plus a snapshot naming both.
+func blockedWindow(t testing.TB) (*Reliable, []byte) {
+	t.Helper()
+	eng, net := lossyPair(t, 0, 13)
+	r := NewReliable(eng, net)
+	r.Register(1, func(Message) {})
+	net.SetHopFault(func(*Message) HopEffect { return HopEffect{Drop: true} })
+	for _, kind := range []string{"order", "report"} {
+		r.Send(Message{From: 0, To: 1, Size: 64, Kind: kind}, nil, nil)
+	}
+	return r, r.Snapshot()
+}
+
+// TestWindowRestoreRefusesClaimedCount: an 8-byte snapshot claiming a
+// million exchanges is refused before anything is sized from the claim,
+// and the live window is left as it was.
+func TestWindowRestoreRefusesClaimedCount(t *testing.T) {
+	r, _ := blockedWindow(t)
+	e := checkpoint.NewEncoder()
+	e.Int(1 << 20)
+	var err error
+	if grew := allocBytes(func() { err = r.Restore(e.Bytes()) }); grew > 4096 {
+		t.Errorf("an %d-byte snapshot allocated %d bytes", e.Len(), grew)
+	}
+	if err == nil {
+		t.Fatal("Restore accepted a count the snapshot cannot hold")
+	}
+	if len(r.inflight) != 2 || r.Requeued.Value() != 0 {
+		t.Fatalf("refused restore disturbed the window: inflight=%d requeued=%d", len(r.inflight), r.Requeued.Value())
+	}
+}
+
+// FuzzWindowRestore holds the ARQ snapshot decoder to the checkpoint
+// contract: any input is refused or applied without a panic, decoding
+// allocates in proportion to the input, and once an input is accepted
+// the window's snapshot is a fixed point of a second Restore/Snapshot.
+func FuzzWindowRestore(f *testing.F) {
+	r, snap := blockedWindow(f)
+	f.Add(snap)
+	f.Add(snap[:len(snap)-1])
+	f.Add(r.Snapshot()[:8])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, _ := blockedWindow(t)
+		var err error
+		// The two live exchanges may be failed or requeued; the slack
+		// covers their callbacks, the requeue and the error.
+		if grew, limit := allocBytes(func() { err = r.Restore(data) }), uint64(16*len(data)+8192); grew > limit {
+			t.Fatalf("allocated %d bytes for a %d-byte snapshot, limit %d", grew, len(data), limit)
+		}
+		if err != nil {
+			return
+		}
+		once := r.Snapshot()
+		if err := r.Restore(once); err != nil {
+			t.Fatalf("window refused its own snapshot: %v", err)
+		}
+		if twice := r.Snapshot(); !bytes.Equal(once, twice) {
+			t.Fatalf("snapshot is not a fixed point:\n%x\n%x", once, twice)
+		}
+	})
 }

@@ -59,8 +59,6 @@ func NewEngine(seed int64) *Engine {
 }
 
 // Now returns the current virtual time.
-//
-//iobt:barrier
 func (e *Engine) Now() time.Duration { return e.ln.now }
 
 // Processed returns the number of events executed so far. Unlike the
@@ -76,7 +74,6 @@ func (e *Engine) Stream(name string) *RNG { return e.rng.Derive(name) }
 // Schedule queues fn to run after delay. A negative delay is an error in
 // the model; it is clamped to zero so causality is preserved.
 //
-//iobt:barrier
 //iobt:hot
 func (e *Engine) Schedule(delay time.Duration, label string, fn func()) Handle {
 	ev := e.ln.schedule(e.ln.now, delay, 0, &e.seq, label)
@@ -132,7 +129,6 @@ func (t *Ticker) Stop() {
 // Step executes the single next event, advancing the clock. It returns
 // false when the queue is empty.
 //
-//iobt:barrier
 //iobt:hot
 func (e *Engine) Step() bool {
 	for e.ln.queue.len() > 0 {
@@ -156,8 +152,6 @@ func (e *Engine) Run(horizon time.Duration) error {
 // perturbs determinism — the event order is fixed by the queue; ctx only
 // decides how far along it the run gets. A background context (nil Done
 // channel) adds no per-event cost.
-//
-//iobt:barrier
 func (e *Engine) RunContext(ctx context.Context, horizon time.Duration) error {
 	done := ctx.Done()
 	limit := time.Duration(math.MaxInt64)

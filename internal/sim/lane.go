@@ -311,27 +311,25 @@ type migration struct {
 // lane per shard. The queue and clock are touched only by the lane's
 // owner — the Engine's caller, or under Sharded the lane's worker during
 // a window and the coordinator at barriers; the inbox is the only
-// concurrently written structure. The
-// //iobt:barrier-only fields are enforced by the barrierstate analyzer:
-// access requires an //iobt:barrier function or the lane's own mutex.
+// concurrently written structure, under inboxMu. The race job holds
+// the threads to that, and the differential tests hold the one rule no
+// race shows: a send reaches even its own lane through the mailbox.
 type lane struct {
-	id int
-	//iobt:barrier-only
+	id    int
 	queue eventQueue
-	//iobt:barrier-only
-	now time.Duration
+	now   time.Duration
 
 	inboxMu sync.Mutex
-	inbox   []*event //iobt:barrier-only
+	inbox   []*event
 
 	// inboxSpare is the drained inbox buffer from the previous barrier,
 	// swapped back in at the next drain so the two buffers ping-pong and
 	// steady-state staging never grows a fresh slice.
-	inboxSpare []*event //iobt:barrier-only
+	inboxSpare []*event
 
 	// migrations staged by this lane's own events during the window;
 	// drained by the coordinator at the barrier.
-	migrations []migration //iobt:barrier-only
+	migrations []migration
 
 	// free is the lane's recycled-event pool (linked through event.next).
 	// It is owner-only like the queue: the owner allocates (Schedule, and
@@ -340,7 +338,7 @@ type lane struct {
 	// (ScheduleActor). Events sent cross-shard drift between pools, which
 	// is harmless: each pool is still touched by exactly one goroutine at
 	// a time.
-	free *event //iobt:barrier-only
+	free *event
 
 	// probe, when set, observes every executed event. Under Sharded with
 	// more than one shard it is called concurrently and must be safe for
@@ -360,7 +358,6 @@ type lane struct {
 // pool is dry). Callers fill every key field; apart from gen the struct
 // arrives zeroed.
 //
-//iobt:barrier
 //iobt:hot
 func (ln *lane) allocEvent() *event {
 	ev := ln.free
@@ -377,7 +374,6 @@ func (ln *lane) allocEvent() *event {
 // generation, zeroing the rest so the pool never pins closures or
 // labels past the firing.
 //
-//iobt:barrier
 //iobt:hot
 func (ln *lane) freeEvent(ev *event) {
 	*ev = event{gen: ev.gen + 1, next: ln.free}
@@ -389,7 +385,6 @@ func (ln *lane) freeEvent(ev *event) {
 // the caller to attach its callback. A negative delay is an error in
 // the model; it is clamped to zero so causality is preserved.
 //
-//iobt:barrier
 //iobt:hot
 func (ln *lane) schedule(now, delay time.Duration, actor ActorID, seq *uint64, label string) *event {
 	if delay < 0 {
@@ -413,7 +408,6 @@ func (ln *lane) schedule(now, delay time.Duration, actor ActorID, seq *uint64, l
 // event may trail the destination lane's local progress, but never the
 // barrier).
 //
-//iobt:barrier
 //iobt:hot
 func (ln *lane) step(floor time.Duration) bool {
 	ev := ln.queue.pop()

@@ -263,8 +263,6 @@ func TestEngineMatchesOneLaneSharded(t *testing.T) {
 // on the old lane, invisible to later migrations), and every event
 // still fires exactly once — on the new shard. The test inspects the
 // lane queues before Run, when no worker exists.
-//
-//iobt:barrier
 func TestShardedReAddActorMovesPendingEvents(t *testing.T) {
 	s := NewSharded(1, ShardedConfig{Shards: 2})
 	const perActor = 3

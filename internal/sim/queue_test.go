@@ -26,8 +26,6 @@ func queued(q *eventQueue) []*event {
 
 // pending counts the events left on lanes: each queue plus its staged
 // mailbox. Only valid while no run is in progress.
-//
-//iobt:barrier
 func pending(lanes ...*lane) int {
 	n := 0
 	for _, ln := range lanes {

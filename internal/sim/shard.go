@@ -316,8 +316,6 @@ func (s *Sharded) RunContext(ctx context.Context, horizon time.Duration) error {
 
 // nextEventTime returns the earliest queued event time across all lanes
 // (inboxes are empty between windows).
-//
-//iobt:barrier
 func (s *Sharded) nextEventTime() (time.Duration, bool) {
 	var next time.Duration
 	found := false
@@ -332,8 +330,6 @@ func (s *Sharded) nextEventTime() (time.Duration, bool) {
 
 // setNow raises the global clock (it never rewinds: an interrupted
 // window may leave the store ahead of an individual lane).
-//
-//iobt:barrier
 func (s *Sharded) setNow(t time.Duration) {
 	if int64(t) > s.nowNS.Load() {
 		s.nowNS.Store(int64(t))
@@ -411,7 +407,6 @@ func (s *Sharded) runWindow(ctx context.Context, end time.Duration, inclusive bo
 // inclusive only at the final horizon window, mirroring Engine's
 // at-most-limit semantics).
 //
-//iobt:barrier
 //iobt:hot
 func (s *Sharded) laneWindow(ln *lane, ctx context.Context, end time.Duration, inclusive bool) {
 	done := ctx.Done()
@@ -458,7 +453,6 @@ func (s *Sharded) takePanic() error {
 // steady-state staging reuses two ping-ponged buffers instead of
 // growing a fresh slice every window.
 //
-//iobt:barrier
 //iobt:hot
 func (s *Sharded) drainInboxes() {
 	for _, ln := range s.lanes {
@@ -480,8 +474,6 @@ func (s *Sharded) drainInboxes() {
 // entries for one actor all come from its owning lane in execution
 // order, so "last staged wins" is deterministic — and is resolved first,
 // so that however many actors leave a lane its queue is walked once.
-//
-//iobt:barrier
 func (s *Sharded) applyMigrations() {
 	for _, ln := range s.lanes {
 		if len(ln.migrations) == 0 {
@@ -506,8 +498,6 @@ func (s *Sharded) applyMigrations() {
 // whatever the number of actors leaving, then a push of each mover.
 // Push order is irrelevant: the event key is a strict total order, so
 // the destination queue pops the same sequence either way.
-//
-//iobt:barrier
 func (s *Sharded) rehome(ln *lane) {
 	ev := ln.queue.filter(func(ev *event) bool {
 		return s.lanes[s.actors[ev.actor].shard] != ln
@@ -600,8 +590,6 @@ func (c *ShardCtx) Send(dst ActorID, delay time.Duration, label string, fn func(
 // spatial layer calls this when mobility carries an actor across a
 // shard boundary). Migration never reorders events — ordering is keyed
 // by actor, not by shard.
-//
-//iobt:barrier
 func (c *ShardCtx) Migrate(shard int) {
 	if shard < 0 || shard >= c.s.cfg.Shards {
 		panic(fmt.Sprintf("sim: migrate to shard %d out of range [0,%d)", shard, c.s.cfg.Shards))

@@ -254,31 +254,43 @@ func TestShardCtxFrom(t *testing.T) {
 	}
 }
 
+// TestShardedHorizonBoundaryDelivery pins deliveries that land exactly
+// at the horizon: like Engine's at-most-limit semantics they execute, at
+// the horizon, and in the same order at every shard count. One is staged
+// in an earlier window by actor 2, one is sent by actor 1 inside the
+// final inclusive window. The staged one is already queued when the
+// final window runs; the late one waits in the mailbox for the barrier
+// after it, so the handler folds 2 then 1 (state 2*31+1). A same-lane
+// shortcut past the mailbox would run the late delivery in key order,
+// 1 first, but only when actors 0 and 1 share a lane (DESIGN.md §9,
+// audit #17).
 func TestShardedHorizonBoundaryDelivery(t *testing.T) {
 	const look = 100 * time.Millisecond
-	run := func(shards int) (uint64, uint64) {
+	var processed uint64
+	for _, shards := range []int{1, 2, 4} {
 		s := NewSharded(7, ShardedConfig{Shards: shards, Lookahead: look})
-		var got, processed uint64
-		s.AddActor(0, 0)
-		s.AddActor(1, shards-1)
-		s.ScheduleActor(0, look, "emit", func(c *ShardCtx) {
-			c.Send(1, look, "edge", func(rc *ShardCtx) {
-				got = uint64(rc.Now())
-			})
-		})
+		for id := ActorID(0); id < 3; id++ {
+			s.AddActor(id, int(id)%shards)
+		}
+		var state uint64
+		var at time.Duration
+		fold := func(from uint64) func(*ShardCtx) {
+			return func(c *ShardCtx) { state, at = state*31+from, c.Now() }
+		}
+		s.ScheduleActor(2, 0, "early", func(c *ShardCtx) { c.Send(0, 2*look, "staged", fold(2)) })
+		s.ScheduleActor(1, look, "late", func(c *ShardCtx) { c.Send(0, look, "final", fold(1)) })
 		if err := s.Run(2 * look); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		processed = s.Processed()
-		return got, processed
-	}
-	g1, p1 := run(1)
-	g2, p2 := run(2)
-	if g1 != g2 || p1 != p2 {
-		t.Fatalf("horizon-boundary delivery diverged: 1-shard (%d, %d) vs 2-shard (%d, %d)", g1, p1, g2, p2)
-	}
-	if g1 != uint64(2*look) {
-		t.Fatalf("delivery at horizon did not execute: got %d, want %d", g1, uint64(2*look))
+		if state != 2*31+1 || at != 2*look {
+			t.Errorf("shards=%d: folded state %d at %v, want %d at %v (staged delivery first, then the final window's)",
+				shards, state, at, 2*31+1, 2*look)
+		}
+		if shards == 1 {
+			processed = s.Processed()
+		} else if s.Processed() != processed {
+			t.Errorf("shards=%d: processed %d events, 1 shard %d", shards, s.Processed(), processed)
+		}
 	}
 }
 
@@ -354,8 +366,6 @@ func TestShardedMigrationConservation(t *testing.T) {
 // state must match the 1-shard run, where Migrate is a no-op. The run
 // stops at the first barrier (Run(lookahead)) so the lane queues are
 // inspected with no worker up, then resumes.
-//
-//iobt:barrier
 func TestShardedMassMigrationOneBarrier(t *testing.T) {
 	const actors, look = 1500, 50 * time.Millisecond
 	run := func(shards int) (uint64, uint64) {
@@ -462,8 +472,6 @@ func TestShardedMassMigrationOneBarrier(t *testing.T) {
 // Re-adding actor 2 to shard 1 moves those events below lane 1's queue
 // base; the resumed run must end with the digest and event count of the
 // uninterrupted 1-shard run.
-//
-//iobt:barrier
 func TestShardedBelowBaseMigration(t *testing.T) {
 	const mover = 2
 	run := func(shards int, interrupt bool) *toyModel {

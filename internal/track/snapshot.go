@@ -85,7 +85,8 @@ func (tr *Tracker) Restore(data []byte) error {
 	d := checkpoint.NewDecoder(data)
 	nextID := d.Int()
 	now := time.Duration(d.Int64())
-	n := d.Int()
+	// ID, LastUpdate, Hits, X, P, Q and the sensor count: 25 words.
+	n := d.Count(d.Int(), 25*8)
 	if d.Err() != nil {
 		return d.Err()
 	}
@@ -102,7 +103,7 @@ func (tr *Tracker) Restore(data []byte) error {
 			t.kf.P[k] = d.Float64()
 		}
 		t.kf.Q = d.Float64()
-		ns := d.Int()
+		ns := d.Count(d.Int(), 8)
 		if d.Err() != nil {
 			return d.Err()
 		}

@@ -229,7 +229,7 @@ func (l *Ledger) Restore(data []byte) error {
 	d := checkpoint.NewDecoder(data)
 	priorAlpha := d.Float64()
 	priorBeta := d.Float64()
-	n := d.Int()
+	n := d.Count(d.Int(), 24) // id, alpha, beta
 	if d.Err() != nil {
 		return d.Err()
 	}
