@@ -30,6 +30,7 @@ import (
 	"syscall"
 	"time"
 
+	"iobt/internal/checkpoint"
 	"iobt/internal/service"
 )
 
@@ -53,12 +54,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		workers   = fs.Int("workers", 4, "concurrent mission workers")
 		queue     = fs.Int("queue", 64, "bounded admission queue depth (overflow is rejected with 429)")
 		data      = fs.String("data", "", "directory for durable checkpoints and reproducer snapshots (empty: in-memory only)")
-		restarts  = fs.Int("max-restarts", 3, "supervised restarts per mission before quarantine")
-		stall     = fs.Duration("stall-after", 2*time.Second, "watchdog stall deadline: restart a mission with no event progress for this long (negative disables)")
+		restarts  = fs.Int("max-restarts", 3, "supervised restarts per mission before quarantine (0: none)")
+		stall     = fs.Duration("stall-after", 2*time.Second, "watchdog stall deadline: restart a mission with no event progress for this long (0 or negative disables)")
 		maxWall   = fs.Duration("max-wall", 0, "per-mission wall-clock budget (0: unlimited)")
 		maxEvents = fs.Uint64("max-events", 0, "per-mission executed-event budget (0: unlimited)")
 		maxCk     = fs.Int("max-checkpoint-bytes", 0, "per-mission encoded checkpoint size budget (0: unlimited)")
-		ckEvery   = fs.Duration("checkpoint", 10*time.Second, "default checkpoint cadence for scenarios that set none")
+		ckEvery   = fs.Duration("checkpoint", 10*time.Second, "default checkpoint cadence for scenarios that set none (0: none)")
 		chaos     = fs.Float64("chaos-prob", 0, "probability a mission suffers an injected worker crash (soak/test)")
 		chaosN    = fs.Int("chaos-attempts", 1, "with -chaos-prob, how many attempts of a chaotic mission crash")
 		stallMode = fs.Bool("chaos-stall", false, "with -chaos-prob, wedge the worker instead of panicking it")
@@ -67,17 +68,39 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// service.Config reads 0 as "use the default", so a flag value the
+	// service would silently replace is refused here, naming the flag.
+	switch {
+	case *workers < 1:
+		return fmt.Errorf("-workers must be at least 1, got %d", *workers)
+	case *queue < 1:
+		return fmt.Errorf("-queue must be at least 1, got %d", *queue)
+	case *restarts < 0:
+		return fmt.Errorf("-max-restarts must be 0 (none) or positive, got %d", *restarts)
+	case *ckEvery < 0 || *ckEvery > 0 && *ckEvery < checkpoint.MinEvery:
+		return fmt.Errorf("-checkpoint must be 0 (none) or at least %s, got %s", checkpoint.MinEvery, *ckEvery)
+	case *maxWall < 0:
+		return fmt.Errorf("-max-wall must be 0 (unlimited) or positive, got %s", *maxWall)
+	case *maxCk < 0:
+		return fmt.Errorf("-max-checkpoint-bytes must be 0 (unlimited) or positive, got %d", *maxCk)
+	case !(*chaos >= 0 && *chaos <= 1):
+		return fmt.Errorf("-chaos-prob must be in [0, 1], got %g", *chaos)
+	case *chaosN < 1:
+		return fmt.Errorf("-chaos-attempts must be at least 1, got %d", *chaosN)
+	case *drainFor <= 0:
+		return fmt.Errorf("-drain-timeout must be positive, got %s", *drainFor)
+	}
 
 	svc := service.New(service.Config{
 		Workers:            *workers,
 		QueueDepth:         *queue,
 		DataDir:            *data,
-		MaxRestarts:        *restarts,
-		StallAfter:         *stall,
+		MaxRestarts:        none(*restarts),
+		StallAfter:         none(*stall),
 		MaxWall:            *maxWall,
 		MaxEvents:          *maxEvents,
 		MaxCheckpointBytes: *maxCk,
-		CheckpointEvery:    *ckEvery,
+		CheckpointEvery:    none(*ckEvery),
 		Chaos: service.ChaosConfig{
 			CrashProb:     *chaos,
 			CrashAttempts: *chaosN,
@@ -126,4 +149,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("drain: %w", drainErr)
 	}
 	return nil
+}
+
+// none maps a flag's 0, which means none, to the negative value that
+// means none to service.Config, whose 0 means its default.
+func none[T int | time.Duration](v T) T {
+	if v == 0 {
+		return -1
+	}
+	return v
 }

@@ -127,6 +127,93 @@ func getJSON(t *testing.T, url string, v any) int {
 	return resp.StatusCode
 }
 
+// awaitTerminal polls a mission until it reaches a terminal state.
+func awaitTerminal(t *testing.T, base, id string) service.MissionView {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Minute)
+	for {
+		var got service.MissionView
+		if code := getJSON(t, base+"/missions/"+id, &got); code != http.StatusOK {
+			t.Fatalf("GET mission: status %d", code)
+		}
+		switch got.State {
+		case "completed", "degraded", "failed", "quarantined":
+			return got
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("mission never reached a terminal state: %+v", got)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// stopServer cancels run and returns its output once it has drained.
+func stopServer(t *testing.T, cancel context.CancelFunc, done chan error, out *syncWriter) string {
+	t.Helper()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run exited with error: %v\n%s", err, out.String())
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("server did not shut down")
+	}
+	return out.String()
+}
+
+// TestRunRejectsOutOfRangeFlags: a value the service would replace with
+// its default, or could not run on, stops iobtd at startup with an
+// error naming the flag, before anything listens.
+func TestRunRejectsOutOfRangeFlags(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // a run that got past validation would return at once
+	for flag, value := range map[string]string{
+		"-workers":              "0",
+		"-queue":                "0",
+		"-max-restarts":         "-1",
+		"-checkpoint":           "1ns",
+		"-max-wall":             "-1s",
+		"-max-checkpoint-bytes": "-1",
+		"-chaos-prob":           "NaN",
+		"-chaos-attempts":       "0",
+		"-drain-timeout":        "0s",
+	} {
+		err := run(ctx, []string{"-addr", "127.0.0.1:0", flag, value}, &syncWriter{})
+		if err == nil || !strings.HasPrefix(err.Error(), flag+" ") {
+			t.Errorf("%s %s: run = %v, want an error naming %s", flag, value, err, flag)
+		}
+	}
+}
+
+// TestZeroMeansNone: -max-restarts 0 quarantines a mission at its first
+// crash, -checkpoint 0 leaves a scenario that sets no cadence
+// uncheckpointed, and -stall-after 0 leaves a wedged mission to its wall
+// budget. The service reads 0 in each field as its default (3 restarts,
+// a 10 s cadence, a 2 s stall deadline), so iobtd must not pass 0
+// through.
+func TestZeroMeansNone(t *testing.T) {
+	base, cancel, done, out := startServer(t, "-max-restarts", "0", "-chaos-prob", "1")
+	if got := awaitTerminal(t, base, submit(t, base, soakScenario(4101)).ID); got.State != "quarantined" || got.Restarts != 0 {
+		t.Errorf("-max-restarts 0: mission ended %s after %d restarts, want quarantined after 0", got.State, got.Restarts)
+	}
+	if report := stopServer(t, cancel, done, out); !strings.Contains(report, "quarantined=1 restarts=0") {
+		t.Errorf("drain line does not report the quarantine:\n%s", report)
+	}
+
+	base, cancel, done, out = startServer(t, "-checkpoint", "0")
+	if got := awaitTerminal(t, base, submit(t, base, soakScenario(4102)).ID); got.State != "completed" || got.Checkpoints != 0 {
+		t.Errorf("-checkpoint 0: mission ended %s with %d checkpoints, want completed with none", got.State, got.Checkpoints)
+	}
+	stopServer(t, cancel, done, out)
+
+	base, cancel, done, out = startServer(t, "-stall-after", "0", "-max-wall", "3s", "-chaos-prob", "1", "-chaos-stall")
+	if got := awaitTerminal(t, base, submit(t, base, soakScenario(4103)).ID); got.Stalls != 0 || got.Restarts != 0 {
+		t.Errorf("-stall-after 0: mission ended %s after %d stalls and %d restarts, want the wall budget to end it", got.State, got.Stalls, got.Restarts)
+	}
+	stopServer(t, cancel, done, out)
+}
+
 func TestRunBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-nope"}, &syncWriter{}); err == nil {
 		t.Error("unknown flag accepted")
@@ -144,20 +231,8 @@ func TestServerLifecycle(t *testing.T) {
 	base, cancel, done, out := startServer(t, "-workers", "2")
 	defer cancel()
 
-	v := submit(t, base, soakScenario(4001))
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		var got service.MissionView
-		if code := getJSON(t, base+"/missions/"+v.ID, &got); code != http.StatusOK {
-			t.Fatalf("GET mission: status %d", code)
-		}
-		if got.State == "completed" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("mission never completed: %+v", got)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if got := awaitTerminal(t, base, submit(t, base, soakScenario(4001)).ID); got.State != "completed" {
+		t.Fatalf("mission ended %s, want completed: %+v", got.State, got)
 	}
 
 	var tel service.Telemetry
@@ -165,17 +240,8 @@ func TestServerLifecycle(t *testing.T) {
 		t.Fatalf("telemetry status %d completed %d, want 200/1", code, tel.Completed)
 	}
 
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run exited with error: %v\n%s", err, out.String())
-		}
-	case <-time.After(time.Minute):
-		t.Fatal("server did not shut down")
-	}
-	if !strings.Contains(out.String(), "drained: completed=1") {
-		t.Errorf("shutdown report missing drain line:\n%s", out.String())
+	if report := stopServer(t, cancel, done, out); !strings.Contains(report, "drained: completed=1") {
+		t.Errorf("shutdown report missing drain line:\n%s", report)
 	}
 }
 

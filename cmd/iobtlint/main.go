@@ -1,5 +1,5 @@
-// Command iobtlint runs the repo's custom determinism and snapshot
-// analyzers (internal/lint) over the given packages:
+// Command iobtlint runs the repo's custom determinism, ownership and
+// allocation analyzers (internal/lint) over the given packages:
 //
 //	go run ./cmd/iobtlint ./...
 //	go run ./cmd/iobtlint -list

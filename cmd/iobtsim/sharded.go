@@ -48,7 +48,7 @@ func shardedOnce(seed int64, shards, assets int, horizon time.Duration) (*mesh.S
 		return p.Encode()
 	}
 	sc.OnDeliver = func(node mesh.NodeID, key mesh.GossipKey, data []byte, at time.Duration) {
-		_ = pics[node].MergeEncoded(data) //iobt:allow errdrop a frame that fails to decode cannot regress the replica; delivery counting happens in the overlay
+		_ = pics[node].MergeEncoded(data) // a frame that fails to decode cannot regress the replica; delivery counting happens in the overlay
 	}
 	res, err := mesh.RunShardScenario(seed, shards, sc)
 	if err != nil {

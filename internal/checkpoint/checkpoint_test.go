@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,11 +46,24 @@ func TestCodecRoundTrip(t *testing.T) {
 	if v := d.String(); v != "" {
 		t.Errorf("empty string: got %q", v)
 	}
-	if d.Err() != nil {
-		t.Fatalf("decode error: %v", d.Err())
+	if err := d.Finish(); err != nil {
+		t.Fatalf("decode error: %v", err)
 	}
-	if d.Remaining() != 0 {
-		t.Errorf("%d bytes left over", d.Remaining())
+}
+
+// TestDecoderFinishRefusesUnreadBytes: a section read short of its end
+// fails Finish, and the failure is sticky like a truncation.
+func TestDecoderFinishRefusesUnreadBytes(t *testing.T) {
+	e := NewEncoder()
+	e.Int(1)
+	e.Bool(true)
+	d := NewDecoder(e.Bytes())
+	_ = d.Int()
+	if err := d.Finish(); err == nil || !strings.Contains(err.Error(), "1 unread bytes at offset 8 of 9") {
+		t.Fatalf("Finish = %v, want 1 unread byte reported", err)
+	}
+	if d.Err() == nil {
+		t.Error("Finish's error is not sticky")
 	}
 }
 

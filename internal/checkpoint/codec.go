@@ -80,6 +80,17 @@ func (d *Decoder) Err() error { return d.err }
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
+// Finish ends a section: it returns the sticky decode error, or an
+// error when bytes are left unread. Every Restore ends with it, so a
+// field that Snapshot encodes and Restore never reads fails the restore
+// instead of being dropped.
+func (d *Decoder) Finish() error {
+	if d.err == nil && d.Remaining() != 0 {
+		d.err = fmt.Errorf("checkpoint: %d unread bytes at offset %d of %d", d.Remaining(), d.off, len(d.buf))
+	}
+	return d.err
+}
+
 func (d *Decoder) take(n int) []byte {
 	if d.err != nil {
 		return nil

@@ -95,8 +95,8 @@ func decodeRecord(payload []byte) (Record, error) {
 		}
 		ck.Sections = append(ck.Sections, Section{Name: name, Data: []byte(data)})
 	}
-	if d.Remaining() != 0 {
-		return rec, fmt.Errorf("checkpoint: %d trailing bytes after record", d.Remaining())
+	if err := d.Finish(); err != nil {
+		return rec, err
 	}
 	rec.Checkpoint = ck
 	return rec, nil

@@ -230,8 +230,8 @@ func (r *Runtime) Restore(data []byte) error {
 	orderFails := d.Int()
 	nextIncID := d.Int()
 	health := HealthState(d.Int())
-	if d.Err() != nil {
-		return d.Err()
+	if err := d.Finish(); err != nil {
+		return err
 	}
 	r.sink = sink
 	if comp != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -145,6 +146,48 @@ func TestReplayVerifyFailoverPlan(t *testing.T) {
 	run := func(j *checkpoint.Journal) { runFailover(t, 31, 15*time.Second, plan, j) }
 	if div := checkpoint.VerifyEquivalence(31, plan.String(), run, run); div != nil {
 		t.Errorf("replay diverged at line %d:\n  run A: %s\n  run B: %s", div.Index, div.A, div.B)
+	}
+}
+
+// TestWarmFailoverJournalsRestoreFailure: when a section of the last
+// checkpoint fails its Restore, warm promotion records the failure in
+// the decision journal, naming the section, instead of resuming as if
+// the state were intact. The section here is one byte longer than its
+// codec reads, which is what a Snapshot that writes a field its Restore
+// never reads produces.
+func TestWarmFailoverJournalsRestoreFailure(t *testing.T) {
+	w := core.NewWorld(core.WorldConfig{Seed: 3, Terrain: geo.NewOpenTerrain(800, 800), Assets: 120})
+	m := core.DefaultMission(geo.NewRect(geo.Point{X: 200, Y: 200}, geo.Point{X: 600, Y: 600}))
+	m.Goal.CoverageFrac = 0.3
+	m.Command = core.CommandHierarchy
+	m.CheckpointEvery = 10 * time.Second
+	r := core.NewRuntime(w, m)
+	j := checkpoint.NewJournal(3, "")
+	r.SetJournal(j)
+	if err := r.Synthesize(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Stop()
+	defer r.Stop()
+	if err := w.Run(25 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ck := r.Checkpoints().Last()
+	for i := range ck.Sections {
+		if ck.Sections[i].Name == "trust" {
+			ck.Sections[i].Data = append(ck.Sections[i].Data, 0)
+		}
+	}
+	r.CrashPost()
+	r.Failover(true)
+	if err := w.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := j.String(); !strings.Contains(got, "failover warm: restore failed: checkpoint: restore trust:") {
+		t.Fatalf("journal does not report the failed trust restore:\n%s", got)
 	}
 }
 

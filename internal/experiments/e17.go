@@ -213,7 +213,7 @@ func runE17(seed int64, quick bool, mode string, verif *verify.Summary) e17Resul
 						continue
 					}
 					frames++
-					//iobt:allow errdrop the strandings are the measurement: BFS unicast offers no repair path, and the delivery-ratio column counts exactly what was lost
+					// The strandings are the measurement: BFS unicast offers no repair path, and the delivery-ratio column counts exactly what was lost
 					_ = w.Net.Send(mesh.Message{
 						From: pub, To: dst, Kind: "cop",
 						Payload: enc, Size: float64(len(enc)),

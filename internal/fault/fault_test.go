@@ -291,7 +291,7 @@ func TestPartitionSeversCrossLinks(t *testing.T) {
 	send := func() bool {
 		ok := false
 		net.RegisterHandler(1, func(mesh.Message) { ok = true })
-		//iobt:allow errdrop connectivity probe: a refused send during the partition window is the expected outcome the delivery flag asserts
+		// Connectivity probe: a refused send during the partition window is the expected outcome the delivery flag asserts
 		_ = net.Send(mesh.Message{From: 0, To: 1, Size: 10, Kind: "probe"})
 		_ = eng.Run(2 * time.Second)
 		return ok
@@ -336,7 +336,7 @@ func TestHealEndsUnboundedPartition(t *testing.T) {
 	send := func() bool {
 		ok := false
 		net.RegisterHandler(1, func(mesh.Message) { ok = true })
-		//iobt:allow errdrop connectivity probe: a refused send during the partition window is the expected outcome the delivery flag asserts
+		// Connectivity probe: a refused send during the partition window is the expected outcome the delivery flag asserts
 		_ = net.Send(mesh.Message{From: 0, To: 1, Size: 10, Kind: "probe"})
 		_ = eng.Run(2 * time.Second)
 		return ok

@@ -1,9 +1,9 @@
 // Package lint is iobtlint: a suite of custom static analyzers that
-// enforce the simulator's determinism and snapshot contracts at build
-// time. Every reproduced claim rests on same-seed ⇒ same-trace; the
-// invariant registry and the scenario fuzzer enforce that contract
-// dynamically (DESIGN.md §8), while this package enforces it
-// statically, so a violation is a build error rather than a fuzzer
+// enforce the simulator's determinism, ownership and allocation
+// contracts at build time. Every reproduced claim rests on same-seed ⇒
+// same-trace; the invariant registry and the scenario fuzzer enforce
+// that contract dynamically (DESIGN.md §8), while this package enforces
+// it statically, so a violation is a build error rather than a fuzzer
 // find three PRs later.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer /
@@ -215,7 +215,7 @@ func sortDiagnostics(ds []Diagnostic) {
 // Analyzers returns the full iobtlint suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		DetRand, SnapshotPair, DetTaint, EnumCase, ErrDrop,
+		DetRand, DetTaint, EnumCase,
 		Shardown, GoCapture, HotAlloc, DeferCycle,
 	}
 }

@@ -34,11 +34,6 @@ func TestDetRandExemptPaths(t *testing.T) {
 	}
 }
 
-func TestSnapshotPairFixture(t *testing.T) {
-	diags := runFixture(t, "snapshotpair", SnapshotPair)
-	requireSuppressed(t, diags, 1)
-}
-
 // TestSuppressFixture runs the full suite so the allow-comment
 // machinery itself is exercised: missing reasons and unknown analyzer
 // names are findings, and the one reasoned allow suppresses.
@@ -76,11 +71,11 @@ func TestTreeClean(t *testing.T) {
 		t.Errorf("iobtlint findings on the tree:\n%s", b.String())
 	}
 	cov := Summarize(diags)
-	if cov.Analyzers != 9 {
-		t.Errorf("analyzer count = %d, want 9", cov.Analyzers)
+	if cov.Analyzers != 7 {
+		t.Errorf("analyzer count = %d, want 7", cov.Analyzers)
 	}
-	if cov.Allowed != 18 {
-		t.Errorf("reasoned iobt:allow waivers on the tree = %d, want 18", cov.Allowed)
+	if cov.Allowed != 10 {
+		t.Errorf("reasoned iobt:allow waivers on the tree = %d, want 10", cov.Allowed)
 	}
 }
 
@@ -365,11 +360,11 @@ func TestCoverageSummary(t *testing.T) {
 		{Analyzer: "dettaint", Message: "b", Suppressed: true, Reason: "r"},
 	}
 	cov := Summarize(diags)
-	if cov.Analyzers != 9 || cov.Findings != 1 || cov.Allowed != 1 {
+	if cov.Analyzers != 7 || cov.Findings != 1 || cov.Allowed != 1 {
 		t.Errorf("coverage = %+v", cov)
 	}
-	if len(cov.Names) != 9 || cov.Names[0] != "defercycle" {
-		t.Errorf("names = %v, want 9 sorted analyzer names", cov.Names)
+	if len(cov.Names) != 7 || cov.Names[0] != "defercycle" {
+		t.Errorf("names = %v, want 7 sorted analyzer names", cov.Names)
 	}
 	if cov.ByAnalyzer["detrand"].Findings != 1 || cov.ByAnalyzer["dettaint"].Allowed != 1 {
 		t.Errorf("per-analyzer counts = %+v", cov.ByAnalyzer)
@@ -404,11 +399,6 @@ func TestGossipDetFixture(t *testing.T) {
 
 func TestEnumCaseFixture(t *testing.T) {
 	diags := runFixture(t, "enumcase", EnumCase)
-	requireSuppressed(t, diags, 1)
-}
-
-func TestErrDropFixture(t *testing.T) {
-	diags := runFixture(t, "errdrop", ErrDrop)
 	requireSuppressed(t, diags, 1)
 }
 
@@ -481,7 +471,7 @@ func TestMatchPackage(t *testing.T) {
 // TestAnalyzeMatchingFilters runs two fixtures through one program and
 // asserts the glob restricts reporting to the matching package.
 func TestAnalyzeMatchingFilters(t *testing.T) {
-	ep, err := LoadFixture("testdata/src/errdrop")
+	rp, err := LoadFixture("testdata/src/detrand")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,16 +479,16 @@ func TestAnalyzeMatchingFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := NewProgram([]*Package{ep, dp})
-	all := Active(prog.Analyze([]*Analyzer{DetTaint, ErrDrop}))
+	prog := NewProgram([]*Package{rp, dp})
+	all := Active(prog.Analyze([]*Analyzer{DetRand, DetTaint}))
 	// Fixtures load under iobtlint/fixture/<dir>.
-	filtered := Active(prog.AnalyzeMatching([]*Analyzer{DetTaint, ErrDrop}, "iobtlint/*/errdrop"))
+	filtered := Active(prog.AnalyzeMatching([]*Analyzer{DetRand, DetTaint}, "iobtlint/*/detrand"))
 	if len(filtered) == 0 || len(filtered) >= len(all) {
 		t.Fatalf("filtered = %d findings, all = %d; want a strict non-empty subset", len(filtered), len(all))
 	}
 	for _, d := range filtered {
-		if !strings.Contains(d.Pos.Filename, "errdrop") {
-			t.Errorf("glob \"errdrop\" leaked finding from %s", d.Pos.Filename)
+		if !strings.Contains(d.Pos.Filename, "detrand") {
+			t.Errorf("glob \"detrand\" leaked finding from %s", d.Pos.Filename)
 		}
 	}
 }

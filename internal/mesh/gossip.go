@@ -314,7 +314,7 @@ func (g *Gossip) relay(m *gossipMember, p GossipPayload, ttl int, exclude NodeID
 	frame := &gossipDataFrame{Payload: p, TTL: ttl}
 	for _, peer := range peers[:k] {
 		g.FramesSent.Inc()
-		//iobt:allow errdrop gossip is fire-and-forget by design: a refused or lost frame is repaired by the next anti-entropy round
+		// Gossip is fire-and-forget by design: a refused or lost frame is repaired by the next anti-entropy round
 		g.net.SendDirect(Message{ //iobt:allow hotalloc the Engine-based mesh pays one path slice and one hop closure per transmitted frame — the modeled radio transmission; the sharded overlay is the zero-alloc path
 			From:    m.id,
 			To:      peer,
@@ -360,7 +360,7 @@ func (g *Gossip) antiEntropyRound() {
 		partner := peers[g.rng.Pick(len(peers))]
 		frame := g.digest(m)
 		g.FramesSent.Inc()
-		//iobt:allow errdrop a lost digest only delays convergence: the next round retries with a fresh partner
+		// A lost digest only delays convergence: the next round retries with a fresh partner
 		g.net.SendDirect(Message{
 			From:    id,
 			To:      partner,
@@ -413,7 +413,7 @@ func (g *Gossip) repair(m *gossipMember, frame *gossipDigestFrame) {
 		p := m.have[key]
 		g.Repairs.Inc()
 		g.FramesSent.Inc()
-		//iobt:allow errdrop a failed repair push is retried by construction: the partner's holdings are re-compared every anti-entropy round
+		// A failed repair push is retried by construction: the partner's holdings are re-compared every anti-entropy round
 		g.net.SendDirect(Message{
 			From:    m.id,
 			To:      frame.From,

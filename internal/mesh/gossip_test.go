@@ -292,3 +292,33 @@ func TestGossipOriginLatencyZero(t *testing.T) {
 			g.LatencySec.N(), g.LatencySec.Sum())
 	}
 }
+
+// TestGossipRelayAllocsPinned pins one classic relay decision, its
+// copies delivered, at its exact allocation count. A fanout of 3 costs
+// the shared frame plus four objects a copy: SendDirect's two-node path,
+// the message moved to the heap at the send hop and again at the
+// delivery hop, and the hop closure. Every receiver already holds the
+// payload, so delivery ends in duplicate suppression, and draining the
+// engine keeps its event pool warm. The peer list is g.peerBuf: a fresh
+// slice per decision would add its growth to the count.
+func TestGossipRelayAllocsPinned(t *testing.T) {
+	eng, _, net := gridWorld(t, 3, 5, 5, 100)
+	g := joinAll(net, GossipConfig{Fanout: 3, TTL: 10, AntiEntropyEvery: -1})
+	p := GossipPayload{Key: GossipKey{Origin: 12}, Size: 32}
+	for _, m := range g.members {
+		m.have[p.Key] = p
+	}
+	center := g.members[12] // eight neighbours, all members
+	allocs := testing.AllocsPerRun(100, func() {
+		g.relay(center, p, 0, center.id)
+		if err := eng.Run(time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1+3*4 {
+		t.Errorf("one relay decision allocates %v objects, want %d", allocs, 1+3*4)
+	}
+	if dup := g.Duplicates.Value(); dup != 3*101 {
+		t.Errorf("%d duplicate receptions, want %d: not every copy was delivered", dup, 3*101)
+	}
+}

@@ -205,7 +205,7 @@ func (r *Reliable) attempt(seq int) {
 	r.Attempts.Inc()
 	m := st.msg
 	m.Kind = "rel:" + strconv.Itoa(seq) + ":" + m.Kind
-	//iobt:allow errdrop ARQ handles loss by design: a failed attempt surfaces as a missing ACK and the timeout below retries it
+	// ARQ handles loss by design: a failed attempt surfaces as a missing ACK and the timeout below retries it
 	_ = r.net.Send(m)
 	st.timeout = r.eng.Schedule(r.attemptTimeout(st.tries), "arq.timeout", func() { r.attempt(seq) })
 }
@@ -243,7 +243,7 @@ func (r *Reliable) onReceive(self NodeID, msg Message) {
 	// Data frame: ACK it (even for duplicates — the ACK may have been
 	// lost), deliver once.
 	ack := Message{From: self, To: msg.From, Size: 32, Kind: "rel:" + strconv.Itoa(seq) + ":ack"}
-	//iobt:allow errdrop a lost ACK is the ARQ protocol's own failure mode: the sender times out and retransmits, and we re-ACK the duplicate
+	// A lost ACK is the ARQ protocol's own failure mode: the sender times out and retransmits, and we re-ACK the duplicate
 	_ = r.net.Send(ack)
 	if r.seen[self] == nil {
 		r.seen[self] = make(map[int]bool)

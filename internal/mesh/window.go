@@ -99,8 +99,8 @@ func (r *Reliable) Restore(data []byte) error {
 		_ = d.Int()     // tries
 		keep[seq] = true
 	}
-	if d.Err() != nil {
-		return d.Err()
+	if err := d.Finish(); err != nil {
+		return err
 	}
 	var lost []int
 	for _, seq := range r.inflightSeqs() {

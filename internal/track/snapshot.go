@@ -112,8 +112,8 @@ func (tr *Tracker) Restore(data []byte) error {
 		}
 		tracks = append(tracks, t)
 	}
-	if d.Err() != nil {
-		return d.Err()
+	if err := d.Finish(); err != nil {
+		return err
 	}
 	tr.nextID = nextID
 	tr.now = now

@@ -240,8 +240,8 @@ func (l *Ledger) Restore(data []byte) error {
 		beta := d.Float64()
 		records[id] = &record{alpha: alpha, beta: beta}
 	}
-	if d.Err() != nil {
-		return d.Err()
+	if err := d.Finish(); err != nil {
+		return err
 	}
 	l.priorAlpha, l.priorBeta = priorAlpha, priorBeta
 	l.records = records

@@ -154,8 +154,8 @@ func RestoreTransparency(seed int64) error {
 	// A probe that silently fails makes the transparency check vacuous:
 	// if the restore never happened, fingerprint equality proves
 	// nothing. (This code once early-returned on TakeNow's non-nil
-	// *Checckpoint result, so the restore never ran — errdrop caught
-	// the discarded RestoreLast error that hid it.) Capture the error
+	// *Checkpoint result, so the restore never ran, and discarded the
+	// RestoreLast error that would have shown it.) Capture the error
 	// and report it as a violation.
 	var probeErr error
 	probed := runScenario(base, nil, func(w *core.World, r *core.Runtime) {
