@@ -4,9 +4,9 @@ package main
 // through testing.Benchmark, rendered as a table with events_per_sec
 // and allocs_per_op columns, and compared against a committed baseline
 // (BENCH_MICRO.json) by the CI bench gate. The loops mirror the
-// package benchmarks in internal/sim, internal/track, internal/mesh and
-// internal/cop — same bodies, same steady states — so `go test -bench`
-// and `benchtab -bench` read the same costs.
+// package benchmarks in internal/sim, internal/track, internal/mesh,
+// internal/cop and internal/compose — same bodies, same steady states —
+// so `go test -bench` and `benchtab -bench` read the same costs.
 //
 // The gate's contract is asymmetric on purpose: ns/op may drift with
 // the host (the -maxregress fraction absorbs that), but allocs/op on a
@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"iobt/internal/asset"
+	"iobt/internal/compose"
 	"iobt/internal/cop"
 	"iobt/internal/experiments"
 	"iobt/internal/geo"
@@ -158,6 +159,26 @@ func microBenches() []microBench {
 			},
 		},
 		{
+			name:   "compose_cover_lists",
+			doc:    "every candidate's cover list for an E2 pool of 1,000 assets over its derived 32x32 grid: each candidate tested against its sensing box only, all lists in one backing array",
+			allocs: 2,
+			fn: func(b *testing.B) {
+				// Mirrors BenchmarkCoverLists in internal/compose/cover_test.go.
+				terr := geo.NewUrbanTerrain(3000, 3000, 100)
+				pop := asset.Generate(terr, asset.DefaultMix(1000), sim.NewRNG(42))
+				req := compose.Derive(compose.Goal{
+					Area:         geo.NewRect(geo.Point{X: 200, Y: 200}, geo.Point{X: 2800, Y: 2800}),
+					CoverageFrac: 0.6,
+				})
+				pool := compose.PoolFromPopulation(pop, nil)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					microCover = req.CoverLists(pool)
+				}
+			},
+		},
+		{
 			name:   "rng_derive",
 			doc:    "opening one named stream and drawing from it once: the per-asset, per-node, per-actor cost (one 64-byte object; math/rand's source was 4.9 KB and ~10 us to seed)",
 			allocs: 1,
@@ -189,6 +210,7 @@ func microBenches() []microBench {
 var (
 	microFrame []byte
 	microDraw  int64
+	microCover [][]int32
 )
 
 // microPicture mirrors gossipFrame(54) in internal/cop/codec_test.go: the

@@ -121,7 +121,7 @@ func (s AnnealSolver) Solve(req Requirements, pool []Candidate) (*Composite, err
 type annealState struct {
 	req        Requirements
 	eligible   []Candidate
-	coverLists [][]int
+	coverLists [][]int32
 	in         []bool
 	cellHits   []int
 	satisfied  int
@@ -131,21 +131,13 @@ type annealState struct {
 }
 
 func newAnnealState(req Requirements, eligible []Candidate) *annealState {
-	st := &annealState{
-		req:      req,
-		eligible: eligible,
-		in:       make([]bool, len(eligible)),
-		cellHits: make([]int, len(req.Cells)),
+	return &annealState{
+		req:        req,
+		eligible:   eligible,
+		coverLists: req.CoverLists(eligible),
+		in:         make([]bool, len(eligible)),
+		cellHits:   make([]int, len(req.Cells)),
 	}
-	st.coverLists = make([][]int, len(eligible))
-	for i := range eligible {
-		for ci, cell := range req.Cells {
-			if eligible[i].covers(req.Goal, cell) {
-				st.coverLists[i] = append(st.coverLists[i], ci)
-			}
-		}
-	}
-	return st
 }
 
 func (st *annealState) flip(i int) {

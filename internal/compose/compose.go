@@ -14,6 +14,7 @@ package compose
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"iobt/internal/asset"
@@ -65,6 +66,9 @@ type Requirements struct {
 	CellNeed int
 	// NeedCells is the number of cells that must reach CellNeed coverage.
 	NeedCells int
+	// cols is the number of cells per row of Cells' grid, 0 when the
+	// grid's centres are not all finite.
+	cols int
 }
 
 // Derive performs the paper's "reasoning from goals to means": it turns
@@ -82,7 +86,7 @@ func Derive(g Goal) Requirements {
 	if g.CoverageFrac > 1 {
 		g.CoverageFrac = 1
 	}
-	cells := coverageCells(g.Area)
+	cells, cols := coverageCells(g.Area)
 	need := int(g.CoverageFrac * float64(len(cells)))
 	if need < 1 && len(cells) > 0 {
 		need = 1
@@ -92,15 +96,18 @@ func Derive(g Goal) Requirements {
 		Cells:     cells,
 		CellNeed:  g.Redundancy,
 		NeedCells: need,
+		cols:      cols,
 	}
 }
 
-// coverageCells discretizes an area into at most ~32x32 cell centers.
-func coverageCells(area geo.Rect) []geo.Point {
+// coverageCells discretizes an area into at most ~32x32 cell centers,
+// row by row, and returns them with the number of columns, or 0 when
+// some centre is not finite.
+func coverageCells(area geo.Rect) ([]geo.Point, int) {
 	const maxSide = 32
 	w, h := area.Width(), area.Height()
 	if w <= 0 || h <= 0 {
-		return nil
+		return nil, 0
 	}
 	nx, ny := maxSide, maxSide
 	if w < h {
@@ -116,15 +123,21 @@ func coverageCells(area geo.Rect) []geo.Point {
 	}
 	cells := make([]geo.Point, 0, nx*ny)
 	dx, dy := w/float64(nx), h/float64(ny)
+	finite := true
 	for iy := 0; iy < ny; iy++ {
 		for ix := 0; ix < nx; ix++ {
-			cells = append(cells, geo.Point{
+			p := geo.Point{
 				X: area.Min.X + (float64(ix)+0.5)*dx,
 				Y: area.Min.Y + (float64(iy)+0.5)*dy,
-			})
+			}
+			finite = finite && !math.IsInf(p.X, 0) && !math.IsNaN(p.X) && !math.IsInf(p.Y, 0) && !math.IsNaN(p.Y)
+			cells = append(cells, p)
 		}
 	}
-	return cells
+	if !finite {
+		return cells, 0
+	}
+	return cells, nx
 }
 
 // Candidate is one recruitable asset as seen by the composer.
@@ -134,15 +147,6 @@ type Candidate struct {
 	Caps        asset.Capabilities
 	Trust       float64
 	Affiliation asset.Affiliation
-}
-
-// covers reports whether the candidate senses point p with a modality
-// required by the goal.
-func (c *Candidate) covers(g Goal, p geo.Point) bool {
-	if g.Modalities != 0 && c.Caps.Modalities&g.Modalities == 0 {
-		return false
-	}
-	return c.Pos.Dist(p) <= c.Caps.SenseRange
 }
 
 // PoolFromPopulation builds the candidate pool from ground truth: all
@@ -208,7 +212,7 @@ func Evaluate(req Requirements, members []Candidate) Assurance {
 		for _, cell := range req.Cells {
 			hits := 0
 			for i := range members {
-				if members[i].covers(g, cell) {
+				if members[i].covers(g.Modalities, cell) {
 					hits++
 					if hits >= req.CellNeed {
 						break

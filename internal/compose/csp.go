@@ -41,14 +41,7 @@ func (s CSPSolver) Solve(req Requirements, pool []Candidate) (*Composite, error)
 	}
 
 	// Order candidates by descending coverage degree: better pruning.
-	coverLists := make([][]int, len(eligible))
-	for i := range eligible {
-		for ci, cell := range req.Cells {
-			if eligible[i].covers(req.Goal, cell) {
-				coverLists[i] = append(coverLists[i], ci)
-			}
-		}
-	}
+	coverLists := req.CoverLists(eligible)
 	order := make([]int, len(eligible))
 	for i := range order {
 		order[i] = i
@@ -84,7 +77,7 @@ func (s CSPSolver) Solve(req Requirements, pool []Candidate) (*Composite, error)
 type cspState struct {
 	req        Requirements
 	eligible   []Candidate
-	coverLists [][]int
+	coverLists [][]int32
 	order      []int
 	budget     int
 	cellHits   []int

@@ -46,44 +46,63 @@ func (GreedySolver) Solve(req Requirements, pool []Candidate) (*Composite, error
 // greedyOver runs the three phases over eligible and evaluates the
 // result; it never fails, it reports.
 func greedyOver(req Requirements, eligible []Candidate) *Composite {
-	g := req.Goal
+	st := newCoverState(&req, eligible)
+	st.maxCoverage()
+	return st.finish()
+}
 
-	// Precompute cell coverage lists per candidate.
-	coverLists := make([][]int, len(eligible))
-	for i := range eligible {
-		for ci, cell := range req.Cells {
-			if eligible[i].covers(g, cell) {
-				coverLists[i] = append(coverLists[i], ci)
-			}
+// coverState is one greedy synthesis in progress: who is chosen, in
+// pick order, and how many chosen members cover each cell.
+type coverState struct {
+	req       *Requirements
+	eligible  []Candidate
+	lists     [][]int32
+	chosen    []bool
+	cellHits  []int
+	satisfied int
+	members   []Candidate
+}
+
+func newCoverState(req *Requirements, eligible []Candidate) *coverState {
+	return &coverState{
+		req:      req,
+		eligible: eligible,
+		lists:    req.CoverLists(eligible),
+		chosen:   make([]bool, len(eligible)),
+		cellHits: make([]int, len(req.Cells)),
+	}
+}
+
+// pick adds eligible[i] to the composite, once.
+func (st *coverState) pick(i int) {
+	if st.chosen[i] {
+		return
+	}
+	st.chosen[i] = true
+	st.members = append(st.members, st.eligible[i])
+	for _, ci := range st.lists[i] {
+		st.cellHits[ci]++
+		if st.cellHits[ci] == st.req.CellNeed {
+			st.satisfied++
 		}
 	}
+}
 
-	chosen := make([]bool, len(eligible))
-	cellHits := make([]int, len(req.Cells))
-	satisfied := 0
-	var members []Candidate
-
-	pick := func(i int) {
-		chosen[i] = true
-		members = append(members, eligible[i])
-		for _, ci := range coverLists[i] {
-			cellHits[ci]++
-			if cellHits[ci] == req.CellNeed {
-				satisfied++
-			}
-		}
-	}
-
-	// Phase 1: max coverage.
-	for satisfied < req.NeedCells {
+// maxCoverage is phase 1: repeatedly pick the unchosen candidate that
+// covers the most cells still below CellNeed, first in pool order on a
+// tie, until NeedCells are met, nobody adds coverage or MaxMembers is
+// reached.
+func (st *coverState) maxCoverage() {
+	g := st.req.Goal
+	for st.satisfied < st.req.NeedCells {
 		best, bestGain := -1, 0
-		for i := range eligible {
-			if chosen[i] {
+		for i, list := range st.lists {
+			if st.chosen[i] {
 				continue
 			}
 			gain := 0
-			for _, ci := range coverLists[i] {
-				if cellHits[ci] < req.CellNeed {
+			for _, ci := range list {
+				if st.cellHits[ci] < st.req.CellNeed {
 					gain++
 				}
 			}
@@ -92,21 +111,21 @@ func greedyOver(req Requirements, eligible []Candidate) *Composite {
 			}
 		}
 		if best < 0 {
-			break // no candidate adds coverage; resources may still pass
+			return // no candidate adds coverage; resources may still pass
 		}
-		pick(best)
-		if g.MaxMembers > 0 && len(members) >= g.MaxMembers {
-			break
+		st.pick(best)
+		if g.MaxMembers > 0 && len(st.members) >= g.MaxMembers {
+			return
 		}
 	}
+}
 
-	// Phase 2: resource top-up (compute then bandwidth), richest first.
-	members = topUpResources(req, eligible, chosen, members, pick)
-
-	// Phase 3: connectivity repair.
-	members = repairConnectivity(eligible, chosen, members, pick)
-
-	return &Composite{Members: ids(members), Assurance: Evaluate(req, members)}
+// finish runs phase 2, the resource top-up, and phase 3, connectivity
+// repair, then evaluates the composite.
+func (st *coverState) finish() *Composite {
+	st.members = topUpResources(*st.req, st.eligible, st.chosen, st.members, st.pick)
+	st.members = repairConnectivity(st.eligible, st.chosen, st.members, st.pick)
+	return &Composite{Members: ids(st.members), Assurance: Evaluate(*st.req, st.members)}
 }
 
 // radioComponents splits candidates into the connected components of
@@ -219,21 +238,25 @@ func repairConnectivity(eligible []Candidate, chosen []bool, members []Candidate
 		// closest toward a different component (multi-node bridges are
 		// built one stepping stone at a time).
 		step, stepDist := -1, 0.0
+		// linked[c] marks the components the candidate reaches.
+		linked := make([]bool, nComp)
 		for i := range eligible {
 			if chosen[i] {
 				continue
 			}
-			linked := map[int]bool{}
+			clear(linked)
+			links := 0
 			for m := range members {
 				r := minRange(eligible[i], members[m])
-				if eligible[i].Pos.Dist(members[m].Pos) <= r {
+				if eligible[i].Pos.Dist(members[m].Pos) <= r && !linked[comp[m]] {
 					linked[comp[m]] = true
+					links++
 				}
 			}
-			if len(linked) > bestLinks {
-				best, bestLinks = i, len(linked)
+			if links > bestLinks {
+				best, bestLinks = i, links
 			}
-			if len(linked) == 1 {
+			if links == 1 {
 				// Distance from this candidate to the nearest member of
 				// a component it is NOT linked to.
 				d := -1.0
