@@ -448,7 +448,7 @@ func compareMicro(cur, base *MicroTable, maxRegress float64) error {
 		}
 		if c.AllocsPerOp > b.AllocsPerOp {
 			violations = append(violations, fmt.Sprintf(
-				"%s: allocs/op %d > baseline %d — a zero-alloc path regressed; run iobtlint -only hotalloc,defercycle and the sim alloc tests",
+				"%s: allocs/op %d > baseline %d — a zero-alloc path regressed; run the allocation-rate pins (go test -run AllocRate ./internal/...) to find the entry point",
 				b.Name, c.AllocsPerOp, b.AllocsPerOp))
 		}
 		if b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*(1+maxRegress) {

@@ -96,9 +96,11 @@ func run(args []string) error {
 		return err
 	}
 	// Run(0) means "until the queue drains", which the mesh refresh
-	// ticker never does, and a negative horizon runs nothing.
-	if *minutes <= 0 {
-		return fmt.Errorf("-minutes must be positive, got %d", *minutes)
+	// ticker never does, and a negative horizon runs nothing. Past
+	// maxMinutes the horizon wraps negative.
+	const maxMinutes = math.MaxInt64 / int64(time.Minute)
+	if *minutes <= 0 || int64(*minutes) > maxMinutes {
+		return fmt.Errorf("-minutes must be positive and at most %d, got %d", maxMinutes, *minutes)
 	}
 	// A NaN rate arms the incident ticker at its 1ns floor and never
 	// ends; core would silently replace a non-positive rate or asset

@@ -24,6 +24,8 @@ func TestRunBadArgs(t *testing.T) {
 		{"zero minutes", []string{"-minutes", "0"}, "-minutes must be positive"},
 		{"negative minutes", []string{"-minutes", "-2"}, "-minutes must be positive"},
 		{"negative minutes sharded", []string{"-minutes", "-2", "-shards", "2"}, "-minutes must be positive"},
+		{"unrepresentable minutes", []string{"-minutes", "153722868"}, "-minutes must be positive and at most 153722867"},
+		{"unrepresentable minutes sharded", []string{"-minutes", "153722868", "-shards", "2"}, "-minutes must be positive and at most 153722867"},
 		{"NaN rate", []string{"-rate", "NaN"}, "-rate must be"},
 		{"negative rate", []string{"-rate", "-3"}, "-rate must be"},
 		{"zero size", []string{"-size", "0"}, "-size must be"},

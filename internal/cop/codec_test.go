@@ -345,6 +345,45 @@ func TestMergeEncodedDominatedFrameAllocatesNothing(t *testing.T) {
 	}
 }
 
+// checkAllocRate runs run, which reports how many events it executed,
+// and fails t unless the heap objects allocated per event are want: the
+// exact runtime.MemStats.Mallocs delta over at least 10⁴ events, as a
+// ratio, to within 1/1000 (the sim package's pins explain the choice).
+func checkAllocRate(t *testing.T, what string, want float64, run func() uint64) {
+	t.Helper()
+	if raceDetector {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	events := run()
+	runtime.ReadMemStats(&after)
+	if events < 10_000 {
+		t.Fatalf("%s: %d events measured, want at least 10⁴", what, events)
+	}
+	if got := float64(after.Mallocs-before.Mallocs) / float64(events); math.Abs(got-want) > 1.0/1000 {
+		t.Errorf("%s: %.4f heap objects per event over %d events, want %v", what, got, events, want)
+	}
+}
+
+// TestMergeAllocRate pins the gossip_cop receive, a dominated frame
+// folded into a replica, at 0 heap objects per merge over 10⁴ merges.
+func TestMergeAllocRate(t *testing.T) {
+	p, frame := gossipFrame(54)
+	if err := p.MergeEncoded(frame); err != nil {
+		t.Fatal(err)
+	}
+	checkAllocRate(t, "dominated merge", 0, func() uint64 {
+		const merges = 10_000
+		for i := 0; i < merges; i++ {
+			if err := p.MergeEncoded(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return merges
+	})
+}
+
 // FuzzMergeEncoded feeds MergeEncoded arbitrary bytes. It must never
 // panic, never allocate out of proportion to the bytes it was handed,
 // leave the replica untouched when it refuses a frame, and when it

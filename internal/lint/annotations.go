@@ -8,7 +8,7 @@ import (
 )
 
 // This file indexes the annotations the ownership analyzers (shardown,
-// gocapture) and the hot-path analyzers (hotalloc, defercycle) key off.
+// gocapture) and the hot-path analyzer (defercycle) key off.
 // Annotations are doc comments on declarations — the contract is stated
 // where the state lives, and the analyzers enforce it:
 //
@@ -23,10 +23,10 @@ import (
 //	                      engine runs, so workers share it safely and
 //	                      closures may capture it (gocapture).
 //	//iobt:hot            on a function: the body executes per simulation
-//	                      event, so the hotpath analyzers (hotalloc,
-//	                      defercycle) hold it — and, through
-//	                      bottom-up allocation summaries, every helper it
-//	                      calls — to the zero-allocation discipline.
+//	                      event and its steady state allocates nothing;
+//	                      defercycle holds its loops free of defers and
+//	                      locks, and the allocation-rate tests pin the
+//	                      event loop's entry points.
 //
 // An annotation that is not anchored to a declaration of the right kind
 // is itself a finding (reported by the owning analyzer), so the
@@ -200,8 +200,8 @@ func (a *annotations) funcHas(fn *types.Func, note string) bool {
 
 // reportMisplaced emits findings for annotations in this package that
 // anchor to nothing valid; which is reported by which analyzer follows
-// annotation ownership (shardown owns the type notes, hotalloc the hot
-// note).
+// annotation ownership (shardown owns the type notes, defercycle the
+// hot note).
 func reportMisplaced(p *Pass, owned map[string]string) {
 	for _, site := range p.Prog.notes.misplaced[p.Path] {
 		want, isOwned := owned[site.name]

@@ -24,6 +24,7 @@ var DeferCycle = &Analyzer{
 }
 
 func runDeferCycle(p *Pass) {
+	reportMisplaced(p, map[string]string{noteHot: "a function declaration"})
 	for _, f := range p.Files {
 		if strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go") {
 			continue

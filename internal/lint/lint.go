@@ -1,5 +1,5 @@
 // Package lint is iobtlint: a suite of custom static analyzers that
-// enforce the simulator's determinism, ownership and allocation
+// enforce the simulator's determinism, ownership and hot-loop
 // contracts at build time. Every reproduced claim rests on same-seed ⇒
 // same-trace; the invariant registry and the scenario fuzzer enforce
 // that contract dynamically (DESIGN.md §8), while this package enforces
@@ -216,7 +216,7 @@ func sortDiagnostics(ds []Diagnostic) {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DetRand, DetTaint, EnumCase,
-		Shardown, GoCapture, HotAlloc, DeferCycle,
+		Shardown, GoCapture, DeferCycle,
 	}
 }
 

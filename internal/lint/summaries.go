@@ -35,19 +35,15 @@ type Program struct {
 	// the function schedules or returns — the interprocedural leg of the
 	// gocapture analyzer.
 	captures map[string][]int
-	// allocFacts maps a function key to short descriptions of the
-	// per-event heap allocations it performs, directly or transitively —
-	// the interprocedural leg of the hotalloc analyzer.
-	allocFacts map[string][]string
 }
 
 // maxSCCIterations bounds fixpoint iteration inside one recursive
 // cycle; taint sets only grow, so convergence is fast in practice.
 const maxSCCIterations = 8
 
-// NewProgram builds the call graph and computes the three per-function
-// summaries (taint, captures, allocation facts), each in one bottom-up
-// pass over the same SCCs.
+// NewProgram builds the call graph and computes the two per-function
+// summaries (taint, captures), each in one bottom-up pass over the same
+// SCCs.
 func NewProgram(pkgs []*Package) *Program {
 	graph := buildCallGraph(pkgs)
 	prog := &Program{
@@ -58,7 +54,6 @@ func NewProgram(pkgs []*Package) *Program {
 		methodImpls: graph.methodImpls,
 		notes:       scanNotes(pkgs),
 		captures:    map[string][]int{},
-		allocFacts:  map[string][]string{},
 	}
 	comps := graph.sccs()
 	bottomUp(comps, func(n *CGNode) bool {
@@ -68,7 +63,6 @@ func NewProgram(pkgs []*Package) *Program {
 		return before == nil || before.fingerprint() != next.fingerprint()
 	})
 	bottomUp(comps, func(n *CGNode) bool { return update(prog.captures, n.Key, computeCaptures(prog, n)) })
-	bottomUp(comps, func(n *CGNode) bool { return update(prog.allocFacts, n.Key, computeAllocFacts(prog, n)) })
 
 	sort.Slice(prog.findings, func(i, j int) bool {
 		a, b := prog.findings[i], prog.findings[j]

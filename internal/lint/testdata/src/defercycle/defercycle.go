@@ -76,3 +76,5 @@ func cold(gs []*guarded) {
 		g.n++
 	}
 }
+
+var misplacedHot int //iobt:hot // want `iobt:hot annotation must sit on a function declaration`

@@ -310,12 +310,14 @@ func (g *Gossip) relay(m *gossipMember, p GossipPayload, ttl int, exclude NodeID
 	// One shared frame per relay decision: Message.Payload is an
 	// interface, so a pointer frame costs one allocation for the whole
 	// fanout where a value frame would box once per peer.
-	//iobt:allow hotalloc the frame is the message: one pointer payload shared across the whole fanout, freed when the last delivery fires
 	frame := &gossipDataFrame{Payload: p, TTL: ttl}
 	for _, peer := range peers[:k] {
 		g.FramesSent.Inc()
-		// Gossip is fire-and-forget by design: a refused or lost frame is repaired by the next anti-entropy round
-		g.net.SendDirect(Message{ //iobt:allow hotalloc the Engine-based mesh pays one path slice and one hop closure per transmitted frame — the modeled radio transmission; the sharded overlay is the zero-alloc path
+		// Gossip is fire-and-forget by design: a refused or lost frame is
+		// repaired by the next anti-entropy round. The Engine-based mesh
+		// pays a path slice and a hop closure per transmitted frame; the
+		// sharded overlay is the zero-allocation path.
+		g.net.SendDirect(Message{
 			From:    m.id,
 			To:      peer,
 			Size:    p.Size + frameOverhead,

@@ -469,22 +469,8 @@ func RunShardScenario(seed int64, shards int, sc ShardScenario) (*ShardResult, e
 	if shards < 1 {
 		shards = 1
 	}
-
-	eng := sim.NewSharded(seed, sim.ShardedConfig{Shards: shards, Lookahead: 100 * time.Millisecond})
-	run := newShardRun(eng.Stream, shards, sc)
+	eng, run := newShardEngine(seed, shards, sc)
 	field := run.field
-	words := (sc.Publishers*run.slots + 63) / 64
-	held := make([]uint64, sc.Nodes*words)
-	for i := 0; i < sc.Nodes; i++ {
-		run.nodes[i] = &shardNode{
-			id:        NodeID(i),
-			rng:       eng.Stream(fmt.Sprintf("shardnet/node/%d", i)),
-			publisher: i%run.stride == 0 && i/run.stride < sc.Publishers,
-			held:      held[i*words : (i+1)*words : (i+1)*words],
-		}
-		eng.AddActor(sim.ActorID(i), field.Map.ShardOf(field.Home(i)))
-	}
-
 	for i := 0; i < sc.Nodes; i++ {
 		n := run.nodes[i]
 		if n.publisher {
@@ -512,6 +498,25 @@ func RunShardScenario(seed int64, shards int, sc ShardScenario) (*ShardResult, e
 		return nil, err
 	}
 	return run.collect(eng, shards), nil
+}
+
+// newShardEngine lays a checked scenario's nodes out on a new sharded
+// engine, one actor each, with nothing scheduled yet.
+func newShardEngine(seed int64, shards int, sc ShardScenario) (*sim.Sharded, *shardRun) {
+	eng := sim.NewSharded(seed, sim.ShardedConfig{Shards: shards, Lookahead: 100 * time.Millisecond})
+	run := newShardRun(eng.Stream, shards, sc)
+	words := (sc.Publishers*run.slots + 63) / 64
+	held := make([]uint64, sc.Nodes*words)
+	for i := 0; i < sc.Nodes; i++ {
+		run.nodes[i] = &shardNode{
+			id:        NodeID(i),
+			rng:       eng.Stream(fmt.Sprintf("shardnet/node/%d", i)),
+			publisher: i%run.stride == 0 && i/run.stride < sc.Publishers,
+			held:      held[i*words : (i+1)*words : (i+1)*words],
+		}
+		eng.AddActor(sim.ActorID(i), run.field.Map.ShardOf(run.field.Home(i)))
+	}
+	return eng, run
 }
 
 // slot maps a key to its bit in a node's held set: the publisher's

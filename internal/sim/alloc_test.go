@@ -9,9 +9,70 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 )
+
+// raceDetector is set by race_test.go: the race runtime allocates on
+// its own account, so the rate pins skip under -race.
+var raceDetector bool
+
+// checkAllocRate runs run, which reports how many events it executed,
+// and fails t unless the heap objects allocated per event are want. The
+// rate is the exact runtime.MemStats.Mallocs delta over at least 10⁴
+// events, as a ratio: one allocation in 64 events reads 0.016 here and
+// 0 through AllocsPerRun, which divides an integer count by its runs.
+// The 1/1000 tolerance covers a fixed per-run cost, such as starting
+// the workers.
+func checkAllocRate(t *testing.T, what string, want float64, run func() uint64) {
+	t.Helper()
+	if raceDetector {
+		t.Skip("the race detector allocates on its own account")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	events := run()
+	runtime.ReadMemStats(&after)
+	if events < 10_000 {
+		t.Fatalf("%s: %d events measured, want at least 10⁴", what, events)
+	}
+	if got := float64(after.Mallocs-before.Mallocs) / float64(events); math.Abs(got-want) > 1.0/1000 {
+		t.Errorf("%s: %.4f heap objects per event over %d events, want %v", what, got, events, want)
+	}
+}
+
+// TestStepAllocRate pins lane.step at 0 heap objects per event at 1 and
+// 2 shards, through Run with live workers: ticks, sends across lanes,
+// mailbox drains and barriers, at least 10⁵ events each.
+func TestStepAllocRate(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		const actors = 16
+		s := NewSharded(1, ShardedConfig{Shards: shards, Lookahead: time.Millisecond})
+		var tick, deliver func(c *ShardCtx)
+		deliver = func(c *ShardCtx) {}
+		tick = func(c *ShardCtx) {
+			c.Schedule(time.Millisecond, "tick", tick)
+			c.Send((c.Self()+1)%actors, time.Millisecond, "msg", deliver)
+		}
+		for i := 0; i < actors; i++ {
+			s.AddActor(ActorID(i), i%shards)
+			s.ScheduleActor(ActorID(i), time.Millisecond, "tick", tick)
+		}
+		if err := s.Run(20 * time.Millisecond); err != nil { // warm the pools and buffers
+			t.Fatal(err)
+		}
+		checkAllocRate(t, fmt.Sprintf("%d shards", shards), 0, func() uint64 {
+			start := s.Processed()
+			if err := s.Run(4 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			return s.Processed() - start
+		})
+	}
+}
 
 func TestEngineZeroAllocScheduling(t *testing.T) {
 	eng := NewEngine(1)

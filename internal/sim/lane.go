@@ -340,11 +340,6 @@ type lane struct {
 	// a time.
 	free *event
 
-	// probe, when set, observes every executed event. Under Sharded with
-	// more than one shard it is called concurrently and must be safe for
-	// concurrent use.
-	probe func(shard int, actor ActorID, at time.Duration, label string)
-
 	// processed and clamped are mutated by the owner and read by
 	// observers (service watchdogs polling progress, aggregators over
 	// lanes) at any time, hence atomic (mutex-free).
@@ -362,7 +357,8 @@ type lane struct {
 func (ln *lane) allocEvent() *event {
 	ev := ln.free
 	if ev == nil {
-		//iobt:allow hotalloc pool refill: each lane's free list warms to its peak in-flight event count, then the recycle-before-fire cycle (alloc-on-sender/free-on-executor across shards) reuses structs forever
+		// Pool refill: each lane's free list warms to its peak in-flight
+		// event count, then recycle-before-fire reuses the structs.
 		return &event{}
 	}
 	ln.free = ev.next
@@ -422,9 +418,6 @@ func (ln *lane) step(floor time.Duration) bool {
 		ln.now = ev.at
 	}
 	ln.processed.Add(1)
-	if ln.probe != nil {
-		ln.probe(ln.id, ev.actor, ev.at, ev.label)
-	}
 	ln.ctx.actor = ev.actor
 	ln.ctx.from = ev.actor
 	if ev.class == 1 {

@@ -174,15 +174,6 @@ func (s *Sharded) ClampedSends() uint64 {
 // actor's events.
 func (s *Sharded) Stream(name string) *RNG { return s.rng.Derive(name) }
 
-// SetProbe installs an execution observer called for every event as
-// (shard, actor, virtual time, label). With Shards > 1 it is invoked
-// concurrently from worker goroutines and must be concurrency-safe.
-func (s *Sharded) SetProbe(fn func(shard int, actor ActorID, at time.Duration, label string)) {
-	for _, ln := range s.lanes {
-		ln.probe = fn
-	}
-}
-
 // AddActor registers actor id on the given shard. Call before Run; ids
 // must be non-negative and the shard must be in range. Re-adding an
 // existing actor moves it, with its pending events, to the new shard.

@@ -19,8 +19,10 @@ import (
 // Send, and (optionally) migrate between shards. Every mutation touches
 // only the executing actor's slot, and all randomness comes from
 // per-actor streams, so the final state must be byte-identical for any
-// shard count.
+// shard count. Every tick and delivery checks execution order as it
+// runs (ordered), so each toy run is also an ordering test.
 type toyModel struct {
+	t    testing.TB
 	s    *Sharded
 	rngs []*RNG
 
@@ -29,6 +31,7 @@ type toyModel struct {
 	ticks     []uint64
 	sent      []uint64
 	delivered []uint64
+	last      []time.Duration // virtual time of the actor's previous checked event
 }
 
 type toyConfig struct {
@@ -41,15 +44,17 @@ type toyConfig struct {
 	controlAt time.Duration
 }
 
-func newToy(seed int64, cfg toyConfig) *toyModel {
+func newToy(t testing.TB, seed int64, cfg toyConfig) *toyModel {
 	s := NewSharded(seed, ShardedConfig{Shards: cfg.shards, Lookahead: 50 * time.Millisecond})
 	m := &toyModel{
+		t:         t,
 		s:         s,
 		rngs:      make([]*RNG, cfg.actors),
 		state:     make([]uint64, cfg.actors),
 		ticks:     make([]uint64, cfg.actors),
 		sent:      make([]uint64, cfg.actors),
 		delivered: make([]uint64, cfg.actors),
+		last:      make([]time.Duration, cfg.actors),
 	}
 	for i := 0; i < cfg.actors; i++ {
 		s.AddActor(ActorID(i), i%cfg.shards)
@@ -67,6 +72,7 @@ func newToy(seed int64, cfg toyConfig) *toyModel {
 
 func (m *toyModel) tick(i, remaining int, migrate bool) func(*ShardCtx) {
 	return func(c *ShardCtx) {
+		m.ordered(c, "tick")
 		r := m.rngs[i]
 		m.ticks[i]++
 		m.state[i] = m.state[i]*31 + uint64(r.Int63()) + uint64(c.Now())
@@ -76,6 +82,7 @@ func (m *toyModel) tick(i, remaining int, migrate bool) func(*ShardCtx) {
 			sentAt := c.Now()
 			m.sent[i]++
 			c.Send(dst, time.Duration(r.Intn(80))*time.Millisecond, "pkt", func(rc *ShardCtx) {
+				m.ordered(rc, "pkt")
 				j := rc.Self()
 				if lat := rc.Now() - sentAt; lat < m.s.cfg.Lookahead {
 					panic(fmt.Sprintf("delivery latency %v below lookahead", lat))
@@ -94,6 +101,21 @@ func (m *toyModel) tick(i, remaining int, migrate bool) func(*ShardCtx) {
 			c.Schedule(time.Duration(5+r.Intn(60))*time.Millisecond, "tick", m.tick(i, remaining-1, migrate))
 		}
 	}
+}
+
+// ordered fails the test if the executing event runs before the
+// actor's previous event or before the barrier clock: no shard boundary,
+// mailbox or migration may reorder what one actor observes. Workers call
+// it concurrently; each touches only its own actor's slot of last.
+func (m *toyModel) ordered(c *ShardCtx, label string) {
+	i, now := c.Self(), c.Now()
+	if now < m.last[i] {
+		m.t.Errorf("%q on actor %d at %v after its event at %v", label, i, now, m.last[i])
+	}
+	if floor := m.s.Now(); now < floor {
+		m.t.Errorf("%q on actor %d at %v trails the barrier at %v", label, i, now, floor)
+	}
+	m.last[i] = now
 }
 
 // digest folds all per-actor model state in actor-ID order.
@@ -134,7 +156,7 @@ func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			run := func(shards int) (uint64, uint64) {
-				m := newToy(4242, toyConfig{shards: shards, actors: 24, ticks: 12, migrate: migrate})
+				m := newToy(t, 4242, toyConfig{shards: shards, actors: 24, ticks: 12, migrate: migrate})
 				if err := m.s.Run(0); err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
@@ -188,7 +210,7 @@ func TestShardedClampedSends(t *testing.T) {
 	// every shard count because the model's delays do.
 	var want uint64
 	for i, shards := range []int{1, 2, 4} {
-		m := newToy(99, toyConfig{shards: shards, actors: 48, ticks: 12})
+		m := newToy(t, 99, toyConfig{shards: shards, actors: 48, ticks: 12})
 		if err := m.s.Run(time.Minute); err != nil {
 			t.Fatal(err)
 		}
@@ -294,37 +316,20 @@ func TestShardedHorizonBoundaryDelivery(t *testing.T) {
 	}
 }
 
-// TestShardedOrderingProbe asserts, via the execution probe, that no
-// event ever executes out of timestamp order for its actor and that no
-// event ever trails the conservative barrier clock — i.e. cross-shard
-// boundaries never reorder observable execution.
-func TestShardedOrderingProbe(t *testing.T) {
-	m := newToy(99, toyConfig{shards: 4, actors: 24, ticks: 10, migrate: true})
-
-	lastAt := make([]int64, 24) // per-actor, written only by the owning worker
-	var mu sync.Mutex
-	var violations []string
-	m.s.SetProbe(func(shard int, actor ActorID, at time.Duration, label string) {
-		if floor := m.s.Now(); at < floor {
-			mu.Lock()
-			violations = append(violations, fmt.Sprintf("%q on actor %d at %v trails barrier %v", label, actor, at, floor))
-			mu.Unlock()
+// TestShardedOrdering runs the migrating toy model, whose every tick and
+// delivery checks execution order (toyModel.ordered), at 1, 2, 4 and 8
+// shards, and checks that the check saw every event it should have.
+func TestShardedOrdering(t *testing.T) {
+	for _, shards := range []int{1, 2, 4, 8} {
+		m := newToy(t, 99, toyConfig{shards: shards, actors: 24, ticks: 10, migrate: true})
+		if err := m.s.Run(0); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if prev := time.Duration(lastAt[actor]); at < prev {
-			mu.Lock()
-			violations = append(violations, fmt.Sprintf("%q on actor %d at %v after event at %v", label, actor, at, prev))
-			mu.Unlock()
+		ticks, _, delivered := m.totals()
+		if ticks != 24*10 || m.s.Processed() != ticks+delivered {
+			t.Errorf("shards=%d: %d ticks and %d deliveries checked of %d events, want 240 ticks and every event",
+				shards, ticks, delivered, m.s.Processed())
 		}
-		lastAt[actor] = int64(at)
-	})
-	if err := m.s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range violations {
-		t.Errorf("ordering violation: %s", v)
-	}
-	if m.s.Processed() == 0 {
-		t.Fatal("probe test ran no events")
 	}
 }
 
@@ -333,7 +338,7 @@ func TestShardedOrderingProbe(t *testing.T) {
 // once, every send is delivered exactly once, and the queues drain.
 func TestShardedMigrationConservation(t *testing.T) {
 	const actors, ticksEach = 32, 14
-	m := newToy(555, toyConfig{shards: 8, actors: actors, ticks: ticksEach, migrate: true})
+	m := newToy(t, 555, toyConfig{shards: 8, actors: actors, ticks: ticksEach, migrate: true})
 	if err := m.s.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +352,7 @@ func TestShardedMigrationConservation(t *testing.T) {
 	if p := pending(m.s.lanes...); p != 0 {
 		t.Errorf("drained run left %d events", p)
 	}
-	ref := newToy(555, toyConfig{shards: 1, actors: actors, ticks: ticksEach, migrate: true})
+	ref := newToy(t, 555, toyConfig{shards: 1, actors: actors, ticks: ticksEach, migrate: true})
 	if err := ref.s.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +480,7 @@ func TestShardedMassMigrationOneBarrier(t *testing.T) {
 func TestShardedBelowBaseMigration(t *testing.T) {
 	const mover = 2
 	run := func(shards int, interrupt bool) *toyModel {
-		m := newToy(4711, toyConfig{shards: shards, actors: 8, ticks: 12})
+		m := newToy(t, 4711, toyConfig{shards: shards, actors: 8, ticks: 12})
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		release := make(chan struct{})
@@ -540,7 +545,7 @@ func TestShardedCancelResume(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	m := newToy(2026, toyConfig{
+	m := newToy(t, 2026, toyConfig{
 		shards: 4, actors: 24, ticks: 12, migrate: true,
 		control: func(c *ShardCtx) { cancel() }, controlAt: 230 * time.Millisecond,
 	})
@@ -552,7 +557,7 @@ func TestShardedCancelResume(t *testing.T) {
 	if err := m.s.Run(0); err != nil {
 		t.Fatalf("resume after cancel: %v", err)
 	}
-	ref := newToy(2026, toyConfig{
+	ref := newToy(t, 2026, toyConfig{
 		shards: 4, actors: 24, ticks: 12, migrate: true,
 		control: func(c *ShardCtx) {}, controlAt: 230 * time.Millisecond,
 	})
@@ -570,7 +575,7 @@ func TestShardedCancelResume(t *testing.T) {
 func TestShardedPanicIsolation(t *testing.T) {
 	base := runtime.NumGoroutine()
 
-	m := newToy(808, toyConfig{
+	m := newToy(t, 808, toyConfig{
 		shards: 4, actors: 24, ticks: 12,
 		control:   func(c *ShardCtx) { panic("boom") },
 		controlAt: 210 * time.Millisecond,
@@ -596,7 +601,7 @@ func TestShardedPanicIsolation(t *testing.T) {
 // goroutines while the shard workers run — the -race regression for the
 // mutex-free counter path.
 func TestShardedCountersConcurrentReads(t *testing.T) {
-	m := newToy(1717, toyConfig{shards: 4, actors: 24, ticks: 12, migrate: true})
+	m := newToy(t, 1717, toyConfig{shards: 4, actors: 24, ticks: 12, migrate: true})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var reads atomic.Uint64

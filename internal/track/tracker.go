@@ -212,14 +212,15 @@ func (tr *Tracker) Observe(now time.Duration, detections []Detection) {
 		}
 		// Spawning is the rare path by construction: it runs once per new
 		// target entering the gate, not once per detection — steady-state
-		// ticks re-associate into existing tracks and allocate nothing.
-		//iobt:allow hotalloc track spawn is per-new-target, not per-event: steady-state ticks update existing tracks allocation-free
+		// ticks re-associate into existing tracks and allocate nothing. A
+		// spawn allocates 4 objects, living as long as the track: the
+		// Track, its filter, and its sensor set's map header and group.
 		t := &Track{
 			ID:         tr.nextID,
-			kf:         NewKalmanCV(det.Pos, det.Var, tr.cfg.ProcessNoise), //iobt:allow hotalloc one filter per spawned track, living as long as the track
+			kf:         NewKalmanCV(det.Pos, det.Var, tr.cfg.ProcessNoise),
 			LastUpdate: now,
 			Hits:       1,
-			Sensors:    map[int32]bool{det.Sensor: true}, //iobt:allow hotalloc one sensor-set per spawned track, living as long as the track
+			Sensors:    map[int32]bool{det.Sensor: true},
 		}
 		tr.nextID++
 		tr.tracks = append(tr.tracks, t)
@@ -246,7 +247,8 @@ func (tr *Tracker) Observe(now time.Duration, detections []Detection) {
 func growMarkers(buf *[]bool, n int) []bool {
 	s := *buf
 	if cap(s) < n {
-		//iobt:allow hotalloc grow-only: reallocates when the track or detection count outgrows every previous tick, then the buffer is reused forever
+		// Grow-only: reallocates when the track or detection count
+		// outgrows every previous tick, then the buffer is reused.
 		s = make([]bool, n)
 	} else {
 		s = s[:n]
