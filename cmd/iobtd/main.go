@@ -34,6 +34,16 @@ import (
 	"iobt/internal/service"
 )
 
+// HTTP timeouts. Every route is one small request and one response, so
+// none of them cuts a legitimate exchange: they drop a client that
+// dribbles its body, never reads its response, or parks an idle
+// keep-alive connection.
+const (
+	readTimeout  = 10 * time.Second // headers and body
+	writeTimeout = 30 * time.Second
+	idleTimeout  = 2 * time.Minute
+)
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -113,7 +123,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		_ = svc.Close()
 		return fmt.Errorf("listen: %w", err)
 	}
-	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	srv := &http.Server{
+		Handler:      svc.Handler(),
+		ReadTimeout:  readTimeout,
+		WriteTimeout: writeTimeout,
+		IdleTimeout:  idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	fmt.Fprintf(out, "iobtd: listening on %s (workers=%d queue=%d)\n", ln.Addr(), *workers, *queue)

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"regexp"
 	"strings"
@@ -243,6 +245,47 @@ func TestServerLifecycle(t *testing.T) {
 	if report := stopServer(t, cancel, done, out); !strings.Contains(report, "drained: completed=1") {
 		t.Errorf("shutdown report missing drain line:\n%s", report)
 	}
+}
+
+// TestSlowBodyDropped: a client that sends its headers and then dribbles
+// the body is cut off at the read timeout instead of holding a
+// connection and a handler for as long as it likes.
+func TestSlowBodyDropped(t *testing.T) {
+	base, cancel, done, out := startServer(t)
+	defer cancel()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "POST /missions HTTP/1.1\r\nHost: iobtd\r\nContent-Length: %d\r\n\r\n", 1<<20); err != nil {
+		t.Fatalf("write headers: %v", err)
+	}
+	dropped := make(chan struct{})
+	go func() {
+		_, _ = io.Copy(io.Discard, conn)
+		close(dropped)
+	}()
+	start := time.Now()
+	tick := time.NewTicker(250 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		select {
+		case <-dropped:
+		case <-tick.C:
+			if time.Since(start) > readTimeout+5*time.Second {
+				t.Fatalf("server still reading a dribbled body after %s", time.Since(start).Round(time.Second))
+			}
+			_, _ = conn.Write([]byte("#")) // fails once the server hangs up
+			continue
+		}
+		break
+	}
+	var tel service.Telemetry
+	if code := getJSON(t, base+"/telemetry", &tel); code != http.StatusOK || tel.Submitted != 0 {
+		t.Errorf("telemetry status %d submitted %d, want 200/0", code, tel.Submitted)
+	}
+	stopServer(t, cancel, done, out)
 }
 
 // TestSoak is the CI soak job: boot iobtd with the chaos injector

@@ -24,9 +24,9 @@ func E16Service(seed int64, quick bool) *Table {
 			"missions/s", "p50 first-event (ms)", "p99 first-event (ms)",
 			"mean recovery (ms)", "completed", "degraded/failed"},
 		Notes: "every crashed mission is recovered from its latest checkpoint and still completes; " +
-			"throughput scales with the worker pool while p99 submit-to-first-event latency tracks " +
-			"queue depth (admitted missions wait behind the pool), and recovery time stays flat — " +
-			"it re-runs only the window since the last checkpoint cut, not the whole mission",
+			"a mission in restart backoff holds no worker, so once the pool keeps the host's CPUs busy " +
+			"a larger pool adds no throughput, and recovery time stays flat — the backoff plus a " +
+			"re-run of only the window since the last checkpoint cut, not the whole mission",
 	}
 
 	pools := []int{2, 4, 8}

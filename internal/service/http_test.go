@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -174,13 +175,28 @@ func TestHTTPSubmitStatusTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET /telemetry: %v", err)
 	}
+	body, err := io.ReadAll(r.Body)
+	r.Body.Close()
+	if err != nil {
+		t.Fatalf("read telemetry: %v", err)
+	}
 	var tel Telemetry
-	if err := json.NewDecoder(r.Body).Decode(&tel); err != nil {
+	if err := json.Unmarshal(body, &tel); err != nil {
 		t.Fatalf("decode telemetry: %v", err)
 	}
-	r.Body.Close()
 	if tel.Completed == 0 {
 		t.Errorf("telemetry completed = 0 after a completed mission")
+	}
+	// A mission in restart backoff holds no worker, so it is counted
+	// apart from the running ones.
+	var fields map[string]any
+	if err := json.Unmarshal(body, &fields); err != nil {
+		t.Fatalf("decode telemetry fields: %v", err)
+	}
+	for _, key := range []string{"queued", "running", "restarting"} {
+		if _, ok := fields[key]; !ok {
+			t.Errorf("telemetry has no %q count: %s", key, body)
+		}
 	}
 
 	var health struct {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"iobt/internal/checkpoint"
+	"iobt/internal/sim"
 	"iobt/internal/verify"
 )
 
@@ -21,9 +22,9 @@ const (
 	StateQueued MissionState = iota + 1
 	// StateRunning: a worker is executing an attempt.
 	StateRunning
-	// StateRestarting: the last attempt crashed or stalled; the
-	// supervisor is backing off before restarting from the latest
-	// checkpoint.
+	// StateRestarting: the last attempt crashed or stalled; the mission
+	// is waiting out its backoff, holding no worker, before restarting
+	// from the latest checkpoint.
 	StateRestarting
 	// StateCompleted: ran to its horizon with every invariant intact.
 	StateCompleted
@@ -90,6 +91,14 @@ type Mission struct {
 	summary       verify.Summary
 	violations    []string
 	cancel        context.CancelCauseFunc
+
+	// Supervision state, carried between attempts so that any worker can
+	// run the next one. Only the worker running the mission touches
+	// these; the Service's mu hands them from one worker to the next.
+	store      *checkpoint.Store
+	persisted  []checkpoint.Record
+	backoffRNG *sim.RNG
+	timer      *time.Timer // armed restart backoff; guarded by Service.mu
 
 	// Watchdog-visible progress, updated from inside the running engine.
 	running      atomic.Bool

@@ -67,7 +67,9 @@ type Config struct {
 	MaxRestarts int
 	// BackoffBase is the first restart backoff (default 25ms); each
 	// further restart doubles it up to backoffMax, and jitter is drawn
-	// deterministically from the mission seed.
+	// deterministically from the mission seed. A mission waits out its
+	// backoff on a timer, holding no worker, and is then dispatched
+	// ahead of the admission queue.
 	BackoffBase time.Duration
 	// StallAfter is the wall-clock progress deadline: an attempt whose
 	// engine makes no progress for this long is stalled and restarted
@@ -176,6 +178,7 @@ type Telemetry struct {
 	RejectedDraining int64 `json:"rejected_draining"`
 	Queued           int   `json:"queued"`
 	Running          int   `json:"running"`
+	Restarting       int   `json:"restarting"`
 	Completed        int64 `json:"completed"`
 	Degraded         int64 `json:"degraded"`
 	Failed           int64 `json:"failed"`
@@ -195,7 +198,6 @@ type Service struct {
 	cfg    Config
 	ctx    context.Context
 	cancel context.CancelCauseFunc
-	queue  chan *Mission
 	wg     sync.WaitGroup
 	wdDone chan struct{}
 
@@ -205,6 +207,14 @@ type Service struct {
 	nextID   int
 	byID     map[string]*Mission
 	order    []*Mission
+
+	// Dispatch, all under mu. A worker takes from ready before queue, so
+	// a restart waits for at most one in-flight attempt; wake signals
+	// idle workers.
+	wake  *sync.Cond
+	queue []*Mission // admitted, never run; at most QueueDepth
+	ready []*Mission // restarts whose backoff has elapsed
+	live  int        // admitted and not yet terminal
 
 	tel telemetry
 }
@@ -218,10 +228,10 @@ func New(cfg Config) *Service {
 		cfg:    cfg,
 		ctx:    ctx,
 		cancel: cancel,
-		queue:  make(chan *Mission, cfg.QueueDepth),
 		wdDone: make(chan struct{}),
 		byID:   make(map[string]*Mission),
 	}
+	s.wake = sync.NewCond(&s.mu)
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -241,6 +251,7 @@ func (s *Service) Submit(src string) (*Mission, error) {
 }
 
 // SubmitScenario admits a parsed scenario into the bounded run queue.
+// Restarts never count against QueueDepth.
 func (s *Service) SubmitScenario(sc verify.Scenario) (*Mission, error) {
 	s.tel.submitted.Add(1)
 	switch {
@@ -266,6 +277,10 @@ func (s *Service) SubmitScenario(sc verify.Scenario) (*Mission, error) {
 		s.tel.rejectedDraining.Add(1)
 		return nil, ErrDraining
 	}
+	if len(s.queue) >= s.cfg.QueueDepth {
+		s.tel.rejectedFull.Add(1)
+		return nil, &QueueFullError{RetryAfter: s.cfg.RetryAfterHint}
+	}
 	s.nextID++
 	m := &Mission{
 		ID:          fmt.Sprintf("m-%06d", s.nextID),
@@ -274,12 +289,9 @@ func (s *Service) SubmitScenario(sc verify.Scenario) (*Mission, error) {
 		state:       StateQueued,
 		submittedAt: time.Now(),
 	}
-	select {
-	case s.queue <- m:
-	default:
-		s.tel.rejectedFull.Add(1)
-		return nil, &QueueFullError{RetryAfter: s.cfg.RetryAfterHint}
-	}
+	s.queue = append(s.queue, m)
+	s.live++
+	s.wake.Signal()
 	s.byID[m.ID] = m
 	s.order = append(s.order, m)
 	s.tel.admitted.Add(1)
@@ -302,13 +314,15 @@ func (s *Service) Missions() []*Mission {
 
 // Telemetry snapshots the service counters.
 func (s *Service) Telemetry() Telemetry {
-	queued, running := 0, 0
+	queued, running, restarting := 0, 0, 0
 	for _, m := range s.Missions() {
 		switch m.State() {
 		case StateQueued:
 			queued++
-		case StateRunning, StateRestarting:
+		case StateRunning:
 			running++
+		case StateRestarting:
+			restarting++
 		case StateCompleted, StateDegraded, StateFailed, StateQuarantined:
 		default:
 		}
@@ -320,6 +334,7 @@ func (s *Service) Telemetry() Telemetry {
 		RejectedDraining: s.tel.rejectedDraining.Load(),
 		Queued:           queued,
 		Running:          running,
+		Restarting:       restarting,
 		Completed:        s.tel.completed.Load(),
 		Degraded:         s.tel.degraded.Load(),
 		Failed:           s.tel.failed.Load(),
@@ -342,9 +357,10 @@ func (s *Service) Draining() bool {
 }
 
 // Drain stops admission, waits for every admitted mission to reach a
-// terminal state, then stops the watchdog. If ctx expires first,
-// in-flight attempts are cancelled — their checkpoints are durable — and
-// ctx's error is returned.
+// terminal state (a mission in restart backoff included), then stops the
+// watchdog. If ctx expires first, in-flight attempts are cancelled —
+// their checkpoints are durable — backoffs are cut short, and ctx's
+// error is returned.
 func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -352,7 +368,7 @@ func (s *Service) Drain(ctx context.Context) error {
 		return fmt.Errorf("service: already draining")
 	}
 	s.draining = true
-	close(s.queue)
+	s.wake.Broadcast()
 	s.mu.Unlock()
 
 	done := make(chan struct{})
@@ -361,7 +377,7 @@ func (s *Service) Drain(ctx context.Context) error {
 	select {
 	case <-done:
 	case <-ctx.Done():
-		s.cancel(fmt.Errorf("%w: drain deadline expired", errServiceStopped))
+		s.stop(fmt.Errorf("%w: drain deadline expired", errServiceStopped))
 		<-done
 		derr = ctx.Err()
 	}
@@ -370,19 +386,18 @@ func (s *Service) Drain(ctx context.Context) error {
 }
 
 // Close stops the service immediately: admission closes, in-flight
-// attempts are cancelled, queued missions fail fast. Safe after Drain.
+// attempts are cancelled, queued missions and missions in restart
+// backoff fail fast. Safe after Drain.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	already := s.stopped
-	if !s.draining {
-		s.draining = true
-		close(s.queue)
-	}
+	s.draining = true
+	s.wake.Broadcast()
 	s.mu.Unlock()
 	if already {
 		return nil
 	}
-	s.cancel(errServiceStopped)
+	s.stop(errServiceStopped)
 	s.wg.Wait()
 	s.shutdown()
 	return nil
@@ -401,12 +416,89 @@ func (s *Service) shutdown() {
 	<-s.wdDone
 }
 
-// worker drains the run queue; one goroutine per pool slot.
+// stop cancels every in-flight attempt with cause and cuts every
+// restart backoff short, so a mission waiting one fails at once.
+func (s *Service) stop(cause error) {
+	s.cancel(cause)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, m := range s.order {
+		// A timer that already fired has its callback queued behind mu.
+		if m.timer != nil && m.timer.Stop() {
+			s.makeReady(m)
+		}
+	}
+}
+
+// worker runs one attempt at a time, from whichever mission take hands
+// it, until the service has drained; one goroutine per pool slot.
 func (s *Service) worker() {
 	defer s.wg.Done()
-	for m := range s.queue {
-		s.runMission(m)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		m := s.take()
+		if m == nil {
+			return
+		}
+		s.mu.Unlock()
+		restart, backoff := s.step(m)
+		s.mu.Lock()
+		if restart {
+			s.arm(m, backoff)
+			continue
+		}
+		s.live--
+		if s.live == 0 && s.draining {
+			s.wake.Broadcast()
+		}
 	}
+}
+
+// take pops the next mission to run, a restart whose backoff has
+// elapsed before any new admission. It waits while there is nothing to
+// run, and returns nil once the service is draining with no live
+// mission left. Called with mu held.
+func (s *Service) take() *Mission {
+	for {
+		switch {
+		case len(s.ready) > 0:
+			m := s.ready[0]
+			s.ready[0] = nil
+			s.ready = s.ready[1:]
+			return m
+		case len(s.queue) > 0:
+			m := s.queue[0]
+			s.queue[0] = nil
+			s.queue = s.queue[1:]
+			return m
+		case s.draining && s.live == 0:
+			return nil
+		}
+		s.wake.Wait()
+	}
+}
+
+// arm starts m's restart backoff on a timer whose callback makes m
+// ready; a stopped service skips the wait. Called with mu held.
+func (s *Service) arm(m *Mission, backoff time.Duration) {
+	if s.ctx.Err() != nil {
+		s.makeReady(m)
+		return
+	}
+	m.timer = time.AfterFunc(backoff, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.makeReady(m)
+	})
+}
+
+// makeReady moves m from its backoff to the ready list. Called with mu
+// held.
+func (s *Service) makeReady(m *Mission) {
+	m.timer = nil
+	s.ready = append(s.ready, m)
+	s.wake.Signal()
 }
 
 // watchdog scans running missions on the wall clock: an attempt past its
@@ -445,77 +537,83 @@ func (s *Service) watchdog() {
 	}
 }
 
-// runMission supervises one mission through attempts to a terminal
-// state.
-func (s *Service) runMission(m *Mission) {
+// step runs m's next attempt. It reports whether the mission restarts,
+// and after what backoff; otherwise m is terminal.
+func (s *Service) step(m *Mission) (restart bool, backoff time.Duration) {
 	if s.ctx.Err() != nil {
-		s.finish(m, StateFailed, "service stopped before the mission ran")
-		return
+		reason := "service stopped before the mission ran"
+		if m.Attempts() > 0 {
+			reason = "service stopped during restart backoff"
+		}
+		s.finish(m, StateFailed, reason)
+		return false, 0
 	}
-	var store *checkpoint.Store
-	var persisted []checkpoint.Record
-	if s.cfg.DataDir != "" {
-		// A fresh deployment's data directory may not exist yet; an
-		// operator pointing -data at a new path should not watch every
-		// mission fail at store-open.
-		if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
+	if m.Attempts() == 0 {
+		if err := s.open(m); err != nil {
 			s.finish(m, StateFailed, "checkpoint store: "+err.Error())
-			return
-		}
-		st, recs, err := checkpoint.OpenStore(filepath.Join(s.cfg.DataDir, m.ID+".ckpt"))
-		if err != nil {
-			s.finish(m, StateFailed, "checkpoint store: "+err.Error())
-			return
-		}
-		store, persisted = st, recs
-		defer st.Close()
-	}
-	backoffRNG := sim.NewRNG(m.Scenario.Seed).Derive("service.backoff")
-
-	for {
-		m.beginAttempt()
-		out, err := s.attempt(m, store, &persisted)
-		m.endAttempt()
-
-		if err == nil {
-			s.conclude(m, out)
-			return
-		}
-		crash := errors.Is(err, errPanicked)
-		if crash {
-			s.tel.crashes.Add(1)
-		} else if errors.Is(err, errStalled) {
-			s.tel.stalls.Add(1)
-		}
-		if !restartable(err) {
-			s.finish(m, StateFailed, err.Error())
-			return
-		}
-		m.noteFailure(crash)
-		if m.Restarts() >= s.cfg.MaxRestarts {
-			s.finish(m, StateQuarantined,
-				fmt.Sprintf("restart budget (%d) exhausted; last failure: %v", s.cfg.MaxRestarts, err))
-			return
-		}
-		m.mu.Lock()
-		m.restarts++
-		n := m.restarts
-		m.state = StateRestarting
-		m.reason = err.Error()
-		m.mu.Unlock()
-		s.tel.restarts.Add(1)
-
-		if !s.sleepBackoff(n, backoffRNG) {
-			s.finish(m, StateFailed, "service stopped during restart backoff")
-			return
+			return false, 0
 		}
 	}
+
+	m.beginAttempt()
+	out, err := s.attempt(m)
+	m.endAttempt()
+
+	if err == nil {
+		s.conclude(m, out)
+		return false, 0
+	}
+	crash := errors.Is(err, errPanicked)
+	if crash {
+		s.tel.crashes.Add(1)
+	} else if errors.Is(err, errStalled) {
+		s.tel.stalls.Add(1)
+	}
+	if !restartable(err) {
+		s.finish(m, StateFailed, err.Error())
+		return false, 0
+	}
+	m.noteFailure(crash)
+	if m.Restarts() >= s.cfg.MaxRestarts {
+		s.finish(m, StateQuarantined,
+			fmt.Sprintf("restart budget (%d) exhausted; last failure: %v", s.cfg.MaxRestarts, err))
+		return false, 0
+	}
+	m.mu.Lock()
+	m.restarts++
+	n := m.restarts
+	m.state = StateRestarting
+	m.reason = err.Error()
+	m.mu.Unlock()
+	s.tel.restarts.Add(1)
+	return true, s.backoff(n, m.backoffRNG)
 }
 
-// sleepBackoff waits BackoffBase·2^(n-1) capped at backoffMax, plus up
-// to 25% deterministic jitter, interruptible by service shutdown. It
-// returns false when shutdown interrupted the wait.
-func (s *Service) sleepBackoff(n int, rng *sim.RNG) bool {
+// open sets up m's supervision state before its first attempt: the
+// backoff stream and, with a data directory, the checkpoint store and
+// the records it already holds.
+func (s *Service) open(m *Mission) error {
+	m.backoffRNG = sim.NewRNG(m.Scenario.Seed).Derive("service.backoff")
+	if s.cfg.DataDir == "" {
+		return nil
+	}
+	// A fresh deployment's data directory may not exist yet; an operator
+	// pointing -data at a new path should not watch every mission fail
+	// at store-open.
+	if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
+		return err
+	}
+	st, recs, err := checkpoint.OpenStore(filepath.Join(s.cfg.DataDir, m.ID+".ckpt"))
+	if err != nil {
+		return err
+	}
+	m.store, m.persisted = st, recs
+	return nil
+}
+
+// backoff is BackoffBase·2^(n-1) capped at backoffMax, plus up to 25%
+// deterministic jitter drawn from rng.
+func (s *Service) backoff(n int, rng *sim.RNG) time.Duration {
 	d := s.cfg.BackoffBase
 	for i := 1; i < n && d < backoffMax; i++ {
 		d *= 2
@@ -524,19 +622,12 @@ func (s *Service) sleepBackoff(n int, rng *sim.RNG) bool {
 	if q := int(d / 4); q > 0 {
 		d += time.Duration(rng.Intn(q + 1))
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-s.ctx.Done():
-		return false
-	}
+	return d
 }
 
 // attempt wraps one runAttempt with supervision plumbing: panic
 // recovery, the watchdog cancel hook, checkpoint persistence, and chaos.
-func (s *Service) attempt(m *Mission, store *checkpoint.Store, persisted *[]checkpoint.Record) (out *attemptOutcome, aerr error) {
+func (s *Service) attempt(m *Mission) (out *attemptOutcome, aerr error) {
 	defer func() {
 		if p := recover(); p != nil {
 			aerr = fmt.Errorf("%w: %v", errPanicked, p)
@@ -547,12 +638,12 @@ func (s *Service) attempt(m *Mission, store *checkpoint.Store, persisted *[]chec
 	m.setCancel(cancel)
 	defer m.setCancel(nil)
 
-	digests := make(map[int]uint64, len(*persisted))
+	digests := make(map[int]uint64, len(m.persisted))
 	var anchor *checkpoint.Record
-	if n := len(*persisted); n > 0 {
-		rec := (*persisted)[n-1]
+	if n := len(m.persisted); n > 0 {
+		rec := m.persisted[n-1]
 		anchor = &rec
-		for _, r := range *persisted {
+		for _, r := range m.persisted {
 			digests[r.Seq] = r.Checkpoint.Digest()
 		}
 	}
@@ -569,15 +660,15 @@ func (s *Service) attempt(m *Mission, store *checkpoint.Store, persisted *[]chec
 		anchor:             anchor,
 		persistedDigests:   digests,
 		onCheckpoint: func(rec checkpoint.Record) error {
-			if store != nil {
-				if err := store.Append(rec); err != nil {
+			if m.store != nil {
+				if err := m.store.Append(rec); err != nil {
 					return err
 				}
-				if err := store.Sync(); err != nil {
+				if err := m.store.Sync(); err != nil {
 					return err
 				}
 			}
-			*persisted = append(*persisted, rec)
+			m.persisted = append(m.persisted, rec)
 			s.tel.checkpoints.Add(1)
 			s.tel.checkpointBytes.Add(int64(rec.Checkpoint.Bytes()))
 			m.mu.Lock()
@@ -655,9 +746,14 @@ func (s *Service) conclude(m *Mission, out *attemptOutcome) {
 	s.finish(m, StateDegraded, reason)
 }
 
-// finish moves a mission to a terminal state and bumps the matching
-// counter.
+// finish closes a mission's checkpoint store, moves it to a terminal
+// state and bumps the matching counter.
 func (s *Service) finish(m *Mission, st MissionState, reason string) {
+	if m.store != nil {
+		// Every record was synced when appended; Close loses nothing.
+		_ = m.store.Close()
+		m.store = nil
+	}
 	m.mu.Lock()
 	m.state = st
 	m.reason = reason

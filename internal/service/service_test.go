@@ -103,11 +103,44 @@ func TestAdmissionControlRejectsWhenFull(t *testing.T) {
 	}
 }
 
+// waitForState polls until some mission of svc is in state st and
+// returns it.
+func waitForState(t *testing.T, svc *Service, st MissionState) *Mission {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for time.Now().Before(deadline) {
+		for _, m := range svc.Missions() {
+			if m.State() == st {
+				return m
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("no mission reached state %s", st)
+	return nil
+}
+
+// attemptStarted is when m's latest attempt began, in unix nanos.
+func attemptStarted(m *Mission) int64 { return m.attemptStart.Load() }
+
+// finishedAt is when m reached its terminal state, in unix nanos.
+func finishedAt(m *Mission) int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.finishedAt.UnixNano()
+}
+
 // TestDrainLosesNoAdmittedMission submits a batch, drains, and requires
 // every admitted mission to be terminal and successful: drain means
-// "finish what you accepted", not "abandon it".
+// "finish what you accepted", not "abandon it". The drain is issued
+// while a crashed mission waits out its backoff, holding no worker, and
+// must wait for it like a running one.
 func TestDrainLosesNoAdmittedMission(t *testing.T) {
-	svc := New(Config{Workers: 4})
+	svc := New(Config{
+		Workers:     4,
+		BackoffBase: 500 * time.Millisecond,
+		Chaos:       ChaosConfig{CrashProb: 0.5},
+	})
 	var admitted []*Mission
 	for i := 0; i < 8; i++ {
 		m, err := svc.SubmitScenario(smallScenario(int64(2300 + i)))
@@ -116,10 +149,14 @@ func TestDrainLosesNoAdmittedMission(t *testing.T) {
 		}
 		admitted = append(admitted, m)
 	}
+	backingOff := waitForState(t, svc, StateRestarting)
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 	if err := svc.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
+	}
+	if got := backingOff.Restarts(); got != 1 {
+		t.Errorf("%s drained out of its backoff with %d restarts, want 1", backingOff.ID, got)
 	}
 	for _, m := range admitted {
 		if st := m.State(); st != StateCompleted {
@@ -185,24 +222,38 @@ func TestCheckpointBytesBudget(t *testing.T) {
 }
 
 // TestCloseLeaksNoGoroutines boots a service, runs missions (some
-// crashing), closes it, and requires the goroutine count back at its
-// baseline: workers, watchdog, and per-attempt machinery all unwind.
+// crashing), closes it while one waits out a restart backoff, and
+// requires the goroutine count back at its baseline: workers, watchdog,
+// backoff timers and per-attempt machinery all unwind.
 func TestCloseLeaksNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
+	const backoff = time.Second
 	svc := New(Config{
-		Workers: 4,
-		Chaos:   ChaosConfig{CrashProb: 0.5},
+		Workers:     4,
+		BackoffBase: backoff,
+		Chaos:       ChaosConfig{CrashProb: 0.5},
 	})
 	for i := 0; i < 6; i++ {
 		if _, err := svc.SubmitScenario(smallScenario(int64(2700 + i))); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 	}
-	// Close mid-flight: in-flight attempts are cancelled, queued missions
-	// fail fast.
-	time.Sleep(50 * time.Millisecond)
+	// Close inside a backoff: in-flight attempts are cancelled, queued
+	// missions fail fast, and the mission in backoff fails without
+	// waiting it out.
+	backingOff := waitForState(t, svc, StateRestarting)
+	start := time.Now()
 	if err := svc.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+	if took := time.Since(start); took >= backoff {
+		t.Errorf("Close took %s, as long as the backoff it should cut short", took)
+	}
+	if st, why := backingOff.State(), backingOff.Reason(); st != StateFailed || why != "service stopped during restart backoff" {
+		t.Errorf("%s closed during backoff ended %s (%q), want failed during restart backoff", backingOff.ID, st, why)
+	}
+	if got := backingOff.Attempts(); got != 1 {
+		t.Errorf("%s ran %d attempts, want 1: its restart ran after Close", backingOff.ID, got)
 	}
 	for _, m := range svc.Missions() {
 		if !terminal(m.State()) {
@@ -243,13 +294,38 @@ func TestDrainDeadlineCancelsInFlight(t *testing.T) {
 	}
 }
 
-// TestTelemetryCounts sanity-checks the counter wiring end to end.
+// TestTelemetryCounts sanity-checks the counter wiring end to end. Every
+// mission crashes once: a mission in backoff counts as restarting, not
+// running, so running never exceeds the pool, and it holds no goroutine.
 func TestTelemetryCounts(t *testing.T) {
-	svc := New(Config{Workers: 2})
+	const workers = 2
+	baseline := runtime.NumGoroutine()
+	svc := New(Config{
+		Workers:     workers,
+		BackoffBase: 300 * time.Millisecond,
+		Chaos:       ChaosConfig{CrashProb: 1},
+	})
 	for i := 0; i < 3; i++ {
 		if _, err := svc.SubmitScenario(smallScenario(int64(2900 + i))); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
+	}
+	deadline := time.Now().Add(time.Minute)
+	for {
+		tel := svc.Telemetry()
+		if tel.Running > workers {
+			t.Fatalf("telemetry running=%d exceeds %d workers", tel.Running, workers)
+		}
+		if tel.Restarting > 0 {
+			if n := runtime.NumGoroutine() - baseline; n > workers+1 {
+				t.Errorf("%d goroutines with %d missions in backoff, want the %d workers and the watchdog", n, tel.Restarting, workers)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no mission was ever counted as restarting")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -257,11 +333,94 @@ func TestTelemetryCounts(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	tel := svc.Telemetry()
-	if tel.Admitted != 3 || tel.Completed != 3 {
-		t.Errorf("telemetry admitted=%d completed=%d, want 3/3", tel.Admitted, tel.Completed)
+	if tel.Admitted != 3 || tel.Completed != 3 || tel.Restarts != 3 {
+		t.Errorf("telemetry admitted=%d completed=%d restarts=%d, want 3/3/3", tel.Admitted, tel.Completed, tel.Restarts)
 	}
-	if tel.Queued != 0 || tel.Running != 0 {
-		t.Errorf("drained service still reports queued=%d running=%d", tel.Queued, tel.Running)
+	if tel.Queued != 0 || tel.Running != 0 || tel.Restarting != 0 {
+		t.Errorf("drained service still reports queued=%d running=%d restarting=%d", tel.Queued, tel.Running, tel.Restarting)
+	}
+}
+
+// TestBackoffReleasesWorker pins that a restart backoff holds no worker:
+// on a one-worker pool, a mission submitted after a crashing one runs to
+// completion while the crashed one waits out its backoff.
+func TestBackoffReleasesWorker(t *testing.T) {
+	svc := New(Config{
+		Workers:     1,
+		BackoffBase: 300 * time.Millisecond,
+		Chaos:       ChaosConfig{CrashProb: 0.5}, // crashes seed 2300, spares 2301
+	})
+	crashy, err := svc.SubmitScenario(smallScenario(2300))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	later, err := svc.SubmitScenario(smallScenario(2301))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := svc.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if v := crashy.View(); v.State != "completed" || v.Crashes != 1 || v.Attempts != 2 {
+		t.Fatalf("crashing mission: %+v, want completed after 1 crash and 2 attempts", v)
+	}
+	if v := later.View(); v.State != "completed" || v.Crashes != 0 {
+		t.Fatalf("later mission: %+v, want completed without a crash", v)
+	}
+	if finishedAt(later) >= attemptStarted(crashy) {
+		t.Error("the later mission did not complete before the crashed one restarted: the backoff held the worker")
+	}
+}
+
+// TestReadyRestartRunsBeforeQueued pins dispatch priority: a restart
+// whose backoff has elapsed runs before queued admissions, so it waits
+// for at most the one attempt in flight when its backoff ends.
+func TestReadyRestartRunsBeforeQueued(t *testing.T) {
+	svc := New(Config{
+		Workers:     1,
+		BackoffBase: time.Millisecond,
+		Chaos:       ChaosConfig{CrashProb: 0.5}, // crashes seed 2300 only
+	})
+	crashy, err := svc.SubmitScenario(smallScenario(2300))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	// Each queued mission runs far longer than the 1ms backoff.
+	var queued []*Mission
+	for _, seed := range []int64{2301, 2302, 2304} {
+		sc := smallScenario(seed)
+		sc.Horizon = 30 * time.Minute
+		m, err := svc.SubmitScenario(sc)
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		queued = append(queued, m)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := svc.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	for _, m := range append([]*Mission{crashy}, queued...) {
+		if m.State() != StateCompleted {
+			t.Fatalf("%s ended %s (%s), want completed", m.ID, m.State(), m.Reason())
+		}
+	}
+	if crashy.Restarts() != 1 {
+		t.Fatalf("crashing mission restarted %d times, want 1", crashy.Restarts())
+	}
+	// One worker: crash, the first queued mission runs during the
+	// backoff, then the restart, then the rest of the queue.
+	restart := attemptStarted(crashy)
+	if finishedAt(queued[0]) >= restart {
+		t.Error("the restart ran before the queued mission taken during its backoff")
+	}
+	for _, m := range queued[1:] {
+		if attemptStarted(m) <= restart {
+			t.Errorf("%s started before the ready restart", m.ID)
+		}
 	}
 }
 
