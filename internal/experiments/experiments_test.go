@@ -410,6 +410,54 @@ func TestE14Shape(t *testing.T) {
 	}
 }
 
+// TestE15Shape asserts DESIGN.md §5's E15 shape on the table itself:
+// warm strictly beats cold on orders lost and time-to-resume at every
+// checkpoint interval, warm's stale-trust window grows with the
+// interval, and the no-promotion baseline never resumes.
+func TestE15Shape(t *testing.T) {
+	tb := E15Failover(42, testing.Short())
+	col := map[string]int{}
+	for i, h := range tb.Header {
+		col[h] = i
+	}
+	lost, resume, stale := col["orders lost"], col["resume (s)"], col["stale trust"]
+	var cold []string
+	warm := 0
+	prevStale := -1.0
+	for _, row := range tb.Rows {
+		if row[2] == "run failed" {
+			t.Fatalf("%s at %s failed to run", row[0], row[1])
+		}
+		switch row[0] {
+		case "none":
+			if row[resume] != "never" {
+				t.Errorf("no-promotion baseline resumed: %v", row)
+			}
+		case "cold":
+			cold = row
+		case "warm":
+			if cold == nil {
+				t.Fatal("warm row before cold row")
+			}
+			warm++
+			if wl, cl := parseF(t, row[lost]), parseF(t, cold[lost]); wl >= cl {
+				t.Errorf("warm lost %v orders, not below cold %v: %v", wl, cl, row)
+			}
+			if wr, cr := parseF(t, row[resume]), parseF(t, cold[resume]); wr >= cr {
+				t.Errorf("warm resumed in %vs, not below cold %vs: %v", wr, cr, row)
+			}
+			s := parseF(t, row[stale])
+			if s <= prevStale {
+				t.Errorf("warm stale trust %v at %s does not grow past %v at the shorter interval", s, row[1], prevStale)
+			}
+			prevStale = s
+		}
+	}
+	if warm < 2 {
+		t.Fatalf("%d warm rows, want one per swept interval (>= 2)", warm)
+	}
+}
+
 func TestE17Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E17 runs six 260s dissemination missions")
