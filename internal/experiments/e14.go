@@ -3,9 +3,7 @@ package experiments
 import (
 	"time"
 
-	"iobt/internal/core"
 	"iobt/internal/fault"
-	"iobt/internal/geo"
 	"iobt/internal/verify"
 )
 
@@ -30,55 +28,21 @@ func E14Recovery(seed int64, quick bool) *Table {
 		Notes: "recovery time and degradation depth grow with fault intensity; at full intensity the reflexes " +
 			"(hierarchy->intent fallback + coverage relaxation) keep success >=2x the reflexless mission",
 	}
-	// Quick mode trims the intensity sweep rather than e14Horizon.
-	const size = 1200.0
-	assets := 250
-	intensities := []float64{0.25, 0.5, 0.75, 1.0}
-	if quick {
-		intensities = []float64{0.5, 1.0}
-	}
-
 	var verif verify.Summary
-	run := func(scale float64, degrade bool) (*fault.Report, float64) {
-		w := core.NewWorld(core.WorldConfig{
-			Seed:    seed,
-			Terrain: geo.NewOpenTerrain(size, size),
-			Assets:  assets,
-		})
-		defer w.Stop()
-		m := core.DefaultMission(geo.NewRect(geo.Point{X: 200, Y: 200}, geo.Point{X: 1000, Y: 1000}))
-		m.Goal.CoverageFrac = 0.6
-		m.Goal.Redundancy = 3 // a multi-member composite, so the kill wave bites
-		m.Command = core.CommandHierarchy
-		m.ReliableOrders = true
-		m.Degradation = degrade
-		m.IncidentsPerMin = 30
-		r := core.NewRuntime(w, m)
-		if err := r.Synthesize(); err != nil {
-			return nil, 0
-		}
-		if err := r.Start(); err != nil {
-			return nil, 0
-		}
-		defer r.Stop()
-		reg := verify.NewRegistry()
-		reg.Add(verify.MissionInvariants(w, r)...)
-		reg.Arm(w.Eng, time.Second)
-		rep, err := fault.Run(w.FaultTarget(r), fault.StandardPlan(size).Scale(scale), e14Horizon)
-		verif.Merge(closeRegistry(reg, w.Eng))
-		if err != nil {
-			return nil, 0
-		}
-		return rep, r.Metrics.SuccessRate()
+	run := func(intensity float64, degrade bool) *verify.Outcome {
+		o := verify.Run(e14Scenario(seed, intensity, degrade))
+		verif.Merge(o.Summary)
+		return o
 	}
 
-	for _, s := range intensities {
-		rep, withReflex := run(s, true)
+	for _, s := range e14Intensities(quick) {
+		reflex := run(s, true)
+		rep := reflex.Report
 		if rep == nil {
 			t.AddRow(f2(s), "run failed", "", "", "", "", "", "")
 			continue
 		}
-		_, without := run(s, false)
+		withReflex, without := reflex.SuccessRate, run(s, false).SuccessRate
 		// Aggregate detect/recover over the plan: earliest detection,
 		// latest recovery (the composite disruption overlaps in time).
 		detect, recover := -1.0, -1.0
@@ -115,4 +79,23 @@ func E14Recovery(seed int64, quick bool) *Table {
 	}
 	t.Verification = &verif
 	return t
+}
+
+// e14Intensities is the swept plan scale; quick mode trims the sweep
+// rather than e14Horizon.
+func e14Intensities(quick bool) []float64 {
+	if quick {
+		return []float64{0.5, 1.0}
+	}
+	return []float64{0.25, 0.5, 0.75, 1.0}
+}
+
+// e14Scenario is one E14 mission: hierarchy with ARQ orders under the
+// standard plan scaled to intensity, reflexes on or off.
+func e14Scenario(seed int64, intensity float64, degrade bool) verify.Scenario {
+	const size = 1200.0
+	return verify.Scenario{Seed: seed, Assets: 250, Size: size, Terrain: "open",
+		Command: "hierarchy", Reliable: true, Degrade: degrade, Rate: 30, Horizon: e14Horizon,
+		Coverage: 0.6, Redundancy: 3, // a multi-member composite, so the kill wave bites
+		Plan: fault.StandardPlan(size).Scale(intensity)}
 }

@@ -7,10 +7,10 @@ import (
 	"iobt/internal/adapt"
 	"iobt/internal/asset"
 	"iobt/internal/compose"
-	"iobt/internal/core"
 	"iobt/internal/geo"
 	"iobt/internal/mesh"
 	"iobt/internal/sim"
+	"iobt/internal/verify"
 )
 
 // E1DecisionLoop reproduces the paper's motivating claim (§I, Figure 1):
@@ -24,61 +24,45 @@ func E1DecisionLoop(seed int64, quick bool) *Table {
 		Notes: "intent >=2x lower median latency than 3-level hierarchy; latency grows with depth; ARQ-backed " +
 			"orders convert channel losses into successes at a small latency premium",
 	}
-	horizon := 6 * time.Minute
-	assets := 400
-	if quick {
-		horizon = 2 * time.Minute
-		assets = 250
-	}
-	type cfg struct {
-		cmd      core.CommandModel
-		levels   int
-		reliable bool
-	}
-	cases := []cfg{
-		{core.CommandIntent, 0, false},
-		{core.CommandHierarchy, 1, false},
-		{core.CommandHierarchy, 2, false},
-		{core.CommandHierarchy, 3, false},
-		{core.CommandHierarchy, 4, false},
-		{core.CommandHierarchy, 3, true}, // ablation: ARQ-backed orders
-	}
-	for _, c := range cases {
-		w := core.NewWorld(core.WorldConfig{
-			Seed:    seed,
-			Terrain: geo.NewOpenTerrain(1500, 1500),
-			Assets:  assets,
-		})
-		m := core.DefaultMission(geo.NewRect(geo.Point{X: 300, Y: 300}, geo.Point{X: 1200, Y: 1200}))
-		m.Goal.CoverageFrac = 0.5
-		m.Command = c.cmd
-		m.HierarchyLevels = c.levels
-		m.ReliableOrders = c.reliable
-		m.IncidentsPerMin = 30
-		r := core.NewRuntime(w, m)
-		if err := r.Synthesize(); err != nil {
-			w.Stop()
-			t.AddRow(c.cmd.String(), d(c.levels), "synthesis failed", "", "", "")
-			continue
-		}
-		if err := r.Start(); err != nil {
-			w.Stop()
-			continue
-		}
-		_ = w.Run(horizon)
-		r.Stop()
-		w.Stop()
-		label := c.cmd.String()
-		if c.reliable {
+	var verif verify.Summary
+	for _, s := range e1Scenarios(seed, quick) {
+		o := verify.Run(s)
+		verif.Merge(o.Summary)
+		label := s.Command
+		if s.Reliable {
 			label += "+arq"
 		}
-		t.AddRow(label, d(c.levels),
-			f2(r.Metrics.DecisionLatency.Percentile(50)),
-			f2(r.Metrics.DecisionLatency.Percentile(90)),
-			f2(r.Metrics.SuccessRate()),
-			f2(r.Metrics.DetectionRate()))
+		if o.Skipped {
+			t.AddRow(label, d(s.Levels), "synthesis failed", "", "", "")
+			continue
+		}
+		t.AddRow(label, d(s.Levels), f2(o.LatencyP50), f2(o.LatencyP90),
+			f2(o.SuccessRate), f2(o.DetectionRate))
 	}
+	t.Verification = &verif
 	return t
+}
+
+// e1Scenarios are E1's missions: intent, hierarchy at 1-4 levels, and
+// the ARQ-backed 3-level ablation.
+func e1Scenarios(seed int64, quick bool) []verify.Scenario {
+	base := verify.Scenario{Seed: seed, Assets: 400, Size: 1500, Terrain: "open",
+		Command: "hierarchy", Rate: 30, Horizon: 6 * time.Minute, Coverage: 0.5}
+	if quick {
+		base.Horizon = 2 * time.Minute
+		base.Assets = 250
+	}
+	intent := base
+	intent.Command = "intent"
+	out := []verify.Scenario{intent}
+	for levels := 1; levels <= 4; levels++ {
+		s := base
+		s.Levels = levels
+		out = append(out, s)
+	}
+	arq := base // ablation: ARQ-backed orders
+	arq.Levels, arq.Reliable = 3, true
+	return append(out, arq)
 }
 
 // E2Composition reproduces §III (Figure 2): composite assets of

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"iobt/internal/compose"
+	"iobt/internal/service"
+	"iobt/internal/verify"
 )
 
 func parseF(t *testing.T, s string) float64 {
@@ -494,14 +497,40 @@ func TestE17Shape(t *testing.T) {
 	}
 }
 
-// TestVerificationSweepsAtHorizon pins the closing sweep of E14, E15
-// and E17: each run checks its invariants on every registry tick and
+// TestExperimentScenariosAreText holds E1, E14 and E15 to missions that
+// are text: every scenario they run, quick or full, round-trips exactly
+// through String and ParseScenario, and the mission service admits it.
+func TestExperimentScenariosAreText(t *testing.T) {
+	all := append(e1Scenarios(42, false), e1Scenarios(42, true)...)
+	for _, x := range e14Intensities(false) {
+		all = append(all, e14Scenario(42, x, true), e14Scenario(42, x, false))
+	}
+	intervals := e15Intervals(false)
+	all = append(all, e15Scenario(42, "none", intervals[0]), e15Scenario(42, "cold", intervals[0]))
+	for _, every := range intervals {
+		all = append(all, e15Scenario(42, "warm", every))
+	}
+	svc := service.New(service.Config{Workers: 1, QueueDepth: len(all), CheckpointEvery: -1})
+	defer svc.Close()
+	for _, s := range all {
+		back, err := verify.ParseScenario(s.String())
+		if err != nil || !reflect.DeepEqual(back, s) {
+			t.Errorf("scenario does not round-trip (%v):\n%s", err, s)
+		}
+		if _, err := svc.SubmitScenario(s); err != nil {
+			t.Errorf("service refused %v:\n%s", err, s)
+		}
+	}
+}
+
+// TestVerificationSweepsAtHorizon pins the closing sweep of E1, E14,
+// E15 and E17: each run checks its invariants on every registry tick and
 // once more at the horizon, so a violation introduced by the events
 // after the last tick cannot escape. The tick at the horizon itself runs
 // before those events, so a run makes horizon/every + 1 sweeps.
 func TestVerificationSweepsAtHorizon(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs E14, E15 and E17 at quick scale")
+		t.Skip("runs E1, E14, E15 and E17 at quick scale")
 	}
 	sweeps := func(horizon, every time.Duration) uint64 { return uint64(horizon/every) + 1 }
 	for _, c := range []struct {
@@ -510,6 +539,8 @@ func TestVerificationSweepsAtHorizon(t *testing.T) {
 		invariantRuns uint64
 		sweeps        uint64
 	}{
+		// Six command models, each arming the 8 mission invariants at 1s.
+		{E1DecisionLoop(42, true), 6 * 8, sweeps(e1Scenarios(42, true)[0].Horizon, time.Second)},
 		// Two intensities, each run with and without the reflexes, each
 		// arming the 8 mission invariants at 1s.
 		{E14Recovery(42, true), 2 * 2 * 8, sweeps(e14Horizon, time.Second)},

@@ -6,7 +6,6 @@ import (
 	"iobt/internal/asset"
 	"iobt/internal/discovery"
 	"iobt/internal/sim"
-	"iobt/internal/verify"
 )
 
 // nowMS returns wall-clock milliseconds; experiments use it only to
@@ -24,14 +23,4 @@ func newDiscovery(eng *sim.Engine, pop *asset.Population, scanner asset.ID, flag
 	cfg.Scanners = []asset.ID{scanner}
 	cfg.Methods = discovery.Methods(flags)
 	return discovery.New(eng, pop, nil, cfg)
-}
-
-// closeRegistry sweeps every invariant once more at the horizon — a
-// violation introduced by the events after the last tick would
-// otherwise escape — disarms the periodic sweep, and returns the run's
-// verification summary.
-func closeRegistry(reg *verify.Registry, eng *sim.Engine) verify.Summary {
-	reg.CheckNow(eng.Now())
-	reg.Disarm()
-	return reg.Summarize()
 }

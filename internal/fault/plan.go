@@ -12,7 +12,9 @@ import (
 
 // Plan DSL: one fault per line, `verb key=value ...`, with `#` comments
 // and blank lines ignored. Durations use Go syntax (30s, 2m); lengths
-// are meters. An optional leading `plan <name>` line names the plan.
+// are meters. An optional leading `plan <name>` line names the plan; the
+// name is the rest of the line (Scale names "standard x0.50"), and it
+// seeds the plan's fault stream.
 //
 //	plan standard
 //	partition at=30s for=60s x=600
@@ -49,7 +51,7 @@ func Parse(src string) (*Plan, error) {
 		verb := strings.ToLower(fields[0])
 		if verb == "plan" {
 			if len(fields) > 1 {
-				p.Name = fields[1]
+				p.Name = strings.Join(fields[1:], " ")
 			}
 			continue
 		}

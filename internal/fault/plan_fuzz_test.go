@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -56,6 +57,19 @@ func TestParseCrashFailoverErrors(t *testing.T) {
 	if _, err := Parse("jam at=10s\nfailover at=20s"); err == nil ||
 		!strings.Contains(err.Error(), "line 2") {
 		t.Errorf("error lacks line number: %v", err)
+	}
+}
+
+// TestScaledPlanRoundTrips pins that a scaled plan's name, which seeds
+// its fault stream, survives String and Parse with its space.
+func TestScaledPlanRoundTrips(t *testing.T) {
+	p := StandardPlan(1200).Scale(0.25)
+	got, err := Parse(p.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, p) {
+		t.Errorf("round trip changed the plan:\n%v\n%v", p, got)
 	}
 }
 

@@ -84,7 +84,6 @@ func TestTreeClean(t *testing.T) {
 // counts as an entry point, so what it calls needs no entry of its own.
 var reachKeep = map[string]string{
 	"iobt/internal/verify.Generate":                  "FuzzScenario's scenario harness: random scenarios",
-	"iobt/internal/verify.Run":                       "FuzzScenario's scenario harness: one scenario with every invariant armed",
 	"iobt/internal/verify.Shrink":                    "FuzzScenario's scenario harness: minimal reproducers",
 	"iobt/internal/verify.PermutationInvariance":     "metamorphic relation run by the verify tests",
 	"iobt/internal/verify.ComposersAgree":            "metamorphic relation run by the verify tests",

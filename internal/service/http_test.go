@@ -92,6 +92,46 @@ func TestHTTPRejectsUnboundedScenario(t *testing.T) {
 	}
 }
 
+// TestHTTPConcurrentOversize posts oversize bodies and valid scenarios
+// at once: every oversize body gets 413, every valid one 202, and only
+// the valid ones are admitted.
+func TestHTTPConcurrentOversize(t *testing.T) {
+	svc := New(Config{Workers: 2})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	const valid = 4
+	oversize := strings.Repeat("#\n", maxScenarioBytes/2+1)
+	codes := make([]int, 2*valid)
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body := smallScenario(int64(3200 + i)).String()
+			if i%2 == 1 {
+				body += oversize
+			}
+			resp, err := http.Post(srv.URL+"/missions", "text/plain", strings.NewReader(body))
+			if err != nil {
+				t.Errorf("POST %d: %v", i, err)
+				return
+			}
+			resp.Body.Close()
+			codes[i] = resp.StatusCode
+		}(i)
+	}
+	wg.Wait()
+	for i, code := range codes {
+		if want := []int{http.StatusAccepted, http.StatusRequestEntityTooLarge}[i%2]; code != want {
+			t.Errorf("request %d: status %d, want %d", i, code, want)
+		}
+	}
+	if got := len(svc.Missions()); got != valid {
+		t.Errorf("%d missions admitted, want the %d valid ones", got, valid)
+	}
+}
+
 func TestHTTPSubmitStatusTelemetry(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	srv := httptest.NewServer(svc.Handler())

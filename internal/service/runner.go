@@ -7,17 +7,18 @@ import (
 	"time"
 
 	"iobt/internal/checkpoint"
+	"iobt/internal/fault"
 	"iobt/internal/verify"
 )
 
 // This file is the deterministic heart of the service: one mission
 // attempt, from scenario to horizon. Every attempt of the same mission
-// builds the mission through verify.BuildMission and then schedules the
-// same service events in the same order (progress ticker, admission
-// stamp, chaos), so a recovery attempt replays the exact
-// event sequence of the crashed one up to the checkpoint cut — which is
-// what lets the service prove, by byte comparison, that it restored the
-// mission rather than a lookalike.
+// builds the mission through verify.BuildMission, applies its fault
+// plan and then schedules the same service events in the same order
+// (progress ticker, admission stamp, chaos), so a recovery attempt
+// replays the exact event sequence of the crashed one up to the
+// checkpoint cut — which is what lets the service prove, by byte
+// comparison, that it restored the mission rather than a lookalike.
 //
 // Recovery is replay-anchored: a checkpoint record stores the engine's
 // executed-event count at the cut. The recovering attempt rebuilds the
@@ -109,6 +110,9 @@ func runAttempt(p attemptParams) (*attemptOutcome, error) {
 	w, r, err := verify.BuildMission(sc, p.journal)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errSynthesis, err)
+	}
+	if sc.Plan != nil && len(sc.Plan.Faults) > 0 {
+		fault.Apply(w.FaultTarget(r), sc.Plan)
 	}
 	defer w.Stop()
 	defer r.Stop()

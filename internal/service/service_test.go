@@ -260,6 +260,46 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 			t.Errorf("%s not terminal after Close: %s", m.ID, m.State())
 		}
 	}
+	waitGoroutines(t, baseline)
+}
+
+// TestDrainLeaksNoGoroutines is the Drain side of
+// TestCloseLeaksNoGoroutines: drained while a mission waits out a
+// restart backoff, the service runs that restart and every queued
+// mission to completion, and the goroutine count returns to baseline.
+func TestDrainLeaksNoGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	svc := New(Config{
+		Workers:     2,
+		BackoffBase: 100 * time.Millisecond,
+		Chaos:       ChaosConfig{CrashProb: 1},
+	})
+	for i := 0; i < 4; i++ {
+		if _, err := svc.SubmitScenario(smallScenario(int64(2750 + i))); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+	}
+	backingOff := waitForState(t, svc, StateRestarting)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := svc.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	for _, m := range svc.Missions() {
+		if st := m.State(); st != StateCompleted {
+			t.Errorf("%s drained to %s (%q), want completed", m.ID, st, m.Reason())
+		}
+	}
+	if got := backingOff.Attempts(); got != 2 {
+		t.Errorf("%s drained during backoff ran %d attempts, want 2", backingOff.ID, got)
+	}
+	waitGoroutines(t, baseline)
+}
+
+// waitGoroutines waits up to 5s for the goroutine count to fall back to
+// baseline.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= baseline {

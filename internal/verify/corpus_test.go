@@ -78,6 +78,13 @@ func TestScenarioSchemaVersion(t *testing.T) {
 	setField := func(key, val string) string {
 		return regexp.MustCompile(key+`=\S+`).ReplaceAllString(valid, key+"="+val)
 	}
+	addField := func(kv string) string { return strings.Replace(valid, " track=", " "+kv+" track=", 1) }
+	for _, src := range []string{setField("terrain", ""), setField("command", ""),
+		addField("levels=15 coverage=1 redundancy=16")} {
+		if _, err := ParseScenario(src); err != nil {
+			t.Errorf("scenario rejected: %v\n%s", err, src)
+		}
+	}
 	cases := []struct {
 		name, src, wantErr string
 	}{
@@ -97,6 +104,14 @@ func TestScenarioSchemaVersion(t *testing.T) {
 		{"negative checkpoint", setField("checkpoint", "-1s"), `field "checkpoint=-1s": must be 0 or at least 1s`},
 		{"absurd assets", setField("assets", "100001"), `field "assets=100001": must be in [0, 100000]`},
 		{"negative assets", setField("assets", "-1"), `field "assets=-1": must be in [0, 100000]`},
+		{"misspelt terrain", setField("terrain", "urbn"), `field "terrain=urbn": must be one of open, urban, sparse`},
+		{"misspelt command", setField("command", "hierachy"), `field "command=hierachy": must be one of intent, hierarchy`},
+		{"levels past the deadline", addField("levels=16"), `field "levels=16": must be in [0, 15]`},
+		{"negative levels", addField("levels=-1"), `field "levels=-1": must be in [0, 15]`},
+		{"coverage over 1", addField("coverage=1.5"), `field "coverage=1.5": must be a finite number in [0, 1]`},
+		{"NaN coverage", addField("coverage=NaN"), `field "coverage=NaN": must be a finite number`},
+		{"absurd redundancy", addField("redundancy=17"), `field "redundancy=17": must be in [0, 16]`},
+		{"negative redundancy", addField("redundancy=-1"), `field "redundancy=-1": must be in [0, 16]`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

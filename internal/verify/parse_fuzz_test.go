@@ -24,6 +24,8 @@ func FuzzParseScenario(f *testing.F) {
 		f.Add(string(src))
 	}
 	f.Add("scenario v1\nseed=1 assets=80 size=600 terrain=open command=intent rate=10 horizon=1m0s\n")
+	f.Add("scenario v1\nseed=2 assets=250 size=1200 terrain=open command=hierarchy reliable=true rate=30 horizon=6m0s" +
+		" levels=4 coverage=0.6 redundancy=3\nplan standard x0.50\nkill at=1m30s frac=0.16666666666666666 of=composite\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		s, err := ParseScenario(src)
 		if err != nil {

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -14,10 +15,11 @@ import (
 	"iobt/internal/track"
 )
 
-// Scenario is one fully-specified random mission: world, mission knobs,
-// and fault plan, all derived deterministically from Seed. A scenario
-// serializes to a small text file (String/ParseScenario) so any
-// violation the fuzzer finds is replayable byte-for-byte.
+// Scenario is one fully-specified mission: world, mission knobs, and
+// fault plan, every random draw derived deterministically from Seed. A
+// scenario serializes to a small text file (String/ParseScenario) so any
+// violation the fuzzer finds, and any experiment row, is replayable
+// byte-for-byte.
 type Scenario struct {
 	// Seed drives every random stream in the run (world generation,
 	// mobility, channel noise, fault victim selection).
@@ -42,6 +44,12 @@ type Scenario struct {
 	Horizon time.Duration
 	// Track attaches a fused track picture to the command post.
 	Track bool
+	// Levels, Coverage and Redundancy override the mission's hierarchy
+	// depth, goal coverage fraction and k-coverage; zero keeps the
+	// recipe's value (3, 0.4 and 1).
+	Levels     int
+	Coverage   float64
+	Redundancy int
 	// Plan is the fault plan (nil or empty: a nominal run).
 	Plan *fault.Plan
 }
@@ -151,6 +159,13 @@ type Outcome struct {
 	// Fingerprint digests the final mission metrics (differential
 	// properties compare it across paired runs).
 	Fingerprint uint64
+	// Report is fault.Run's recovery record of the plan (nil when the
+	// engine failed).
+	Report *fault.Report
+	// The mission results the experiment tables read.
+	SuccessRate, DetectionRate float64
+	LatencyP50, LatencyP90     float64
+	Checkpoints                uint64
 }
 
 // Run executes the scenario with the full mission invariant catalogue
@@ -161,12 +176,13 @@ func Run(s Scenario, extra ...InvariantMaker) *Outcome {
 }
 
 // BuildMission builds the scenario's world and mission runtime with
-// journal j attached (nil: none), synthesizes and starts the mission and
-// schedules the fault plan, leaving the engine at time zero ready to
-// run. It is the one recipe behind Run and the mission service, which is
-// what lets a service recovery replay a verified mission event for
-// event. On success the caller stops the runtime, then the world; an
-// error means the random world could not synthesize the mission.
+// journal j attached (nil: none) and synthesizes and starts the mission,
+// leaving the engine at time zero ready to run. It is the one recipe
+// behind Run, the experiments and the mission service, which is what
+// lets a service recovery replay a verified mission event for event.
+// The caller applies s.Plan (runScenario through fault.Run), stops the
+// runtime, then the world; an error means the random world could not
+// synthesize the mission.
 func BuildMission(s Scenario, j *checkpoint.Journal) (*core.World, *core.Runtime, error) {
 	var terr *geo.Terrain
 	switch s.Terrain {
@@ -183,6 +199,13 @@ func BuildMission(s Scenario, j *checkpoint.Journal) (*core.World, *core.Runtime
 	m := core.DefaultMission(geo.NewRect(
 		geo.Point{X: pad, Y: pad}, geo.Point{X: s.Size - pad, Y: s.Size - pad}))
 	m.Goal.CoverageFrac = 0.4
+	if s.Coverage > 0 {
+		m.Goal.CoverageFrac = s.Coverage
+	}
+	m.Goal.Redundancy = s.Redundancy
+	if s.Levels > 0 {
+		m.HierarchyLevels = s.Levels
+	}
 	m.IncidentsPerMin = s.Rate
 	m.Command = core.CommandIntent
 	if s.Command == "hierarchy" {
@@ -220,17 +243,16 @@ func BuildMission(s Scenario, j *checkpoint.Journal) (*core.World, *core.Runtime
 		w.Stop()
 		return nil, nil, err
 	}
-
-	if s.Plan != nil && len(s.Plan.Faults) > 0 {
-		fault.Apply(w.FaultTarget(r), s.Plan)
-	}
 	return w, r, nil
 }
 
-// runScenario is the common engine behind Run, ReplayEquivalence, and
-// RestoreTransparency: j, when non-nil, records the decision journal;
-// prestart, when non-nil, runs after Start but before the horizon (for
-// scheduling differential probes like a mid-run restore).
+// runScenario is the run protocol behind Run, ReplayEquivalence,
+// RestoreTransparency and the experiments: BuildMission, the invariant
+// registry armed at 1s, the plan through fault.Run's read-only harness
+// to the horizon, and a final sweep. j, when non-nil, records the
+// decision journal; prestart, when non-nil, runs after Start but before
+// the horizon (for scheduling differential probes like a mid-run
+// restore).
 func runScenario(s Scenario, j *checkpoint.Journal, prestart func(*core.World, *core.Runtime), extra ...InvariantMaker) *Outcome {
 	w, r, err := BuildMission(s, j)
 	if err != nil {
@@ -239,19 +261,23 @@ func runScenario(s Scenario, j *checkpoint.Journal, prestart func(*core.World, *
 	defer w.Stop()
 	defer r.Stop()
 
-	invs := MissionInvariants(w, r)
-	for _, mk := range extra {
-		invs = append(invs, mk(w, r))
-	}
 	reg := NewRegistry()
-	reg.Add(invs...)
+	reg.Add(MissionInvariants(w, r)...)
+	for _, mk := range extra {
+		reg.Add(mk(w, r))
+	}
 
 	if prestart != nil {
 		prestart(w, r)
 	}
 
 	reg.Arm(w.Eng, time.Second)
-	if err := w.Run(s.Horizon); err != nil {
+	plan := s.Plan
+	if plan == nil {
+		plan = &fault.Plan{}
+	}
+	rep, err := fault.Run(w.FaultTarget(r), plan, s.Horizon)
+	if err != nil {
 		reg.record(w.Eng.Now(), "engine-run", err)
 	}
 	// One final sweep at the horizon so end-state violations are caught
@@ -259,12 +285,21 @@ func runScenario(s Scenario, j *checkpoint.Journal, prestart func(*core.World, *
 	reg.CheckNow(w.Eng.Now())
 	reg.Disarm()
 
-	return &Outcome{
-		Scenario:    s,
-		Summary:     reg.Summarize(),
-		Violations:  reg.Violations(),
-		Fingerprint: r.Metrics.Fingerprint(),
+	o := &Outcome{
+		Scenario:      s,
+		Summary:       reg.Summarize(),
+		Violations:    reg.Violations(),
+		Fingerprint:   r.Metrics.Fingerprint(),
+		Report:        rep,
+		SuccessRate:   r.Metrics.SuccessRate(),
+		DetectionRate: r.Metrics.DetectionRate(),
+		LatencyP50:    r.Metrics.DecisionLatency.Percentile(50),
+		LatencyP90:    r.Metrics.DecisionLatency.Percentile(90),
 	}
+	if c := r.Checkpoints(); c != nil {
+		o.Checkpoints = c.Taken.Value()
+	}
+	return o
 }
 
 // SchemaVersion is the reproducer file format version. Bump it when
@@ -280,9 +315,21 @@ func (s Scenario) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scenario v%d\n", SchemaVersion)
 	fmt.Fprintf(&b,
-		"seed=%d assets=%d size=%s terrain=%s command=%s reliable=%v degrade=%v checkpoint=%s rate=%s horizon=%s track=%v\n",
+		"seed=%d assets=%d size=%s terrain=%s command=%s reliable=%v degrade=%v checkpoint=%s rate=%s horizon=%s track=%v",
 		s.Seed, s.Assets, ftoa(s.Size), s.Terrain, s.Command, s.Reliable, s.Degrade,
 		s.Checkpoint, ftoa(s.Rate), s.Horizon, s.Track)
+	// The mission overrides are written only when set, so a scenario
+	// without them keeps its canonical form.
+	if s.Levels != 0 {
+		fmt.Fprintf(&b, " levels=%d", s.Levels)
+	}
+	if s.Coverage != 0 {
+		fmt.Fprintf(&b, " coverage=%s", ftoa(s.Coverage))
+	}
+	if s.Redundancy != 0 {
+		fmt.Fprintf(&b, " redundancy=%d", s.Redundancy)
+	}
+	b.WriteByte('\n')
 	if s.Plan != nil && len(s.Plan.Faults) > 0 {
 		b.WriteString(s.Plan.String())
 	}
@@ -295,12 +342,36 @@ func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // absurd incident rate arms a ticker at the engine's 1ns floor, an
 // infinite map has no terrain, and the whole world is allocated before
 // any run budget applies. The checkpoint cadence is 0 or at least
-// checkpoint.MinEvery.
+// checkpoint.MinEvery. Terrain and command are one of the names
+// BuildMission reads, or empty for its default.
 const (
 	maxSize   = 1e6 // meters
 	maxRate   = 6e3 // incidents per minute: one per 10ms of virtual time
 	maxAssets = 100_000
+	// maxLevels echelons of 2s staffing use up the whole 30s incident
+	// deadline.
+	maxLevels = 15
+	// maxRedundancy bounds k-coverage: a greedy solve makes about k times
+	// the picks of a 1-coverage solve.
+	maxRedundancy = 16
 )
+
+// parseInt parses an int that must be in [0, max].
+func parseInt(v string, max int) (int, error) {
+	n, err := strconv.Atoi(v)
+	if err == nil && (n < 0 || n > max) {
+		err = fmt.Errorf("must be in [0, %d]", max)
+	}
+	return n, err
+}
+
+// parseName accepts v when it is empty or one of names.
+func parseName(v string, names ...string) (string, error) {
+	if v == "" || slices.Contains(names, v) {
+		return v, nil
+	}
+	return v, fmt.Errorf("must be one of %s", strings.Join(names, ", "))
+}
 
 // parseBounded parses a float that must be finite and in [0, max].
 func parseBounded(v string, max float64) (float64, error) {
@@ -337,16 +408,13 @@ func ParseScenario(src string) (Scenario, error) {
 		case "seed":
 			s.Seed, err = strconv.ParseInt(v, 10, 64)
 		case "assets":
-			s.Assets, err = strconv.Atoi(v)
-			if err == nil && (s.Assets < 0 || s.Assets > maxAssets) {
-				err = fmt.Errorf("must be in [0, %d]", maxAssets)
-			}
+			s.Assets, err = parseInt(v, maxAssets)
 		case "size":
 			s.Size, err = parseBounded(v, maxSize)
 		case "terrain":
-			s.Terrain = v
+			s.Terrain, err = parseName(v, "open", "urban", "sparse")
 		case "command":
-			s.Command = v
+			s.Command, err = parseName(v, "intent", "hierarchy")
 		case "reliable":
 			s.Reliable, err = strconv.ParseBool(v)
 		case "degrade":
@@ -362,6 +430,12 @@ func ParseScenario(src string) (Scenario, error) {
 			s.Horizon, err = time.ParseDuration(v)
 		case "track":
 			s.Track, err = strconv.ParseBool(v)
+		case "levels":
+			s.Levels, err = parseInt(v, maxLevels)
+		case "coverage":
+			s.Coverage, err = parseBounded(v, 1)
+		case "redundancy":
+			s.Redundancy, err = parseInt(v, maxRedundancy)
 		default:
 			err = fmt.Errorf("unknown key")
 		}
