@@ -331,7 +331,8 @@ func microMeshRefresh(b *testing.B) {
 		}
 		return 0
 	})
-	net.SetLinkFault(func(a, b geo.Point) bool { return (a.X < 750) != (b.X < 750) })
+	cut := func(a, b geo.Point) bool { return (a.X < 750) != (b.X < 750) }
+	net.SetLinkFault(func() func(a, b geo.Point) bool { return cut })
 	// Warm the neighbour table and grid cells to their steady capacity.
 	for i := 0; i < 50; i++ {
 		pop.StepMobility(time.Second)

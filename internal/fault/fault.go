@@ -267,6 +267,12 @@ type Injector struct {
 	plan *Plan
 	rng  *sim.RNG
 
+	// cuts holds the partitions in force at the last ask of cutNow, and
+	// severs, bound once at Apply, is the predicate that reads it; both
+	// are reused, so an ask allocates nothing.
+	cuts   []*Fault
+	severs func(a, b geo.Point) bool
+
 	// Killed counts assets destroyed by kill waves, command-post loss,
 	// and churn spikes.
 	Killed sim.Counter
@@ -321,13 +327,14 @@ func Apply(t Target, p *Plan) *Injector {
 		case ChurnSpike:
 			inj.scheduleChurnSpike(f)
 		case Heal:
-			// The heal itself acts through linkCut consulting the plan;
+			// The heal itself acts through cutNow consulting the plan;
 			// refresh at the instant so topology reconnects promptly.
 			t.Eng.ScheduleAt(f.At, "fault.heal", t.Net.Refresh)
 		}
 	}
 	if hasPartition {
-		t.Net.SetLinkFault(inj.linkCut)
+		inj.severs = inj.cut
+		t.Net.SetLinkFault(inj.cutNow)
 	}
 	if hasHop {
 		t.Net.SetHopFault(inj.hopEffect)
@@ -335,15 +342,30 @@ func Apply(t Target, p *Plan) *Injector {
 	return inj
 }
 
-// linkCut implements active partitions: a link is severed when any
-// active, un-healed partition fault separates its endpoints.
-func (inj *Injector) linkCut(a, b geo.Point) bool {
+// cutNow is the network's link-fault hook. The partitions in force are
+// a function of virtual time alone, so it collects the active, un-healed
+// ones once per ask and returns the predicate over them, or nil when
+// there are none. The predicate reads the collected set, so it answers
+// for the instant of the ask until the next one.
+func (inj *Injector) cutNow() func(a, b geo.Point) bool {
 	now := inj.t.Eng.Now()
+	inj.cuts = inj.cuts[:0]
 	for i := range inj.plan.Faults {
 		f := &inj.plan.Faults[i]
-		if f.Kind != Partition || !f.activeAt(now) || inj.healed(f, now) {
-			continue
+		if f.Kind == Partition && f.activeAt(now) && !inj.healed(f, now) {
+			inj.cuts = append(inj.cuts, f)
 		}
+	}
+	if len(inj.cuts) == 0 {
+		return nil
+	}
+	return inj.severs
+}
+
+// cut reports whether any partition cutNow collected separates a from
+// b: an X line when X is set, otherwise the boundary of Area.
+func (inj *Injector) cut(a, b geo.Point) bool {
+	for _, f := range inj.cuts {
 		if f.X != 0 {
 			if (a.X < f.X) != (b.X < f.X) {
 				return true

@@ -110,6 +110,35 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// A partition needs a line (nonzero x=) or a circle (positive r=) to
+// cut along; one with neither would install a link hook that never cuts.
+func TestParsePartitionMustCut(t *testing.T) {
+	for _, bad := range []string{
+		"partition at=30s",
+		"partition at=30s for=1m",
+		"partition at=30s x=0",
+		"partition at=30s cx=500 cy=500",
+		"partition at=30s cx=500 cy=500 r=0",
+		"partition at=30s cx=500 cy=500 r=-50",
+		"jam at=10s\npartition at=30s for=1m",
+	} {
+		_, err := Parse(bad)
+		if err == nil || !strings.Contains(err.Error(), "partition") || !strings.Contains(err.Error(), "cuts nothing") {
+			t.Errorf("Parse(%q) = %v, want an error naming the partition that cuts nothing", bad, err)
+		}
+	}
+	for _, good := range []string{
+		"partition at=30s x=600",
+		"partition at=30s x=-5",
+		"partition at=30s for=1m cx=0 cy=0 r=250",
+		"partition at=30s x=600 r=-1",
+	} {
+		if _, err := Parse(good); err != nil {
+			t.Errorf("Parse(%q): %v", good, err)
+		}
+	}
+}
+
 func TestPlanScale(t *testing.T) {
 	p := StandardPlan(1000)
 	half := p.Scale(0.5)

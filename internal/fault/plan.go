@@ -37,7 +37,9 @@ import (
 // takes an optional `region` operand selecting a rectangular footprint
 // (x0/y0/x1/y1) instead of a circular one. The heal verb ends, at its
 // own `at`, every partition that began at or before that instant —
-// including unbounded ones (`partition at=30s x=600` with no for=).
+// including unbounded ones (`partition at=30s x=600` with no for=). A
+// partition must cut something: it needs a nonzero x= (a line) or a
+// positive r= (a circle's boundary).
 
 // Parse reads a plan in the DSL above.
 func Parse(src string) (*Plan, error) {
@@ -177,6 +179,9 @@ func parseFault(verb string, kvs []string) (Fault, error) {
 		if err != nil {
 			return f, fmt.Errorf("%s %s: %v", verb, kv, err)
 		}
+	}
+	if f.Kind == Partition && f.X == 0 && !(f.Area.Radius > 0) {
+		return f, fmt.Errorf("partition at=%s cuts nothing: want a nonzero x= or a positive r=", f.At)
 	}
 	return f, nil
 }

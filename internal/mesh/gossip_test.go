@@ -164,7 +164,7 @@ func TestGossipPartitionHealReconverges(t *testing.T) {
 	eng, _, net := gridWorld(t, 11, 6, 4, 100)
 	// Sever every link crossing x=350: two 3×4 islands.
 	cut := func(a, b geo.Point) bool { return (a.X < 350) != (b.X < 350) }
-	net.SetLinkFault(cut)
+	net.SetLinkFault(func() func(a, b geo.Point) bool { return cut })
 	net.Refresh()
 	g := joinAll(net, GossipConfig{Fanout: 3, TTL: 10, AntiEntropyEvery: 2 * time.Second})
 	g.Start()

@@ -116,10 +116,11 @@ type Network struct {
 	// jamming, when set, returns the jamming intensity [0,1] at a point;
 	// links shrink by that factor. attack.Field provides this.
 	jamming func(geo.Point) float64
-	// linkFault, when set, reports whether the link between two
-	// positions is severed by an injected fault (e.g. a partition).
+	// linkFault, when set, returns the cut predicate in force now — it
+	// reports whether an injected fault (e.g. a partition) severs the
+	// link between two positions — or nil when nothing is cut.
 	// internal/fault provides this.
-	linkFault func(a, b geo.Point) bool
+	linkFault func() func(a, b geo.Point) bool
 	// hopFault, when set, is consulted once per hop and may drop,
 	// corrupt, or delay the frame. internal/fault provides this.
 	hopFault func(*Message) HopEffect
@@ -208,11 +209,13 @@ func (n *Network) SetJamming(f func(geo.Point) float64) {
 
 // SetLinkFault installs the link-severing fault hook. Passing nil
 // clears it. Callers should Refresh after changing fault state so the
-// neighbor table reflects the cut links. The hook must be symmetric,
-// f(a, b) == f(b, a): a pair is asked about once, with the position of
-// the lower node id as a. It may depend on virtual time; it is consulted
-// afresh for every pair on every Refresh.
-func (n *Network) SetLinkFault(f func(a, b geo.Point) bool) {
+// neighbor table reflects the cut links. The hook returns the cut
+// predicate in force at the current virtual time, or nil when no link is
+// cut; it is asked once per Refresh and once per Linked or forwarded
+// hop, and the predicate it returns is used only until the next ask.
+// The predicate must be symmetric, cut(a, b) == cut(b, a): a pair is
+// asked about once, with the position of the lower node id as a.
+func (n *Network) SetLinkFault(f func() func(a, b geo.Point) bool) {
 	n.linkFault = f
 	n.invalidate()
 }
@@ -291,7 +294,8 @@ const rejectSlack = 1e-9
 // halves so that Refresh can keep the first across ticks: linkGeometry
 // reads only positions and radio ranges (the terrain never changes),
 // linkNow reads what can change under a node that stands still — the jam
-// field and the fault hook, both functions of virtual time. Every
+// field, through the snapshot, and the cut predicate the fault hook
+// returned for this instant, both functions of virtual time. Every
 // operand is symmetric in the two endpoints, so a pair needs one
 // evaluation. link, for Linked and forward, is the two in sequence.
 
@@ -319,13 +323,23 @@ func tooFar(p, q geo.Point, rp, rq float64) bool {
 	return p.Dist2(q) > r*r*(1+rejectSlack)
 }
 
+// cutNow asks the fault hook for the cut predicate in force now: nil
+// when no hook is installed or nothing is cut.
+func (n *Network) cutNow() func(a, b geo.Point) bool {
+	if n.linkFault == nil {
+		return nil
+	}
+	return n.linkFault()
+}
+
 // linkNow finishes the rule for a pair of up nodes linkGeometry passed:
-// the effective range r, and whether the link exists at this instant.
+// the effective range r, and whether the link exists at this instant,
+// under cut, the predicate cutNow returned for it.
 //
 //iobt:hot
-func (n *Network) linkNow(a, b *endpoint, rBase, d float64) (r float64, ok bool) {
+func linkNow(a, b *endpoint, rBase, d float64, cut func(a, b geo.Point) bool) (r float64, ok bool) {
 	r = rBase * (1 - max(a.jam, b.jam))
-	if r <= 0 || (n.linkFault != nil && n.linkFault(a.pos, b.pos)) {
+	if r <= 0 || (cut != nil && cut(a.pos, b.pos)) {
 		return 0, false
 	}
 	return r, d <= r
@@ -345,7 +359,7 @@ func (n *Network) link(a, b NodeID) (r, d float64, ok bool) {
 	if !ok {
 		return 0, 0, false
 	}
-	r, ok = n.linkNow(&ea, &eb, rBase, d)
+	r, ok = linkNow(&ea, &eb, rBase, d, n.cutNow())
 	return r, d, ok
 }
 
@@ -375,9 +389,9 @@ type pair struct {
 // The geometric half of the rule for two stable nodes cannot have
 // changed, so their pairs are kept from last tick and only linkNow is
 // replayed; every other up node looks its pairs up afresh in a cell
-// index over the snapshot. Stability is read off the assets themselves
-// and jam and fault are re-read for every pair every tick, so nothing
-// has to tell the network that something changed.
+// index over the snapshot. Stability is read off the assets themselves,
+// the jam field is re-read for every node and the fault hook asked once,
+// every tick, so nothing has to tell the network that something changed.
 //
 // Canonical order: every list is ascending by id, so the table is a
 // function of current state alone — not of the order pairs were found
@@ -389,6 +403,7 @@ type pair struct {
 //
 //iobt:hot
 func (n *Network) Refresh() {
+	cut := n.cutNow()
 	n.invalidate()
 	n.snapshot()
 	kept := n.carry()
@@ -396,7 +411,7 @@ func (n *Network) Refresh() {
 		n.pairs = growTo(n.pairs[:kept], need)
 		n.scan(kept)
 	}
-	n.buildTable()
+	n.buildTable(cut)
 }
 
 // growTo returns s with capacity for need elements and a quarter more.
@@ -489,9 +504,9 @@ func (n *Network) scan(kept int) int {
 	return total
 }
 
-// buildTable runs linkNow over every pair and lays the links out as
-// ascending lists. Degrees are counted first, so the table is sized
-// before anything is written. The lists come out sorted without a sort:
+// buildTable runs linkNow under cut over every pair and lays the links
+// out as ascending lists. Degrees are counted first, so the table is
+// sized before anything is written. The lists come out sorted without a sort:
 // the links are first bucketed by one endpoint in pair order (bySrc),
 // then that table is read in ascending id order and each entry written
 // into the list of its other endpoint — the transpose of a symmetric
@@ -499,7 +514,7 @@ func (n *Network) scan(kept int) int {
 // visited.
 //
 //iobt:hot
-func (n *Network) buildTable() {
+func (n *Network) buildTable(cut func(a, b geo.Point) bool) {
 	start, ends := n.nbrStart, n.ends
 	words := (len(n.pairs) + 63) / 64
 	if words > cap(n.linked) {
@@ -510,7 +525,7 @@ func (n *Network) buildTable() {
 	clear(start)
 	for k := range n.pairs {
 		p := &n.pairs[k]
-		if _, ok := n.linkNow(&ends[p.i], &ends[p.j], p.rBase, p.d); ok {
+		if _, ok := linkNow(&ends[p.i], &ends[p.j], p.rBase, p.d, cut); ok {
 			n.linked[k/64] |= 1 << (k % 64)
 			start[p.i+1]++
 			start[p.j+1]++

@@ -19,8 +19,8 @@ import (
 
 // scriptWorld is a population, the network under test, and a virtual
 // clock the jam field and the partition are functions of — as
-// fault.Injector.linkCut is of engine time — without anything telling
-// the network that they changed.
+// fault.Injector's link-fault hook is of engine time — without anything
+// telling the network that they changed.
 type scriptWorld struct {
 	terr *geo.Terrain
 	pop  *asset.Population
@@ -51,14 +51,14 @@ func (w *scriptWorld) jam(p geo.Point) float64 {
 	return []float64{0.3, 0.6, 1}[w.tick/3%3]
 }
 
-// cut is a partition line that is up for 15 ticks in every 40 and
-// stands somewhere else each time.
-func (w *scriptWorld) cut(a, b geo.Point) bool {
+// cut is the link-fault hook: a partition line that is up for 15 ticks
+// in every 40 and stands somewhere else each time, and nil between.
+func (w *scriptWorld) cut() func(a, b geo.Point) bool {
 	if w.tick%40 < 25 {
-		return false
+		return nil
 	}
 	x := w.terr.Bounds.Min.X + w.terr.Bounds.Width()*float64(2+w.tick/40%5)/8
-	return (a.X < x) != (b.X < x)
+	return func(a, b geo.Point) bool { return (a.X < x) != (b.X < x) }
 }
 
 // rebuild returns a network with no past over the world as it is now.

@@ -35,10 +35,13 @@ func refreshWorld(tb testing.TB, seed int64, terr *geo.Terrain, n int) (*asset.P
 		}
 		return 0
 	})
-	net.SetLinkFault(func(a, b geo.Point) bool { return (a.X < 750) != (b.X < 750) })
+	net.SetLinkFault(func() func(a, b geo.Point) bool { return cutAt750 })
 	net.Refresh()
 	return pop, net
 }
+
+// cutAt750 is refreshWorld's partition: a line at x = 750.
+func cutAt750(a, b geo.Point) bool { return (a.X < 750) != (b.X < 750) }
 
 // refLinked is the link rule written out with no early exit: the oracle
 // for Network.link and its squared-distance pre-reject.
@@ -50,7 +53,7 @@ func refLinked(n *Network, a, b *asset.Asset) bool {
 	r := math.Min(a.Caps.RadioRange, b.Caps.RadioRange)
 	r *= n.terr.RangeFactor(pa, pb)
 	r *= 1 - math.Max(n.jamAt(pa), n.jamAt(pb))
-	if r <= 0 || (n.linkFault != nil && n.linkFault(pa, pb)) {
+	if cut := n.cutNow(); r <= 0 || (cut != nil && cut(pa, pb)) {
 		return false
 	}
 	return pa.Dist(pb) <= r
@@ -185,14 +188,60 @@ func TestNeighbourTableGolden(t *testing.T) {
 	}
 }
 
+// A steady-state Refresh allocates nothing, with no fault hook, with a
+// hook that cuts nothing, and with a cut in force.
 func TestRefreshSteadyStateAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hook func() func(a, b geo.Point) bool
+	}{
+		{"no hook", nil},
+		{"nothing cut", func() func(a, b geo.Point) bool { return nil }},
+		{"cut active", func() func(a, b geo.Point) bool { return cutAt750 }},
+	} {
+		pop, net := refreshWorld(t, 1, geo.NewOpenTerrain(1500, 1500), 1000)
+		net.SetLinkFault(tc.hook)
+		for i := 0; i < 10; i++ { // let the scratch and the table reach capacity
+			pop.StepMobility(time.Second)
+			net.Refresh()
+		}
+		if allocs := testing.AllocsPerRun(20, net.Refresh); allocs != 0 {
+			t.Errorf("%s: steady-state Refresh allocated %v per call, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// The link-fault hook is asked for the predicate in force once per
+// Refresh and once per Linked call, never once per pair: over a 200-tick
+// script with a cut always active, the count is exact.
+func TestLinkFaultAskedOncePerRefresh(t *testing.T) {
 	pop, net := refreshWorld(t, 1, geo.NewOpenTerrain(1500, 1500), 1000)
-	for i := 0; i < 10; i++ { // let the scratch and the table reach capacity
+	asks, pairs := 0, 0
+	net.SetLinkFault(func() func(a, b geo.Point) bool {
+		asks++
+		return func(a, b geo.Point) bool {
+			pairs++
+			return cutAt750(a, b)
+		}
+	})
+	refreshes, linked := 0, 0
+	for tick := 0; tick < 200; tick++ {
 		pop.StepMobility(time.Second)
 		net.Refresh()
+		refreshes++
+		for k := 0; k < tick%4; k++ {
+			a := NodeID((tick*7 + k*131) % pop.Len())
+			for _, b := range net.Neighbors(a) {
+				net.Linked(a, b)
+				linked++
+			}
+		}
 	}
-	if allocs := testing.AllocsPerRun(20, net.Refresh); allocs != 0 {
-		t.Fatalf("steady-state Refresh allocated %v per call, want 0", allocs)
+	if asks != refreshes+linked {
+		t.Errorf("hook asked %d times over %d refreshes and %d Linked calls, want %d", asks, refreshes, linked, refreshes+linked)
+	}
+	if pairs < 100*asks {
+		t.Errorf("the predicate judged %d pairs over %d asks: the script cut too little to tell an ask from a pair", pairs, asks)
 	}
 }
 
