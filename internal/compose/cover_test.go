@@ -191,7 +191,7 @@ func FuzzCoverLists(f *testing.F) {
 			c.Caps.SenseRange = d
 		}
 		mid := c
-		mid.Pos = g.Area.Center()
+		mid.Pos = geo.Point{X: (g.Area.Min.X + g.Area.Max.X) / 2, Y: (g.Area.Min.Y + g.Area.Max.Y) / 2}
 		checkCoverLists(t, req, []Candidate{c, mid, c})
 	})
 }

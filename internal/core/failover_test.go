@@ -58,7 +58,7 @@ func runFailover(t *testing.T, seed int64, every time.Duration, plan *fault.Plan
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reg.OK() {
+	if len(reg.Violations()) > 0 {
 		t.Fatalf("%s: invariant violations: %v", plan.Name, reg.Violations())
 	}
 	r.Stop()

@@ -42,7 +42,10 @@ func E14Recovery(seed int64, quick bool) *Table {
 			t.AddRow(f2(s), "run failed", "", "", "", "", "", "")
 			continue
 		}
-		withReflex, without := reflex.SuccessRate, run(s, false).SuccessRate
+		withReflex, without := reflex.Metrics.SuccessRate(), 0.0
+		if o := run(s, false); !o.Skipped {
+			without = o.Metrics.SuccessRate()
+		}
 		// Aggregate detect/recover over the plan: earliest detection,
 		// latest recovery (the composite disruption overlaps in time).
 		detect, recover := -1.0, -1.0

@@ -44,7 +44,7 @@ func E15Failover(seed int64, quick bool) *Table {
 			resume = f0(gap.TimeToResume.Seconds())
 		}
 		t.AddRow(mode, every.String(), d(int(o.Checkpoints)), d(int(gap.OrdersLost)), resume,
-			f2(gap.StaleTrust), d(gap.TrackFrag), f2(o.SuccessRate))
+			f2(gap.StaleTrust), d(gap.TrackFrag), f2(o.Metrics.SuccessRate()))
 	}
 
 	// The no-promotion baseline and the cold rebuild do not read

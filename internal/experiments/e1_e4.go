@@ -36,8 +36,9 @@ func E1DecisionLoop(seed int64, quick bool) *Table {
 			t.AddRow(label, d(s.Levels), "synthesis failed", "", "", "")
 			continue
 		}
-		t.AddRow(label, d(s.Levels), f2(o.LatencyP50), f2(o.LatencyP90),
-			f2(o.SuccessRate), f2(o.DetectionRate))
+		lat := &o.Metrics.DecisionLatency
+		t.AddRow(label, d(s.Levels), f2(lat.Percentile(50)), f2(lat.Percentile(90)),
+			f2(o.Metrics.SuccessRate()), f2(o.Metrics.DetectionRate()))
 	}
 	t.Verification = &verif
 	return t

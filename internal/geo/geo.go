@@ -81,11 +81,6 @@ func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 // Area returns the rectangle's area.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Center returns the rectangle's center point.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
-
 // Contains reports whether p lies inside r.
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X < r.Max.X && p.Y >= r.Min.Y && p.Y < r.Max.Y

@@ -42,9 +42,6 @@ func TestRectBasics(t *testing.T) {
 	if r.Width() != 10 || r.Height() != 20 || r.Area() != 200 {
 		t.Error("dimensions wrong")
 	}
-	if r.Center() != (Point{5, 10}) {
-		t.Errorf("Center = %v", r.Center())
-	}
 	if !r.Contains(Point{5, 5}) || r.Contains(Point{10, 5}) || r.Contains(Point{-1, 5}) {
 		t.Error("Contains wrong")
 	}

@@ -25,6 +25,7 @@
 package intent
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -157,19 +158,13 @@ func parseArea(s string) (geo.Rect, error) {
 }
 
 func parsePoint(s string) (geo.Point, error) {
-	xy := strings.Split(s, ",")
-	if len(xy) != 2 {
+	xs, ys, ok := strings.Cut(s, ",")
+	if !ok || strings.Contains(ys, ",") {
 		return geo.Point{}, fmt.Errorf("want x,y, got %q", s)
 	}
-	x, err := strconv.ParseFloat(xy[0], 64)
-	if err != nil {
-		return geo.Point{}, err
-	}
-	y, err := strconv.ParseFloat(xy[1], 64)
-	if err != nil {
-		return geo.Point{}, err
-	}
-	return geo.Point{X: x, Y: y}, nil
+	x, errX := parseFinite(xs)
+	y, errY := parseFinite(ys)
+	return geo.Point{X: x, Y: y}, errors.Join(errX, errY)
 }
 
 // parseCover parses "70%" or "70% x2" (k-coverage).
@@ -263,15 +258,23 @@ func parsePercent(s string) (float64, error) {
 // negative value is a spec error, not a setting: a NaN rate would arm
 // the incident ticker at its 1 ns floor and the mission would never end.
 func parseFloat(s string) (float64, error) {
+	v, err := parseFinite(s)
+	if err == nil && v < 0 {
+		err = fmt.Errorf("want a non-negative number, got %q", s)
+	}
+	return v, err
+}
+
+// parseFinite parses a finite number. An area corner may be negative,
+// but a NaN one makes an area that holds no point, which only synthesis
+// would refuse.
+func parseFinite(s string) (float64, error) {
 	s = strings.TrimSpace(s)
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, err
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("want a finite number, got %q", s)
 	}
-	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-		return 0, fmt.Errorf("want a finite non-negative number, got %q", s)
-	}
-	return v, nil
+	return v, err
 }
 
 func parseDuration(s string) (time.Duration, error) {

@@ -111,6 +111,10 @@ func TestParseErrors(t *testing.T) {
 		{"bad rate", `area (0,0)-(1,1); rate fast/min`, "invalid syntax"},
 		{"bad duration", `area (0,0)-(1,1); deadline soon`, "invalid duration"},
 		{"bad point", `area (a,0)-(1,1)`, "invalid syntax"},
+		{"three coordinates", `area (0,0,0)-(1,1)`, "want x,y"},
+		{"NaN corner", `area (NaN,200)-(1000,1000)`, "want a finite number"},
+		{"infinite corner", `area (0,0)-(+Inf,10)`, "want a finite number"},
+		{"negative infinite corner", `area (-Inf,0)-(10,10)`, "want a finite number"},
 	}
 	for _, tc := range cases {
 		_, err := Parse(tc.spec)

@@ -89,7 +89,6 @@ var reachKeep = map[string]string{
 	"iobt/internal/verify.ComposersAgree":            "metamorphic relation run by the verify tests",
 	"iobt/internal/verify.CadenceIndependence":       "metamorphic relation run by the verify tests",
 	"iobt/internal/verify.RestoreTransparency":       "metamorphic relation run by the verify tests",
-	"iobt/internal/verify.ReplayEquivalence":         "metamorphic relation run by the verify tests",
 	"iobt/internal/lint.LoadFixture":                 "loads the analyzer fixtures under testdata, which the go tool does not list",
 	"(*iobt/internal/lint.Program).Summary":          "the taint-summary tests read the interprocedural leg through it",
 	"(*iobt/internal/mesh.shardRun).linked":          "the brute-force oracle TestPeersMatchesBruteForce compares peers against",

@@ -166,9 +166,6 @@ func NewGossip(net *Network, cfg GossipConfig) *Gossip {
 	}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (g *Gossip) Config() GossipConfig { return g.cfg }
-
 // Join enrolls id in the overlay and registers its mesh handler. app, if
 // non-nil, receives each first-time payload as a Message (From = origin,
 // Kind/Payload/Size from the publish) plus any non-gossip traffic

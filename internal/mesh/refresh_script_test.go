@@ -42,7 +42,7 @@ func newScriptWorld(seed int64, terr *geo.Terrain, n int) *scriptWorld {
 func (w *scriptWorld) jam(p geo.Point) float64 {
 	b := w.terr.Bounds
 	disc := geo.Circle{
-		Center: geo.Point{X: b.Min.X + b.Width()*float64(w.tick%50)/50, Y: b.Center().Y},
+		Center: geo.Point{X: b.Min.X + b.Width()*float64(w.tick%50)/50, Y: (b.Min.Y + b.Max.Y) / 2},
 		Radius: b.Width() / 4,
 	}
 	if !disc.Contains(p) {

@@ -55,42 +55,60 @@ func runOne(t *testing.T, cfg Config, sc verify.Scenario) *Mission {
 	return m
 }
 
+// recoveryVariants are recoveryScenario(seed) and the same mission with
+// each optional scenario part: churn, the gossip overlay, and the
+// mission stated as an intent section.
+func recoveryVariants(seed int64) map[string]verify.Scenario {
+	base := recoveryScenario(seed)
+	churn, gossip, spec := base, base, base
+	churn.Churn = true
+	gossip.Gossip = true
+	spec.Command, spec.Rate = "", 0
+	spec.Intent = "mission \"recovery\"\narea (120,120)-(480,480)\ncover 40%\ncommand hierarchy levels 3\nrate 20/min"
+	return map[string]verify.Scenario{"base": base, "churn": churn, "gossip": gossip, "intent": spec}
+}
+
 // TestCrashRecoveryByteIdentical is the acceptance demo, machine-checked:
 // kill a worker mid-flight, let the supervisor restore the mission from
 // its persisted checkpoint, and require the completed mission to be
 // byte-identical — journal and metrics fingerprint — to an uncrashed
-// same-seed run.
+// same-seed run, whose fingerprint is verify.Run's.
 func TestCrashRecoveryByteIdentical(t *testing.T) {
-	sc := recoveryScenario(1201)
+	for name, sc := range recoveryVariants(1201) {
+		t.Run(name, func(t *testing.T) {
+			crashed := runOne(t, Config{
+				Workers: 1,
+				DataDir: t.TempDir(),
+				Chaos:   ChaosConfig{CrashProb: 1, AtFrac: 0.6},
+			}, sc)
+			if crashed.State() != StateCompleted {
+				t.Fatalf("crashed mission ended %s (%s), want completed", crashed.State(), crashed.Reason())
+			}
+			if crashed.Restarts() == 0 {
+				t.Fatal("chaos crash did not trigger a supervised restart")
+			}
+			if crashed.View().RecoveredFrom == 0 {
+				t.Fatal("recovery was not anchored at a persisted checkpoint")
+			}
+			if n := len(crashed.RecoveryTimes()); n == 0 {
+				t.Error("no recovery time was measured")
+			}
 
-	crashed := runOne(t, Config{
-		Workers: 1,
-		DataDir: t.TempDir(),
-		Chaos:   ChaosConfig{CrashProb: 1, AtFrac: 0.6},
-	}, sc)
-	if crashed.State() != StateCompleted {
-		t.Fatalf("crashed mission ended %s (%s), want completed", crashed.State(), crashed.Reason())
-	}
-	if crashed.Restarts() == 0 {
-		t.Fatal("chaos crash did not trigger a supervised restart")
-	}
-	if crashed.View().RecoveredFrom == 0 {
-		t.Fatal("recovery was not anchored at a persisted checkpoint")
-	}
-	if n := len(crashed.RecoveryTimes()); n == 0 {
-		t.Error("no recovery time was measured")
-	}
+			clean := runOne(t, Config{Workers: 1}, sc)
+			if clean.State() != StateCompleted {
+				t.Fatalf("clean mission ended %s (%s), want completed", clean.State(), clean.Reason())
+			}
 
-	clean := runOne(t, Config{Workers: 1}, sc)
-	if clean.State() != StateCompleted {
-		t.Fatalf("clean mission ended %s (%s), want completed", clean.State(), clean.Reason())
-	}
-
-	if div := checkpoint.Compare(crashed.journal, clean.journal); div != nil {
-		t.Fatalf("recovered journal diverges from uncrashed run:\n%s", div)
-	}
-	if a, b := crashed.Fingerprint(), clean.Fingerprint(); a != b {
-		t.Fatalf("metrics fingerprint %016x != uncrashed %016x", a, b)
+			if div := checkpoint.Compare(crashed.journal, clean.journal); div != nil {
+				t.Fatalf("recovered journal diverges from uncrashed run:\n%s", div)
+			}
+			if a, b := crashed.Fingerprint(), clean.Fingerprint(); a != b {
+				t.Fatalf("metrics fingerprint %016x != uncrashed %016x", a, b)
+			}
+			if a, b := clean.Fingerprint(), verify.Run(sc).Fingerprint; a != b {
+				t.Fatalf("service fingerprint %016x != verify.Run's %016x", a, b)
+			}
+		})
 	}
 }
 

@@ -107,7 +107,7 @@ type attemptOutcome struct {
 // checkpoint.VerifyEquivalence hook.
 func runAttempt(p attemptParams) (*attemptOutcome, error) {
 	sc := p.sc
-	w, r, err := verify.BuildMission(sc, p.journal)
+	w, r, invs, err := verify.BuildMission(sc, p.journal)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errSynthesis, err)
 	}
@@ -167,7 +167,7 @@ func runAttempt(p attemptParams) (*attemptOutcome, error) {
 	})
 
 	reg := verify.NewRegistry()
-	reg.Add(verify.MissionInvariants(w, r)...)
+	reg.Add(invs...)
 
 	if c := p.chaos; c != nil {
 		w.Eng.ScheduleAt(c.at, "service.chaos", func() {

@@ -122,3 +122,50 @@ func TestScenarioSchemaVersion(t *testing.T) {
 		})
 	}
 }
+
+// testIntent is an intent section: a mission in the intent DSL.
+const testIntent = "mission \"t\"\narea (200,200)-(1000,1000)\ncover 40%\ncommand intent\nrate 10/min\n"
+
+// TestScenarioIntentSection pins the intent section: it runs from its
+// mission line to the plan line, is held to the key line's bounds, and
+// leaves the key line no mission keys of its own.
+func TestScenarioIntentSection(t *testing.T) {
+	const key = "scenario v1\nseed=1 assets=200 size=1500 terrain=open reliable=false degrade=false checkpoint=0s horizon=1m0s track=false\n"
+	const plan = "plan p\nkill at=30s frac=0.2 of=composite\n"
+	s, err := ParseScenario(key + "\n# leading comment\n" + testIntent + plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Intent != strings.TrimSpace(testIntent) || s.Plan == nil || len(s.Plan.Faults) != 1 {
+		t.Fatalf("intent %q, plan %v", s.Intent, s.Plan)
+	}
+	if got := s.String(); got != key+testIntent+plan {
+		t.Fatalf("String drops the section or the plan:\n%s", got)
+	}
+	mission := func(clauses string) string { return key + "mission \"t\"\narea (0,0)-(10,10)\n" + clauses + "\n" }
+	cases := []struct {
+		name, src, wantErr string
+	}{
+		{"levels past the deadline", mission("command hierarchy levels 16"), "levels 16 must be in [0, 15]"},
+		{"negative levels", mission("command hierarchy levels -1"), "levels -1 must be in [0, 15]"},
+		{"absurd rate", mission("rate 6001/min"), "rate 6001 must be at most 6000"},
+		{"absurd redundancy", mission("cover 50% x17"), "redundancy 17 must be at most 16"},
+		{"NaN corner", key + "mission \"t\"\narea (NaN,200)-(1000,1000)\n", "want a finite number"},
+		{"no area", key + "mission \"t\"\ncover 40%\n", "missing mandatory 'area' clause"},
+		{"fault without a plan line", mission("kill at=30s frac=0.2 of=composite"), `unknown keyword "kill"`},
+		{"command on the key line", strings.Replace(key, " reliable=", " command=intent reliable=", 1) + testIntent,
+			"an intent section states the mission"},
+		{"rate on the key line", strings.Replace(key, " horizon=", " rate=10 horizon=", 1) + testIntent,
+			"an intent section states the mission"},
+		{"coverage on the key line", strings.Replace(key, " horizon=", " coverage=0.5 horizon=", 1) + testIntent,
+			"an intent section states the mission"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParseScenario(tc.src)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("err = %v, want substring %q", err, tc.wantErr)
+			}
+		})
+	}
+}

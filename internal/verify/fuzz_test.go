@@ -126,8 +126,10 @@ func reportViolation(t *testing.T, s Scenario, out *Outcome) {
 
 // TestShrinkFindsMinimalReproducer arms a deliberately broken invariant
 // (it fails whenever the success rate is within its legal range, i.e.
-// always) against a deliberately big scenario, and checks the shrinker
-// reduces the reproducer to at most 25% of the original cost.
+// always) against a deliberately big scenario, once plain and once with
+// churn and gossip on, and checks the shrinker reduces the reproducer
+// to at most 25% of the original cost with every optional part
+// stripped.
 func TestShrinkFindsMinimalReproducer(t *testing.T) {
 	flipped := func(w *core.World, r *core.Runtime) Invariant {
 		return Invariant{Name: "flipped-success-bound", Check: func() error {
@@ -147,20 +149,14 @@ func TestShrinkFindsMinimalReproducer(t *testing.T) {
 		Select: fault.SelectComposite})
 	plan.Add(fault.Fault{Kind: fault.Corrupt, At: 80 * time.Second, Duration: 30 * time.Second, Prob: 0.2})
 	plan.Add(fault.Fault{Kind: fault.ChurnSpike, At: 100 * time.Second, Duration: 30 * time.Second, Rate: 0.1})
-	big := Scenario{
+	plain := Scenario{
 		Seed: 99, Assets: 250, Size: 1400, Terrain: "urban",
 		Command: "hierarchy", Reliable: true, Degrade: true, Track: true,
 		Checkpoint: 15 * time.Second, Rate: 20, Horizon: 180 * time.Second,
 		Plan: plan,
 	}
-
-	out := Run(big, flipped)
-	if out.Skipped {
-		t.Fatal("big scenario unexpectedly unsynthesizable")
-	}
-	if len(out.Violations) == 0 {
-		t.Fatal("flipped invariant was not caught")
-	}
+	gossiping := plain
+	gossiping.Churn, gossiping.Gossip = true, true
 
 	fails := func(c Scenario) bool {
 		o := Run(c, flipped)
@@ -174,21 +170,29 @@ func TestShrinkFindsMinimalReproducer(t *testing.T) {
 		}
 		return false
 	}
-	min := Shrink(big, fails, 60)
+	for _, big := range []Scenario{plain, gossiping} {
+		if !fails(big) {
+			t.Fatalf("flipped invariant was not caught:\n%s", big)
+		}
+		min := Shrink(big, fails, 60)
 
-	if got, orig := min.Cost(), big.Cost(); got*4 > orig {
-		t.Fatalf("shrunk reproducer cost %d > 25%% of original %d", got, orig)
+		if got, orig := min.Cost(), big.Cost(); got*4 > orig {
+			t.Fatalf("shrunk reproducer cost %d > 25%% of original %d", got, orig)
+		}
+		if min.Reliable || min.Degrade || min.Track || min.Checkpoint > 0 || min.Churn || min.Gossip {
+			t.Fatalf("shrunk reproducer keeps optional machinery:\n%s", min)
+		}
+		if !fails(min) {
+			t.Fatal("shrunk scenario no longer reproduces the violation")
+		}
+		// The reproducer must round-trip through its file form.
+		parsed, err := ParseScenario(min.String())
+		if err != nil {
+			t.Fatalf("reproducer does not parse: %v", err)
+		}
+		if parsed.String() != min.String() {
+			t.Fatalf("reproducer round-trip mismatch:\n%s\nvs\n%s", min.String(), parsed.String())
+		}
+		t.Logf("shrunk cost %d -> %d:\n%s", big.Cost(), min.Cost(), min.String())
 	}
-	if !fails(min) {
-		t.Fatal("shrunk scenario no longer reproduces the violation")
-	}
-	// The reproducer must round-trip through its file form.
-	parsed, err := ParseScenario(min.String())
-	if err != nil {
-		t.Fatalf("reproducer does not parse: %v", err)
-	}
-	if parsed.String() != min.String() {
-		t.Fatalf("reproducer round-trip mismatch:\n%s\nvs\n%s", min.String(), parsed.String())
-	}
-	t.Logf("shrunk cost %d -> %d:\n%s", big.Cost(), min.Cost(), min.String())
 }

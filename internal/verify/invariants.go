@@ -192,12 +192,18 @@ func PictureMonotone(name string, pictures func() []*cop.Picture) Invariant {
 				continue
 			}
 			if old, ok := prev[p.Self()]; ok && !p.Dominates(old) {
-				return fmt.Errorf("picture %s/%d regressed below its prior state", name, p.Self())
+				return fmt.Errorf("picture %s/%d regressed below its prior state: tracks, trust pairs, covered cells and tombstones %v, were %v",
+					name, p.Self(), pictureCounts(p), pictureCounts(old))
 			}
 			prev[p.Self()] = p.Clone()
 		}
 		return nil
 	}}
+}
+
+func pictureCounts(p *cop.Picture) [4]int {
+	tracks, trust, cells, tombs := p.Counts()
+	return [4]int{tracks, trust, cells, tombs}
 }
 
 // SnapshotDeterminism checks that a snapshotter encodes the same

@@ -26,6 +26,11 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add("scenario v1\nseed=1 assets=80 size=600 terrain=open command=intent rate=10 horizon=1m0s\n")
 	f.Add("scenario v1\nseed=2 assets=250 size=1200 terrain=open command=hierarchy reliable=true rate=30 horizon=6m0s" +
 		" levels=4 coverage=0.6 redundancy=3\nplan standard x0.50\nkill at=1m30s frac=0.16666666666666666 of=composite\n")
+	f.Add("scenario v1\nseed=3 assets=300 size=1500 terrain=open command=hierarchy rate=20 horizon=10m0s levels=3 coverage=0.5 churn=true\n")
+	f.Add("scenario v1\nseed=3 assets=300 size=1500 terrain=urban command=hierarchy rate=20 horizon=3m0s gossip=true churn=true\n" +
+		"plan jam\njam at=2m0s for=3m0s cx=750 cy=750 r=500 intensity=0.9\n")
+	f.Add("scenario v1\nseed=1 assets=200 size=1500 terrain=open horizon=1m0s\n# intent\n" + testIntent +
+		"plan p\nkill at=30s frac=0.2 of=composite\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		s, err := ParseScenario(src)
 		if err != nil {

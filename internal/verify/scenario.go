@@ -7,10 +7,14 @@ import (
 	"strings"
 	"time"
 
+	"iobt/internal/asset"
 	"iobt/internal/checkpoint"
+	"iobt/internal/cop"
 	"iobt/internal/core"
 	"iobt/internal/fault"
 	"iobt/internal/geo"
+	"iobt/internal/intent"
+	"iobt/internal/mesh"
 	"iobt/internal/sim"
 	"iobt/internal/track"
 )
@@ -50,6 +54,17 @@ type Scenario struct {
 	Levels     int
 	Coverage   float64
 	Redundancy int
+	// Churn arms asset churn: 2% of assets fail a minute, 3 arrive, and
+	// half of the failed revive.
+	Churn bool
+	// Gossip replicates the common operational picture over an epidemic
+	// overlay among the composite members and the command post.
+	Gossip bool
+	// Intent, when set, is the mission in the intent DSL
+	// (internal/intent), starting at its `mission "name"` clause. It
+	// replaces the recipe's mission, so Command, Rate, Levels, Coverage
+	// and Redundancy stay zero.
+	Intent string
 	// Plan is the fault plan (nil or empty: a nominal run).
 	Plan *fault.Plan
 }
@@ -149,9 +164,11 @@ type InvariantMaker func(*core.World, *core.Runtime) Invariant
 // Outcome is the verification verdict of one scenario run.
 type Outcome struct {
 	Scenario Scenario
-	// Skipped means the random world could not synthesize the mission
-	// (legitimately too sparse); no verification verdict was produced.
+	// Skipped means the mission could not be built, for the reason in
+	// Err (a random world too sparse to synthesize it, say); no
+	// verification verdict was produced.
 	Skipped bool
+	Err     error
 	// Summary is the registry's audit record.
 	Summary Summary
 	// Violations are the recorded invariant failures (empty: run clean).
@@ -162,10 +179,10 @@ type Outcome struct {
 	// Report is fault.Run's recovery record of the plan (nil when the
 	// engine failed).
 	Report *fault.Report
-	// The mission results the experiment tables read.
-	SuccessRate, DetectionRate float64
-	LatencyP50, LatencyP90     float64
-	Checkpoints                uint64
+	// Metrics are the final mission metrics, and Checkpoints the number
+	// of checkpoints taken.
+	Metrics     *core.Metrics
+	Checkpoints uint64
 }
 
 // Run executes the scenario with the full mission invariant catalogue
@@ -176,14 +193,18 @@ func Run(s Scenario, extra ...InvariantMaker) *Outcome {
 }
 
 // BuildMission builds the scenario's world and mission runtime with
-// journal j attached (nil: none) and synthesizes and starts the mission,
-// leaving the engine at time zero ready to run. It is the one recipe
-// behind Run, the experiments and the mission service, which is what
-// lets a service recovery replay a verified mission event for event.
-// The caller applies s.Plan (runScenario through fault.Run), stops the
-// runtime, then the world; an error means the random world could not
-// synthesize the mission.
-func BuildMission(s Scenario, j *checkpoint.Journal) (*core.World, *core.Runtime, error) {
+// journal j attached (nil: none), synthesizes and starts the mission
+// and returns its invariant catalogue, leaving the engine at time zero
+// ready to run. It is the one recipe behind Run, the experiments,
+// iobtsim and the mission service, which is what lets a service
+// recovery replay a verified mission event for event. The caller
+// applies s.Plan (runScenario through fault.Run), stops the runtime,
+// then the world; an error means the mission could not be built.
+func BuildMission(s Scenario, j *checkpoint.Journal) (*core.World, *core.Runtime, []Invariant, error) {
+	m, err := mission(s)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	var terr *geo.Terrain
 	switch s.Terrain {
 	case "urban":
@@ -193,28 +214,11 @@ func BuildMission(s Scenario, j *checkpoint.Journal) (*core.World, *core.Runtime
 	default:
 		terr = geo.NewOpenTerrain(s.Size, s.Size)
 	}
-	w := core.NewWorld(core.WorldConfig{Seed: s.Seed, Terrain: terr, Assets: s.Assets})
-
-	pad := s.Size / 5
-	m := core.DefaultMission(geo.NewRect(
-		geo.Point{X: pad, Y: pad}, geo.Point{X: s.Size - pad, Y: s.Size - pad}))
-	m.Goal.CoverageFrac = 0.4
-	if s.Coverage > 0 {
-		m.Goal.CoverageFrac = s.Coverage
+	cfg := core.WorldConfig{Seed: s.Seed, Terrain: terr, Assets: s.Assets}
+	if s.Churn {
+		cfg.Churn = &asset.ChurnConfig{FailRatePerMin: 0.02, ArriveRatePerMin: 3, ReviveProb: 0.5}
 	}
-	m.Goal.Redundancy = s.Redundancy
-	if s.Levels > 0 {
-		m.HierarchyLevels = s.Levels
-	}
-	m.IncidentsPerMin = s.Rate
-	m.Command = core.CommandIntent
-	if s.Command == "hierarchy" {
-		m.Command = core.CommandHierarchy
-	}
-	m.ReliableOrders = s.Reliable
-	m.Degradation = s.Degrade
-	m.CheckpointEvery = s.Checkpoint
-	m.TrustAudit = true
+	w := core.NewWorld(cfg)
 
 	r := core.NewRuntime(w, m)
 	r.SetJournal(j)
@@ -235,34 +239,118 @@ func BuildMission(s Scenario, j *checkpoint.Journal) (*core.World, *core.Runtime
 		})
 	}
 
-	err := r.Synthesize()
+	err = r.Synthesize()
 	if err == nil {
 		err = r.Start()
 	}
 	if err != nil {
 		w.Stop()
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return w, r, nil
+	invs := MissionInvariants(w, r)
+	if s.Gossip {
+		invs = append(invs, gossipOverlay(w, r)...)
+	}
+	return w, r, invs, nil
+}
+
+// mission is the scenario's mission: its intent section, or else the
+// recipe (goal area inset by size/5, coverage 0.4, depth 3, k=1) with
+// the key line's overrides; then the knobs both share.
+func mission(s Scenario) (m core.Mission, err error) {
+	if s.Intent != "" {
+		m, err = intent.Parse(s.Intent)
+	} else {
+		pad := s.Size / 5
+		m = core.DefaultMission(geo.NewRect(
+			geo.Point{X: pad, Y: pad}, geo.Point{X: s.Size - pad, Y: s.Size - pad}))
+		m.Goal.CoverageFrac = 0.4
+		if s.Coverage > 0 {
+			m.Goal.CoverageFrac = s.Coverage
+		}
+		m.Goal.Redundancy = s.Redundancy
+		if s.Levels > 0 {
+			m.HierarchyLevels = s.Levels
+		}
+		m.IncidentsPerMin = s.Rate
+		m.Command = core.CommandIntent
+		if s.Command == "hierarchy" {
+			m.Command = core.CommandHierarchy
+		}
+	}
+	m.ReliableOrders = s.Reliable
+	m.Degradation = s.Degrade
+	m.CheckpointEvery = s.Checkpoint
+	m.TrustAudit = true
+	return m, err
+}
+
+// gossipOverlay enrolls every composite member and the command post in
+// an epidemic overlay, each with a CRDT picture replica: every 10s the
+// post folds its world view into its replica and publishes the
+// encoding, and every member merges what arrives. It returns the
+// overlay's conservation and picture-monotonicity invariants.
+func gossipOverlay(w *core.World, r *core.Runtime) []Invariant {
+	post := r.Sink()
+	members := slices.Clone(r.Composite().Members)
+	if post != asset.None && !slices.Contains(members, post) {
+		members = append(members, post)
+	}
+	slices.Sort(members)
+	g := mesh.NewGossip(w.Net, mesh.GossipConfig{})
+	pics := make([]*cop.Picture, len(members))
+	var postPic *cop.Picture
+	for i, id := range members {
+		pic := cop.NewPicture(id)
+		pics[i] = pic
+		if id == post {
+			postPic = pic
+		}
+		prev := w.Net.Handler(id)
+		g.Join(id, func(msg mesh.Message) {
+			if msg.Kind == "cop" {
+				if enc, ok := msg.Payload.([]byte); ok {
+					_ = pic.MergeEncoded(enc) // a corrupted frame is rejected whole and cannot regress the replica
+				}
+				return
+			}
+			if prev != nil {
+				prev(msg)
+			}
+		})
+	}
+	g.Start()
+	w.Eng.Every(10*time.Second, "verify.cop", func() {
+		if postPic == nil {
+			return
+		}
+		core.UpdatePicture(postPic, w, r, core.DefaultCOPCell)
+		enc := postPic.Encode()
+		_, _ = g.Publish(post, "cop", float64(len(enc)), enc) // the post joined above, so it is a member and Publish cannot fail
+	})
+	return []Invariant{
+		GossipConservation(g),
+		PictureMonotone("gossip", func() []*cop.Picture { return pics }),
+	}
 }
 
 // runScenario is the run protocol behind Run, ReplayEquivalence,
-// RestoreTransparency and the experiments: BuildMission, the invariant
-// registry armed at 1s, the plan through fault.Run's read-only harness
-// to the horizon, and a final sweep. j, when non-nil, records the
-// decision journal; prestart, when non-nil, runs after Start but before
-// the horizon (for scheduling differential probes like a mid-run
-// restore).
+// RestoreTransparency, iobtsim and the experiments: BuildMission, its
+// invariant catalogue armed at 1s, the plan through fault.Run's
+// read-only harness to the horizon, and a final sweep. j, when non-nil,
+// records the decision journal; prestart, when non-nil, runs after
+// Start but before the horizon (for scheduling differential probes like
+// a mid-run restore).
 func runScenario(s Scenario, j *checkpoint.Journal, prestart func(*core.World, *core.Runtime), extra ...InvariantMaker) *Outcome {
-	w, r, err := BuildMission(s, j)
+	w, r, invs, err := BuildMission(s, j)
 	if err != nil {
-		return &Outcome{Scenario: s, Skipped: true}
+		return &Outcome{Scenario: s, Skipped: true, Err: err}
 	}
 	defer w.Stop()
 	defer r.Stop()
 
 	reg := NewRegistry()
-	reg.Add(MissionInvariants(w, r)...)
+	reg.Add(invs...)
 	for _, mk := range extra {
 		reg.Add(mk(w, r))
 	}
@@ -285,16 +373,15 @@ func runScenario(s Scenario, j *checkpoint.Journal, prestart func(*core.World, *
 	reg.CheckNow(w.Eng.Now())
 	reg.Disarm()
 
+	// A copy, so an outcome does not keep the whole world alive.
+	met := r.Metrics
 	o := &Outcome{
-		Scenario:      s,
-		Summary:       reg.Summarize(),
-		Violations:    reg.Violations(),
-		Fingerprint:   r.Metrics.Fingerprint(),
-		Report:        rep,
-		SuccessRate:   r.Metrics.SuccessRate(),
-		DetectionRate: r.Metrics.DetectionRate(),
-		LatencyP50:    r.Metrics.DecisionLatency.Percentile(50),
-		LatencyP90:    r.Metrics.DecisionLatency.Percentile(90),
+		Scenario:    s,
+		Summary:     reg.Summarize(),
+		Violations:  reg.Violations(),
+		Fingerprint: met.Fingerprint(),
+		Report:      rep,
+		Metrics:     &met,
 	}
 	if c := r.Checkpoints(); c != nil {
 		o.Checkpoints = c.Taken.Value()
@@ -309,27 +396,34 @@ func runScenario(s Scenario, j *checkpoint.Journal, prestart func(*core.World, *
 const SchemaVersion = 1
 
 // String serializes the scenario as a replayable reproducer file: a
-// header line, one key=value line, and the embedded fault plan DSL.
-// ParseScenario is its exact inverse.
+// header line, one key=value line, the intent section when there is
+// one, and the embedded fault plan DSL. ParseScenario is its exact
+// inverse.
 func (s Scenario) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scenario v%d\n", SchemaVersion)
-	fmt.Fprintf(&b,
-		"seed=%d assets=%d size=%s terrain=%s command=%s reliable=%v degrade=%v checkpoint=%s rate=%s horizon=%s track=%v",
-		s.Seed, s.Assets, ftoa(s.Size), s.Terrain, s.Command, s.Reliable, s.Degrade,
-		s.Checkpoint, ftoa(s.Rate), s.Horizon, s.Track)
-	// The mission overrides are written only when set, so a scenario
-	// without them keeps its canonical form.
-	if s.Levels != 0 {
-		fmt.Fprintf(&b, " levels=%d", s.Levels)
+	// Keys past the first four are written only when set, so a
+	// scenario without them keeps its canonical form. An intent section
+	// states the mission, so the key line then omits command and rate.
+	opt := func(set bool, format string, v any) {
+		if set {
+			fmt.Fprintf(&b, " "+format, v)
+		}
 	}
-	if s.Coverage != 0 {
-		fmt.Fprintf(&b, " coverage=%s", ftoa(s.Coverage))
-	}
-	if s.Redundancy != 0 {
-		fmt.Fprintf(&b, " redundancy=%d", s.Redundancy)
-	}
+	fmt.Fprintf(&b, "seed=%d assets=%d size=%s terrain=%s", s.Seed, s.Assets, ftoa(s.Size), s.Terrain)
+	opt(s.Intent == "", "command=%s", s.Command)
+	fmt.Fprintf(&b, " reliable=%v degrade=%v checkpoint=%s", s.Reliable, s.Degrade, s.Checkpoint)
+	opt(s.Intent == "", "rate=%s", ftoa(s.Rate))
+	fmt.Fprintf(&b, " horizon=%s track=%v", s.Horizon, s.Track)
+	opt(s.Levels != 0, "levels=%d", s.Levels)
+	opt(s.Coverage != 0, "coverage=%s", ftoa(s.Coverage))
+	opt(s.Redundancy != 0, "redundancy=%d", s.Redundancy)
+	opt(s.Churn, "churn=%v", s.Churn)
+	opt(s.Gossip, "gossip=%v", s.Gossip)
 	b.WriteByte('\n')
+	if s.Intent != "" {
+		b.WriteString(s.Intent + "\n")
+	}
 	if s.Plan != nil && len(s.Plan.Faults) > 0 {
 		b.WriteString(s.Plan.String())
 	}
@@ -436,6 +530,10 @@ func ParseScenario(src string) (Scenario, error) {
 			s.Coverage, err = parseBounded(v, 1)
 		case "redundancy":
 			s.Redundancy, err = parseInt(v, maxRedundancy)
+		case "churn":
+			s.Churn, err = strconv.ParseBool(v)
+		case "gossip":
+			s.Gossip, err = strconv.ParseBool(v)
 		default:
 			err = fmt.Errorf("unknown key")
 		}
@@ -443,7 +541,24 @@ func ParseScenario(src string) (Scenario, error) {
 			return s, fmt.Errorf("verify: field %q: %v", kv, err)
 		}
 	}
-	if rest := strings.TrimSpace(strings.Join(lines[2:], "\n")); rest != "" {
+	// An intent section runs from its mission line, the first clause
+	// after the key line, to the plan line.
+	rest := lines[2:]
+	first := slices.IndexFunc(rest, func(l string) bool {
+		l = strings.TrimSpace(l)
+		return l != "" && l[0] != '#'
+	})
+	if first >= 0 && keyword(rest[first]) == "mission" {
+		end := slices.IndexFunc(rest, func(l string) bool { return keyword(l) == "plan" })
+		if end < 0 {
+			end = len(rest)
+		}
+		if err := s.parseIntent(strings.Join(rest[first:end], "\n")); err != nil {
+			return s, err
+		}
+		rest = rest[end:]
+	}
+	if rest := strings.TrimSpace(strings.Join(rest, "\n")); rest != "" {
 		plan, err := fault.Parse(rest)
 		if err != nil {
 			return s, err
@@ -451,4 +566,34 @@ func ParseScenario(src string) (Scenario, error) {
 		s.Plan = plan
 	}
 	return s, nil
+}
+
+// keyword is a line's first word, lower-cased.
+func keyword(line string) string {
+	if f := strings.Fields(line); len(f) > 0 {
+		return strings.ToLower(f[0])
+	}
+	return ""
+}
+
+// parseIntent reads an intent section. The mission it states is held
+// to the key line's bounds, and the key line then states no mission of
+// its own.
+func (s *Scenario) parseIntent(text string) error {
+	s.Intent = text
+	if s.Command != "" || s.Rate != 0 || s.Levels != 0 || s.Coverage != 0 || s.Redundancy != 0 {
+		return fmt.Errorf("verify: an intent section states the mission; the key line sets command, rate, levels, coverage or redundancy")
+	}
+	m, err := intent.Parse(s.Intent)
+	switch {
+	case err != nil:
+		return fmt.Errorf("verify: intent section: %w", err)
+	case m.HierarchyLevels < 0 || m.HierarchyLevels > maxLevels:
+		return fmt.Errorf("verify: intent section: levels %d must be in [0, %d]", m.HierarchyLevels, maxLevels)
+	case m.IncidentsPerMin > maxRate:
+		return fmt.Errorf("verify: intent section: rate %g must be at most %g", m.IncidentsPerMin, float64(maxRate))
+	case m.Goal.Redundancy > maxRedundancy:
+		return fmt.Errorf("verify: intent section: redundancy %d must be at most %d", m.Goal.Redundancy, maxRedundancy)
+	}
+	return nil
 }

@@ -28,7 +28,7 @@ func TestCheckpointSectionLaws(t *testing.T) {
 	// and 2 exchanges in flight.
 	s := Scenario{Seed: 8, Assets: 300, Size: 2000, Terrain: "urban", Command: "hierarchy",
 		Reliable: true, Track: true, Checkpoint: 15 * time.Second, Rate: 60, Horizon: 90 * time.Second}
-	w, live, err := BuildMission(s, nil)
+	w, live, _, err := BuildMission(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestCheckpointSectionLaws(t *testing.T) {
 	}
 	ck := live.Checkpoints().Capture()
 
-	fw, fresh, err := BuildMission(s, nil)
+	fw, fresh, _, err := BuildMission(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func (s Scenario) Cost() int {
 // as possible.
 func shrinkWeight(s Scenario) int {
 	w := 4 * s.Cost()
-	for _, on := range []bool{s.Reliable, s.Degrade, s.Track, s.Checkpoint > 0} {
+	for _, on := range []bool{s.Reliable, s.Degrade, s.Track, s.Checkpoint > 0, s.Churn, s.Gossip} {
 		if on {
 			w++
 		}
@@ -138,6 +138,12 @@ func candidates(s Scenario) []Scenario {
 	}
 	if s.Terrain != "open" {
 		add(func(c *Scenario) { c.Terrain = "open" })
+	}
+	if s.Churn {
+		add(func(c *Scenario) { c.Churn = false })
+	}
+	if s.Gossip {
+		add(func(c *Scenario) { c.Gossip = false })
 	}
 	return out
 }

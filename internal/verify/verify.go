@@ -71,9 +71,6 @@ func (g *Registry) Checks() uint64 { return g.checks }
 // Violations returns the recorded failures (bounded at 100).
 func (g *Registry) Violations() []Violation { return g.violations }
 
-// OK reports whether no invariant has been violated.
-func (g *Registry) OK() bool { return len(g.violations) == 0 }
-
 // record stores a violation, bounded.
 func (g *Registry) record(at time.Duration, name string, err error) {
 	if len(g.violations) < maxViolations {
