@@ -47,7 +47,10 @@ func run(args []string) error {
 	}
 	if *bench {
 		host := &experiments.Host{GOMAXPROCS: runtime.GOMAXPROCS(0), CPUs: runtime.NumCPU()}
-		t := runMicroBenches(host)
+		t, err := runMicroBenches(host)
+		if err != nil {
+			return err
+		}
 		if *format == "json" {
 			fmt.Println(t.JSON())
 		} else {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -75,6 +77,65 @@ func TestCompareFiresOnDroppedBenchmark(t *testing.T) {
 	}
 }
 
+// TestCompareFiresOnUnmeasuredRow: a row that reports no time was not
+// measured, and must not pass the gate as infinitely fast.
+func TestCompareFiresOnUnmeasuredRow(t *testing.T) {
+	base := microTable("engine_event", 100, 0)
+	cur := &MicroTable{Benchmarks: []MicroResult{{Name: "engine_event"}}}
+	err := compareMicro(cur, base, 0.15)
+	if err == nil || !strings.Contains(err.Error(), "engine_event: ns/op 0.0") {
+		t.Fatalf("unmeasured row not flagged: %v", err)
+	}
+}
+
+// TestParseGoTestOutput reads a real `go test -bench -benchmem` run of
+// the pinned set back into rows, in pinned order; cop_merge's line
+// carries an MB/s column between ns/op and B/op.
+func TestParseGoTestOutput(t *testing.T) {
+	out, err := os.ReadFile(filepath.Join("testdata", "gotest_ok.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := microBenches()
+	tab, err := parseMicro(rows, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Benchmarks) != len(rows) {
+		t.Fatalf("parsed %d rows, want %d", len(tab.Benchmarks), len(rows))
+	}
+	for i, r := range tab.Benchmarks {
+		if r.Name != rows[i].name || r.NsPerOp <= 0 || r.AllocsPerOp != rows[i].allocs {
+			t.Errorf("row %d = %+v, want %s at %d allocs/op", i, r, rows[i].name, rows[i].allocs)
+		}
+	}
+	if r := tab.Benchmarks[8]; r.Name != "cop_merge" || r.NsPerOp != 3467 {
+		t.Errorf("cop_merge = %+v, want 3467 ns/op", r)
+	}
+}
+
+// TestParseFailedBenchmark: a benchmark that calls b.Fatal prints a
+// --- FAIL line and no result; the run must fail naming the row and
+// carrying go test's own account of why.
+func TestParseFailedBenchmark(t *testing.T) {
+	out, err := os.ReadFile(filepath.Join("testdata", "gotest_fail.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = parseMicro(microBenches(), out)
+	if err == nil {
+		t.Fatal("failed benchmark parsed as a result")
+	}
+	for _, want := range []string{"rng_derive (iobt/internal/sim.BenchmarkRNGDerive) failed", "derive: stream refused"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error lacks %q:\n%v", want, err)
+		}
+	}
+	if strings.Count(err.Error(), ") failed") != 1 || strings.Contains(err.Error(), "no result line") {
+		t.Errorf("error blames rows other than rng_derive:\n%v", err)
+	}
+}
+
 // TestRegressedFixtureFires pins the committed red-path fixture: the
 // CI bench gate must exit nonzero when the current run is slower than
 // the baseline claims, and testdata/regressed.json claims the
@@ -94,14 +155,40 @@ func TestRegressedFixtureFires(t *testing.T) {
 
 // TestBaselineMatchesPinnedSet keeps BENCH_MICRO.json honest: the
 // committed baseline must name exactly the benchmarks -bench runs, so
-// the gate can never silently skip a renamed or new pinned loop.
+// the gate can never silently skip a renamed or new pinned loop, and
+// every row's Benchmark function must exist in its package, so a
+// renamed one fails here rather than in the bench gate.
 func TestBaselineMatchesPinnedSet(t *testing.T) {
+	rows := microBenches()
+	out, err := exec.Command("go", append([]string{"test", "-list", "^Benchmark"}, microPackages(rows)...)...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go test -list: %v\n%s", err, out)
+	}
+	// Each package's names precede its "ok" line.
+	listed := map[string]bool{}
+	var names []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && f[0] == "ok" {
+			for _, n := range names {
+				listed[f[1]+"."+n] = true
+			}
+			names = nil
+		} else if strings.HasPrefix(line, "Benchmark") {
+			names = append(names, line)
+		}
+	}
+	for _, mb := range rows {
+		if !listed[mb.pkg+"."+mb.fn] {
+			t.Errorf("row %s names %s.%s, which go test -list does not report", mb.name, mb.pkg, mb.fn)
+		}
+	}
+
 	base, err := loadMicroBaseline(filepath.Join("..", "..", "BENCH_MICRO.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]int64{}
-	for _, mb := range microBenches() {
+	for _, mb := range rows {
 		want[mb.name] = mb.allocs
 	}
 	got := map[string]bool{}

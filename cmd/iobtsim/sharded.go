@@ -89,12 +89,12 @@ func runSharded(seed int64, shards, assets int, horizon time.Duration, replay, v
 		return nil
 	}
 
-	start := time.Now() //iobt:allow detrand wall-clock throughput reporting for the host run, never read inside the simulated world
+	start := time.Now()
 	res, fp, err := shardedOnce(seed, shards, assets, horizon)
 	if err != nil {
 		return err
 	}
-	wall := time.Since(start) //iobt:allow detrand same wall-clock throughput measurement as above
+	wall := time.Since(start)
 
 	fmt.Printf("sharded engine: %d shards, %d assets, horizon %s\n", res.Shards, res.Nodes, horizon)
 	fmt.Printf("  published=%d delivered=%d duplicates=%d repairs=%d dropped=%d\n",

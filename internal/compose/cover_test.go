@@ -215,8 +215,9 @@ func TestCoverListsAllocationsFixed(t *testing.T) {
 // compose_cover_lists row pins the same number.
 const coverListAllocs = 2
 
-// BenchmarkCoverLists mirrors benchtab's compose_cover_lists row: the
-// cover lists of an E2 pool of 1,000 assets over its derived 32×32 grid.
+// BenchmarkCoverLists is benchtab's compose_cover_lists row, which
+// `benchtab -bench` runs through `go test -bench`: the cover lists of
+// an E2 pool of 1,000 assets over its derived 32×32 grid.
 func BenchmarkCoverLists(b *testing.B) {
 	g, pool := e2Pool(42, 1000)
 	req := Derive(g)

@@ -1,10 +1,15 @@
 package cop
 
+// Codec micro-benchmarks on gossip_cop's frame shape. Two are rows of
+// `benchtab -bench` (cop_merge, cop_encode), which runs them with
+// `go test -bench` and gates them against BENCH_MICRO.json: this file
+// is their only copy.
+
 import "testing"
 
-// BenchmarkMergeEncodedDominated is cmd/benchtab's cop_merge row: the
-// gossip_cop steady state, a 54-track/54-cell frame folded into a replica
-// that already holds all of it.
+// BenchmarkMergeEncodedDominated is the cop_merge row: the gossip_cop
+// steady state, a 54-track/54-cell frame folded into a replica that
+// already holds all of it.
 func BenchmarkMergeEncodedDominated(b *testing.B) {
 	p, frame := gossipFrame(54)
 	if err := p.MergeEncoded(frame); err != nil {
@@ -36,7 +41,7 @@ func BenchmarkMergeEncodedGrowing(b *testing.B) {
 
 var encoded []byte
 
-// BenchmarkEncode is cmd/benchtab's cop_encode row.
+// BenchmarkEncode is the cop_encode row.
 func BenchmarkEncode(b *testing.B) {
 	p, _ := gossipFrame(54)
 	b.ReportAllocs()

@@ -17,8 +17,10 @@
 //
 //	//iobt:allow <analyzer> <reason>
 //
-// The reason is mandatory: an allow comment without one is itself a
-// finding, so suppressions cannot silently accumulate.
+// The reason is mandatory, and the comment must waive something: an
+// allow comment without a reason, or one that covers no finding of a
+// running analyzer, is itself a finding, so suppressions cannot
+// silently accumulate.
 package lint
 
 import (
@@ -160,10 +162,12 @@ func (s *suppressions) match(analyzer string, pos token.Position) *allow {
 }
 
 // apply folds the allow comments into raw findings: covered findings
-// are marked suppressed (when the reason is non-empty), and malformed
-// or unknown-analyzer allow comments become findings of their own, so
-// the escape hatch cannot rot silently.
-func (s *suppressions) apply(diags []Diagnostic, known map[string]bool) []Diagnostic {
+// are marked suppressed (when the reason is non-empty), and malformed,
+// unknown-analyzer or unused allow comments become findings of their
+// own, so the escape hatch cannot rot silently. An allow for a known
+// analyzer that did not run is left alone: a run that includes it may
+// need it.
+func (s *suppressions) apply(diags []Diagnostic, known, ran map[string]bool) []Diagnostic {
 	out := make([]Diagnostic, 0, len(diags))
 	for _, d := range diags {
 		if a := s.match(d.Analyzer, d.Pos); a != nil && a.reason != "" {
@@ -186,6 +190,12 @@ func (s *suppressions) apply(diags []Diagnostic, known map[string]bool) []Diagno
 				Analyzer: "allow",
 				Pos:      a.pos,
 				Message:  fmt.Sprintf("iobt:allow names unknown analyzer %q", a.analyzer),
+			})
+		case ran[a.analyzer] && !a.used:
+			out = append(out, Diagnostic{
+				Analyzer: "allow",
+				Pos:      a.pos,
+				Message:  fmt.Sprintf("iobt:allow %s waives nothing; no %s finding on this line or the next", a.analyzer, a.analyzer),
 			})
 		}
 	}
@@ -240,9 +250,12 @@ func (prog *Program) analyzePackage(pkg *Package, as []*Analyzer) []Diagnostic {
 	// Allow comments validate against the full registry, not just the
 	// analyzers in this run: waiving a real analyzer that happens not
 	// to be running is fine; naming one that does not exist never is.
-	known := map[string]bool{}
+	known, ran := map[string]bool{}, map[string]bool{}
 	for _, a := range Analyzers() {
 		known[a.Name] = true
 	}
-	return scanAllows(pkg.Fset, pkg.Files).apply(raw, known)
+	for _, a := range as {
+		ran[a.Name] = true
+	}
+	return scanAllows(pkg.Fset, pkg.Files).apply(raw, known, ran)
 }

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"iobt/internal/geo"
+	"iobt/internal/sim"
 )
 
 func BenchmarkGossipPublishSpread(b *testing.B) {
@@ -71,14 +72,21 @@ func BenchmarkNetworkRefresh(b *testing.B) {
 
 func BenchmarkShardPeers(b *testing.B) {
 	const nodes = 10000
-	peers, err := ShardLinks(1, ShardScenario{Nodes: nodes, Radio: 200})
+	sc, err := ShardScenario{Nodes: nodes, Radio: 200}.checked()
 	if err != nil {
 		b.Fatal(err)
 	}
+	run := newShardRun(sim.NewRNG(1).Derive, 1, sc)
+	// Sized to the longest candidate list, so no query allocates.
+	var longest int
+	for id := range run.ends {
+		longest = max(longest, run.candStart[id+1]-run.candStart[id])
+	}
+	buf := make([]NodeID, 0, longest)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		peers(NodeID(i%nodes), time.Duration(i)*time.Millisecond)
+		buf = run.peers(buf, NodeID(i%nodes), time.Duration(i)*time.Millisecond)
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 
 // refreshWorld builds an n-asset DefaultMix (every class, mobile and
 // static) on terr with one circular jammer and one partition line. On
-// 1500 m open terrain with n = 1000 it is the topology benchmark's
-// world, which cmd/benchtab's mesh_refresh_1k row also builds.
+// 1500 m open terrain with n = 1000 it is the world of
+// BenchmarkNetworkRefresh, benchtab's mesh_refresh_1k row.
 func refreshWorld(tb testing.TB, seed int64, terr *geo.Terrain, n int) (*asset.Population, *Network) {
 	tb.Helper()
 	eng := sim.NewEngine(seed)

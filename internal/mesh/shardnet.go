@@ -434,29 +434,6 @@ func newShardRun(stream func(string) *sim.RNG, shards int, sc ShardScenario) *sh
 	return run
 }
 
-// ShardLinks answers the sharded model's per-frame link-state question
-// outside a run: the returned function lists, ascending, the nodes that
-// hear id at t on the field RunShardScenario lays out for the same seed
-// and scenario. The list is reused by the next call. It exists for
-// benchtab's pinned shardnet_peers row.
-func ShardLinks(seed int64, sc ShardScenario) (func(id NodeID, t time.Duration) []NodeID, error) {
-	sc, err := sc.checked()
-	if err != nil {
-		return nil, err
-	}
-	run := newShardRun(sim.NewRNG(seed).Derive, 1, sc)
-	// Sized to the longest candidate list, so no call allocates.
-	var longest int
-	for id := range run.ends {
-		longest = max(longest, run.candStart[id+1]-run.candStart[id])
-	}
-	buf := make([]NodeID, 0, longest)
-	return func(id NodeID, t time.Duration) []NodeID {
-		buf = run.peers(buf, id, t)
-		return buf
-	}, nil
-}
-
 // RunShardScenario executes one dissemination scenario on a sharded
 // engine with the given shard count. The shard count is a pure
 // performance knob: for a fixed seed and scenario the returned result —

@@ -1,10 +1,11 @@
 package sim
 
 // Scheduling-path micro-benchmarks: the per-event cost of the
-// sequential and sharded engines. These are the numbers the hot-path
-// campaign (ROADMAP item 3) gates on — allocs/op on the steady-state
-// scheduling path must be zero, and the benchtab `-bench` table and CI
-// bench-gate run the same loops through testing.Benchmark.
+// sequential and sharded engines, plus the two RNG costs every stream
+// pays. allocs/op on the steady-state scheduling path must be zero.
+// Eight of these are rows of `benchtab -bench`, which runs them with
+// `go test -bench` and gates them against BENCH_MICRO.json: this file
+// is their only copy.
 
 import (
 	"testing"
@@ -149,3 +150,28 @@ func BenchmarkShardedSend1(b *testing.B) { shardedSendBench(b, 1) }
 func BenchmarkShardedSend2(b *testing.B) { shardedSendBench(b, 2) }
 func BenchmarkShardedSend4(b *testing.B) { shardedSendBench(b, 4) }
 func BenchmarkShardedSend8(b *testing.B) { shardedSendBench(b, 8) }
+
+var drawSink int64
+
+// BenchmarkRNGDerive opens one named stream and draws from it once: the
+// per-asset, per-node, per-actor cost (one 64-byte object).
+func BenchmarkRNGDerive(b *testing.B) {
+	root := NewRNG(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drawSink = root.Derive("shardnet/node/4711").r.Int63()
+	}
+}
+
+// BenchmarkRNGSample3of13 is the relay's fanout draw: 3 of 13 peers by
+// a three-step partial Fisher-Yates.
+func BenchmarkRNGSample3of13(b *testing.B) {
+	rng := NewRNG(1)
+	peers := make([]int32, 13)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng.Sample(len(peers), 3, func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
+	}
+}

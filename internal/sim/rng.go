@@ -76,9 +76,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // Intn returns a uniform int in [0,n). n must be positive.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative uniform int64.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Uniform returns a uniform value in [lo,hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.r.Float64()

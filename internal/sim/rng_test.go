@@ -157,7 +157,7 @@ func TestRNGAccessors(t *testing.T) {
 	if v := g.Intn(10); v < 0 || v >= 10 {
 		t.Errorf("Intn out of range: %d", v)
 	}
-	if g.Int63() < 0 {
+	if g.r.Int63() < 0 {
 		t.Error("Int63 negative")
 	}
 	p := g.Perm(5)

@@ -75,10 +75,10 @@ func (m *toyModel) tick(i, remaining int, migrate bool) func(*ShardCtx) {
 		m.ordered(c, "tick")
 		r := m.rngs[i]
 		m.ticks[i]++
-		m.state[i] = m.state[i]*31 + uint64(r.Int63()) + uint64(c.Now())
+		m.state[i] = m.state[i]*31 + uint64(r.r.Int63()) + uint64(c.Now())
 		if r.Bool(0.4) {
 			dst := ActorID(r.Intn(len(m.state)))
-			payload := uint64(r.Int63())
+			payload := uint64(r.r.Int63())
 			sentAt := c.Now()
 			m.sent[i]++
 			c.Send(dst, time.Duration(r.Intn(80))*time.Millisecond, "pkt", func(rc *ShardCtx) {
@@ -682,12 +682,12 @@ func TestEngineCountersConcurrentReads(t *testing.T) {
 // baseline, failing the test if worker goroutines outlive their run.
 func waitNoLeak(t *testing.T, base int) {
 	t.Helper()
-	deadline := time.Now().Add(3 * time.Second) //iobt:allow detrand test-only leak-check timeout
+	deadline := time.Now().Add(3 * time.Second)
 	for {
 		if runtime.NumGoroutine() <= base {
 			return
 		}
-		if time.Now().After(deadline) { //iobt:allow detrand test-only leak-check timeout
+		if time.Now().After(deadline) {
 			t.Fatalf("goroutine leak: %d running, baseline %d", runtime.NumGoroutine(), base)
 		}
 		runtime.Gosched()
