@@ -231,7 +231,7 @@ func run(args []string) error {
 	}
 	fmt.Printf("  health changes:   %d\n", met.HealthChanges.Value())
 	fmt.Printf("  fingerprint: %016x\n", o.Fingerprint)
-	if s.Plan != nil && o.Report != nil {
+	if o.Report != nil {
 		fmt.Printf("\n%s", o.Report)
 	}
 	fmt.Printf("  %s\n", o.Summary)

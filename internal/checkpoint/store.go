@@ -46,10 +46,8 @@ type Record struct {
 	Seq int
 	// At is the virtual time of the cut.
 	At time.Duration
-	// Processed is the engine's executed-event count at the cut: a
-	// recovering worker replays the mission until exactly this many
-	// events have run, which lands it on the cut instant even when
-	// several events share the cut's timestamp.
+	// Processed is the engine's executed-event count at the cut, a
+	// record of how far the run had got (recovery anchors on Seq).
 	Processed uint64
 	// Checkpoint holds the captured sections.
 	Checkpoint *Checkpoint

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 	"time"
@@ -80,7 +81,7 @@ func TestChaosMissionInvariants(t *testing.T) {
 		reg := verify.NewRegistry()
 		reg.Add(verify.MissionInvariants(w, r)...)
 		reg.Arm(w.Eng, time.Second)
-		rep, err := fault.Run(w.FaultTarget(r), plan, 3*time.Minute)
+		rep, err := fault.Run(context.Background(), w.FaultTarget(r), plan, 3*time.Minute)
 		if err != nil {
 			return false
 		}
@@ -116,7 +117,7 @@ func TestChaosDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Stop()
-		if _, err := fault.Run(w.FaultTarget(r), fault.StandardPlan(1200), 3*time.Minute); err != nil {
+		if _, err := fault.Run(context.Background(), w.FaultTarget(r), fault.StandardPlan(1200), 3*time.Minute); err != nil {
 			t.Fatal(err)
 		}
 		met := &r.Metrics

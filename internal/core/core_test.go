@@ -400,13 +400,14 @@ func TestReliableOrdersImproveHierarchySuccess(t *testing.T) {
 	}
 }
 
-// TestRunContextCancellation pins the cooperative-cancellation contract
-// the mission service relies on: a live context behaves like Run, a
-// cancelled one aborts between events and surfaces its cause.
+// TestRunContextCancellation pins, on a whole world, the
+// cooperative-cancellation contract the mission service relies on
+// through fault.Run: a live context behaves like Run, a cancelled one
+// aborts between events and surfaces its cause.
 func TestRunContextCancellation(t *testing.T) {
 	w := testWorld(t, 11)
 	defer w.Stop()
-	if err := w.RunContext(context.Background(), time.Second); err != nil {
+	if err := w.Eng.RunContext(context.Background(), time.Second); err != nil {
 		t.Fatalf("RunContext: %v", err)
 	}
 	if w.Eng.Now() != time.Second {
@@ -416,7 +417,7 @@ func TestRunContextCancellation(t *testing.T) {
 	budget := errors.New("budget exhausted")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(budget)
-	err := w.RunContext(ctx, time.Minute)
+	err := w.Eng.RunContext(ctx, time.Minute)
 	if !errors.Is(err, budget) {
 		t.Fatalf("cancelled RunContext error = %v, want the cancellation cause", err)
 	}

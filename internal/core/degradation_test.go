@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -117,7 +118,7 @@ func TestDegradationDoublesStandardPlanSuccess(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Stop()
-		if _, err := fault.Run(w.FaultTarget(r), fault.StandardPlan(1500), 6*time.Minute); err != nil {
+		if _, err := fault.Run(context.Background(), w.FaultTarget(r), fault.StandardPlan(1500), 6*time.Minute); err != nil {
 			t.Fatal(err)
 		}
 		return r.Metrics.SuccessRate()

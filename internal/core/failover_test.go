@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"runtime"
 	"strings"
@@ -54,7 +55,7 @@ func runFailover(t *testing.T, seed int64, every time.Duration, plan *fault.Plan
 	reg := verify.NewRegistry()
 	reg.Add(verify.MissionInvariants(w, r)...)
 	reg.Arm(w.Eng, time.Second)
-	rep, err := fault.Run(w.FaultTarget(r), plan, 4*time.Minute)
+	rep, err := fault.Run(context.Background(), w.FaultTarget(r), plan, 4*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

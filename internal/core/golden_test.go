@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -37,7 +38,7 @@ func runStandard(t *testing.T, seed int64, journal *checkpoint.Journal) *core.Ru
 	reg := verify.NewRegistry()
 	reg.Add(verify.MissionInvariants(w, r)...)
 	reg.Arm(w.Eng, time.Second)
-	if _, err := fault.Run(w.FaultTarget(r), fault.StandardPlan(1200), 3*time.Minute); err != nil {
+	if _, err := fault.Run(context.Background(), w.FaultTarget(r), fault.StandardPlan(1200), 3*time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if len(reg.Violations()) > 0 {

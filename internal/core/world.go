@@ -11,7 +11,6 @@
 package core
 
 import (
-	"context"
 	"time"
 
 	"iobt/internal/asset"
@@ -115,14 +114,6 @@ func (w *World) FaultTarget(r *Runtime) fault.Target {
 
 // Run advances the world by the given horizon.
 func (w *World) Run(horizon time.Duration) error { return w.Eng.Run(horizon) }
-
-// RunContext advances the world by the given horizon with cooperative
-// cancellation: a cancelled ctx aborts the run between events and
-// surfaces context.Cause(ctx). The mission service uses this so a
-// stopped or stalled mission's worker can be reclaimed without leaking.
-func (w *World) RunContext(ctx context.Context, horizon time.Duration) error {
-	return w.Eng.RunContext(ctx, horizon)
-}
 
 // PickCommandPost returns the alive blue asset with the most compute
 // (the edge server acting as the command post), or None.

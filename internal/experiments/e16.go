@@ -25,8 +25,9 @@ func E16Service(seed int64, quick bool) *Table {
 			"mean recovery (ms)", "completed", "degraded/failed"},
 		Notes: "every crashed mission is recovered from its latest checkpoint and still completes; " +
 			"a mission in restart backoff holds no worker, so once the pool keeps the host's CPUs busy " +
-			"a larger pool adds no throughput, and recovery time stays flat — the backoff plus a " +
-			"re-run of only the window since the last checkpoint cut, not the whole mission",
+			"a larger pool adds no throughput, and recovery time stays flat: it runs from the crash to the " +
+			"recovering attempt's first event, so it is the backoff plus the mission build, and the attempt " +
+			"then re-runs the mission from t = 0 to the checkpoint cut it restores",
 	}
 
 	pools := []int{2, 4, 8}

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -85,10 +86,11 @@ func (r *Report) String() string {
 
 // Run wraps a mission run with the plan: it injects the plan onto t,
 // samples t's goodput and recovery hooks every checkEvery while driving
-// the engine for horizon, and returns the per-fault recovery report.
-// The caller builds the world and starts the mission runtime (and arms
-// a verify.Registry on the engine for continuous invariant checks).
-func Run(t Target, plan *Plan, horizon time.Duration) (*Report, error) {
+// the engine for horizon under ctx, and returns the per-fault recovery
+// report, or ctx's cancellation cause. The caller builds the world and
+// starts the mission runtime (and arms a verify.Registry on the engine
+// for continuous invariant checks).
+func Run(ctx context.Context, t Target, plan *Plan, horizon time.Duration) (*Report, error) {
 	inj := Apply(t, plan)
 
 	var (
@@ -127,7 +129,7 @@ func Run(t Target, plan *Plan, horizon time.Duration) (*Report, error) {
 			samples = append(samples, s)
 		}
 	})
-	err := t.Eng.Run(horizon)
+	err := t.Eng.RunContext(ctx, horizon)
 	tick.Stop()
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -57,7 +58,7 @@ func TestHarnessReportEndToEnd(t *testing.T) {
 		ConfirmedTracks: func() int { return tracks },
 		PostUp:          func() bool { return !postDown },
 	}
-	rep, err := Run(tgt, plan, 2*time.Minute)
+	rep, err := Run(context.Background(), tgt, plan, 2*time.Minute)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -154,7 +155,7 @@ func TestHarnessAbsorbedFault(t *testing.T) {
 	plan := &Plan{Name: "absorbed"}
 	plan.Add(Fault{Kind: JamWave, At: 10 * time.Second, Duration: 5 * time.Second, Intensity: 0.1})
 	tgt.Goodput = func() (uint64, uint64) { return done, total }
-	rep, err := Run(tgt, plan, time.Minute)
+	rep, err := Run(context.Background(), tgt, plan, time.Minute)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

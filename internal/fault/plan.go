@@ -188,6 +188,9 @@ func parseFault(verb string, kvs []string) (Fault, error) {
 
 // String renders the plan back into the DSL (parseable round trip).
 func (p *Plan) String() string {
+	if p == nil {
+		return ""
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan %s\n", p.Name)
 	for _, f := range p.Faults {

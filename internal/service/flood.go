@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -208,45 +206,22 @@ func Flood(cfg FloodConfig) (*FloodReport, error) {
 		rep.MissionsPerSec = float64(terminal) / sec
 	}
 
-	var firstEvent []float64
-	var recoveries []float64
+	var firstEvent, recoveries sim.Series
 	for _, m := range svc.Missions() {
 		if d := m.FirstEventLatency(); d > 0 {
-			firstEvent = append(firstEvent, float64(d)/float64(time.Millisecond))
+			firstEvent.Add(float64(d) / float64(time.Millisecond))
 		}
-		recoveries = append(recoveries, m.RecoveryTimes()...)
+		for _, v := range m.RecoveryTimes() {
+			recoveries.Add(v)
+		}
 		if m.State() == StateDegraded {
 			rep.Violations++
 		}
 		rep.Summary.Merge(m.Summary())
 	}
-	rep.P50FirstEventMs = percentile(firstEvent, 0.50)
-	rep.P99FirstEventMs = percentile(firstEvent, 0.99)
-	if len(recoveries) > 0 {
-		sum, maxv := 0.0, 0.0
-		for _, v := range recoveries {
-			sum += v
-			maxv = math.Max(maxv, v)
-		}
-		rep.MeanRecoveryMs = sum / float64(len(recoveries))
-		rep.MaxRecoveryMs = maxv
-	}
+	rep.P50FirstEventMs = firstEvent.Percentile(50)
+	rep.P99FirstEventMs = firstEvent.Percentile(99)
+	rep.MeanRecoveryMs = recoveries.Mean()
+	rep.MaxRecoveryMs = recoveries.Max()
 	return rep, nil
-}
-
-// percentile returns the p-quantile (nearest-rank) of vs, 0 when empty.
-func percentile(vs []float64, p float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

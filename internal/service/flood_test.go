@@ -89,22 +89,6 @@ func TestFloodReport(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	vs := []float64{5, 1, 4, 2, 3}
-	cases := []struct {
-		p    float64
-		want float64
-	}{{0.5, 3}, {0.99, 5}, {0.01, 1}}
-	for _, tc := range cases {
-		if got := percentile(vs, tc.p); got != tc.want {
-			t.Errorf("percentile(%.2f) = %g, want %g", tc.p, got, tc.want)
-		}
-	}
-	if got := percentile(nil, 0.5); got != 0 {
-		t.Errorf("percentile of empty = %g, want 0", got)
-	}
-}
-
 // TestMissionStateStrings pins the state names served over HTTP.
 func TestMissionStateStrings(t *testing.T) {
 	cases := []struct {

@@ -555,12 +555,17 @@ func (s *Service) step(m *Mission) (restart bool, backoff time.Duration) {
 		}
 	}
 
+	var anchor *checkpoint.Record
+	if n := len(m.persisted); n > 0 {
+		anchor = &m.persisted[n-1]
+	}
+	j := checkpoint.NewJournal(m.Scenario.Seed, m.Scenario.Plan.String())
 	m.beginAttempt()
-	out, err := s.attempt(m)
+	out, err := s.attempt(m, j, anchor)
 	m.endAttempt()
 
 	if err == nil {
-		s.conclude(m, out)
+		s.conclude(m, out, j, anchor)
 		return false, 0
 	}
 	crash := errors.Is(err, errPanicked)
@@ -625,9 +630,10 @@ func (s *Service) backoff(n int, rng *sim.RNG) time.Duration {
 	return d
 }
 
-// attempt wraps one runAttempt with supervision plumbing: panic
+// attempt wraps one runAttempt, recording into j and recovering from
+// anchor (nil: a fresh start), with supervision plumbing: panic
 // recovery, the watchdog cancel hook, checkpoint persistence, and chaos.
-func (s *Service) attempt(m *Mission) (out *attemptOutcome, aerr error) {
+func (s *Service) attempt(m *Mission, j *checkpoint.Journal, anchor *checkpoint.Record) (out *verify.Outcome, aerr error) {
 	defer func() {
 		if p := recover(); p != nil {
 			aerr = fmt.Errorf("%w: %v", errPanicked, p)
@@ -639,13 +645,8 @@ func (s *Service) attempt(m *Mission) (out *attemptOutcome, aerr error) {
 	defer m.setCancel(nil)
 
 	digests := make(map[int]uint64, len(m.persisted))
-	var anchor *checkpoint.Record
-	if n := len(m.persisted); n > 0 {
-		rec := m.persisted[n-1]
-		anchor = &rec
-		for _, r := range m.persisted {
-			digests[r.Seq] = r.Checkpoint.Digest()
-		}
+	for _, r := range m.persisted {
+		digests[r.Seq] = r.Checkpoint.Digest()
 	}
 
 	recovering := anchor != nil
@@ -653,7 +654,7 @@ func (s *Service) attempt(m *Mission) (out *attemptOutcome, aerr error) {
 		sc:                 m.Scenario,
 		ctx:                ctx,
 		cancel:             cancel,
-		journal:            checkpoint.NewJournal(m.Scenario.Seed, planString(m.Scenario)),
+		journal:            j,
 		maxEvents:          s.cfg.MaxEvents,
 		maxCheckpointBytes: s.cfg.MaxCheckpointBytes,
 		chaos:              s.chaosFor(m, ctx),
@@ -712,29 +713,29 @@ func (s *Service) chaosFor(m *Mission, ctx context.Context) *chaosPlan {
 	}
 }
 
-// conclude records a finished attempt's outcome and the terminal state:
-// completed when clean, degraded (with a reproducer snapshot) when an
-// invariant was violated.
-func (s *Service) conclude(m *Mission, out *attemptOutcome) {
+// conclude records a finished attempt's outcome, journal and anchor
+// (nil: none) and the terminal state: completed when clean, degraded
+// (with a reproducer snapshot) when an invariant was violated.
+func (s *Service) conclude(m *Mission, out *verify.Outcome, j *checkpoint.Journal, anchor *checkpoint.Record) {
 	m.mu.Lock()
-	m.fingerprint = out.fingerprint
-	m.summary = out.summary
-	m.journal = out.journal
-	if out.recoveredFrom > 0 {
-		m.recoveredFrom = out.recoveredFrom
+	m.fingerprint = out.Fingerprint
+	m.summary = out.Summary
+	m.journal = j
+	if anchor != nil {
+		m.recoveredFrom = anchor.Seq
 	}
 	m.violations = m.violations[:0]
-	for _, v := range out.violations {
+	for _, v := range out.Violations {
 		m.violations = append(m.violations, v.String())
 	}
-	m.events.Store(out.events)
+	m.events.Store(out.Events)
 	m.mu.Unlock()
 
-	if len(out.violations) == 0 {
+	if len(out.Violations) == 0 {
 		s.finish(m, StateCompleted, "")
 		return
 	}
-	reason := fmt.Sprintf("%d invariant violations (first: %s)", len(out.violations), out.violations[0])
+	reason := fmt.Sprintf("%d invariant violations (first: %s)", len(out.Violations), out.Violations[0])
 	if s.cfg.DataDir != "" {
 		path := filepath.Join(s.cfg.DataDir, m.ID+".reproducer.scn")
 		if err := os.WriteFile(path, []byte(m.Source), 0o644); err != nil {

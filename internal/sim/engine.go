@@ -179,18 +179,3 @@ func (e *Engine) RunContext(ctx context.Context, horizon time.Duration) error {
 		e.Step()
 	}
 }
-
-// RunUntil executes events until pred returns true (checked after each
-// event), the queue drains, or maxEvents events have run. It returns true
-// if pred was satisfied.
-func (e *Engine) RunUntil(pred func() bool, maxEvents uint64) bool {
-	for n := uint64(0); n < maxEvents; n++ {
-		if pred() {
-			return true
-		}
-		if !e.Step() {
-			return pred()
-		}
-	}
-	return pred()
-}

@@ -144,19 +144,6 @@ func TestTicker(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine(1)
-	n := 0
-	e.Every(time.Second, "tick", func() { n++ })
-	ok := e.RunUntil(func() bool { return n >= 4 }, 100)
-	if !ok {
-		t.Fatal("predicate not reached")
-	}
-	if n != 4 {
-		t.Errorf("n = %d, want 4", n)
-	}
-}
-
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine(1)
 	depth := 0
@@ -270,14 +257,6 @@ func TestScheduleAt(t *testing.T) {
 		})
 	})
 	_ = e.Run(0)
-}
-
-func TestRunUntilExhaustsQueue(t *testing.T) {
-	e := NewEngine(7)
-	e.Schedule(time.Second, "only", func() {})
-	if ok := e.RunUntil(func() bool { return false }, 100); ok {
-		t.Error("predicate never true but RunUntil reported success")
-	}
 }
 
 func TestRunContextCancel(t *testing.T) {

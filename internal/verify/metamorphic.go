@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -158,18 +159,19 @@ func RestoreTransparency(seed int64) error {
 	// RestoreLast error that would have shown it.) Capture the error
 	// and report it as a violation.
 	var probeErr error
-	probed := runScenario(base, nil, func(w *core.World, r *core.Runtime) {
+	probed, err := RunAttempt(context.Background(), base, nil, func(w *core.World, r *core.Runtime) error {
 		w.Eng.ScheduleAt(base.Horizon/2, "verify.restore-probe", func() {
 			r.Checkpoints().TakeNow()
 			if err := r.Checkpoints().RestoreLast(); err != nil {
 				probeErr = fmt.Errorf("mid-run restore failed: %w (seed %d)", err, seed)
 			}
 		})
+		return nil
 	})
 	if probeErr != nil {
 		return probeErr
 	}
-	if plain.Skipped || probed.Skipped {
+	if plain.Skipped || err != nil {
 		return nil
 	}
 	if err := firstViolation(plain, probed); err != nil {
@@ -186,12 +188,8 @@ func RestoreTransparency(seed int64) error {
 // two full builds from the same recipe must journal identical decision
 // streams.
 func ReplayEquivalence(s Scenario) error {
-	plan := ""
-	if s.Plan != nil {
-		plan = s.Plan.String()
-	}
-	run := func(j *checkpoint.Journal) { runScenario(s, j, nil) }
-	if d := checkpoint.VerifyEquivalence(s.Seed, plan, run, run); d != nil {
+	run := func(j *checkpoint.Journal) { _, _ = RunAttempt(context.Background(), s, j, nil) } // only the journals are compared
+	if d := checkpoint.VerifyEquivalence(s.Seed, s.Plan.String(), run, run); d != nil {
 		return fmt.Errorf("replay diverged (seed %d): %v", s.Seed, d)
 	}
 	return nil

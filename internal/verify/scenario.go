@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strconv"
@@ -177,19 +178,24 @@ type Outcome struct {
 	// properties compare it across paired runs).
 	Fingerprint uint64
 	// Report is fault.Run's recovery record of the plan (nil when the
-	// engine failed).
+	// plan has no faults).
 	Report *fault.Report
-	// Metrics are the final mission metrics, and Checkpoints the number
-	// of checkpoints taken.
+	// Metrics are the final mission metrics, Checkpoints the number of
+	// checkpoints taken and Events the number of engine events executed.
 	Metrics     *core.Metrics
 	Checkpoints uint64
+	Events      uint64
 }
 
 // Run executes the scenario with the full mission invariant catalogue
 // armed (plus any extra invariants) and returns the verdict. Runs are
 // deterministic per scenario.
 func Run(s Scenario, extra ...InvariantMaker) *Outcome {
-	return runScenario(s, nil, nil, extra...)
+	o, err := RunAttempt(context.Background(), s, nil, nil, extra...)
+	if err != nil {
+		return &Outcome{Scenario: s, Skipped: true, Err: err}
+	}
+	return o
 }
 
 // BuildMission builds the scenario's world and mission runtime with
@@ -198,7 +204,7 @@ func Run(s Scenario, extra ...InvariantMaker) *Outcome {
 // ready to run. It is the one recipe behind Run, the experiments,
 // iobtsim and the mission service, which is what lets a service
 // recovery replay a verified mission event for event. The caller
-// applies s.Plan (runScenario through fault.Run), stops the runtime,
+// applies s.Plan (RunAttempt through fault.Run), stops the runtime,
 // then the world; an error means the mission could not be built.
 func BuildMission(s Scenario, j *checkpoint.Journal) (*core.World, *core.Runtime, []Invariant, error) {
 	m, err := mission(s)
@@ -334,17 +340,20 @@ func gossipOverlay(w *core.World, r *core.Runtime) []Invariant {
 	}
 }
 
-// runScenario is the run protocol behind Run, ReplayEquivalence,
-// RestoreTransparency, iobtsim and the experiments: BuildMission, its
-// invariant catalogue armed at 1s, the plan through fault.Run's
-// read-only harness to the horizon, and a final sweep. j, when non-nil,
-// records the decision journal; prestart, when non-nil, runs after
-// Start but before the horizon (for scheduling differential probes like
-// a mid-run restore).
-func runScenario(s Scenario, j *checkpoint.Journal, prestart func(*core.World, *core.Runtime), extra ...InvariantMaker) *Outcome {
+// RunAttempt is the one run protocol, behind Run, the mission service,
+// ReplayEquivalence, RestoreTransparency, iobtsim and the experiments:
+// BuildMission with journal j attached (nil: none), its invariant
+// catalogue (plus any extra invariants) armed at 1s, the plan through
+// fault.Run's read-only harness to the horizon under ctx, and a final
+// sweep. prestart, when non-nil, runs after the mission is built and
+// started and before the plan and the sweep are armed, for a caller's
+// own events (the service's heartbeat and checkpoint hook, a mid-run
+// restore probe). It returns the build error, prestart's error or ctx's
+// cancellation cause.
+func RunAttempt(ctx context.Context, s Scenario, j *checkpoint.Journal, prestart func(*core.World, *core.Runtime) error, extra ...InvariantMaker) (*Outcome, error) {
 	w, r, invs, err := BuildMission(s, j)
 	if err != nil {
-		return &Outcome{Scenario: s, Skipped: true, Err: err}
+		return nil, err
 	}
 	defer w.Stop()
 	defer r.Stop()
@@ -356,22 +365,27 @@ func runScenario(s Scenario, j *checkpoint.Journal, prestart func(*core.World, *
 	}
 
 	if prestart != nil {
-		prestart(w, r)
+		if err := prestart(w, r); err != nil {
+			return nil, err
+		}
 	}
 
 	reg.Arm(w.Eng, time.Second)
-	plan := s.Plan
-	if plan == nil {
-		plan = &fault.Plan{}
+	defer reg.Disarm()
+	// A plan with no faults has no rows to measure: no harness, and no
+	// fault target built for it.
+	var rep *fault.Report
+	if s.Plan != nil && len(s.Plan.Faults) > 0 {
+		rep, err = fault.Run(ctx, w.FaultTarget(r), s.Plan, s.Horizon)
+	} else {
+		err = w.Eng.RunContext(ctx, s.Horizon)
 	}
-	rep, err := fault.Run(w.FaultTarget(r), plan, s.Horizon)
 	if err != nil {
-		reg.record(w.Eng.Now(), "engine-run", err)
+		return nil, err
 	}
 	// One final sweep at the horizon so end-state violations are caught
 	// even when the last ticker tick predates the final events.
 	reg.CheckNow(w.Eng.Now())
-	reg.Disarm()
 
 	// A copy, so an outcome does not keep the whole world alive.
 	met := r.Metrics
@@ -382,11 +396,12 @@ func runScenario(s Scenario, j *checkpoint.Journal, prestart func(*core.World, *
 		Fingerprint: met.Fingerprint(),
 		Report:      rep,
 		Metrics:     &met,
+		Events:      w.Eng.Processed(),
 	}
 	if c := r.Checkpoints(); c != nil {
 		o.Checkpoints = c.Taken.Value()
 	}
-	return o
+	return o, nil
 }
 
 // SchemaVersion is the reproducer file format version. Bump it when
