@@ -23,7 +23,8 @@ func E16Service(seed int64, quick bool) *Table {
 		Header: []string{"workers", "missions", "crashes", "restarts", "recovered",
 			"missions/s", "p50 first-event (ms)", "p99 first-event (ms)",
 			"mean recovery (ms)", "completed", "degraded/failed"},
-		Notes: "every crashed mission is recovered from its latest checkpoint and still completes; " +
+		Notes: "every crashed mission restarts and still completes: one that crashed past its first checkpoint cut is " +
+			"recovered from its latest cut, one that crashed before it reruns from its scenario, so recovered can trail crashes; " +
 			"a mission in restart backoff holds no worker, so once the pool keeps the host's CPUs busy " +
 			"a larger pool adds no throughput, and recovery time stays flat: it runs from the crash to the " +
 			"recovering attempt's first event, so it is the backoff plus the mission build, and the attempt " +

@@ -39,21 +39,14 @@ const (
 	floodDrainTimeout = 5 * time.Minute
 )
 
-// FloodReport is the outcome of one flood run.
+// FloodReport is the outcome of one flood run: the drained service's
+// telemetry and what only the flood measures.
 type FloodReport struct {
-	Missions    int     `json:"missions"`
-	Workers     int     `json:"workers"`
-	Submitted   int64   `json:"submitted"`
-	Admitted    int64   `json:"admitted"`
-	Retried     int64   `json:"retried_submissions"`
-	Completed   int64   `json:"completed"`
-	Degraded    int64   `json:"degraded"`
-	Failed      int64   `json:"failed"`
-	Quarantined int64   `json:"quarantined"`
-	Crashes     int64   `json:"crashes"`
-	Restarts    int64   `json:"restarts"`
-	Recoveries  int64   `json:"recoveries"`
-	ElapsedSec  float64 `json:"elapsed_sec"`
+	Telemetry
+	Missions   int     `json:"missions"`
+	Workers    int     `json:"workers"`
+	Retried    int64   `json:"retried_submissions"`
+	ElapsedSec float64 `json:"elapsed_sec"`
 	// MissionsPerSec is terminal missions over wall elapsed time.
 	MissionsPerSec float64 `json:"missions_per_sec"`
 	// P50/P99FirstEventMs are submit-to-first-event latency percentiles.
@@ -63,8 +56,6 @@ type FloodReport struct {
 	// gaps (0 when nothing crashed).
 	MeanRecoveryMs float64 `json:"mean_recovery_ms"`
 	MaxRecoveryMs  float64 `json:"max_recovery_ms"`
-	// Violations counts missions that ended degraded or worse.
-	Violations int `json:"violations"`
 	// Summary merges the invariant audits of every mission.
 	Summary verify.Summary `json:"summary"`
 }
@@ -185,23 +176,14 @@ func Flood(cfg FloodConfig) (*FloodReport, error) {
 	}
 
 	elapsed := time.Since(start)
-	tel := svc.Telemetry()
 	rep := &FloodReport{
-		Missions:    cfg.Missions,
-		Workers:     svc.cfg.Workers,
-		Submitted:   tel.Submitted,
-		Admitted:    tel.Admitted,
-		Retried:     retried,
-		Completed:   tel.Completed,
-		Degraded:    tel.Degraded,
-		Failed:      tel.Failed,
-		Quarantined: tel.Quarantined,
-		Crashes:     tel.Crashes,
-		Restarts:    tel.Restarts,
-		Recoveries:  tel.Recoveries,
-		ElapsedSec:  elapsed.Seconds(),
+		Telemetry:  svc.Telemetry(),
+		Missions:   cfg.Missions,
+		Workers:    svc.cfg.Workers,
+		Retried:    retried,
+		ElapsedSec: elapsed.Seconds(),
 	}
-	terminal := tel.Completed + tel.Degraded + tel.Failed + tel.Quarantined
+	terminal := rep.Completed + rep.Degraded + rep.Failed + rep.Quarantined
 	if sec := elapsed.Seconds(); sec > 0 {
 		rep.MissionsPerSec = float64(terminal) / sec
 	}
@@ -213,9 +195,6 @@ func Flood(cfg FloodConfig) (*FloodReport, error) {
 		}
 		for _, v := range m.RecoveryTimes() {
 			recoveries.Add(v)
-		}
-		if m.State() == StateDegraded {
-			rep.Violations++
 		}
 		rep.Summary.Merge(m.Summary())
 	}

@@ -81,8 +81,8 @@ func TestFloodReport(t *testing.T) {
 	if rep.MeanRecoveryMs <= 0 || rep.MaxRecoveryMs < rep.MeanRecoveryMs {
 		t.Errorf("recovery timing: mean=%.2f max=%.2f", rep.MeanRecoveryMs, rep.MaxRecoveryMs)
 	}
-	if rep.Violations != 0 {
-		t.Errorf("flood reported %d invariant violations", rep.Violations)
+	if rep.Degraded != 0 {
+		t.Errorf("flood reported %d missions degraded by invariant violations", rep.Degraded)
 	}
 	if rep.Summary.Checks == 0 {
 		t.Error("merged invariant audit is empty")

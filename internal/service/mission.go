@@ -72,25 +72,27 @@ type Mission struct {
 	// Source is the canonical .scn serialization of Scenario.
 	Source string
 
-	mu            sync.Mutex
-	state         MissionState
-	reason        string
-	attempts      int
-	restarts      int
-	crashes       int
-	stalls        int
-	checkpoints   int
-	recoveredFrom int
-	submittedAt   time.Time
-	firstEventAt  time.Time
-	finishedAt    time.Time
-	pendingCrash  time.Time
-	recoveryMs    []float64
-	fingerprint   uint64
-	journal       *checkpoint.Journal
-	summary       verify.Summary
-	violations    []string
-	cancel        context.CancelCauseFunc
+	mu              sync.Mutex
+	state           MissionState
+	reason          string
+	attempts        int
+	restarts        int
+	crashes         int
+	stalls          int
+	recoveries      int
+	checkpoints     int
+	checkpointBytes int
+	recoveredFrom   int
+	submittedAt     time.Time
+	firstEventAt    time.Time
+	finishedAt      time.Time
+	pendingCrash    time.Time
+	recoveryMs      []float64
+	fingerprint     uint64
+	journal         *checkpoint.Journal
+	summary         verify.Summary
+	violations      []string
+	cancel          context.CancelCauseFunc
 
 	// Supervision state, carried between attempts so that any worker can
 	// run the next one. Only the worker running the mission touches
@@ -239,6 +241,25 @@ func (m *Mission) noteFailure(crash bool) {
 	if m.pendingCrash.IsZero() {
 		m.pendingCrash = time.Now()
 	}
+}
+
+// persist makes a fresh cut durable: appended to m's store and synced
+// when there is one, then kept as m's latest anchor and counted.
+func (m *Mission) persist(rec checkpoint.Record) error {
+	if m.store != nil {
+		if err := m.store.Append(rec); err != nil {
+			return err
+		}
+		if err := m.store.Sync(); err != nil {
+			return err
+		}
+	}
+	m.persisted = append(m.persisted, rec)
+	m.mu.Lock()
+	m.checkpoints++
+	m.checkpointBytes += rec.Checkpoint.Bytes()
+	m.mu.Unlock()
+	return nil
 }
 
 // MissionView is the JSON projection of a mission for the HTTP API.

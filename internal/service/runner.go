@@ -8,6 +8,7 @@ import (
 
 	"iobt/internal/checkpoint"
 	"iobt/internal/core"
+	"iobt/internal/sim"
 	"iobt/internal/verify"
 )
 
@@ -19,15 +20,16 @@ import (
 // same order every attempt, so a recovery attempt replays the crashed
 // one event for event up to the cut.
 //
-// Recovery is replay-anchored in the checkpoint hook. A recovering
-// attempt re-runs the mission from t = 0; each cut it retakes whose seq
+// A retry re-runs the mission from t = 0 against its latest persisted
+// checkpoint, the anchor; a mission that crashed before its first cut
+// has none and simply runs again. Each cut the retry retakes whose seq
 // is already durable must digest identically to the persisted record,
 // or the attempt fails with errDivergence. When the retaken cut is the
-// anchor (the latest persisted record), the hook restores the persisted
-// anchor there, skipping the ARQ window, whose Restore deliberately
-// requeues in-flight traffic (failover semantics, not replay semantics;
-// the replayed live window is already byte-identical). A run that
-// reaches its horizon without retaking the anchor has diverged too.
+// anchor, the hook restores the persisted anchor there, skipping the
+// ARQ window, whose Restore deliberately requeues in-flight traffic
+// (failover semantics, not replay semantics; the replayed live window
+// is already byte-identical), and counts the mission's recovery. A run
+// that reaches its horizon without retaking the anchor has diverged too.
 
 // Attempt failure taxonomy. Restartable: errPanicked, errStalled.
 var (
@@ -55,47 +57,40 @@ func restartable(err error) bool {
 type chaosPlan struct {
 	at    time.Duration
 	stall bool
-	ctx   context.Context // stall loop exits when the attempt is cancelled
 }
 
 // progressEvery is the virtual cadence of the progress heartbeat.
 const progressEvery = time.Second
 
-// attemptParams is one attempt's full recipe.
-type attemptParams struct {
-	sc     verify.Scenario
-	ctx    context.Context
-	cancel context.CancelCauseFunc
-	// journal records mission decisions; fresh per attempt.
-	journal *checkpoint.Journal
-	// Budgets (zero: unlimited). Wall-clock budgets live in the watchdog.
-	maxEvents          uint64
-	maxCheckpointBytes int
-	// chaos, when non-nil, injects a worker failure.
-	chaos *chaosPlan
-	// anchor, when non-nil, is the checkpoint record to recover from.
-	anchor *checkpoint.Record
-	// persistedDigests maps already-durable checkpoint seqs to their
-	// digests; replayed cuts are cross-checked instead of re-persisted.
-	persistedDigests map[int]uint64
-	// onCheckpoint persists a fresh cut; a returned error aborts the
-	// attempt terminally.
-	onCheckpoint func(rec checkpoint.Record) error
-	// onProgress / onFirstEvent feed the watchdog and latency metrics.
-	onProgress   func(events uint64, vnow time.Duration)
-	onFirstEvent func()
-}
+// attempt runs m's next attempt through verify.RunAttempt, recording
+// into j and recovering from anchor (nil: a fresh start). Around the run
+// sit the panic fence, which turns a worker crash into errPanicked, and
+// the cancel hook through which the watchdog and the budgets abort it;
+// its prestart registers the checkpoint hook, the progress heartbeat,
+// the admission stamp and chaos.
+func (s *Service) attempt(m *Mission, j *checkpoint.Journal, anchor *checkpoint.Record) (out *verify.Outcome, aerr error) {
+	defer func() {
+		if p := recover(); p != nil {
+			aerr = fmt.Errorf("%w: %v", errPanicked, p)
+		}
+	}()
+	ctx, cancel := context.WithCancelCause(s.ctx)
+	defer cancel(nil)
+	m.setCancel(cancel)
+	defer m.setCancel(nil)
 
-// runAttempt executes one mission attempt to the scenario horizon.
-// Panics are NOT recovered here — the supervisor's wrapper converts
-// them to errPanicked — so the bare runner stays usable as a
-// checkpoint.VerifyEquivalence hook.
-func runAttempt(p attemptParams) (*verify.Outcome, error) {
+	// Already-durable seqs and their digests: a replayed cut is
+	// cross-checked against its record instead of persisted again.
+	digests := make(map[int]uint64, len(m.persisted))
+	for _, r := range m.persisted {
+		digests[r.Seq] = r.Checkpoint.Digest()
+	}
+	chaos := s.chaosFor(m)
 	built, restored := false, false
-	out, err := verify.RunAttempt(p.ctx, p.sc, p.journal, func(w *core.World, r *core.Runtime) error {
+	out, err := verify.RunAttempt(ctx, m.Scenario, j, func(w *core.World, r *core.Runtime) error {
 		built = true
 		coord := r.Checkpoints()
-		if p.anchor != nil && coord == nil {
+		if anchor != nil && coord == nil {
 			return fmt.Errorf("%w: checkpoint record exists but the mission has no coordinator", errDivergence)
 		}
 		if coord != nil {
@@ -104,34 +99,36 @@ func runAttempt(p attemptParams) (*verify.Outcome, error) {
 				if prev != nil {
 					prev(ck)
 				}
-				if p.maxCheckpointBytes > 0 && ck.Bytes() > p.maxCheckpointBytes {
-					p.cancel(fmt.Errorf("%w: cut seq %d is %d bytes (limit %d)",
-						errCheckpointBudget, ck.Seq, ck.Bytes(), p.maxCheckpointBytes))
+				if limit := s.cfg.MaxCheckpointBytes; limit > 0 && ck.Bytes() > limit {
+					cancel(fmt.Errorf("%w: cut seq %d is %d bytes (limit %d)",
+						errCheckpointBudget, ck.Seq, ck.Bytes(), limit))
 					return
 				}
-				if want, ok := p.persistedDigests[ck.Seq]; ok {
-					// Replaying already-durable ground: the retaken cut must
-					// digest identically, or the replay has silently diverged.
-					if got := ck.Digest(); got != want {
-						p.cancel(fmt.Errorf("%w: replayed cut seq %d digest %016x != persisted %016x",
-							errDivergence, ck.Seq, got, want))
+				want, durable := digests[ck.Seq]
+				if !durable {
+					rec := checkpoint.Record{Seq: ck.Seq, At: ck.At, Processed: w.Eng.Processed(), Checkpoint: ck}
+					if err := m.persist(rec); err != nil {
+						cancel(fmt.Errorf("%w: %v", errStoreWrite, err))
+					}
+					return
+				}
+				// Replaying already-durable ground: the retaken cut must
+				// digest identically, or the replay has silently diverged.
+				if got := ck.Digest(); got != want {
+					cancel(fmt.Errorf("%w: replayed cut seq %d digest %016x != persisted %016x",
+						errDivergence, ck.Seq, got, want))
+					return
+				}
+				if anchor != nil && ck.Seq == anchor.Seq {
+					if err := coord.RestoreCheckpoint(anchor.Checkpoint,
+						func(name string) bool { return name != "arq" }); err != nil {
+						cancel(fmt.Errorf("%w: %v", errDivergence, err))
 						return
 					}
-					if p.anchor != nil && ck.Seq == p.anchor.Seq {
-						if err := coord.RestoreCheckpoint(p.anchor.Checkpoint,
-							func(name string) bool { return name != "arq" }); err != nil {
-							p.cancel(fmt.Errorf("%w: %v", errDivergence, err))
-							return
-						}
-						restored = true
-					}
-					return
-				}
-				if p.onCheckpoint != nil {
-					rec := checkpoint.Record{Seq: ck.Seq, At: ck.At, Processed: w.Eng.Processed(), Checkpoint: ck}
-					if err := p.onCheckpoint(rec); err != nil {
-						p.cancel(fmt.Errorf("%w: %v", errStoreWrite, err))
-					}
+					restored = true
+					m.mu.Lock()
+					m.recoveries++
+					m.mu.Unlock()
 				}
 			}
 		}
@@ -141,25 +138,17 @@ func runAttempt(p attemptParams) (*verify.Outcome, error) {
 		// event wedges, the heartbeat stops with it.
 		w.Eng.Every(progressEvery, "service.progress", func() {
 			n := w.Eng.Processed()
-			if p.onProgress != nil {
-				p.onProgress(n, w.Eng.Now())
-			}
-			if p.maxEvents > 0 && n > p.maxEvents {
-				p.cancel(fmt.Errorf("%w: %d events executed (limit %d)", errEventBudget, n, p.maxEvents))
+			m.noteProgress(n, w.Eng.Now())
+			if limit := s.cfg.MaxEvents; limit > 0 && n > limit {
+				cancel(fmt.Errorf("%w: %d events executed (limit %d)", errEventBudget, n, limit))
 			}
 		})
 		// Admission stamp: fires as the attempt's first executed event.
-		w.Eng.Schedule(0, "service.admit", func() {
-			if p.onFirstEvent != nil {
-				p.onFirstEvent()
-			}
-		})
-		if c := p.chaos; c != nil {
-			w.Eng.ScheduleAt(c.at, "service.chaos", func() {
-				if c.stall {
-					for c.ctx.Err() == nil {
-						time.Sleep(time.Millisecond)
-					}
+		w.Eng.Schedule(0, "service.admit", m.noteFirstEvent)
+		if chaos != nil {
+			w.Eng.ScheduleAt(chaos.at, "service.chaos", func() {
+				if chaos.stall {
+					<-ctx.Done()
 					return
 				}
 				panic(fmt.Sprintf("chaos: injected worker crash at %s", w.Eng.Now()))
@@ -172,9 +161,29 @@ func runAttempt(p attemptParams) (*verify.Outcome, error) {
 		return nil, fmt.Errorf("%w: %v", errSynthesis, err)
 	case err != nil:
 		return nil, err
-	case p.anchor != nil && !restored:
+	case anchor != nil && !restored:
 		return nil, fmt.Errorf("%w: anchor seq %d was not retaken before the horizon (%s)",
-			errDivergence, p.anchor.Seq, p.sc.Horizon)
+			errDivergence, anchor.Seq, m.Scenario.Horizon)
 	}
 	return out, nil
+}
+
+// chaosFor derives the mission's injected failure, if any, from its
+// seed: deterministic, so a chaos run is as reproducible as a clean one.
+// Only the leading CrashAttempts attempts fail; recovery attempts beyond
+// that run undisturbed.
+func (s *Service) chaosFor(m *Mission) *chaosPlan {
+	c := s.cfg.Chaos
+	if c.CrashProb <= 0 || m.Attempts() > c.CrashAttempts {
+		return nil
+	}
+	rng := sim.NewRNG(m.Scenario.Seed).Derive("service.chaos")
+	if !rng.Bool(c.CrashProb) {
+		return nil
+	}
+	frac := c.AtFrac
+	if frac <= 0 {
+		frac = rng.Uniform(0.3, 0.7)
+	}
+	return &chaosPlan{at: time.Duration(frac * float64(m.Scenario.Horizon)), stall: c.Stall}
 }

@@ -3,11 +3,11 @@
 // .scn reproducer format) runs in a worker from a bounded pool behind
 // admission control; a per-mission supervisor recovers panics without
 // disturbing neighbors, a watchdog detects stalled missions on the wall
-// clock, and crashed or stalled missions restart from their latest
-// persisted checkpoint — with exponential backoff and a quarantine bound
-// so a crash loop cannot starve the pool. Recovery is verified, not
-// assumed: the replayed state is byte-compared against the persisted cut
-// before the mission continues (see runner.go).
+// clock, and crashed or stalled missions restart, replaying to their
+// latest persisted checkpoint — with exponential backoff and a
+// quarantine bound so a crash loop cannot starve the pool. Recovery is
+// verified, not assumed: the replayed state is byte-compared against the
+// persisted cut before the mission continues (see runner.go).
 //
 // The paper's IoBT must "survive in the presence of failures, attacks
 // and compromises"; this package applies that demand to the mission
@@ -151,23 +151,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// telemetry is the service-wide counter set.
+// telemetry counts what no mission record holds: submissions, including
+// those admission refused, and watchdog trips.
 type telemetry struct {
 	submitted        atomic.Int64
-	admitted         atomic.Int64
 	rejectedFull     atomic.Int64
 	rejectedDraining atomic.Int64
-	completed        atomic.Int64
-	degraded         atomic.Int64
-	failed           atomic.Int64
-	quarantined      atomic.Int64
-	crashes          atomic.Int64
-	stalls           atomic.Int64
-	restarts         atomic.Int64
-	recoveries       atomic.Int64
 	watchdogTrips    atomic.Int64
-	checkpoints      atomic.Int64
-	checkpointBytes  atomic.Int64
 }
 
 // Telemetry is the JSON projection of the service counters.
@@ -294,7 +284,6 @@ func (s *Service) SubmitScenario(sc verify.Scenario) (*Mission, error) {
 	s.wake.Signal()
 	s.byID[m.ID] = m
 	s.order = append(s.order, m)
-	s.tel.admitted.Add(1)
 	return m, nil
 }
 
@@ -312,41 +301,46 @@ func (s *Service) Missions() []*Mission {
 	return append([]*Mission(nil), s.order...)
 }
 
-// Telemetry snapshots the service counters.
+// Telemetry snapshots the service counters: a fold over the mission
+// records, which hold every per-mission count, plus the four counts no
+// mission holds.
 func (s *Service) Telemetry() Telemetry {
-	queued, running, restarting := 0, 0, 0
-	for _, m := range s.Missions() {
-		switch m.State() {
-		case StateQueued:
-			queued++
-		case StateRunning:
-			running++
-		case StateRestarting:
-			restarting++
-		case StateCompleted, StateDegraded, StateFailed, StateQuarantined:
-		default:
-		}
-	}
-	return Telemetry{
+	missions := s.Missions()
+	t := Telemetry{
 		Submitted:        s.tel.submitted.Load(),
-		Admitted:         s.tel.admitted.Load(),
+		Admitted:         int64(len(missions)),
 		RejectedFull:     s.tel.rejectedFull.Load(),
 		RejectedDraining: s.tel.rejectedDraining.Load(),
-		Queued:           queued,
-		Running:          running,
-		Restarting:       restarting,
-		Completed:        s.tel.completed.Load(),
-		Degraded:         s.tel.degraded.Load(),
-		Failed:           s.tel.failed.Load(),
-		Quarantined:      s.tel.quarantined.Load(),
-		Crashes:          s.tel.crashes.Load(),
-		Stalls:           s.tel.stalls.Load(),
-		Restarts:         s.tel.restarts.Load(),
-		Recoveries:       s.tel.recoveries.Load(),
 		WatchdogTrips:    s.tel.watchdogTrips.Load(),
-		Checkpoints:      s.tel.checkpoints.Load(),
-		CheckpointBytes:  s.tel.checkpointBytes.Load(),
 	}
+	for _, m := range missions {
+		m.mu.Lock()
+		switch m.state {
+		case StateQueued:
+			t.Queued++
+		case StateRunning:
+			t.Running++
+		case StateRestarting:
+			t.Restarting++
+		case StateCompleted:
+			t.Completed++
+		case StateDegraded:
+			t.Degraded++
+		case StateFailed:
+			t.Failed++
+		case StateQuarantined:
+			t.Quarantined++
+		default:
+		}
+		t.Crashes += int64(m.crashes)
+		t.Stalls += int64(m.stalls)
+		t.Restarts += int64(m.restarts)
+		t.Recoveries += int64(m.recoveries)
+		t.Checkpoints += int64(m.checkpoints)
+		t.CheckpointBytes += int64(m.checkpointBytes)
+		m.mu.Unlock()
+	}
+	return t
 }
 
 // Draining reports whether the service has stopped admitting missions.
@@ -568,17 +562,11 @@ func (s *Service) step(m *Mission) (restart bool, backoff time.Duration) {
 		s.conclude(m, out, j, anchor)
 		return false, 0
 	}
-	crash := errors.Is(err, errPanicked)
-	if crash {
-		s.tel.crashes.Add(1)
-	} else if errors.Is(err, errStalled) {
-		s.tel.stalls.Add(1)
-	}
 	if !restartable(err) {
 		s.finish(m, StateFailed, err.Error())
 		return false, 0
 	}
-	m.noteFailure(crash)
+	m.noteFailure(errors.Is(err, errPanicked))
 	if m.Restarts() >= s.cfg.MaxRestarts {
 		s.finish(m, StateQuarantined,
 			fmt.Sprintf("restart budget (%d) exhausted; last failure: %v", s.cfg.MaxRestarts, err))
@@ -590,7 +578,6 @@ func (s *Service) step(m *Mission) (restart bool, backoff time.Duration) {
 	m.state = StateRestarting
 	m.reason = err.Error()
 	m.mu.Unlock()
-	s.tel.restarts.Add(1)
 	return true, s.backoff(n, m.backoffRNG)
 }
 
@@ -630,89 +617,6 @@ func (s *Service) backoff(n int, rng *sim.RNG) time.Duration {
 	return d
 }
 
-// attempt wraps one runAttempt, recording into j and recovering from
-// anchor (nil: a fresh start), with supervision plumbing: panic
-// recovery, the watchdog cancel hook, checkpoint persistence, and chaos.
-func (s *Service) attempt(m *Mission, j *checkpoint.Journal, anchor *checkpoint.Record) (out *verify.Outcome, aerr error) {
-	defer func() {
-		if p := recover(); p != nil {
-			aerr = fmt.Errorf("%w: %v", errPanicked, p)
-		}
-	}()
-	ctx, cancel := context.WithCancelCause(s.ctx)
-	defer cancel(nil)
-	m.setCancel(cancel)
-	defer m.setCancel(nil)
-
-	digests := make(map[int]uint64, len(m.persisted))
-	for _, r := range m.persisted {
-		digests[r.Seq] = r.Checkpoint.Digest()
-	}
-
-	recovering := anchor != nil
-	p := attemptParams{
-		sc:                 m.Scenario,
-		ctx:                ctx,
-		cancel:             cancel,
-		journal:            j,
-		maxEvents:          s.cfg.MaxEvents,
-		maxCheckpointBytes: s.cfg.MaxCheckpointBytes,
-		chaos:              s.chaosFor(m, ctx),
-		anchor:             anchor,
-		persistedDigests:   digests,
-		onCheckpoint: func(rec checkpoint.Record) error {
-			if m.store != nil {
-				if err := m.store.Append(rec); err != nil {
-					return err
-				}
-				if err := m.store.Sync(); err != nil {
-					return err
-				}
-			}
-			m.persisted = append(m.persisted, rec)
-			s.tel.checkpoints.Add(1)
-			s.tel.checkpointBytes.Add(int64(rec.Checkpoint.Bytes()))
-			m.mu.Lock()
-			m.checkpoints++
-			m.mu.Unlock()
-			return nil
-		},
-		onProgress: m.noteProgress,
-		onFirstEvent: func() {
-			m.noteFirstEvent()
-			if recovering {
-				s.tel.recoveries.Add(1)
-				recovering = false
-			}
-		},
-	}
-	return runAttempt(p)
-}
-
-// chaosFor derives the mission's injected failure, if any, from its
-// seed: deterministic, so a chaos run is as reproducible as a clean one.
-// Only the leading CrashAttempts attempts fail; recovery attempts beyond
-// that run undisturbed.
-func (s *Service) chaosFor(m *Mission, ctx context.Context) *chaosPlan {
-	c := s.cfg.Chaos
-	if c.CrashProb <= 0 || m.Attempts() > c.CrashAttempts {
-		return nil
-	}
-	rng := sim.NewRNG(m.Scenario.Seed).Derive("service.chaos")
-	if !rng.Bool(c.CrashProb) {
-		return nil
-	}
-	frac := c.AtFrac
-	if frac <= 0 {
-		frac = rng.Uniform(0.3, 0.7)
-	}
-	return &chaosPlan{
-		at:    time.Duration(frac * float64(m.Scenario.Horizon)),
-		stall: c.Stall,
-		ctx:   ctx,
-	}
-}
-
 // conclude records a finished attempt's outcome, journal and anchor
 // (nil: none) and the terminal state: completed when clean, degraded
 // (with a reproducer snapshot) when an invariant was violated.
@@ -747,8 +651,8 @@ func (s *Service) conclude(m *Mission, out *verify.Outcome, j *checkpoint.Journa
 	s.finish(m, StateDegraded, reason)
 }
 
-// finish closes a mission's checkpoint store, moves it to a terminal
-// state and bumps the matching counter.
+// finish closes a mission's checkpoint store and moves it to a terminal
+// state.
 func (s *Service) finish(m *Mission, st MissionState, reason string) {
 	if m.store != nil {
 		// Every record was synced when appended; Close loses nothing.
@@ -760,17 +664,4 @@ func (s *Service) finish(m *Mission, st MissionState, reason string) {
 	m.reason = reason
 	m.finishedAt = time.Now()
 	m.mu.Unlock()
-	switch st {
-	case StateCompleted:
-		s.tel.completed.Add(1)
-	case StateDegraded:
-		s.tel.degraded.Add(1)
-	case StateFailed:
-		s.tel.failed.Add(1)
-	case StateQuarantined:
-		s.tel.quarantined.Add(1)
-	case StateQueued, StateRunning, StateRestarting:
-		// Not terminal; finish is never called with these.
-	default:
-	}
 }
