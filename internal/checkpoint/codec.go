@@ -117,8 +117,17 @@ func (d *Decoder) Uint64() uint64 {
 // Int64 reads a fixed 8-byte signed integer.
 func (d *Decoder) Int64() int64 { return int64(d.Uint64()) }
 
-// Int reads an int encoded as 8 bytes.
-func (d *Decoder) Int() int { return int(d.Int64()) }
+// Int reads an int encoded as 8 bytes. A value int cannot hold (past 32
+// bits on a 32-bit host) sets the sticky error and yields 0, so a count
+// is never truncated into a small one that passes Count.
+func (d *Decoder) Int() int {
+	v := d.Int64()
+	if int64(int(v)) != v {
+		d.err = fmt.Errorf("checkpoint: int %d out of range at offset %d", v, d.off-8)
+		return 0
+	}
+	return int(v)
+}
 
 // Float64 reads an IEEE-754 double.
 func (d *Decoder) Float64() float64 { return math.Float64frombits(d.Uint64()) }

@@ -265,7 +265,7 @@ func hostileRecord() []byte {
 	e.Int64(0)
 	e.Uint64(0)
 	e.Int(1)
-	e.Int(math.MaxInt64)
+	e.Int64(math.MaxInt64) // Int's wire form, written as int64 so it builds on 32-bit hosts
 	return e.Bytes()
 }
 

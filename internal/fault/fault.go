@@ -268,8 +268,10 @@ type Injector struct {
 	rng  *sim.RNG
 
 	// cuts holds the partitions in force at the last ask of cutNow, and
-	// severs, bound once at Apply, is the predicate that reads it; both
-	// are reused, so an ask allocates nothing.
+	// severs is the predicate over them. Neither is modified once made: a
+	// change of set replaces both, so a predicate already handed out keeps
+	// its answers, and an ask that finds the set unchanged allocates
+	// nothing.
 	cuts   []*Fault
 	severs func(a, b geo.Point) bool
 
@@ -333,7 +335,6 @@ func Apply(t Target, p *Plan) *Injector {
 		}
 	}
 	if hasPartition {
-		inj.severs = inj.cut
 		t.Net.SetLinkFault(inj.cutNow)
 	}
 	if hasHop {
@@ -343,29 +344,45 @@ func Apply(t Target, p *Plan) *Injector {
 }
 
 // cutNow is the network's link-fault hook. The partitions in force are
-// a function of virtual time alone, so it collects the active, un-healed
+// a function of virtual time alone, so it finds the active, un-healed
 // ones once per ask and returns the predicate over them, or nil when
-// there are none. The predicate reads the collected set, so it answers
-// for the instant of the ask until the next one.
+// there are none. The predicate is immutable, so it answers for the
+// instant of its ask for as long as it is kept; a new one is made only
+// when the set in force differs from the last ask's.
 func (inj *Injector) cutNow() func(a, b geo.Point) bool {
 	now := inj.t.Eng.Now()
-	inj.cuts = inj.cuts[:0]
+	k, same := 0, true
 	for i := range inj.plan.Faults {
-		f := &inj.plan.Faults[i]
-		if f.Kind == Partition && f.activeAt(now) && !inj.healed(f, now) {
-			inj.cuts = append(inj.cuts, f)
+		if f := &inj.plan.Faults[i]; inj.inForce(f, now) {
+			same = same && k < len(inj.cuts) && inj.cuts[k] == f
+			k++
 		}
 	}
-	if len(inj.cuts) == 0 {
-		return nil
+	if !same || k != len(inj.cuts) {
+		inj.cuts, inj.severs = nil, nil
+		if k > 0 {
+			cuts := make([]*Fault, 0, k)
+			for i := range inj.plan.Faults {
+				if f := &inj.plan.Faults[i]; inj.inForce(f, now) {
+					cuts = append(cuts, f)
+				}
+			}
+			inj.cuts, inj.severs = cuts, func(a, b geo.Point) bool { return severed(cuts, a, b) }
+		}
 	}
 	return inj.severs
 }
 
-// cut reports whether any partition cutNow collected separates a from
-// b: an X line when X is set, otherwise the boundary of Area.
-func (inj *Injector) cut(a, b geo.Point) bool {
-	for _, f := range inj.cuts {
+// inForce reports whether f is a partition that is active and un-healed
+// at now.
+func (inj *Injector) inForce(f *Fault, now time.Duration) bool {
+	return f.Kind == Partition && f.activeAt(now) && !inj.healed(f, now)
+}
+
+// severed reports whether any partition in cuts separates a from b: an X
+// line when X is set, otherwise the boundary of Area.
+func severed(cuts []*Fault, a, b geo.Point) bool {
+	for _, f := range cuts {
 		if f.X != 0 {
 			if (a.X < f.X) != (b.X < f.X) {
 				return true

@@ -150,7 +150,8 @@ func cutProbes(p *Plan, rng *sim.RNG) []geo.Point {
 // partitions, windowed and unbounded, with heals around their onsets,
 // the predicate is nil exactly when no active, un-healed partition
 // exists, and otherwise agrees with the oracle, both ways round, on
-// every sampled pair of positions.
+// every sampled pair of positions. The predicate of the previous instant,
+// asked again after this instant's ask, still answers for its own.
 func FuzzLinkCut(f *testing.F) {
 	f.Add([]byte{
 		0, 2, 0, 100, // line x=401 from 10 s, unbounded
@@ -184,6 +185,8 @@ func FuzzLinkCut(f *testing.F) {
 		inj := Apply(tgt, plan)
 		rng := sim.NewRNG(int64(len(data)))
 		pts := cutProbes(plan, rng)
+		var held func(a, b geo.Point) bool
+		var heldAt time.Duration
 		for _, at := range cutInstants(plan) {
 			tgt.Eng.ScheduleAt(at, "test.probe", func() {
 				now := tgt.Eng.Now()
@@ -195,16 +198,21 @@ func FuzzLinkCut(f *testing.F) {
 				if (cut == nil) == active {
 					t.Fatalf("at %v: predicate nil = %v with an active partition = %v\n%s", now, cut == nil, active, plan)
 				}
-				if cut == nil {
-					return
-				}
 				for _, a := range pts {
 					for _, b := range pts {
+						if held != nil && held(a, b) != oracleCut(plan, heldAt, a, b) {
+							t.Fatalf("at %v: the predicate of %v now says cut(%v, %v) = %v, its oracle %v\n%s",
+								now, heldAt, a, b, held(a, b), oracleCut(plan, heldAt, a, b), plan)
+						}
+						if cut == nil {
+							continue
+						}
 						if got, want := cut(a, b), oracleCut(plan, now, a, b); got != want || cut(b, a) != got {
 							t.Fatalf("at %v: cut(%v, %v) = %v, reversed %v, oracle %v\n%s", now, a, b, got, cut(b, a), want, plan)
 						}
 					}
 				}
+				held, heldAt = cut, now
 			})
 		}
 		if err := tgt.Eng.Run(0); err != nil {
@@ -240,6 +248,38 @@ func TestLinkCutAskAllocatesNothing(t *testing.T) {
 		}
 		if allocs != 0 {
 			t.Errorf("at %v: an ask allocated %v times, want 0", tc.at, allocs)
+		}
+	}
+}
+
+// A predicate keeps the answers of the instant it was asked at: the
+// network may build its table from it after later asks. Here the ask at
+// 15 s sees one line, at 25 s two, at 35 s (after the heal) none, and
+// each predicate still judges a pair across each line as at its own
+// instant.
+func TestCutKeepsItsInstant(t *testing.T) {
+	tgt := cutTarget(1)
+	plan := (&Plan{Name: "held"}).
+		Add(Fault{Kind: Partition, At: 10 * time.Second, X: 300}).
+		Add(Fault{Kind: Partition, At: 20 * time.Second, X: 700}).
+		Add(Fault{Kind: Heal, At: 30 * time.Second})
+	inj := Apply(tgt, plan)
+	west := [2]geo.Point{{X: 200, Y: 500}, {X: 400, Y: 500}} // across x=300
+	east := [2]geo.Point{{X: 600, Y: 500}, {X: 800, Y: 500}} // across x=700
+	var held []func(a, b geo.Point) bool
+	for _, at := range []time.Duration{15 * time.Second, 25 * time.Second, 35 * time.Second} {
+		tgt.Eng.ScheduleAt(at, "test.ask", func() { held = append(held, inj.cutNow()) })
+	}
+	if err := tgt.Eng.Run(40 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(held) != 3 || held[0] == nil || held[1] == nil || held[2] != nil {
+		t.Fatalf("asks at 15 s, 25 s, 35 s gave %d predicates, nil at 35 s = %v: want two, then nil after the heal",
+			len(held), len(held) == 3 && held[2] == nil)
+	}
+	for i, want := range [][2]bool{{true, false}, {true, true}} {
+		if got := [2]bool{held[i](west[0], west[1]), held[i](east[0], east[1])}; got != want {
+			t.Errorf("predicate %d after later asks cuts (x=300, x=700) = %v, want %v", i, got, want)
 		}
 	}
 }

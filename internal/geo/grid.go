@@ -107,8 +107,8 @@ func (g *Grid) Move(id int32, p Point) {
 // depend on that order (discovery.Service.Scan draws from its stream once
 // per candidate, in the order Near yields them), so a change here must
 // reproduce it exactly for a fixed Insert/Move/Remove history. Mesh
-// neighbour lists no longer do: mesh.Network.Refresh sorts by id and does
-// not query the grid, and shardnet sorts what it reads at set-up.
+// neighbour lists no longer do: mesh.Network's table build sorts by id
+// and does not query the grid, and shardnet sorts what it reads at set-up.
 func (g *Grid) Near(dst []int32, p Point, radius float64) []int32 {
 	if radius < 0 {
 		return dst

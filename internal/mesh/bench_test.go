@@ -9,7 +9,8 @@ package mesh
 // payload.
 //
 // Topology: one op is one Refresh of a 1000-asset mission's neighbour
-// table, with a mobility step (untimed) before each.
+// table and the build its first read triggers, with a mobility step
+// (untimed) before each.
 //
 // Sharded link state: one op is one "who hears me" query, the question
 // every relayed frame asks, on the gossip_bare field (10^4 nodes, radio
@@ -56,6 +57,7 @@ func BenchmarkNetworkRefresh(b *testing.B) {
 	for i := 0; i < 50; i++ {
 		pop.StepMobility(time.Second)
 		net.Refresh()
+		net.Neighbors(0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -67,6 +69,7 @@ func BenchmarkNetworkRefresh(b *testing.B) {
 		pop.StepMobility(time.Second)
 		b.StartTimer()
 		net.Refresh()
+		net.Neighbors(0)
 	}
 }
 

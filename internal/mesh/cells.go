@@ -6,13 +6,13 @@ import (
 	"iobt/internal/geo"
 )
 
-// cellIndex is a frozen uniform grid over one tick's up endpoints,
-// rebuilt by Refresh from its snapshot. The points are packed in cell
+// cellIndex is a frozen uniform grid over one snapshot's up endpoints,
+// rebuilt by each table build. The points are packed in cell
 // order behind one offset per cell, so the cells [x0, x1] of a grid row
 // are one contiguous run of pts and a range query is one such run per
-// row. It has no Insert or Move: nothing outlives the tick.
+// row. It has no Insert or Move: nothing outlives the build.
 //
-// Cell geometry decides only how much a query scans, never what Refresh
+// Cell geometry decides only how much a query scans, never what a build
 // finds: every candidate goes through the link rule and the table is
 // sorted, so the cell size is a speed knob with no effect on results.
 type cellIndex struct {

@@ -84,16 +84,22 @@ type Network struct {
 
 	// The link table: node id's neighbours are
 	// neighbors[nbrStart[id]:nbrStart[id+1]], ascending, every list back
-	// to back in id order in one array Refresh refills.
+	// to back in id order in one array the first read after a Refresh
+	// refills.
 	neighbors []NodeID
 	nbrStart  []int32
-	// Refresh's working state, all reused from tick to tick: the endpoint
-	// snapshot and which nodes it found unchanged, the cell index over
-	// it, the geometric candidate pairs carried to the next tick with
-	// one bit each for "linked this tick", and the two scratch arrays
-	// that turn linked pairs into sorted lists.
+	// Refresh's snapshot: every node's endpoint, which nodes it found
+	// unchanged since the table was last built, and the cut predicate in
+	// force at that instant. stale is set by Refresh and cleared by the
+	// build it defers.
 	ends   []endpoint
 	stable []bool
+	cut    func(a, b geo.Point) bool
+	stale  bool
+	// The build's working state, all reused from build to build: the
+	// cell index over the snapshot, the geometric candidate pairs carried
+	// to the next build with one bit each for "linked now", and the two
+	// scratch arrays that turn linked pairs into sorted lists.
 	cells  cellIndex
 	pairs  []pair
 	linked []uint64
@@ -198,6 +204,10 @@ func New(eng *sim.Engine, pop *asset.Population, terr *geo.Terrain, cfg Config) 
 		cells:    newCellIndex(terr.Bounds),
 	}
 	n.Refresh()
+	// Build the first table at once, so its buffers are sized from the
+	// world as placed, before any loss: a first build at a later, sparser
+	// tick sizes them smaller and grows them again as links return.
+	n.build()
 	return n
 }
 
@@ -212,9 +222,11 @@ func (n *Network) SetJamming(f func(geo.Point) float64) {
 // neighbor table reflects the cut links. The hook returns the cut
 // predicate in force at the current virtual time, or nil when no link is
 // cut; it is asked once per Refresh and once per Linked or forwarded
-// hop, and the predicate it returns is used only until the next ask.
-// The predicate must be symmetric, cut(a, b) == cut(b, a): a pair is
-// asked about once, with the position of the lower node id as a.
+// hop. A predicate keeps answering for the instant it was asked at, even
+// after later asks: Refresh keeps it until the table is built, which may
+// be several asks later. The predicate must be symmetric, cut(a, b) ==
+// cut(b, a): a pair is asked about once, with the position of the lower
+// node id as a.
 func (n *Network) SetLinkFault(f func() func(a, b geo.Point) bool) {
 	n.linkFault = f
 	n.invalidate()
@@ -291,7 +303,7 @@ const rejectSlack = 1e-9
 // no injected fault severs them, and their distance d is within the
 // effective range r — the smaller radio range scaled by terrain clutter
 // and by the worse of the two jamming intensities. It is written in two
-// halves so that Refresh can keep the first across ticks: linkGeometry
+// halves so that the build can keep the first across ticks: linkGeometry
 // reads only positions and radio ranges (the terrain never changes),
 // linkNow reads what can change under a node that stands still — the jam
 // field, through the snapshot, and the cut predicate the fault hook
@@ -378,40 +390,64 @@ type pair struct {
 	rBase float64
 }
 
-// Refresh recomputes the neighbor table from current state, by three
-// rules.
+// Refresh takes the snapshot the neighbor table is a function of: every
+// node's endpoint, with the jam field read at this instant, and the cut
+// predicate the fault hook returns now. The table itself is built from
+// that snapshot by the first Neighbors or Nodes call after it (build), so
+// a tick nobody reads costs one pass over the assets. The build follows
+// three rules.
 //
 // Pair once: the link rule is symmetric, so each unordered pair is
 // evaluated one time and written into both lists.
 //
-// Carry what did not move: a node is stable when its snapshot (position,
-// radio range, up) equals last tick's by value and it was up in both.
-// The geometric half of the rule for two stable nodes cannot have
-// changed, so their pairs are kept from last tick and only linkNow is
-// replayed; every other up node looks its pairs up afresh in a cell
-// index over the snapshot. Stability is read off the assets themselves,
-// the jam field is re-read for every node and the fault hook asked once,
-// every tick, so nothing has to tell the network that something changed.
+// Carry what did not move: a node is stable when every snapshot since
+// the last build (position, radio range, up) equals the one before it by
+// value and it was up in all of them. The geometric half of the rule for
+// two stable nodes cannot have changed, so their pairs are kept from the
+// last build and only linkNow is replayed; every other up node looks its
+// pairs up afresh in a cell index over the snapshot. Stability is read
+// off the assets themselves, the jam field is re-read for every node and
+// the fault hook asked once, every tick, so nothing has to tell the
+// network that something changed, and nothing after the tick can: the
+// build reads the snapshot, not the assets.
 //
 // Canonical order: every list is ascending by id, so the table is a
-// function of current state alone — not of the order pairs were found
-// in, the cell size, or any earlier tick (TestRefreshIsHistoryFree).
+// function of the last snapshot alone — not of the order pairs were
+// found in, the cell size, which ticks were read, or any earlier tick
+// (TestRefreshIsHistoryFree).
 //
-// All storage is reused, so a steady-state refresh allocates nothing;
-// a buffer that must grow is sized once from a count, with a quarter of
-// headroom.
+// All storage is reused, so a steady-state refresh and build allocate
+// nothing; a buffer that must grow is sized once from a count, with a
+// quarter of headroom.
 //
 //iobt:hot
 func (n *Network) Refresh() {
-	cut := n.cutNow()
+	n.cut = n.cutNow()
 	n.invalidate()
 	n.snapshot()
+	n.stale = true
+}
+
+// table builds the neighbor table if a Refresh has run since it was last
+// built. Every read of the table goes through it.
+func (n *Network) table() {
+	if n.stale {
+		n.build()
+	}
+}
+
+// build turns the last snapshot into the neighbor table.
+//
+//iobt:hot
+func (n *Network) build() {
+	n.stale = false
+	n.cells.build(n.ends)
 	kept := n.carry()
 	if need := n.scan(kept); need > cap(n.pairs) {
 		n.pairs = growTo(n.pairs[:kept], need)
 		n.scan(kept)
 	}
-	n.buildTable(cut)
+	n.buildTable(n.cut)
 }
 
 // growTo returns s with capacity for need elements and a quarter more.
@@ -420,8 +456,10 @@ func growTo[S ~[]E, E any](s S, need int) S {
 }
 
 // snapshot reads every asset's endpoint once (one liveness check,
-// position read and jam-field evaluation per node rather than per pair),
-// marks the nodes whose snapshot did not change, and indexes the up ones.
+// position read and jam-field evaluation per node rather than per pair)
+// and marks the nodes whose snapshot did not change since the last
+// build: with no build since the previous snapshot, a node stays stable
+// only if it was already.
 //
 //iobt:hot
 func (n *Network) snapshot() {
@@ -437,14 +475,13 @@ func (n *Network) snapshot() {
 	}
 	for i, a := range all {
 		e, was := n.endpointOf(a), &n.ends[i]
-		n.stable[i] = e.up && was.up && e.pos == was.pos && e.radio == was.radio
+		n.stable[i] = (!n.stale || n.stable[i]) && e.up && was.up && e.pos == was.pos && e.radio == was.radio
 		*was = e
 	}
-	n.cells.build(n.ends)
 }
 
-// carry keeps, in place and in order, last tick's pairs whose nodes are
-// both stable, and returns how many.
+// carry keeps, in place and in order, the last build's pairs whose nodes
+// are both stable, and returns how many.
 //
 //iobt:hot
 func (n *Network) carry() int {
@@ -560,12 +597,13 @@ func (n *Network) buildTable(cut func(a, b geo.Point) bool) {
 	}
 }
 
-// Neighbors returns the current neighbor list of id (empty for a node
-// with no link or an unknown id). The slice aliases the network's
-// table: callers must not mutate it, and it is valid only until the next
-// Refresh, which refills the same array. Copy it to keep it across an
-// engine event.
+// Neighbors returns id's neighbor list as of the last Refresh (empty for
+// a node with no link or an unknown id). The slice aliases the network's
+// table: callers must not mutate it, and it is valid only until the first
+// table read after the next Refresh, which refills the same array. Copy
+// it to keep it across an engine event.
 func (n *Network) Neighbors(id NodeID) []NodeID {
+	n.table()
 	if id < 0 || int(id)+1 >= len(n.nbrStart) {
 		return nil
 	}
@@ -573,9 +611,10 @@ func (n *Network) Neighbors(id NodeID) []NodeID {
 	return n.neighbors[lo:hi:hi]
 }
 
-// Nodes returns the IDs that currently have at least one link,
+// Nodes returns the IDs that had at least one link at the last Refresh,
 // in ascending order. Used by overlays (gossip, spanning tree).
 func (n *Network) Nodes() []NodeID {
+	n.table()
 	var out []NodeID
 	for id := 0; id+1 < len(n.nbrStart); id++ {
 		if n.nbrStart[id+1] > n.nbrStart[id] {

@@ -1,11 +1,12 @@
 package mesh
 
-// Refresh carries pairs from tick to tick, so its tests drive one
-// long-lived network through a script of world changes and, after every
-// Refresh, compare its table with two things that have no history: a
-// network built that instant over the same population, and the O(N²)
-// oracle. The same interpreter runs a generated script
-// (TestRefreshIsHistoryFree) and fuzzed bytes (FuzzRefreshScript).
+// The table build carries pairs from build to build, and builds only when
+// the table is read, so its tests drive one long-lived network through a
+// script of world changes and of ticks that are read and ticks that are
+// not. After every read Refresh they compare its table with two things
+// that have no history: a network built that instant over the same
+// population, and the O(N²) oracle. The same interpreter runs a generated
+// script (TestRefreshIsHistoryFree) and fuzzed bytes (FuzzRefreshScript).
 
 import (
 	"slices"
@@ -27,8 +28,9 @@ type scriptWorld struct {
 	net  *Network
 	tick int
 
-	// stableSum/upSum accumulate the stable share over every Refresh.
-	stableSum, upSum int
+	// stableSum/upSum accumulate the stable share over every read
+	// Refresh, and unread counts the Refreshes no read followed.
+	stableSum, upSum, unread int
 }
 
 func newScriptWorld(seed int64, terr *geo.Terrain, n int) *scriptWorld {
@@ -61,7 +63,8 @@ func (w *scriptWorld) cut() func(a, b geo.Point) bool {
 	return func(a, b geo.Point) bool { return (a.X < x) != (b.X < x) }
 }
 
-// rebuild returns a network with no past over the world as it is now.
+// rebuild returns a network with no past over the world as it is now,
+// its table already built.
 func (w *scriptWorld) rebuild() *Network {
 	cfg := DefaultConfig()
 	cfg.StepMobility = false
@@ -69,12 +72,13 @@ func (w *scriptWorld) rebuild() *Network {
 	net.SetJamming(w.jam)
 	net.SetLinkFault(w.cut)
 	net.Refresh()
+	net.Nodes()
 	return net
 }
 
 // Script operations, one (op, arg) byte pair each.
 const (
-	opStep     = iota // mobility advances arg%4+1 seconds, one Refresh each
+	opStep     = iota // mobility advances arg%4+1 seconds, one Refresh each; with arg&4 set only the last is read
 	opIdle            // the clock alone advances: only jam and cut can change
 	opKill            // a kill wave of arg%8+1 nodes from id arg
 	opRevive          // revive node arg
@@ -85,7 +89,7 @@ const (
 )
 
 // apply runs one operation and checks the table after every Refresh in
-// it.
+// it that is read.
 func (w *scriptWorld) apply(t testing.TB, op, arg byte) {
 	id := asset.ID(int(arg) * w.pop.Len() / 256)
 	a := w.pop.Get(id)
@@ -93,6 +97,12 @@ func (w *scriptWorld) apply(t testing.TB, op, arg byte) {
 	case opStep:
 		for s := 0; s < int(arg%4); s++ {
 			w.pop.StepMobility(time.Second)
+			if arg&4 != 0 {
+				w.tick++
+				w.net.Refresh()
+				w.unread++
+				continue
+			}
 			w.refreshAndCheck(t)
 		}
 		w.pop.StepMobility(time.Second)
@@ -126,6 +136,7 @@ func (w *scriptWorld) refreshAndCheck(t testing.TB) {
 	t.Helper()
 	w.tick++
 	w.net.Refresh()
+	w.net.Nodes()
 	for i, e := range w.net.ends {
 		if e.up {
 			w.upSum++
@@ -179,12 +190,13 @@ func (w *scriptWorld) run(t testing.TB, script []byte) {
 	}
 }
 
-// Refresh carries the geometry of pairs that did not move; the table
-// must not show it. Over 200+ ticks of everything that can change a link
-// — mobility with waypoint pauses, kill waves, Revive, Online toggles, a
-// teleported Static, RadioRange edits, and a jam field and a partition
-// that change with the clock alone — it equals, after every Refresh,
-// the table of a network built that instant and the brute-force oracle.
+// The build carries the geometry of pairs that did not move since the
+// last build; the table must not show it. Over 200+ ticks of everything
+// that can change a link — mobility with waypoint pauses, kill waves,
+// Revive, Online toggles, a teleported Static, RadioRange edits, and a jam
+// field and a partition that change with the clock alone — with runs of
+// ticks nobody reads between, it equals, after every read Refresh, the
+// table of a network built that instant and the brute-force oracle.
 func TestRefreshIsHistoryFree(t *testing.T) {
 	terrains := []*geo.Terrain{
 		geo.NewOpenTerrain(1500, 1500),
@@ -198,8 +210,8 @@ func TestRefreshIsHistoryFree(t *testing.T) {
 	for i, terr := range terrains {
 		w := newScriptWorld(int64(i+1), terr, 200)
 		w.run(t, historyScript(int64(i+1), ops))
-		if !testing.Short() && w.tick < 200 {
-			t.Errorf("%s: only %d ticks", terr.Kind, w.tick)
+		if !testing.Short() && (w.tick < 200 || w.unread < 30) {
+			t.Errorf("%s: only %d ticks, %d of them unread", terr.Kind, w.tick, w.unread)
 		}
 		// Both paths must have run: some pairs carried, some rescanned.
 		share := float64(w.stableSum) / float64(w.upSum)
@@ -213,8 +225,8 @@ func TestRefreshIsHistoryFree(t *testing.T) {
 }
 
 // FuzzRefreshScript feeds the same interpreter from bytes: whatever the
-// order of kills, revivals, teleports, radio edits and idle ticks, the
-// carried table equals the rebuilt one and the oracle.
+// order of kills, revivals, teleports, radio edits, idle ticks and ticks
+// nobody reads, the carried table equals the rebuilt one and the oracle.
 func FuzzRefreshScript(f *testing.F) {
 	for seed := int64(1); seed <= 3; seed++ {
 		f.Add(byte(seed), historyScript(seed, 24))

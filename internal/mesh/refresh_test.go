@@ -1,8 +1,9 @@
 package mesh
 
 // Tests for the dense topology pass: Refresh against a brute-force
-// oracle, the pre-reject margin, the zero-allocation steady state, and
-// the Neighbors aliasing contract.
+// oracle, the pre-reject margin, the zero-allocation steady state, the
+// Neighbors aliasing contract, and a table that is the one of its tick
+// however late it is built.
 
 import (
 	"encoding/binary"
@@ -175,6 +176,7 @@ func TestNeighbourTableGolden(t *testing.T) {
 			pop.StepMobility(time.Second)
 			net.Refresh()
 		}
+		net.Nodes()
 		h := fnv.New64a()
 		for _, at := range net.nbrStart {
 			h.Write(binary.LittleEndian.AppendUint32(nil, uint32(at)))
@@ -188,8 +190,9 @@ func TestNeighbourTableGolden(t *testing.T) {
 	}
 }
 
-// A steady-state Refresh allocates nothing, with no fault hook, with a
-// hook that cuts nothing, and with a cut in force.
+// A steady-state Refresh and the build its first read triggers allocate
+// nothing, with no fault hook, with a hook that cuts nothing, and with a
+// cut in force.
 func TestRefreshSteadyStateAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -201,12 +204,16 @@ func TestRefreshSteadyStateAllocatesNothing(t *testing.T) {
 	} {
 		pop, net := refreshWorld(t, 1, geo.NewOpenTerrain(1500, 1500), 1000)
 		net.SetLinkFault(tc.hook)
+		refresh := func() {
+			net.Refresh()
+			net.Neighbors(0)
+		}
 		for i := 0; i < 10; i++ { // let the scratch and the table reach capacity
 			pop.StepMobility(time.Second)
-			net.Refresh()
+			refresh()
 		}
-		if allocs := testing.AllocsPerRun(20, net.Refresh); allocs != 0 {
-			t.Errorf("%s: steady-state Refresh allocated %v per call, want 0", tc.name, allocs)
+		if allocs := testing.AllocsPerRun(20, refresh); allocs != 0 {
+			t.Errorf("%s: steady-state Refresh and build allocated %v per call, want 0", tc.name, allocs)
 		}
 	}
 }
@@ -247,7 +254,8 @@ func TestLinkFaultAskedOncePerRefresh(t *testing.T) {
 
 // Neighbors aliases the table: the slice is the network's own storage
 // (so reading it is free), cannot be appended into a neighbouring list,
-// and is not a snapshot — Refresh refills the array under it.
+// and is not a snapshot — the first read after a Refresh refills the
+// array under it.
 func TestNeighborsAliasesUntilNextRefresh(t *testing.T) {
 	_, pop, net := lineWorld(t, 5, 100)
 	held := net.Neighbors(2)
@@ -272,5 +280,58 @@ func TestNeighborsAliasesUntilNextRefresh(t *testing.T) {
 	}
 	if net.Neighbors(-1) != nil || net.Neighbors(99) != nil {
 		t.Error("unknown ids must have no neighbours")
+	}
+}
+
+// The table is the one of its tick however late it is built: a kill, an
+// Online flip, a jam-field change, or a partition coming into force and
+// asked for by Linked, between a Refresh and the first read, leaves the
+// table equal to one built at the tick, and the next Refresh shows it.
+func TestTableIsItsTicks(t *testing.T) {
+	for _, late := range []struct {
+		name   string
+		change func(w *scriptWorld)
+	}{
+		{"kill", func(w *scriptWorld) {
+			for id := 0; id < w.pop.Len(); id += 7 {
+				w.pop.Kill(asset.ID(id))
+			}
+		}},
+		{"offline", func(w *scriptWorld) {
+			for id := 0; id < w.pop.Len(); id += 5 {
+				w.pop.Get(asset.ID(id)).Online = false
+			}
+		}},
+		{"jam", func(w *scriptWorld) { w.tick += 3 }}, // still no cut at 24
+		{"partition", func(w *scriptWorld) {
+			w.tick = 25 // the cut is in force from here
+			if w.cut() == nil {
+				t.Fatal("the script's partition is not up at tick 25")
+			}
+			w.net.Linked(0, 1)
+		}},
+	} {
+		w := newScriptWorld(1, geo.NewOpenTerrain(1500, 1500), 300)
+		w.tick = 17
+		for i := 0; i < 3; i++ {
+			w.pop.StepMobility(time.Second)
+			w.refreshAndCheck(t)
+		}
+		w.pop.StepMobility(time.Second)
+		w.tick++ // 21: no cut yet
+		w.net.Refresh()
+		atTick := w.rebuild()
+		late.change(w)
+		if w.net.Nodes(); !slices.Equal(w.net.nbrStart, atTick.nbrStart) || !slices.Equal(w.net.neighbors, atTick.neighbors) {
+			t.Fatalf("%s after the Refresh: the table (%d links) differs from the one built at the tick (%d)",
+				late.name, len(w.net.neighbors)/2, len(atTick.neighbors)/2)
+		}
+		w.net.Refresh()
+		if w.net.Nodes(); slices.Equal(w.net.neighbors, atTick.neighbors) {
+			t.Errorf("%s: the next Refresh left the table as it was, so the test checked nothing", late.name)
+		}
+		if fresh := w.rebuild(); !slices.Equal(w.net.nbrStart, fresh.nbrStart) || !slices.Equal(w.net.neighbors, fresh.neighbors) {
+			t.Errorf("%s: the next Refresh's table differs from one built from nothing", late.name)
+		}
 	}
 }

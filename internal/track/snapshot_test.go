@@ -91,12 +91,12 @@ func TestTrackerRestoreRefusesClaimedCount(t *testing.T) {
 		e.Int(tracks)
 		return e
 	}
-	withSensors := func(sensors int) []byte {
+	withSensors := func(sensors int64) []byte { // 64-bit, so 1<<40 builds on 32-bit hosts too
 		e := header(1)
 		for range 24 { // ID, LastUpdate, Hits, X, P, Q
 			e.Int(0)
 		}
-		e.Int(sensors)
+		e.Int64(sensors) // the wire form of Int
 		return e.Bytes()
 	}
 	for _, c := range []struct {
