@@ -63,7 +63,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		addr      = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		workers   = fs.Int("workers", 4, "concurrent mission workers")
 		queue     = fs.Int("queue", 64, "bounded admission queue depth (overflow is rejected with 429)")
-		data      = fs.String("data", "", "directory for durable checkpoints and reproducer snapshots (empty: in-memory only)")
+		data      = fs.String("data", "", "directory for durable checkpoints and reproducer snapshots; mission IDs continue above the highest already in it (empty: in-memory only)")
 		restarts  = fs.Int("max-restarts", 3, "supervised restarts per mission before quarantine (0: none)")
 		stall     = fs.Duration("stall-after", 2*time.Second, "watchdog stall deadline: restart a mission with no event progress for this long (0 or negative disables)")
 		maxWall   = fs.Duration("max-wall", 0, "per-mission wall-clock budget (0: unlimited)")

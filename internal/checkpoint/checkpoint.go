@@ -120,11 +120,9 @@ type Coordinator struct {
 	OnCheckpoint func(*Checkpoint)
 
 	// Taken counts checkpoints captured; Skipped counts gated ticks;
-	// Restores counts RestoreLast calls; BytesTotal accumulates encoded
-	// checkpoint sizes.
+	// BytesTotal accumulates encoded checkpoint sizes.
 	Taken      sim.Counter
 	Skipped    sim.Counter
-	Restores   sim.Counter
 	BytesTotal sim.Counter
 }
 
@@ -182,9 +180,8 @@ func (c *Coordinator) TakeNow() *Checkpoint {
 
 // Capture encodes every registered component exactly like TakeNow but
 // with no side effects: the sequence counter, the restore point, the
-// counters, and the OnCheckpoint observer are all untouched. The
-// mission service uses it to compare live state against a persisted
-// snapshot without perturbing the run being compared.
+// counters, and the OnCheckpoint observer are all untouched, so live
+// state can be measured or compared without perturbing the run.
 func (c *Coordinator) Capture() *Checkpoint {
 	ck := &Checkpoint{Seq: c.seq, At: c.eng.Now()}
 	for _, s := range c.comps {
@@ -200,28 +197,19 @@ func (c *Coordinator) Last() *Checkpoint { return c.last }
 // component, in registration order. It returns an error naming the
 // first component whose Restore failed, or when no checkpoint exists.
 func (c *Coordinator) RestoreLast() error {
-	if c.last == nil {
-		return fmt.Errorf("checkpoint: no checkpoint to restore")
-	}
-	return c.RestoreCheckpoint(c.last, nil)
+	return c.RestoreCheckpoint(c.last)
 }
 
-// RestoreCheckpoint replays an arbitrary checkpoint — typically one
-// recovered from a journal file rather than taken this run — into the
-// registered components, in registration order. include, when non-nil,
-// filters by section name; a false return skips that component (the
-// mission service skips the ARQ window, whose Restore deliberately
-// requeues in-flight traffic — failover semantics, not replay
-// semantics). Components without a matching section are skipped.
-func (c *Coordinator) RestoreCheckpoint(ck *Checkpoint, include func(name string) bool) error {
+// RestoreCheckpoint replays a checkpoint into the registered
+// components, in registration order. Components without a matching
+// section are skipped, so a checkpoint of one section restores that
+// component alone.
+func (c *Coordinator) RestoreCheckpoint(ck *Checkpoint) error {
 	if ck == nil {
 		return fmt.Errorf("checkpoint: no checkpoint to restore")
 	}
 	for _, s := range c.comps {
 		name := s.SnapshotName()
-		if include != nil && !include(name) {
-			continue
-		}
 		data := ck.Section(name)
 		if data == nil {
 			// Component registered after the cut: nothing to restore.
@@ -231,6 +219,5 @@ func (c *Coordinator) RestoreCheckpoint(ck *Checkpoint, include func(name string
 			return fmt.Errorf("checkpoint: restore %s: %w", name, err)
 		}
 	}
-	c.Restores.Inc()
 	return nil
 }

@@ -28,7 +28,7 @@ func E16Service(seed int64, quick bool) *Table {
 			"a mission in restart backoff holds no worker, so once the pool keeps the host's CPUs busy " +
 			"a larger pool adds no throughput, and recovery time stays flat: it runs from the crash to the " +
 			"recovering attempt's first event, so it is the backoff plus the mission build, and the attempt " +
-			"then re-runs the mission from t = 0 to the checkpoint cut it restores",
+			"then re-runs the mission from t = 0, checking each retaken cut against its persisted digest",
 	}
 
 	pools := []int{2, 4, 8}

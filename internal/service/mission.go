@@ -23,8 +23,8 @@ const (
 	// StateRunning: a worker is executing an attempt.
 	StateRunning
 	// StateRestarting: the last attempt crashed or stalled; the mission
-	// is waiting out its backoff, holding no worker, before restarting
-	// from the latest checkpoint.
+	// is waiting out its backoff, holding no worker, before it replays
+	// from t = 0 to its latest durable cut.
 	StateRestarting
 	// StateCompleted: ran to its horizon with every invariant intact.
 	StateCompleted
@@ -98,7 +98,8 @@ type Mission struct {
 	// run the next one. Only the worker running the mission touches
 	// these; the Service's mu hands them from one worker to the next.
 	store      *checkpoint.Store
-	persisted  []checkpoint.Record
+	digests    map[int]uint64 // durable cut seq → digest
+	anchor     int            // seq of the latest durable cut; 0: none
 	backoffRNG *sim.RNG
 	timer      *time.Timer // armed restart backoff; guarded by Service.mu
 
@@ -244,7 +245,7 @@ func (m *Mission) noteFailure(crash bool) {
 }
 
 // persist makes a fresh cut durable: appended to m's store and synced
-// when there is one, then kept as m's latest anchor and counted.
+// when there is one, then its digest kept, its seq made the anchor.
 func (m *Mission) persist(rec checkpoint.Record) error {
 	if m.store != nil {
 		if err := m.store.Append(rec); err != nil {
@@ -254,7 +255,7 @@ func (m *Mission) persist(rec checkpoint.Record) error {
 			return err
 		}
 	}
-	m.persisted = append(m.persisted, rec)
+	m.digests[rec.Seq], m.anchor = rec.Checkpoint.Digest(), rec.Seq
 	m.mu.Lock()
 	m.checkpoints++
 	m.checkpointBytes += rec.Checkpoint.Bytes()

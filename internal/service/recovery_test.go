@@ -51,19 +51,32 @@ func runOne(t *testing.T, cfg Config, sc verify.Scenario) *Mission {
 func runService(t *testing.T, cfg Config, sc verify.Scenario) (*Service, *Mission) {
 	t.Helper()
 	svc := New(cfg)
-	m, err := svc.SubmitScenario(sc)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
+	return svc, drainAll(t, svc, sc)[0]
+}
+
+// drainAll submits each scenario to svc in turn, drains it and requires
+// every mission terminal.
+func drainAll(t *testing.T, svc *Service, scs ...verify.Scenario) []*Mission {
+	t.Helper()
+	var ms []*Mission
+	for _, sc := range scs {
+		m, err := svc.SubmitScenario(sc)
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		ms = append(ms, m)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 	if err := svc.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if st := m.State(); !terminal(st) {
-		t.Fatalf("mission not terminal after drain: %s", st)
+	for _, m := range ms {
+		if st := m.State(); !terminal(st) {
+			t.Fatalf("mission %s not terminal after drain: %s", m.ID, st)
+		}
 	}
-	return svc, m
+	return ms
 }
 
 // recoveryVariants are recoveryScenario(seed) and the same mission with
@@ -215,74 +228,58 @@ func TestRunnerVerifyReplay(t *testing.T) {
 	}
 }
 
-// TestRecoveryAcrossStoreReopen proves the anchor really is the disk
-// record, not in-process memory: recover a mission whose checkpoint
-// journal was written by a different service instance (a "restarted
-// process"), seeding recovery purely from the recovered file.
-func TestRecoveryAcrossStoreReopen(t *testing.T) {
-	sc := recoveryScenario(1501)
+// TestRecoveryAcrossServiceRestart runs two service instances in turn
+// on one data directory, as a restarted iobtd -data does. The first
+// crash-loops a mission to quarantine, leaving its durable cuts behind.
+// The second must hand its missions fresh IDs above the directory's, so
+// neither a different scenario nor the same one opens the old store:
+// both complete as clean runs, recovered from nothing, with verify.Run's
+// fingerprints, and the old store keeps every record it had.
+func TestRecoveryAcrossServiceRestart(t *testing.T) {
 	dir := t.TempDir()
-
-	// First service: crash the mission on every attempt so it ends
-	// quarantined, leaving durable checkpoints behind.
-	svc := New(Config{
+	first := drainAll(t, New(Config{
 		Workers:     1,
 		DataDir:     dir,
 		MaxRestarts: 1,
 		Chaos:       ChaosConfig{CrashProb: 1, AtFrac: 0.6, CrashAttempts: 99},
-	})
-	m1, err := svc.SubmitScenario(sc)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
+	}), recoveryScenario(1501))[0]
+	if first.State() != StateQuarantined {
+		t.Fatalf("always-crashing mission ended %s, want quarantined", first.State())
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if err := svc.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if m1.State() != StateQuarantined {
-		t.Fatalf("always-crashing mission ended %s, want quarantined", m1.State())
-	}
-	recs, err := checkpoint.RecoverStore(filepath.Join(dir, m1.ID+".ckpt"))
+	store := filepath.Join(dir, first.ID+".ckpt")
+	recs, err := checkpoint.RecoverStore(store)
 	if err != nil || len(recs) == 0 {
 		t.Fatalf("no durable checkpoints survived the crash loop: %d records, err %v", len(recs), err)
 	}
 
-	// Second service, same data dir: submit the same scenario chaos-free.
-	// Its mission gets the same ID (fresh service, same ordering), so
-	// OpenStore recovers the first instance's records and the very first
-	// attempt starts as a recovery, anchored at the durable cut.
-	svc2 := New(Config{Workers: 1, DataDir: dir})
-	m2, err := svc2.SubmitScenario(sc)
-	if err != nil {
-		t.Fatalf("submit 2: %v", err)
+	scs := []verify.Scenario{recoveryScenario(3), recoveryScenario(1501)}
+	for i, m := range drainAll(t, New(Config{Workers: 1, DataDir: dir}), scs...) {
+		if m.ID <= first.ID {
+			t.Errorf("restarted service reused ID %s (first instance's mission was %s)", m.ID, first.ID)
+		}
+		if m.State() != StateCompleted {
+			t.Fatalf("seed %d ended %s (%s), want completed", scs[i].Seed, m.State(), m.Reason())
+		}
+		if v := m.View(); v.RecoveredFrom != 0 {
+			t.Errorf("seed %d recovered from seq %d of another mission's store", scs[i].Seed, v.RecoveredFrom)
+		}
+		if got, want := m.Fingerprint(), verify.Run(scs[i]).Fingerprint; got != want {
+			t.Errorf("seed %d fingerprint %016x != verify.Run's %016x", scs[i].Seed, got, want)
+		}
 	}
-	if m2.ID != m1.ID {
-		t.Fatalf("mission IDs diverge across instances: %s vs %s", m2.ID, m1.ID)
-	}
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel2()
-	if err := svc2.Drain(ctx2); err != nil {
-		t.Fatalf("drain 2: %v", err)
-	}
-	if m2.State() != StateCompleted {
-		t.Fatalf("recovered mission ended %s (%s), want completed", m2.State(), m2.Reason())
-	}
-	if m2.View().RecoveredFrom == 0 {
-		t.Fatal("second instance did not anchor at the recovered checkpoint")
-	}
-
-	clean := runOne(t, Config{Workers: 1}, sc)
-	if div := checkpoint.Compare(m2.journal, clean.journal); div != nil {
-		t.Fatalf("cross-process recovery diverges from uncrashed run:\n%s", div)
+	after, err := checkpoint.RecoverStore(store)
+	if err != nil || len(after) != len(recs) {
+		t.Fatalf("first instance's store holds %d records (err %v), want its %d", len(after), err, len(recs))
 	}
 }
 
 // TestRecoveryRefusesTamperedCheckpoint pins the anchor guard: a
 // recovering attempt whose replay does not reproduce the persisted
 // anchor must fail the mission with a divergence naming the anchor's
-// seq, not restore it. The records come from a crash loop's store and
-// are rewritten, altered, into a fresh data directory.
+// seq, and count no recovery. The records come from a crash loop's
+// store and are rewritten, altered, into a fresh data directory after
+// the service started and before the mission is submitted, so the
+// anchor is read from disk.
 func TestRecoveryRefusesTamperedCheckpoint(t *testing.T) {
 	sc := recoveryScenario(1801)
 	src := t.TempDir()
@@ -328,6 +325,7 @@ func TestRecoveryRefusesTamperedCheckpoint(t *testing.T) {
 			seq := anchor.Seq
 
 			dst := t.TempDir()
+			svc := New(Config{Workers: 1, DataDir: dst})
 			st, _, err := checkpoint.OpenStore(filepath.Join(dst, file))
 			if err != nil {
 				t.Fatalf("open store: %v", err)
@@ -341,7 +339,7 @@ func TestRecoveryRefusesTamperedCheckpoint(t *testing.T) {
 				t.Fatalf("close store: %v", err)
 			}
 
-			svc, m := runService(t, Config{Workers: 1, DataDir: dst}, sc)
+			m := drainAll(t, svc, sc)[0]
 			if m.ID+".ckpt" != file {
 				t.Fatalf("mission ID %s does not match the store %s", m.ID, file)
 			}
@@ -370,6 +368,41 @@ func TestRecoveryRefusesTamperedCheckpoint(t *testing.T) {
 				t.Fatalf("store holds %d records after the refused recovery, want the %d it had", len(after), len(recs))
 			}
 		})
+	}
+}
+
+// TestRecoveryWithoutCoordinatorDiverges: a mission with checkpointing
+// off has no coordinator and retakes no cut, so a durable anchor in its
+// store is never reached and the mission fails with a divergence
+// naming that anchor's seq, counting no recovery.
+func TestRecoveryWithoutCoordinatorDiverges(t *testing.T) {
+	sc := recoveryScenario(1801)
+	sc.Checkpoint = 0
+	dir := t.TempDir()
+	svc := New(Config{Workers: 1, DataDir: dir, CheckpointEvery: -1})
+	st, _, err := checkpoint.OpenStore(filepath.Join(dir, "m-000001.ckpt"))
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	ck := &checkpoint.Checkpoint{Seq: 2, At: 10 * time.Second,
+		Sections: []checkpoint.Section{{Name: "runtime", Data: []byte{1}}}}
+	if err := st.Append(checkpoint.Record{Seq: ck.Seq, At: ck.At, Processed: 1, Checkpoint: ck}); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("close store: %v", err)
+	}
+
+	m := drainAll(t, svc, sc)[0]
+	if m.State() != StateFailed {
+		t.Fatalf("mission with no coordinator ended %s (%s), want failed", m.State(), m.Reason())
+	}
+	if reason := m.Reason(); !strings.Contains(reason, errDivergence.Error()) ||
+		!strings.Contains(reason, "anchor seq 2 ") {
+		t.Fatalf("failure reason %q is not a divergence naming anchor seq 2", reason)
+	}
+	if got := svc.Telemetry().Recoveries; got != 0 {
+		t.Errorf("telemetry counts %d recoveries, want 0", got)
 	}
 }
 

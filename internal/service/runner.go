@@ -20,16 +20,14 @@ import (
 // same order every attempt, so a recovery attempt replays the crashed
 // one event for event up to the cut.
 //
-// A retry re-runs the mission from t = 0 against its latest persisted
-// checkpoint, the anchor; a mission that crashed before its first cut
-// has none and simply runs again. Each cut the retry retakes whose seq
-// is already durable must digest identically to the persisted record,
-// or the attempt fails with errDivergence. When the retaken cut is the
-// anchor, the hook restores the persisted anchor there, skipping the
-// ARQ window, whose Restore deliberately requeues in-flight traffic
-// (failover semantics, not replay semantics; the replayed live window
-// is already byte-identical), and counts the mission's recovery. A run
-// that reaches its horizon without retaking the anchor has diverged too.
+// A retry re-runs the mission from t = 0 to its latest persisted cut,
+// the anchor; a mission that crashed before its first cut has none and
+// simply runs again. Recovery is verified replay, nothing more: each cut
+// the retry retakes whose seq is already durable must digest identically
+// to the persisted record, or the attempt fails with errDivergence, and
+// the mission counts its recovery when the retaken anchor matches. A run
+// that reaches its horizon without retaking the anchor (a mission with
+// no checkpoint coordinator retakes none) has diverged too.
 
 // Attempt failure taxonomy. Restartable: errPanicked, errStalled.
 var (
@@ -63,12 +61,12 @@ type chaosPlan struct {
 const progressEvery = time.Second
 
 // attempt runs m's next attempt through verify.RunAttempt, recording
-// into j and recovering from anchor (nil: a fresh start). Around the run
-// sit the panic fence, which turns a worker crash into errPanicked, and
-// the cancel hook through which the watchdog and the budgets abort it;
-// its prestart registers the checkpoint hook, the progress heartbeat,
-// the admission stamp and chaos.
-func (s *Service) attempt(m *Mission, j *checkpoint.Journal, anchor *checkpoint.Record) (out *verify.Outcome, aerr error) {
+// into j and replaying to the durable cut anchor (0: a fresh start).
+// Around the run sit the panic fence, which turns a worker crash into
+// errPanicked, and the cancel hook through which the watchdog and the
+// budgets abort it; its prestart registers the checkpoint hook, the
+// progress heartbeat, the admission stamp and chaos.
+func (s *Service) attempt(m *Mission, j *checkpoint.Journal, anchor int) (out *verify.Outcome, aerr error) {
 	defer func() {
 		if p := recover(); p != nil {
 			aerr = fmt.Errorf("%w: %v", errPanicked, p)
@@ -79,21 +77,11 @@ func (s *Service) attempt(m *Mission, j *checkpoint.Journal, anchor *checkpoint.
 	m.setCancel(cancel)
 	defer m.setCancel(nil)
 
-	// Already-durable seqs and their digests: a replayed cut is
-	// cross-checked against its record instead of persisted again.
-	digests := make(map[int]uint64, len(m.persisted))
-	for _, r := range m.persisted {
-		digests[r.Seq] = r.Checkpoint.Digest()
-	}
 	chaos := s.chaosFor(m)
-	built, restored := false, false
+	built, retaken := false, false
 	out, err := verify.RunAttempt(ctx, m.Scenario, j, func(w *core.World, r *core.Runtime) error {
 		built = true
-		coord := r.Checkpoints()
-		if anchor != nil && coord == nil {
-			return fmt.Errorf("%w: checkpoint record exists but the mission has no coordinator", errDivergence)
-		}
-		if coord != nil {
+		if coord := r.Checkpoints(); coord != nil {
 			prev := coord.OnCheckpoint
 			coord.OnCheckpoint = func(ck *checkpoint.Checkpoint) {
 				if prev != nil {
@@ -104,7 +92,9 @@ func (s *Service) attempt(m *Mission, j *checkpoint.Journal, anchor *checkpoint.
 						errCheckpointBudget, ck.Seq, ck.Bytes(), limit))
 					return
 				}
-				want, durable := digests[ck.Seq]
+				// A durable seq is replayed ground: the retaken cut must
+				// digest like its record, or the replay has diverged.
+				want, durable := m.digests[ck.Seq]
 				if !durable {
 					rec := checkpoint.Record{Seq: ck.Seq, At: ck.At, Processed: w.Eng.Processed(), Checkpoint: ck}
 					if err := m.persist(rec); err != nil {
@@ -112,20 +102,13 @@ func (s *Service) attempt(m *Mission, j *checkpoint.Journal, anchor *checkpoint.
 					}
 					return
 				}
-				// Replaying already-durable ground: the retaken cut must
-				// digest identically, or the replay has silently diverged.
 				if got := ck.Digest(); got != want {
 					cancel(fmt.Errorf("%w: replayed cut seq %d digest %016x != persisted %016x",
 						errDivergence, ck.Seq, got, want))
 					return
 				}
-				if anchor != nil && ck.Seq == anchor.Seq {
-					if err := coord.RestoreCheckpoint(anchor.Checkpoint,
-						func(name string) bool { return name != "arq" }); err != nil {
-						cancel(fmt.Errorf("%w: %v", errDivergence, err))
-						return
-					}
-					restored = true
+				if ck.Seq == anchor {
+					retaken = true
 					m.mu.Lock()
 					m.recoveries++
 					m.mu.Unlock()
@@ -161,9 +144,9 @@ func (s *Service) attempt(m *Mission, j *checkpoint.Journal, anchor *checkpoint.
 		return nil, fmt.Errorf("%w: %v", errSynthesis, err)
 	case err != nil:
 		return nil, err
-	case anchor != nil && !restored:
+	case anchor != 0 && !retaken:
 		return nil, fmt.Errorf("%w: anchor seq %d was not retaken before the horizon (%s)",
-			errDivergence, anchor.Seq, m.Scenario.Horizon)
+			errDivergence, anchor, m.Scenario.Horizon)
 	}
 	return out, nil
 }

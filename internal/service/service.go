@@ -6,8 +6,8 @@
 // clock, and crashed or stalled missions restart, replaying to their
 // latest persisted checkpoint — with exponential backoff and a
 // quarantine bound so a crash loop cannot starve the pool. Recovery is
-// verified, not assumed: the replayed state is byte-compared against the
-// persisted cut before the mission continues (see runner.go).
+// verified, not assumed: each replayed cut's digest is compared with its
+// persisted record before the mission continues (see runner.go).
 //
 // The paper's IoBT must "survive in the presence of failures, attacks
 // and compromises"; this package applies that demand to the mission
@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -195,6 +196,7 @@ type Service struct {
 	draining bool
 	stopped  bool
 	nextID   int
+	idErr    error // DataDir could not be listed: every mission fails at open
 	byID     map[string]*Mission
 	order    []*Mission
 
@@ -210,7 +212,7 @@ type Service struct {
 }
 
 // New starts a service: the worker pool and the watchdog begin
-// immediately.
+// immediately; mission IDs continue above the highest in DataDir.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancelCause(context.Background())
@@ -221,6 +223,7 @@ func New(cfg Config) *Service {
 		wdDone: make(chan struct{}),
 		byID:   make(map[string]*Mission),
 	}
+	s.nextID, s.idErr = lastID(cfg.DataDir)
 	s.wake = sync.NewCond(&s.mu)
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -549,10 +552,7 @@ func (s *Service) step(m *Mission) (restart bool, backoff time.Duration) {
 		}
 	}
 
-	var anchor *checkpoint.Record
-	if n := len(m.persisted); n > 0 {
-		anchor = &m.persisted[n-1]
-	}
+	anchor := m.anchor // persist moves m.anchor as the attempt cuts
 	j := checkpoint.NewJournal(m.Scenario.Seed, m.Scenario.Plan.String())
 	m.beginAttempt()
 	out, err := s.attempt(m, j, anchor)
@@ -583,11 +583,15 @@ func (s *Service) step(m *Mission) (restart bool, backoff time.Duration) {
 
 // open sets up m's supervision state before its first attempt: the
 // backoff stream and, with a data directory, the checkpoint store and
-// the records it already holds.
+// the digests of the records it already holds.
 func (s *Service) open(m *Mission) error {
 	m.backoffRNG = sim.NewRNG(m.Scenario.Seed).Derive("service.backoff")
+	m.digests = make(map[int]uint64)
 	if s.cfg.DataDir == "" {
 		return nil
+	}
+	if s.idErr != nil {
+		return fmt.Errorf("mission IDs not resumed: %w", s.idErr)
 	}
 	// A fresh deployment's data directory may not exist yet; an operator
 	// pointing -data at a new path should not watch every mission fail
@@ -599,8 +603,33 @@ func (s *Service) open(m *Mission) error {
 	if err != nil {
 		return err
 	}
-	m.store, m.persisted = st, recs
+	m.store = st
+	for _, r := range recs {
+		m.digests[r.Seq], m.anchor = r.Checkpoint.Digest(), r.Seq
+	}
 	return nil
+}
+
+// lastID returns the highest mission number among dir's file names
+// (m-NNNNNN, whatever the suffix), so a restarted service never hands a
+// new mission an old one's store. A directory that does not exist, the
+// empty name included, holds none.
+func lastID(dir string) (int, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			err = nil
+		}
+		return 0, err
+	}
+	top := 0
+	for _, e := range ents {
+		var n int
+		if _, serr := fmt.Sscanf(e.Name(), "m-%d", &n); serr == nil {
+			top = max(top, n)
+		}
+	}
+	return top, nil
 }
 
 // backoff is BackoffBase·2^(n-1) capped at backoffMax, plus up to 25%
@@ -617,17 +646,15 @@ func (s *Service) backoff(n int, rng *sim.RNG) time.Duration {
 	return d
 }
 
-// conclude records a finished attempt's outcome, journal and anchor
-// (nil: none) and the terminal state: completed when clean, degraded
+// conclude records a finished attempt's outcome, journal and anchor seq
+// (0: none) and the terminal state: completed when clean, degraded
 // (with a reproducer snapshot) when an invariant was violated.
-func (s *Service) conclude(m *Mission, out *verify.Outcome, j *checkpoint.Journal, anchor *checkpoint.Record) {
+func (s *Service) conclude(m *Mission, out *verify.Outcome, j *checkpoint.Journal, anchor int) {
 	m.mu.Lock()
 	m.fingerprint = out.Fingerprint
 	m.summary = out.Summary
 	m.journal = j
-	if anchor != nil {
-		m.recoveredFrom = anchor.Seq
-	}
+	m.recoveredFrom = anchor
 	m.violations = m.violations[:0]
 	for _, v := range out.Violations {
 		m.violations = append(m.violations, v.String())

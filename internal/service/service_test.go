@@ -479,3 +479,18 @@ func TestDataDirCreatedOnDemand(t *testing.T) {
 		t.Errorf("journal file missing from created data dir: %v", err)
 	}
 }
+
+// TestUnlistableDataDirFailsMissions: a data directory that exists but
+// cannot be listed leaves the next free mission ID unknown, so every
+// mission fails at store-open with the listing error instead of
+// guessing an ID that may be an old mission's store.
+func TestUnlistableDataDirFailsMissions(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := runOne(t, Config{Workers: 1, DataDir: dir}, smallScenario(3002))
+	if st, reason := m.State(), m.Reason(); st != StateFailed || !strings.Contains(reason, "mission IDs not resumed") {
+		t.Fatalf("mission ended %s (%s), want failed naming the unlisted data dir", st, reason)
+	}
+}
