@@ -114,7 +114,7 @@ func BenchmarkAblationComposeAnneal(b *testing.B) {
 	req, pool := compositionInstance()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = compose.AnnealSolver{RNG: sim.NewRNG(int64(i)), Steps: 2000}.Solve(req, pool)
+		_, _ = compose.AnnealSolver{RNG: sim.NewRNG(int64(i))}.Solve(req, pool)
 	}
 }
 
@@ -122,7 +122,7 @@ func BenchmarkAblationComposeRandom(b *testing.B) {
 	req, pool := compositionInstance()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = compose.RandomSolver{RNG: sim.NewRNG(int64(i)), Attempts: 10}.Solve(req, pool)
+		_, _ = compose.RandomSolver{RNG: sim.NewRNG(int64(i))}.Solve(req, pool)
 	}
 }
 

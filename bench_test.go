@@ -153,13 +153,13 @@ func BenchmarkKrumAggregate(b *testing.B) {
 
 func BenchmarkFederatedRound(b *testing.B) {
 	rng := sim.NewRNG(1)
-	train := learn.GenDataset(rng, learn.GenConfig{N: 2000, Dim: 5, Noise: 0.05})
+	train := learn.GenDataset(rng, learn.GenConfig{N: 2000, Dim: 5})
 	test := learn.GenDatasetFromW(rng, train.TrueW, 200, 0.05)
 	shards := train.Split(rng, 20, 0.3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = learn.RunFederated(rng.Derive("fed"), shards, test, learn.FedConfig{
-			Rounds: 1, LocalSteps: 5, LR: 0.5, Agg: learn.MedianAgg{},
+		_ = learn.RunFederated(shards, test, learn.FedConfig{
+			Rounds: 1, Agg: learn.MedianAgg{},
 		})
 	}
 }

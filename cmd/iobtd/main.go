@@ -4,8 +4,9 @@
 //
 // Where iobtsim runs one mission and exits, iobtd multiplexes many
 // concurrent missions and keeps its promises under failure: panicking
-// workers are contained, stalled missions are restarted from their
-// latest checkpoint, restart storms are quarantined, the admission
+// workers are contained, stalled missions are re-run from t = 0 with
+// every retaken checkpoint checked against its persisted digest,
+// restart storms are quarantined, the admission
 // queue is bounded (429 on overflow), and shutdown drains every
 // admitted mission before exiting.
 //

@@ -25,7 +25,6 @@ func main() {
 		Churn: &asset.ChurnConfig{
 			FailRatePerMin:   0.01,
 			ArriveRatePerMin: 10,
-			ReviveProb:       0.5,
 		},
 	})
 	defer world.Stop()

@@ -19,12 +19,12 @@ type ChurnConfig struct {
 	// ArriveRatePerMin is the expected number of new assets arriving per
 	// simulated minute.
 	ArriveRatePerMin float64
-	// ReviveProb is the probability a failed asset comes back when an
-	// arrival event fires (repair/redeploy) instead of a fresh asset.
-	ReviveProb float64
 }
 
-const churnTick = 5 * time.Second
+const (
+	churnTick  = 5 * time.Second
+	reviveProb = 0.5 // an arrival's chance to redeploy a failed asset
+)
 
 // Churn drives stochastic failures and arrivals on a population. Create
 // it with NewChurn and start it with Start; it schedules itself on the
@@ -111,8 +111,7 @@ func (c *Churn) tick() {
 }
 
 func (c *Churn) arriveOne() ID {
-	// Prefer reviving a dead asset (redeployment) with ReviveProb.
-	if len(c.dead) > 0 && c.rng.Bool(c.cfg.ReviveProb) {
+	if len(c.dead) > 0 && c.rng.Bool(reviveProb) {
 		id := c.dead[len(c.dead)-1]
 		c.dead = c.dead[:len(c.dead)-1]
 		c.pop.Revive(id)

@@ -151,7 +151,7 @@ func TestChurnFailuresAndArrivals(t *testing.T) {
 	terr := geo.NewOpenTerrain(1000, 1000)
 	p := Generate(terr, DefaultMix(500), eng.Stream("gen"))
 	before := aliveCount(p)
-	ch := NewChurn(eng, p, ChurnConfig{FailRatePerMin: 0.05, ArriveRatePerMin: 5, ReviveProb: 0.5})
+	ch := NewChurn(eng, p, ChurnConfig{FailRatePerMin: 0.05, ArriveRatePerMin: 5})
 	var failEvents, arriveEvents int
 	ch.OnFail = func(ID) { failEvents++ }
 	ch.OnArrive = func(ID) { arriveEvents++ }

@@ -116,8 +116,10 @@ type Coordinator struct {
 	// false return skips the cut (e.g. the command post is down and a
 	// snapshot now would capture the crashed state).
 	Gate func() bool
-	// OnCheckpoint, when set, observes each completed cut (journaling).
-	OnCheckpoint func(*Checkpoint)
+	// OnCheckpoint, when set, observes each completed cut with its
+	// Digest, computed once for every consumer (journaling, the
+	// service's durable store).
+	OnCheckpoint func(ck *Checkpoint, digest uint64)
 
 	// Taken counts checkpoints captured; Skipped counts gated ticks;
 	// BytesTotal accumulates encoded checkpoint sizes.
@@ -173,7 +175,7 @@ func (c *Coordinator) TakeNow() *Checkpoint {
 	c.Taken.Inc()
 	c.BytesTotal.Add(ck.Bytes())
 	if c.OnCheckpoint != nil {
-		c.OnCheckpoint(ck)
+		c.OnCheckpoint(ck, ck.Digest())
 	}
 	return ck
 }

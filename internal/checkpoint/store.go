@@ -11,9 +11,10 @@ import (
 
 // This file is the durability layer under the coordinator: an
 // append-only journal file of checkpoint records, one file per
-// mission. The mission service persists every periodic cut here so a
-// crashed worker can be restarted from its latest snapshot instead of
-// from nothing. The format is built for crash consistency: a process
+// mission. The mission service persists every periodic cut here; a
+// retried attempt re-runs the mission from t = 0 and checks each cut it
+// retakes against the digest of the persisted one, so recovery is
+// verified replay. The format is built for crash consistency: a process
 // can die mid-append (torn write) or scribble on the tail, and
 // recovery must still yield every record written before the damage —
 // never an error for a recoverable file, never a silently accepted

@@ -15,34 +15,30 @@ import (
 type AnnealSolver struct {
 	// RNG drives the Metropolis chain; nil defaults to a fixed seed.
 	RNG *sim.RNG
-	// Steps is the chain length; zero defaults to 4000.
-	Steps int
-	// StartTemp and CoolRate shape the geometric schedule; zero values
-	// default to 5.0 and 0.999.
-	StartTemp float64
-	CoolRate  float64
 }
+
+// The chain: annealSteps Metropolis steps on a geometric schedule from
+// annealStartTemp, cooled by annealCoolRate each step.
+const (
+	annealSteps     = 4000
+	annealStartTemp = 5.0
+	annealCoolRate  = 0.999
+)
 
 var _ Solver = (*AnnealSolver)(nil)
 
 // Solve implements Solver.
 func (s AnnealSolver) Solve(req Requirements, pool []Candidate) (*Composite, error) {
+	return s.solve(req, pool, annealSteps)
+}
+
+// solve runs a chain of the given length.
+func (s AnnealSolver) solve(req Requirements, pool []Candidate, steps int) (*Composite, error) {
 	rng := s.RNG
 	if rng == nil {
 		rng = sim.NewRNG(1)
 	}
-	steps := s.Steps
-	if steps <= 0 {
-		steps = 4000
-	}
-	temp := s.StartTemp
-	if temp <= 0 {
-		temp = 5
-	}
-	cool := s.CoolRate
-	if cool <= 0 || cool >= 1 {
-		cool = 0.999
-	}
+	temp := annealStartTemp
 	eligible := filterEligible(req, pool)
 	if len(eligible) == 0 {
 		return nil, ErrInfeasible
@@ -82,7 +78,7 @@ func (s AnnealSolver) Solve(req Requirements, pool []Candidate) (*Composite, err
 		} else {
 			st.flip(i) // reject: undo
 		}
-		temp *= cool
+		temp *= annealCoolRate
 	}
 
 	members := make([]Candidate, 0, len(best))

@@ -28,7 +28,7 @@ func TestAnnealNotWorseThanGreedyBySize(t *testing.T) {
 	if err != nil {
 		t.Fatalf("greedy: %v", err)
 	}
-	ann, err := AnnealSolver{RNG: sim.NewRNG(2), Steps: 6000}.Solve(req, pool)
+	ann, err := AnnealSolver{RNG: sim.NewRNG(2)}.solve(req, pool, 6000)
 	if err != nil {
 		t.Fatalf("anneal: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestAnnealRespectsMaxMembers(t *testing.T) {
 	g.CoverageFrac = 0.5
 	g.MaxMembers = 6
 	req := Derive(g)
-	comp, err := AnnealSolver{RNG: sim.NewRNG(4), Steps: 8000}.Solve(req, pool)
+	comp, err := AnnealSolver{RNG: sim.NewRNG(4)}.solve(req, pool, 8000)
 	if err != nil {
 		t.Fatalf("anneal: %v (violations %v)", err, comp.Assurance.Violations)
 	}

@@ -40,11 +40,8 @@ type Goal struct {
 	Compute   float64
 	Bandwidth float64
 	// MaxLatency bounds the worst-case in-composite delivery latency
-	// (diameter hops x PerHop). Zero disables the check.
+	// (diameter hops x perHop). Zero disables the check.
 	MaxLatency time.Duration
-	// PerHop is the per-hop latency estimate used for the latency
-	// assurance; zero defaults to 5ms.
-	PerHop time.Duration
 	// MinTrust excludes candidates below this trust score.
 	MinTrust float64
 	// MaxRiskFrac bounds the fraction of members that are gray or
@@ -53,6 +50,10 @@ type Goal struct {
 	// MaxMembers caps composite size; 0 means unlimited.
 	MaxMembers int
 }
+
+// perHop is the per-hop latency estimate used for the latency
+// assurance.
+const perHop = 5 * time.Millisecond
 
 // Requirements is the machine-checkable derivation of a Goal: the
 // concrete coverage cells, resource totals, and structural constraints
@@ -76,9 +77,6 @@ type Requirements struct {
 func Derive(g Goal) Requirements {
 	if g.Redundancy < 1 {
 		g.Redundancy = 1
-	}
-	if g.PerHop <= 0 {
-		g.PerHop = 5 * time.Millisecond
 	}
 	if g.CoverageFrac <= 0 {
 		g.CoverageFrac = 0.9
@@ -244,10 +242,6 @@ func Evaluate(req Requirements, members []Candidate) Assurance {
 	// Connectivity and latency over the composite's own radio graph.
 	diam, connected := compositeDiameter(members)
 	a.Connected = connected
-	perHop := g.PerHop
-	if perHop <= 0 {
-		perHop = 5 * time.Millisecond
-	}
 	a.EstLatency = time.Duration(diam) * perHop
 
 	// Verdict.

@@ -44,7 +44,6 @@ func areaGoal() Goal {
 		Area:         geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 1000, Y: 1000}),
 		Modalities:   asset.ModVisual,
 		CoverageFrac: 0.9,
-		PerHop:       5 * time.Millisecond,
 	}
 }
 
@@ -266,7 +265,7 @@ func TestCSPFindsMinimal(t *testing.T) {
 func TestCSPInfeasible(t *testing.T) {
 	pool := gridPool(2, 40, 900)
 	req := Derive(areaGoal())
-	if _, err := (CSPSolver{MaxNodes: 10000, MaxSize: 4}).Solve(req, pool); err != ErrInfeasible {
+	if _, err := solveCSP(req, pool, 10000, 4); err != ErrInfeasible {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
 }
@@ -274,7 +273,7 @@ func TestCSPInfeasible(t *testing.T) {
 func TestCSPBudgetExhaustion(t *testing.T) {
 	pool := gridPool(8, 60, 900) // needs many nodes; tiny budget
 	req := Derive(areaGoal())
-	if _, err := (CSPSolver{MaxNodes: 50, MaxSize: 20}).Solve(req, pool); err != ErrInfeasible {
+	if _, err := solveCSP(req, pool, 50, 20); err != ErrInfeasible {
 		t.Errorf("err = %v, want ErrInfeasible on budget exhaustion", err)
 	}
 }
@@ -284,7 +283,7 @@ func TestRandomSolverEventuallyFeasibleOnEasyInstance(t *testing.T) {
 	g := areaGoal()
 	g.CoverageFrac = 0.6
 	req := Derive(g)
-	comp, err := RandomSolver{RNG: sim.NewRNG(3), Attempts: 50}.Solve(req, pool)
+	comp, err := RandomSolver{RNG: sim.NewRNG(3)}.solve(req, pool, 50, randomMaxSize)
 	if err != nil {
 		t.Fatalf("random solver failed easy instance: %v", err)
 	}
@@ -300,7 +299,7 @@ func TestRandomSolverFailsHardInstance(t *testing.T) {
 	g := areaGoal()
 	g.CoverageFrac = 0.95
 	req := Derive(g)
-	comp, err := RandomSolver{RNG: sim.NewRNG(4), Attempts: 5, StartSize: 8, MaxSize: 30}.Solve(req, pool)
+	comp, err := RandomSolver{RNG: sim.NewRNG(4)}.solve(req, pool, 5, 30)
 	if err == nil {
 		t.Skip("random got lucky; acceptable but rare")
 	}
@@ -402,7 +401,6 @@ func TestEvaluateLatencyBound(t *testing.T) {
 		Modalities:   asset.ModVisual,
 		CoverageFrac: 0.5,
 		MaxLatency:   10 * time.Millisecond,
-		PerHop:       5 * time.Millisecond,
 	}
 	req := Derive(g)
 	a := Evaluate(req, members)

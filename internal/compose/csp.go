@@ -13,25 +13,24 @@ import "sort"
 // heterogeneity of sensors, actuators and compute elements"; experiment
 // E2 measures exactly where this solver stops being tractable and how
 // close GreedySolver gets at a fraction of the cost.
-type CSPSolver struct {
-	// MaxNodes bounds explored search nodes; zero defaults to 200k.
-	MaxNodes int
-	// MaxSize bounds subset size to try; zero defaults to 12.
-	MaxSize int
-}
+type CSPSolver struct{}
 
 var _ Solver = (*CSPSolver)(nil)
 
+// The search budget: explored nodes, and the largest subset size tried.
+const (
+	cspMaxNodes = 100000
+	cspMaxSize  = 10
+)
+
 // Solve implements Solver.
-func (s CSPSolver) Solve(req Requirements, pool []Candidate) (*Composite, error) {
-	maxNodes := s.MaxNodes
-	if maxNodes <= 0 {
-		maxNodes = 200000
-	}
-	maxSize := s.MaxSize
-	if maxSize <= 0 {
-		maxSize = 12
-	}
+func (CSPSolver) Solve(req Requirements, pool []Candidate) (*Composite, error) {
+	return solveCSP(req, pool, cspMaxNodes, cspMaxSize)
+}
+
+// solveCSP searches at most maxNodes nodes over subsets of at most
+// maxSize members.
+func solveCSP(req Requirements, pool []Candidate, maxNodes, maxSize int) (*Composite, error) {
 	eligible := filterEligible(req, pool)
 	if len(eligible) == 0 {
 		return nil, ErrInfeasible

@@ -88,15 +88,15 @@ func TestComposeGolden(t *testing.T) {
 		// so the digest is greedy_e2_1k's; the next case shrinks it.
 		{"anneal_e2_1k", func() (*Composite, error) {
 			g, pool := e2Pool(42, 1000)
-			return AnnealSolver{RNG: sim.NewRNG(3), Steps: 2000}.Solve(Derive(g), pool)
+			return AnnealSolver{RNG: sim.NewRNG(3)}.solve(Derive(g), pool, 2000)
 		}, "75b07ad4fff08385"},
 		{"anneal_random_instance", func() (*Composite, error) {
 			req, pool := randomInstance(7)
-			return AnnealSolver{RNG: sim.NewRNG(3), Steps: 3000}.Solve(req, pool)
+			return AnnealSolver{RNG: sim.NewRNG(3)}.solve(req, pool, 3000)
 		}, "332c13c4d1d0a4d8"},
 		{"csp_random_instance", func() (*Composite, error) {
 			req, pool := randomInstance(9)
-			return CSPSolver{MaxNodes: 20000, MaxSize: 8}.Solve(req, pool)
+			return solveCSP(req, pool, 20000, 8)
 		}, "46d88ff6ecbab8a9"},
 		{"recompose_e2_1k_loss20", func() (*Composite, error) {
 			g, pool := e2Pool(42, 1000)

@@ -10,40 +10,37 @@ import (
 // far too large for undirected sampling.
 type RandomSolver struct {
 	RNG *sim.RNG
-	// Attempts per size before growing; zero defaults to 30.
-	Attempts int
-	// StartSize is the initial subset size; zero defaults to 8.
-	StartSize int
-	// MaxSize caps subset growth; zero defaults to min(len(pool), 512).
-	MaxSize int
 }
 
 var _ Solver = (*RandomSolver)(nil)
 
+// The sampling schedule: randomAttempts draws per subset size, sizes
+// growing from randomStartSize to at most randomMaxSize members.
+const (
+	randomAttempts  = 20
+	randomStartSize = 8
+	randomMaxSize   = 512
+)
+
 // Solve implements Solver.
 func (s RandomSolver) Solve(req Requirements, pool []Candidate) (*Composite, error) {
+	return s.solve(req, pool, randomAttempts, randomMaxSize)
+}
+
+// solve draws attempts subsets per size, growing the size to at most
+// maxSize members (and the eligible pool).
+func (s RandomSolver) solve(req Requirements, pool []Candidate, attempts, maxSize int) (*Composite, error) {
 	rng := s.RNG
 	if rng == nil {
 		rng = sim.NewRNG(1)
-	}
-	attempts := s.Attempts
-	if attempts <= 0 {
-		attempts = 30
 	}
 	eligible := filterEligible(req, pool)
 	if len(eligible) == 0 {
 		return nil, ErrInfeasible
 	}
-	size := s.StartSize
-	if size <= 0 {
-		size = 8
-	}
-	maxSize := s.MaxSize
-	if maxSize <= 0 {
+	size := randomStartSize
+	if maxSize > len(eligible) {
 		maxSize = len(eligible)
-		if maxSize > 512 {
-			maxSize = 512
-		}
 	}
 	if req.Goal.MaxMembers > 0 && req.Goal.MaxMembers < maxSize {
 		maxSize = req.Goal.MaxMembers

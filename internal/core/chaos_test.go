@@ -30,7 +30,7 @@ func TestChaosMissionInvariants(t *testing.T) {
 			Seed:    seed,
 			Terrain: geo.NewOpenTerrain(1200, 1200),
 			Assets:  250,
-			Churn:   &asset.ChurnConfig{FailRatePerMin: 0.05, ArriveRatePerMin: 5, ReviveProb: 0.5},
+			Churn:   &asset.ChurnConfig{FailRatePerMin: 0.05, ArriveRatePerMin: 5},
 		})
 		defer w.Stop()
 		m := core.DefaultMission(geo.NewRect(geo.Point{X: 200, Y: 200}, geo.Point{X: 1000, Y: 1000}))

@@ -231,7 +231,7 @@ func TestChurnWorldStillRuns(t *testing.T) {
 		Seed:    9,
 		Terrain: geo.NewOpenTerrain(1500, 1500),
 		Assets:  300,
-		Churn:   &asset.ChurnConfig{FailRatePerMin: 0.02, ArriveRatePerMin: 3, ReviveProb: 0.5},
+		Churn:   &asset.ChurnConfig{FailRatePerMin: 0.02, ArriveRatePerMin: 3},
 	})
 	defer w.Stop()
 	r := NewRuntime(w, testMission(CommandIntent))

@@ -42,8 +42,8 @@ func (r *Runtime) startCheckpoints() {
 	// A cut that shares a timestamp with the crash would snapshot
 	// destroyed state; skip cuts while no post is standing.
 	r.coord.Gate = func() bool { return !r.postDown }
-	r.coord.OnCheckpoint = func(ck *checkpoint.Checkpoint) {
-		r.journalf("checkpoint seq=%d digest=%016x", ck.Seq, ck.Digest())
+	r.coord.OnCheckpoint = func(ck *checkpoint.Checkpoint, digest uint64) {
+		r.journalf("checkpoint seq=%d digest=%016x", ck.Seq, digest)
 	}
 	r.coord.Register(r)
 	r.coord.Register(r.W.Trust)
@@ -257,11 +257,7 @@ func (r *Runtime) Restore(data []byte) error {
 // their full shape (count, sum, extrema), counters their value.
 func (m *Metrics) Fingerprint() uint64 {
 	e := checkpoint.NewEncoder()
-	for _, c := range []*sim.Counter{
-		&m.Incidents, &m.Detected, &m.Acted, &m.OnTime, &m.Undeliverable,
-		&m.Repairs, &m.Fallbacks, &m.Restores, &m.Relaxations,
-		&m.HealthChanges, &m.OrdersCarried, &m.Failovers,
-	} {
+	for _, c := range m.Counters() {
 		e.Uint64(c.Value())
 	}
 	for _, s := range []*sim.Series{&m.DecisionLatency, &m.RepairTime} {

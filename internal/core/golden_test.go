@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"context"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"iobt/internal/core"
 	"iobt/internal/fault"
 	"iobt/internal/geo"
+	"iobt/internal/sim"
 	"iobt/internal/verify"
 )
 
@@ -64,6 +67,30 @@ func TestGoldenDeterminism(t *testing.T) {
 	// has neither ordering nor stream position to cite for moving this.
 	if want := uint64(0xcc5be75a50032d22); f1 != want {
 		t.Errorf("standard-plan fingerprint %#016x, want %#016x", f1, want)
+	}
+}
+
+// TestCountersListEveryCounter holds Metrics.Counters, which
+// Fingerprint and verify.CountersMonotone both read, to every sim.Counter
+// field of Metrics in declaration order, each named by its lowercased
+// field name: a counter added to Metrics and not to the list fails here.
+func TestCountersListEveryCounter(t *testing.T) {
+	var m core.Metrics
+	got := m.Counters()
+	v := reflect.ValueOf(&m).Elem()
+	i := 0
+	for f := 0; f < v.NumField(); f++ {
+		if v.Type().Field(f).Type != reflect.TypeOf(sim.Counter{}) {
+			continue
+		}
+		name := strings.ToLower(v.Type().Field(f).Name)
+		if i >= len(got) || got[i].Counter != v.Field(f).Addr().Interface() || got[i].Name != name {
+			t.Fatalf("Counters()[%d] is not Metrics.%s named %q: got %+v", i, v.Type().Field(f).Name, name, got)
+		}
+		i++
+	}
+	if i != len(got) {
+		t.Errorf("Counters() lists %d counters, Metrics declares %d", len(got), i)
 	}
 }
 

@@ -105,7 +105,6 @@ func DefaultMission(area geo.Rect) Mission {
 			Area:         area,
 			Modalities:   0, // any modality may detect incidents
 			CoverageFrac: 0.7,
-			PerHop:       5 * time.Millisecond,
 		},
 		Command:          CommandIntent,
 		HierarchyLevels:  3,

@@ -57,6 +57,23 @@ type Metrics struct {
 	Failovers sim.Counter
 }
 
+// NamedCounter is one mission counter and its name.
+type NamedCounter struct {
+	Name string
+	*sim.Counter
+}
+
+// Counters returns every mission counter, named, in declaration order:
+// the order Fingerprint digests them in and CountersMonotone audits.
+func (m *Metrics) Counters() []NamedCounter {
+	return []NamedCounter{
+		{"incidents", &m.Incidents}, {"detected", &m.Detected}, {"acted", &m.Acted},
+		{"ontime", &m.OnTime}, {"undeliverable", &m.Undeliverable}, {"repairs", &m.Repairs},
+		{"fallbacks", &m.Fallbacks}, {"restores", &m.Restores}, {"relaxations", &m.Relaxations},
+		{"healthchanges", &m.HealthChanges}, {"orderscarried", &m.OrdersCarried}, {"failovers", &m.Failovers},
+	}
+}
+
 // SuccessRate returns OnTime/Incidents.
 func (m *Metrics) SuccessRate() float64 {
 	if m.Incidents.Value() == 0 {

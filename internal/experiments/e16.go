@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"iobt/internal/service"
 	"iobt/internal/verify"
 )
@@ -42,14 +40,12 @@ func E16Service(seed int64, quick bool) *Table {
 	for _, workers := range pools {
 		rep, err := service.Flood(service.FloodConfig{
 			Missions: missions,
-			Clients:  4,
 			BaseSeed: seed,
 			Service: service.Config{
 				Workers:    workers,
 				QueueDepth: 8,
 				Chaos:      service.ChaosConfig{CrashProb: 0.4},
 			},
-			Horizon: 30 * time.Second,
 		})
 		if err != nil {
 			t.AddRow(d(workers), "flood failed: "+err.Error(), "", "", "", "", "", "", "", "", "")

@@ -88,13 +88,13 @@ func E2Composition(seed int64, quick bool) *Table {
 			s    compose.Solver
 		}{
 			{"greedy", compose.GreedySolver{}},
-			{"random", compose.RandomSolver{RNG: sim.NewRNG(seed).Derive("rand"), Attempts: 20}},
+			{"random", compose.RandomSolver{RNG: sim.NewRNG(seed).Derive("rand")}},
 		}
 		if n <= 300 {
 			solvers = append(solvers, struct {
 				name string
 				s    compose.Solver
-			}{"csp", compose.CSPSolver{MaxNodes: 100000, MaxSize: 10}})
+			}{"csp", compose.CSPSolver{}})
 		}
 		for _, sv := range solvers {
 			start := nowMS()

@@ -72,12 +72,11 @@ func E6Learning(seed int64, quick bool) *Table {
 			learn.TrimmedMeanAgg{K: 6}, learn.KrumAgg{F: 6},
 		} {
 			rng := sim.NewRNG(seed)
-			train := learn.GenDataset(rng, learn.GenConfig{N: 2000, Dim: 5, Noise: 0.05})
+			train := learn.GenDataset(rng, learn.GenConfig{N: 2000, Dim: 5})
 			test := learn.GenDatasetFromW(rng, train.TrueW, 500, 0.05)
 			shards := train.Split(rng, workers, 0.3)
-			res := learn.RunFederated(rng.Derive("fed"), shards, test, learn.FedConfig{
-				Rounds: rounds, LocalSteps: 5, LR: 0.5,
-				ByzFrac: byz, Attack: learn.AttackSignFlip, Agg: agg,
+			res := learn.RunFederated(shards, test, learn.FedConfig{
+				Rounds: rounds, ByzFrac: byz, Agg: agg,
 			})
 			// Mean of the last 5 rounds: a poisoned FedAvg oscillates
 			// between the model and its negation, so a single final

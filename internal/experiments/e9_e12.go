@@ -78,7 +78,7 @@ func E10CostOfLearning(seed int64, quick bool) *Table {
 		budget = 200_000
 	}
 	rng := sim.NewRNG(seed)
-	train := learn.GenDataset(rng, learn.GenConfig{N: 1500, Dim: 4, Noise: 0.05})
+	train := learn.GenDataset(rng, learn.GenConfig{N: 1500, Dim: 4})
 	test := learn.GenDatasetFromW(rng, train.TrueW, 400, 0.05)
 	shards := train.Split(rng, n, 0.3)
 
@@ -98,7 +98,7 @@ func E10CostOfLearning(seed int64, quick bool) *Table {
 		if rounds < 1 {
 			rounds = 1
 		}
-		res := learn.RunGossip(shards, test, c.topo, learn.GossipConfig{Rounds: rounds, LR: 0.4})
+		res := learn.RunGossip(shards, test, c.topo, learn.GossipConfig{Rounds: rounds})
 		acc := 0.0
 		if len(res.MeanAcc) > 0 {
 			acc = res.MeanAcc[len(res.MeanAcc)-1]

@@ -19,16 +19,23 @@ type Dataset struct {
 type GenConfig struct {
 	N   int
 	Dim int
-	// Noise is the label-flip probability.
-	Noise float64
 }
 
-// genMargin scales the generating weights; larger = more separable.
-const genMargin = 2
+const (
+	// genMargin scales the generating weights; larger = more separable.
+	genMargin = 2
+	// genNoise is the label-flip probability.
+	genNoise = 0.05
+)
 
-// GenDataset draws a linearly separable (up to Noise) binary dataset
-// from a random hyperplane.
+// GenDataset draws a linearly separable (up to genNoise) binary
+// dataset from a random hyperplane.
 func GenDataset(rng *sim.RNG, cfg GenConfig) *Dataset {
+	return genDataset(rng, cfg, genNoise)
+}
+
+// genDataset draws the dataset with label-flip probability noise.
+func genDataset(rng *sim.RNG, cfg GenConfig, noise float64) *Dataset {
 	if cfg.Dim <= 0 {
 		cfg.Dim = 5
 	}
@@ -50,7 +57,7 @@ func GenDataset(rng *sim.RNG, cfg GenConfig) *Dataset {
 		if s > 0 {
 			y = 1
 		}
-		if rng.Bool(cfg.Noise) {
+		if rng.Bool(noise) {
 			y = 1 - y
 		}
 		d.X = append(d.X, x)

@@ -1,10 +1,6 @@
 package learn
 
-import (
-	"sort"
-
-	"iobt/internal/sim"
-)
+import "sort"
 
 // Aggregator combines per-worker model weights into a global update.
 type Aggregator interface {
@@ -168,29 +164,19 @@ func (a KrumAgg) Aggregate(updates [][]float64) []float64 {
 	return out
 }
 
-// Attack is the Byzantine worker behavior.
-type Attack int
-
-// Byzantine attack modes.
-const (
-	// AttackNone makes Byzantine workers behave honestly.
-	AttackNone Attack = iota
-	// AttackSignFlip sends the negated honest update, scaled up.
-	AttackSignFlip
-	// AttackRandom sends large random noise.
-	AttackRandom
-)
-
 // FedConfig parameterizes a federated run.
 type FedConfig struct {
-	Rounds     int
-	LocalSteps int
-	LR         float64
+	Rounds int
 	// ByzFrac is the fraction of workers that are Byzantine.
 	ByzFrac float64
-	Attack  Attack
 	Agg     Aggregator
 }
+
+// Each worker's round: fedLocalSteps SGD steps at rate fedLR.
+const (
+	fedLocalSteps = 5
+	fedLR         = 0.5
+)
 
 // FedResult captures a run's trajectory.
 type FedResult struct {
@@ -203,19 +189,14 @@ type FedResult struct {
 }
 
 // RunFederated trains over the shards with a central aggregator.
-// Workers with index < ByzFrac*n are Byzantine.
-func RunFederated(rng *sim.RNG, shards []*Dataset, test *Dataset, cfg FedConfig) *FedResult {
+// Workers with index < ByzFrac*n are Byzantine: each sends its honest
+// update negated and scaled up (a sign flip).
+func RunFederated(shards []*Dataset, test *Dataset, cfg FedConfig) *FedResult {
 	if cfg.Agg == nil {
 		cfg.Agg = MeanAgg{}
 	}
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 20
-	}
-	if cfg.LocalSteps <= 0 {
-		cfg.LocalSteps = 5
-	}
-	if cfg.LR <= 0 {
-		cfg.LR = 0.5
 	}
 	dim := 0
 	for _, s := range shards {
@@ -233,24 +214,14 @@ func RunFederated(rng *sim.RNG, shards []*Dataset, test *Dataset, cfg FedConfig)
 		var updates [][]float64
 		for wi, shard := range shards {
 			local := global.Clone()
-			for s := 0; s < cfg.LocalSteps; s++ {
-				local.SGDStep(shard.X, shard.Y, cfg.LR)
+			for s := 0; s < fedLocalSteps; s++ {
+				local.SGDStep(shard.X, shard.Y, fedLR)
 			}
 			w := make([]float64, len(local.W))
 			copy(w, local.W)
 			if wi < nByz {
-				switch cfg.Attack {
-				case AttackNone:
-					// Byzantine workers behave honestly: the update
-					// computed above goes out unmodified.
-				case AttackSignFlip:
-					for i := range w {
-						w[i] = -10 * w[i]
-					}
-				case AttackRandom:
-					for i := range w {
-						w[i] = rng.Norm(0, 50)
-					}
+				for i := range w {
+					w[i] = -10 * w[i]
 				}
 			}
 			updates = append(updates, w)

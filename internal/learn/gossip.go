@@ -75,12 +75,15 @@ func Edges(adj [][]int) int {
 // GossipConfig parameterizes decentralized training.
 type GossipConfig struct {
 	Rounds int
-	LR     float64
 }
 
-// gossipMix is the neighbor-averaging weight:
-// w_i <- (1-gossipMix)*w_i + gossipMix*avg(neighbors).
-const gossipMix = 0.5
+const (
+	// gossipLR is each node's local SGD rate.
+	gossipLR = 0.4
+	// gossipMix is the neighbor-averaging weight:
+	// w_i <- (1-gossipMix)*w_i + gossipMix*avg(neighbors).
+	gossipMix = 0.5
+)
 
 // GossipResult captures a decentralized run.
 type GossipResult struct {
@@ -106,9 +109,6 @@ func RunGossip(shards []*Dataset, test *Dataset, topo Topology, cfg GossipConfig
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 30
 	}
-	if cfg.LR <= 0 {
-		cfg.LR = 0.5
-	}
 	dim := 0
 	for _, s := range shards {
 		if s.Len() > 0 {
@@ -128,7 +128,7 @@ func RunGossip(shards []*Dataset, test *Dataset, topo Topology, cfg GossipConfig
 		adj := topo(r)
 		// Local step, then publish weights.
 		for i := 0; i < n; i++ {
-			models[i].SGDStep(shards[i].X, shards[i].Y, cfg.LR)
+			models[i].SGDStep(shards[i].X, shards[i].Y, gossipLR)
 			w := make([]float64, len(models[i].W))
 			copy(w, models[i].W)
 			shared[i] = w

@@ -8,7 +8,7 @@ import (
 
 func gossipWorld(seed int64, nodes int) ([]*Dataset, *Dataset) {
 	rng := sim.NewRNG(seed)
-	train := GenDataset(rng, GenConfig{N: 1500, Dim: 4, Noise: 0.05})
+	train := GenDataset(rng, GenConfig{N: 1500, Dim: 4})
 	test := GenDatasetFromW(rng, train.TrueW, 400, 0.05)
 	return train.Split(rng, nodes, 0.3), test
 }
@@ -47,7 +47,7 @@ func TestTopologyShapes(t *testing.T) {
 
 func TestGossipConvergesOnRing(t *testing.T) {
 	shards, test := gossipWorld(1, 16)
-	res := RunGossip(shards, test, Ring(16), GossipConfig{Rounds: 60, LR: 0.4})
+	res := RunGossip(shards, test, Ring(16), GossipConfig{Rounds: 60})
 	if acc := lastF(res.MeanAcc); acc < 0.85 {
 		t.Errorf("ring gossip accuracy = %.3f", acc)
 	}
@@ -65,8 +65,8 @@ func TestGossipConvergesOnRing(t *testing.T) {
 
 func TestGossipFullBeatsRingPerRound(t *testing.T) {
 	shards, test := gossipWorld(2, 16)
-	ring := RunGossip(shards, test, Ring(16), GossipConfig{Rounds: 15, LR: 0.4})
-	full := RunGossip(shards, test, Full(16), GossipConfig{Rounds: 15, LR: 0.4})
+	ring := RunGossip(shards, test, Ring(16), GossipConfig{Rounds: 15})
+	full := RunGossip(shards, test, Full(16), GossipConfig{Rounds: 15})
 	if lastF(full.MeanAcc) < lastF(ring.MeanAcc)-0.02 {
 		t.Errorf("full (%.3f) should converge at least as fast as ring (%.3f) per round",
 			lastF(full.MeanAcc), lastF(ring.MeanAcc))
@@ -95,7 +95,7 @@ func TestCostAccuracyTradeoffExists(t *testing.T) {
 		if rounds < 1 {
 			rounds = 1
 		}
-		res := RunGossip(shards, test, topo, GossipConfig{Rounds: rounds, LR: 0.4})
+		res := RunGossip(shards, test, topo, GossipConfig{Rounds: rounds})
 		return lastF(res.MeanAcc)
 	}
 	ringAcc := accUnderBudget(Ring(16), Edges(Ring(16)(0)))

@@ -39,7 +39,7 @@ func TestModelTrainsOnSeparableData(t *testing.T) {
 	const seeds = 32
 	accs := make([]float64, 0, seeds)
 	for seed := int64(1); seed <= seeds; seed++ {
-		d := GenDataset(sim.NewRNG(seed), GenConfig{N: 500, Dim: 4, Noise: 0})
+		d := genDataset(sim.NewRNG(seed), GenConfig{N: 500, Dim: 4}, 0)
 		m := NewModel(4)
 		for epoch := 0; epoch < 50; epoch++ {
 			m.SGDStep(d.X, d.Y, 0.5)
@@ -86,7 +86,7 @@ func bayesAccuracy(d *Dataset) float64 { return (&Model{W: d.TrueW}).Accuracy(d.
 
 func TestLossDecreasesUnderSGD(t *testing.T) {
 	rng := sim.NewRNG(2)
-	d := GenDataset(rng, GenConfig{N: 300, Dim: 5, Noise: 0.05})
+	d := GenDataset(rng, GenConfig{N: 300, Dim: 5})
 	m := NewModel(5)
 	prev := loss(m, d.X, d.Y)
 	for epoch := 0; epoch < 20; epoch++ {
@@ -124,11 +124,11 @@ func TestModelEdges(t *testing.T) {
 
 func TestGenDatasetNoiseCeiling(t *testing.T) {
 	rng := sim.NewRNG(3)
-	clean := GenDataset(rng, GenConfig{N: 2000, Dim: 5, Noise: 0})
+	clean := genDataset(rng, GenConfig{N: 2000, Dim: 5}, 0)
 	if acc := bayesAccuracy(clean); acc != 1 {
 		t.Errorf("clean Bayes accuracy = %v", acc)
 	}
-	noisy := GenDataset(rng, GenConfig{N: 2000, Dim: 5, Noise: 0.2})
+	noisy := genDataset(rng, GenConfig{N: 2000, Dim: 5}, 0.2)
 	acc := bayesAccuracy(noisy)
 	if acc < 0.75 || acc > 0.85 {
 		t.Errorf("noisy Bayes accuracy = %v, want ~0.8", acc)
@@ -137,7 +137,7 @@ func TestGenDatasetNoiseCeiling(t *testing.T) {
 
 func TestSplitConservesData(t *testing.T) {
 	rng := sim.NewRNG(4)
-	d := GenDataset(rng, GenConfig{N: 1000, Dim: 3, Noise: 0})
+	d := genDataset(rng, GenConfig{N: 1000, Dim: 3}, 0)
 	shards := d.Split(rng, 7, 0)
 	total := 0
 	for _, s := range shards {
@@ -153,7 +153,7 @@ func TestSplitConservesData(t *testing.T) {
 
 func TestSplitSkewProducesNonIID(t *testing.T) {
 	rng := sim.NewRNG(5)
-	d := GenDataset(rng, GenConfig{N: 4000, Dim: 3, Noise: 0})
+	d := genDataset(rng, GenConfig{N: 4000, Dim: 3}, 0)
 	shards := d.Split(rng, 4, 0.9)
 	// Class balance should differ strongly between even and odd shards.
 	frac1 := func(s *Dataset) float64 {
@@ -176,7 +176,7 @@ func TestSplitSkewProducesNonIID(t *testing.T) {
 func TestSGDStepDescends(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := sim.NewRNG(seed)
-		d := GenDataset(rng, GenConfig{N: 50, Dim: 3, Noise: 0.1})
+		d := genDataset(rng, GenConfig{N: 50, Dim: 3}, 0.1)
 		m := NewModel(3)
 		// Random start.
 		for i := range m.W {

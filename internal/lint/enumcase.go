@@ -10,7 +10,7 @@ import (
 // EnumCase enforces switch exhaustiveness over the repo's domain
 // enums: fault.Kind, fault.Selector, asset.Class, asset.Affiliation,
 // core.HealthState, core.CommandModel, trust.Evidence, alloc.Class,
-// alloc.Tier, geo.TerrainKind, learn.Attack, discovery.Methods — and
+// alloc.Tier, geo.TerrainKind, discovery.Methods — and
 // any other named integer type with two or more package-level
 // constants, which is how every one of those enums is declared. A
 // switch over such a type must either cover every declared constant or

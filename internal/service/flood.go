@@ -22,20 +22,19 @@ import (
 type FloodConfig struct {
 	// Missions is the total missions to push through (default 24).
 	Missions int
-	// Clients is the number of concurrent submitters (default 4).
-	Clients int
 	// Service configures the service under test.
 	Service Config
 	// BaseSeed seeds mission i with BaseSeed+i.
 	BaseSeed int64
-	// Horizon is each mission's virtual duration (default 30s).
-	Horizon time.Duration
 }
 
-// Every flood mission's shape, and the bound on the post-flood drain.
+// The flood's concurrent submitters, every flood mission's shape, and
+// the bound on the post-flood drain.
 const (
+	floodClients      = 4
 	floodRate         = 10 // incidents per minute
 	floodAssets       = 90
+	floodHorizon      = 30 * time.Second
 	floodDrainTimeout = 5 * time.Minute
 )
 
@@ -63,12 +62,6 @@ type FloodReport struct {
 func (c FloodConfig) withDefaults() FloodConfig {
 	if c.Missions <= 0 {
 		c.Missions = 24
-	}
-	if c.Clients <= 0 {
-		c.Clients = 4
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 30 * time.Second
 	}
 	if c.Service.RetryAfterHint == 0 {
 		// The flood's whole point is to cycle backpressure quickly; the
@@ -103,7 +96,7 @@ func floodScenario(cfg FloodConfig, i int) verify.Scenario {
 		Terrain: "open",
 		Command: "intent",
 		Rate:    floodRate,
-		Horizon: cfg.Horizon,
+		Horizon: floodHorizon,
 	}
 	if i%2 == 1 {
 		sc.Command = "hierarchy"
@@ -131,8 +124,8 @@ func Flood(cfg FloodConfig) (*FloodReport, error) {
 	var retried int64
 	var submitErr error
 	var wg sync.WaitGroup
-	wg.Add(cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
+	wg.Add(floodClients)
+	for c := 0; c < floodClients; c++ {
 		go func(client int) {
 			defer wg.Done()
 			// Each client jitters its retries from its own seed-derived

@@ -37,9 +37,7 @@ func TestRetryWait(t *testing.T) {
 func TestFloodReport(t *testing.T) {
 	rep, err := Flood(FloodConfig{
 		Missions: 8,
-		Clients:  3,
 		BaseSeed: 6100,
-		Horizon:  20 * time.Second,
 		Service: Config{
 			Workers:    2,
 			QueueDepth: 2,

@@ -246,7 +246,7 @@ func (m *Mission) noteFailure(crash bool) {
 
 // persist makes a fresh cut durable: appended to m's store and synced
 // when there is one, then its digest kept, its seq made the anchor.
-func (m *Mission) persist(rec checkpoint.Record) error {
+func (m *Mission) persist(rec checkpoint.Record, digest uint64) error {
 	if m.store != nil {
 		if err := m.store.Append(rec); err != nil {
 			return err
@@ -255,7 +255,7 @@ func (m *Mission) persist(rec checkpoint.Record) error {
 			return err
 		}
 	}
-	m.digests[rec.Seq], m.anchor = rec.Checkpoint.Digest(), rec.Seq
+	m.digests[rec.Seq], m.anchor = digest, rec.Seq
 	m.mu.Lock()
 	m.checkpoints++
 	m.checkpointBytes += rec.Checkpoint.Bytes()

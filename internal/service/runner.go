@@ -83,9 +83,9 @@ func (s *Service) attempt(m *Mission, j *checkpoint.Journal, anchor int) (out *v
 		built = true
 		if coord := r.Checkpoints(); coord != nil {
 			prev := coord.OnCheckpoint
-			coord.OnCheckpoint = func(ck *checkpoint.Checkpoint) {
+			coord.OnCheckpoint = func(ck *checkpoint.Checkpoint, digest uint64) {
 				if prev != nil {
-					prev(ck)
+					prev(ck, digest)
 				}
 				if limit := s.cfg.MaxCheckpointBytes; limit > 0 && ck.Bytes() > limit {
 					cancel(fmt.Errorf("%w: cut seq %d is %d bytes (limit %d)",
@@ -97,14 +97,14 @@ func (s *Service) attempt(m *Mission, j *checkpoint.Journal, anchor int) (out *v
 				want, durable := m.digests[ck.Seq]
 				if !durable {
 					rec := checkpoint.Record{Seq: ck.Seq, At: ck.At, Processed: w.Eng.Processed(), Checkpoint: ck}
-					if err := m.persist(rec); err != nil {
+					if err := m.persist(rec, digest); err != nil {
 						cancel(fmt.Errorf("%w: %v", errStoreWrite, err))
 					}
 					return
 				}
-				if got := ck.Digest(); got != want {
+				if digest != want {
 					cancel(fmt.Errorf("%w: replayed cut seq %d digest %016x != persisted %016x",
-						errDivergence, ck.Seq, got, want))
+						errDivergence, ck.Seq, digest, want))
 					return
 				}
 				if ck.Seq == anchor {

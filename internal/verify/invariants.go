@@ -10,7 +10,6 @@ import (
 	"iobt/internal/cop"
 	"iobt/internal/core"
 	"iobt/internal/mesh"
-	"iobt/internal/sim"
 	"iobt/internal/track"
 	"iobt/internal/trust"
 )
@@ -68,22 +67,13 @@ func MissionMetrics(m *core.Metrics) Invariant {
 // regression (e.g. a Reset leaking into metrics on failover) shows up
 // as a backwards step between two sweeps.
 func CountersMonotone(m *core.Metrics) Invariant {
-	names := []string{
-		"incidents", "detected", "acted", "ontime", "undeliverable",
-		"repairs", "fallbacks", "restores", "relaxations",
-		"healthchanges", "orderscarried", "failovers",
-	}
-	counters := []*sim.Counter{
-		&m.Incidents, &m.Detected, &m.Acted, &m.OnTime, &m.Undeliverable,
-		&m.Repairs, &m.Fallbacks, &m.Restores, &m.Relaxations,
-		&m.HealthChanges, &m.OrdersCarried, &m.Failovers,
-	}
+	counters := m.Counters()
 	prev := make([]uint64, len(counters))
 	return Invariant{Name: "counters-monotone", Check: func() error {
 		for i, c := range counters {
 			v := c.Value()
 			if v < prev[i] {
-				return fmt.Errorf("counter %s went backwards: %d -> %d", names[i], prev[i], v)
+				return fmt.Errorf("counter %s went backwards: %d -> %d", c.Name, prev[i], v)
 			}
 			prev[i] = v
 		}

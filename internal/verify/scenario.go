@@ -222,7 +222,7 @@ func BuildMission(s Scenario, j *checkpoint.Journal) (*core.World, *core.Runtime
 	}
 	cfg := core.WorldConfig{Seed: s.Seed, Terrain: terr, Assets: s.Assets}
 	if s.Churn {
-		cfg.Churn = &asset.ChurnConfig{FailRatePerMin: 0.02, ArriveRatePerMin: 3, ReviveProb: 0.5}
+		cfg.Churn = &asset.ChurnConfig{FailRatePerMin: 0.02, ArriveRatePerMin: 3}
 	}
 	w := core.NewWorld(cfg)
 
