@@ -155,7 +155,7 @@ func BenchmarkFederatedRound(b *testing.B) {
 	rng := sim.NewRNG(1)
 	train := learn.GenDataset(rng, learn.GenConfig{N: 2000, Dim: 5})
 	test := learn.GenDatasetFromW(rng, train.TrueW, 200, 0.05)
-	shards := train.Split(rng, 20, 0.3)
+	shards := train.Split(rng, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = learn.RunFederated(shards, test, learn.FedConfig{

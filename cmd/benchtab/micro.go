@@ -69,6 +69,8 @@ func microBenches() []microBench {
 			doc: "one neighbour-table Refresh of a 1000-asset mission under a jammer and a partition, mobility stepped (untimed) between refreshes"},
 		{name: "cop_merge", pkg: copPkg, fn: "BenchmarkMergeEncodedDominated",
 			doc: "one MergeEncoded of a 54-track/54-cell frame into a replica that already holds all of it"},
+		{name: "cop_merge_one_new", pkg: copPkg, fn: "BenchmarkMergeEncodedOneNew",
+			doc: "one MergeEncoded of a 24-track/24-cell frame into a replica lacking exactly one of its tracks and one of its cells: the gossip_cop receive that adds something"},
 		{name: "cop_encode", pkg: copPkg, fn: "BenchmarkEncode", allocs: 1,
 			doc: "one Encode of a 54-track/54-cell replica: a linear dump into the one buffer it returns"},
 		{name: "shardnet_peers", pkg: meshPkg, fn: "BenchmarkShardPeers",

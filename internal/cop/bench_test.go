@@ -25,6 +25,38 @@ func BenchmarkMergeEncodedDominated(b *testing.B) {
 	}
 }
 
+// BenchmarkMergeEncodedOneNew is the cop_merge_one_new row: the
+// gossip_cop receive that adds something, a 24-track/24-cell frame
+// folded into a replica that lacks exactly one of its tracks and one of
+// its cells. The replicas are cloned with the timer stopped, a batch at a
+// time, so the stop costs little per op.
+func BenchmarkMergeEncodedOneNew(b *testing.B) {
+	const n, batch = 24, 256
+	_, frame := gossipFrame(n)
+	lacking := NewPicture(0)
+	for i := 0; i < n; i++ {
+		if i != n/2 {
+			lacking.Merge(publisher(i))
+		}
+	}
+	replicas := make([]*Picture, batch)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(frame)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i += batch {
+		b.StopTimer()
+		for k := range replicas {
+			replicas[k] = lacking.Clone()
+		}
+		b.StartTimer()
+		for _, p := range replicas[:min(batch, b.N-i)] {
+			if err := p.MergeEncoded(frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkMergeEncodedGrowing folds the same frame into an empty
 // replica: every record is an insertion.
 func BenchmarkMergeEncodedGrowing(b *testing.B) {

@@ -4,20 +4,18 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sync"
 	"time"
 
 	"iobt/internal/asset"
-	"iobt/internal/checkpoint"
 	"iobt/internal/geo"
 )
 
 // Wire widths of the replica-local header (owner, tag sequence), of one
 // record, and of a row header plus its first record (no row is empty).
-// read bounds every count by the bytes left divided by these, so a peer
-// cannot make it reserve more than it sent.
+// The walk bounds every count by the bytes left divided by these, so a
+// peer cannot make it reserve more than it sent.
 const (
 	headerBytes = 2 * 8
 	trackBytes  = 9*8 + 1
@@ -31,28 +29,67 @@ const (
 // in key order, so equal states produce equal bytes and Digest can stand
 // in for deep comparison.
 func (p *Picture) Encode() []byte {
-	e := checkpoint.NewEncoder()
-	e.Grow(headerBytes + p.wireSize())
-	e.Int64(int64(p.self))
-	e.Uint64(p.seq)
-	p.write(e)
-	return e.Bytes()
+	w := wire{buf: make([]byte, 0, headerBytes+p.wireSize())}
+	w.word(uint64(p.self))
+	w.word(p.seq)
+	p.write(&w)
+	return w.buf
 }
 
 // Digest hashes the deterministic encoding of the replicated state —
 // identity fields excluded, so two converged replicas with different
 // owners digest identically. Equal digests mean equal replicated state.
+// The hash is 64-bit FNV-1a, folded in as write emits each word, so no
+// encoding is built.
 func (p *Picture) Digest() uint64 {
-	e := checkpoint.NewEncoder()
-	e.Grow(p.wireSize())
-	p.write(e)
-	h := fnv.New64a()
-	_, _ = h.Write(e.Bytes())
-	return h.Sum64()
+	w := wire{digest: true, sum: fnvOffset}
+	p.write(&w)
+	return w.sum
 }
 
-// wireSize is the length of what write emits, so that Encode and Digest
-// allocate their buffer once and Encode returns no slack.
+// wire is where write puts the encoding: checkpoint's scalars (8-byte
+// little-endian words, one-byte flags) appended to buf or, with digest
+// set, folded into an FNV-1a sum instead, byte by byte as hash/fnv would.
+type wire struct {
+	buf    []byte
+	digest bool
+	sum    uint64
+}
+
+// The 64-bit FNV-1a parameters.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// word emits v as 8 little-endian bytes.
+func (w *wire) word(v uint64) {
+	if !w.digest {
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+		return
+	}
+	h := w.sum
+	for i := 0; i < 64; i += 8 {
+		h = (h ^ v>>i&0xff) * fnvPrime
+	}
+	w.sum = h
+}
+
+// flag emits v as one byte, 0 or 1.
+func (w *wire) flag(v bool) {
+	b := byte(0)
+	if v {
+		b = 1
+	}
+	if !w.digest {
+		w.buf = append(w.buf, b)
+		return
+	}
+	w.sum = (w.sum ^ uint64(b)) * fnvPrime
+}
+
+// wireSize is the length of what write emits, so that Encode allocates
+// its buffer once and returns no slack.
 func (s *state) wireSize() int {
 	n := 4*8 + len(s.tracks)*trackBytes + len(s.trust)*trustBytes + (len(s.adds)+len(s.removes))*tagBytes
 	for i := 0; i < len(s.trust); i = s.subjectEnd(i) {
@@ -66,35 +103,35 @@ func (s *state) wireSize() int {
 
 // write dumps the replicated state. Trust and adds are written as rows:
 // the subject (cell) once, then its observers (tags).
-func (s *state) write(e *checkpoint.Encoder) {
-	e.Int(len(s.tracks))
+func (s *state) write(w *wire) {
+	w.word(uint64(len(s.tracks)))
 	for i := range s.tracks {
 		r := &s.tracks[i]
-		e.Int64(int64(r.Key.Actor))
-		e.Int(r.Key.ID)
-		e.Float64(r.Fix.Pos.X)
-		e.Float64(r.Fix.Pos.Y)
-		e.Float64(r.Fix.Vel.DX)
-		e.Float64(r.Fix.Vel.DY)
-		e.Int(r.Fix.Hits)
-		e.Bool(r.Fix.Confirmed)
-		e.Int64(int64(r.Stamp.T))
-		e.Int64(int64(r.Stamp.Actor))
+		w.word(uint64(r.Key.Actor))
+		w.word(uint64(r.Key.ID))
+		w.word(math.Float64bits(r.Fix.Pos.X))
+		w.word(math.Float64bits(r.Fix.Pos.Y))
+		w.word(math.Float64bits(r.Fix.Vel.DX))
+		w.word(math.Float64bits(r.Fix.Vel.DY))
+		w.word(uint64(r.Fix.Hits))
+		w.flag(r.Fix.Confirmed)
+		w.word(uint64(r.Stamp.T))
+		w.word(uint64(r.Stamp.Actor))
 	}
 
 	rows := 0
 	for i := 0; i < len(s.trust); i = s.subjectEnd(i) {
 		rows++
 	}
-	e.Int(rows)
+	w.word(uint64(rows))
 	for i := 0; i < len(s.trust); {
 		end := s.subjectEnd(i)
-		e.Int64(int64(s.trust[i].Subject))
-		e.Int(end - i)
+		w.word(uint64(s.trust[i].Subject))
+		w.word(uint64(end - i))
 		for ; i < end; i++ {
-			e.Int64(int64(s.trust[i].Observer))
-			e.Float64(s.trust[i].Alpha)
-			e.Float64(s.trust[i].Beta)
+			w.word(uint64(s.trust[i].Observer))
+			w.word(math.Float64bits(s.trust[i].Alpha))
+			w.word(math.Float64bits(s.trust[i].Beta))
 		}
 	}
 
@@ -102,67 +139,166 @@ func (s *state) write(e *checkpoint.Encoder) {
 	for i := 0; i < len(s.adds); i = s.cellEnd(i) {
 		rows++
 	}
-	e.Int(rows)
+	w.word(uint64(rows))
 	for i := 0; i < len(s.adds); {
 		end := s.cellEnd(i)
-		e.Int64(int64(s.adds[i].Cell.X))
-		e.Int64(int64(s.adds[i].Cell.Y))
-		e.Int(end - i)
+		w.word(uint64(s.adds[i].Cell.X))
+		w.word(uint64(s.adds[i].Cell.Y))
+		w.word(uint64(end - i))
 		for ; i < end; i++ {
-			e.Int64(int64(s.adds[i].Tag.Actor))
-			e.Uint64(s.adds[i].Tag.Seq)
+			w.word(uint64(s.adds[i].Tag.Actor))
+			w.word(s.adds[i].Tag.Seq)
 		}
 	}
 
-	e.Int(len(s.removes))
+	w.word(uint64(len(s.removes)))
 	for _, t := range s.removes {
-		e.Int64(int64(t.Actor))
-		e.Uint64(t.Seq)
+		w.word(uint64(t.Actor))
+		w.word(t.Seq)
 	}
-}
-
-// Decode reconstructs a replica from Encode's output; it accepts exactly
-// the frames MergeEncoded does.
-func Decode(data []byte) (*Picture, error) {
-	f := frame{rest: data}
-	head := f.next(headerBytes)
-	p := &Picture{self: asset.ID(f.i32(head)), seq: le(head[8:])}
-	if err := p.read(&f); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // MergeEncoded merges a serialized replica into p — the receive path for
 // pictures carried as opaque payloads through a dissemination overlay
 // (e.g. the sharded mesh, whose frames must stay closed over per-node
 // state and therefore ship bytes, not pointers). The bytes are a peer's
-// and may be hostile: they are decoded and checked into scratch first and
-// joined only if the whole frame is canonical — what some replica's
-// Encode emits: accepting x implies Decode(x).Encode() == x. On error p
-// is untouched; no frame costs more memory than a few times its length.
+// and may be hostile: it accepts exactly the frames some replica's
+// Encode can emit (walk lists the rules), and joins what the frame adds
+// only once all of it has passed. On error p is untouched; no frame
+// costs more memory than a few times its length.
 func (p *Picture) MergeEncoded(data []byte) error {
 	f := frame{rest: data}
 	f.i32(f.next(headerBytes)) // the sender's identity and tag sequence are not replicated state: only the ID's form is checked
 	in := scratch.Get().(*state)
-	err := in.read(&f)
-	if err == nil {
+	f.walk(&p.state, in)
+	if f.bad == nil {
 		p.join(in, false)
 	}
 	scratch.Put(in)
-	return err
+	if f.bad != nil {
+		return fmt.Errorf("cop: decode: frame is not canonical: %w", f.bad)
+	}
+	return nil
 }
 
-// scratch lends out the runs a received frame is decoded into. They grow
-// to the largest frame seen and are reused, so a steady-state merge
-// allocates only when the replica grows; a pool, not a set per replica,
-// keeps them as few as the goroutines merging and warm in their caches.
+// scratch lends out the runs a received frame's new records are decoded
+// into. They grow to the most a frame has added and are reused, so a
+// steady-state merge allocates only when the replica grows; a pool, not
+// a set per replica, keeps them as few as the goroutines merging and
+// warm in their caches.
 var scratch = sync.Pool{New: func() any { return new(state) }}
 
+// walk checks the rest of f in one pass, in step with held's four runs,
+// and loads into in (overwriting it, reusing its storage) only the
+// records held does not dominate: a key held lacks, a track with a newer
+// stamp, evidence larger in a component (the rules foldTrack and
+// foldTrust apply). Each held run is passed once, a cursor (at) kept at
+// its first key not below the frame's. A dominated record is read no
+// further than its key and stamp (evidence for trust). Nothing is joined
+// here, so every record is judged against held as it was, as joining the
+// whole frame would judge it. The checks are what makes a frame
+// canonical: every count covered by the bytes behind it, keys strictly
+// ascending, no empty row, every scalar as Encode writes it, nothing left
+// over. On the first fault f.bad is set and the walk stops.
+//
+//iobt:hot
+func (f *frame) walk(held, in *state) {
+	in.tracks = in.tracks[:0]
+	var r trackReg
+	at := 0
+	_, b := f.row(0, trackBytes)
+	for first := true; len(b) > 0 && f.bad == nil; b, first = b[trackBytes:], false {
+		rec := (*[trackBytes]byte)(b)
+		last := r.Key
+		r.Key = TrackKey{Actor: asset.ID(f.i32(rec[:8])), ID: int(le(rec[8:16]))}
+		r.Stamp = Stamp{T: time.Duration(le(rec[57:65])), Actor: asset.ID(f.i32(rec[65:]))}
+		f.must(rec[56] <= 1, "a flag byte is not 0 or 1")
+		f.must(first || cmpKey(last, r.Key) < 0, "tracks out of order")
+		// Equality first: a frame mostly repeats what is held.
+		for at < len(held.tracks) && held.tracks[at].Key != r.Key && cmpKey(held.tracks[at].Key, r.Key) < 0 {
+			at++
+		}
+		if at < len(held.tracks) && held.tracks[at].Key == r.Key && !r.Stamp.After(held.tracks[at].Stamp) {
+			continue
+		}
+		r.Fix = TrackFix{
+			Pos: geo.Point{X: f64(rec[16:24]), Y: f64(rec[24:32])}, Vel: geo.Vec{DX: f64(rec[32:40]), DY: f64(rec[40:48])},
+			Hits: int(le(rec[48:56])), Confirmed: rec[56] == 1,
+		}
+		in.tracks = append(in.tracks, r)
+	}
+
+	in.trust = in.trust[:0]
+	var t trustReg
+	at = 0
+	for rows, row := f.count(trustRow), 0; row < rows && f.bad == nil; row++ {
+		h, b := f.row(8, trustBytes)
+		last := t.Subject
+		t.Subject = asset.ID(f.i32(h))
+		f.must(row == 0 || last < t.Subject, "trust subjects out of order")
+		f.must(len(b) > 0, "a trust subject has no observer")
+		for first := true; len(b) > 0 && f.bad == nil; b, first = b[trustBytes:], false {
+			rec := (*[trustBytes]byte)(b)
+			last := t.Observer
+			t.Observer, t.Alpha, t.Beta = asset.ID(f.i32(rec[:8])), f.evidence(rec[8:16]), f.evidence(rec[16:])
+			f.must(first || last < t.Observer, "trust observers out of order")
+			for at < len(held.trust) && cmpTrust(&held.trust[at], &t) < 0 {
+				at++
+			}
+			if at < len(held.trust) && cmpTrust(&held.trust[at], &t) == 0 && held.trust[at].join(t.Evidence) == held.trust[at].Evidence {
+				continue
+			}
+			in.trust = append(in.trust, t)
+		}
+	}
+
+	in.adds = in.adds[:0]
+	var a coverAdd
+	at = 0
+	for rows, row := f.count(cellRow), 0; row < rows && f.bad == nil; row++ {
+		h, b := f.row(16, tagBytes)
+		last := a.Cell
+		a.Cell = Cell{X: f.i32(h[:8]), Y: f.i32(h[8:16])}
+		f.must(row == 0 || cmpCell(last, a.Cell) < 0, "coverage cells out of order")
+		f.must(len(b) > 0, "a coverage cell has no tag")
+		for first := true; len(b) > 0 && f.bad == nil; b, first = b[tagBytes:], false {
+			last := a.Tag
+			a.Tag = f.tag(b[:tagBytes])
+			f.must(first || cmpTag(&last, &a.Tag) < 0, "coverage tags out of order")
+			for at < len(held.adds) && held.adds[at] != a && cmpAdd(&held.adds[at], &a) < 0 {
+				at++
+			}
+			if at < len(held.adds) && held.adds[at] == a {
+				continue
+			}
+			in.adds = append(in.adds, a)
+		}
+	}
+
+	in.removes = in.removes[:0]
+	var g tag
+	at = 0
+	_, b = f.row(0, tagBytes)
+	for first := true; len(b) > 0 && f.bad == nil; b, first = b[tagBytes:], false {
+		last := g
+		g = f.tag(b[:tagBytes])
+		f.must(first || cmpTag(&last, &g) < 0, "tombstones out of order")
+		for at < len(held.removes) && held.removes[at] != g && cmpTag(&held.removes[at], &g) < 0 {
+			at++
+		}
+		if at < len(held.removes) && held.removes[at] == g {
+			continue
+		}
+		in.removes = append(in.removes, g)
+	}
+
+	f.must(len(f.rest) == 0, "bytes after the last section")
+}
+
 // frame is a cursor over a peer's bytes that remembers the first way they
-// depart from what Encode writes. It reads a whole fixed-width record (or
-// row header) at a time; the scalars inside are checkpoint's — 8-byte
-// little-endian words, one-byte flags — at the offsets write puts them.
+// depart from what Encode writes. It reads whole fixed-width records (or
+// row headers); the scalars inside are the ones wire writes, at the
+// offsets write puts them.
 type frame struct {
 	rest []byte // not yet read
 	bad  error
@@ -175,7 +311,8 @@ func (f *frame) must(ok bool, fault string) {
 	}
 }
 
-// zeroRecord is what next hands out once the frame is at fault.
+// zeroRecord is what next (and row, for a header) hands out once the
+// frame is at fault.
 var zeroRecord [trackBytes]byte
 
 // next returns the next n <= trackBytes bytes.
@@ -210,6 +347,28 @@ func (f *frame) count(width int) int {
 	return int(n)
 }
 
+// row reads a row header of head bytes, a record count and that many
+// width-byte records, bounding the count by the bytes left as count does
+// (head 0: a section's count and its records). At fault the header is
+// zeroRecord's and there are no records.
+func (f *frame) row(head, width int) (h, records []byte) {
+	if len(f.rest) < head+8 {
+		f.must(false, "truncated")
+		return zeroRecord[:head], nil
+	}
+	h, n, rest := f.rest[:head], le(f.rest[head:]), f.rest[head+8:]
+	// A negative count reads as one above 2^63. The bound multiplies where
+	// count divides: row runs once per row, and a division by a width that
+	// is not a constant costs more than the rest of the row header.
+	if n > uint64(len(rest)) || n*uint64(width) > uint64(len(rest)) {
+		f.must(false, "a count exceeds the bytes left")
+		return zeroRecord[:head], nil
+	}
+	n *= uint64(width)
+	f.rest = rest[n:]
+	return h, rest[:n]
+}
+
 // evidence reads one evidence component, which a replica holds only as
 // +0 or above: the bit patterns up to +Inf's.
 func (f *frame) evidence(b []byte) float64 {
@@ -218,70 +377,3 @@ func (f *frame) evidence(b []byte) float64 {
 }
 
 func (f *frame) tag(b []byte) tag { return tag{Actor: asset.ID(f.i32(b)), Seq: le(b[8:])} }
-
-// read loads the rest of f into s (overwriting it, reusing its storage)
-// while checking that the bytes are canonical: every count covered by the
-// bytes behind it, keys strictly ascending, no empty row, every scalar as
-// Encode writes it, nothing left over.
-func (s *state) read(f *frame) error {
-	s.tracks = s.tracks[:0]
-	for n := f.count(trackBytes); n > 0 && f.bad == nil; n-- {
-		b := f.next(trackBytes)
-		f.must(b[56] <= 1, "a flag byte is not 0 or 1")
-		r := trackReg{
-			Key: TrackKey{Actor: asset.ID(f.i32(b)), ID: int(le(b[8:]))},
-			Fix: TrackFix{
-				Pos: geo.Point{X: f64(b[16:]), Y: f64(b[24:])}, Vel: geo.Vec{DX: f64(b[32:]), DY: f64(b[40:])},
-				Hits: int(le(b[48:])), Confirmed: b[56] == 1,
-			},
-			Stamp: Stamp{T: time.Duration(le(b[57:])), Actor: asset.ID(f.i32(b[65:]))},
-		}
-		k := len(s.tracks)
-		f.must(k == 0 || cmpTrack(&s.tracks[k-1], &r) < 0, "tracks out of order")
-		s.tracks = append(s.tracks, r)
-	}
-
-	s.trust = s.trust[:0]
-	for rows := f.count(trustRow); rows > 0 && f.bad == nil; rows-- {
-		r := trustReg{Subject: asset.ID(f.i32(f.next(8)))}
-		k := len(s.trust)
-		f.must(k == 0 || s.trust[k-1].Subject < r.Subject, "trust subjects out of order")
-		n := f.count(trustBytes)
-		f.must(n > 0, "a trust subject has no observer")
-		for ; n > 0 && f.bad == nil; n-- {
-			b := f.next(trustBytes)
-			r.Observer, r.Alpha, r.Beta = asset.ID(f.i32(b)), f.evidence(b[8:]), f.evidence(b[16:])
-			f.must(len(s.trust) == k || s.trust[len(s.trust)-1].Observer < r.Observer, "trust observers out of order")
-			s.trust = append(s.trust, r)
-		}
-	}
-
-	s.adds = s.adds[:0]
-	for rows := f.count(cellRow); rows > 0 && f.bad == nil; rows-- {
-		b := f.next(16)
-		r := coverAdd{Cell: Cell{X: f.i32(b), Y: f.i32(b[8:])}}
-		k := len(s.adds)
-		f.must(k == 0 || cmpCell(s.adds[k-1].Cell, r.Cell) < 0, "coverage cells out of order")
-		n := f.count(tagBytes)
-		f.must(n > 0, "a coverage cell has no tag")
-		for ; n > 0 && f.bad == nil; n-- {
-			r.Tag = f.tag(f.next(tagBytes))
-			f.must(len(s.adds) == k || cmpTag(&s.adds[len(s.adds)-1].Tag, &r.Tag) < 0, "coverage tags out of order")
-			s.adds = append(s.adds, r)
-		}
-	}
-
-	s.removes = s.removes[:0]
-	for n := f.count(tagBytes); n > 0 && f.bad == nil; n-- {
-		t := f.tag(f.next(tagBytes))
-		k := len(s.removes)
-		f.must(k == 0 || cmpTag(&s.removes[k-1], &t) < 0, "tombstones out of order")
-		s.removes = append(s.removes, t)
-	}
-
-	f.must(len(f.rest) == 0, "bytes after the last section")
-	if f.bad != nil {
-		return fmt.Errorf("cop: decode: frame is not canonical: %w", f.bad)
-	}
-	return nil
-}

@@ -2,6 +2,8 @@ package cop
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"runtime"
 	"runtime/debug"
@@ -132,6 +134,90 @@ func (m *model) encodeState() []byte {
 		e.Uint64(t.Seq)
 	}
 	return e.Bytes()
+}
+
+// Decode and read are the reference validator MergeEncoded's walk is
+// checked against: the decoder the walk replaced, which decodes and
+// checks every record of a frame into a fresh replica. The two must
+// accept exactly the same frames.
+
+// Decode reconstructs a replica from Encode's output; it accepts exactly
+// the frames MergeEncoded does.
+func Decode(data []byte) (*Picture, error) {
+	f := frame{rest: data}
+	head := f.next(headerBytes)
+	p := &Picture{self: asset.ID(f.i32(head)), seq: le(head[8:])}
+	if err := p.read(&f); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// read loads the rest of f into s (overwriting it, reusing its storage)
+// while checking that the bytes are canonical: every count covered by the
+// bytes behind it, keys strictly ascending, no empty row, every scalar as
+// Encode writes it, nothing left over.
+func (s *state) read(f *frame) error {
+	s.tracks = s.tracks[:0]
+	for n := f.count(trackBytes); n > 0 && f.bad == nil; n-- {
+		b := f.next(trackBytes)
+		f.must(b[56] <= 1, "a flag byte is not 0 or 1")
+		r := trackReg{
+			Key: TrackKey{Actor: asset.ID(f.i32(b)), ID: int(le(b[8:]))},
+			Fix: TrackFix{
+				Pos: geo.Point{X: f64(b[16:]), Y: f64(b[24:])}, Vel: geo.Vec{DX: f64(b[32:]), DY: f64(b[40:])},
+				Hits: int(le(b[48:])), Confirmed: b[56] == 1,
+			},
+			Stamp: Stamp{T: time.Duration(le(b[57:])), Actor: asset.ID(f.i32(b[65:]))},
+		}
+		k := len(s.tracks)
+		f.must(k == 0 || cmpTrack(&s.tracks[k-1], &r) < 0, "tracks out of order")
+		s.tracks = append(s.tracks, r)
+	}
+
+	s.trust = s.trust[:0]
+	for rows := f.count(trustRow); rows > 0 && f.bad == nil; rows-- {
+		r := trustReg{Subject: asset.ID(f.i32(f.next(8)))}
+		k := len(s.trust)
+		f.must(k == 0 || s.trust[k-1].Subject < r.Subject, "trust subjects out of order")
+		n := f.count(trustBytes)
+		f.must(n > 0, "a trust subject has no observer")
+		for ; n > 0 && f.bad == nil; n-- {
+			b := f.next(trustBytes)
+			r.Observer, r.Alpha, r.Beta = asset.ID(f.i32(b)), f.evidence(b[8:]), f.evidence(b[16:])
+			f.must(len(s.trust) == k || s.trust[len(s.trust)-1].Observer < r.Observer, "trust observers out of order")
+			s.trust = append(s.trust, r)
+		}
+	}
+
+	s.adds = s.adds[:0]
+	for rows := f.count(cellRow); rows > 0 && f.bad == nil; rows-- {
+		b := f.next(16)
+		r := coverAdd{Cell: Cell{X: f.i32(b), Y: f.i32(b[8:])}}
+		k := len(s.adds)
+		f.must(k == 0 || cmpCell(s.adds[k-1].Cell, r.Cell) < 0, "coverage cells out of order")
+		n := f.count(tagBytes)
+		f.must(n > 0, "a coverage cell has no tag")
+		for ; n > 0 && f.bad == nil; n-- {
+			r.Tag = f.tag(f.next(tagBytes))
+			f.must(len(s.adds) == k || cmpTag(&s.adds[len(s.adds)-1].Tag, &r.Tag) < 0, "coverage tags out of order")
+			s.adds = append(s.adds, r)
+		}
+	}
+
+	s.removes = s.removes[:0]
+	for n := f.count(tagBytes); n > 0 && f.bad == nil; n-- {
+		t := f.tag(f.next(tagBytes))
+		k := len(s.removes)
+		f.must(k == 0 || cmpTag(&s.removes[k-1], &t) < 0, "tombstones out of order")
+		s.removes = append(s.removes, t)
+	}
+
+	f.must(len(f.rest) == 0, "bytes after the last section")
+	if f.bad != nil {
+		return fmt.Errorf("cop: decode: frame is not canonical: %w", f.bad)
+	}
+	return nil
 }
 
 // allocBytes returns the heap bytes f allocated.
@@ -282,8 +368,10 @@ func TestMergeEncodedMatchesMerge(t *testing.T) {
 }
 
 // TestEncodeIsCanonical: what Encode writes, Decode accepts and writes
-// back byte for byte — including after merges, the route by which a
-// replica's runs are built out of order.
+// back byte for byte, and MergeEncoded accepts too — including after
+// merges, the route by which a replica's runs are built out of order.
+// Digest, which builds no encoding, is the FNV-1a hash of the replicated
+// part of it.
 func TestEncodeIsCanonical(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		p := mergeOf(randomPicture(seed, 5), randomPicture(seed+50, 3), randomPicture(seed+100, 9))
@@ -298,6 +386,14 @@ func TestEncodeIsCanonical(t *testing.T) {
 		if !bytes.Equal(q.Encode(), data) {
 			t.Fatalf("seed %d: Decode(p.Encode()).Encode() != p.Encode()", seed)
 		}
+		if err := NewPicture(0).MergeEncoded(data); err != nil {
+			t.Fatalf("seed %d: MergeEncoded rejects Encode's output: %v", seed, err)
+		}
+		h := fnv.New64a()
+		_, _ = h.Write(data[headerBytes:])
+		if got, want := p.Digest(), h.Sum64(); got != want {
+			t.Fatalf("seed %d: Digest %#x, FNV-1a of the encoding %#x", seed, got, want)
+		}
 	}
 }
 
@@ -306,12 +402,18 @@ func TestEncodeIsCanonical(t *testing.T) {
 func gossipFrame(n int) (*Picture, []byte) {
 	all := NewPicture(0)
 	for i := 0; i < n; i++ {
-		p := NewPicture(asset.ID(i))
-		p.Cover(Cell{X: 1, Y: int32(i)})
-		p.ObserveTrack(1, TrackFix{Pos: geo.Point{X: float64(i), Y: 1}}, time.Duration(i)*time.Second)
-		all.Merge(p)
+		all.Merge(publisher(i))
 	}
 	return all, all.Encode()
+}
+
+// publisher is publisher i's own picture in gossipFrame: one track and
+// one covered cell.
+func publisher(i int) *Picture {
+	p := NewPicture(asset.ID(i))
+	p.Cover(Cell{X: 1, Y: int32(i)})
+	p.ObserveTrack(1, TrackFix{Pos: geo.Point{X: float64(i), Y: 1}}, time.Duration(i)*time.Second)
+	return p
 }
 
 // raceDetector is set by race_test.go. Under -race sync.Pool deliberately
@@ -392,10 +494,27 @@ func TestMergeAllocRate(t *testing.T) {
 	})
 }
 
+// digestSink keeps TestDigestAllocRate's calls from being optimized away.
+var digestSink uint64
+
+// TestDigestAllocRate pins Digest, which gossip_cop takes of every node's
+// replica once a unit, at 0 heap objects per call over 10⁴ calls.
+func TestDigestAllocRate(t *testing.T) {
+	p, _ := gossipFrame(54)
+	checkAllocRate(t, "digest", 0, func() uint64 {
+		const calls = 10_000
+		for i := 0; i < calls; i++ {
+			digestSink ^= p.Digest()
+		}
+		return calls
+	})
+}
+
 // FuzzMergeEncoded feeds MergeEncoded arbitrary bytes. It must never
 // panic, never allocate out of proportion to the bytes it was handed,
-// leave the replica untouched when it refuses a frame, and when it
-// accepts one agree with Decode, with the canonical-frame contract
+// leave the replica untouched when it refuses a frame, accept exactly
+// the frames the reference validator (Decode) accepts, and when it
+// accepts one agree with the canonical-frame contract
 // (accepted bytes re-encode to themselves) and with the map-based model.
 func FuzzMergeEncoded(f *testing.F) {
 	real := mergeOf(randomPicture(3, 7), randomPicture(8, 4)).Encode()
@@ -405,7 +524,19 @@ func FuzzMergeEncoded(f *testing.F) {
 	for _, h := range hostileFrames {
 		f.Add(h.data)
 	}
-	receiver := randomPicture(11, 2).Encode()
+	// The paths that overwrite a held record, which gossip_cop never
+	// takes: the receiver's own track restamped later, and its evidence
+	// about a subject it holds grown in alpha alone and in beta alone.
+	held := randomPicture(11, 2)
+	newer := held.Clone()
+	newer.ObserveTrack(0, TrackFix{Hits: 99}, time.Hour)
+	f.Add(newer.Encode())
+	for _, e := range []Evidence{{Alpha: 100}, {Beta: 100}} {
+		larger := held.Clone()
+		larger.ObserveTrust(held.trust[0].Subject, e.Alpha, e.Beta)
+		f.Add(larger.Encode())
+	}
+	receiver := held.Encode()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(receiver)
 		if err != nil {

@@ -16,7 +16,6 @@
 package cop
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -201,14 +200,22 @@ type coverAdd struct {
 }
 
 // lex orders by the pair (a1, a2) against (b1, b2), first component first.
-func lex[A, B cmp.Ordered](a1, b1 A, a2, b2 B) int {
-	if c := cmp.Compare(a1, b1); c != 0 {
-		return c
+// It takes integers only and no cmp.Compare, whose NaN handling would put
+// it over the inliner's budget: the frame walk compares every record.
+func lex[A, B integer](a1, b1 A, a2, b2 B) int {
+	switch {
+	case a1 < b1 || a1 == b1 && a2 < b2:
+		return -1
+	case a1 == b1 && a2 == b2:
+		return 0
 	}
-	return cmp.Compare(a2, b2)
+	return 1
 }
 
-func cmpTrack(a, b *trackReg) int { return lex(a.Key.Actor, b.Key.Actor, a.Key.ID, b.Key.ID) }
+type integer interface{ ~int | ~int32 | ~uint64 }
+
+func cmpKey(a, b TrackKey) int    { return lex(a.Actor, b.Actor, a.ID, b.ID) }
+func cmpTrack(a, b *trackReg) int { return cmpKey(a.Key, b.Key) }
 func cmpTrust(a, b *trustReg) int { return lex(a.Subject, b.Subject, a.Observer, b.Observer) }
 func cmpTag(a, b *tag) int        { return lex(a.Actor, b.Actor, a.Seq, b.Seq) }
 func cmpCell(a, b Cell) int       { return lex(a.X, b.X, a.Y, b.Y) }

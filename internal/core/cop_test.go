@@ -80,14 +80,12 @@ func TestPictureReplicasConvergeByMerge(t *testing.T) {
 	a := cop.NewPicture(1)
 	UpdatePicture(a, w, r, 100)
 	b := cop.NewPicture(2)
-	// b learns everything a knows over the wire: encode, decode, merge —
-	// the exact path gossip payloads take.
+	// b learns everything a knows over the wire: encode, then merge the
+	// bytes — the exact path gossip payloads take.
 	enc := a.Encode()
-	remote, err := cop.Decode(enc)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+	if err := b.MergeEncoded(enc); err != nil {
+		t.Fatalf("merge encoded: %v", err)
 	}
-	b.Merge(remote)
 	if a.Digest() != b.Digest() {
 		t.Error("replicas diverged after merge of encoded state")
 	}

@@ -74,7 +74,7 @@ func E6Learning(seed int64, quick bool) *Table {
 			rng := sim.NewRNG(seed)
 			train := learn.GenDataset(rng, learn.GenConfig{N: 2000, Dim: 5})
 			test := learn.GenDatasetFromW(rng, train.TrueW, 500, 0.05)
-			shards := train.Split(rng, workers, 0.3)
+			shards := train.Split(rng, workers)
 			res := learn.RunFederated(shards, test, learn.FedConfig{
 				Rounds: rounds, ByzFrac: byz, Agg: agg,
 			})

@@ -80,7 +80,7 @@ func E10CostOfLearning(seed int64, quick bool) *Table {
 	rng := sim.NewRNG(seed)
 	train := learn.GenDataset(rng, learn.GenConfig{N: 1500, Dim: 4})
 	test := learn.GenDatasetFromW(rng, train.TrueW, 400, 0.05)
-	shards := train.Split(rng, n, 0.3)
+	shards := train.Split(rng, n)
 
 	msg := float64((4 + 1) * 8)
 	cases := []struct {

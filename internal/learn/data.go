@@ -94,10 +94,18 @@ func GenDatasetFromW(rng *sim.RNG, w []float64, n int, noise float64) *Dataset {
 	return d
 }
 
-// Split partitions the dataset into n shards. When skew > 0, shard i
-// receives a class-skewed subsample (non-IID federated data): shard
-// parity biases its label mix by the skew fraction.
-func (d *Dataset) Split(rng *sim.RNG, n int, skew float64) []*Dataset {
+// splitSkew is the fraction of examples Split deals by label, the
+// non-IID mix every federated experiment trains on.
+const splitSkew = 0.3
+
+// Split partitions the dataset into n shards, each a class-skewed
+// subsample (non-IID federated data): shard parity biases its label mix
+// by splitSkew.
+func (d *Dataset) Split(rng *sim.RNG, n int) []*Dataset { return d.split(rng, n, splitSkew) }
+
+// split is Split at any skew: with probability skew an example goes to a
+// shard of its label's parity, otherwise to any shard.
+func (d *Dataset) split(rng *sim.RNG, n int, skew float64) []*Dataset {
 	if n <= 0 {
 		n = 1
 	}

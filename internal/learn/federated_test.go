@@ -10,7 +10,7 @@ func fedWorld(seed int64, workers int) ([]*Dataset, *Dataset) {
 	rng := sim.NewRNG(seed)
 	train := GenDataset(rng, GenConfig{N: 2000, Dim: 5})
 	test := GenDatasetFromW(rng, train.TrueW, 500, 0.05)
-	shards := train.Split(rng, workers, 0.3)
+	shards := train.Split(rng, workers)
 	return shards, test
 }
 

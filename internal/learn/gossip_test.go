@@ -10,7 +10,7 @@ func gossipWorld(seed int64, nodes int) ([]*Dataset, *Dataset) {
 	rng := sim.NewRNG(seed)
 	train := GenDataset(rng, GenConfig{N: 1500, Dim: 4})
 	test := GenDatasetFromW(rng, train.TrueW, 400, 0.05)
-	return train.Split(rng, nodes, 0.3), test
+	return train.Split(rng, nodes), test
 }
 
 func lastF(v []float64) float64 {

@@ -138,7 +138,7 @@ func TestGenDatasetNoiseCeiling(t *testing.T) {
 func TestSplitConservesData(t *testing.T) {
 	rng := sim.NewRNG(4)
 	d := genDataset(rng, GenConfig{N: 1000, Dim: 3}, 0)
-	shards := d.Split(rng, 7, 0)
+	shards := d.split(rng, 7, 0)
 	total := 0
 	for _, s := range shards {
 		total += s.Len()
@@ -154,7 +154,7 @@ func TestSplitConservesData(t *testing.T) {
 func TestSplitSkewProducesNonIID(t *testing.T) {
 	rng := sim.NewRNG(5)
 	d := genDataset(rng, GenConfig{N: 4000, Dim: 3}, 0)
-	shards := d.Split(rng, 4, 0.9)
+	shards := d.split(rng, 4, 0.9)
 	// Class balance should differ strongly between even and odd shards.
 	frac1 := func(s *Dataset) float64 {
 		if s.Len() == 0 {

@@ -98,7 +98,6 @@ var reachKeep = map[string]string{
 	"(*iobt/internal/adapt.SpanningTree).Legal":      "the global invariant the spanning-tree tests check self-stabilisation against",
 	"(*iobt/internal/game.Game).IsEquilibrium":       "the Nash-equilibrium oracle the game tests check convergence against",
 	"(*iobt/internal/game.Game).Potential":           "the potential-function oracle the game tests check improving moves against",
-	"iobt/internal/cop.Decode":                       "the round-trip oracle for Encode and MergeEncoded",
 	"(*iobt/internal/service.QueueFullError).Unwrap": "errors.Is calls it through an unexported interface when the HTTP layer maps ErrQueueFull to 429",
 }
 
