@@ -194,8 +194,8 @@ func TestFlagFingerprints(t *testing.T) {
 		{h3, "a45c6337c3f014e4"},
 		{slices.Concat(h3, []string{"-terrain", "urban"}), "c266efbd79350957"},
 		{slices.Concat(h3, []string{"-jam"}), "f3377013d6ecd196"},
-		{slices.Concat(h3, []string{"-gossip", "-verify"}), "01342d0f1ed1161d"},
-		{slices.Concat(h3, []string{"-gossip", "-verify", "-churn", "-jam"}), "531331a1b1cadc12"},
+		{slices.Concat(h3, []string{"-gossip", "-verify"}), "b10a28b5da2e268e"},
+		{slices.Concat(h3, []string{"-gossip", "-verify", "-churn", "-jam"}), "825f85493e0b5c91"},
 		{h10, "097beac1961d6282"},
 		{slices.Concat(h10, []string{"-jam"}), "8669c364bb3e3c92"},
 		{slices.Concat(h10, []string{"-churn"}), "f04bf22ab57fc4f3"},

@@ -12,17 +12,16 @@ import (
 	"iobt/internal/geo"
 )
 
-// Wire widths of the replica-local header (owner, tag sequence), of one
-// record, and of a row header plus its first record (no row is empty).
-// The walk bounds every count by the bytes left divided by these, so a
-// peer cannot make it reserve more than it sent.
+// Wire widths of the replica-local header (the owner), of one record, and
+// of a trust row header plus its first record (no row is empty). The walk
+// bounds every count by the bytes left divided by these, so a peer cannot
+// make it reserve more than it sent.
 const (
-	headerBytes = 2 * 8
+	headerBytes = 8
 	trackBytes  = 9*8 + 1
 	trustBytes  = 3 * 8
-	tagBytes    = 2 * 8
+	cellBytes   = 2 * 8
 	trustRow    = 2*8 + trustBytes
-	cellRow     = 3*8 + tagBytes
 )
 
 // Encode serializes the replica deterministically: the runs are already
@@ -31,7 +30,6 @@ const (
 func (p *Picture) Encode() []byte {
 	w := wire{buf: make([]byte, 0, headerBytes+p.wireSize())}
 	w.word(uint64(p.self))
-	w.word(p.seq)
 	p.write(&w)
 	return w.buf
 }
@@ -91,18 +89,15 @@ func (w *wire) flag(v bool) {
 // wireSize is the length of what write emits, so that Encode allocates
 // its buffer once and returns no slack.
 func (s *state) wireSize() int {
-	n := 4*8 + len(s.tracks)*trackBytes + len(s.trust)*trustBytes + (len(s.adds)+len(s.removes))*tagBytes
+	n := 3*8 + len(s.tracks)*trackBytes + len(s.trust)*trustBytes + len(s.cells)*cellBytes
 	for i := 0; i < len(s.trust); i = s.subjectEnd(i) {
 		n += trustRow - trustBytes
-	}
-	for i := 0; i < len(s.adds); i = s.cellEnd(i) {
-		n += cellRow - tagBytes
 	}
 	return n
 }
 
-// write dumps the replicated state. Trust and adds are written as rows:
-// the subject (cell) once, then its observers (tags).
+// write dumps the replicated state. Trust is written as rows: the subject
+// once, then its observers.
 func (s *state) write(w *wire) {
 	w.word(uint64(len(s.tracks)))
 	for i := range s.tracks {
@@ -135,26 +130,10 @@ func (s *state) write(w *wire) {
 		}
 	}
 
-	rows = 0
-	for i := 0; i < len(s.adds); i = s.cellEnd(i) {
-		rows++
-	}
-	w.word(uint64(rows))
-	for i := 0; i < len(s.adds); {
-		end := s.cellEnd(i)
-		w.word(uint64(s.adds[i].Cell.X))
-		w.word(uint64(s.adds[i].Cell.Y))
-		w.word(uint64(end - i))
-		for ; i < end; i++ {
-			w.word(uint64(s.adds[i].Tag.Actor))
-			w.word(s.adds[i].Tag.Seq)
-		}
-	}
-
-	w.word(uint64(len(s.removes)))
-	for _, t := range s.removes {
-		w.word(uint64(t.Actor))
-		w.word(t.Seq)
+	w.word(uint64(len(s.cells)))
+	for _, c := range s.cells {
+		w.word(uint64(c.X))
+		w.word(uint64(c.Y))
 	}
 }
 
@@ -168,7 +147,7 @@ func (s *state) write(w *wire) {
 // costs more memory than a few times its length.
 func (p *Picture) MergeEncoded(data []byte) error {
 	f := frame{rest: data}
-	f.i32(f.next(headerBytes)) // the sender's identity and tag sequence are not replicated state: only the ID's form is checked
+	f.i32(f.next(headerBytes)) // the sender's identity is not replicated state: only its form is checked
 	in := scratch.Get().(*state)
 	f.walk(&p.state, in)
 	if f.bad == nil {
@@ -188,7 +167,7 @@ func (p *Picture) MergeEncoded(data []byte) error {
 // warm in their caches.
 var scratch = sync.Pool{New: func() any { return new(state) }}
 
-// walk checks the rest of f in one pass, in step with held's four runs,
+// walk checks the rest of f in one pass, in step with held's three runs,
 // and loads into in (overwriting it, reusing its storage) only the
 // records held does not dominate: a key held lacks, a track with a newer
 // stamp, evidence larger in a component (the rules foldTrack and
@@ -252,44 +231,21 @@ func (f *frame) walk(held, in *state) {
 		}
 	}
 
-	in.adds = in.adds[:0]
-	var a coverAdd
+	in.cells = in.cells[:0]
+	var c Cell
 	at = 0
-	for rows, row := f.count(cellRow), 0; row < rows && f.bad == nil; row++ {
-		h, b := f.row(16, tagBytes)
-		last := a.Cell
-		a.Cell = Cell{X: f.i32(h[:8]), Y: f.i32(h[8:16])}
-		f.must(row == 0 || cmpCell(last, a.Cell) < 0, "coverage cells out of order")
-		f.must(len(b) > 0, "a coverage cell has no tag")
-		for first := true; len(b) > 0 && f.bad == nil; b, first = b[tagBytes:], false {
-			last := a.Tag
-			a.Tag = f.tag(b[:tagBytes])
-			f.must(first || cmpTag(&last, &a.Tag) < 0, "coverage tags out of order")
-			for at < len(held.adds) && held.adds[at] != a && cmpAdd(&held.adds[at], &a) < 0 {
-				at++
-			}
-			if at < len(held.adds) && held.adds[at] == a {
-				continue
-			}
-			in.adds = append(in.adds, a)
-		}
-	}
-
-	in.removes = in.removes[:0]
-	var g tag
-	at = 0
-	_, b = f.row(0, tagBytes)
-	for first := true; len(b) > 0 && f.bad == nil; b, first = b[tagBytes:], false {
-		last := g
-		g = f.tag(b[:tagBytes])
-		f.must(first || cmpTag(&last, &g) < 0, "tombstones out of order")
-		for at < len(held.removes) && held.removes[at] != g && cmpTag(&held.removes[at], &g) < 0 {
+	_, b = f.row(0, cellBytes)
+	for first := true; len(b) > 0 && f.bad == nil; b, first = b[cellBytes:], false {
+		last := c
+		c = Cell{X: f.i32(b[:8]), Y: f.i32(b[8:cellBytes])}
+		f.must(first || cmpCell(&last, &c) < 0, "coverage cells out of order")
+		for at < len(held.cells) && held.cells[at] != c && cmpCell(&held.cells[at], &c) < 0 {
 			at++
 		}
-		if at < len(held.removes) && held.removes[at] == g {
+		if at < len(held.cells) && held.cells[at] == c {
 			continue
 		}
-		in.removes = append(in.removes, g)
+		in.cells = append(in.cells, c)
 	}
 
 	f.must(len(f.rest) == 0, "bytes after the last section")
@@ -375,5 +331,3 @@ func (f *frame) evidence(b []byte) float64 {
 	f.must(le(b) <= math.Float64bits(math.Inf(1)), "evidence is negative or NaN")
 	return f64(b)
 }
-
-func (f *frame) tag(b []byte) tag { return tag{Actor: asset.ID(f.i32(b)), Seq: le(b[8:])} }

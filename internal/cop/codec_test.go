@@ -22,18 +22,16 @@ import (
 // collecting and sorting keys. It shares no code with the runs or the
 // join.
 type model struct {
-	tracks  map[TrackKey]trackReg
-	trust   map[asset.ID]map[asset.ID]Evidence
-	adds    map[Cell]map[tag]bool
-	removes map[tag]bool
+	tracks map[TrackKey]trackReg
+	trust  map[asset.ID]map[asset.ID]Evidence
+	cells  map[Cell]bool
 }
 
 func newModel() *model {
 	return &model{
-		tracks:  map[TrackKey]trackReg{},
-		trust:   map[asset.ID]map[asset.ID]Evidence{},
-		adds:    map[Cell]map[tag]bool{},
-		removes: map[tag]bool{},
+		tracks: map[TrackKey]trackReg{},
+		trust:  map[asset.ID]map[asset.ID]Evidence{},
+		cells:  map[Cell]bool{},
 	}
 }
 
@@ -63,17 +61,8 @@ func (m *model) mergeFrame(data []byte) {
 			m.trust[subject][observer] = m.trust[subject][observer].join(e)
 		}
 	}
-	for rows := d.Int(); rows > 0; rows-- {
-		c := Cell{X: int32(d.Int64()), Y: int32(d.Int64())}
-		if m.adds[c] == nil {
-			m.adds[c] = map[tag]bool{}
-		}
-		for n := d.Int(); n > 0; n-- {
-			m.adds[c][tag{Actor: asset.ID(d.Int64()), Seq: d.Uint64()}] = true
-		}
-	}
 	for n := d.Int(); n > 0; n-- {
-		m.removes[tag{Actor: asset.ID(d.Int64()), Seq: d.Uint64()}] = true
+		m.cells[Cell{X: int32(d.Int64()), Y: int32(d.Int64())}] = true
 	}
 }
 
@@ -87,7 +76,6 @@ func sortedKeys[K comparable, V any](m map[K]V, less func(a, b K) bool) []K {
 }
 
 func lessID(a, b asset.ID) bool { return a < b }
-func lessTag(a, b tag) bool     { return cmpTag(&a, &b) < 0 }
 
 // encodeState is the old collect-and-sort encoder.
 func (m *model) encodeState() []byte {
@@ -118,20 +106,10 @@ func (m *model) encodeState() []byte {
 			e.Float64(m.trust[s][o].Beta)
 		}
 	}
-	e.Int(len(m.adds))
-	for _, c := range sortedKeys(m.adds, func(a, b Cell) bool { return a.X < b.X || a.X == b.X && a.Y < b.Y }) {
+	e.Int(len(m.cells))
+	for _, c := range sortedKeys(m.cells, func(a, b Cell) bool { return a.X < b.X || a.X == b.X && a.Y < b.Y }) {
 		e.Int64(int64(c.X))
 		e.Int64(int64(c.Y))
-		e.Int(len(m.adds[c]))
-		for _, t := range sortedKeys(m.adds[c], lessTag) {
-			e.Int64(int64(t.Actor))
-			e.Uint64(t.Seq)
-		}
-	}
-	e.Int(len(m.removes))
-	for _, t := range sortedKeys(m.removes, lessTag) {
-		e.Int64(int64(t.Actor))
-		e.Uint64(t.Seq)
 	}
 	return e.Bytes()
 }
@@ -145,8 +123,7 @@ func (m *model) encodeState() []byte {
 // the frames MergeEncoded does.
 func Decode(data []byte) (*Picture, error) {
 	f := frame{rest: data}
-	head := f.next(headerBytes)
-	p := &Picture{self: asset.ID(f.i32(head)), seq: le(head[8:])}
+	p := &Picture{self: asset.ID(f.i32(f.next(headerBytes)))}
 	if err := p.read(&f); err != nil {
 		return nil, err
 	}
@@ -190,27 +167,13 @@ func (s *state) read(f *frame) error {
 		}
 	}
 
-	s.adds = s.adds[:0]
-	for rows := f.count(cellRow); rows > 0 && f.bad == nil; rows-- {
-		b := f.next(16)
-		r := coverAdd{Cell: Cell{X: f.i32(b), Y: f.i32(b[8:])}}
-		k := len(s.adds)
-		f.must(k == 0 || cmpCell(s.adds[k-1].Cell, r.Cell) < 0, "coverage cells out of order")
-		n := f.count(tagBytes)
-		f.must(n > 0, "a coverage cell has no tag")
-		for ; n > 0 && f.bad == nil; n-- {
-			r.Tag = f.tag(f.next(tagBytes))
-			f.must(len(s.adds) == k || cmpTag(&s.adds[len(s.adds)-1].Tag, &r.Tag) < 0, "coverage tags out of order")
-			s.adds = append(s.adds, r)
-		}
-	}
-
-	s.removes = s.removes[:0]
-	for n := f.count(tagBytes); n > 0 && f.bad == nil; n-- {
-		t := f.tag(f.next(tagBytes))
-		k := len(s.removes)
-		f.must(k == 0 || cmpTag(&s.removes[k-1], &t) < 0, "tombstones out of order")
-		s.removes = append(s.removes, t)
+	s.cells = s.cells[:0]
+	for n := f.count(cellBytes); n > 0 && f.bad == nil; n-- {
+		b := f.next(cellBytes)
+		c := Cell{X: f.i32(b), Y: f.i32(b[8:])}
+		k := len(s.cells)
+		f.must(k == 0 || cmpCell(&s.cells[k-1], &c) < 0, "coverage cells out of order")
+		s.cells = append(s.cells, c)
 	}
 
 	f.must(len(f.rest) == 0, "bytes after the last section")
@@ -240,7 +203,6 @@ func allocBound(data, held int) uint64 { return uint64(16*(data+held) + 4096) }
 func frameOf(body func(e *checkpoint.Encoder)) []byte {
 	e := checkpoint.NewEncoder()
 	e.Int64(1)
-	e.Uint64(0)
 	body(e)
 	return e.Bytes()
 }
@@ -278,31 +240,26 @@ var hostileFrames = []struct {
 	{"track count 2^34", frameOf(func(e *checkpoint.Encoder) { ints(e, 1<<34) })},
 	{"subject count 2^34", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 1<<34) })},
 	{"cell count 2^34", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 1<<34) })},
-	{"tag count 2^34", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 1, 2, 3, 1<<34) })},
-	{"tombstone count 2^34", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 0, 1<<34) })},
 	{"negative track count", frameOf(func(e *checkpoint.Encoder) { ints(e, -1) })},
-	{"count one past the bytes", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 0, 2, 1, 1) })},
+	{"count one past the bytes", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 2, 1, 1) })},
 
-	{"descending tracks", frameOf(func(e *checkpoint.Encoder) { e.Int(2); track(e, 2, 0); track(e, 1, 0); ints(e, 0, 0, 0) })},
-	{"duplicate track", frameOf(func(e *checkpoint.Encoder) { e.Int(2); track(e, 1, 4); track(e, 1, 4); ints(e, 0, 0, 0) })},
-	{"descending subjects", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 2, 9, 1, 1, bits(1), bits(1), 8, 1, 1, bits(1), bits(1), 0, 0) })},
-	{"subject split over two rows", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 2, 9, 1, 1, bits(1), bits(1), 9, 1, 2, bits(1), bits(1), 0, 0) })},
-	{"duplicate observer", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 1, 9, 2, 1, bits(1), bits(1), 1, bits(2), bits(2), 0, 0) })},
+	{"descending tracks", frameOf(func(e *checkpoint.Encoder) { e.Int(2); track(e, 2, 0); track(e, 1, 0); ints(e, 0, 0) })},
+	{"duplicate track", frameOf(func(e *checkpoint.Encoder) { e.Int(2); track(e, 1, 4); track(e, 1, 4); ints(e, 0, 0) })},
+	{"descending subjects", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 2, 9, 1, 1, bits(1), bits(1), 8, 1, 1, bits(1), bits(1), 0) })},
+	{"subject split over two rows", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 2, 9, 1, 1, bits(1), bits(1), 9, 1, 2, bits(1), bits(1), 0) })},
+	{"duplicate observer", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 1, 9, 2, 1, bits(1), bits(1), 1, bits(2), bits(2), 0) })},
 	{"subject with no observer", frameOf(func(e *checkpoint.Encoder) {
-		ints(e, 0, 2, 9, 0, 10, 3, 1, bits(1), bits(1), 2, bits(1), bits(1), 3, bits(1), bits(1), 0, 0)
+		ints(e, 0, 2, 9, 0, 10, 3, 1, bits(1), bits(1), 2, bits(1), bits(1), 3, bits(1), bits(1), 0)
 	})},
-	{"negative evidence", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 1, 9, 1, 1, bits(-1), bits(1), 0, 0) })},
-	{"negative zero evidence", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 1, 9, 1, 1, bits(math.Copysign(0, -1)), bits(1), 0, 0) })},
-	{"NaN evidence", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 1, 9, 1, 1, bits(1), bits(math.NaN()), 0, 0) })},
-	{"descending cells", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 2, 1, 1, 1, 5, 1, 1, 0, 1, 5, 2, 0) })},
-	{"cell split over two rows", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 2, 1, 1, 1, 5, 1, 1, 1, 1, 5, 2, 0) })},
-	{"duplicate tag", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 1, 1, 1, 2, 5, 1, 5, 1, 0) })},
-	{"cell with no tag", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 2, 1, 1, 0, 2, 2, 3, 5, 1, 5, 2, 5, 3, 0) })},
-	{"descending tombstones", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 0, 2, 5, 2, 5, 1) })},
-	{"actor beyond int32", frameOf(func(e *checkpoint.Encoder) { e.Int(1); track(e, 1<<32+1, 0); ints(e, 0, 0, 0) })},
-	{"cell beyond int32", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 1, 1<<31, 1, 1, 5, 1, 0) })},
+	{"negative evidence", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 1, 9, 1, 1, bits(-1), bits(1), 0) })},
+	{"negative zero evidence", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 1, 9, 1, 1, bits(math.Copysign(0, -1)), bits(1), 0) })},
+	{"NaN evidence", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 1, 9, 1, 1, bits(1), bits(math.NaN()), 0) })},
+	{"descending cells", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 2, 1, 5, 1, 1) })},
+	{"duplicate cell", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 2, 1, 5, 1, 5) })},
+	{"actor beyond int32", frameOf(func(e *checkpoint.Encoder) { e.Int(1); track(e, 1<<32+1, 0); ints(e, 0, 0) })},
+	{"cell beyond int32", frameOf(func(e *checkpoint.Encoder) { ints(e, 0, 0, 1, 1<<31, 1) })},
 	{"flag byte 2", func() []byte {
-		data := frameOf(func(e *checkpoint.Encoder) { e.Int(1); track(e, 1, 0); ints(e, 0, 0, 0) })
+		data := frameOf(func(e *checkpoint.Encoder) { e.Int(1); track(e, 1, 0); ints(e, 0, 0) })
 		data[headerBytes+8+7*8] = 2
 		return data
 	}()},
@@ -429,7 +386,7 @@ func TestMergeEncodedDominatedFrameAllocatesNothing(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	p, frame := gossipFrame(54)
-	if tracks, _, cells, _ := p.Counts(); tracks != 54 || cells != 54 {
+	if tracks, _, cells := p.Counts(); tracks != 54 || cells != 54 {
 		t.Fatalf("frame holds %d tracks and %d cells, want 54 and 54", tracks, cells)
 	}
 	if err := p.MergeEncoded(frame); err != nil { // scratch reaches its high-water mark
@@ -517,7 +474,9 @@ func TestDigestAllocRate(t *testing.T) {
 // accepts one agree with the canonical-frame contract
 // (accepted bytes re-encode to themselves) and with the map-based model.
 func FuzzMergeEncoded(f *testing.F) {
-	real := mergeOf(randomPicture(3, 7), randomPicture(8, 4)).Encode()
+	// Three replicas make a real frame of about 1.8 KB, each cut of it a
+	// seed.
+	real := mergeOf(randomPicture(3, 7), randomPicture(8, 4), randomPicture(13, 9)).Encode()
 	for cut := 0; cut <= len(real); cut++ {
 		f.Add(real[:cut])
 	}

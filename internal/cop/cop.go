@@ -1,7 +1,7 @@
 // Package cop replicates the common operational picture as a state-based
 // CRDT: the track store is a set of last-writer-wins registers, trust
 // evidence is a grow-only counter per (subject, observer), and the sensor
-// coverage map is an observed-remove set of grid cells. Merges are
+// coverage map is a grow-only set of grid cells. Merges are
 // commutative, associative, and idempotent, so command posts converge on
 // the same picture regardless of message ordering, duplication, or how
 // long a partition kept them apart — the property the paper's §III
@@ -9,14 +9,13 @@
 // gossip layer (internal/mesh) exploits: replicas exchange encoded
 // pictures and merge, with no coordination and no ordering assumptions.
 //
-// A replica is stored the way it is encoded: four runs of fixed-size
+// A replica is stored the way it is encoded: three runs of fixed-size
 // records kept strictly ascending by key. Every merge, local write and
 // dominance check is one merge-join over those runs and Encode is a
 // linear dump, so same-seed runs stay byte-identical.
 package cop
 
 import (
-	"math"
 	"slices"
 	"sort"
 	"time"
@@ -81,19 +80,11 @@ type Cell struct {
 	X, Y int32
 }
 
-// tag uniquely identifies one OR-set add: the covering actor plus a
-// per-actor sequence number.
-type tag struct {
-	Actor asset.ID
-	Seq   uint64
-}
-
 // Picture is one replica of the common operational picture. It is not
 // safe for concurrent use; like the rest of the simulator it lives on
 // the single-threaded engine loop.
 type Picture struct {
 	self asset.ID
-	seq  uint64
 	state
 }
 
@@ -119,65 +110,45 @@ func (p *Picture) ObserveTrust(subject asset.ID, alpha, beta float64) {
 	joinRun(&p.trust, []trustReg{{Subject: subject, Observer: p.self, Evidence: e}}, cmpTrust, foldTrust, false)
 }
 
-// Cover asserts that the owner currently covers cell c.
-func (p *Picture) Cover(c Cell) {
-	p.seq++
-	joinRun(&p.adds, []coverAdd{{Cell: c, Tag: tag{Actor: p.self, Seq: p.seq}}}, cmpAdd, nil, false)
-}
-
-// Covered reports whether any un-tombstoned coverage assertion for c
-// has been observed.
-func (p *Picture) Covered(c Cell) bool { return len(p.liveTags(c)) > 0 }
-
-// CoveredCells returns every covered cell, sorted.
-func (p *Picture) CoveredCells() []Cell {
-	var cells []Cell
-	for i := 0; i < len(p.adds); i = p.cellEnd(i) {
-		if c := p.adds[i].Cell; p.Covered(c) {
-			cells = append(cells, c)
-		}
-	}
-	return cells
-}
+// Cover records that cell c is covered. Coverage only grows, so covering
+// a held cell changes nothing.
+func (p *Picture) Cover(c Cell) { joinRun(&p.cells, []Cell{c}, cmpCell, nil, false) }
 
 // Merge joins o into p. The join is commutative, associative, and
 // idempotent: LWW registers keep the newer stamp, evidence counters take
-// the pointwise max, and the coverage OR-set unions adds and tombstones.
+// the pointwise max, and coverage is the union of the cell sets.
 // o is not modified.
 func (p *Picture) Merge(o *Picture) { p.join(&o.state, false) }
 
 // Dominates reports whether p's state is at or past o in the CRDT
 // partial order — merging o into p would change nothing: every register
 // o holds exists in p with an equal or newer stamp, every evidence pair
-// pointwise >=, and p's add and tombstone sets contain o's. Merging can
+// pointwise >=, and p's covered cells contain o's. Merging can
 // only move a replica up this order; verify.PictureMonotone checks
 // "anti-entropy never regresses CRDT state" against this predicate.
 func (p *Picture) Dominates(o *Picture) bool { return !p.join(&o.state, true) }
 
-// Clone returns a deep copy (same owner, same tag sequence).
+// Clone returns a deep copy (same owner).
 func (p *Picture) Clone() *Picture {
-	c := &Picture{self: p.self, seq: p.seq}
+	c := &Picture{self: p.self}
 	c.Merge(p)
 	return c
 }
 
 // Counts summarizes the replica size: tracks, trust pairs, covered
-// cells, tombstones.
-func (p *Picture) Counts() (tracks, trustPairs, covered, tombstones int) {
-	return len(p.tracks), len(p.trust), len(p.CoveredCells()), len(p.removes)
+// cells.
+func (p *Picture) Counts() (tracks, trustPairs, covered int) {
+	return len(p.tracks), len(p.trust), len(p.cells)
 }
 
-// state is the replicated (convergent) part of a Picture: four runs of
+// state is the replicated (convergent) part of a Picture: three runs of
 // fixed-size records, each strictly ascending by its key — the order
 // Encode writes, so a received frame and the replica are two sorted
 // sequences and every CRDT operation is a merge-join of them (joinRun).
 type state struct {
 	tracks []trackReg // LWW registers, by (actor, id)
 	trust  []trustReg // grow-only evidence pairs, by (subject, observer)
-	// adds holds the tags asserting coverage of a cell, removes tombstones
-	// the withdrawn ones: a cell is covered iff a tag of its is not removed.
-	adds    []coverAdd // by (cell, tag)
-	removes []tag
+	cells  []Cell     // grow-only set of covered cells, by (x, y)
 }
 
 // trackReg is an LWW register: the newest stamp wins on merge.
@@ -193,12 +164,6 @@ type trustReg struct {
 	Evidence
 }
 
-// coverAdd is one OR-set add: Tag asserts coverage of Cell.
-type coverAdd struct {
-	Cell Cell
-	Tag  tag
-}
-
 // lex orders by the pair (a1, a2) against (b1, b2), first component first.
 // It takes integers only and no cmp.Compare, whose NaN handling would put
 // it over the inliner's budget: the frame walk compares every record.
@@ -212,20 +177,12 @@ func lex[A, B integer](a1, b1 A, a2, b2 B) int {
 	return 1
 }
 
-type integer interface{ ~int | ~int32 | ~uint64 }
+type integer interface{ ~int | ~int32 }
 
 func cmpKey(a, b TrackKey) int    { return lex(a.Actor, b.Actor, a.ID, b.ID) }
 func cmpTrack(a, b *trackReg) int { return cmpKey(a.Key, b.Key) }
 func cmpTrust(a, b *trustReg) int { return lex(a.Subject, b.Subject, a.Observer, b.Observer) }
-func cmpTag(a, b *tag) int        { return lex(a.Actor, b.Actor, a.Seq, b.Seq) }
-func cmpCell(a, b Cell) int       { return lex(a.X, b.X, a.Y, b.Y) }
-
-func cmpAdd(a, b *coverAdd) int {
-	if c := cmpCell(a.Cell, b.Cell); c != 0 {
-		return c
-	}
-	return cmpTag(&a.Tag, &b.Tag)
-}
+func cmpCell(a, b *Cell) int      { return lex(a.X, b.X, a.Y, b.Y) }
 
 // foldTrack is the LWW rule: in replaces cur iff its stamp is newer.
 func foldTrack(cur, in *trackReg) bool {
@@ -246,7 +203,7 @@ func foldTrust(cur, in *trustReg) bool {
 // joinRun folds the ascending records of in into *run and reports whether
 // the run changed (with dry set: would have changed, and nothing is
 // written). A record whose key the run lacks is inserted; one whose key
-// it holds is combined by fold — nil for the two set-valued runs, where
+// it holds is combined by fold — nil for the set-valued cell run, where
 // holding the key is all there is. It is the package's only copy of the
 // merge: Merge, MergeEncoded, Dominates, Clone and the local writes all
 // call it, and a per-coalition filter would go here.
@@ -319,8 +276,8 @@ func joinRun[T any](run *[]T, in []T, order func(a, b *T) int, fold func(cur, in
 // join folds o into s (with dry set: reports whether that would change s).
 func (s *state) join(o *state, dry bool) bool {
 	a, b := joinRun(&s.tracks, o.tracks, cmpTrack, foldTrack, dry), joinRun(&s.trust, o.trust, cmpTrust, foldTrust, dry)
-	c, d := joinRun(&s.adds, o.adds, cmpAdd, nil, dry), joinRun(&s.removes, o.removes, cmpTag, nil, dry)
-	return a || b || c || d
+	c := joinRun(&s.cells, o.cells, cmpCell, nil, dry)
+	return a || b || c
 }
 
 // subjectEnd returns the end of the row (one subject) starting at trust[i].
@@ -328,26 +285,4 @@ func (s *state) subjectEnd(i int) int {
 	for subject := s.trust[i].Subject; i < len(s.trust) && s.trust[i].Subject == subject; i++ {
 	}
 	return i
-}
-
-// cellEnd returns the end of the row (one cell) starting at adds[i].
-func (s *state) cellEnd(i int) int {
-	for c := s.adds[i].Cell; i < len(s.adds) && s.adds[i].Cell == c; i++ {
-	}
-	return i
-}
-
-// liveTags returns c's un-tombstoned tags, ascending.
-func (s *state) liveTags(c Cell) []tag {
-	var live []tag
-	from := coverAdd{Cell: c, Tag: tag{Actor: math.MinInt32}}
-	i := sort.Search(len(s.adds), func(i int) bool { return cmpAdd(&s.adds[i], &from) >= 0 })
-	for ; i < len(s.adds) && s.adds[i].Cell == c; i++ {
-		t := &s.adds[i].Tag
-		k := sort.Search(len(s.removes), func(k int) bool { return cmpTag(&s.removes[k], t) >= 0 })
-		if k == len(s.removes) || s.removes[k] != *t {
-			live = append(live, *t)
-		}
-	}
-	return live
 }

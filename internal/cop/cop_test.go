@@ -1,6 +1,8 @@
 package cop
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,7 +12,7 @@ import (
 )
 
 // randomPicture builds a replica with seeded-random tracks, trust
-// evidence, and coverage churn, so the algebraic tests run over many
+// evidence, and covered cells, so the algebraic tests run over many
 // shapes of state.
 func randomPicture(seed int64, self asset.ID) *Picture {
 	rng := sim.NewRNG(seed)
@@ -27,18 +29,13 @@ func randomPicture(seed int64, self asset.ID) *Picture {
 		p.ObserveTrust(asset.ID(rng.Intn(20)), rng.Uniform(0, 10), rng.Uniform(0, 10))
 	}
 	for i := 0; i < 4+rng.Intn(6); i++ {
-		c := Cell{X: int32(rng.Intn(5)), Y: int32(rng.Intn(5))}
-		p.Cover(c)
-		if rng.Bool(0.3) {
-			uncover(p, c)
-		}
+		p.Cover(Cell{X: int32(rng.Intn(5)), Y: int32(rng.Intn(5))})
 	}
 	return p
 }
 
-// uncover tombstones every live tag p has observed for c, the
-// observed-remove a peer's frame can carry.
-func uncover(p *Picture, c Cell) { joinRun(&p.removes, p.liveTags(c), cmpTag, nil, false) }
+// covered reports whether p holds cell c.
+func covered(p *Picture, c Cell) bool { return slices.Contains(p.cells, c) }
 
 // trackFix returns the replicated fix for key, if present.
 func trackFix(p *Picture, key TrackKey) (TrackFix, bool) {
@@ -175,43 +172,18 @@ func TestTrustEvidenceGrowOnly(t *testing.T) {
 	}
 }
 
-func TestCoverageObservedRemove(t *testing.T) {
-	cell := Cell{X: 3, Y: 4}
-	a, b := NewPicture(1), NewPicture(2)
-	a.Cover(cell)
-	b.Merge(a)
-	if !b.Covered(cell) {
-		t.Fatal("merge lost coverage")
-	}
-	// Concurrently: A re-covers (a new tag B has not seen) while B
-	// uncovers based on what it observed.
-	a.Cover(cell)
-	uncover(b, cell)
-	if b.Covered(cell) {
-		t.Fatal("uncover failed locally")
-	}
-	a.Merge(b)
-	b.Merge(a)
-	// Observed-remove semantics: the unseen concurrent Cover survives.
-	if !a.Covered(cell) || !b.Covered(cell) {
-		t.Error("concurrent cover must survive an observed remove")
-	}
-	if a.Digest() != b.Digest() {
-		t.Error("replicas diverged after symmetric merge")
-	}
-}
-
-func TestCoverageUncoverAllSeen(t *testing.T) {
-	p := NewPicture(1)
-	c := Cell{X: 0, Y: 0}
-	p.Cover(c)
-	p.Cover(c)
-	uncover(p, c)
-	if p.Covered(c) {
-		t.Error("uncover must tombstone every observed tag")
-	}
-	if cells := p.CoveredCells(); len(cells) != 0 {
-		t.Errorf("covered cells = %v, want none", cells)
+// TestCoverIsIdempotent: coverage only grows, so covering a cell the
+// replica already holds, its own or a peer's, changes nothing.
+func TestCoverIsIdempotent(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		p := mergeOf(randomPicture(seed, 1), randomPicture(seed+100, 2))
+		before := p.Encode()
+		for _, c := range slices.Clone(p.cells) {
+			p.Cover(c)
+		}
+		if !bytes.Equal(p.Encode(), before) {
+			t.Fatalf("seed %d: covering held cells changed the encoding", seed)
+		}
 	}
 }
 
@@ -228,9 +200,9 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 		if q.Self() != p.Self() {
 			t.Fatalf("seed %d: owner lost in roundtrip", seed)
 		}
-		// The decoded replica must keep allocating fresh tags.
+		// The decoded replica must keep growing.
 		q.Cover(Cell{X: 9, Y: 9})
-		if !q.Covered(Cell{X: 9, Y: 9}) {
+		if !covered(q, Cell{X: 9, Y: 9}) {
 			t.Fatalf("seed %d: decoded replica cannot make progress", seed)
 		}
 	}
@@ -286,9 +258,9 @@ func TestCountsAndAccessors(t *testing.T) {
 	p.ObserveTrust(2, 1, 1)
 	p.Cover(Cell{X: 1, Y: 1})
 	p.Cover(Cell{X: 2, Y: 2})
-	uncover(p, Cell{X: 2, Y: 2})
-	tracks, pairs, covered, tombs := p.Counts()
-	if tracks != 1 || pairs != 1 || covered != 1 || tombs != 1 {
-		t.Errorf("counts = %d %d %d %d, want 1 1 1 1", tracks, pairs, covered, tombs)
+	p.Cover(Cell{X: 2, Y: 2})
+	tracks, pairs, cells := p.Counts()
+	if tracks != 1 || pairs != 1 || cells != 2 {
+		t.Errorf("counts = %d %d %d, want 1 1 2", tracks, pairs, cells)
 	}
 }

@@ -13,21 +13,17 @@ import (
 // footprint — into its own Picture replica, and the gossip overlay
 // (internal/mesh) carries encoded replicas between nodes where Merge
 // reconciles them. Folding is monotone by construction (evidence joins,
-// LWW registers keyed by the engine clock, idempotent coverage), so the
+// LWW registers keyed by the engine clock, grow-only coverage), so the
 // PictureMonotone invariant holds across arbitrary update/merge orders.
 
-// DefaultCOPCell is the coverage-map cell size in meters used when a
-// caller passes a non-positive cellSize.
-const DefaultCOPCell = 100.0
+// copCellSize is the coverage-map cell size in meters.
+const copCellSize = 100.0
 
 // CellAt quantizes a position into a coverage-map cell.
-func CellAt(p geo.Point, cellSize float64) cop.Cell {
-	if cellSize <= 0 {
-		cellSize = DefaultCOPCell
-	}
+func CellAt(p geo.Point) cop.Cell {
 	return cop.Cell{
-		X: int32(math.Floor(p.X / cellSize)),
-		Y: int32(math.Floor(p.Y / cellSize)),
+		X: int32(math.Floor(p.X / copCellSize)),
+		Y: int32(math.Floor(p.Y / copCellSize)),
 	}
 }
 
@@ -38,7 +34,7 @@ func CellAt(p geo.Point, cellSize float64) cop.Cell {
 // bare sensing node with no mission runtime); coverage and tracks are
 // then skipped. The update is idempotent at a fixed instant and
 // monotone over time.
-func UpdatePicture(p *cop.Picture, w *World, r *Runtime, cellSize float64) {
+func UpdatePicture(p *cop.Picture, w *World, r *Runtime) {
 	now := w.Eng.Now()
 	for _, id := range w.Trust.IDs() {
 		alpha, beta := w.Trust.Evidence(id)
@@ -60,12 +56,7 @@ func UpdatePicture(p *cop.Picture, w *World, r *Runtime, cellSize float64) {
 			if a == nil || !a.Alive() {
 				continue
 			}
-			c := CellAt(a.Pos(), cellSize)
-			// Cover mints a fresh add-tag per call; only cover cells not
-			// already held so repeated folds stay bounded.
-			if !p.Covered(c) {
-				p.Cover(c)
-			}
+			p.Cover(CellAt(a.Pos()))
 		}
 	}
 }

@@ -42,8 +42,8 @@ func TestBuildPictureFoldsWorldState(t *testing.T) {
 	}
 
 	p := cop.NewPicture(w.PickCommandPost())
-	UpdatePicture(p, w, r, 100)
-	tracks, subjects, cells, _ := p.Counts()
+	UpdatePicture(p, w, r)
+	tracks, subjects, cells := p.Counts()
 	if subjects == 0 {
 		t.Error("no trust subjects folded from the ledger")
 	}
@@ -56,7 +56,7 @@ func TestBuildPictureFoldsWorldState(t *testing.T) {
 
 	// Idempotent at a fixed instant: folding again changes nothing.
 	before := p.Digest()
-	UpdatePicture(p, w, r, 100)
+	UpdatePicture(p, w, r)
 	if p.Digest() != before {
 		t.Error("re-fold at a fixed instant changed the picture")
 	}
@@ -66,7 +66,7 @@ func TestBuildPictureFoldsWorldState(t *testing.T) {
 	if err := w.Run(20 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	UpdatePicture(p, w, r, 100)
+	UpdatePicture(p, w, r)
 	if !p.Dominates(snap) {
 		t.Error("later fold does not dominate the earlier picture")
 	}
@@ -78,7 +78,7 @@ func TestPictureReplicasConvergeByMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := cop.NewPicture(1)
-	UpdatePicture(a, w, r, 100)
+	UpdatePicture(a, w, r)
 	b := cop.NewPicture(2)
 	// b learns everything a knows over the wire: encode, then merge the
 	// bytes — the exact path gossip payloads take.
@@ -95,14 +95,10 @@ func TestPictureReplicasConvergeByMerge(t *testing.T) {
 }
 
 func TestCellAtQuantizes(t *testing.T) {
-	if c := CellAt(geo.Point{X: 250, Y: 999}, 100); c.X != 2 || c.Y != 9 {
+	if c := CellAt(geo.Point{X: 250, Y: 999}); c.X != 2 || c.Y != 9 {
 		t.Errorf("CellAt = %+v", c)
 	}
-	if c := CellAt(geo.Point{X: -1, Y: 0}, 100); c.X != -1 || c.Y != 0 {
+	if c := CellAt(geo.Point{X: -1, Y: 0}); c.X != -1 || c.Y != 0 {
 		t.Errorf("negative CellAt = %+v", c)
-	}
-	// Non-positive cell size falls back to the default.
-	if c := CellAt(geo.Point{X: 250, Y: 250}, 0); c.X != 2 || c.Y != 2 {
-		t.Errorf("default CellAt = %+v", c)
 	}
 }

@@ -101,10 +101,12 @@ type gossipDataFrame struct {
 
 // gossipDigestFrame rides KindGossipDigest messages: a compact statement
 // of everything the sender holds, so the receiver can push back what the
-// sender is missing.
+// sender is missing. A reply is the receiver's own digest, sent back when
+// the sender holds payloads the receiver lacks; it asks for no reply.
 type gossipDigestFrame struct {
 	From    NodeID
 	Entries []digestEntry
+	Reply   bool
 }
 
 // digestEntry lists the sequence numbers held for one origin, ascending.
@@ -345,29 +347,37 @@ func (g *Gossip) memberPeers(id, exclude NodeID) []NodeID {
 }
 
 // antiEntropyRound has every member send a digest of its holdings to one
-// seeded-random member neighbor. The receiver pushes back every payload
-// the digest lacks as a fresh full-TTL data frame, so repairs spread
-// epidemically too — that is what re-converges partitions after heal.
+// seeded-random member neighbor. The exchange is push-pull: the receiver
+// pushes back every payload the digest lacks as a fresh full-TTL data
+// frame, and if the digest lists payloads the receiver lacks, it replies
+// with its own digest so the sender pushes those. Repairs spread
+// epidemically too — that is what re-converges partitions after heal —
+// and a leaf whose only neighbor never picks it still gets its backlog
+// out through its own digests.
 func (g *Gossip) antiEntropyRound() {
 	g.Rounds.Inc()
 	for _, id := range g.Members() {
-		m := g.members[id]
 		peers := g.memberPeers(id, id)
 		if len(peers) == 0 {
 			continue
 		}
-		partner := peers[g.rng.Pick(len(peers))]
-		frame := g.digest(m)
-		g.FramesSent.Inc()
-		// A lost digest only delays convergence: the next round retries with a fresh partner
-		g.net.SendDirect(Message{
-			From:    id,
-			To:      partner,
-			Size:    frameOverhead + digestEntryBytes*float64(len(m.have)),
-			Kind:    KindGossipDigest,
-			Payload: frame,
-		})
+		g.sendDigest(g.members[id], peers[g.rng.Pick(len(peers))], false)
 	}
+}
+
+// sendDigest sends m's digest to member to.
+func (g *Gossip) sendDigest(m *gossipMember, to NodeID, reply bool) {
+	frame := g.digest(m)
+	frame.Reply = reply
+	g.FramesSent.Inc()
+	// A lost digest only delays convergence: the next round retries with a fresh partner
+	g.net.SendDirect(Message{
+		From:    m.id,
+		To:      to,
+		Size:    frameOverhead + digestEntryBytes*float64(len(m.have)),
+		Kind:    KindGossipDigest,
+		Payload: frame,
+	})
 }
 
 // digest summarizes m's holdings with deterministic ordering: origins
@@ -390,15 +400,22 @@ func (g *Gossip) digest(m *gossipMember) *gossipDigestFrame {
 }
 
 // repair pushes every payload m holds that the digest sender lacks back
-// to the sender, with the full TTL budget so the repair floods onward.
+// to the sender, with the full TTL budget so the repair floods onward,
+// then answers a digest that is not itself a reply with m's own digest if
+// the sender holds a payload m lacks.
 func (g *Gossip) repair(m *gossipMember, frame *gossipDigestFrame) {
 	if _, ok := g.members[frame.From]; !ok {
 		return
 	}
 	theirs := make(map[GossipKey]bool)
+	lacking := false
 	for _, e := range frame.Entries {
 		for _, seq := range e.Seqs {
-			theirs[GossipKey{Origin: e.Origin, Seq: seq}] = true
+			key := GossipKey{Origin: e.Origin, Seq: seq}
+			theirs[key] = true
+			if _, ok := m.have[key]; !ok {
+				lacking = true
+			}
 		}
 	}
 	missing := make([]GossipKey, 0)
@@ -420,6 +437,9 @@ func (g *Gossip) repair(m *gossipMember, frame *gossipDigestFrame) {
 			Kind:    KindGossipData,
 			Payload: &gossipDataFrame{Payload: p, TTL: g.cfg.TTL},
 		})
+	}
+	if lacking && !frame.Reply {
+		g.sendDigest(m, frame.From, true)
 	}
 }
 

@@ -207,6 +207,40 @@ func TestGossipPartitionHealReconverges(t *testing.T) {
 	}
 }
 
+// TestGossipDigestPullsFromItsSender: a digest that lists a payload its
+// receiver lacks is answered with the receiver's own digest, so the
+// sender pushes the payload. A leaf whose one neighbor never picks it for
+// anti-entropy gets its stranded publishes out this way. The reply asks
+// for nothing back: one digest, one reply, one push.
+func TestGossipDigestPullsFromItsSender(t *testing.T) {
+	eng, _, net := gridWorld(t, 5, 2, 1, 100)
+	g := joinAll(net, GossipConfig{})
+	net.SetLinkFault(func() func(a, b geo.Point) bool { return func(a, b geo.Point) bool { return true } })
+	net.Refresh()
+	key, err := g.Publish(0, "cop", 64, "stranded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.SetLinkFault(nil)
+	net.Refresh()
+	frames := g.FramesSent.Value()
+	g.sendDigest(g.members[0], 1, false)
+	if err := eng.Run(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !holds(g, 1, key) {
+		t.Error("the digest's receiver never pulled the payload it lacked")
+	}
+	if got := g.FramesSent.Value() - frames; got != 3 {
+		t.Errorf("%v frames for one digest exchange, want 3 (digest, reply, push)", got)
+	}
+	frames = g.FramesSent.Value()
+	g.repair(g.members[1], &gossipDigestFrame{From: 0, Entries: []digestEntry{{Origin: 0, Seqs: []uint64{key.Seq, key.Seq + 1}}}, Reply: true})
+	if got := g.FramesSent.Value() - frames; got != 0 {
+		t.Errorf("a reply listing a payload its receiver lacks was answered with %v frames, want 0", got)
+	}
+}
+
 func TestGossipConservationDetectsRegression(t *testing.T) {
 	eng, _, net := gridWorld(t, 13, 3, 3, 100)
 	g := joinAll(net, GossipConfig{Fanout: 3, TTL: 8, AntiEntropyEvery: -1})

@@ -170,7 +170,7 @@ func TestShardScenarioCOPPayload(t *testing.T) {
 		merged := 0
 		digest := uint64(0)
 		for i, p := range pics {
-			tracks, _, _, _ := p.Counts()
+			tracks, _, _ := p.Counts()
 			if tracks > 0 {
 				merged++
 			}

@@ -182,7 +182,7 @@ func PictureMonotone(name string, pictures func() []*cop.Picture) Invariant {
 				continue
 			}
 			if old, ok := prev[p.Self()]; ok && !p.Dominates(old) {
-				return fmt.Errorf("picture %s/%d regressed below its prior state: tracks, trust pairs, covered cells and tombstones %v, were %v",
+				return fmt.Errorf("picture %s/%d regressed below its prior state: tracks, trust pairs and covered cells %v, were %v",
 					name, p.Self(), pictureCounts(p), pictureCounts(old))
 			}
 			prev[p.Self()] = p.Clone()
@@ -191,9 +191,9 @@ func PictureMonotone(name string, pictures func() []*cop.Picture) Invariant {
 	}}
 }
 
-func pictureCounts(p *cop.Picture) [4]int {
-	tracks, trust, cells, tombs := p.Counts()
-	return [4]int{tracks, trust, cells, tombs}
+func pictureCounts(p *cop.Picture) [3]int {
+	tracks, trust, cells := p.Counts()
+	return [3]int{tracks, trust, cells}
 }
 
 // SnapshotDeterminism checks that a snapshotter encodes the same

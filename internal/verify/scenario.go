@@ -330,7 +330,7 @@ func gossipOverlay(w *core.World, r *core.Runtime) []Invariant {
 		if postPic == nil {
 			return
 		}
-		core.UpdatePicture(postPic, w, r, core.DefaultCOPCell)
+		core.UpdatePicture(postPic, w, r)
 		enc := postPic.Encode()
 		_, _ = g.Publish(post, "cop", float64(len(enc)), enc) // the post joined above, so it is a member and Publish cannot fail
 	})
