@@ -89,10 +89,10 @@ func BenchmarkAblationRouteBFSCached(b *testing.B) {
 	}
 }
 
-// --- composition: greedy vs. annealing refinement vs. random ---
+// --- composition: greedy vs. random ---
 
 func compositionInstance() (compose.Requirements, []compose.Candidate) {
-	terr := geo.NewUrbanTerrain(2000, 2000, 100)
+	terr := geo.NewUrbanTerrain(2000, 2000)
 	rng := sim.NewRNG(3)
 	pop := asset.Generate(terr, asset.DefaultMix(1500), rng)
 	goal := compose.Goal{
@@ -107,14 +107,6 @@ func BenchmarkAblationComposeGreedy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = compose.GreedySolver{}.Solve(req, pool)
-	}
-}
-
-func BenchmarkAblationComposeAnneal(b *testing.B) {
-	req, pool := compositionInstance()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = compose.AnnealSolver{RNG: sim.NewRNG(int64(i))}.Solve(req, pool)
 	}
 }
 

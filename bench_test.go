@@ -112,7 +112,7 @@ func BenchmarkMeshRoute(b *testing.B) {
 }
 
 func BenchmarkGreedyCompose5k(b *testing.B) {
-	terr := geo.NewUrbanTerrain(3000, 3000, 100)
+	terr := geo.NewUrbanTerrain(3000, 3000)
 	rng := sim.NewRNG(1)
 	pop := asset.Generate(terr, asset.DefaultMix(5000), rng)
 	goal := compose.Goal{
@@ -131,7 +131,7 @@ func BenchmarkEMTruthDiscovery(b *testing.B) {
 	d := socialsense.Generate(sim.NewRNG(1), socialsense.DefaultGenConfig())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = socialsense.EM(d, 50)
+		_ = socialsense.EM(d)
 	}
 }
 

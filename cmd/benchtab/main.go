@@ -77,7 +77,7 @@ func run(args []string) error {
 	// binary outside the module) degrades to numbers-only output.
 	var static *lint.Coverage
 	if *format == "json" {
-		if diags, err := lint.Run("", "./..."); err != nil {
+		if diags, err := lint.Run("./..."); err != nil {
 			fmt.Fprintln(os.Stderr, "benchtab: static coverage unavailable:", err)
 		} else {
 			cov := lint.Summarize(diags)

@@ -87,7 +87,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	prog, err := lint.LoadProgram("", patterns...)
+	prog, err := lint.LoadProgram(patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "iobtlint: %v\n", err)
 		return 2

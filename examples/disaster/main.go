@@ -32,7 +32,7 @@ func main() {
 
 	data := socialsense.Generate(rng, cfg)
 	maj := socialsense.MajorityVote(data)
-	em := socialsense.EM(data, 50)
+	em := socialsense.EM(data)
 
 	fmt.Println("damage-report truth discovery (400 claims, 300 sources, 15% colluders):")
 	fmt.Printf("  majority vote accuracy: %.3f\n", socialsense.Accuracy(maj, data.Truth))
@@ -46,7 +46,7 @@ func main() {
 	}
 	flagged := 0
 	for s := range em.Reliability {
-		if data.Colluder[s] && !ledger.Trusted(asset.ID(s), 0.5) {
+		if data.Colluder[s] && !ledger.Trusted(asset.ID(s)) {
 			flagged++
 		}
 	}
@@ -64,10 +64,10 @@ func main() {
 		audit.Round(reports)
 	}
 	fmt.Printf("\nsensor audit: bad gauges = %v (mean deviation %.2fm)\n",
-		audit.BadSources(3), audit.MeanDeviation(7))
+		audit.BadSources(), audit.MeanDeviation(7))
 
 	// --- Attention: three districts stream distress indicators. ---
-	att := anomaly.NewAttention(12, 4)
+	att := anomaly.NewAttention()
 	for i := 0; i < 150; i++ {
 		att.Observe("district-north", rng.Norm(10, 1))
 		att.Observe("district-center", rng.Norm(10, 1))

@@ -27,7 +27,7 @@ func main() {
 func runOnce(cmd core.CommandModel) {
 	world := core.NewWorld(core.WorldConfig{
 		Seed:    11,
-		Terrain: geo.NewUrbanTerrain(1600, 1600, 100),
+		Terrain: geo.NewUrbanTerrain(1600, 1600),
 		Assets:  500,
 	})
 	defer world.Stop()

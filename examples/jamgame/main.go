@@ -16,12 +16,11 @@ import (
 )
 
 func main() {
-	const jamEffect = 1.0 // a jammed channel delivers nothing
 	rng := sim.NewRNG(5)
 
 	for _, channels := range []int{3, 8} {
-		m := game.JammingGame(channels, jamEffect)
-		eq := game.FictitiousPlay(m, 20000, rng.Derive("fp"))
+		m := game.JammingGame(channels) // a jammed channel delivers nothing
+		eq := game.FictitiousPlay(m, rng.Derive("fp"))
 		fmt.Printf("%d channels: equilibrium value %.3f (exploitability %.4f)\n",
 			channels, eq.Value, eq.Exploitability)
 

@@ -20,7 +20,7 @@ import (
 func main() {
 	world := core.NewWorld(core.WorldConfig{
 		Seed:    23,
-		Terrain: geo.NewUrbanTerrain(3000, 3000, 100),
+		Terrain: geo.NewUrbanTerrain(3000, 3000),
 		Assets:  2000,
 		Churn: &asset.ChurnConfig{
 			FailRatePerMin:   0.01,

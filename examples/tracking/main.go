@@ -52,7 +52,7 @@ func main() {
 		}
 
 		// The contaminated-sensor audit feeds trust.
-		for _, i := range track.FlagOutliers(dets, 4) {
+		for _, i := range track.FlagOutliers(dets) {
 			ledger.Observe(asset.ID(dets[i].Sensor), trust.EvAnomaly, false)
 		}
 
@@ -75,7 +75,7 @@ func main() {
 	fmt.Printf("  median-fused track error: %.1f m (attack-resistant)\n", medianErr.Mean())
 	fmt.Print("  sensors flagged by the outlier audit:")
 	for s := 0; s < nSensors; s++ {
-		if !ledger.Trusted(asset.ID(s), 0.5) {
+		if !ledger.Trusted(asset.ID(s)) {
 			fmt.Printf(" %d", s)
 		}
 	}

@@ -12,9 +12,9 @@ func TestMonitorDetectsAndRepairs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	healthy := true
 	repairCalled := 0
-	m := NewMonitor(eng, "link", func() bool { return healthy }, func() { repairCalled++ })
-	m.Start(time.Second)
-	m.Start(0) // idempotent second start
+	m := NewMonitor(eng, func() bool { return healthy }, func() { repairCalled++ })
+	m.Start()
+	m.Start() // idempotent second start
 
 	eng.Schedule(5*time.Second+time.Millisecond, "break", func() { healthy = false })
 	eng.Schedule(10*time.Second+time.Millisecond, "fix", func() { healthy = true })
@@ -41,9 +41,9 @@ func TestMonitorDetectsAndRepairs(t *testing.T) {
 func TestMonitorRepeatedRepairAttempts(t *testing.T) {
 	eng := sim.NewEngine(2)
 	attempts := 0
-	m := NewMonitor(eng, "x", func() bool { return false }, func() { attempts++ })
-	m.Start(time.Second)
-	_ = eng.Run(5 * time.Second)
+	m := NewMonitor(eng, func() bool { return false }, func() { attempts++ })
+	m.Start()
+	_ = eng.Run(25 * time.Second)
 	if attempts < 4 {
 		t.Errorf("repair attempts = %d, want retries while down", attempts)
 	}
@@ -77,24 +77,29 @@ func TestReflexChainNoCondition(t *testing.T) {
 	}
 }
 
+// controller is NewController moved to another setpoint, initial knob,
+// upper bound and adaptation rate.
+func controller(setpoint, knob, max, rate float64) *Controller {
+	c := NewController()
+	c.Setpoint, c.Knob, c.Max, c.rate = setpoint, knob, max, rate
+	return c
+}
+
 func TestControllerConvergesUnknownGain(t *testing.T) {
 	// Plant: output = 3.7 * knob (gain unknown to controller).
-	c := NewController("rate", 50, 1, 0, 100, 0.8)
+	c := controller(50, 1, 100, 0.8)
 	out := 0.0
 	for i := 0; i < 60; i++ {
 		out = 3.7 * c.Knob
 		c.Observe(out)
 	}
 	if math.Abs(out-50) > 2.5 {
-		t.Errorf("output = %.2f, want ~50", out)
-	}
-	if !c.GoalMet() {
-		t.Errorf("goal not met: out=%.2f", out)
+		t.Errorf("output = %.2f, want within 5%% of 50", out)
 	}
 }
 
 func TestControllerRespectsBounds(t *testing.T) {
-	c := NewController("x", 1e9, 5, 0, 10, 1) // unreachable setpoint
+	c := controller(1e9, 5, 10, 1) // unreachable setpoint
 	for i := 0; i < 100; i++ {
 		c.Observe(c.Knob) // gain 1
 		if c.Knob < 0 || c.Knob > 10 {
@@ -108,7 +113,7 @@ func TestControllerRespectsBounds(t *testing.T) {
 
 func TestControllerNegativeGainPlant(t *testing.T) {
 	// Plant: output decreases as knob rises: out = 100 - 2*knob.
-	c := NewController("neg", 40, 10, 0, 60, 0.6)
+	c := controller(40, 10, 60, 0.6)
 	out := 0.0
 	for i := 0; i < 80; i++ {
 		out = 100 - 2*c.Knob
@@ -119,18 +124,6 @@ func TestControllerNegativeGainPlant(t *testing.T) {
 	}
 }
 
-func TestControllerSelfInterface(t *testing.T) {
-	c := NewController("s", 10, 0, 0, 100, 0.5)
-	if c.Name() != "s" {
-		t.Error("name wrong")
-	}
-	c.Observe(0)
-	if c.GoalMet() {
-		t.Error("goal met at output 0, setpoint 10")
-	}
-	_ = c.Adapt() // must not panic; applies last observation again
-}
-
 // TestUncoordinatedOscillation reproduces the paper's [12] pathology:
 // two controllers sharing one plant fight when uncoordinated and settle
 // when coordinated.
@@ -139,8 +132,8 @@ func TestUncoordinatedOscillation(t *testing.T) {
 	// shared plant (out = k1 + k2): each computes the full correction,
 	// so the combined move is double and the system oscillates forever.
 	run := func(coordinated bool) (tailErr float64) {
-		c1 := NewController("a", 12, 0, 0, 20, 1)
-		c2 := NewController("b", 12, 0, 0, 20, 1)
+		c1 := NewController()
+		c2 := NewController()
 		c1.FixedGain = true
 		c2.FixedGain = true
 		var co *Coordinator
@@ -179,8 +172,8 @@ func TestUncoordinatedOscillation(t *testing.T) {
 // the combined plant gain and settle — the "unified theory of self-aware
 // adaptation" fix.
 func TestAdaptiveGainSelfCorrects(t *testing.T) {
-	c1 := NewController("a", 12, 0, 0, 20, 1)
-	c2 := NewController("b", 12, 0, 0, 20, 1)
+	c1 := NewController()
+	c2 := NewController()
 	tailErr := 0.0
 	for i := 0; i < 60; i++ {
 		out := c1.Knob + c2.Knob

@@ -9,8 +9,6 @@ import "math"
 // control (knob = sampling rate, output = delivered information
 // utility), but the controller is plant-agnostic.
 type Controller struct {
-	name string
-
 	// Setpoint is the goal output.
 	Setpoint float64
 	// Knob is the current actuation value.
@@ -35,41 +33,10 @@ type Controller struct {
 	pinned   int
 }
 
-var _ Self = (*Controller)(nil)
-
-// NewController returns a controller with the given bounds and
-// adaptation rate. rate outside (0,1] defaults to 0.5.
-func NewController(name string, setpoint, initKnob, minKnob, maxKnob, rate float64) *Controller {
-	if rate <= 0 || rate > 1 {
-		rate = 0.5
-	}
-	return &Controller{
-		name:     name,
-		Setpoint: setpoint,
-		Knob:     clamp(initKnob, minKnob, maxKnob),
-		Min:      minKnob,
-		Max:      maxKnob,
-		gainEst:  1,
-		rate:     rate,
-	}
-}
-
-// Name implements Self.
-func (c *Controller) Name() string { return c.name }
-
-// GoalMet implements Self: within 5% of setpoint.
-func (c *Controller) GoalMet() bool {
-	if c.Setpoint == 0 {
-		return math.Abs(c.lastOut) < 1e-9
-	}
-	return math.Abs(c.lastOut-c.Setpoint)/math.Abs(c.Setpoint) <= 0.05
-}
-
-// Adapt implements Self by re-applying the last observation.
-func (c *Controller) Adapt() bool {
-	before := c.Knob
-	c.Observe(c.lastOut)
-	return c.Knob != before
+// NewController returns a controller driving its knob, from 0 within
+// [0, 20], toward the setpoint 12 at full adaptation rate.
+func NewController() *Controller {
+	return &Controller{Setpoint: 12, Max: 20, gainEst: 1, rate: 1}
 }
 
 // Observe feeds one plant output measurement and updates the knob:

@@ -1,11 +1,9 @@
 // Package adapt implements the paper's Challenge 2 (§IV): self-aware
-// adaptation. It provides the unifying "self" abstraction — state,
-// model, goal, and actions that adapt until the goal is met — plus the
-// concrete machinery the experiments exercise: invariant monitors with
-// reflex repair, a self-stabilizing spanning tree for in-network
-// aggregation, adaptive controllers, and a coordination layer that damps
-// the destructive interference of uncoordinated adaptive components
-// (the paper's reference [12]).
+// adaptation. It provides the machinery the experiments exercise:
+// invariant monitors with reflex repair, a self-stabilizing spanning
+// tree for in-network aggregation, adaptive controllers, and a
+// coordination layer that damps the destructive interference of
+// uncoordinated adaptive components (the paper's reference [12]).
 package adapt
 
 import (
@@ -14,27 +12,10 @@ import (
 	"iobt/internal/sim"
 )
 
-// Self is the unifying abstraction of a self-aware component (paper
-// §IV.A): it encapsulates state, a model, and a goal, and adapts its
-// actions when the goal is violated. Self-stabilizing algorithms, error
-// correction, and adaptive control are all instances of this loop.
-type Self interface {
-	// Name identifies the component in traces.
-	Name() string
-	// GoalMet reports whether the component currently satisfies its goal.
-	GoalMet() bool
-	// Adapt performs one adaptation step toward the goal. It returns
-	// true if the component changed anything (used for quiescence
-	// detection).
-	Adapt() bool
-}
-
-// Monitor watches an invariant and triggers reflexive repair on
-// violation, recording detection and repair latencies ("akin to
-// instinctual reflexes", §II).
+// Monitor watches an invariant — the mission's coverage — and triggers
+// reflexive repair on violation, recording detection and repair
+// latencies ("akin to instinctual reflexes", §II).
 type Monitor struct {
-	// Name identifies the invariant.
-	Name string
 	// Check returns true while the invariant holds.
 	Check func() bool
 	// Repair attempts to restore the invariant.
@@ -53,20 +34,20 @@ type Monitor struct {
 	RepairTime sim.Series
 }
 
+// monitorEvery is the monitor's check cadence.
+const monitorEvery = 5 * time.Second
+
 // NewMonitor returns an unstarted monitor on eng.
-func NewMonitor(eng *sim.Engine, name string, check func() bool, repair func()) *Monitor {
-	return &Monitor{Name: name, Check: check, Repair: repair, eng: eng}
+func NewMonitor(eng *sim.Engine, check func() bool, repair func()) *Monitor {
+	return &Monitor{Check: check, Repair: repair, eng: eng}
 }
 
-// Start begins checking every interval.
-func (m *Monitor) Start(interval time.Duration) {
+// Start begins checking every monitorEvery.
+func (m *Monitor) Start() {
 	if m.ticker != nil {
 		return
 	}
-	if interval <= 0 {
-		interval = time.Second
-	}
-	m.ticker = m.eng.Every(interval, "monitor."+m.Name, m.Tick)
+	m.ticker = m.eng.Every(monitorEvery, "monitor.coverage", m.Tick)
 }
 
 // Stop halts checking.

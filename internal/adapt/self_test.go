@@ -52,7 +52,7 @@ func TestMonitorLifecycle(t *testing.T) {
 			eng := sim.NewEngine(1)
 			tick := 0
 			repairs := 0
-			m := NewMonitor(eng, tc.name,
+			m := NewMonitor(eng,
 				func() bool { return tc.holdsAt(tick) },
 				func() { repairs++ })
 			for ; tick < tc.ticks; tick++ {
@@ -74,24 +74,24 @@ func TestMonitorLifecycle(t *testing.T) {
 	}
 }
 
-// TestMonitorStartStop checks the scheduling boundaries: a non-positive
-// interval defaults to one second, double Start is a no-op, and Stop
-// halts checking.
+// TestMonitorStartStop checks the scheduling boundaries: the monitor
+// checks every five seconds, double Start is a no-op, and Stop halts
+// checking.
 func TestMonitorStartStop(t *testing.T) {
 	eng := sim.NewEngine(1)
 	checks := 0
-	m := NewMonitor(eng, "start-stop", func() bool { checks++; return true }, nil)
-	m.Start(0) // defaults to 1s
-	m.Start(time.Millisecond)
-	if err := eng.Run(3500 * time.Millisecond); err != nil {
+	m := NewMonitor(eng, func() bool { checks++; return true }, nil)
+	m.Start()
+	m.Start()
+	if err := eng.Run(17500 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if checks != 3 {
-		t.Errorf("checks = %d, want 3 (1s default cadence, double Start ignored)", checks)
+		t.Errorf("checks = %d, want 3 (5s cadence, double Start ignored)", checks)
 	}
 	m.Stop()
 	m.Stop() // idempotent
-	if err := eng.Run(3 * time.Second); err != nil {
+	if err := eng.Run(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if checks != 3 {
@@ -104,7 +104,7 @@ func TestMonitorStartStop(t *testing.T) {
 func TestMonitorNilRepair(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ok := false
-	m := NewMonitor(eng, "nil-repair", func() bool { return ok }, nil)
+	m := NewMonitor(eng, func() bool { return ok }, nil)
 	m.Tick()
 	if !m.violated || m.Violations.Value() != 1 {
 		t.Fatalf("violation not recorded: violated=%v count=%d", m.violated, m.Violations.Value())

@@ -36,10 +36,11 @@ func NewSpanningTree(net *mesh.Network) *SpanningTree {
 }
 
 // Corrupt injects adversarial state into a node (testing and the E4
-// fault-injection path).
-func (t *SpanningTree) Corrupt(id asset.ID, root asset.ID, dist int) {
-	t.root[id] = root
-	t.dist[id] = dist
+// fault-injection path): id claims the phantom root -1, smaller than
+// every real ID, at distance 0.
+func (t *SpanningTree) Corrupt(id asset.ID) {
+	t.root[id] = -1
+	t.dist[id] = 0
 	t.parent[id] = id
 }
 
@@ -91,9 +92,12 @@ func (t *SpanningTree) Step() int {
 	return changed
 }
 
+// maxRounds bounds Stabilize.
+const maxRounds = 1000
+
 // Stabilize runs Step until quiescent or maxRounds, returning the number
 // of rounds used and whether it quiesced.
-func (t *SpanningTree) Stabilize(maxRounds int) (int, bool) {
+func (t *SpanningTree) Stabilize() (int, bool) {
 	for r := 1; r <= maxRounds; r++ {
 		if t.Step() == 0 {
 			return r, true

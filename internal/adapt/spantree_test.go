@@ -36,7 +36,7 @@ func meshWorld(t *testing.T, k int) (*sim.Engine, *asset.Population, *mesh.Netwo
 func TestSpanningTreeConverges(t *testing.T) {
 	_, _, net := meshWorld(t, 5)
 	tree := NewSpanningTree(net)
-	rounds, ok := tree.Stabilize(100)
+	rounds, ok := tree.Stabilize()
 	if !ok {
 		t.Fatal("tree did not stabilize")
 	}
@@ -58,16 +58,16 @@ func TestSpanningTreeConverges(t *testing.T) {
 func TestSpanningTreeSelfStabilizesFromCorruption(t *testing.T) {
 	_, _, net := meshWorld(t, 4)
 	tree := NewSpanningTree(net)
-	if _, ok := tree.Stabilize(100); !ok {
+	if _, ok := tree.Stabilize(); !ok {
 		t.Fatal("initial stabilization failed")
 	}
-	// Adversarial state injection: node 7 claims a phantom root -5 at
+	// Adversarial state injection: node 7 claims a phantom root at
 	// distance 0, which is smaller than every real ID.
-	tree.Corrupt(7, asset.ID(-5), 0)
+	tree.Corrupt(7)
 	if tree.Legal() {
 		t.Fatal("corruption not visible")
 	}
-	rounds, ok := tree.Stabilize(200)
+	rounds, ok := tree.Stabilize()
 	if !ok {
 		t.Fatalf("did not re-stabilize after corruption")
 	}
@@ -80,13 +80,13 @@ func TestSpanningTreeSelfStabilizesFromCorruption(t *testing.T) {
 func TestSpanningTreeRecoversFromRootLoss(t *testing.T) {
 	_, pop, net := meshWorld(t, 4)
 	tree := NewSpanningTree(net)
-	if _, ok := tree.Stabilize(100); !ok {
+	if _, ok := tree.Stabilize(); !ok {
 		t.Fatal("initial stabilization failed")
 	}
 	// Kill the root (node 0); the tree must re-root at node 1.
 	pop.Kill(0)
 	net.Refresh()
-	if _, ok := tree.Stabilize(200); !ok {
+	if _, ok := tree.Stabilize(); !ok {
 		t.Fatal("did not re-stabilize after root loss")
 	}
 	if !tree.Legal() {
@@ -105,7 +105,7 @@ func TestSpanningTreePartition(t *testing.T) {
 	pop.Kill(7)
 	net.Refresh()
 	tree := NewSpanningTree(net)
-	if _, ok := tree.Stabilize(100); !ok {
+	if _, ok := tree.Stabilize(); !ok {
 		t.Fatal("did not stabilize under partition")
 	}
 	if !tree.Legal() {
@@ -128,7 +128,7 @@ func TestSpanningTreeEmptyNetwork(t *testing.T) {
 	cfg.StepMobility = false
 	net := mesh.New(eng, pop, terr, cfg)
 	tree := NewSpanningTree(net)
-	if rounds, ok := tree.Stabilize(10); !ok || rounds != 1 {
+	if rounds, ok := tree.Stabilize(); !ok || rounds != 1 {
 		t.Errorf("empty network should quiesce immediately: %d, %v", rounds, ok)
 	}
 	if !tree.Legal() {

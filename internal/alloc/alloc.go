@@ -206,11 +206,11 @@ func Admission(flows []Flow, limit float64) []Flow {
 	return out
 }
 
-// Goodput sums the allocation received by flows of a class.
-func Goodput(flows []Flow, alloc []float64, c Class) float64 {
+// MissionGoodput sums the allocation received by mission flows.
+func MissionGoodput(flows []Flow, alloc []float64) float64 {
 	g := 0.0
 	for i := range flows {
-		if flows[i].Class == c && i < len(alloc) {
+		if flows[i].Class == ClassMission && i < len(alloc) {
 			g += alloc[i]
 		}
 	}

@@ -148,7 +148,7 @@ func TestGoodput(t *testing.T) {
 		{ID: 3, Class: ClassMission, Demand: 10},
 	}
 	alloc := []float64{5, 7, 2}
-	if g := Goodput(flows, alloc, ClassMission); g != 7 {
+	if g := MissionGoodput(flows, alloc); g != 7 {
 		t.Errorf("goodput = %v, want 7", g)
 	}
 }

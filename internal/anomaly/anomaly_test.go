@@ -70,7 +70,7 @@ func TestDetectorDefaults(t *testing.T) {
 }
 
 func TestAttentionPersistentBeatsDecoy(t *testing.T) {
-	a := NewAttention(10, 3)
+	a := NewAttention()
 	rng := sim.NewRNG(3)
 	// Warm up three situations.
 	for i := 0; i < 100; i++ {
@@ -100,7 +100,7 @@ func TestAttentionPersistentBeatsDecoy(t *testing.T) {
 }
 
 func TestAttentionEmpty(t *testing.T) {
-	a := NewAttention(0, 0)
+	a := NewAttention()
 	if len(a.Ranked()) != 0 {
 		t.Error("empty attention should rank nothing")
 	}
@@ -118,7 +118,7 @@ func TestSourceAuditFindsBiasedSource(t *testing.T) {
 		reports[9] = truth + 15 // systematically biased source
 		audit.Round(reports)
 	}
-	bad := audit.BadSources(3)
+	bad := audit.BadSources()
 	if len(bad) != 1 || bad[0] != 9 {
 		t.Errorf("BadSources = %v, want [9]", bad)
 	}
@@ -130,7 +130,7 @@ func TestSourceAuditFindsBiasedSource(t *testing.T) {
 func TestSourceAuditEdges(t *testing.T) {
 	audit := NewSourceAudit()
 	audit.Round(nil)
-	if audit.BadSources(0) != nil {
+	if audit.BadSources() != nil {
 		t.Error("empty audit should return nil")
 	}
 	if audit.MeanDeviation(5) != 0 {
@@ -138,7 +138,7 @@ func TestSourceAuditEdges(t *testing.T) {
 	}
 	// All sources identical: nobody is bad.
 	audit.Round(map[int]float64{1: 5, 2: 5, 3: 5})
-	if len(audit.BadSources(3)) != 0 {
+	if len(audit.BadSources()) != 0 {
 		t.Error("identical sources flagged")
 	}
 }

@@ -21,18 +21,12 @@ type attnStream struct {
 	pos  int
 }
 
-// NewAttention returns an attention service requiring minHits anomalous
-// observations within the last window to flag a situation.
-func NewAttention(window, minHits int) *Attention {
-	if window <= 0 {
-		window = 10
-	}
-	if minHits <= 0 || minHits > window {
-		minHits = (window + 1) / 2
-	}
+// NewAttention returns an attention service that flags a situation
+// after 4 anomalous observations within its last 12.
+func NewAttention() *Attention {
 	return &Attention{
-		window:   window,
-		minHits:  minHits,
+		window:   12,
+		minHits:  4,
 		streams:  make(map[string]*attnStream),
 		detAlpha: 0.05,
 		detThr:   3,
@@ -132,12 +126,9 @@ func (s *SourceAudit) MeanDeviation(src int) float64 {
 	return s.deviations[src] / float64(n)
 }
 
-// BadSources returns sources whose mean deviation exceeds factor times
+// BadSources returns sources whose mean deviation exceeds three times
 // the median source deviation, worst first.
-func (s *SourceAudit) BadSources(factor float64) []int {
-	if factor <= 0 {
-		factor = 3
-	}
+func (s *SourceAudit) BadSources() []int {
 	var devs []float64
 	for src := range s.counts {
 		devs = append(devs, s.MeanDeviation(src))
@@ -146,7 +137,7 @@ func (s *SourceAudit) BadSources(factor float64) []int {
 		return nil
 	}
 	base := median(devs)
-	threshold := base * factor
+	threshold := base * 3
 	if threshold < 1e-9 {
 		threshold = 1e-9
 	}

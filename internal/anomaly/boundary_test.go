@@ -61,25 +61,19 @@ func TestDetectorBoundaries(t *testing.T) {
 	})
 }
 
-// TestAttentionBoundaries covers the attention service's parameter
-// clamps and its one-shot-decoy vs sustained-anomaly discrimination.
+// TestAttentionBoundaries covers the attention service with no
+// observations and its one-shot-decoy vs sustained-anomaly
+// discrimination.
 func TestAttentionBoundaries(t *testing.T) {
 	t.Run("no-observations", func(t *testing.T) {
-		a := NewAttention(0, 0) // both clamped to defaults
+		a := NewAttention()
 		if r := a.Ranked(); len(r) != 0 {
 			t.Errorf("empty service ranked %v", r)
 		}
 	})
 
-	t.Run("minhits-above-window-clamped", func(t *testing.T) {
-		a := NewAttention(4, 99)
-		if a.minHits > a.window {
-			t.Errorf("minHits %d > window %d", a.minHits, a.window)
-		}
-	})
-
 	t.Run("single-spike-not-ranked", func(t *testing.T) {
-		a := NewAttention(10, 3)
+		a := NewAttention()
 		for i := 0; i < 40; i++ {
 			a.Observe("decoy", 5)
 		}
@@ -93,7 +87,7 @@ func TestAttentionBoundaries(t *testing.T) {
 	})
 
 	t.Run("sustained-anomaly-ranked", func(t *testing.T) {
-		a := NewAttention(10, 3)
+		a := NewAttention()
 		for i := 0; i < 40; i++ {
 			a.Observe("real", 5)
 		}
@@ -114,7 +108,7 @@ func TestSourceAuditBoundaries(t *testing.T) {
 		s := NewSourceAudit()
 		s.Round(nil)
 		s.Round(map[int]float64{})
-		if bad := s.BadSources(3); bad != nil {
+		if bad := s.BadSources(); bad != nil {
 			t.Errorf("empty audit flagged %v", bad)
 		}
 		if d := s.MeanDeviation(7); d != 0 {
@@ -135,7 +129,7 @@ func TestSourceAuditBoundaries(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			s.Round(map[int]float64{1: 10, 2: 10, 3: 10})
 		}
-		if bad := s.BadSources(3); len(bad) != 0 {
+		if bad := s.BadSources(); len(bad) != 0 {
 			t.Errorf("perfect consensus flagged %v", bad)
 		}
 	})
@@ -145,7 +139,7 @@ func TestSourceAuditBoundaries(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			s.Round(map[int]float64{1: 10, 2: 10.1, 3: 9.9, 4: 50, 5: 30})
 		}
-		bad := s.BadSources(3)
+		bad := s.BadSources()
 		if len(bad) != 2 || bad[0] != 4 || bad[1] != 5 {
 			t.Errorf("BadSources = %v, want [4 5] (worst first)", bad)
 		}

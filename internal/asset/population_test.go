@@ -10,7 +10,7 @@ import (
 
 func testPop(t *testing.T, n int, seed int64) *Population {
 	t.Helper()
-	terr := geo.NewUrbanTerrain(2000, 2000, 100)
+	terr := geo.NewUrbanTerrain(2000, 2000)
 	return Generate(terr, DefaultMix(n), sim.NewRNG(seed))
 }
 

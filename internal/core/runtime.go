@@ -190,11 +190,8 @@ func (r *Runtime) Start() error {
 	r.registerCommandNodes()
 	interval := time.Duration(float64(time.Minute) / r.Mission.IncidentsPerMin)
 	r.gen = r.W.Eng.Every(interval, "core.incident", r.incident)
-	r.healthMon = adapt.NewMonitor(r.W.Eng, "coverage",
-		r.monitorTick,
-		r.repair,
-	)
-	r.healthMon.Start(5 * time.Second)
+	r.healthMon = adapt.NewMonitor(r.W.Eng, r.monitorTick, r.repair)
+	r.healthMon.Start()
 	r.startCheckpoints()
 	return nil
 }

@@ -210,7 +210,7 @@ func RunShardMission(seed int64, shards int, sc ShardMissionConfig) (*ShardMissi
 		posts:     make([]*shardPost, sc.Assets+1),
 		incidents: make([]shardIncident, incidents),
 		// The zero area and drift select the field's defaults.
-		field:  geo.NewDriftField(eng.Stream("shardworld/field"), sc.Assets, shards, geo.Rect{}, 0),
+		field:  geo.NewDriftField(eng.Stream("shardworld/field"), sc.Assets, shards),
 		postID: sim.ActorID(sc.Assets),
 	}
 

@@ -54,7 +54,7 @@ func NewWorld(cfg WorldConfig) *World {
 	eng := sim.NewEngine(cfg.Seed)
 	terr := cfg.Terrain
 	if terr == nil {
-		terr = geo.NewUrbanTerrain(2000, 2000, 100)
+		terr = geo.NewUrbanTerrain(2000, 2000)
 	}
 	if cfg.Assets <= 0 {
 		cfg.Assets = 200

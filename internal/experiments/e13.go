@@ -54,9 +54,9 @@ func E13Tracking(seed int64, quick bool) *Table {
 		}
 		sc := track.NewScenario(rng, targets, sensors, track.Config{ProcessNoise: 36})
 		if !churnHalf {
-			sc.Run(horizon, time.Second)
+			sc.Run(horizon)
 		} else {
-			sc.Run(horizon/2, time.Second)
+			sc.Run(horizon / 2)
 			// Three quarters of the sensors die mid-mission
 			// (battery/attrition): only every fourth survives.
 			for i := range sensors {
@@ -64,7 +64,7 @@ func E13Tracking(seed int64, quick bool) *Table {
 					sc.DisableSensor(sensors[i].ID)
 				}
 			}
-			sc.Run(horizon/2, time.Second)
+			sc.Run(horizon / 2)
 		}
 		return sc.Continuity.Mean(), sc.RMSE.Mean(), sc.Tracker().Dropped, sc.Detections.Value()
 	}

@@ -220,7 +220,7 @@ func runE17(seed int64, quick bool, mode string, verif *verify.Summary) e17Resul
 					})
 				}
 			default:
-				if _, err := g.Publish(pub, "cop", float64(len(enc)), enc); err != nil {
+				if _, err := g.Publish(pub, float64(len(enc)), enc); err != nil {
 					return
 				}
 			}

@@ -140,7 +140,7 @@ func E2Composition(seed int64, quick bool) *Table {
 // a 3 km urban terrain, 60 % of the inner 2.6 km square to be sensed by a
 // connected composite with 2000 MIPS between its members.
 func e2Instance(seed int64, n int) (compose.Requirements, []compose.Candidate) {
-	terr := geo.NewUrbanTerrain(3000, 3000, 100)
+	terr := geo.NewUrbanTerrain(3000, 3000)
 	pop := asset.Generate(terr, asset.DefaultMix(n), sim.NewRNG(seed))
 	goal := compose.Goal{
 		Name:         "surveil",
@@ -289,20 +289,20 @@ func E4Adaptation(seed int64, quick bool) *Table {
 	mcfg.StepMobility = false
 	net := mesh.New(eng, tpop, tpop.Terrain(), mcfg)
 	tree := adapt.NewSpanningTree(net)
-	rounds, _ := tree.Stabilize(1000)
+	rounds, _ := tree.Stabilize()
 	t.AddRow("spanning tree", "cold start", "rounds", d(rounds))
-	tree.Corrupt(asset.ID(gridN*gridN/2), asset.ID(-1), 0)
-	rounds, _ = tree.Stabilize(1000)
+	tree.Corrupt(asset.ID(gridN * gridN / 2))
+	rounds, _ = tree.Stabilize()
 	t.AddRow("spanning tree", "phantom-root corruption", "rounds", d(rounds))
 	tpop.Kill(0)
 	net.Refresh()
-	rounds, _ = tree.Stabilize(1000)
+	rounds, _ = tree.Stabilize()
 	t.AddRow("spanning tree", "root killed", "rounds", d(rounds))
 
 	// (c) Coordinated vs uncoordinated adaptation ([12]).
 	tail := func(coordinated bool) float64 {
-		c1 := adapt.NewController("a", 12, 0, 0, 20, 1)
-		c2 := adapt.NewController("b", 12, 0, 0, 20, 1)
+		c1 := adapt.NewController()
+		c2 := adapt.NewController()
 		c1.FixedGain, c2.FixedGain = true, true
 		co := adapt.NewCoordinator(c1, c2)
 		tailErr := 0.0
@@ -315,7 +315,7 @@ func E4Adaptation(seed int64, quick bool) *Table {
 				c2.Observe(out)
 			}
 			if i >= 40 {
-				diff := 12 - (c1.Knob + c2.Knob)
+				diff := c1.Setpoint - (c1.Knob + c2.Knob)
 				if diff < 0 {
 					diff = -diff
 				}

@@ -35,7 +35,7 @@ func E5Game(seed int64, quick bool) *Table {
 
 		g := game.New(tasks, n, rng.Derive("br"))
 		g.Randomize()
-		rounds, converged := g.Run(10000)
+		rounds, converged := g.Run()
 		t.AddRow(d(n), "best-response", d(rounds),
 			f2(float64(g.Moves.Value())/float64(n)), f3(g.Welfare()/opt), boolStr(converged))
 
@@ -43,8 +43,8 @@ func E5Game(seed int64, quick bool) *Table {
 		rndGame.Randomize()
 		t.AddRow(d(n), "random-assign", "0", "0.00", f3(rndGame.Welfare()/opt), "no")
 
-		dec := game.Decompose(tasks, n, 8, rng.Derive("dec"))
-		decRounds, decOK := dec.Run(10000)
+		dec := game.Decompose(tasks, n, rng.Derive("dec"))
+		decRounds, decOK := dec.Run()
 		t.AddRow(d(n), "decomposed-8", d(decRounds),
 			f2(float64(dec.Moves())/float64(n)), f3(dec.Welfare()/opt), boolStr(decOK))
 	}
@@ -123,7 +123,7 @@ func E7Truth(seed int64, quick bool) *Table {
 		c.ColluderFrac = coll
 		dset := socialsense.Generate(sim.NewRNG(seed), c)
 		maj := socialsense.Accuracy(socialsense.MajorityVote(dset), dset.Truth)
-		em := socialsense.EM(dset, 50)
+		em := socialsense.EM(dset)
 		emAcc := socialsense.Accuracy(em.Estimates(), dset.Truth)
 		rmse := socialsense.ReliabilityRMSE(em.Reliability, dset.Reliability)
 		t.AddRow(f2(coll), f3(maj), f3(emAcc), d(em.Iterations), f3(rmse))

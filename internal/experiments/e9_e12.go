@@ -54,10 +54,10 @@ func E9Saturation(seed int64, quick bool) *Table {
 		isoAdm := alloc.Isolated(capacity, admitted, alloc.DefaultShares())
 
 		t.AddRow(f2(share),
-			f0(alloc.Goodput(flows, fifo, alloc.ClassMission)),
-			f0(alloc.Goodput(flows, fair, alloc.ClassMission)),
-			f0(alloc.Goodput(flows, iso, alloc.ClassMission)),
-			f0(alloc.Goodput(admitted, isoAdm, alloc.ClassMission)))
+			f0(alloc.MissionGoodput(flows, fifo)),
+			f0(alloc.MissionGoodput(flows, fair)),
+			f0(alloc.MissionGoodput(flows, iso)),
+			f0(alloc.MissionGoodput(admitted, isoAdm)))
 	}
 	return t
 }
@@ -122,10 +122,9 @@ func E11Continual(seed int64, quick bool) *Table {
 		batches = 25
 	}
 	rng := sim.NewRNG(seed)
-	const dim = 4
 	var ws [][]float64
 	for c := 0; c < 3; c++ {
-		w := make([]float64, dim+1)
+		w := make([]float64, learn.ContinualDim+1)
 		for i := range w {
 			w[i] = rng.Norm(0, 3)
 		}
@@ -134,8 +133,8 @@ func E11Continual(seed int64, quick bool) *Table {
 	for i := range ws[1] {
 		ws[1][i] = -ws[0][i] // maximal interference with context 0
 	}
-	single := learn.NewSingleLearner(dim, 0.3)
-	ctx := learn.NewContextualLearner(dim, 0.3)
+	single := learn.NewSingleLearner()
+	ctx := learn.NewContextualLearner()
 	var evals []*learn.Dataset
 	for phase := 0; phase < 3; phase++ {
 		evals = append(evals, learn.GenDatasetFromW(rng, ws[phase], 400, 0.02))

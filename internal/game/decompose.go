@@ -16,14 +16,16 @@ type Decomposition struct {
 	Sectors []*Game
 }
 
-// Decompose splits tasks into nSectors contiguous sectors and divides
-// nAgents among them proportionally to sector value. Each subgame is
-// independent: no cross-sector coordination is needed at runtime, which
-// is the scalability win E5 measures.
-func Decompose(tasks []Task, nAgents, nSectors int, rng *sim.RNG) *Decomposition {
-	if nSectors < 1 {
-		nSectors = 1
-	}
+// sectors is how many sectors Decompose splits the tasks into.
+const sectors = 8
+
+// Decompose splits tasks into 8 contiguous sectors (fewer when there
+// are fewer tasks) and divides nAgents among them proportionally to
+// sector value. Each subgame is independent: no cross-sector
+// coordination is needed at runtime, which is the scalability win E5
+// measures.
+func Decompose(tasks []Task, nAgents int, rng *sim.RNG) *Decomposition {
+	nSectors := sectors
 	if nSectors > len(tasks) {
 		nSectors = len(tasks)
 	}
@@ -77,11 +79,11 @@ func Decompose(tasks []Task, nAgents, nSectors int, rng *sim.RNG) *Decomposition
 // Run plays every sector's best-response dynamics to convergence (or
 // maxRounds). It returns the max rounds used by any sector and whether
 // all converged.
-func (d *Decomposition) Run(maxRounds int) (int, bool) {
+func (d *Decomposition) Run() (int, bool) {
 	worst := 0
 	all := true
 	for _, g := range d.Sectors {
-		r, ok := g.Run(maxRounds)
+		r, ok := g.Run()
 		if r > worst {
 			worst = r
 		}

@@ -135,10 +135,13 @@ func (g *Game) Round() int {
 	return switched
 }
 
+// maxRounds bounds Run.
+const maxRounds = 10000
+
 // Run plays rounds until no agent switches or maxRounds is hit. It
 // returns the rounds used and whether a pure Nash equilibrium was
 // reached.
-func (g *Game) Run(maxRounds int) (int, bool) {
+func (g *Game) Run() (int, bool) {
 	for r := 1; r <= maxRounds; r++ {
 		if g.Round() == 0 {
 			return r, true

@@ -27,7 +27,7 @@ func rampTasks(n int) []Task {
 func TestBestResponseConverges(t *testing.T) {
 	g := New(rampTasks(20), 50, sim.NewRNG(1))
 	g.Randomize()
-	rounds, ok := g.Run(1000)
+	rounds, ok := g.Run()
 	if !ok {
 		t.Fatal("did not converge")
 	}
@@ -59,7 +59,7 @@ func TestEquilibriumSpreadsAgents(t *testing.T) {
 	// agent per task (any doubling leaves an empty task worth more).
 	g := New(uniformTasks(10, 5), 10, sim.NewRNG(3))
 	g.Randomize()
-	if _, ok := g.Run(1000); !ok {
+	if _, ok := g.Run(); !ok {
 		t.Fatal("did not converge")
 	}
 	for task := 0; task < 10; task++ {
@@ -76,7 +76,7 @@ func TestWelfareNearOptimal(t *testing.T) {
 	tasks := rampTasks(30)
 	g := New(tasks, 20, sim.NewRNG(4))
 	g.Randomize()
-	if _, ok := g.Run(1000); !ok {
+	if _, ok := g.Run(); !ok {
 		t.Fatal("did not converge")
 	}
 	opt := OptimalWelfare(tasks, 20)
@@ -171,12 +171,12 @@ func TestDecomposeWelfareAndScaling(t *testing.T) {
 
 	flat := New(tasks, nAgents, rng.Derive("flat"))
 	flat.Randomize()
-	if _, ok := flat.Run(2000); !ok {
+	if _, ok := flat.Run(); !ok {
 		t.Fatal("flat game did not converge")
 	}
 
-	d := Decompose(tasks, nAgents, 6, rng)
-	if _, ok := d.Run(2000); !ok {
+	d := Decompose(tasks, nAgents, rng)
+	if _, ok := d.Run(); !ok {
 		t.Fatal("decomposed games did not converge")
 	}
 
@@ -184,7 +184,7 @@ func TestDecomposeWelfareAndScaling(t *testing.T) {
 	if d.Welfare() < 0.8*flat.Welfare() {
 		t.Errorf("decomposed welfare %v << flat %v", d.Welfare(), flat.Welfare())
 	}
-	if len(d.Sectors) != 6 {
+	if len(d.Sectors) != sectors {
 		t.Errorf("sectors = %d", len(d.Sectors))
 	}
 	// Agents conserved.
@@ -202,19 +202,19 @@ func TestDecomposeWelfareAndScaling(t *testing.T) {
 
 func TestDecomposeEdgeCases(t *testing.T) {
 	rng := sim.NewRNG(9)
-	d := Decompose(nil, 10, 3, rng)
+	d := Decompose(nil, 10, rng)
 	if len(d.Sectors) != 0 {
 		t.Error("empty task list should produce no sectors")
 	}
 	if d.Welfare() != 0 {
 		t.Error("empty decomposition welfare should be 0")
 	}
-	d2 := Decompose(rampTasks(2), 10, 5, rng)
+	d2 := Decompose(rampTasks(2), 10, rng)
 	if len(d2.Sectors) > 2 {
 		t.Errorf("more sectors than tasks: %d", len(d2.Sectors))
 	}
-	d3 := Decompose(rampTasks(4), 0, 2, rng)
-	if _, ok := d3.Run(10); !ok {
+	d3 := Decompose(rampTasks(4), 0, rng)
+	if _, ok := d3.Run(); !ok {
 		t.Error("zero-agent decomposition should trivially converge")
 	}
 }
@@ -234,7 +234,7 @@ func TestConvergenceScalesGently(t *testing.T) {
 	rounds := func(n int) int {
 		g := New(rampTasks(n), n, sim.NewRNG(11))
 		g.Randomize()
-		r, ok := g.Run(10000)
+		r, ok := g.Run()
 		if !ok {
 			t.Fatalf("no convergence at n=%d", n)
 		}

@@ -25,25 +25,19 @@ func (m *Matrix) Cols() int {
 
 // JammingGame builds the frequency-hopping stage game: the communicator
 // picks one of n channels, the jammer jams one. Communication succeeds
-// fully on an unjammed channel and is degraded by jamEffect on a jammed
-// one. The unique equilibrium is uniform mixing by both sides with
-// value 1 - jamEffect/n: more channels dilute the jammer.
-func JammingGame(channels int, jamEffect float64) *Matrix {
+// fully on an unjammed channel and delivers nothing on a jammed one.
+// The unique equilibrium is uniform mixing by both sides with value
+// 1 - 1/n: more channels dilute the jammer.
+func JammingGame(channels int) *Matrix {
 	if channels < 1 {
 		channels = 1
-	}
-	if jamEffect < 0 {
-		jamEffect = 0
-	}
-	if jamEffect > 1 {
-		jamEffect = 1
 	}
 	p := make([][]float64, channels)
 	for i := range p {
 		p[i] = make([]float64, channels)
 		for j := range p[i] {
 			if i == j {
-				p[i][j] = 1 - jamEffect
+				p[i][j] = 0
 			} else {
 				p[i][j] = 1
 			}
@@ -66,18 +60,18 @@ type FPResult struct {
 	Exploitability float64
 }
 
-// FictitiousPlay runs simultaneous fictitious play for iters rounds:
+// fpIters is how many rounds FictitiousPlay plays.
+const fpIters = 20000
+
+// FictitiousPlay runs simultaneous fictitious play for fpIters rounds:
 // each player best-responds to the opponent's empirical mixture.
 // Robinson's theorem guarantees convergence to equilibrium in zero-sum
 // games — the provable-convergence guarantee the paper asks of its
 // agent-interaction designs.
-func FictitiousPlay(m *Matrix, iters int, rng *sim.RNG) *FPResult {
+func FictitiousPlay(m *Matrix, rng *sim.RNG) *FPResult {
 	rows, cols := m.Rows(), m.Cols()
 	if rows == 0 || cols == 0 {
 		return &FPResult{}
-	}
-	if iters <= 0 {
-		iters = 1000
 	}
 	rowCount := make([]float64, rows)
 	colCount := make([]float64, cols)
@@ -89,7 +83,7 @@ func FictitiousPlay(m *Matrix, iters int, rng *sim.RNG) *FPResult {
 		c = rng.Intn(cols)
 	}
 	total := 0.0
-	for it := 0; it < iters; it++ {
+	for it := 0; it < fpIters; it++ {
 		rowCount[r]++
 		colCount[c]++
 		total += m.Payoff[r][c]
@@ -101,7 +95,7 @@ func FictitiousPlay(m *Matrix, iters int, rng *sim.RNG) *FPResult {
 	res := &FPResult{
 		RowMix: normalize(rowCount),
 		ColMix: normalize(colCount),
-		Value:  total / float64(iters),
+		Value:  total / fpIters,
 	}
 	// Exploitability against the empirical mixes.
 	bestRow := rowPayoff(m, argmaxRowMix(m, res.ColMix), res.ColMix)

@@ -8,14 +8,14 @@ import (
 )
 
 func TestJammingGameStructure(t *testing.T) {
-	m := JammingGame(4, 0.8)
+	m := JammingGame(4)
 	if m.Rows() != 4 || m.Cols() != 4 {
 		t.Fatalf("shape = %dx%d", m.Rows(), m.Cols())
 	}
-	if math.Abs(m.Payoff[2][2]-0.2) > 1e-12 || m.Payoff[1][3] != 1 {
+	if m.Payoff[2][2] != 0 || m.Payoff[1][3] != 1 {
 		t.Errorf("payoffs wrong: %v", m.Payoff)
 	}
-	clamped := JammingGame(0, 2)
+	clamped := JammingGame(0)
 	if clamped.Rows() != 1 || clamped.Payoff[0][0] != 0 {
 		t.Errorf("clamping wrong: %+v", clamped)
 	}
@@ -23,10 +23,9 @@ func TestJammingGameStructure(t *testing.T) {
 
 func TestFictitiousPlayJammingEquilibrium(t *testing.T) {
 	const n = 5
-	const jam = 1.0
-	m := JammingGame(n, jam)
-	res := FictitiousPlay(m, 20000, sim.NewRNG(1))
-	wantValue := 1 - jam/float64(n)
+	m := JammingGame(n)
+	res := FictitiousPlay(m, sim.NewRNG(1))
+	wantValue := 1 - 1.0/n
 	if math.Abs(res.Value-wantValue) > 0.02 {
 		t.Errorf("value = %.3f, want ~%.3f", res.Value, wantValue)
 	}
@@ -48,8 +47,8 @@ func TestFictitiousPlayJammingEquilibrium(t *testing.T) {
 
 func TestMoreChannelsDiluteJammer(t *testing.T) {
 	rng := sim.NewRNG(2)
-	v3 := FictitiousPlay(JammingGame(3, 1), 5000, rng).Value
-	v10 := FictitiousPlay(JammingGame(10, 1), 5000, rng).Value
+	v3 := FictitiousPlay(JammingGame(3), rng).Value
+	v10 := FictitiousPlay(JammingGame(10), rng).Value
 	if v10 <= v3 {
 		t.Errorf("value with 10 channels (%.3f) not above 3 channels (%.3f)", v10, v3)
 	}
@@ -58,7 +57,7 @@ func TestMoreChannelsDiluteJammer(t *testing.T) {
 func TestFictitiousPlayMatchingPennies(t *testing.T) {
 	// Classic: value 0, uniform mixes.
 	m := &Matrix{Payoff: [][]float64{{1, -1}, {-1, 1}}}
-	res := FictitiousPlay(m, 20000, sim.NewRNG(3))
+	res := FictitiousPlay(m, sim.NewRNG(3))
 	if math.Abs(res.Value) > 0.02 {
 		t.Errorf("matching pennies value = %.3f, want ~0", res.Value)
 	}
@@ -71,7 +70,7 @@ func TestFictitiousPlayDominantStrategy(t *testing.T) {
 	// Row 1 dominates row 0; column 0 dominates column 1 (for the
 	// minimizer). Equilibrium: (1, 0) with value 2.
 	m := &Matrix{Payoff: [][]float64{{1, 3}, {2, 4}}}
-	res := FictitiousPlay(m, 5000, sim.NewRNG(4))
+	res := FictitiousPlay(m, sim.NewRNG(4))
 	if res.RowMix[1] < 0.95 {
 		t.Errorf("row should settle on dominant action: %v", res.RowMix)
 	}
@@ -84,12 +83,12 @@ func TestFictitiousPlayDominantStrategy(t *testing.T) {
 }
 
 func TestFictitiousPlayEdges(t *testing.T) {
-	if res := FictitiousPlay(&Matrix{}, 100, nil); len(res.RowMix) != 0 {
+	if res := FictitiousPlay(&Matrix{}, nil); len(res.RowMix) != 0 {
 		t.Error("empty game should return empty result")
 	}
-	// nil RNG and zero iters default safely.
-	m := JammingGame(2, 0.5)
-	res := FictitiousPlay(m, 0, nil)
+	// A nil RNG starts both players at action 0.
+	m := JammingGame(2)
+	res := FictitiousPlay(m, nil)
 	if len(res.RowMix) != 2 {
 		t.Error("defaults failed")
 	}

@@ -105,7 +105,7 @@ func TestTerrainRangeFactor(t *testing.T) {
 	if f := open.RangeFactor(Point{0, 0}, Point{900, 900}); f != 1 {
 		t.Errorf("open terrain factor = %v", f)
 	}
-	urban := NewUrbanTerrain(1000, 1000, 100)
+	urban := NewUrbanTerrain(1000, 1000)
 	near := urban.RangeFactor(Point{0, 0}, Point{10, 10})
 	far := urban.RangeFactor(Point{0, 0}, Point{900, 900})
 	if !(far < near && near <= 1) {
@@ -121,7 +121,7 @@ func TestTerrainRangeFactor(t *testing.T) {
 }
 
 func TestRandomPointInBounds(t *testing.T) {
-	terr := NewUrbanTerrain(500, 300, 50)
+	terr := NewUrbanTerrain(500, 300)
 	rng := sim.NewRNG(4)
 	for i := 0; i < 1000; i++ {
 		p := terr.RandomPoint(rng)
@@ -147,10 +147,15 @@ func TestTerrainKindString(t *testing.T) {
 	}
 }
 
+// TestNewUrbanTerrainDefaults: the urban street grid has 100m blocks,
+// and clutter saturates at five blocks crossed.
 func TestNewUrbanTerrainDefaults(t *testing.T) {
-	u := NewUrbanTerrain(100, 100, 0)
-	if u.BlockSize != 100 {
-		t.Errorf("default block size = %v", u.BlockSize)
+	u := NewUrbanTerrain(1000, 1000)
+	if f := u.RangeFactor(Point{0, 0}, Point{100, 0}); math.Abs(f-0.9) > 1e-12 {
+		t.Errorf("one block crossed: factor %v, want 0.9", f)
+	}
+	if f := u.RangeFactor(Point{0, 0}, Point{300, 300}); math.Abs(f-0.5) > 1e-12 {
+		t.Errorf("six blocks crossed: factor %v, want the 0.5 floor of saturated clutter", f)
 	}
 }
 

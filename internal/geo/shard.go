@@ -56,7 +56,7 @@ func (m *ShardMap) ShardOf(p Point) int {
 //
 //	pos(i, t) = home_i + (ax sin(wx t + px), ay sin(wy t + py)),
 //
-// with amplitudes bounded by Drift. Positions are a pure function of
+// with amplitudes bounded by its drift. Positions are a pure function of
 // setup constants and the clock, so any shard may evaluate any actor's
 // position race-free and actor placement is identical at every shard
 // count. The field also carries the ID-order digest its workload folds
@@ -67,8 +67,8 @@ func (m *ShardMap) ShardOf(p Point) int {
 //iobt:frozen
 type DriftField struct {
 	Area  Rect
-	Drift float64
 	Map   *ShardMap
+	drift float64
 
 	osc    []oscillator
 	digest hash.Hash64
@@ -80,25 +80,22 @@ type oscillator struct {
 	ax, ay, wx, wy, px, py float64
 }
 
-// NewDriftField lays out n actors over area, partitioned into shards
-// bands. An empty area defaults to a 3:2 field sized for constant
-// density (side 400m per 25 actors, scaling with sqrt(n)); a zero drift
-// defaults to 25m and a negative one pins every actor to its home. Each
-// actor's home and six oscillation parameters are drawn from field in
-// ID order — shard-count independent by construction.
-func NewDriftField(field *sim.RNG, n, shards int, area Rect, drift float64) *DriftField {
-	if area.Width() <= 0 || area.Height() <= 0 {
-		side := 400 * math.Sqrt(float64(n)/25)
-		area = NewRect(Point{X: 0, Y: 0}, Point{X: 1.5 * side, Y: side})
-	}
-	if drift < 0 {
-		drift = 0
-	} else if drift == 0 {
-		drift = 25
-	}
+// NewDriftField lays out n actors over a 3:2 field sized for constant
+// density (side 400m per 25 actors, scaling with sqrt(n)), partitioned
+// into shards bands, each actor drifting up to 25m from its home.
+func NewDriftField(field *sim.RNG, n, shards int) *DriftField {
+	side := 400 * math.Sqrt(float64(n)/25)
+	return newDriftField(field, n, shards, NewRect(Point{X: 0, Y: 0}, Point{X: 1.5 * side, Y: side}), 25)
+}
+
+// newDriftField lays out n actors over area, partitioned into shards
+// bands, each drifting up to drift from its home. Each actor's home and
+// six oscillation parameters are drawn from field in ID order —
+// shard-count independent by construction.
+func newDriftField(field *sim.RNG, n, shards int, area Rect, drift float64) *DriftField {
 	f := &DriftField{
 		Area:   area,
-		Drift:  drift,
+		drift:  drift,
 		Map:    NewShardMap(area, shards),
 		osc:    make([]oscillator, n),
 		digest: fnv.New64a(),

@@ -158,23 +158,25 @@ func TestShardMapDegenerate(t *testing.T) {
 func TestDriftFieldDefaultsAndBounds(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
-		area      Rect
-		drift     float64
+		field     func(shards int) *DriftField
 		wantArea  Rect
 		wantDrift float64
 	}{
-		{"defaults", Rect{}, 0, NewRect(Point{0, 0}, Point{1200, 800}), 25},
-		{"pinned", Rect{}, -1, NewRect(Point{0, 0}, Point{1200, 800}), 0},
-		{"explicit", NewRect(Point{10, 20}, Point{500, 300}), 60, NewRect(Point{10, 20}, Point{500, 300}), 60},
+		{"defaults", func(shards int) *DriftField {
+			return NewDriftField(sim.NewRNG(9).Derive("field"), 100, shards)
+		}, NewRect(Point{0, 0}, Point{1200, 800}), 25},
+		{"explicit", func(shards int) *DriftField {
+			return newDriftField(sim.NewRNG(9).Derive("field"), 100, shards, NewRect(Point{10, 20}, Point{500, 300}), 60)
+		}, NewRect(Point{10, 20}, Point{500, 300}), 60},
 	} {
-		f := NewDriftField(sim.NewRNG(9).Derive("field"), 100, 4, tc.area, tc.drift)
-		if f.Area != tc.wantArea || f.Drift != tc.wantDrift {
-			t.Errorf("%s: area %v drift %v, want %v and %v", tc.name, f.Area, f.Drift, tc.wantArea, tc.wantDrift)
+		f := tc.field(4)
+		if f.Area != tc.wantArea || f.drift != tc.wantDrift {
+			t.Errorf("%s: area %v drift %v, want %v and %v", tc.name, f.Area, f.drift, tc.wantArea, tc.wantDrift)
 		}
 		if f.Map.shards != 4 || f.Map.bounds != f.Area {
 			t.Errorf("%s: shard map %d bands over %v", tc.name, f.Map.shards, f.Map.bounds)
 		}
-		same := NewDriftField(sim.NewRNG(9).Derive("field"), 100, 1, tc.area, tc.drift)
+		same := tc.field(1)
 		for i := 0; i < 100; i++ {
 			home := f.Home(i)
 			if !f.Area.Contains(home) {
@@ -182,8 +184,8 @@ func TestDriftFieldDefaultsAndBounds(t *testing.T) {
 			}
 			for _, at := range []time.Duration{0, 3 * time.Second, 77 * time.Second} {
 				p := f.Pos(i, at)
-				if math.Abs(p.X-home.X) > f.Drift || math.Abs(p.Y-home.Y) > f.Drift {
-					t.Fatalf("%s: actor %d at %v strays %v from home %v (drift %v)", tc.name, i, at, p, home, f.Drift)
+				if math.Abs(p.X-home.X) > f.drift || math.Abs(p.Y-home.Y) > f.drift {
+					t.Fatalf("%s: actor %d at %v strays %v from home %v (drift %v)", tc.name, i, at, p, home, f.drift)
 				}
 				if p != same.Pos(i, at) {
 					t.Fatalf("%s: actor %d position depends on the shard count", tc.name, i)
@@ -205,7 +207,7 @@ func TestDriftFieldMobilityTick(t *testing.T) {
 		{4500 * time.Millisecond, 5}, // 1s..4s, then the 5s tick finds it dead
 	} {
 		eng := sim.NewSharded(3, sim.ShardedConfig{Shards: 4})
-		f := NewDriftField(eng.Stream("field"), 1, 4, NewRect(Point{0, 0}, Point{40, 40}), 200)
+		f := newDriftField(eng.Stream("field"), 1, 4, NewRect(Point{0, 0}, Point{40, 40}), 200)
 		eng.AddActor(0, f.Map.ShardOf(f.Home(0)))
 		eng.ScheduleActor(0, time.Second, "mobility", f.MobilityTick(0, time.Second, 10*time.Second, tc.stopAt))
 		if err := eng.Run(10 * time.Second); err != nil {
@@ -233,7 +235,7 @@ func TestDriftFieldMobilityTick(t *testing.T) {
 // big-endian bytes — that every committed E18 and shard-mission digest
 // was produced with.
 func TestDriftFieldDigest(t *testing.T) {
-	f := NewDriftField(sim.NewRNG(1), 1, 1, Rect{}, 0)
+	f := NewDriftField(sim.NewRNG(1), 1, 1)
 	if got := f.Digest(); got != 0xcbf29ce484222325 {
 		t.Errorf("empty digest %x, want the FNV-1a offset basis", got)
 	}

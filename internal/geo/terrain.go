@@ -34,8 +34,6 @@ func (k TerrainKind) String() string {
 type Terrain struct {
 	Kind   TerrainKind
 	Bounds Rect
-	// BlockSize is the urban street-grid pitch in meters (urban only).
-	BlockSize float64
 	// Obstruction in [0,1] scales radio range: effective range is
 	// range * (1 - Obstruction * clutter(p,q)).
 	Obstruction float64
@@ -49,16 +47,15 @@ func NewOpenTerrain(width, height float64) *Terrain {
 	}
 }
 
-// NewUrbanTerrain returns a mega-city style map: a street grid with the
-// given block pitch and heavy radio clutter.
-func NewUrbanTerrain(width, height, blockSize float64) *Terrain {
-	if blockSize <= 0 {
-		blockSize = 100
-	}
+// blockSize is the urban street-grid pitch in meters.
+const blockSize = 100
+
+// NewUrbanTerrain returns a mega-city style map: a street grid of
+// blockSize blocks and heavy radio clutter.
+func NewUrbanTerrain(width, height float64) *Terrain {
 	return &Terrain{
 		Kind:        TerrainUrban,
 		Bounds:      NewRect(Point{0, 0}, Point{width, height}),
-		BlockSize:   blockSize,
 		Obstruction: 0.5,
 	}
 }
@@ -84,8 +81,8 @@ func (t *Terrain) RangeFactor(p, q Point) float64 {
 	switch t.Kind {
 	case TerrainUrban:
 		// Blocks crossed along each axis, saturating at 5.
-		dx := absf(p.X-q.X) / t.BlockSize
-		dy := absf(p.Y-q.Y) / t.BlockSize
+		dx := absf(p.X-q.X) / blockSize
+		dy := absf(p.Y-q.Y) / blockSize
 		blocks := dx + dy
 		if blocks > 5 {
 			blocks = 5

@@ -6,23 +6,26 @@ package learn
 // ContextualLearner maintains one model per automatically detected
 // context; SingleLearner is the forgetting baseline.
 
+// ContinualDim is the feature dimension of the continual learners'
+// models.
+const ContinualDim = 4
+
+// continualRate is the continual learners' SGD learning rate.
+const continualRate = 0.3
+
 // SingleLearner trains one model over the whole stream.
 type SingleLearner struct {
 	Model *Model
-	lr    float64
 }
 
 // NewSingleLearner returns the baseline learner.
-func NewSingleLearner(dim int, lr float64) *SingleLearner {
-	if lr <= 0 {
-		lr = 0.3
-	}
-	return &SingleLearner{Model: NewModel(dim), lr: lr}
+func NewSingleLearner() *SingleLearner {
+	return &SingleLearner{Model: NewModel(ContinualDim)}
 }
 
 // Observe trains on one mini-batch.
 func (s *SingleLearner) Observe(X [][]float64, Y []int) {
-	s.Model.SGDStep(X, Y, s.lr)
+	s.Model.SGDStep(X, Y, continualRate)
 }
 
 // Predictor returns the model used for inference.
@@ -35,8 +38,6 @@ func (s *SingleLearner) Predictor() *Model { return s.Model }
 type ContextualLearner struct {
 	models  []*Model
 	active  int
-	lr      float64
-	dim     int
 	baseAcc float64 // accuracy threshold for keeping the active model
 
 	// Switches counts detected context changes.
@@ -44,14 +45,9 @@ type ContextualLearner struct {
 }
 
 // NewContextualLearner returns a learner with one initial context.
-func NewContextualLearner(dim int, lr float64) *ContextualLearner {
-	if lr <= 0 {
-		lr = 0.3
-	}
+func NewContextualLearner() *ContextualLearner {
 	return &ContextualLearner{
-		models:  []*Model{NewModel(dim)},
-		lr:      lr,
-		dim:     dim,
+		models:  []*Model{NewModel(ContinualDim)},
 		baseAcc: 0.65,
 	}
 }
@@ -82,12 +78,12 @@ func (c *ContextualLearner) Observe(X [][]float64, Y []int) {
 		} else {
 			// Unknown context: spawn a new model so the old knowledge
 			// is preserved rather than overwritten.
-			c.models = append(c.models, NewModel(c.dim))
+			c.models = append(c.models, NewModel(ContinualDim))
 			c.active = len(c.models) - 1
 			c.Switches++
 		}
 	}
-	c.models[c.active].SGDStep(X, Y, c.lr)
+	c.models[c.active].SGDStep(X, Y, continualRate)
 }
 
 // BestAccuracy evaluates every stored model on a dataset and returns the

@@ -26,11 +26,10 @@ func contexts(rng *sim.RNG, dim int) [][]float64 {
 
 func TestCatastrophicForgettingBaselineVsContextual(t *testing.T) {
 	rng := sim.NewRNG(1)
-	const dim = 4
-	ws := contexts(rng, dim)
+	ws := contexts(rng, ContinualDim)
 
-	single := NewSingleLearner(dim, 0.3)
-	ctx := NewContextualLearner(dim, 0.3)
+	single := NewSingleLearner()
+	ctx := NewContextualLearner()
 
 	// Stream: 3 phases, batches of 20.
 	var evalSets []*Dataset
@@ -59,9 +58,8 @@ func TestCatastrophicForgettingBaselineVsContextual(t *testing.T) {
 
 func TestContextualReusesStoredModel(t *testing.T) {
 	rng := sim.NewRNG(2)
-	const dim = 4
-	ws := contexts(rng, dim)
-	ctx := NewContextualLearner(dim, 0.3)
+	ws := contexts(rng, ContinualDim)
+	ctx := NewContextualLearner()
 	phase := func(w []float64, batches int) {
 		for b := 0; b < batches; b++ {
 			batch := GenDatasetFromW(rng, w, 20, 0.02)
@@ -81,12 +79,12 @@ func TestContextualReusesStoredModel(t *testing.T) {
 }
 
 func TestContinualEdges(t *testing.T) {
-	ctx := NewContextualLearner(3, 0)
+	ctx := NewContextualLearner()
 	ctx.Observe(nil, nil) // no panic
 	if ctx.NumContexts() != 1 {
 		t.Error("empty observation should not change contexts")
 	}
-	s := NewSingleLearner(3, 0)
+	s := NewSingleLearner()
 	s.Observe(nil, nil)
 	if s.Predictor() == nil {
 		t.Error("nil predictor")

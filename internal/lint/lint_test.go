@@ -46,7 +46,13 @@ func TestSuppressFixture(t *testing.T) {
 }
 
 // treeOnce loads the whole repository once for the tree-wide tests.
-var treeOnce = sync.OnceValues(func() (*Program, error) { return LoadProgram("../..", "./...") })
+var treeOnce = sync.OnceValues(func() (*Program, error) {
+	pkgs, err := Load("../..", "./...")
+	if err != nil {
+		return nil, err
+	}
+	return NewProgram(pkgs), nil
+})
 
 func loadTree(t *testing.T) *Program {
 	t.Helper()
@@ -86,12 +92,6 @@ func TestTreeClean(t *testing.T) {
 // non-test caller, each with the reason it stays. A kept declaration
 // counts as an entry point, so what it calls needs no entry of its own.
 var reachKeep = map[string]string{
-	"iobt/internal/verify.Generate":                  "FuzzScenario's scenario harness: random scenarios",
-	"iobt/internal/verify.Shrink":                    "FuzzScenario's scenario harness: minimal reproducers",
-	"iobt/internal/verify.PermutationInvariance":     "metamorphic relation run by the verify tests",
-	"iobt/internal/verify.ComposersAgree":            "metamorphic relation run by the verify tests",
-	"iobt/internal/verify.CadenceIndependence":       "metamorphic relation run by the verify tests",
-	"iobt/internal/verify.RestoreTransparency":       "metamorphic relation run by the verify tests",
 	"iobt/internal/lint.LoadFixture":                 "loads the analyzer fixtures under testdata, which the go tool does not list",
 	"(*iobt/internal/lint.Program).Summary":          "the taint-summary tests read the interprocedural leg through it",
 	"(*iobt/internal/mesh.shardRun).linked":          "the brute-force oracle TestPeersMatchesBruteForce compares peers against",
@@ -161,12 +161,7 @@ func reachKey(obj types.Object) string {
 // helps satisfy one of the interfaces: a dynamic call (fmt's String,
 // sort's Less) names no method statically.
 func unreachable(pkgs []*Package, keep map[string]string) []*reachDecl {
-	w := &reachWalk{decls: map[string]*reachDecl{}, reached: map[string]bool{}, ifaces: map[string][]string{}}
-	tree := map[string]bool{}
-	for _, pkg := range pkgs {
-		tree[pkg.Path] = true
-	}
-	w.addIface(types.Universe.Lookup("error").Type())
+	w := &reachWalk{decls: map[string]*reachDecl{}, reached: map[string]bool{}, ifaces: interfaces(pkgs)}
 	roots := []string{}
 	for k := range keep {
 		roots = append(roots, k)
@@ -179,28 +174,10 @@ func unreachable(pkgs []*Package, keep map[string]string) []*reachDecl {
 	// repeat and `_` names nothing).
 	var entries []entry
 	for _, pkg := range pkgs {
-		for _, imp := range pkg.Types.Imports() {
-			if tree[imp.Path()] {
-				continue
-			}
-			for _, name := range imp.Scope().Names() {
-				if tn, isType := imp.Scope().Lookup(name).(*types.TypeName); isType && tn.Exported() {
-					w.addIface(tn.Type())
-				}
-			}
-		}
 		for _, f := range pkg.Files {
 			if strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
 				continue
 			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if e, isExpr := n.(ast.Expr); isExpr {
-					if tv, known := pkg.Info.Types[e]; known && tv.IsType() {
-						w.addIface(tv.Type)
-					}
-				}
-				return true
-			})
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
@@ -310,16 +287,76 @@ func (w *reachWalk) walk(pkg *Package, node ast.Node) {
 	})
 }
 
-func (w *reachWalk) addIface(t types.Type) {
-	iface, isIface := t.Underlying().(*types.Interface)
-	if !isIface || iface.NumMethods() == 0 {
-		return
+// interfaces returns the method names of error, of every interface a
+// non-test file of pkgs names and of every exported interface of a
+// package they import from outside pkgs, keyed by the names joined.
+func interfaces(pkgs []*Package) map[string][]string {
+	ifaces := map[string][]string{}
+	add := func(t types.Type) {
+		iface, isIface := t.Underlying().(*types.Interface)
+		if !isIface || iface.NumMethods() == 0 {
+			return
+		}
+		names := make([]string, iface.NumMethods())
+		for i := range names {
+			names[i] = iface.Method(i).Name()
+		}
+		ifaces[strings.Join(names, ",")] = names
 	}
-	names := make([]string, iface.NumMethods())
-	for i := range names {
-		names[i] = iface.Method(i).Name()
+	add(types.Universe.Lookup("error").Type())
+	tree := map[string]bool{}
+	for _, pkg := range pkgs {
+		tree[pkg.Path] = true
 	}
-	w.ifaces[strings.Join(names, ",")] = names
+	for _, pkg := range pkgs {
+		for _, imp := range pkg.Types.Imports() {
+			if tree[imp.Path()] {
+				continue
+			}
+			for _, name := range imp.Scope().Names() {
+				if tn, isType := imp.Scope().Lookup(name).(*types.TypeName); isType && tn.Exported() {
+					add(tn.Type())
+				}
+			}
+		}
+		for _, f := range pkg.Files {
+			if strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if e, isExpr := n.(ast.Expr); isExpr {
+					if tv, known := pkg.Info.Types[e]; known && tv.IsType() {
+						add(tv.Type)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return ifaces
+}
+
+// satisfying returns, by name, the methods of named that between them
+// cover every method of some interface in ifaces.
+func satisfying(named *types.Named, ifaces map[string][]string) map[string]types.Object {
+	ms := types.NewMethodSet(types.NewPointer(named))
+	has := map[string]types.Object{}
+	for i := 0; i < ms.Len(); i++ {
+		has[ms.At(i).Obj().Name()] = ms.At(i).Obj()
+	}
+	out := map[string]types.Object{}
+	for _, names := range ifaces {
+		all := true
+		for _, n := range names {
+			all = all && has[n] != nil
+		}
+		if all {
+			for _, n := range names {
+				out[n] = has[n]
+			}
+		}
+	}
+	return out
 }
 
 // satisfy marks the methods of a reached type that, between them, cover
@@ -329,21 +366,8 @@ func (w *reachWalk) satisfy(obj types.Object) {
 	if _, isType := obj.(*types.TypeName); !isType || !isNamed || types.IsInterface(named) {
 		return
 	}
-	ms := types.NewMethodSet(types.NewPointer(named))
-	has := map[string]types.Object{}
-	for i := 0; i < ms.Len(); i++ {
-		has[ms.At(i).Obj().Name()] = ms.At(i).Obj()
-	}
-	for _, names := range w.ifaces {
-		all := true
-		for _, n := range names {
-			all = all && has[n] != nil
-		}
-		if all {
-			for _, n := range names {
-				w.mark(reachKey(has[n]))
-			}
-		}
+	for _, m := range satisfying(named, w.ifaces) {
+		w.mark(reachKey(m))
 	}
 }
 

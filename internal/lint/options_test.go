@@ -15,7 +15,6 @@ import (
 // twentieth, fault.Harness, became the arguments of fault.Run.
 var optionStructs = []string{
 	"iobt/internal/asset.ChurnConfig",
-	"iobt/internal/compose.AnnealSolver",
 	"iobt/internal/compose.CSPSolver",
 	"iobt/internal/compose.Goal",
 	"iobt/internal/compose.RandomSolver",
@@ -118,6 +117,159 @@ func TestOptionsHaveCallers(t *testing.T) {
 	t.Logf("%d option fields in %d structs", len(fields), len(optionStructs))
 }
 
+// paramOneValue lists the exported parameters TestParamsHaveCallers
+// accepts although every non-test call outside their package passes
+// one constant, each with the reason it stays a parameter.
+var paramOneValue = []struct {
+	param  string
+	reason string
+}{
+	{"(*iobt/internal/sim.RNG).Exp.mean",
+		"a distribution's mean is the input of the draw; the RNG tests draw at other means"},
+	{"iobt/internal/attack.Capture.at",
+		"when a node is captured is scenario data, not a setting of the attack"},
+	{"(*iobt/internal/anomaly.SourceAudit).MeanDeviation.src",
+		"which source to ask about is data: the disaster example asks about the gauge it damaged"},
+	{"iobt/internal/alloc.MaxMinFair.capacity",
+		"the capacity water-filling divides is its input: Isolated fills each class's share through it"},
+	{"iobt/internal/alloc.FIFO.capacity",
+		"the capacity an allocation policy divides is its input; E9 compares the policies at one link capacity"},
+	{"iobt/internal/alloc.Isolated.capacity",
+		"the capacity an allocation policy divides is its input; E9 compares the policies at one link capacity"},
+	{"iobt/internal/alloc.Admission.limit",
+		"the policing cap is derived from the link capacity (E9 passes capacity/8), not a setting of its own"},
+	{"iobt/internal/core.RunShardMission.shards",
+		"its one caller is cmd/iobtbench's probe, which changes only with the next benchmark change (ROADMAP item 8)"},
+}
+
+// TestParamsHaveCallers holds exported parameters to "an option needs
+// two values". Every parameter of an exported function or method under
+// internal/ — but a variadic one, and those of a method that helps
+// satisfy an interface — that non-test calls from outside its package
+// pass is passed two values or a non-constant, or it is on
+// paramOneValue. An empty composite literal passes the zero value, and
+// a use of the function other than a call passes unknown values. Such
+// a parameter becomes an unexported constant at its one value.
+func TestParamsHaveCallers(t *testing.T) {
+	params, calls := paramCalls(loadTree(t).Pkgs)
+	if len(paramOneValue) > 12 {
+		t.Errorf("paramOneValue holds %d parameters, want at most 12", len(paramOneValue))
+	}
+	oneValue := map[string]bool{}
+	for _, e := range paramOneValue {
+		oneValue[e.param] = true
+		if c := calls[e.param]; c == nil || !c.set || !c.single() {
+			t.Errorf("paramOneValue parameter %s has no outside caller, two values or is no longer declared: drop it", e.param)
+		}
+	}
+	for _, p := range params {
+		if c := calls[p]; c.set && c.single() && !oneValue[p] {
+			t.Errorf("parameter %s is %s at every non-test call outside its package: make it an unexported constant", p, c)
+		}
+	}
+	t.Logf("%d parameters of exported functions", len(params))
+}
+
+// paramCalls returns every audited parameter, sorted and keyed by its
+// function's reachKey and its name, and for each what the non-test
+// calls from outside its package pass it.
+func paramCalls(pkgs []*Package) (params []string, calls map[string]*fieldWrites) {
+	ifaces := interfaces(pkgs)
+	// funcs maps a function's key to its parameters' keys, "" for a
+	// variadic one.
+	funcs := map[string][]string{}
+	calls = map[string]*fieldWrites{}
+	for _, pkg := range pkgs {
+		if !strings.HasPrefix(pkg.Path, "iobt/internal/") {
+			continue
+		}
+		for _, f := range pkg.Files {
+			if strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
+				continue
+			}
+			for _, decl := range f.Decls {
+				d, isFunc := decl.(*ast.FuncDecl)
+				if !isFunc || !d.Name.IsExported() {
+					continue
+				}
+				fn := pkg.Info.Defs[d.Name].(*types.Func)
+				sig := fn.Type().(*types.Signature)
+				if sig.Recv() != nil && satisfies(fn, ifaces) {
+					continue
+				}
+				keys := make([]string, sig.Params().Len())
+				for i := range keys {
+					if sig.Variadic() && i == len(keys)-1 {
+						continue
+					}
+					keys[i] = reachKey(fn) + "." + sig.Params().At(i).Name()
+					calls[keys[i]] = &fieldWrites{}
+					params = append(params, keys[i])
+				}
+				funcs[reachKey(fn)] = keys
+			}
+		}
+	}
+	sort.Strings(params)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			if strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
+				continue
+			}
+			// callOf maps the identifier naming a called function to its
+			// call.
+			callOf := map[*ast.Ident]*ast.CallExpr{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, isCall := n.(*ast.CallExpr); isCall {
+					switch fun := ast.Unparen(call.Fun).(type) {
+					case *ast.Ident:
+						callOf[fun] = call
+					case *ast.SelectorExpr:
+						if s := pkg.Info.Selections[fun]; s == nil || s.Kind() == types.MethodVal {
+							callOf[fun.Sel] = call
+						}
+					}
+				}
+				return true
+			})
+			ast.Inspect(f, func(n ast.Node) bool {
+				id, isIdent := n.(*ast.Ident)
+				if !isIdent {
+					return true
+				}
+				fn, isFunc := pkg.Info.Uses[id].(*types.Func)
+				if !isFunc || fn.Pkg() == nil || fn.Pkg().Path() == pkg.Path {
+					return true
+				}
+				keys := funcs[reachKey(fn)]
+				call := callOf[id]
+				known := call != nil && (len(call.Args) == len(keys) ||
+					fn.Type().(*types.Signature).Variadic() && len(call.Args) >= len(keys)-1)
+				for i, k := range keys {
+					switch {
+					case k == "":
+					case known:
+						calls[k].set = true
+						calls[k].add(pkg, call.Args[i])
+					default:
+						calls[k].set = true
+						calls[k].nonConst = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return params, calls
+}
+
+// satisfies reports whether the method fn helps its receiver satisfy
+// one of ifaces.
+func satisfies(fn *types.Func, ifaces map[string][]string) bool {
+	named, isNamed := deref(fn.Type().(*types.Signature).Recv().Type()).(*types.Named)
+	return isNamed && satisfying(named, ifaces)[fn.Name()] != nil
+}
+
 // checkOptionStructsListed fails each exported *Config or *Solver
 // struct under internal/ with an exported field that optionStructs
 // lacks, and each optionStructs entry that names no declared struct.
@@ -186,9 +338,18 @@ func (w *fieldWrites) add(pkg *Package, e ast.Expr) {
 		w.addConst(tv.Value)
 	case tv.IsNil():
 		w.addConst(nil)
+	case isEmptyLit(e):
+		w.addConst(nil)
 	default:
 		w.nonConst = true
 	}
+}
+
+// isEmptyLit reports whether e is a composite literal with no
+// elements (geo.Rect{}), which is its type's zero value.
+func isEmptyLit(e ast.Expr) bool {
+	lit, isLit := ast.Unparen(e).(*ast.CompositeLit)
+	return isLit && len(lit.Elts) == 0
 }
 
 // addConst records a write of v (nil: the zero value of a non-basic

@@ -2,28 +2,23 @@ package lint
 
 import "sort"
 
-// Run loads the packages matching patterns (from dir, "" = current
-// directory) and applies the full analyzer suite, returning every
-// finding — including suppressed ones, so callers can audit the allow
-// trail. Findings are ordered by file, line, column, then analyzer.
-func Run(dir string, patterns ...string) ([]Diagnostic, error) {
-	return RunAnalyzers(dir, Analyzers(), patterns...)
-}
-
-// RunAnalyzers is Run with an explicit analyzer set.
-func RunAnalyzers(dir string, as []*Analyzer, patterns ...string) ([]Diagnostic, error) {
-	prog, err := LoadProgram(dir, patterns...)
+// Run loads the packages matching patterns and applies the full
+// analyzer suite, returning every finding — including suppressed ones,
+// so callers can audit the allow trail. Findings are ordered by file,
+// line, column, then analyzer.
+func Run(patterns ...string) ([]Diagnostic, error) {
+	prog, err := LoadProgram(patterns...)
 	if err != nil {
 		return nil, err
 	}
-	return prog.Analyze(as), nil
+	return prog.Analyze(Analyzers()), nil
 }
 
-// LoadProgram loads the packages matching patterns and builds the
-// whole-program view (call graph + taint summaries) the analyzers run
-// on.
-func LoadProgram(dir string, patterns ...string) (*Program, error) {
-	pkgs, err := Load(dir, patterns...)
+// LoadProgram loads the packages matching patterns from the current
+// directory and builds the whole-program view (call graph + taint
+// summaries) the analyzers run on.
+func LoadProgram(patterns ...string) (*Program, error) {
+	pkgs, err := Load("", patterns...)
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func BenchmarkGossipPublishSpread(b *testing.B) {
 	g.Start()
 	// Warm the overlay so lazy setup (routing tables, member maps) is
 	// outside the measured loop.
-	if _, err := g.Publish(0, "cop", 64, "warm"); err != nil {
+	if _, err := g.Publish(0, 64, "warm"); err != nil {
 		b.Fatal(err)
 	}
 	if err := eng.Run(30 * time.Second); err != nil {
@@ -42,7 +42,7 @@ func BenchmarkGossipPublishSpread(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.Publish(0, "cop", 64, "picture"); err != nil {
+		if _, err := g.Publish(0, 64, "picture"); err != nil {
 			b.Fatal(err)
 		}
 		if err := eng.Run(30 * time.Second); err != nil {

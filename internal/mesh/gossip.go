@@ -38,10 +38,13 @@ type GossipKey struct {
 	Seq    uint64
 }
 
+// KindCOP tags each gossiped payload a member's app handler receives:
+// the overlay carries the common operational picture.
+const KindCOP = "cop"
+
 // GossipPayload is one disseminated unit of application data.
 type GossipPayload struct {
 	Key  GossipKey
-	Kind string
 	Data any
 	// Size is the application payload size in bytes.
 	Size float64
@@ -170,7 +173,7 @@ func NewGossip(net *Network, cfg GossipConfig) *Gossip {
 
 // Join enrolls id in the overlay and registers its mesh handler. app, if
 // non-nil, receives each first-time payload as a Message (From = origin,
-// Kind/Payload/Size from the publish) plus any non-gossip traffic
+// Kind KindCOP, Payload/Size from the publish) plus any non-gossip traffic
 // delivered to the node. A node's own publishes are stored but not
 // echoed back to its app handler — the publisher already has its data.
 func (g *Gossip) Join(id NodeID, app Handler) {
@@ -206,7 +209,7 @@ func (g *Gossip) Start() {
 // Publish disseminates data from origin. The payload is stored at the
 // origin immediately (counting as its own delivery) and relayed to a
 // seeded fanout of neighbors with the full TTL budget.
-func (g *Gossip) Publish(origin NodeID, kind string, size float64, data any) (GossipKey, error) {
+func (g *Gossip) Publish(origin NodeID, size float64, data any) (GossipKey, error) {
 	m, ok := g.members[origin]
 	if !ok {
 		return GossipKey{}, fmt.Errorf("gossip: origin %d is not a member", origin)
@@ -214,7 +217,7 @@ func (g *Gossip) Publish(origin NodeID, kind string, size float64, data any) (Go
 	key := GossipKey{Origin: origin, Seq: g.published[origin]}
 	g.published[origin]++
 	g.Published.Inc()
-	p := GossipPayload{Key: key, Kind: kind, Data: data, Size: size, Born: g.eng.Now()}
+	p := GossipPayload{Key: key, Data: data, Size: size, Born: g.eng.Now()}
 	m.have[key] = p
 	g.DeliveredNew.Inc()
 	g.LatencySec.Add(0)
@@ -277,7 +280,7 @@ func (g *Gossip) receive(m *gossipMember, p GossipPayload, ttl int, from NodeID)
 		m.app(Message{
 			From:    p.Key.Origin,
 			To:      m.id,
-			Kind:    p.Kind,
+			Kind:    KindCOP,
 			Payload: p.Data,
 			Size:    p.Size,
 			Sent:    p.Born,

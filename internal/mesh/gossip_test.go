@@ -59,7 +59,7 @@ func TestGossipDisseminatesToAllMembers(t *testing.T) {
 	eng, _, net := gridWorld(t, 7, 5, 4, 100)
 	g := joinAll(net, GossipConfig{Fanout: 3, TTL: 10, AntiEntropyEvery: 2 * time.Second})
 	g.Start()
-	key, err := g.Publish(0, "cop", 64, "picture-v1")
+	key, err := g.Publish(0, 64, "picture-v1")
 	if err != nil {
 		t.Fatalf("publish: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestGossipDuplicateSuppression(t *testing.T) {
 	// Huge fanout degenerates to flooding: every reception relays to all
 	// neighbors, so duplicates are guaranteed in a 3×3 grid.
 	g := joinAll(net, GossipConfig{Fanout: 1 << 20, TTL: 10, AntiEntropyEvery: -1})
-	if _, err := g.Publish(4, "report", 32, nil); err != nil {
+	if _, err := g.Publish(4, 32, nil); err != nil {
 		t.Fatalf("publish: %v", err)
 	}
 	if err := eng.Run(10 * time.Second); err != nil {
@@ -106,7 +106,7 @@ func TestGossipTTLBoundsSpread(t *testing.T) {
 	// TTL 2 without anti-entropy: origin relays with budget 2, so the
 	// payload reaches at most 3 hops down the line.
 	g := joinAll(net, GossipConfig{Fanout: 2, TTL: 2, AntiEntropyEvery: -1})
-	key, err := g.Publish(0, "report", 32, nil)
+	key, err := g.Publish(0, 32, nil)
 	if err != nil {
 		t.Fatalf("publish: %v", err)
 	}
@@ -139,7 +139,7 @@ func TestGossipDeterminism(t *testing.T) {
 		g := joinAll(net, GossipConfig{Fanout: 2, TTL: 12, AntiEntropyEvery: time.Second})
 		g.Start()
 		for i := 0; i < 4; i++ {
-			if _, err := g.Publish(NodeID(i*6), "cop", 48, i); err != nil {
+			if _, err := g.Publish(NodeID(i*6), 48, i); err != nil {
 				t.Fatalf("publish: %v", err)
 			}
 		}
@@ -169,11 +169,11 @@ func TestGossipPartitionHealReconverges(t *testing.T) {
 	g := joinAll(net, GossipConfig{Fanout: 3, TTL: 10, AntiEntropyEvery: 2 * time.Second})
 	g.Start()
 	// One publish per side: neither can cross the cut.
-	kLeft, err := g.Publish(0, "cop", 64, "left")
+	kLeft, err := g.Publish(0, 64, "left")
 	if err != nil {
 		t.Fatalf("publish left: %v", err)
 	}
-	kRight, err := g.Publish(5, "cop", 64, "right")
+	kRight, err := g.Publish(5, 64, "right")
 	if err != nil {
 		t.Fatalf("publish right: %v", err)
 	}
@@ -217,7 +217,7 @@ func TestGossipDigestPullsFromItsSender(t *testing.T) {
 	g := joinAll(net, GossipConfig{})
 	net.SetLinkFault(func() func(a, b geo.Point) bool { return func(a, b geo.Point) bool { return true } })
 	net.Refresh()
-	key, err := g.Publish(0, "cop", 64, "stranded")
+	key, err := g.Publish(0, 64, "stranded")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestGossipDigestPullsFromItsSender(t *testing.T) {
 func TestGossipConservationDetectsRegression(t *testing.T) {
 	eng, _, net := gridWorld(t, 13, 3, 3, 100)
 	g := joinAll(net, GossipConfig{Fanout: 3, TTL: 8, AntiEntropyEvery: -1})
-	key, err := g.Publish(0, "report", 32, nil)
+	key, err := g.Publish(0, 32, nil)
 	if err != nil {
 		t.Fatalf("publish: %v", err)
 	}
@@ -275,7 +275,7 @@ func TestGossipConservationDetectsPhantomPayload(t *testing.T) {
 func TestGossipNonMemberPublishFails(t *testing.T) {
 	_, _, net := gridWorld(t, 19, 2, 2, 100)
 	g := NewGossip(net, GossipConfig{})
-	if _, err := g.Publish(0, "report", 32, nil); err == nil {
+	if _, err := g.Publish(0, 32, nil); err == nil {
 		t.Error("publish from non-member should fail")
 	}
 }
@@ -294,7 +294,7 @@ func TestGossipAppHandlerChaining(t *testing.T) {
 			}
 		})
 	}
-	if _, err := g.Publish(0, "cop", 64, "payload"); err != nil {
+	if _, err := g.Publish(0, 64, "payload"); err != nil {
 		t.Fatalf("publish: %v", err)
 	}
 	// Non-gossip traffic must still reach the chained app handler.
@@ -318,7 +318,7 @@ func TestGossipAppHandlerChaining(t *testing.T) {
 func TestGossipOriginLatencyZero(t *testing.T) {
 	_, _, net := gridWorld(t, 31, 2, 2, 100)
 	g := joinAll(net, GossipConfig{AntiEntropyEvery: -1})
-	if _, err := g.Publish(0, "report", 32, nil); err != nil {
+	if _, err := g.Publish(0, 32, nil); err != nil {
 		t.Fatalf("publish: %v", err)
 	}
 	if g.LatencySec.N() != 1 || g.LatencySec.Sum() != 0 {

@@ -200,7 +200,7 @@ func (w *scriptWorld) run(t testing.TB, script []byte) {
 func TestRefreshIsHistoryFree(t *testing.T) {
 	terrains := []*geo.Terrain{
 		geo.NewOpenTerrain(1500, 1500),
-		geo.NewUrbanTerrain(1200, 1200, 100),
+		geo.NewUrbanTerrain(1200, 1200),
 		geo.NewSparseTerrain(2000, 2000),
 	}
 	ops := 120
@@ -238,7 +238,7 @@ func FuzzRefreshScript(f *testing.F) {
 		}
 		terr := []*geo.Terrain{
 			geo.NewOpenTerrain(600, 600),
-			geo.NewUrbanTerrain(500, 500, 100),
+			geo.NewUrbanTerrain(500, 500),
 			geo.NewSparseTerrain(800, 800),
 		}[world%3]
 		newScriptWorld(int64(world), terr, 60).run(t, script)

@@ -67,7 +67,7 @@ func refLinked(n *Network, a, b *asset.Asset) bool {
 func TestRefreshMatchesBruteForce(t *testing.T) {
 	terrains := []*geo.Terrain{
 		geo.NewOpenTerrain(1500, 1500),
-		geo.NewUrbanTerrain(1200, 1200, 100),
+		geo.NewUrbanTerrain(1200, 1200),
 		geo.NewSparseTerrain(2000, 2000),
 	}
 	for seed := int64(1); seed <= 6; seed++ {

@@ -409,7 +409,7 @@ func (sc ShardScenario) checked() (ShardScenario, error) {
 // order — shard-count independent by construction — and the publish
 // schedule. The zero area and drift select the field's defaults.
 func newShardRun(stream func(string) *sim.RNG, shards int, sc ShardScenario) *shardRun {
-	field := geo.NewDriftField(stream("shardnet/field"), sc.Nodes, shards, geo.Rect{}, 0)
+	field := geo.NewDriftField(stream("shardnet/field"), sc.Nodes, shards)
 	run := &shardRun{
 		sc:     sc,
 		nodes:  make([]*shardNode, sc.Nodes),

@@ -155,6 +155,9 @@ func (r *Result) Estimates() []bool {
 	return out
 }
 
+// maxIters bounds EM's iterations.
+const maxIters = 50
+
 // EM runs expectation-maximization truth discovery for at most maxIters
 // iterations (converging earlier when estimates stabilize).
 //
@@ -164,10 +167,7 @@ func (r *Result) Estimates() []bool {
 // Reliabilities are initialized slightly above 0.5, which anchors the
 // label symmetry to "sources are on average honest" — the assumption the
 // social-sensing literature makes explicit.
-func EM(d *Dataset, maxIters int) *Result {
-	if maxIters <= 0 {
-		maxIters = 50
-	}
+func EM(d *Dataset) *Result {
 	// Index reports by claim for the E-step.
 	byClaim := make([][]Report, d.NumClaims)
 	for _, r := range d.Reports {

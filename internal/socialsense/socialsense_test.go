@@ -60,7 +60,7 @@ func TestEMBeatsMajorityUnderHeterogeneity(t *testing.T) {
 		c.ReliabilityBeta = 0.8 // mean 0.6, wide spread
 	})
 	maj := Accuracy(MajorityVote(d), d.Truth)
-	em := EM(d, 50)
+	em := EM(d)
 	emAcc := Accuracy(em.Estimates(), d.Truth)
 	if emAcc <= maj {
 		t.Errorf("EM (%.3f) should beat majority (%.3f) under heterogeneous reliability", emAcc, maj)
@@ -72,7 +72,7 @@ func TestEMBeatsMajorityUnderHeterogeneity(t *testing.T) {
 
 func TestEMHighAccuracyOnCleanData(t *testing.T) {
 	d := genTest(4, nil) // mostly reliable sources
-	em := EM(d, 50)
+	em := EM(d)
 	if acc := Accuracy(em.Estimates(), d.Truth); acc < 0.95 {
 		t.Errorf("EM accuracy on clean data = %.3f", acc)
 	}
@@ -85,7 +85,7 @@ func TestEMReliabilityEstimates(t *testing.T) {
 	// 540 claims at observeProb give each source ~81 reports to be
 	// scored on.
 	d := genTest(5, func(c *GenConfig) { c.Claims = 540 })
-	em := EM(d, 50)
+	em := EM(d)
 	rmse := ReliabilityRMSE(em.Reliability, d.Reliability)
 	if rmse > 0.12 {
 		t.Errorf("reliability RMSE = %.3f, want <= 0.12", rmse)
@@ -96,7 +96,7 @@ func TestEMDegradesGracefullyWithCollusion(t *testing.T) {
 	var prev float64 = 1.1
 	for _, frac := range []float64{0, 0.2, 0.4} {
 		d := genTest(6, func(c *GenConfig) { c.ColluderFrac = frac })
-		acc := Accuracy(EM(d, 50).Estimates(), d.Truth)
+		acc := Accuracy(EM(d).Estimates(), d.Truth)
 		if acc > prev+0.05 {
 			t.Errorf("accuracy rose with more collusion: %.3f at frac=%.1f (prev %.3f)", acc, frac, prev)
 		}
@@ -109,7 +109,7 @@ func TestEMDegradesGracefullyWithCollusion(t *testing.T) {
 
 func TestEMIdentifiesColluders(t *testing.T) {
 	d := genTest(7, func(c *GenConfig) { c.ColluderFrac = 0.2 })
-	em := EM(d, 50)
+	em := EM(d)
 	for s, coll := range d.Colluder {
 		if coll && em.Reliability[s] > 0.4 {
 			t.Errorf("colluder %d estimated reliability %.3f, want low", s, em.Reliability[s])
@@ -143,7 +143,7 @@ func TestEMProbabilityBounds(t *testing.T) {
 		cfg.Sources = 30
 		cfg.Claims = 40
 		d := Generate(sim.NewRNG(seed), cfg)
-		em := EM(d, 20)
+		em := EM(d)
 		if len(em.TruthProb) != d.NumClaims {
 			return false
 		}

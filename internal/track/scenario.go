@@ -107,10 +107,10 @@ func (s *Scenario) Tick(dt time.Duration) {
 	}
 }
 
-// Run ticks the scenario for the given duration at the given cadence.
-func (s *Scenario) Run(total, dt time.Duration) {
-	for elapsed := time.Duration(0); elapsed < total; elapsed += dt {
-		s.Tick(dt)
+// Run ticks the scenario once a second for the given duration.
+func (s *Scenario) Run(total time.Duration) {
+	for elapsed := time.Duration(0); elapsed < total; elapsed += time.Second {
+		s.Tick(time.Second)
 	}
 }
 

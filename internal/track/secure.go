@@ -60,15 +60,12 @@ func FuseMedian(dets []Detection) (Detection, bool) {
 }
 
 // FlagOutliers returns the indices of detections whose distance from
-// the coordinate-wise median exceeds k times the median absolute
+// the coordinate-wise median exceeds 4 times the median absolute
 // deviation of those distances — the contaminated-sensor report that
 // feeds the trust ledger.
-func FlagOutliers(dets []Detection, k float64) []int {
+func FlagOutliers(dets []Detection) []int {
 	if len(dets) < 3 {
 		return nil
-	}
-	if k <= 0 {
-		k = 4
 	}
 	med, _ := FuseMedian(dets)
 	dists := make([]float64, len(dets))
@@ -83,7 +80,7 @@ func FlagOutliers(dets []Detection, k float64) []int {
 	}
 	var out []int
 	for i, d := range dists {
-		if d > k*mad {
+		if d > 4*mad {
 			out = append(out, i)
 		}
 	}

@@ -78,7 +78,7 @@ func TestFuseVarianceShrinks(t *testing.T) {
 func TestFlagOutliers(t *testing.T) {
 	rng := sim.NewRNG(4)
 	dets := contaminated(rng, geo.Point{X: 50, Y: 50}, 9, 2, 300)
-	flagged := FlagOutliers(dets, 4)
+	flagged := FlagOutliers(dets)
 	if len(flagged) != 2 {
 		t.Fatalf("flagged = %v, want the 2 attackers", flagged)
 	}
@@ -89,10 +89,10 @@ func TestFlagOutliers(t *testing.T) {
 	}
 	// Clean data: nothing flagged.
 	clean := contaminated(rng, geo.Point{}, 9, 0, 0)
-	if got := FlagOutliers(clean, 4); len(got) != 0 {
+	if got := FlagOutliers(clean); len(got) != 0 {
 		t.Errorf("clean data flagged: %v", got)
 	}
-	if FlagOutliers(clean[:2], 4) != nil {
+	if FlagOutliers(clean[:2]) != nil {
 		t.Error("too few detections should flag nothing")
 	}
 }

@@ -230,7 +230,7 @@ func TestScenarioContinuityImprovesWithSensorDensity(t *testing.T) {
 			})
 		}
 		sc := NewScenario(rng, targets, sensors, Config{})
-		sc.Run(3*time.Minute, time.Second)
+		sc.Run(3 * time.Minute)
 		return sc.Continuity.Mean()
 	}
 	sparse := continuity(4)
@@ -254,7 +254,7 @@ func TestScenarioRMSEBounded(t *testing.T) {
 	// filter only survives with maneuver-scale process noise (the
 	// standard tuning rule: q ~ max expected acceleration squared).
 	sc := NewScenario(rng, targets, sensors, Config{ProcessNoise: 36})
-	sc.Run(4*time.Minute, time.Second)
+	sc.Run(4 * time.Minute)
 	if sc.Continuity.Mean() < 0.8 {
 		t.Errorf("continuity = %.2f", sc.Continuity.Mean())
 	}

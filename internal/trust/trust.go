@@ -118,38 +118,11 @@ func (l *Ledger) Confidence(id asset.ID) float64 {
 	return c
 }
 
-// Trusted reports whether id's score meets the threshold.
-func (l *Ledger) Trusted(id asset.ID, threshold float64) bool {
-	return l.Score(id) >= threshold
+// Trusted reports whether id's score is at least one half.
+func (l *Ledger) Trusted(id asset.ID) bool {
+	return l.Score(id) >= 0.5
 }
 
-// Suspects returns all ids with score below threshold, worst first.
-func (l *Ledger) Suspects(threshold float64) []asset.ID {
-	type pair struct {
-		id asset.ID
-		s  float64
-	}
-	var out []pair
-	for id := range l.records {
-		if s := l.Score(id); s < threshold {
-			out = append(out, pair{id, s})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].s != out[j].s {
-			return out[i].s < out[j].s
-		}
-		return out[i].id < out[j].id
-	})
-	ids := make([]asset.ID, len(out))
-	for i, p := range out {
-		ids[i] = p.id
-	}
-	return ids
-}
-
-// Reset discards all accumulated evidence, returning every node to the
-// prior. This is the cold-failover path: a rebuilt command post starts
 // with no reputation memory and must re-learn who to trust.
 func (l *Ledger) Reset() {
 	for id := range l.records {

@@ -61,6 +61,9 @@ func TestConfidenceGrows(t *testing.T) {
 	}
 }
 
+// TestTrustedAndSuspects: the suspects, nodes with negative evidence,
+// are not trusted, and mission evidence weighs more than anomaly
+// evidence.
 func TestTrustedAndSuspects(t *testing.T) {
 	l := NewLedger()
 	for i := 0; i < 5; i++ {
@@ -68,19 +71,15 @@ func TestTrustedAndSuspects(t *testing.T) {
 		l.Observe(2, EvMission, true)
 		l.Observe(3, EvAnomaly, false)
 	}
-	if l.Trusted(1, 0.5) {
-		t.Error("bad node should not be trusted at 0.5")
+	if l.Trusted(1) || l.Trusted(3) {
+		t.Error("bad nodes should not be trusted")
 	}
-	if !l.Trusted(2, 0.5) {
+	if !l.Trusted(2) {
 		t.Error("good node should be trusted")
 	}
-	sus := l.Suspects(0.5)
-	if len(sus) != 2 {
-		t.Fatalf("Suspects = %v", sus)
-	}
-	// Node 1 has stronger negative evidence (weight 3 vs 1.5) so comes first.
-	if sus[0] != 1 || sus[1] != 3 {
-		t.Errorf("Suspects order = %v, want [1 3]", sus)
+	// Node 1 has stronger negative evidence (weight 3 vs 1.5).
+	if l.Score(1) >= l.Score(3) {
+		t.Errorf("scores %v, %v: mission evidence should weigh more than anomaly evidence", l.Score(1), l.Score(3))
 	}
 	if n := len(l.records); n != 3 {
 		t.Errorf("records = %d", n)

@@ -91,8 +91,7 @@ func TrustBounds(l *trust.Ledger, resetOK func() bool) Invariant {
 	prevEvidence := 0.0
 	return Invariant{Name: "trust-bounds", Check: func() error {
 		allowed := resetOK == nil || resetOK()
-		// Threshold above the score range enumerates every recorded id.
-		for _, id := range l.Suspects(2) {
+		for _, id := range l.IDs() {
 			if s := l.Score(id); s < 0 || s > 1 || math.IsNaN(s) {
 				return fmt.Errorf("trust score of %d out of [0,1]: %v", id, s)
 			}

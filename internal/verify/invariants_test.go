@@ -76,7 +76,7 @@ func TestGossipConservationInvariant(t *testing.T) {
 		t.Fatal("no linked members to gossip between")
 	}
 	w.Eng.Every(2*time.Second, "test.publish", func() {
-		if _, err := g.Publish(members[0], "cop", 48, nil); err != nil {
+		if _, err := g.Publish(members[0], 48, nil); err != nil {
 			t.Errorf("publish: %v", err)
 		}
 	})

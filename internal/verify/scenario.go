@@ -16,7 +16,6 @@ import (
 	"iobt/internal/geo"
 	"iobt/internal/intent"
 	"iobt/internal/mesh"
-	"iobt/internal/sim"
 	"iobt/internal/track"
 )
 
@@ -68,94 +67,6 @@ type Scenario struct {
 	Intent string
 	// Plan is the fault plan (nil or empty: a nominal run).
 	Plan *fault.Plan
-}
-
-// Generate derives a random scenario from seed. The derivation is
-// deterministic: the same seed always yields the same scenario, and the
-// scenario's own Seed field reuses it, so Generate(seed) → Run is one
-// reproducible unit.
-func Generate(seed int64) Scenario {
-	rng := sim.NewRNG(seed).Derive("verify.scenario")
-	s := Scenario{
-		Seed:    seed,
-		Assets:  80 + 10*rng.Intn(14),
-		Size:    600 + 100*float64(rng.Intn(9)),
-		Terrain: [...]string{"open", "open", "urban", "sparse"}[rng.Intn(4)],
-		Rate:    10 + 5*float64(rng.Intn(5)),
-		Horizon: time.Duration(60+30*rng.Intn(4)) * time.Second,
-		Command: "intent",
-		Degrade: rng.Bool(0.5),
-		Track:   rng.Bool(0.5),
-	}
-	if rng.Bool(0.5) {
-		s.Command = "hierarchy"
-		s.Reliable = rng.Bool(0.5)
-		if s.Reliable && rng.Bool(0.5) {
-			s.Checkpoint = [...]time.Duration{10 * time.Second, 15 * time.Second, 30 * time.Second}[rng.Intn(3)]
-		}
-	}
-	s.Plan = randomPlan(rng, s)
-	return s
-}
-
-// randomPlan draws 0–4 windowed/instant faults inside the horizon, plus
-// — when the mission checkpoints — an optional crash/failover pair, so
-// the fuzzer exercises the restore path too.
-func randomPlan(rng *sim.RNG, s Scenario) *fault.Plan {
-	p := &fault.Plan{Name: fmt.Sprintf("fuzz-%d", s.Seed)}
-	span := s.Horizon - 30*time.Second
-	if span <= 0 {
-		span = s.Horizon / 2
-	}
-	at := func() time.Duration {
-		return 10*time.Second + time.Duration(rng.Intn(int(span/time.Second)))*time.Second
-	}
-	dur := func() time.Duration {
-		return time.Duration(15+rng.Intn(45)) * time.Second
-	}
-	area := func() geo.Circle {
-		return geo.Circle{
-			Center: geo.Point{X: rng.Uniform(0, s.Size), Y: rng.Uniform(0, s.Size)},
-			Radius: rng.Uniform(s.Size/8, s.Size/2),
-		}
-	}
-	n := rng.Intn(5)
-	for i := 0; i < n; i++ {
-		switch rng.Intn(8) {
-		case 0:
-			p.Add(fault.Fault{Kind: fault.JamWave, At: at(), Duration: dur(),
-				Area: area(), Intensity: rng.Uniform(0.3, 1)})
-		case 1:
-			p.Add(fault.Fault{Kind: fault.Smoke, At: at(), Duration: dur(), Area: area()})
-		case 2:
-			p.Add(fault.Fault{Kind: fault.KillWave, At: at(),
-				Fraction: rng.Uniform(0.1, 0.4), Select: fault.SelectComposite})
-		case 3:
-			p.Add(fault.Fault{Kind: fault.Partition, At: at(), Duration: dur(),
-				X: rng.Uniform(s.Size/4, 3*s.Size/4)})
-		case 4:
-			p.Add(fault.Fault{Kind: fault.Corrupt, At: at(), Duration: dur(),
-				Prob: rng.Uniform(0.05, 0.3)})
-		case 5:
-			p.Add(fault.Fault{Kind: fault.Delay, At: at(), Duration: dur(),
-				Prob: rng.Uniform(0.2, 0.8), Extra: time.Duration(rng.Intn(400)+100) * time.Millisecond})
-		case 6:
-			p.Add(fault.Fault{Kind: fault.ChurnSpike, At: at(), Duration: dur(),
-				Rate: rng.Uniform(0.05, 0.25)})
-		case 7:
-			p.Add(fault.Fault{Kind: fault.CommandPostLoss, At: at()})
-		}
-	}
-	if s.Checkpoint > 0 && rng.Bool(0.5) {
-		crashAt := s.Horizon/2 + time.Duration(rng.Intn(20))*time.Second
-		p.Add(fault.Fault{Kind: fault.CrashPost, At: crashAt})
-		p.Add(fault.Fault{Kind: fault.Failover,
-			At: crashAt + time.Duration(1+rng.Intn(5))*time.Second, Warm: rng.Bool(0.5)})
-	}
-	if len(p.Faults) == 0 {
-		return nil
-	}
-	return p
 }
 
 // InvariantMaker builds an invariant against a live mission; the
@@ -214,7 +125,7 @@ func BuildMission(s Scenario, j *checkpoint.Journal) (*core.World, *core.Runtime
 	var terr *geo.Terrain
 	switch s.Terrain {
 	case "urban":
-		terr = geo.NewUrbanTerrain(s.Size, s.Size, 100)
+		terr = geo.NewUrbanTerrain(s.Size, s.Size)
 	case "sparse":
 		terr = geo.NewSparseTerrain(s.Size, s.Size)
 	default:
@@ -314,7 +225,7 @@ func gossipOverlay(w *core.World, r *core.Runtime) []Invariant {
 		}
 		prev := w.Net.Handler(id)
 		g.Join(id, func(msg mesh.Message) {
-			if msg.Kind == "cop" {
+			if msg.Kind == mesh.KindCOP {
 				if enc, ok := msg.Payload.([]byte); ok {
 					_ = pic.MergeEncoded(enc) // a corrupted frame is rejected whole and cannot regress the replica
 				}
@@ -332,7 +243,7 @@ func gossipOverlay(w *core.World, r *core.Runtime) []Invariant {
 		}
 		core.UpdatePicture(postPic, w, r)
 		enc := postPic.Encode()
-		_, _ = g.Publish(post, "cop", float64(len(enc)), enc) // the post joined above, so it is a member and Publish cannot fail
+		_, _ = g.Publish(post, float64(len(enc)), enc) // the post joined above, so it is a member and Publish cannot fail
 	})
 	return []Invariant{
 		GossipConservation(g),
@@ -609,6 +520,17 @@ func (s *Scenario) parseIntent(text string) error {
 		return fmt.Errorf("verify: intent section: rate %g must be at most %g", m.IncidentsPerMin, float64(maxRate))
 	case m.Goal.Redundancy > maxRedundancy:
 		return fmt.Errorf("verify: intent section: redundancy %d must be at most %d", m.Goal.Redundancy, maxRedundancy)
+	}
+	return nil
+}
+
+// ReplayEquivalence checks journal-replay equivalence for a scenario:
+// two full builds from the same recipe must journal identical decision
+// streams.
+func ReplayEquivalence(s Scenario) error {
+	run := func(j *checkpoint.Journal) { _, _ = RunAttempt(context.Background(), s, j, nil) } // only the journals are compared
+	if d := checkpoint.VerifyEquivalence(s.Seed, s.Plan.String(), run, run); d != nil {
+		return fmt.Errorf("replay diverged (seed %d): %v", s.Seed, d)
 	}
 	return nil
 }
